@@ -3,8 +3,9 @@
 The paper's fault-tolerance design (§III.H) promises that a node failure
 costs the client a bounded number of timeouts before it fails over to a
 replica, and that a manager restores the replication level afterwards.
-This benchmark measures that end to end with the chaos harness: a node
-is killed mid-workload, the client rides through timeouts/backoff to the
+This benchmark measures that end to end with the chaos scenario
+(``run_chaos``; the numbers are verdict metrics): a node is killed
+mid-workload, the client rides through timeouts/backoff to the
 replica, a manager repairs, and the invariants (no acked write lost,
 replication restored) are verified on every row.
 
@@ -20,23 +21,15 @@ Columns per cluster size:
 
 from _util import fmt, print_table, scales
 
-from repro.core import ZHTConfig
 from repro.faults import run_chaos
 
 SCALES = scales(small=(4, 6), paper=(4, 8, 16))
 OPS = 160
 
-
-def _config(replicas: int) -> ZHTConfig:
-    return ZHTConfig(
-        transport="local",
-        num_partitions=64,
-        num_replicas=replicas,
-        request_timeout=0.02,
-        failures_before_dead=2,
-        backoff_factor=1.5,
-        max_retries=10,
-    )
+#: ZHTConfig overrides on top of the harness-standard config: the
+#: production breaker cooldowns, so a node declared dead stays out of
+#: rotation for the rest of the run instead of being re-probed.
+CONFIG = {"breaker_cooldown_s": 0.5, "breaker_cooldown_max_s": 8.0}
 
 
 def _run(nodes: int, replicas: int):
@@ -46,7 +39,7 @@ def _run(nodes: int, replicas: int):
         replicas=replicas,
         ops=OPS,
         seed=nodes * 31 + replicas,
-        config=_config(replicas),
+        config=CONFIG,
     )
 
 
@@ -54,17 +47,15 @@ def generate_series():
     rows = []
     for n in SCALES:
         r = _run(n, 1)
-        dip = (
-            (1 - r.throughput_during / r.throughput_before) * 100
-            if r.throughput_before
-            else 0.0
-        )
+        before = r.metrics["ops.throughput_before_per_s"]
+        during = r.metrics["ops.throughput_during_per_s"]
+        dip = (1 - during / before) * 100 if before else 0.0
         rows.append(
             (
                 n,
-                fmt(r.failover_latency_s * 1e3, 1),
+                fmt(r.metrics["fault.failover_latency_s"] * 1e3, 1),
                 f"{dip:.0f}%",
-                fmt(r.repair_time_s * 1e3, 1),
+                fmt(r.metrics["fault.repair_time_s"] * 1e3, 1),
                 f"{r.ops_acked}/{r.ops_attempted}",
                 "OK" if r.ok else "VIOLATED",
             )

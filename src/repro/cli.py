@@ -253,12 +253,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
         enable_metrics()
 
-    plan = None
-    if args.plan == "overload":
-        plan = FaultPlan.overload(args.seed)
-    elif args.plan == "flapping":
-        plan = FaultPlan.flapping(args.seed)
-    elif args.drop or args.delay or args.duplicate:
+    plan = args.plan
+    if plan is None and (args.drop or args.delay or args.duplicate):
         plan = FaultPlan.message_chaos(
             args.seed,
             drop=args.drop,
@@ -267,7 +263,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             duplicate=args.duplicate,
         )
     try:
-        report = run_chaos(
+        verdict = run_chaos(
             args.backend,
             nodes=args.nodes,
             replicas=args.replicas,
@@ -279,7 +275,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in report.summary_lines():
+    for line in verdict.summary_lines():
         print(line)
     if args.stats_json:
         from .obs import metrics_snapshot
@@ -291,15 +287,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     # can double-apply; a dropped one-way replica update is not resent),
     # so full convergence is unattainable under arbitrary drops — gate
     # the exit code on the durability invariant alone when asked.
-    ok = not report.lost_writes if args.durability_only else report.ok
-    if not report.ok:
-        for v in (
-            report.lost_writes
-            + report.diverged_writes
-            + report.replication_violations
-            + report.convergence_violations
-        ):
-            print(f"  VIOLATION: {v}", file=sys.stderr)
+    if args.durability_only:
+        ok = verdict.error is None and verdict.check("durability").status == "pass"
+    else:
+        ok = verdict.ok
     return 0 if ok else 1
 
 
@@ -332,17 +323,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(line)
         return 0 if report.ok else 1
 
-    plan = None
-    if args.plan == "overload":
-        from .faults.plan import FaultPlan
-
-        plan = FaultPlan.overload(args.seed)
-    elif args.plan == "flapping":
-        from .faults.plan import FaultPlan
-
-        plan = FaultPlan.flapping(args.seed)
     try:
-        report = run_verify(
+        verdict = run_verify(
             args.backend,
             ops=args.ops,
             seed=args.seed,
@@ -354,15 +336,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             history_path=args.history,
             staleness_bound=args.bound,
             hot_cache=args.hot_cache,
-            plan=plan,
+            plan=None if args.plan == "none" else args.plan,
             shards=args.shards,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in report.summary_lines():
+    for line in verdict.summary_lines():
         print(line)
-    return 0 if report.ok else 1
+    if args.history:
+        print(f"history artifact: {args.history}")
+    return 0 if verdict.ok else 1
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -686,8 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="worker processes per node for --backend sharded "
-        "(default: the chaos harness's 2)",
+        help="worker processes per node for --backend sharded (default: 2)",
     )
     verify.add_argument(
         "--plan",

@@ -15,13 +15,14 @@ this package exercises it as a whole:
 * :mod:`~repro.faults.invariants` — :class:`AckLedger` and the checkers
   behind the core invariant: an *acknowledged* write survives any single
   node failure under replication.
-* :mod:`~repro.faults.chaos` — the end-to-end chaos harness
-  (``python -m repro chaos``) over the local/TCP/UDP backends.
-* :mod:`~repro.faults.simchaos` — the same harness inside the DES
-  simulator, for churn at scales sockets cannot host.
+
+The end-to-end kill → failover → repair → verify run
+(``python -m repro chaos``, :func:`run_chaos`) is a synthesised scenario
+executed by :mod:`repro.scenario.runner`, on the local/TCP/UDP/sharded
+backends and inside the DES.
 """
 
-from .chaos import ChaosReport, run_chaos
+from ..scenario.frontends import run_chaos
 from .files import FaultyWALFile, corrupt_byte, faulty_wal_opener, tear_tail
 from .invariants import (
     AckLedger,
@@ -40,19 +41,8 @@ from .plan import (
 )
 from .transport import FaultyClientTransport, FaultyTransportStats
 
-
-def __getattr__(name):
-    # Loaded lazily: simchaos imports repro.sim.cluster, whose fault hooks
-    # import repro.faults.plan — an eager import here would be circular.
-    if name == "run_chaos_sim":
-        from .simchaos import run_chaos_sim
-
-        return run_chaos_sim
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "AckLedger",
-    "ChaosReport",
     "FaultKind",
     "FaultPlan",
     "FaultRecord",
@@ -67,6 +57,5 @@ __all__ = [
     "corrupt_byte",
     "holders_of_key",
     "run_chaos",
-    "run_chaos_sim",
     "tear_tail",
 ]

@@ -21,7 +21,7 @@ import random
 import threading
 from dataclasses import dataclass, replace
 
-#: Sentinel rule target resolved by the chaos harness to the concrete
+#: Sentinel rule target resolved by the scenario runner to the concrete
 #: instance addresses of the node it is about to kill (the transports
 #: match faults against address strings, which are only known once the
 #: cluster is built).
@@ -215,7 +215,7 @@ class FaultPlan:
         """A flapping node: every *period* matching messages, the next
         *burst* round trips to *target* are dropped, for *cycles* cycles.
         The default target is the :data:`VICTIM_TARGET` sentinel, which
-        the chaos harness resolves to its kill victim's addresses.
+        the scenario runner resolves to its kill victim's addresses.
         Exercises the circuit breaker's open → half-open → closed loop —
         the client must both suspect the node quickly and rediscover it
         once the burst passes."""

@@ -46,8 +46,8 @@ _LAZY = {
 
 def __getattr__(name: str) -> object:
     # Lazy re-exports keep package import light and cycle-free: the
-    # runner imports repro.faults, whose __init__ imports the chaos
-    # harness, which imports repro.scenario.cluster.
+    # runner imports repro.faults and repro.verify, whose __init__s
+    # import repro.scenario.frontends.
     try:
         module_name, attr = _LAZY[name]
     except KeyError:

@@ -1,44 +1,36 @@
-"""Shared cluster plumbing for every adverse-conditions harness.
-
-One place builds, kills, and repairs clusters for the chaos harness
-(:mod:`repro.faults.chaos`), the consistency verifier
-(:mod:`repro.verify.runner`), and the scenario runner
-(:mod:`repro.scenario.runner`) — previously each hand-wired its own
-copy.  The functions are backend-polymorphic over the same five names
-the CLIs accept: ``local`` / ``tcp`` / ``udp`` / ``sim`` / ``sharded``
-(``sim`` is handled by the callers' DES paths; the builders here cover
-the live backends).
+"""Cluster plumbing for the scenario runner
+(:mod:`repro.scenario.runner`): the harness-standard config for every
+backend, and building / killing / repairing / quiescing the live ones
+(``local`` / ``tcp`` / ``udp`` / ``sharded``; the ``sim`` cluster is a
+:class:`~repro.sim.cluster.SimulatedCluster`, built by the runner's DES
+loop).
 """
 
 from __future__ import annotations
 
+import random
+import time
 from typing import TYPE_CHECKING, Any
 
 from ..api import build_local_cluster
 from ..core.config import ZHTConfig
-from ..core.manager import ManagerCore
+from ..core.manager import ManagerCore, Script
+from ..core.membership import MembershipTable
 
 if TYPE_CHECKING:
     from ..core.server import ZHTServerCore
     from ..faults.plan import FaultPlan
 
-#: Backends the live builders cover (``sim`` runs are driven by the
-#: callers through :mod:`repro.sim` instead of a socket deployment).
-LIVE_BACKENDS = ("local", "tcp", "udp", "sharded")
-
 
 def default_config(backend: str, replicas: int) -> ZHTConfig:
     """The harness-standard config: fast timeouts, quick failure
     detection, a breaker scaled to the timeouts so flapping nodes are
-    re-probed within a few op latencies."""
-    timeout = 0.02 if backend == "local" else 0.15
+    re-probed within a few op latencies.  On ``sim`` those are simulated
+    seconds, so the timeout sits a few modeled round trips up."""
+    timeout = {"local": 0.02, "sim": 0.005}.get(backend, 0.15)
     return ZHTConfig(
-        transport="local" if backend == "local" else
+        transport="local" if backend in ("local", "sim") else
         ("tcp" if backend == "sharded" else backend),
-        # Two worker processes per node keeps the sharded-backend process
-        # count manageable (verify runs >= 3 nodes).
-        num_shards=2 if backend == "sharded" else 1,
-        num_partitions=64,
         num_replicas=replicas,
         request_timeout=timeout,
         failures_before_dead=2,
@@ -71,19 +63,15 @@ def kill_node(cluster: Any, backend: str, victim: str, plan: FaultPlan) -> None:
     addresses = [
         str(inst.address) for inst in cluster.membership.instances_on_node(victim)
     ]
-    if backend == "local":
+    if backend in ("local", "sim"):
         cluster.kill_node(victim)
     else:
-        targets = {
-            str(inst.address)
-            for inst in cluster.membership.instances_on_node(victim)
-        }
         for server in cluster.servers:
             # A sharded node advertises its shards' private addresses in
             # the membership table, not the shared bootstrap port.
             owned = {str(a) for a in getattr(server, "shard_addresses", [])}
             owned.add(str(server.address))
-            if owned & targets:
+            if owned.intersection(addresses):
                 server.stop()
     plan.crash_target(victim, *addresses)
 
@@ -101,19 +89,22 @@ def server_cores(cluster: Any, backend: str) -> list[ZHTServerCore]:
     ]
 
 
-def repair_node(cluster: Any, victim: str, config: ZHTConfig, seed: int) -> float:
-    """Run the manager repair script; returns its wall-clock duration."""
-    import random
-    import time
-
+def repair_script(
+    membership: MembershipTable, victim: str, config: ZHTConfig, seed: int
+) -> Script:
+    """The manager repair script for *victim*, run from the first alive
+    survivor (drive it with ``cluster.run`` / ``SimulatedCluster.run_script``)."""
     manager_node = next(
-        n
-        for n, info in cluster.membership.nodes.items()
-        if info.alive and n != victim
+        n for n, info in membership.nodes.items() if info.alive and n != victim
     )
     manager = ManagerCore(
-        manager_node, cluster.membership, config, rng=random.Random(seed ^ 0xC0DE)
+        manager_node, membership, config, rng=random.Random(seed ^ 0xC0DE)
     )
-    t0 = time.perf_counter()
-    cluster.run(manager.repair_after_failure(victim))
-    return time.perf_counter() - t0
+    return manager.repair_after_failure(victim)
+
+
+def quiesce(backend: str) -> None:
+    """Let in-flight async replica updates drain before the stores are
+    judged (the in-process network delivers them synchronously)."""
+    if backend != "local":
+        time.sleep(0.2)

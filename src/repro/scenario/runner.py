@@ -1,20 +1,30 @@
 """Execute one validated :class:`~repro.scenario.schema.Scenario`
 against any backend and return a machine-readable :class:`Verdict`.
 
-The run has the same phases as the hand-wired chaos/verify harnesses,
-but driven entirely from the declarative config:
+This is the only code in the repo that builds a cluster, drives
+traffic, injects faults and judges the result; ``repro chaos`` and
+``repro verify`` synthesise a scenario and call it
+(:mod:`repro.scenario.frontends`).  The phases, all driven from the
+declarative config:
 
 1. **build** — topology → :func:`~repro.scenario.cluster.default_config`
    + overrides → a live cluster (or the DES);
 2. **traffic** — the workload spec compiles to one deterministic op
-   stream per client (:mod:`repro.scenario.traffic`), acknowledged
-   mutations land in the ledger;
+   stream per client (:mod:`repro.scenario.traffic`); acknowledged
+   mutations land in the ledger and, with ``checks.linearizability``,
+   every op's interval lands in a history recorder;
 3. **faults** — message rules + a named preset become one seeded
    :class:`~repro.faults.plan.FaultPlan`; node-level events fire when
    global progress crosses their fraction;
-4. **verdict** — the configured invariant checks run against the
-   stores, metric gates are evaluated, and everything is folded into a
-   pass/fail JSON document (``Verdict.to_dict``).
+4. **verdict** — after quiesce the configured checks judge the stores
+   and the history, metric gates are evaluated, and everything is
+   folded into a pass/fail JSON document (``Verdict.to_dict``).
+
+There are exactly two run loops: threads over a live cluster
+(:func:`_run_live`) and generators over the DES (:func:`_run_sim`).
+Each is the only one that runs on its backends; everything that is not
+"how an op is issued and awaited" — config, plan, event schedule, op
+accounting, checks, metrics — is shared plain functions.
 """
 
 from __future__ import annotations
@@ -24,10 +34,12 @@ import tempfile
 import threading
 import time
 from collections import Counter as Multiset
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Generator, Iterator
 
+from ..api import ZHT
+from ..core.client import ClientStats, ZHTClientCore
 from ..core.config import ZHTConfig
 from ..core.errors import KeyNotFound, ZHTError
 from ..core.membership import MembershipTable
@@ -46,12 +58,23 @@ from ..faults.plan import (
     resolve_victim_rules,
 )
 from ..faults.transport import FaultyClientTransport
-from .cluster import build_cluster, default_config, kill_node, repair_node, server_cores
+from ..verify.checker import CheckReport, check_history
+from ..verify.history import STATUS_FAIL, STATUS_NOTFOUND, STATUS_OK, HistoryRecorder
+from .cluster import (
+    build_cluster,
+    default_config,
+    kill_node,
+    quiesce,
+    repair_script,
+    server_cores,
+)
 from .schema import FaultEvent, Scenario, ScenarioError
 from .traffic import FRAGMENT_BYTES, ClientStream, build_streams
 
 #: Max violation strings kept per check in the verdict document.
 MAX_VIOLATIONS = 12
+#: ClientStats fields summed over the workload's clients into ``client.*``.
+_CLIENT_STATS = ("retries", "failovers", "nodes_marked_dead", "reprobes", "hot_cache_hits")
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +90,11 @@ class CheckResult:
     status: str
     violations: list = field(default_factory=list)
     detail: str = ""
+    #: Linearizability only: the event lines of the first violating
+    #: key's ddmin-minimal sub-history, and the checker's full report
+    #: (kept reachable for callers; not serialized).
+    witness: list = field(default_factory=list)
+    report: CheckReport | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -74,6 +102,7 @@ class CheckResult:
             "status": self.status,
             "violations": list(self.violations),
             "detail": self.detail,
+            "witness": list(self.witness),
         }
 
 
@@ -115,7 +144,9 @@ class Verdict:
     ops_failed: int = 0
     injected_faults: int = 0
     fault_digest: str = ""
-    checks: list = field(default_factory=list)
+    #: Node ids killed by the scenario's ``kill`` events, in firing order.
+    victims: list = field(default_factory=list)
+    checks: list[CheckResult] = field(default_factory=list)
     gates: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     error: str | None = None
@@ -136,6 +167,7 @@ class Verdict:
             "faults": {
                 "injected": self.injected_faults,
                 "digest": self.fault_digest,
+                "victims": list(self.victims),
             },
             "checks": [c.to_dict() for c in self.checks],
             "gates": [g.to_dict() for g in self.gates],
@@ -143,7 +175,11 @@ class Verdict:
             "error": self.error,
         }
 
+    def check(self, name: str) -> CheckResult:
+        return next(c for c in self.checks if c.name == name)
+
     def summary_lines(self) -> list[str]:
+        metrics = self.metrics
         lines = [
             f"scenario={self.scenario} backend={self.backend} seed={self.seed}",
             f"ops: {self.ops_acked}/{self.ops_attempted} acked, "
@@ -152,11 +188,36 @@ class Verdict:
             f"faults injected: {self.injected_faults} "
             f"(digest {self.fault_digest or '-'})",
         ]
+        if "client.retries" in metrics:
+            lines.append(
+                f"clients: {metrics['client.retries']} retries, "
+                f"{metrics['client.failovers']} failovers, "
+                f"{metrics['client.nodes_marked_dead']} node(s) marked dead"
+            )
+        if self.victims:
+            lines.append(f"victims: {', '.join(self.victims)}")
+        if "fault.failover_latency_s" in metrics:
+            before = metrics["ops.throughput_before_per_s"]
+            during = metrics["ops.throughput_during_per_s"]
+            dip = (1 - during / before) * 100 if before else 0.0
+            lines.append(
+                f"failover latency: "
+                f"{metrics['fault.failover_latency_s'] * 1e3:.1f} ms   "
+                f"repair time: {metrics.get('fault.repair_time_s', 0.0) * 1e3:.1f} ms"
+            )
+            lines.append(
+                f"throughput ops/s: {before:,.0f} before, {during:,.0f} during "
+                f"({dip:+.0f}% dip), "
+                f"{metrics['ops.throughput_after_per_s']:,.0f} after"
+            )
         for check in self.checks:
             line = f"check {check.name}: {check.status.upper()}"
             if check.detail:
                 line += f" ({check.detail})"
             lines.append(line)
+            if check.report is not None:
+                lines.extend("  " + l for l in check.report.summary_lines())
+                continue
             for violation in check.violations[:3]:
                 lines.append(f"  VIOLATION: {violation}")
         for gate in self.gates:
@@ -332,6 +393,64 @@ def _check_append_convergence(
     return violations
 
 
+@dataclass
+class _History:
+    """What ``checks.linearizability`` gathers during a run: the op
+    recorder shared by every client, the post-quiesce strong read-back
+    of every touched key, and the number of async-tail probes issued."""
+
+    recorder: HistoryRecorder
+    #: Every key the compiled streams touch, and the APPEND-model subset
+    #: (tail probes skip those).
+    keys: list
+    append_keys: set
+    final_values: dict = field(default_factory=dict)
+    tail_probes: int = 0
+
+    @classmethod
+    def start(
+        cls,
+        scenario: Scenario,
+        streams: list[ClientStream],
+        path: str | None,
+        clock: Callable[[], float],
+    ) -> _History | None:
+        if not scenario.checks.linearizability:
+            return None
+        ops = [op for stream in streams for op in stream.ops]
+        return cls(
+            HistoryRecorder(path, clock=clock, fresh=True),
+            keys=sorted({key for _op, key, _value in ops}),
+            append_keys={key for op, key, _value in ops if op == OpCode.APPEND},
+        )
+
+
+def _check_linearizability(scenario: Scenario, history: _History) -> CheckResult:
+    faults = scenario.faults
+    report = check_history(
+        history.recorder.events(),
+        final_values=history.final_values,
+        staleness_bound=(
+            scenario.checks.staleness_bound
+            if scenario.topology.replicas >= 2
+            else None
+        ),
+        # Any injected fault can make a client retry, and a retried
+        # APPEND whose first attempt applied lands twice (at-least-once).
+        strict_append_once=not (faults.events or faults.messages or faults.plan),
+    )
+    first = report.first_violation()
+    return CheckResult(
+        "linearizability",
+        "pass" if report.ok else "fail",
+        _truncate([key_report.describe()[0] for key_report in report.violations]),
+        f"{report.events_total} event(s) over {report.keys_checked} key(s), "
+        f"{report.stale_reads_checked} bounded-staleness read(s)",
+        witness=first.describe()[1:] if first is not None else [],
+        report=report,
+    )
+
+
 def _run_checks(
     scenario: Scenario,
     *,
@@ -341,254 +460,365 @@ def _run_checks(
     cores: list,
     membership: MembershipTable,
     hash_name: str,
+    history: _History | None,
 ) -> list:
-    """Run the configured invariant checks; returns CheckResults."""
+    """Run the configured invariant checks; returns one CheckResult per
+    check, ``skipped`` when not requested or — the store-level ones — when
+    the backend's stores are out of reach (never silently dropped)."""
     checks = scenario.checks
     replicas = scenario.topology.replicas
-    results = []
     introspectable = bool(cores)
+    results: list = []
 
-    # -- durability (every backend) ----------------------------------
-    if checks.durability:
-        if introspectable:
-            lost, diverged = classify_acked_outcomes(
-                ledger, lookup, cores, membership
-            )
-        else:
-            lost, diverged = ledger.verify(lookup), []
-        lost += _check_append_durability(append_acked, lookup)
+    def judge(name: str, violations: list, detail: str = "") -> None:
         results.append(
             CheckResult(
-                "durability",
-                "fail" if lost else "pass",
-                _truncate(lost),
-                f"{ledger.acked_ops + sum(len(v) for v in append_acked.values())}"
-                " acked mutation(s) audited",
-            )
-        )
-    else:
-        diverged = []
-        results.append(CheckResult("durability", "skipped", [], "not requested"))
-
-    # -- divergence (needs store introspection) ----------------------
-    if not checks.divergence:
-        results.append(CheckResult("divergence", "skipped", [], "not requested"))
-    elif not introspectable:
-        results.append(
-            CheckResult(
-                "divergence",
-                "skipped",
-                [],
-                "stores not introspectable on this backend",
-            )
-        )
-    else:
-        if not checks.durability:
-            _, diverged = classify_acked_outcomes(
-                ledger, lookup, cores, membership
-            )
-        results.append(
-            CheckResult(
-                "divergence",
-                "fail" if diverged else "pass",
-                _truncate(diverged),
+                name, "fail" if violations else "pass", _truncate(violations), detail
             )
         )
 
-    # -- replication level -------------------------------------------
-    if not checks.replication:
-        results.append(CheckResult("replication", "skipped", [], "not requested"))
-    elif not introspectable:
-        results.append(
-            CheckResult(
-                "replication",
-                "skipped",
-                [],
-                "stores not introspectable on this backend",
-            )
+    def skip(name: str, requested: bool) -> bool:
+        if requested and (introspectable or name == "durability"):
+            return False
+        reason = (
+            "stores not introspectable on this backend"
+            if requested
+            else "not requested"
         )
-    else:
+        results.append(CheckResult(name, "skipped", [], reason))
+        return True
+
+    lost: list = []
+    diverged: list = []
+    if introspectable and (checks.durability or checks.divergence):
+        lost, diverged = classify_acked_outcomes(ledger, lookup, cores, membership)
+    elif checks.durability:
+        lost = ledger.verify(lookup)
+    if not skip("durability", checks.durability):
+        appended = sum(len(v) for v in append_acked.values())
+        judge(
+            "durability",
+            lost + _check_append_durability(append_acked, lookup),
+            f"{ledger.acked_ops + appended} acked mutation(s) audited",
+        )
+    if not skip("divergence", checks.divergence):
+        judge("divergence", diverged)
+    if not skip("replication", checks.replication):
         alive = sum(1 for n in membership.nodes.values() if n.alive)
         min_copies = min(replicas + 1, alive)
-        keys = list(ledger.expected.keys()) + list(append_acked.keys())
-        violations = check_replication_level(cores, membership, keys, min_copies)
-        results.append(
-            CheckResult(
-                "replication",
-                "fail" if violations else "pass",
-                _truncate(violations),
-                f"min {min_copies} cop(ies) over {len(keys)} key(s)",
-            )
+        keys = list(ledger.expected) + list(append_acked)
+        judge(
+            "replication",
+            check_replication_level(cores, membership, keys, min_copies),
+            f"min {min_copies} cop(ies) over {len(keys)} key(s)",
         )
-
-    # -- replica convergence -----------------------------------------
-    if not checks.convergence:
-        results.append(CheckResult("convergence", "skipped", [], "not requested"))
-    elif not introspectable:
-        results.append(
-            CheckResult(
-                "convergence",
-                "skipped",
-                [],
-                "stores not introspectable on this backend",
-            )
+    if not skip("convergence", checks.convergence):
+        judge(
+            "convergence",
+            check_convergence(cores, membership, ledger.expected, replicas, hash_name)
+            + _check_append_convergence(
+                append_acked, cores, membership, replicas, hash_name
+            ),
         )
+    # Judges the recorded history, not the stores: every backend.
+    if history is None:
+        results.append(CheckResult("linearizability", "skipped", [], "not requested"))
     else:
-        violations = check_convergence(
-            cores, membership, ledger.expected, replicas, hash_name
-        )
-        violations += _check_append_convergence(
-            append_acked, cores, membership, replicas, hash_name
-        )
-        results.append(
-            CheckResult(
-                "convergence",
-                "fail" if violations else "pass",
-                _truncate(violations),
-            )
-        )
+        results.append(_check_linearizability(scenario, history))
     return results
 
 
 # ---------------------------------------------------------------------------
-# Live execution (local / tcp / udp / sharded)
+# Shared by both run loops: config, event schedule, op accounting, metrics
 # ---------------------------------------------------------------------------
 
 
-class _EventDriver:
-    """Fires scheduled node-level fault events as progress crosses their
-    fractions.  Victim selection is deterministic: automatic kills walk
-    ``sorted(nodes)[1:]`` in order, exactly like the chaos harness."""
+def _build_config(
+    scenario: Scenario, backend: str
+) -> tuple[ZHTConfig, tempfile.TemporaryDirectory | None]:
+    """``default_config(backend)`` + the topology + its overrides; also
+    returns the run-scoped tempdir when ``persistence_dir`` is ``auto``."""
+    topo = scenario.topology
+    overrides = dict(topo.config)
+    partitions = topo.partitions
+    if backend == "sim":
+        # DES stores are memory-only, and SimSpec wants a whole number of
+        # partitions per instance.
+        overrides.pop("persistence_dir", None)
+        partitions = topo.nodes * max(1, topo.partitions // topo.nodes)
+    tmpdir = None
+    if overrides.get("persistence_dir") == "auto":
+        tmpdir = tempfile.TemporaryDirectory(prefix=f"scenario-{scenario.name}-")
+        overrides["persistence_dir"] = tmpdir.name
+    config = default_config(backend, topo.replicas).replace(
+        num_partitions=partitions,
+        num_shards=topo.shards if backend == "sharded" else 1,
+        **overrides,
+    )
+    return config, tmpdir
+
+
+class _FaultSchedule:
+    """Which node-level fault event is due at which progress point, and
+    at whom it is aimed.  Victim selection is deterministic: automatic
+    kills walk ``sorted(nodes)[1:]`` in order.  The run loops enact the
+    events with their backend's kill/repair primitives; this object only
+    decides, and keeps the marks (on the run's clock) that the fault
+    metrics are cut at."""
 
     def __init__(
         self,
         scenario: Scenario,
-        cluster: Any,
-        backend: str,
-        config: ZHTConfig,
-        plan: FaultPlan,
-        seed: int,
+        membership: MembershipTable,
+        now: Callable[[], float],
     ) -> None:
-        self.scenario = scenario
-        self.cluster = cluster
-        self.backend = backend
-        self.config = config
-        self.plan = plan
-        self.seed = seed
+        self.events = scenario.faults.events
         self.total_ops = scenario.workload.total_ops
-        self.pending = list(scenario.faults.events)
-        self.nodes = sorted(cluster.membership.nodes)
+        self.now = now
+        self.pending = list(self.events)
+        self.nodes = sorted(membership.nodes)
         self.auto_victims = list(self.nodes[1:])
         self.killed: list[str] = []
-        self.shard_respawns: list[tuple] = []
+        #: ``<action>_start`` / ``<action>_done`` of the *first* event of
+        #: each action.
+        self.marks: dict[str, float] = {}
 
     @property
     def designated_victim(self) -> str:
         """The node 'victim'-targeted message rules resolve to."""
-        for event in self.scenario.faults.events:
+        for event in self.events:
             if event.action == "kill":
                 if 0 <= event.target < len(self.nodes):
                     return self.nodes[event.target]
                 return self.auto_victims[0]
         return self.nodes[1] if len(self.nodes) > 1 else self.nodes[0]
 
-    def poll(self, done: int) -> None:
+    def due(self, done: int) -> Iterator[tuple[str, Any]]:
+        """Pop every event whose progress point *done* has crossed, as
+        ``(action, target)``: the victim node id for kill/repair, the
+        shard index for kill_shard.  The caller enacts each event before
+        asking for the next, which is what times the ``_done`` marks."""
         while self.pending and done >= self.pending[0].at * self.total_ops:
-            self._fire(self.pending.pop(0))
+            event = self.pending.pop(0)
+            target = self._resolve(event)
+            self.marks.setdefault(f"{event.action}_start", self.now())
+            yield event.action, target
+            self.marks.setdefault(f"{event.action}_done", self.now())
 
-    def flush(self) -> None:
-        while self.pending:
-            self._fire(self.pending.pop(0))
-
-    def _fire(self, event: FaultEvent) -> None:
+    def _resolve(self, event: FaultEvent) -> Any:
+        explicit = 0 <= event.target < len(self.nodes)
         if event.action == "kill":
-            if 0 <= event.target < len(self.nodes):
+            if explicit:
                 victim = self.nodes[event.target]
                 if victim in self.auto_victims:
                     self.auto_victims.remove(victim)
             else:
                 victim = self.auto_victims.pop(0)
-            kill_node(self.cluster, self.backend, victim, self.plan)
             self.killed.append(victim)
-        elif event.action == "repair":
-            if 0 <= event.target < len(self.nodes):
-                victim = self.nodes[event.target]
-            else:
-                victim = self.killed[-1]
-            repair_node(self.cluster, victim, self.config, self.seed)
-        elif event.action == "kill_shard":
-            server = self.cluster.servers[0]
-            shard = event.target if event.target >= 0 else 0
-            old_pid = server.shard_pid(shard)
-            server.kill_shard(shard)
-            self.shard_respawns.append((server, shard, old_pid))
-            # Record the kill in the trace, but do NOT mark the target
-            # crashed: the supervisor respawns the shard and clients are
-            # expected to retry straight through the gap.
-            self.plan.record_external(FaultKind.CRASH, f"shard:{shard}")
+            return victim
+        if event.action == "repair":
+            return self.nodes[event.target] if explicit else self.killed[-1]
+        return max(event.target, 0)  # kill_shard: a shard index
 
-    def await_respawns(self, timeout: float = 10.0) -> None:
-        for server, shard, old_pid in self.shard_respawns:
-            server.wait_for_respawn(shard, old_pid, timeout=timeout)
+    def window_metrics(
+        self, intervals: list[tuple[float, float]], t_start: float, t_end: float
+    ) -> dict:
+        """Failover latency, repair time and before/during/after
+        throughput, cut at the first kill and the first repair (no repair:
+        the failure window runs to the end).  Empty without a kill."""
+        if "kill_done" not in self.marks:
+            return {}
+        t_kill = self.marks["kill_done"]
+        t_repair = self.marks.get("repair_start", t_end)
+        t_repaired = self.marks.get("repair_done", t_end)
+
+        def rate(lo: float, hi: float) -> float:
+            acked = sum(1 for _t0, t1 in intervals if lo < t1 <= hi)
+            return acked / max(hi - lo, 1e-9)
+
+        metrics = {
+            "ops.throughput_before_per_s": rate(t_start, t_kill),
+            "ops.throughput_during_per_s": rate(t_kill, t_repair),
+            "ops.throughput_after_per_s": rate(t_repaired, t_end),
+            # The worst acked op that overlapped the failure window: the
+            # one that burned the timeout/backoff chain before failing over.
+            "fault.failover_latency_s": max(
+                (t1 - t0 for t0, t1 in intervals if t1 > t_kill and t0 < t_repair),
+                default=0.0,
+            ),
+        }
+        if "repair_done" in self.marks:
+            metrics["fault.repair_time_s"] = t_repaired - t_repair
+        return metrics
 
 
-def _run_live(scenario: Scenario, backend: str, seed: int, verdict: Verdict) -> None:
+class _Tally:
+    """What the clients' settled ops add up to: counts, the ack ledger,
+    acked append fragments, and each acked op's ``(t_call, t_return)``.
+    Not thread-safe — the live loop settles under its lock."""
+
+    def __init__(self) -> None:
+        self.ledger = AckLedger()
+        self.append_acked: dict[bytes, list] = {}
+        self.done = self.acked = self.failed = 0
+        self.intervals: list[tuple[float, float]] = []
+
+    def settle(
+        self,
+        stream: ClientStream,
+        op: OpCode,
+        key: bytes,
+        value: bytes,
+        t_call: float,
+        t_return: float,
+        ok: bool,
+    ) -> None:
+        self.done += 1
+        if not ok:
+            self.failed += 1
+            return
+        self.acked += 1
+        self.intervals.append((t_call, t_return))
+        if op == OpCode.LOOKUP or not stream.ledger:
+            return
+        if op == OpCode.APPEND:
+            self.append_acked.setdefault(key, []).append(value)
+        else:
+            self.ledger.record(op, key, value)
+
+
+def _conclude(
+    verdict: Verdict,
+    scenario: Scenario,
+    *,
+    tally: _Tally,
+    stats: list[ClientStats],
+    plan: FaultPlan,
+    schedule: _FaultSchedule,
+    history: _History | None,
+    t_start: float,
+    t_end: float,
+) -> None:
+    """Fold a finished run into *verdict*: counts, metrics, gates."""
+    total_ops = scenario.workload.total_ops
+    verdict.ops_attempted = total_ops
+    verdict.ops_acked = tally.acked
+    verdict.ops_failed = tally.failed
+    verdict.victims = list(schedule.killed)
+    verdict.injected_faults = len(plan.trace)
+    verdict.fault_digest = plan.trace_digest()
+    verdict.metrics = {
+        "ops.attempted": total_ops,
+        "ops.acked": tally.acked,
+        "ops.failed": tally.failed,
+        "ops.acked_ratio": tally.acked / max(total_ops, 1),
+        # Simulated seconds on the sim backend (the DES clock).
+        "ops.throughput_per_s": tally.acked / max(t_end - t_start, 1e-9),
+        "faults.injected": len(plan.trace),
+        **{f"client.{n}": sum(getattr(s, n) for s in stats) for n in _CLIENT_STATS},
+        **schedule.window_metrics(tally.intervals, t_start, t_end),
+    }
+    if history is not None:
+        verdict.metrics["history.events"] = len(history.recorder)
+        verdict.metrics["history.tail_probes"] = history.tail_probes
+    verdict.gates = _evaluate_gates(scenario, verdict.metrics)
+
+
+# ---------------------------------------------------------------------------
+# Run loop 1: threads over a live cluster (local / tcp / udp / sharded)
+# ---------------------------------------------------------------------------
+
+
+def _run_live(
+    scenario: Scenario,
+    backend: str,
+    seed: int,
+    verdict: Verdict,
+    history_path: str | None,
+) -> None:
     topo = scenario.topology
-    overrides = dict(topo.config)
-    tmpdir = None
-    if overrides.get("persistence_dir") == "auto":
-        tmpdir = tempfile.TemporaryDirectory(prefix=f"scenario-{scenario.name}-")
-        overrides["persistence_dir"] = tmpdir.name
-    config = default_config(backend, topo.replicas).replace(
-        num_partitions=topo.partitions,
-        num_shards=topo.shards if backend == "sharded" else 1,
-        **overrides,
-    )
+    config, tmpdir = _build_config(scenario, backend)
     plan = build_plan(scenario, seed)
     streams = build_streams(scenario.workload, seed)
     verdict.clients = len(streams)
-    total_ops = scenario.workload.total_ops
-
-    ledger = AckLedger()
-    append_acked: dict[bytes, list] = {}
-    lock = threading.Lock()
-    progress = {"done": 0}
-    results = [(0, 0, None)] * len(streams)
+    history = _History.start(scenario, streams, history_path, time.monotonic)
+    tally = _Tally()
+    lock = threading.Lock()  # guards tally and stats
+    fire_lock = threading.Lock()  # serializes the scheduled fault events
+    stats: list[ClientStats] = []
 
     try:
         with build_cluster(backend, topo.nodes, config, seed) as cluster:
-            driver = _EventDriver(scenario, cluster, backend, config, plan, seed)
-            resolve_victim_rules(
-                plan, cluster.membership, driver.designated_victim
-            )
+            schedule = _FaultSchedule(scenario, cluster.membership, time.perf_counter)
+            resolve_victim_rules(plan, cluster.membership, schedule.designated_victim)
+            respawns: list[tuple] = []
+
+            def client(tag: int, client_id: str) -> ZHT:
+                zht: ZHT = cluster.client(
+                    seed=(seed << 8) + tag,
+                    recorder=history.recorder if history is not None else None,
+                    client_id=client_id,
+                )
+                zht.transport = FaultyClientTransport(zht.transport, plan)
+                return zht
+
+            def fire() -> None:
+                # Cooperative, like the DES loop: whichever client crosses
+                # a scheduled progress point enacts the event, so a kill
+                # lands between two ops of the workload rather than
+                # whenever a poller thread happens to wake up.  Every
+                # client passes through the lock before each op, so while
+                # an event is being enacted no new op starts: a repair
+                # racing fresh traffic is a known-open product issue
+                # (ROADMAP item 4, "migration under load") and would make
+                # every kill scenario on the fast backends flaky.
+                if not schedule.events:
+                    return
+                with fire_lock:
+                    for action, target in schedule.due(tally.done):
+                        if action == "kill":
+                            kill_node(cluster, backend, target, plan)
+                        elif action == "repair":
+                            cluster.run(
+                                repair_script(
+                                    cluster.membership, target, config, seed
+                                )
+                            )
+                        else:
+                            server = cluster.servers[0]
+                            respawns.append(
+                                (server, target, server.shard_pid(target))
+                            )
+                            server.kill_shard(target)
+                            # Record the kill in the trace, but do NOT mark
+                            # the target crashed: the supervisor respawns
+                            # the shard and clients retry through the gap.
+                            plan.record_external(FaultKind.CRASH, f"shard:{target}")
 
             def worker(stream: ClientStream) -> None:
-                zht = cluster.client(seed=(seed << 8) + stream.client_index)
-                zht.transport = FaultyClientTransport(zht.transport, plan)
-                acked = failed = 0
+                zht = client(stream.client_index, f"c{stream.client_index:02d}")
                 for op, key, value in stream.ops:
+                    fire()
+                    t_call = time.perf_counter()
                     try:
                         if op == OpCode.INSERT:
                             zht.insert(key, value)
                         elif op == OpCode.APPEND:
                             zht.append(key, value)
+                        elif op == OpCode.REMOVE:
+                            zht.remove(key)
                         else:
-                            try:
-                                zht.lookup(key)
-                            except KeyNotFound:
-                                pass
-                        acked += 1
-                        if op != OpCode.LOOKUP:
-                            with lock:
-                                if op == OpCode.APPEND:
-                                    append_acked.setdefault(key, []).append(value)
-                                else:
-                                    ledger.record(op, key, value)
+                            zht.lookup(key)
+                        ok = True
+                    except KeyNotFound:
+                        ok = True
                     except ZHTError:
-                        failed += 1
+                        ok = False
+                    t_return = time.perf_counter()
                     with lock:
-                        progress["done"] += 1
-                results[stream.client_index] = (acked, failed, zht.stats)
+                        tally.settle(stream, op, key, value, t_call, t_return, ok)
+                with lock:
+                    stats.append(zht.stats)
 
             threads = [
                 threading.Thread(
@@ -601,192 +831,183 @@ def _run_live(scenario: Scenario, backend: str, seed: int, verdict: Verdict) -> 
             t_start = time.perf_counter()
             for t in threads:
                 t.start()
-            while any(t.is_alive() for t in threads):
-                with lock:
-                    done = progress["done"]
-                driver.poll(done)
-                if not driver.pending:
-                    break
-                time.sleep(0.0005)
             for t in threads:
                 t.join()
-            driver.flush()
-            elapsed = time.perf_counter() - t_start
+            t_end = time.perf_counter()
+            fire()
 
-            driver.await_respawns()
-            if backend != "local":
-                time.sleep(0.2)  # drain in-flight async replica updates
+            for server, shard, old_pid in respawns:
+                server.wait_for_respawn(shard, old_pid, timeout=10.0)
+            quiesce(backend)
 
-            for acked, failed, _stats in results:
-                verdict.ops_acked += acked
-                verdict.ops_failed += failed
-            verdict.ops_attempted = total_ops
-
-            fresh = cluster.client(seed=seed + 0xF00D)
-            cores = server_cores(cluster, backend)
-
-            def lookup(key: bytes) -> bytes:
-                return fresh.lookup(key)
+            if history is not None:
+                reader = client(0xF1, "reader")
+                for key in history.keys:
+                    for _attempt in range(3):
+                        try:
+                            history.final_values[key] = reader.lookup(key)
+                        except KeyNotFound:
+                            history.final_values[key] = None
+                        except ZHTError:
+                            continue
+                        break
+                if topo.replicas >= 2:
+                    # Let more than the bound elapse so a frozen tail is
+                    # unambiguously out of its staleness window; a
+                    # converged tail passes no matter how long we wait.
+                    time.sleep(scenario.checks.staleness_bound + 0.05)
+                    prober = client(0xF2, "tail-prober")
+                    for key in history.keys:
+                        if key in history.append_keys:
+                            continue
+                        try:
+                            prober.lookup_at_replica(key, 2)
+                        except ZHTError:
+                            pass
+                        history.tail_probes += 1
 
             verdict.checks = _run_checks(
                 scenario,
-                ledger=ledger,
-                append_acked=append_acked,
-                lookup=lookup,
-                cores=cores,
+                ledger=tally.ledger,
+                append_acked=tally.append_acked,
+                lookup=cluster.client(seed=seed + 0xF00D).lookup,
+                cores=server_cores(cluster, backend),
                 membership=cluster.membership,
                 hash_name=config.hash_name,
+                history=history,
             )
-
-            stats = [s for _a, _f, s in results if s is not None]
-            verdict.metrics = {
-                "ops.attempted": total_ops,
-                "ops.acked": verdict.ops_acked,
-                "ops.failed": verdict.ops_failed,
-                "ops.acked_ratio": verdict.ops_acked / max(total_ops, 1),
-                "ops.throughput_per_s": verdict.ops_acked / max(elapsed, 1e-9),
-                "faults.injected": len(plan.trace),
-                "client.retries": sum(s.retries for s in stats),
-                "client.failovers": sum(s.failovers for s in stats),
-                "client.nodes_marked_dead": sum(
-                    s.nodes_marked_dead for s in stats
-                ),
-            }
-            verdict.gates = _evaluate_gates(scenario, verdict.metrics)
+            _conclude(
+                verdict,
+                scenario,
+                tally=tally,
+                stats=stats,
+                plan=plan,
+                schedule=schedule,
+                history=history,
+                t_start=t_start,
+                t_end=t_end,
+            )
     finally:
+        if history is not None:
+            history.recorder.close()
         if tmpdir is not None:
             tmpdir.cleanup()
 
-    verdict.injected_faults = len(plan.trace)
-    verdict.fault_digest = plan.trace_digest()
-
 
 # ---------------------------------------------------------------------------
-# DES execution
+# Run loop 2: generators over the DES
 # ---------------------------------------------------------------------------
 
 
-def _run_sim(scenario: Scenario, seed: int, verdict: Verdict) -> None:
-    from ..core.client import ZHTClientCore
-    from ..core.config import ReplicationMode, ZHTConfig
-    from ..faults.simchaos import _sim_execute, _sim_repair
+def _run_sim(
+    scenario: Scenario, seed: int, verdict: Verdict, history_path: str | None
+) -> None:
     from ..sim.cluster import SimSpec, SimulatedCluster
 
     topo = scenario.topology
-    replicas = topo.replicas
-    partitions_per_instance = max(1, topo.partitions // max(topo.nodes, 1))
-    base = dict(
-        transport="local",
-        num_partitions=topo.nodes * partitions_per_instance,
-        num_replicas=replicas,
-        replication_mode=(
-            ReplicationMode.ASYNC if replicas > 0 else ReplicationMode.NONE
-        ),
-        request_timeout=0.005,
-        failures_before_dead=2,
-        backoff_factor=1.5,
-        max_retries=10,
-        breaker_cooldown_s=0.02,
-        breaker_cooldown_max_s=0.2,
-    )
-    overrides = topo.config  # zht-lint: ignore[CFG002] TopologySpec.config is a plain dict of overrides, not a ZHTConfig
-    base.update(
-        (k, v) for k, v in overrides.items() if k != "persistence_dir"
-    )
-    config = ZHTConfig(**base)
+    config, _ = _build_config(scenario, "sim")
     plan = build_plan(scenario, seed)
     streams = build_streams(scenario.workload, seed)
     verdict.clients = len(streams)
-    total_ops = scenario.workload.total_ops
-
-    spec = SimSpec(
-        num_nodes=topo.nodes,
-        num_replicas=replicas,
-        replication_mode=config.replication_mode,
-        partitions_per_instance=partitions_per_instance,
-        real_core=True,
-        seed=seed,
-        faults=plan,
-        config=config,
+    cluster = SimulatedCluster(
+        SimSpec(
+            num_nodes=topo.nodes,
+            num_replicas=topo.replicas,
+            replication_mode=config.replication_mode,
+            partitions_per_instance=config.num_partitions // topo.nodes,
+            real_core=True,
+            seed=seed,
+            faults=plan,
+            config=config,
+        )
     )
-    cluster = SimulatedCluster(spec)
     env = cluster.env
     membership = cluster.membership
-    nodes = sorted(membership.nodes)
-    auto_victims = list(nodes[1:])
-    pending = list(scenario.faults.events)
-    killed: list[str] = []
 
-    for event in scenario.faults.events:
-        if event.action == "kill":
-            designated = (
-                nodes[event.target]
-                if 0 <= event.target < len(nodes)
-                else auto_victims[0]
-            )
-            break
-    else:
-        designated = nodes[1] if len(nodes) > 1 else nodes[0]
-    resolve_victim_rules(plan, membership, designated)
+    def now() -> float:
+        return env.now
 
-    ledger = AckLedger()
-    append_acked: dict[bytes, list] = {}
-    state = {"done": 0, "acked": 0, "failed": 0}
-    cores: list[ZHTClientCore] = []
+    schedule = _FaultSchedule(scenario, membership, now)
+    resolve_victim_rules(plan, membership, schedule.designated_victim)
+    history = _History.start(scenario, streams, history_path, now)
+    tally = _Tally()
+    stats: list[ClientStats] = []
+    marks = {"end": 0.0}
 
-    def fire(event: FaultEvent) -> Iterator[Any]:
-        if event.action == "kill":
-            if 0 <= event.target < len(nodes):
-                victim = nodes[event.target]
-                if victim in auto_victims:
-                    auto_victims.remove(victim)
-            else:
-                victim = auto_victims.pop(0)
-            cluster.kill_node(victim)
-            plan.crash_target(
-                victim,
-                *[
-                    str(inst.address)
-                    for inst in membership.instances_on_node(victim)
-                ],
-            )
-            killed.append(victim)
-        elif event.action == "repair":
-            victim = (
-                nodes[event.target]
-                if 0 <= event.target < len(nodes)
-                else killed[-1]
-            )
-            yield from _sim_repair(cluster, victim, config, seed)
-        # kill_shard cannot validate onto the sim backend
-
-    def client_proc(stream: ClientStream) -> Iterator[Any]:
-        core = ZHTClientCore(
+    def new_core(tag: int) -> ZHTClientCore:
+        # Every DES client runs on the simulated clock: deadlines and
+        # breaker cooldowns must not depend on how fast the host is.
+        return ZHTClientCore(
             membership.copy(),
             config,
-            rng=random.Random((seed << 16) ^ (0xE5 + stream.client_index)),
-            clock=lambda: env.now,
+            rng=random.Random((seed << 16) ^ tag),
+            clock=now,
         )
-        cores.append(core)
+
+    def run_op(
+        core: ZHTClientCore,
+        client_id: str,
+        op: OpCode,
+        key: bytes,
+        value: bytes = b"",
+        replica_index: int = 0,
+    ) -> Generator[Any, Any, tuple[str, bytes]]:
+        """One (recorded) operation; returns ``(status, result)``."""
+        driver = core.driver(op, key, value)
+        if replica_index:
+            driver._replica_index = replica_index
+        t_call = env.now
+        status, result = STATUS_FAIL, b""
+        try:
+            response = yield from cluster.execute(core, driver)
+            status = STATUS_OK
+            if op == OpCode.LOOKUP:
+                result = response.value
+        except KeyNotFound:
+            # Same at-least-once caveat as ZHT._execute: a retried REMOVE
+            # observing NOT_FOUND may have applied on a lost attempt.
+            if not (op == OpCode.REMOVE and driver._attempts_used > 1):
+                status = STATUS_NOTFOUND
+        except ZHTError:
+            pass
+        if history is not None:
+            history.recorder.record(
+                client_id,
+                op.name.lower(),
+                key,
+                value,
+                t_call,
+                env.now,
+                status,
+                result=result,
+                replica_index=driver.served_replica_index,
+            )
+        return status, result
+
+    def fire(done: int) -> Iterator[Any]:
+        for action, target in schedule.due(done):
+            if action == "kill":
+                kill_node(cluster, "sim", target, plan)
+            else:  # kill_shard cannot validate onto the sim backend
+                yield from cluster.run_script(
+                    repair_script(membership, target, config, seed),
+                    config.request_timeout * 4,
+                )
+
+    def client_proc(stream: ClientStream) -> Iterator[Any]:
+        core = new_core(0xE5 + stream.client_index)
+        stats.append(core.stats)
+        client_id = f"c{stream.client_index:02d}"
         for op, key, value in stream.ops:
             # Cooperative fault injection: whichever client crosses the
             # scheduled progress point performs the event (deterministic
             # under the DES's total event order).
-            while pending and state["done"] >= pending[0].at * total_ops:
-                yield from fire(pending.pop(0))
-            driver = core.driver(op, key, value)
-            try:
-                yield from _sim_execute(cluster, core, driver)
-                state["acked"] += 1
-                if op == OpCode.APPEND:
-                    append_acked.setdefault(key, []).append(value)
-                elif op != OpCode.LOOKUP:
-                    ledger.record(op, key, value)
-            except KeyNotFound:
-                state["acked"] += 1
-            except ZHTError:
-                state["failed"] += 1
-            state["done"] += 1
+            yield from fire(tally.done)
+            t_call = env.now
+            status, _ = yield from run_op(core, client_id, op, key, value)
+            tally.settle(
+                stream, op, key, value, t_call, env.now, status != STATUS_FAIL
+            )
 
     def main_proc() -> Iterator[Any]:
         procs = [
@@ -795,54 +1016,61 @@ def _run_sim(scenario: Scenario, seed: int, verdict: Verdict) -> None:
         ]
         for proc in procs:
             yield proc
-        while pending:
-            yield from fire(pending.pop(0))
+        marks["end"] = env.now
+        yield from fire(tally.done)
+        if history is None:
+            return
+        reader = new_core(0x1F1)
+        for key in history.keys:
+            for _attempt in range(3):
+                status, result = yield from run_op(
+                    reader, "reader", OpCode.LOOKUP, key
+                )
+                if status != STATUS_FAIL:
+                    history.final_values[key] = (
+                        result if status == STATUS_OK else None
+                    )
+                    break
+        if topo.replicas >= 2:
+            yield env.timeout(scenario.checks.staleness_bound + 0.01)
+            prober = new_core(0x1F2)
+            for key in history.keys:
+                if key not in history.append_keys:
+                    yield from run_op(
+                        prober, "tail-prober", OpCode.LOOKUP, key, replica_index=2
+                    )
+                    history.tail_probes += 1
 
     proc = env.process(main_proc(), name="scenario-main")
-    env.run()
-    if not proc.done:
-        raise RuntimeError("sim scenario workload deadlocked")
-    elapsed = max(env.now, 1e-9)
-
-    verdict.ops_attempted = total_ops
-    verdict.ops_acked = state["acked"]
-    verdict.ops_failed = state["failed"]
-
-    def lookup(key: bytes) -> bytes:
-        pid = membership.partition_of_key(key, config.hash_name)
-        inst = membership.owner_of_partition(pid)
-        server = cluster.handlers[cluster._addr_to_index[inst.address]]
-        part = server.partitions.get(pid)
-        if part is None or key not in part.store:
-            raise KeyNotFound(f"{key!r} not on owner {inst.instance_id[:8]}")
-        return part.store.get(key)
-
-    verdict.checks = _run_checks(
+    try:
+        env.run()
+        if not proc.done:
+            raise RuntimeError("sim scenario workload deadlocked")
+        # The DES has drained: no in-flight replica updates to wait for.
+        verdict.checks = _run_checks(
+            scenario,
+            ledger=tally.ledger,
+            append_acked=tally.append_acked,
+            lookup=cluster.owner_value,
+            cores=cluster.handlers,
+            membership=membership,
+            hash_name=config.hash_name,
+            history=history,
+        )
+    finally:
+        if history is not None:
+            history.recorder.close()
+    _conclude(
+        verdict,
         scenario,
-        ledger=ledger,
-        append_acked=append_acked,
-        lookup=lookup,
-        cores=cluster.handlers,
-        membership=membership,
-        hash_name=config.hash_name,
+        tally=tally,
+        stats=stats,
+        plan=plan,
+        schedule=schedule,
+        history=history,
+        t_start=0.0,
+        t_end=marks["end"],
     )
-    verdict.metrics = {
-        "ops.attempted": total_ops,
-        "ops.acked": verdict.ops_acked,
-        "ops.failed": verdict.ops_failed,
-        "ops.acked_ratio": verdict.ops_acked / max(total_ops, 1),
-        # Simulated seconds, not wall time (the DES clock).
-        "ops.throughput_per_s": verdict.ops_acked / elapsed,
-        "faults.injected": len(plan.trace),
-        "client.retries": sum(c.stats.retries for c in cores),
-        "client.failovers": sum(c.stats.failovers for c in cores),
-        "client.nodes_marked_dead": sum(
-            c.stats.nodes_marked_dead for c in cores
-        ),
-    }
-    verdict.gates = _evaluate_gates(scenario, verdict.metrics)
-    verdict.injected_faults = len(plan.trace)
-    verdict.fault_digest = plan.trace_digest()
 
 
 # ---------------------------------------------------------------------------
@@ -856,11 +1084,14 @@ def run_scenario(
     backend: str | None = None,
     seed: int | None = None,
     ops_per_client: int | None = None,
+    history_path: str | None = None,
 ) -> Verdict:
     """Run *scenario* and return its :class:`Verdict`.
 
     ``backend``/``seed``/``ops_per_client`` override the scenario's own
-    values (the CLI's ``--backend``/``--seed``/``--ops`` flags).
+    values (the CLI's ``--backend``/``--seed``/``--ops`` flags);
+    ``history_path`` also streams the ``checks.linearizability`` op
+    history to a JSONL artifact (``repro verify --check`` re-checks it).
     Configuration problems raise :class:`ScenarioError` before anything
     starts; runtime failures are folded into a failing verdict.
     """
@@ -872,9 +1103,11 @@ def run_scenario(
             f"scenario {scenario.name!r} does not support {backend!r}; "
             f"declared backends: {', '.join(scenario.backends)}",
         )
+    if history_path is not None and not scenario.checks.linearizability:
+        raise ScenarioError(
+            "history_path", "a history is only recorded with checks.linearizability"
+        )
     if ops_per_client is not None:
-        from dataclasses import replace
-
         if ops_per_client < 1:
             raise ScenarioError("ops_per_client", "must be >= 1")
         scenario = replace(
@@ -887,9 +1120,9 @@ def run_scenario(
     t0 = time.perf_counter()
     try:
         if backend == "sim":
-            _run_sim(scenario, seed, verdict)
+            _run_sim(scenario, seed, verdict, history_path)
         else:
-            _run_live(scenario, backend, seed, verdict)
+            _run_live(scenario, backend, seed, verdict, history_path)
     except Exception as exc:  # noqa: BLE001 - fold into the verdict
         verdict.error = f"{type(exc).__name__}: {exc}"
     verdict.duration_s = time.perf_counter() - t0

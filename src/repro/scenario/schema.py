@@ -27,7 +27,7 @@ from typing import Any, Iterable, Sequence
 #: ``Scenario.backends`` is its default.
 BACKENDS = ("local", "tcp", "udp", "sim", "sharded")
 #: Per-tenant traffic shapes (built on :mod:`repro.workload`).
-SHAPES = ("uniform", "zipf", "append")
+SHAPES = ("uniform", "zipf", "append", "registers")
 #: Node-level fault actions, fired at workload-progress fractions.
 FAULT_ACTIONS = ("kill", "repair", "kill_shard")
 #: Message-level fault kinds (mirror of FaultKind.MESSAGE_KINDS).
@@ -43,10 +43,22 @@ REPORT_METRICS = (
     "ops.failed",
     "ops.acked_ratio",
     "ops.throughput_per_s",
+    # Cut at the first kill / first repair event (absent when the
+    # scenario kills nothing); simulated seconds on the sim backend.
+    "ops.throughput_before_per_s",
+    "ops.throughput_during_per_s",
+    "ops.throughput_after_per_s",
+    "fault.failover_latency_s",
+    "fault.repair_time_s",
     "faults.injected",
     "client.retries",
     "client.failovers",
     "client.nodes_marked_dead",
+    "client.reprobes",
+    "client.hot_cache_hits",
+    # Only with checks.linearizability on.
+    "history.events",
+    "history.tail_probes",
 )
 #: Stats a ``latency:<histogram>:<stat>`` gate may reference.
 LATENCY_STATS = ("count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "min_ms", "max_ms")
@@ -183,7 +195,7 @@ class TopologySpec:
             "num_replicas": "topology.replicas",
             "transport": "the backend",
         }
-        overrides = self.config  # zht-lint: ignore[CFG002] TopologySpec.config is a plain dict of overrides, not a ZHTConfig
+        overrides = self.config
         for key, value in overrides.items():
             if key in reserved:
                 raise ScenarioError(
@@ -218,14 +230,19 @@ class TenantSpec:
     keys live under its own ``name-`` prefix)."""
 
     name: str
+    #: ``registers`` is the linearizability checker's workload: distinct-
+    #: valued insert/lookup/remove on ``universe`` register keys plus
+    #: append/lookup on ``hot_keys`` append keys.  Racing writers store
+    #: different bytes, so it is not ledger-sound and needs
+    #: ``checks.linearizability``.
     shape: str = "uniform"
     clients: int = 2
-    #: INSERT fraction for uniform/zipf (the rest are LOOKUPs).
+    #: Mutation fraction (the rest are LOOKUPs); ignored by ``append``.
     write_ratio: float = 0.5
     zipf_alpha: float = 0.99
-    #: Key-universe size for uniform/zipf.
+    #: Key-universe size for uniform/zipf; register-key count for registers.
     universe: int = 256
-    #: Hot-key count for the append shape.
+    #: Hot-key count for the append shape; append-key count for registers.
     hot_keys: int = 2
     value_bytes: int = 64
 
@@ -364,8 +381,7 @@ class WorkloadSpec:
 @dataclass(frozen=True)
 class FaultEvent:
     """A node-level fault action fired when workload progress crosses
-    ``at`` (a fraction of total ops, like the chaos harness's
-    kill/repair indices)."""
+    ``at`` (a fraction of total ops)."""
 
     action: str
     at: float
@@ -602,9 +618,11 @@ class ChecksSpec:
     """Which post-run invariants must hold for the verdict to pass.
 
     ``durability`` is the paper's acked-durability guarantee and is
-    checkable on every backend.  The other three introspect server
-    stores and are auto-skipped (reported, not failed) on the sharded
-    backend, whose workers live in child processes.
+    checkable on every backend.  ``divergence``/``replication``/
+    ``convergence`` introspect server stores and are auto-skipped
+    (reported, not failed) on the sharded backend, whose workers live
+    in child processes.  ``linearizability`` judges the recorded client
+    history instead of the stores, so it too runs on every backend.
     """
 
     #: No acknowledged write may be lost (readable via a fresh client).
@@ -616,21 +634,34 @@ class ChecksSpec:
     replication: bool = False
     #: Replica chains converge to the expected value after quiesce.
     convergence: bool = False
+    #: Record every client op, read every touched key back after quiesce
+    #: (plus, with replicas >= 2, probe the async tail at chain position
+    #: 2) and run the history through :func:`repro.verify.check_history`.
+    linearizability: bool = False
+    #: Seconds an async-replica read may lag (used when replicas >= 2).
+    staleness_bound: float = 0.25
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "checks") -> "ChecksSpec":
         data = _as_dict(data, path)
         _check_keys(data, cls, path)
-        return cls(
+        spec = cls(
             **{
-                f.name: _boolean(data.get(f.name, getattr(cls, f.name)),
-                                 f"{path}.{f.name}")
+                f.name: (_number if f.name == "staleness_bound" else _boolean)(
+                    data.get(f.name, getattr(cls, f.name)), f"{path}.{f.name}"
+                )
                 for f in dc_fields(cls)
             }
         )
+        spec.validate(path)
+        return spec
 
     def validate(self, path: str = "checks") -> None:
-        pass  # booleans; nothing further to constrain
+        if self.staleness_bound <= 0:
+            raise ScenarioError(
+                f"{path}.staleness_bound",
+                f"must be > 0 seconds, got {self.staleness_bound}",
+            )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -830,6 +861,15 @@ class Scenario:
                     "kill_shard needs >= 2 shards per node (a sibling must "
                     "keep serving)",
                 )
+        if not self.checks.linearizability:
+            for i, tenant in enumerate(self.workload.tenants):
+                if tenant.shape == "registers":
+                    raise ScenarioError(
+                        f"{path}.workload.tenants[{i}].shape",
+                        "registers tenants race distinct values on shared "
+                        "keys, which no ledger-based check can judge; set "
+                        "checks.linearizability to true",
+                    )
         if self.faults.lossy and (
             self.checks.divergence or self.checks.convergence
         ):

@@ -12,7 +12,10 @@ depends on:
   INSERT values are a pure function of the *key* (two racing inserts
   write identical bytes, so ack order cannot disagree with store
   state), and APPEND fragments are globally unique fixed-width chunks
-  checked as a multiset rather than a concatenation order.
+  checked as a multiset rather than a concatenation order.  The one
+  exception is the ``registers`` shape — distinct values per write, the
+  workload the linearizability checker needs — whose streams are marked
+  ``ledger=False`` and judged from the recorded history instead.
 """
 
 from __future__ import annotations
@@ -26,8 +29,15 @@ from ..workload import ZipfWorkload
 from .schema import TenantSpec, WorkloadSpec
 
 #: Fixed fragment width for append-shape tenants: final values split
-#: back into the exact multiset of applied fragments.
+#: back into the exact multiset of applied fragments.  (Equal-width and
+#: distinct also means prefix-free, which the history checker's
+#: tokenizer relies on.)
 FRAGMENT_BYTES = 32
+
+#: ``registers`` shape: share of ops that go to an append key, and share
+#: of register-key mutations that are REMOVEs.
+REGISTERS_APPEND_SHARE = 0.25
+REGISTERS_REMOVE_SHARE = 0.15
 
 
 def value_for_key(key: bytes, value_bytes: int) -> bytes:
@@ -56,6 +66,28 @@ class ClientStream:
     tenant: str
     #: ``(op, key, value)`` triples.
     ops: tuple
+    #: Whether acked mutations may feed the :class:`AckLedger`.
+    ledger: bool = True
+
+
+def _registers_op(
+    tenant: TenantSpec, rng: random.Random, client_index: int, op_index: int
+) -> tuple[OpCode, bytes, bytes]:
+    write = rng.random() < tenant.write_ratio
+    if rng.random() < REGISTERS_APPEND_SHARE:
+        key = f"{tenant.name}-app-{rng.randrange(tenant.hot_keys):04d}".encode()
+        if write:
+            return OpCode.APPEND, key, fragment_for(client_index, op_index)
+    else:
+        key = f"{tenant.name}-reg-{rng.randrange(tenant.universe):04d}".encode()
+        if write:
+            if rng.random() < REGISTERS_REMOVE_SHARE:
+                return OpCode.REMOVE, key, b""
+            # Distinct per write, so a lost or reordered update is
+            # visible to the checker.
+            value = f"v{client_index}-{op_index}-{rng.randrange(1 << 30)}"
+            return OpCode.INSERT, key, value.encode()
+    return OpCode.LOOKUP, key, b""
 
 
 def _tenant_ops(
@@ -66,6 +98,11 @@ def _tenant_ops(
 ) -> tuple:
     rng = random.Random((seed << 20) ^ (0xE5C0 + client_index))
     ops = []
+    if tenant.shape == "registers":
+        return tuple(
+            _registers_op(tenant, rng, client_index, i)
+            for i in range(ops_per_client)
+        )
     if tenant.shape == "append":
         for i in range(ops_per_client):
             key = f"{tenant.name}-hot-{rng.randrange(tenant.hot_keys):04d}".encode()
@@ -108,6 +145,7 @@ def build_streams(workload: WorkloadSpec, seed: int) -> list[ClientStream]:
                     ops=_tenant_ops(
                         tenant, seed, client_index, workload.ops_per_client
                     ),
+                    ledger=tenant.shape != "registers",
                 )
             )
             client_index += 1

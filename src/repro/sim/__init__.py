@@ -8,6 +8,13 @@ role: :mod:`~repro.sim.engine` is the DES kernel,
 :mod:`~repro.sim.analytic` extends Figure 11 to 1M nodes in closed form.
 """
 
+from ..workload import (
+    KEY_BYTES,
+    VALUE_BYTES,
+    AppendWorkload,
+    MicroBenchmarkWorkload,
+    ZipfWorkload,
+)
 from .analytic import (
     FIG11_SCALES,
     predicted_efficiency,
@@ -32,13 +39,6 @@ from .network import (
     zht_instance_service,
 )
 from .topology import SwitchedTopology, TorusTopology, torus_dims_for
-from .workload import (
-    KEY_BYTES,
-    VALUE_BYTES,
-    AppendWorkload,
-    MicroBenchmarkWorkload,
-    ZipfWorkload,
-)
 
 __all__ = [
     "AppendWorkload",

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Any, Generator
 
-from ..core.client import ZHTClientCore
+from ..core.client import OpDriver, ZHTClientCore
 from ..core.config import ReplicationMode, ZHTConfig
-from ..core.errors import Status
+from ..core.errors import KeyNotFound, Status
+from ..core.manager import Script
 from ..core.membership import (
     Address,
     InstanceInfo,
@@ -43,8 +45,8 @@ from .network import (
     ServiceModel,
     zht_instance_service,
 )
+from ..workload import MicroBenchmarkWorkload
 from .topology import SwitchedTopology, TorusTopology
-from .workload import MicroBenchmarkWorkload
 
 #: Fixed wire overhead estimate per message (headers + framing), bytes.
 _MSG_OVERHEAD = 24
@@ -479,6 +481,78 @@ class SimulatedCluster:
                 ), response
             stats.record(env.now - t0)
         done[0] += 1
+
+    # ------------------------------------------------------------------
+    # Driving real client cores (the scenario runner's DES path)
+    # ------------------------------------------------------------------
+
+    def roundtrip(
+        self, address: Address, request: Request, timeout: float
+    ) -> Generator[Any, Any, Response | None]:
+        """DES sub-generator: one request/response with a timeout race.
+
+        Returns the response, or ``None`` on timeout / unroutable address
+        (mirrors :meth:`ClientTransport.roundtrip`).
+        """
+        dst = self._addr_to_index.get(address)
+        if dst is None:
+            # Unroutable (e.g. a manager port): burn the timeout like a real
+            # transport waiting on a dead address would.
+            yield self.env.timeout(timeout)
+            return None
+        reply = self.env.event()
+        self._deliver(dst, _SimMessage(request, reply, 0), 0)
+        winner = yield self._first_of(reply, self.env.timeout(timeout))
+        return reply.value if winner == 0 else None
+
+    # The discrete-event simulator runs everything on one thread, so the
+    # client core's locks are not needed here.
+    # lint: single-threaded
+    def execute(
+        self, core: ZHTClientCore, driver: OpDriver
+    ) -> Generator[Any, Any, Response]:
+        """DES sub-generator mirroring :func:`repro.net.transport.execute_op`:
+        drives one op through retries/backoff/failover in simulated time."""
+        while True:
+            attempt = driver.next_attempt()
+            if attempt is None:
+                break
+            if attempt.delay > 0:
+                yield self.env.timeout(attempt.delay)
+            sent_at = self.env.now
+            response = yield from self.roundtrip(
+                attempt.address, attempt.request, attempt.timeout
+            )
+            if response is None:
+                driver.on_timeout()
+            else:
+                driver.on_response(response, rtt_s=self.env.now - sent_at)
+        # Manager failure notifications have no routable address in the sim.
+        core.pending_notifications.clear()
+        return driver.result()
+
+    def run_script(
+        self, script: Script, timeout: float
+    ) -> Generator[Any, Any, object]:
+        """DES sub-generator mirroring :func:`repro.net.transport.run_script`:
+        drives a manager script over the simulated network."""
+        reply = None
+        while True:
+            try:
+                call = script.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            reply = yield from self.roundtrip(call.address, call.request, timeout)
+
+    def owner_value(self, key: bytes) -> bytes:
+        """*key*'s value straight from its owner's store (the DES has
+        drained when the checks run, so no round trip is needed)."""
+        pid = self.membership.partition_of_key(key, self.config.hash_name)
+        inst = self.membership.owner_of_partition(pid)
+        part = self.handlers[self._addr_to_index[inst.address]].partitions.get(pid)
+        if part is None or key not in part.store:
+            raise KeyNotFound(f"{key!r} not on owner {inst.instance_id[:8]}")
+        return part.store.get(key)
 
     # ------------------------------------------------------------------
     # Entry point

@@ -11,14 +11,15 @@ assumed, by this package:
   Wing&Gong linearizability for insert/lookup/remove, multiset
   containment for concurrent appends, bounded staleness for async
   replica reads — and shrinks violations to a minimal sub-history;
-* :mod:`~repro.verify.workload` generates deterministic seeded
-  schedules (and synthetic valid histories for benchmarking);
-* :mod:`~repro.verify.runner` composes them with the fault-injection
-  harness into the ``python -m repro verify`` record → crash → recover
-  → check loop, including deliberately broken replication modes that
-  prove the checker actually detects violations.
+
+The ``python -m repro verify`` record → crash → recover → check loop
+(:func:`run_verify`) is a synthesised scenario with
+``checks.linearizability`` on, executed by :mod:`repro.scenario.runner`;
+its ``mutation`` modes are deliberately broken replication that prove
+the checker actually detects violations.
 """
 
+from ..scenario.frontends import MUTATIONS, run_verify
 from .checker import (
     UNKNOWN_FINAL,
     CheckReport,
@@ -26,6 +27,7 @@ from .checker import (
     check_append_key,
     check_history,
     final_values_from_history,
+    synthesize_history,
     tokenize_fragments,
 )
 from .history import (
@@ -38,17 +40,8 @@ from .history import (
     recorder_from_env,
     save_history,
 )
-from .runner import BACKENDS, MUTATIONS, VerifyReport, run_verify
-from .workload import (
-    VerifyOp,
-    VerifySchedule,
-    fragment,
-    generate_schedule,
-    synthesize_history,
-)
 
 __all__ = [
-    "BACKENDS",
     "MUTATIONS",
     "CheckReport",
     "HistoryEvent",
@@ -58,14 +51,9 @@ __all__ = [
     "STATUS_NOTFOUND",
     "STATUS_OK",
     "UNKNOWN_FINAL",
-    "VerifyOp",
-    "VerifyReport",
-    "VerifySchedule",
     "check_append_key",
     "check_history",
     "final_values_from_history",
-    "fragment",
-    "generate_schedule",
     "load_history",
     "recorder_from_env",
     "run_verify",

@@ -16,9 +16,14 @@ import pytest
 from repro import ZHTConfig, build_local_cluster
 from repro.net.cluster import build_tcp_cluster
 from repro.net.tcp import MultiplexedTCPClient
-from repro.verify import fragment, tokenize_fragments
+from repro.verify import tokenize_fragments
 
 KEY = b"append-contention"
+
+
+def fragment(seed, client, index):
+    """A globally unique, prefix-free append fragment."""
+    return f"|s{seed}c{client:02d}i{index:05d};".encode()
 
 
 def _hammer(cluster, *, threads, per_thread, seed):

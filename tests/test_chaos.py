@@ -13,27 +13,36 @@ from repro.faults import FaultKind, FaultPlan, FaultRule, run_chaos
 from repro.sim import MicroBenchmarkWorkload, SimSpec, SimulatedCluster
 
 
+def lost_writes(verdict):
+    return verdict.check("durability").violations
+
+
 class TestLocalBackend:
     def test_kill_and_repair_keeps_invariants(self):
         r = run_chaos("local", nodes=4, replicas=1, ops=120, seed=7)
-        assert r.ok, (
-            r.lost_writes,
-            r.replication_violations,
-            r.convergence_violations,
-        )
+        assert r.ok, r.summary_lines()
+        assert {c.name: c.status for c in r.checks} == {
+            "durability": "pass",
+            "divergence": "pass",
+            "replication": "pass",
+            "convergence": "pass",
+            "linearizability": "skipped",
+        }
         # The client detected the death within the configured budget...
-        assert r.nodes_marked_dead == 1
-        assert r.retries >= 2  # failures_before_dead timeouts were burned
+        assert r.metrics["client.nodes_marked_dead"] == 1
+        # failures_before_dead timeouts were burned
+        assert r.metrics["client.retries"] >= 2
         # ...and rode over to the replica instead of failing the ops.
-        assert r.failovers >= 1
+        assert r.metrics["client.failovers"] >= 1
         assert r.ops_acked > 0
-        assert r.victim
-        assert r.repair_time_s > 0
+        assert len(r.victims) == 1
+        assert r.metrics["fault.repair_time_s"] > 0
+        assert r.metrics["fault.failover_latency_s"] > 0
 
     def test_five_nodes_two_replicas(self):
         r = run_chaos("local", nodes=5, replicas=2, ops=120, seed=21)
         assert r.ok
-        assert r.nodes_marked_dead == 1
+        assert r.metrics["client.nodes_marked_dead"] == 1
 
     def test_rejects_tiny_cluster(self):
         with pytest.raises(ValueError, match=">= 3 nodes"):
@@ -47,40 +56,32 @@ class TestLocalBackend:
 class TestSocketBackend:
     def test_tcp_kill_and_repair_keeps_invariants(self):
         r = run_chaos("tcp", nodes=4, replicas=1, ops=80, seed=13)
-        assert r.ok, (
-            r.lost_writes,
-            r.diverged_writes,
-            r.replication_violations,
-            r.convergence_violations,
-        )
-        assert r.nodes_marked_dead == 1
-        assert r.failovers >= 1
+        assert r.ok, r.summary_lines()
+        assert r.metrics["client.nodes_marked_dead"] == 1
+        assert r.metrics["client.failovers"] >= 1
         assert r.ops_acked > 0
 
 
 class TestSimBackend:
     def test_kill_and_repair_keeps_invariants(self):
         r = run_chaos("sim", nodes=4, replicas=1, ops=120, seed=7)
-        assert r.ok, (
-            r.lost_writes,
-            r.replication_violations,
-            r.convergence_violations,
-        )
-        assert r.nodes_marked_dead == 1
-        assert r.failovers >= 1
+        assert r.ok, r.summary_lines()
+        assert r.metrics["client.nodes_marked_dead"] == 1
+        assert r.metrics["client.failovers"] >= 1
 
     def test_six_nodes_two_replicas(self):
         r = run_chaos("sim", nodes=6, replicas=2, ops=100, seed=3)
         assert r.ok
-        assert r.nodes_marked_dead == 1
+        assert r.metrics["client.nodes_marked_dead"] == 1
 
     def test_same_seed_same_run(self):
         a = run_chaos("sim", nodes=4, replicas=1, ops=100, seed=5)
         b = run_chaos("sim", nodes=4, replicas=1, ops=100, seed=5)
         assert a.fault_digest == b.fault_digest
         assert a.ops_acked == b.ops_acked
-        assert a.failover_latency_s == b.failover_latency_s
-        assert a.throughput_before == b.throughput_before
+        assert a.metrics["fault.failover_latency_s"] > 0
+        for metric in ("fault.failover_latency_s", "ops.throughput_before_per_s"):
+            assert a.metrics[metric] == b.metrics[metric]
 
 
 class TestDeterministicMessageChaos:
@@ -101,19 +102,19 @@ class TestDeterministicMessageChaos:
         assert a.injected_faults > 1  # message faults beyond the kill
         assert a.fault_digest == b.fault_digest
         assert a.ops_acked == b.ops_acked
-        assert a.lost_writes == [] and b.lost_writes == []
+        assert lost_writes(a) == [] and lost_writes(b) == []
 
     def test_different_seed_different_fault_sequence(self):
         a = run_chaos("sim", nodes=4, replicas=1, ops=100, seed=5, plan=self._plan(5))
         b = run_chaos("sim", nodes=4, replicas=1, ops=100, seed=6, plan=self._plan(6))
         assert a.fault_digest != b.fault_digest
-        assert a.lost_writes == [] and b.lost_writes == []
+        assert lost_writes(a) == [] and lost_writes(b) == []
 
     def test_local_backend_survives_message_chaos(self):
         r = run_chaos(
             "local", nodes=4, replicas=1, ops=100, seed=9, plan=self._plan(9)
         )
-        assert r.lost_writes == []
+        assert lost_writes(r) == []
 
 
 class TestScheduledCrashInSweep:
@@ -140,7 +141,9 @@ class TestCLI:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "invariants: OK" in out
+        assert "check durability: PASS" in out
+        assert "check replication: PASS" in out
+        assert "verdict: PASS" in out
         assert "failover latency" in out
 
     def test_chaos_command_sim_backend(self, capsys):

@@ -247,6 +247,49 @@ def test_unknown_tenant_shape_rejected():
         )
 
 
+REGISTERS = {"tenants": [{"name": "reg", "shape": "registers"}]}
+
+
+def test_registers_with_linearizability_round_trips():
+    scenario = Scenario.from_dict(
+        minimal(
+            workload=REGISTERS,
+            checks={"linearizability": True, "staleness_bound": 0.5},
+        )
+    )
+    assert scenario.checks.linearizability
+    assert scenario.checks.staleness_bound == 0.5
+    assert scenario.workload.tenants[0].shape == "registers"
+    again = Scenario.from_dict(json.loads(scenario.to_json()))
+    assert again == scenario
+    assert again.to_json() == scenario.to_json()
+
+
+def test_registers_without_linearizability_rejected():
+    with pytest.raises(ScenarioError, match="linearizability") as excinfo:
+        Scenario.from_dict(minimal(workload=REGISTERS))
+    assert excinfo.value.path == "scenario.workload.tenants[0].shape"
+
+
+@pytest.mark.parametrize("bound", [0, -0.25])
+def test_non_positive_staleness_bound_rejected(bound):
+    with pytest.raises(ScenarioError, match="staleness_bound") as excinfo:
+        Scenario.from_dict(
+            minimal(checks={"linearizability": True, "staleness_bound": bound})
+        )
+    assert excinfo.value.path == "scenario.checks.staleness_bound"
+
+
+def test_staleness_bound_must_be_a_number():
+    with pytest.raises(ScenarioError, match="expected a number"):
+        Scenario.from_dict(minimal(checks={"staleness_bound": True}))
+
+
+def test_misspelt_check_rejected_with_suggestion():
+    with pytest.raises(ScenarioError, match=r"did you mean 'linearizability'"):
+        Scenario.from_dict(minimal(checks={"linearisability": True}))
+
+
 def test_replicas_must_fit_nodes():
     with pytest.raises(ScenarioError, match="replica"):
         Scenario.from_dict(minimal(topology={"nodes": 2, "replicas": 2}))

@@ -14,7 +14,9 @@ import pytest
 
 from repro.cli import main
 from repro.net.shard import fork_supported
+from repro.faults import FaultPlan
 from repro.scenario import Scenario, run_scenario
+from repro.scenario.frontends import chaos_scenario, verify_scenario
 from repro.scenario.library import library_names, load_scenario
 
 
@@ -52,6 +54,7 @@ def test_library_scenario_passes(name):
         "divergence",
         "replication",
         "convergence",
+        "linearizability",
     }
 
 
@@ -89,6 +92,79 @@ def test_ops_override_scales_workload():
     verdict = run_scenario(scenario, ops_per_client=5)
     assert verdict.ops_attempted == 5 * scenario.workload.total_clients
     assert verdict.ok, "\n".join(verdict.summary_lines())
+
+
+# ---------------------------------------------------------------------------
+# `repro chaos` / `repro verify` as synthesised scenarios
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        chaos_scenario(),
+        chaos_scenario(
+            "sim",
+            nodes=6,
+            detector="count",
+            plan=FaultPlan.message_chaos(
+                5, drop=0.05, delay=0.05, delay_seconds=0.001
+            ),
+        ),
+        chaos_scenario("local", plan="overload", config={"max_retries": 4}),
+        verify_scenario(),
+        verify_scenario("udp", hot_cache=True, plan=FaultPlan.flapping(3)),
+        verify_scenario("sharded", shards=4, clients=3, mutation="stale-tail"),
+        verify_scenario("sim", chaos=False, mutation="ack-unreplicated"),
+    ],
+    ids=lambda s: f"{s.name}-{s.default_backend}",
+)
+def test_synthesised_documents_round_trip(scenario):
+    """What the two front-ends hand the runner is an ordinary scenario
+    document: valid, and unchanged by a trip through its own JSON."""
+    scenario.validate()
+    again = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
+    assert again == scenario
+    assert again.to_dict() == scenario.to_dict()
+
+
+def test_default_verify_document_is_the_library_scenario():
+    library = load_scenario("kill-repair-linearizable")
+    assert verify_scenario().to_dict() == library.to_dict()
+
+
+def test_fault_plan_objects_become_message_rules():
+    flapping = verify_scenario(plan=FaultPlan.flapping(3)).faults
+    assert [(m.kind, m.target, m.after, m.count) for m in flapping.messages] == [
+        ("drop", "victim", k * 40, 8) for k in range(6)
+    ]
+    assert verify_scenario(plan="flapping").faults.plan == "flapping"
+    # Message chaos makes mutations at-least-once: durability alone.
+    lossy = chaos_scenario(plan=FaultPlan.message_chaos(1, drop=0.1)).checks
+    assert (lossy.durability, lossy.divergence, lossy.convergence) == (
+        True, False, False,
+    )
+    with pytest.raises(ValueError, match="cannot express"):
+        chaos_scenario(plan=FaultPlan.message_chaos(1, drop=0.1, target="n1:1"))
+
+
+def test_fault_window_metrics_are_gateable():
+    """Failover latency, repair time and the before/during/after
+    throughput cut are ordinary verdict metrics."""
+    scenario = Scenario.from_dict(
+        {
+            **chaos_scenario("sim", ops=100, seed=5).to_dict(),
+            "gates": [
+                {"metric": "fault.failover_latency_s", "op": "<", "value": 0.5},
+                {"metric": "fault.repair_time_s", "op": ">", "value": 0},
+                {"metric": "ops.throughput_during_per_s", "op": ">", "value": 0},
+            ],
+        }
+    )
+    verdict = run_scenario(scenario)
+    assert verdict.ok, "\n".join(verdict.summary_lines())
+    assert [g.ok for g in verdict.gates] == [True, True, True]
+    assert verdict.to_dict()["faults"]["victims"] == verdict.victims == ["n1"]
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_sharded_verify_linearizable_under_chaos():
     from repro.faults.plan import FaultPlan
     from repro.verify import run_verify
 
-    report = run_verify(
+    verdict = run_verify(
         "sharded",
         ops=240,
         seed=3,
@@ -241,4 +241,4 @@ def test_sharded_verify_linearizable_under_chaos():
         plan=FaultPlan.flapping(3),
         shards=4,
     )
-    assert report.ok, report.summary_lines()
+    assert verdict.ok, verdict.summary_lines()

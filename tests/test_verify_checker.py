@@ -334,7 +334,7 @@ class TestSynthesizedHistories:
         ok_lookup = next(
             i for i, e in enumerate(events)
             if e.op == "lookup" and e.status == STATUS_OK
-            and e.key.startswith(b"reg-")
+            and b"-reg-" in e.key
         )
         e = events[ok_lookup]
         events[ok_lookup] = HistoryEvent(

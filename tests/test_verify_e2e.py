@@ -15,32 +15,39 @@ from repro.verify import (
 )
 
 
+def history_check(verdict):
+    """The checker's full report behind the linearizability check."""
+    return verdict.check("linearizability").report
+
+
 class TestLocalBackend:
     def test_chaos_run_linearizable(self):
-        report = run_verify("local", ops=160, seed=3, chaos=True)
-        assert report.ok
-        assert report.check.ok
-        assert report.events_recorded >= report.ops_acked > 0
-        assert report.victim  # a node really was killed and repaired
-        assert "LINEARIZABLE" in "\n".join(report.summary_lines())
+        verdict = run_verify("local", ops=160, seed=3, chaos=True)
+        assert verdict.ok
+        assert history_check(verdict).ok
+        assert verdict.metrics["history.events"] >= verdict.ops_acked > 0
+        assert verdict.victims  # a node really was killed and repaired
+        assert verdict.metrics["fault.repair_time_s"] > 0
+        assert "LINEARIZABLE" in "\n".join(verdict.summary_lines())
 
     def test_replicated_run_with_staleness_probes(self):
-        report = run_verify(
+        verdict = run_verify(
             "local", ops=140, seed=5, replicas=2, chaos=True,
             staleness_bound=0.25,
         )
-        assert report.ok
-        assert report.stale_probes > 0
-        assert report.check.stale_reads_checked == report.stale_probes
+        assert verdict.ok
+        probes = verdict.metrics["history.tail_probes"]
+        assert probes > 0
+        assert history_check(verdict).stale_reads_checked == probes
 
     def test_history_artifact_recheckable_offline(self, tmp_path):
         path = str(tmp_path / "history.jsonl")
-        report = run_verify(
+        verdict = run_verify(
             "local", ops=150, seed=9, chaos=True, history_path=path
         )
-        assert report.ok
+        assert verdict.ok
         events = load_history(path)
-        assert len(events) == report.events_recorded
+        assert len(events) == verdict.metrics["history.events"]
         # The saved artifact is self-contained: final values recovered
         # from its own read-back events, retries relax exactly-once.
         offline = check_history(
@@ -59,26 +66,59 @@ class TestLocalBackend:
 
 class TestSimBackend:
     def test_chaos_run_linearizable(self):
-        report = run_verify("sim", ops=160, seed=5, chaos=True)
-        assert report.ok
-        assert report.events_recorded > 0
-        assert report.victim
+        verdict = run_verify("sim", ops=160, seed=5, chaos=True)
+        assert verdict.ok
+        assert verdict.metrics["history.events"] > 0
+        assert verdict.victims
 
     def test_same_seed_same_history(self):
         a = run_verify("sim", ops=120, seed=21, chaos=True)
         b = run_verify("sim", ops=120, seed=21, chaos=True)
         assert a.ok and b.ok
-        assert (a.events_recorded, a.ops_acked, a.ops_failed) == (
-            b.events_recorded, b.ops_acked, b.ops_failed,
+        assert (a.metrics["history.events"], a.ops_acked, a.ops_failed) == (
+            b.metrics["history.events"], b.ops_acked, b.ops_failed,
         )
+
+
+    def test_clients_run_on_the_simulated_clock(self, monkeypatch):
+        """Breaker cooldowns and op deadlines of DES clients are measured
+        in simulated seconds.  With the wall clock frozen, a flapping
+        victim must still be re-probed (OPEN -> HALF_OPEN needs the
+        cooldown to elapse on *some* clock), and two same-seed runs must
+        agree on how often clients failed over — on the wall clock both
+        depend on how long the host spends inside the DES."""
+        import time
+
+        from repro.core.client import ZHTClientCore
+        from repro.faults import FaultPlan
+        from repro.obs import REGISTRY
+
+        monkeypatch.setattr(time, "time", lambda: 1_000.0)
+        # The core binds its default clock at definition time.
+        monkeypatch.setitem(
+            ZHTClientCore.__init__.__kwdefaults__, "clock", time.time
+        )
+
+        def run():
+            counters = {
+                name: REGISTRY.counter(f"client.{name}")
+                for name in ("reprobes", "failovers")
+            }
+            before = {name: c.value for name, c in counters.items()}
+            run_verify("sim", ops=240, seed=11, plan=FaultPlan.flapping(11))
+            return {name: c.value - before[name] for name, c in counters.items()}
+
+        first, second = run(), run()
+        assert first["reprobes"] >= 1
+        assert first == second
 
 
 @pytest.mark.slow
 class TestSocketBackend:
     def test_tcp_chaos_run_linearizable(self):
-        report = run_verify("tcp", ops=300, seed=7, chaos=True)
-        assert report.ok
-        assert report.events_recorded > 0
+        verdict = run_verify("tcp", ops=300, seed=7, chaos=True)
+        assert verdict.ok
+        assert verdict.metrics["history.events"] > 0
 
 
 class TestCLI:

@@ -1,10 +1,10 @@
-"""Tests for workload generators (repro.sim.workload)."""
+"""Tests for workload generators (repro.workload)."""
 
 import random
 from collections import Counter
 
 from repro.core.protocol import OpCode
-from repro.sim.workload import (
+from repro.workload import (
     KEY_BYTES,
     VALUE_BYTES,
     AppendWorkload,
@@ -121,13 +121,3 @@ class TestZipfWorkload:
         other = ZipfWorkload(ops_per_client=300, universe=100, seed=6)
         assert list(w.client_ops(0)) != list(w.client_ops(1))
         assert list(w.client_ops(0)) != list(other.client_ops(0))
-
-    def test_sim_shim_reexports_shared_module(self):
-        """repro.sim.workload is a shim over repro.workload — the classes
-        must be the same objects, not diverging copies."""
-        import repro.workload as shared
-
-        assert ZipfWorkload is shared.ZipfWorkload
-        assert AppendWorkload is shared.AppendWorkload
-        assert MicroBenchmarkWorkload is shared.MicroBenchmarkWorkload
-        assert random_value is shared.random_value
