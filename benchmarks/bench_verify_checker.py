@@ -5,8 +5,8 @@ so the tooling itself stays cheap enough to run in CI:
 
 * **Checker throughput**: events/s of :func:`~repro.verify.check_history`
   over synthesized valid concurrent histories
-  (:func:`~repro.verify.synthesize_history` — overlapping intervals, so
-  the Wing&Gong search actually searches).  Acceptance: a 10k-op
+  (:func:`~repro.scenario.traffic.synthesize_history` — overlapping
+  intervals, so the Wing&Gong search actually searches).  Acceptance: a 10k-op
   history checks in well under 10 s.
 * **Recording overhead**: ns/op for a live local-cluster client with
   (a) the raw driver loop (no client wrapper), (b) the ``ZHT`` wrapper
@@ -26,7 +26,8 @@ from _util import emit_json, fmt, fmt_int, print_table, scales
 from repro import ZHTConfig, build_local_cluster
 from repro.net.transport import execute_op
 from repro.core.protocol import OpCode
-from repro.verify import HistoryRecorder, check_history, synthesize_history
+from repro.scenario.traffic import synthesize_history
+from repro.verify import HistoryRecorder, check_history
 
 HISTORY_SIZES_SMALL = (1_000, 10_000)
 HISTORY_SIZES_PAPER = (1_000, 10_000, 50_000)

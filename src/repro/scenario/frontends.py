@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from .schema import (
-    BACKENDS,
     ChecksSpec,
     FaultEvent,
     FaultsSpec,
@@ -60,11 +59,6 @@ def _fault_messages(plan: FaultPlan | str | None) -> tuple[str | None, tuple]:
     return None, tuple(messages)
 
 
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}")
-
-
 def chaos_scenario(
     backend: str = "local",
     *,
@@ -79,11 +73,12 @@ def chaos_scenario(
     detector: str | None = None,
 ) -> Scenario:
     """The kill-and-repair scenario behind ``repro chaos``: one client
-    streams writes, the deterministic victim is hard-killed at
-    *kill_fraction* of the way through and repaired by a manager a sixth
-    of the run later; all four store invariants must hold (under a
-    lossy *plan* mutations are at-least-once, so durability alone)."""
-    _check_backend(backend)
+    streams INSERTs while a second APPENDs to keys of its own (*ops* in
+    total), the deterministic victim is hard-killed at *kill_fraction* of
+    the way through and repaired by a manager a sixth of the run later;
+    all four store invariants must hold.  Under a lossy *plan* mutations
+    are at-least-once, so divergence and convergence cannot be judged
+    (the schema rejects them): durability and replication remain."""
     if nodes < 3:
         raise ValueError("chaos needs >= 3 nodes (victim + survivors)")
     overrides = dict(config or {})
@@ -103,12 +98,13 @@ def chaos_scenario(
     strict = not faults.lossy
     return Scenario(
         name="chaos",
-        description="One writer rides through a node kill and its repair.",
+        description="An INSERT writer and an APPEND writer ride through a "
+        "node kill and its repair.",
         backends=(backend,),
         seed=seed,
         topology=TopologySpec(nodes=nodes, replicas=replicas, config=overrides),
         workload=WorkloadSpec(
-            ops_per_client=ops,
+            ops_per_client=-(-ops // 2),
             tenants=(
                 TenantSpec(
                     name="chaos",
@@ -117,11 +113,20 @@ def chaos_scenario(
                     universe=max(ops, 1),
                     value_bytes=value_bytes,
                 ),
+                # Single-writer append keys: their acked fragments, copy
+                # count and replica agreement are judged through the kill
+                # and the repair like the INSERTs.
+                TenantSpec(
+                    name="chaos-app",
+                    shape="append",
+                    clients=1,
+                    hot_keys=max(2, ops // 8),
+                ),
             ),
         ),
         faults=faults,
         checks=ChecksSpec(
-            durability=True, divergence=strict, replication=strict, convergence=strict
+            durability=True, divergence=strict, replication=True, convergence=strict
         ),
     )
 
@@ -162,11 +167,14 @@ def verify_scenario(
     staleness bound.  ``hot_cache`` adds a hot-key tenant with the client
     value cache on and an aggressively low heat threshold, so cache hits
     (recorded as reads at chain position >= 2) are certified against the
-    bounded-staleness contract.
+    bounded-staleness contract.  Its ops come on top of *ops*, which the
+    *clients* register/append clients share (rounded up to a whole
+    number each).
     """
-    _check_backend(backend)
     if mutation not in MUTATIONS:
         raise ValueError(f"mutation must be one of {MUTATIONS}")
+    if clients < 1:
+        raise ValueError("verify needs >= 1 client")
     overrides: dict = {}
     tenants = [
         TenantSpec(
@@ -238,7 +246,7 @@ def verify_scenario(
             config=overrides,
         ),
         workload=WorkloadSpec(
-            ops_per_client=max(1, ops // clients), tenants=tuple(tenants)
+            ops_per_client=max(1, -(-ops // clients)), tenants=tuple(tenants)
         ),
         faults=FaultsSpec(
             plan=preset,

@@ -34,7 +34,7 @@ import tempfile
 import threading
 import time
 from collections import Counter as Multiset
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from typing import Any, Callable, Generator, Iterator
 
@@ -115,13 +115,7 @@ class GateResult:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "op": self.op,
-            "value": self.value,
-            "observed": self.observed,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
     def describe(self) -> str:
         observed = "absent" if self.observed is None else f"{self.observed:g}"
@@ -744,7 +738,7 @@ def _run_live(
     history = _History.start(scenario, streams, history_path, time.monotonic)
     tally = _Tally()
     lock = threading.Lock()  # guards tally and stats
-    fire_lock = threading.Lock()  # serializes the scheduled fault events
+    fire_lock = threading.Lock()  # one client at a time enacts fault events
     stats: list[ClientStats] = []
 
     try:
@@ -763,18 +757,14 @@ def _run_live(
                 return zht
 
             def fire() -> None:
-                # Cooperative, like the DES loop: whichever client crosses
-                # a scheduled progress point enacts the event, so a kill
-                # lands between two ops of the workload rather than
-                # whenever a poller thread happens to wake up.  Every
-                # client passes through the lock before each op, so while
-                # an event is being enacted no new op starts: a repair
-                # racing fresh traffic is a known-open product issue
-                # (ROADMAP item 4, "migration under load") and would make
-                # every kill scenario on the fast backends flaky.
-                if not schedule.events:
+                # Whichever client crosses a scheduled progress point enacts
+                # the event, as in the DES loop, so a kill lands between two
+                # ops of the workload.  Nobody waits for it: the other
+                # clients keep issuing ops while the kill or repair runs
+                # (the lock only stops two clients enacting the same event).
+                if not schedule.pending or not fire_lock.acquire(blocking=False):
                     return
-                with fire_lock:
+                try:
                     for action, target in schedule.due(tally.done):
                         if action == "kill":
                             kill_node(cluster, backend, target, plan)
@@ -794,6 +784,8 @@ def _run_live(
                             # the target crashed: the supervisor respawns
                             # the shard and clients retry through the gap.
                             plan.record_external(FaultKind.CRASH, f"shard:{target}")
+                finally:
+                    fire_lock.release()
 
             def worker(stream: ClientStream) -> None:
                 zht = client(stream.client_index, f"c{stream.client_index:02d}")

@@ -598,8 +598,9 @@ class FaultsSpec:
     @property
     def lossy(self) -> bool:
         """True when the plan can lose or duplicate acked messages (which
-        makes mutations at-least-once, like ``chaos --durability-only``)."""
-        if self.plan is not None:
+        makes mutations at-least-once, like ``chaos --durability-only``).
+        The ``overload`` preset only stalls round trips, so it is not."""
+        if self.plan is not None and self.plan != "overload":
             return True
         return any(
             m.kind in ("drop", "duplicate", "reset") for m in self.messages
@@ -875,8 +876,8 @@ class Scenario:
         ):
             raise ScenarioError(
                 f"{path}.checks",
-                "lossy fault plans (drops/duplicates/resets or a named "
-                "plan) make mutations at-least-once; divergence and "
+                "lossy fault plans (drops/duplicates/resets or the "
+                "flapping plan) make mutations at-least-once; divergence and "
                 "convergence checks cannot hold — gate on durability "
                 "instead (see chaos --durability-only)",
             )

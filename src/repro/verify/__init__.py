@@ -27,7 +27,6 @@ from .checker import (
     check_append_key,
     check_history,
     final_values_from_history,
-    synthesize_history,
     tokenize_fragments,
 )
 from .history import (
@@ -58,6 +57,5 @@ __all__ = [
     "recorder_from_env",
     "run_verify",
     "save_history",
-    "synthesize_history",
     "tokenize_fragments",
 ]

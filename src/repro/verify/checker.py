@@ -34,14 +34,10 @@ point after their invocation — the standard "info op" treatment
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
-from ..core.protocol import OpCode
 from ..obs import REGISTRY
-from ..scenario.schema import TenantSpec, WorkloadSpec
-from ..scenario.traffic import build_streams
 from .history import (
     STATUS_FAIL,
     STATUS_NOTFOUND,
@@ -690,73 +686,3 @@ def check_history(
     REGISTRY.counter("verify.states_explored").inc(report.states_explored)
     REGISTRY.counter("verify.violations").inc(len(report.violations))
     return report
-
-
-def synthesize_history(
-    seed: int, ops: int, *, clients: int = 8
-) -> tuple[list[HistoryEvent], dict[bytes, bytes | None]]:
-    """Build a *valid* concurrent history without running a cluster.
-
-    Used by the checker throughput benchmark: applies a seeded
-    ``registers`` workload (the one ``repro verify`` runs) to a plain
-    dict model under a logical clock, giving each client overlapping
-    operation intervals (so the checker really searches) while the
-    outcomes stay linearizable by construction — the model IS the
-    linearization.
-    """
-    tenant = TenantSpec(
-        name="syn",
-        shape="registers",
-        clients=clients,
-        write_ratio=0.65,
-        universe=max(4, ops // 8),
-        hot_keys=max(2, clients),
-    )
-    streams = build_streams(
-        WorkloadSpec(ops_per_client=-(-ops // clients), tenants=(tenant,)), seed
-    )
-    flat = [(s.client_index, op) for s in streams for op in s.ops][:ops]
-    rng = random.Random(seed ^ 0x5EED)
-    model: dict[bytes, bytes] = {}
-    events: list[HistoryEvent] = []
-    #: Each client's earliest possible next invocation time.
-    free_at = [0.0] * clients
-    # Ops are applied to the model in flat order, so that order must be a
-    # valid linearization of the emitted intervals: each op's
-    # linearization point t_lin advances a global clock, and its interval
-    # [t_call, t_return] brackets t_lin with jitter so intervals of
-    # different clients genuinely overlap (the checker has to search).
-    now = 0.0
-    for seq, (client, (op, key, value)) in enumerate(flat, start=1):
-        t_lin = max(now, free_at[client]) + rng.random() * 1e-4 + 1e-9
-        t_call = max(free_at[client], t_lin - rng.random() * 5e-4)
-        t_return = t_lin + rng.random() * 5e-4
-        now = t_lin
-        free_at[client] = t_return
-        status, result = STATUS_OK, b""
-        if op == OpCode.INSERT:
-            model[key] = value
-        elif op == OpCode.APPEND:
-            model[key] = model.get(key, b"") + value
-        elif key not in model:
-            status = STATUS_NOTFOUND
-        elif op == OpCode.REMOVE:
-            del model[key]
-        else:
-            result = model[key]
-        events.append(
-            HistoryEvent(
-                client_id=f"c{client}",
-                op=op.name.lower(),
-                key=key,
-                value=value,
-                t_call=t_call,
-                t_return=t_return,
-                status=status,
-                result=result,
-                seq=seq,
-            )
-        )
-    events.sort(key=lambda e: e.t_call)
-    append_keys = {key for _c, (op, key, _v) in flat if op == OpCode.APPEND}
-    return events, {key: model.get(key) for key in append_keys}

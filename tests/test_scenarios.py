@@ -139,13 +139,34 @@ def test_fault_plan_objects_become_message_rules():
         ("drop", "victim", k * 40, 8) for k in range(6)
     ]
     assert verify_scenario(plan="flapping").faults.plan == "flapping"
-    # Message chaos makes mutations at-least-once: durability alone.
-    lossy = chaos_scenario(plan=FaultPlan.message_chaos(1, drop=0.1)).checks
-    assert (lossy.durability, lossy.divergence, lossy.convergence) == (
-        True, False, False,
-    )
+    # Message chaos makes mutations at-least-once: the schema lets
+    # durability and replication be judged, which `chaos` keeps on (it
+    # is `--durability-only` that narrows the exit code).  The stall-only
+    # overload preset keeps all four.
+    def store_checks(scenario):
+        c = scenario.checks
+        return c.durability, c.divergence, c.replication, c.convergence
+
+    lossy = chaos_scenario(plan=FaultPlan.message_chaos(1, drop=0.1))
+    assert store_checks(lossy) == (True, False, True, False)
+    assert store_checks(chaos_scenario(plan="flapping")) == (True, False, True, False)
+    assert store_checks(chaos_scenario(plan="overload")) == (True,) * 4
     with pytest.raises(ValueError, match="cannot express"):
         chaos_scenario(plan=FaultPlan.message_chaos(1, drop=0.1, target="n1:1"))
+
+
+def test_front_end_ops_budget():
+    """`ops` is the whole run's budget, rounded up to a whole number per
+    client; chaos splits it between its INSERT and its APPEND writer."""
+    chaos = chaos_scenario(ops=121)
+    assert [(t.shape, t.clients) for t in chaos.workload.tenants] == [
+        ("uniform", 1), ("append", 1),
+    ]
+    assert chaos.workload.total_ops == 122
+    assert verify_scenario(ops=10, clients=4).workload.total_ops == 12
+    assert verify_scenario(ops=300, clients=3).workload.total_ops == 300
+    with pytest.raises(ValueError, match=">= 1 client"):
+        verify_scenario(clients=0)
 
 
 def test_fault_window_metrics_are_gateable():

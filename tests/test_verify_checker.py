@@ -7,6 +7,7 @@ violating sub-history looks like.
 
 import itertools
 
+from repro.scenario.traffic import synthesize_history
 from repro.verify import (
     STATUS_FAIL,
     STATUS_NOTFOUND,
@@ -16,7 +17,6 @@ from repro.verify import (
     check_append_key,
     check_history,
     final_values_from_history,
-    synthesize_history,
     tokenize_fragments,
 )
 

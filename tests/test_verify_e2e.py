@@ -79,6 +79,20 @@ class TestSimBackend:
             b.metrics["history.events"], b.ops_acked, b.ops_failed,
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known-open product bug (ROADMAP item 4, migration under "
+        "load): repair_after_failure snapshots a partition, releases its "
+        "lock, then pushes the snapshot, so inserts acked in between are "
+        "overwritten by the older value",
+    )
+    def test_repair_racing_live_writes(self):
+        """The pinned seed: clients keep writing while the repair runs,
+        and `verify-reg-0018` ends on a value two later acked inserts had
+        replaced.  Deterministic on the DES; on `local` the same race
+        fails well under 1% of runs.  Remove the marker with the fix."""
+        verdict = run_verify("sim", ops=800, clients=8, seed=145)
+        assert verdict.ok, verdict.check("linearizability").violations
 
     def test_clients_run_on_the_simulated_clock(self, monkeypatch):
         """Breaker cooldowns and op deadlines of DES clients are measured
