@@ -5,10 +5,11 @@ which each request had a separate thread, but the overheads of starting,
 managing, and stopping threads was too high ... The current epoll-based
 ZHT outperforms the multithread version 3X."
 
-Four architectures, all on loopback sockets from :mod:`repro.net.tcp`:
+Four architectures, all on loopback sockets:
 
 - ``thread-per-request``: one thread spawned per request (the paper's
-  rejected prototype).
+  rejected prototype; :class:`ThreadPerRequestTCPServer` below is its
+  only implementation — ``src/`` ships the event-driven server alone).
 - ``event + pool hop``: the epoll loop, but every request takes the
   selector -> executor -> selector hop (``inline_fast_path=False``).
 - ``event + inline``: the epoll loop answering no-peer-IO ops directly
@@ -18,6 +19,8 @@ Four architectures, all on loopback sockets from :mod:`repro.net.tcp`:
   argument.
 """
 
+import socket
+import threading
 import time
 
 from _util import (
@@ -31,11 +34,148 @@ from _util import (
 )
 
 from repro.core import ZHTConfig
-from repro.net.cluster import build_tcp_cluster
+from repro.core.membership import Address
+from repro.core.protocol import Request, deframe_at, encode_framed_response
+from repro.net.cluster import _build_socket_cluster, build_tcp_cluster
+from repro.net.tcp import MultiplexedTCPClient, TCPClient
+from repro.net.transport import ServerExecutor
+from repro.obs import REGISTRY
 
 OPS = scales(small=(1500,), paper=(6000,))[0]
 BATCH = 64
 VALUE = b"v" * 132
+
+
+class _ThreadedConnection:
+    """One accepted socket: frame reassembly plus a write lock, so a
+    deferred reply from another thread cannot interleave with a frame."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.buffer = bytearray()
+        self.write_lock = threading.Lock()
+
+    def feed(self, chunk):
+        """Absorb *chunk*; return every complete frame now available."""
+        self.buffer += chunk
+        messages, offset = [], 0
+        while True:
+            message, offset = deframe_at(self.buffer, offset)
+            if message is None:
+                break
+            messages.append(message)
+        del self.buffer[:offset]
+        return messages
+
+    def send_response(self, response):
+        data = encode_framed_response(response)
+        with self.write_lock:
+            try:
+                self.sock.sendall(data)
+            except OSError:
+                pass
+
+
+class ThreadPerRequestTCPServer:
+    """Thread-per-request server (the rejected early ZHT prototype).
+
+    Every framed request spawns a fresh worker thread, reproducing the
+    start/manage/stop overhead the paper measured at ~3× slower than the
+    event-driven architecture.  Same ``address`` / ``attach_core`` /
+    ``start`` / ``stop`` surface as the servers in :mod:`repro.net`, so
+    the stock cluster builder can run it.
+    """
+
+    def __init__(self, *, host="127.0.0.1", port=0):
+        self.core = None
+        self.executor = None
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind((host, port))
+        self._listener.listen(512)
+        self.address = Address(host, self._listener.getsockname()[1])
+        self._peer_client = TCPClient(cache_size=32)
+        self._running = False
+        self._accept_thread = None
+        self.requests_served = 0
+
+    def attach_core(self, core):
+        self.core = core
+        self.executor = ServerExecutor(core, self._peer_client, self._deferred_reply)
+
+    def start(self):
+        if self._accept_thread is not None:
+            return
+        if self.core is None:
+            raise RuntimeError("attach_core() before start()")
+        self._running = True
+        self._listener.settimeout(0.1)
+        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread.start()
+
+    def stop(self):
+        self._running = False
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5)
+            self._accept_thread = None
+        self._listener.close()
+        self._peer_client.close()
+        if self.core is not None:
+            self.core.close()
+
+    def _accept_loop(self):
+        while self._running:
+            try:
+                sock, _addr = self._listener.accept()
+            except TimeoutError:
+                continue
+            except OSError:
+                break
+            threading.Thread(
+                target=self._connection_loop, args=(sock,), daemon=True
+            ).start()
+
+    def _connection_loop(self, sock):
+        conn = _ThreadedConnection(sock)
+        sock.settimeout(30)
+        while self._running:
+            try:
+                chunk = sock.recv(65536)
+            except OSError:
+                break
+            if not chunk:
+                break
+            for message in conn.feed(chunk):
+                # Thread-per-request: spawn, run, join — paying the full
+                # thread lifecycle cost on the request's critical path.
+                worker = threading.Thread(target=self._serve_one, args=(message, conn))
+                worker.start()
+                worker.join()
+        sock.close()
+
+    def _serve_one(self, message, conn):
+        try:
+            request = Request.decode(message)
+        except Exception:
+            REGISTRY.counter("tcp.server.decode_errors").inc()
+            return
+        self.requests_served += 1
+        REGISTRY.counter("tcp.server.requests").inc()
+        response = self.executor.process(request, reply_context=conn)
+        if response is not None:
+            conn.send_response(response)
+
+    def _deferred_reply(self, reply_context, response):
+        if isinstance(reply_context, _ThreadedConnection):
+            reply_context.send_response(response)
+
+
+def _build_cluster(config, *, threaded):
+    if not threaded:
+        return build_tcp_cluster(1, config)
+    return _build_socket_cluster(
+        1, config, ThreadPerRequestTCPServer, MultiplexedTCPClient, seed=0
+    )
 
 
 def measure(*, threaded: bool, inline: bool = True, batch: bool = False) -> float:
@@ -46,7 +186,7 @@ def measure(*, threaded: bool, inline: bool = True, batch: bool = False) -> floa
         request_timeout=2.0,
         inline_fast_path=inline,
     )
-    with build_tcp_cluster(1, config, threaded_server=threaded) as cluster:
+    with _build_cluster(config, threaded=threaded) as cluster:
         z = cluster.client()
         z.insert("warmup", b"x")
         start = time.perf_counter()

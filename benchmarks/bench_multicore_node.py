@@ -41,7 +41,7 @@ def _client_worker(membership, config, ops, offset, barrier, queue):
     from repro.core.client import ZHTClientCore
     from repro.net.tcp import MultiplexedTCPClient
 
-    transport = MultiplexedTCPClient(wire_codec=config.wire_codec)
+    transport = MultiplexedTCPClient()
     core = ZHTClientCore(membership, config, rng=random.Random(offset))
     z = ZHT(core, transport)
     z.insert(f"warm-{offset}", b"x")

@@ -3,8 +3,7 @@
 
 Starts genuine ZHT servers on loopback — event-driven selector loops for
 TCP, ack-per-datagram for UDP — and measures how the transport choices
-from §III.F behave on this machine, including the thread-per-request
-server the paper abandoned.
+from §III.F behave on this machine.
 
 Run:  python examples/real_sockets.py
 """
@@ -46,10 +45,6 @@ def main() -> None:
     with build_udp_cluster(3, ZHTConfig(transport="udp", num_partitions=64)) as cluster:
         rate = timed_storm(cluster.client())
         print(f"UDP with per-message acks  : {rate:8,.0f} ops/s")
-
-    with build_tcp_cluster(3, cfg, threaded_server=True) as cluster:
-        rate = timed_storm(cluster.client())
-        print(f"thread-per-request server  : {rate:8,.0f} ops/s  (the rejected design)")
 
     # Replication over real sockets.
     replicated = cfg.replace(num_replicas=1)

@@ -39,7 +39,7 @@ from .membership import (
     new_instance_id,
 )
 from .partition import Partition, PartitionState, QueuedRequest
-from .protocol import OpCode, Request, Response, frame, deframe
+from .protocol import OpCode, Request, Response, frame
 from .server import HandleResult, ServerStats, ZHTServerCore
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "ZHTConfig",
     "ZHTError",
     "ZHTServerCore",
-    "deframe",
     "fnv1a_32",
     "fnv1a_64",
     "frame",

@@ -55,7 +55,14 @@ from .errors import (
     raise_for_status,
 )
 from .membership import Address, InstanceInfo, MembershipTable
-from .protocol import OpCode, Request, Response
+from .protocol import (
+    BATCH_REQUEST_OVERHEAD,
+    OpCode,
+    Request,
+    Response,
+    encode_batch_requests,
+    framed_size,
+)
 
 
 @dataclass
@@ -112,15 +119,11 @@ class BatchAttempt:
     def to_request(
         self, core: "ZHTClientCore", deadline_us: int = 0
     ) -> Request:
-        from .protocol import encode_batch_requests
-
         return Request(
             op=OpCode.BATCH,
             request_id=core.allocate_request_id(),
             epoch=core.membership.epoch,
-            payload=encode_batch_requests(
-                self.requests, core.config.wire_codec
-            ),
+            payload=encode_batch_requests(self.requests),
             deadline_us=deadline_us,
         )
 
@@ -371,8 +374,6 @@ class ZHTClientCore:
         BATCH request stays under a transport's datagram limit (UDP);
         ``max_entries`` caps sub-requests per round trip.
         """
-        from .protocol import batch_request_overhead, frame
-
         self.maybe_reprobe()
         groups: dict[str, BatchAttempt] = {}
         unroutable: list[BatchEntry] = []
@@ -413,8 +414,9 @@ class ZHTClientCore:
         if max_bytes is None and max_entries is None:
             return list(groups.values()), unroutable
         # Chunk each owner group under the transport's size/count limits.
-        overhead = batch_request_overhead(1 << 32, self.membership.epoch)
-        budget = None if max_bytes is None else max(1, max_bytes - overhead)
+        budget = (
+            None if max_bytes is None else max(1, max_bytes - BATCH_REQUEST_OVERHEAD)
+        )
         attempts: list[BatchAttempt] = []
         for group in groups.values():
             chunk = BatchAttempt(
@@ -422,9 +424,7 @@ class ZHTClientCore:
             )
             size = 0
             for entry, request in zip(group.entries, group.requests):
-                # Measured with the codec the payload will actually use,
-                # so datagram chunking stays exact for both codecs.
-                wire = len(frame(request.encode_wire(self.config.wire_codec)))
+                wire = framed_size(request)
                 full_count = max_entries and len(chunk.entries) >= max_entries
                 full_bytes = (
                     budget is not None and chunk.entries and size + wire > budget

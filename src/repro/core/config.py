@@ -139,22 +139,10 @@ class ZHTConfig:
     # --- networking -------------------------------------------------------
     #: "tcp", "udp", or "local" (in-process).
     transport: str = "tcp"
-    #: LRU connection-cache capacity for TCP (0 = no connection caching,
-    #: i.e. the paper's "TCP without connection caching" mode).
+    #: Connection caching for TCP clients: > 0 keeps one multiplexed
+    #: socket per server; 0 pays a fresh ``connect()`` per operation (the
+    #: paper's "TCP without connection caching" mode).
     connection_cache_size: int = 128
-    #: Use the multiplexed TCP client (many in-flight requests per
-    #: connection, matched by request id).  ``False`` falls back to the
-    #: exclusive stop-and-wait client for ablation benchmarks; the
-    #: fallback is also used when ``connection_cache_size`` is 0, since
-    #: multiplexing only makes sense over cached connections.
-    tcp_multiplex: bool = True
-    #: Wire codec for TCP traffic: ``"fixed"`` (struct-packed fixed
-    #: header, parsed zero-copy out of the receive buffer) or
-    #: ``"varint"`` (the original protobuf-wire-format codec).  Decoders
-    #: auto-detect per message, so a mixed cluster interoperates; set
-    #: ``"varint"`` while rolling out against peers that predate the
-    #: fixed codec.
-    wire_codec: str = "fixed"
 
     # --- instances ---------------------------------------------------------
     #: ZHT instances per physical node (paper sweeps 1..8; 1 per core is
@@ -234,8 +222,6 @@ class ZHTConfig:
             raise ValueError("gc_dead_ratio must be in [0, 1]")
         if self.transport not in ("tcp", "udp", "local"):
             raise ValueError("transport must be 'tcp', 'udp', or 'local'")
-        if self.wire_codec not in ("fixed", "varint"):
-            raise ValueError("wire_codec must be 'fixed' or 'varint'")
         if self.instances_per_node <= 0:
             raise ValueError("instances_per_node must be positive")
         if self.num_shards <= 0:

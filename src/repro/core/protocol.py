@@ -4,11 +4,11 @@ The C++ ZHT serializes requests with Google Protocol Buffers: "The
 indicators for four basic operations (insert, lookup, remove, and append)
 are defined in the message prototype ... They are encapsulated with the
 key-value pair into a plain string and transferred through network"
-(§III.G).  We reproduce that with a hand-rolled codec speaking the
-protobuf *wire format* (varint and length-delimited fields with
-``tag = field_number << 3 | wire_type``), so messages are compact,
-forward-compatible (unknown fields are skipped), and free of third-party
-dependencies.
+(§III.G).  We carry the same message prototype in one struct-packed
+format: a fixed little-endian header (every scalar at a known offset,
+then the byte lengths of the variable fields) followed by the field
+bytes.  One ``struct.unpack_from`` parses a message straight out of a
+receive buffer, and there are no third-party dependencies.
 
 Two message types cover all traffic:
 
@@ -18,6 +18,9 @@ Two message types cover all traffic:
 * :class:`Response` — status code, optional value, optional redirect
   address, and an optional piggybacked membership delta for the lazy
   client-side membership update.
+
+Stream transports length-prefix each message with a varint
+(:func:`frame`); a BATCH payload is a run of such frames.
 """
 
 from __future__ import annotations
@@ -25,35 +28,33 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from ..novoht.wal import decode_varint, encode_varint
 from .errors import ProtocolError, Status
 
-_WIRE_VARINT = 0
-_WIRE_BYTES = 2
-
-#: Supported wire codecs (``ZHTConfig.wire_codec``).  ``"fixed"`` is the
-#: struct-packed zero-copy codec below; ``"varint"`` is the original
-#: protobuf-wire-format codec.  Decoders auto-detect, so mixed clusters
-#: interoperate during rolling upgrades.
-WIRE_CODECS = ("fixed", "varint")
-
-#: First byte of every fixed-codec message.  Its low three bits are 7 —
-#: not a valid protobuf wire type — so no varint-codec message can start
-#: with it and a one-byte peek distinguishes the codecs unambiguously.
+#: First byte of every message; anything else is rejected before a
+#: single field is trusted.
 FIXED_MAGIC = 0xF7
 
 _KIND_REQUEST = 0x01
 _KIND_RESPONSE = 0x02
 
-#: Fixed request header: magic, kind, op, flags(reserved), request_id
-#: u64, epoch u32, partition u32, replica_index u16, inner_op u16,
-#: deadline_us u64, then key/value/payload byte lengths (u32 each).
+#: Request header: magic, kind, op, flags (reserved, sent as 0 — the
+#: extension point for future format changes), request_id u64, epoch
+#: u32, partition u32, replica_index u16, inner_op u16, deadline_us u64,
+#: then key/value/payload byte lengths (u32 each).
 _REQ_HEADER = struct.Struct("<BBBBQIIHHQIII")
 
-#: Fixed response header: magic, kind, status, op, request_id u64,
-#: epoch u32, then value/redirect/membership byte lengths (u32 each).
+#: Response header: magic, kind, status, op, request_id u64, epoch u32,
+#: then value/redirect/membership byte lengths (u32 each).
 _RESP_HEADER = struct.Struct("<BBBBQIIII")
+
+#: Bytes a BATCH request adds around its payload — what the client's
+#: planner subtracts from a transport's datagram limit.
+BATCH_REQUEST_OVERHEAD = _REQ_HEADER.size
+
+_M = TypeVar("_M")
 
 
 class OpCode(enum.IntEnum):
@@ -121,61 +122,6 @@ NON_MUTATING_OPS = frozenset(
 )
 
 
-def _emit_varint_field(out: bytearray, field_num: int, value: int) -> None:
-    if value:
-        out += encode_varint(field_num << 3 | _WIRE_VARINT)
-        out += encode_varint(value)
-
-
-def _emit_bytes_field(out: bytearray, field_num: int, value: bytes) -> None:
-    if value:
-        out += encode_varint(field_num << 3 | _WIRE_BYTES)
-        out += encode_varint(len(value))
-        out += value
-
-
-def _parse_fields(data: bytes) -> dict[int, int | bytes]:
-    """Decode a flat protobuf-style message into ``{field_num: value}``.
-
-    Later occurrences of a field overwrite earlier ones (protobuf
-    semantics for non-repeated scalar fields).
-    """
-    fields: dict[int, int | bytes] = {}
-    pos = 0
-    try:
-        while pos < len(data):
-            tag, pos = decode_varint(data, pos)
-            field_num, wire_type = tag >> 3, tag & 0x7
-            if wire_type == _WIRE_VARINT:
-                value, pos = decode_varint(data, pos)
-                fields[field_num] = value
-            elif wire_type == _WIRE_BYTES:
-                length, pos = decode_varint(data, pos)
-                if pos + length > len(data):
-                    raise ValueError("length-delimited field overruns buffer")
-                fields[field_num] = data[pos : pos + length]
-                pos += length
-            else:
-                raise ValueError(f"unsupported wire type {wire_type}")
-    except ValueError as exc:
-        raise ProtocolError(f"malformed message: {exc}") from exc
-    return fields
-
-
-def _get_int(fields: dict, num: int, default: int = 0) -> int:
-    value = fields.get(num, default)
-    if not isinstance(value, int):
-        raise ProtocolError(f"field {num} has wrong wire type")
-    return value
-
-
-def _get_bytes(fields: dict, num: int, default: bytes = b"") -> bytes:
-    value = fields.get(num, default)
-    if not isinstance(value, bytes):
-        raise ProtocolError(f"field {num} has wrong wire type")
-    return value
-
-
 @dataclass
 class Request:
     """One ZHT request message."""
@@ -199,32 +145,14 @@ class Request:
     payload: bytes = b""
     #: Absolute wall-clock deadline in microseconds since the epoch; 0
     #: means "no deadline".  Servers shed requests that arrive already
-    #: expired instead of doing work the client has given up on.  Encoded
-    #: as a varint field that is simply absent when zero, so old peers
-    #: skip it (unknown fields are ignored) and new peers interoperate
-    #: with old clients.
+    #: expired instead of doing work the client has given up on.
     deadline_us: int = 0
 
-    _F_OP, _F_KEY, _F_VALUE, _F_REQID, _F_EPOCH = 1, 2, 3, 4, 5
-    _F_PARTITION, _F_REPLICA, _F_INNER, _F_PAYLOAD = 6, 7, 8, 9
-    _F_DEADLINE = 10
+    def encoded_size(self) -> int:
+        return _REQ_HEADER.size + len(self.key) + len(self.value) + len(self.payload)
 
-    def encode(self) -> bytes:
-        out = bytearray()
-        _emit_varint_field(out, self._F_OP, int(self.op))
-        _emit_bytes_field(out, self._F_KEY, self.key)
-        _emit_bytes_field(out, self._F_VALUE, self.value)
-        _emit_varint_field(out, self._F_REQID, self.request_id)
-        _emit_varint_field(out, self._F_EPOCH, self.epoch)
-        _emit_varint_field(out, self._F_PARTITION, self.partition)
-        _emit_varint_field(out, self._F_REPLICA, self.replica_index)
-        _emit_varint_field(out, self._F_INNER, self.inner_op)
-        _emit_bytes_field(out, self._F_PAYLOAD, self.payload)
-        _emit_varint_field(out, self._F_DEADLINE, self.deadline_us)
-        return bytes(out)
-
-    def _encode_fixed_into(self, out: bytearray) -> None:
-        """Append the fixed-codec encoding of this request to *out*."""
+    def _encode_into(self, out: bytearray) -> None:
+        """Append the encoding of this request to *out*."""
         out += _REQ_HEADER.pack(
             FIXED_MAGIC,
             _KIND_REQUEST,
@@ -244,39 +172,14 @@ class Request:
         out += self.value
         out += self.payload
 
-    def encode_fixed(self) -> bytes:
+    def encode(self) -> bytes:
         out = bytearray()
-        self._encode_fixed_into(out)
+        self._encode_into(out)
         return bytes(out)
-
-    def encode_wire(self, codec: str) -> bytes:
-        """Encode with the named wire codec (``"fixed"`` or ``"varint"``)."""
-        if codec == "fixed":
-            return self.encode_fixed()
-        return self.encode()
 
     @classmethod
     def decode(cls, data: bytes) -> "Request":
-        if data[:1] == b"\xf7":
-            return decode_request_span(data, 0, len(data))
-        fields = _parse_fields(data)
-        op_raw = _get_int(fields, cls._F_OP)
-        try:
-            op = OpCode(op_raw)
-        except ValueError:
-            raise ProtocolError(f"unknown opcode {op_raw}") from None
-        return cls(
-            op=op,
-            key=_get_bytes(fields, cls._F_KEY),
-            value=_get_bytes(fields, cls._F_VALUE),
-            request_id=_get_int(fields, cls._F_REQID),
-            epoch=_get_int(fields, cls._F_EPOCH),
-            partition=_get_int(fields, cls._F_PARTITION),
-            replica_index=_get_int(fields, cls._F_REPLICA),
-            inner_op=_get_int(fields, cls._F_INNER),
-            payload=_get_bytes(fields, cls._F_PAYLOAD),
-            deadline_us=_get_int(fields, cls._F_DEADLINE),
-        )
+        return decode_request_span(data, 0, len(data))
 
 
 @dataclass
@@ -295,26 +198,15 @@ class Response:
     membership: bytes = b""
     #: Echo of the request's op code (an :class:`OpCode` value).  Lets
     #: datagram clients reject a late response to an *earlier* operation
-    #: that happens to share a request id; 0 means "not echoed" (pre-echo
-    #: peers), which clients treat as a wildcard for reads only.
+    #: that happens to share a request id; 0 means "not echoed", which
+    #: clients treat as a wildcard for reads only.
     op: int = 0
 
-    _F_STATUS, _F_VALUE, _F_REQID, _F_EPOCH = 1, 2, 3, 4
-    _F_REDIRECT, _F_MEMBERSHIP, _F_OP = 5, 6, 7
+    def encoded_size(self) -> int:
+        return _RESP_HEADER.size + len(self.value) + len(self.redirect) + len(self.membership)
 
-    def encode(self) -> bytes:
-        out = bytearray()
-        _emit_varint_field(out, self._F_STATUS, int(self.status))
-        _emit_bytes_field(out, self._F_VALUE, self.value)
-        _emit_varint_field(out, self._F_REQID, self.request_id)
-        _emit_varint_field(out, self._F_EPOCH, self.epoch)
-        _emit_bytes_field(out, self._F_REDIRECT, self.redirect)
-        _emit_bytes_field(out, self._F_MEMBERSHIP, self.membership)
-        _emit_varint_field(out, self._F_OP, self.op)
-        return bytes(out)
-
-    def _encode_fixed_into(self, out: bytearray) -> None:
-        """Append the fixed-codec encoding of this response to *out*."""
+    def _encode_into(self, out: bytearray) -> None:
+        """Append the encoding of this response to *out*."""
         out += _RESP_HEADER.pack(
             FIXED_MAGIC,
             _KIND_RESPONSE,
@@ -330,189 +222,133 @@ class Response:
         out += self.redirect
         out += self.membership
 
-    def encode_fixed(self) -> bytes:
+    def encode(self) -> bytes:
         out = bytearray()
-        self._encode_fixed_into(out)
+        self._encode_into(out)
         return bytes(out)
-
-    def encode_wire(self, codec: str) -> bytes:
-        """Encode with the named wire codec (``"fixed"`` or ``"varint"``)."""
-        if codec == "fixed":
-            return self.encode_fixed()
-        return self.encode()
 
     @classmethod
     def decode(cls, data: bytes) -> "Response":
-        if data[:1] == b"\xf7":
-            return decode_response_span(data, 0, len(data))
-        fields = _parse_fields(data)
-        status_raw = _get_int(fields, cls._F_STATUS)
-        try:
-            status = Status(status_raw)
-        except ValueError:
-            raise ProtocolError(f"unknown status {status_raw}") from None
-        return cls(
-            status=status,
-            value=_get_bytes(fields, cls._F_VALUE),
-            request_id=_get_int(fields, cls._F_REQID),
-            epoch=_get_int(fields, cls._F_EPOCH),
-            redirect=_get_bytes(fields, cls._F_REDIRECT),
-            membership=_get_bytes(fields, cls._F_MEMBERSHIP),
-            op=_get_int(fields, cls._F_OP),
-        )
+        return decode_response_span(data, 0, len(data))
 
 
 # ---------------------------------------------------------------------------
-# Fixed-codec zero-copy span decode / single-allocation framed encode
+# Zero-copy span decode / single-allocation framed encode
 # ---------------------------------------------------------------------------
 #
-# The hot-path complement to ``Request.encode``/``decode``: servers parse
-# requests straight out of the connection's accumulating receive buffer
-# (``decode_request_span(buf, start, end)`` — no intermediate per-message
-# ``bytes`` copy), and encode length-prefixed replies into one buffer
-# (``encode_framed_request``/``encode_framed_response``) instead of
-# body-then-prefix concatenation.  Field payloads (key/value/...) are
-# still materialised as ``bytes`` — the receive buffer is compacted after
-# dispatch, so no view into it may outlive the call.
+# Servers parse requests straight out of the connection's accumulating
+# receive buffer (``decode_request_span(buf, start, end)`` — no
+# intermediate per-message ``bytes`` copy), and encode length-prefixed
+# replies into one buffer (``encode_framed_request`` /
+# ``encode_framed_response``) instead of body-then-prefix concatenation.
+# Field payloads (key/value/...) are still materialised as ``bytes`` —
+# the receive buffer is compacted after dispatch, so no view into it may
+# outlive the call.
 
 
 def decode_request_span(
     buf: bytes | bytearray | memoryview, start: int, end: int
 ) -> Request:
-    """Decode one request from ``buf[start:end]`` without copying the span.
-
-    Auto-detects the codec: fixed-header messages are parsed in place
-    with ``struct.unpack_from``; varint-codec messages fall back to the
-    classic parser (one span copy, same cost as before).
-    """
-    if end - start > 0 and buf[start] == FIXED_MAGIC:
-        if end - start < _REQ_HEADER.size:
-            raise ProtocolError("fixed request header truncated")
-        (
-            _magic,
-            kind,
-            op_raw,
-            _flags,
-            request_id,
-            epoch,
-            partition,
-            replica_index,
-            inner_op,
-            deadline_us,
-            klen,
-            vlen,
-            plen,
-        ) = _REQ_HEADER.unpack_from(buf, start)
-        if kind != _KIND_REQUEST:
-            raise ProtocolError(f"fixed message kind {kind} is not a request")
-        body = start + _REQ_HEADER.size
-        if body + klen + vlen + plen != end:
-            raise ProtocolError("fixed request field lengths overrun frame")
-        try:
-            op = OpCode(op_raw)
-        except ValueError:
-            raise ProtocolError(f"unknown opcode {op_raw}") from None
-        ko, vo = body, body + klen
-        po = vo + vlen
-        return Request(
-            op=op,
-            key=bytes(buf[ko : ko + klen]),
-            value=bytes(buf[vo : vo + vlen]),
-            request_id=request_id,
-            epoch=epoch,
-            partition=partition,
-            replica_index=replica_index,
-            inner_op=inner_op,
-            payload=bytes(buf[po : po + plen]),
-            deadline_us=deadline_us,
-        )
-    return Request.decode(bytes(buf[start:end]))
+    """Decode one request from ``buf[start:end]`` without copying the span."""
+    if end - start < _REQ_HEADER.size:
+        raise ProtocolError("request header truncated")
+    (
+        magic,
+        kind,
+        op_raw,
+        _flags,
+        request_id,
+        epoch,
+        partition,
+        replica_index,
+        inner_op,
+        deadline_us,
+        klen,
+        vlen,
+        plen,
+    ) = _REQ_HEADER.unpack_from(buf, start)
+    if magic != FIXED_MAGIC or kind != _KIND_REQUEST:
+        raise ProtocolError(f"not a request (magic 0x{magic:02x}, kind {kind})")
+    body = start + _REQ_HEADER.size
+    if body + klen + vlen + plen != end:
+        raise ProtocolError("request field lengths overrun frame")
+    try:
+        op = OpCode(op_raw)
+    except ValueError:
+        raise ProtocolError(f"unknown opcode {op_raw}") from None
+    ko, vo = body, body + klen
+    po = vo + vlen
+    return Request(
+        op=op,
+        key=bytes(buf[ko : ko + klen]),
+        value=bytes(buf[vo : vo + vlen]),
+        request_id=request_id,
+        epoch=epoch,
+        partition=partition,
+        replica_index=replica_index,
+        inner_op=inner_op,
+        payload=bytes(buf[po : po + plen]),
+        deadline_us=deadline_us,
+    )
 
 
 def decode_response_span(
     buf: bytes | bytearray | memoryview, start: int, end: int
 ) -> Response:
     """Decode one response from ``buf[start:end]`` without copying the span."""
-    if end - start > 0 and buf[start] == FIXED_MAGIC:
-        if end - start < _RESP_HEADER.size:
-            raise ProtocolError("fixed response header truncated")
-        (
-            _magic,
-            kind,
-            status_raw,
-            op,
-            request_id,
-            epoch,
-            vlen,
-            rlen,
-            mlen,
-        ) = _RESP_HEADER.unpack_from(buf, start)
-        if kind != _KIND_RESPONSE:
-            raise ProtocolError(f"fixed message kind {kind} is not a response")
-        body = start + _RESP_HEADER.size
-        if body + vlen + rlen + mlen != end:
-            raise ProtocolError("fixed response field lengths overrun frame")
-        try:
-            status = Status(status_raw)
-        except ValueError:
-            raise ProtocolError(f"unknown status {status_raw}") from None
-        vo, ro = body, body + vlen
-        mo = ro + rlen
-        return Response(
-            status=status,
-            value=bytes(buf[vo : vo + vlen]),
-            request_id=request_id,
-            epoch=epoch,
-            redirect=bytes(buf[ro : ro + rlen]),
-            membership=bytes(buf[mo : mo + mlen]),
-            op=op,
-        )
-    return Response.decode(bytes(buf[start:end]))
+    if end - start < _RESP_HEADER.size:
+        raise ProtocolError("response header truncated")
+    (
+        magic,
+        kind,
+        status_raw,
+        op,
+        request_id,
+        epoch,
+        vlen,
+        rlen,
+        mlen,
+    ) = _RESP_HEADER.unpack_from(buf, start)
+    if magic != FIXED_MAGIC or kind != _KIND_RESPONSE:
+        raise ProtocolError(f"not a response (magic 0x{magic:02x}, kind {kind})")
+    body = start + _RESP_HEADER.size
+    if body + vlen + rlen + mlen != end:
+        raise ProtocolError("response field lengths overrun frame")
+    try:
+        status = Status(status_raw)
+    except ValueError:
+        raise ProtocolError(f"unknown status {status_raw}") from None
+    vo, ro = body, body + vlen
+    mo = ro + rlen
+    return Response(
+        status=status,
+        value=bytes(buf[vo : vo + vlen]),
+        request_id=request_id,
+        epoch=epoch,
+        redirect=bytes(buf[ro : ro + rlen]),
+        membership=bytes(buf[mo : mo + mlen]),
+        op=op,
+    )
 
 
 def encode_framed_request(request: Request, codec: str = "fixed") -> bytearray:
     """Length-prefix-frame *request* into a single freshly built buffer."""
-    out = bytearray()
-    if codec == "fixed":
-        body_len = (
-            _REQ_HEADER.size
-            + len(request.key)
-            + len(request.value)
-            + len(request.payload)
-        )
-        out += encode_varint(body_len)
-        request._encode_fixed_into(out)
-    else:
-        body = request.encode()
-        out += encode_varint(len(body))
-        out += body
+    # codec: frozen benchmarks/ledger/ passes a literal "fixed"; leaves with the next benchmark PR.
+    if codec != "fixed":
+        raise ValueError(f"unknown wire codec {codec!r}")
+    out = bytearray(encode_varint(request.encoded_size()))
+    request._encode_into(out)
     return out
 
 
 def encode_framed_response(response: Response, codec: str = "fixed") -> bytearray:
     """Length-prefix-frame *response* into a single freshly built buffer."""
-    out = bytearray()
-    if codec == "fixed":
-        body_len = (
-            _RESP_HEADER.size
-            + len(response.value)
-            + len(response.redirect)
-            + len(response.membership)
-        )
-        out += encode_varint(body_len)
-        response._encode_fixed_into(out)
-    else:
-        body = response.encode()
-        out += encode_varint(len(body))
-        out += body
+    # codec: as for encode_framed_request; leaves with the next benchmark PR.
+    if codec != "fixed":
+        raise ValueError(f"unknown wire codec {codec!r}")
+    out = bytearray(encode_varint(response.encoded_size()))
+    response._encode_into(out)
     return out
-
-
-def detect_codec(message: bytes | bytearray | memoryview) -> str:
-    """Name the codec a message body was encoded with (by its first byte)."""
-    if len(message) > 0 and message[0] == FIXED_MAGIC:
-        return "fixed"
-    return "varint"
 
 
 def frame(message: bytes) -> bytes:
@@ -520,20 +356,11 @@ def frame(message: bytes) -> bytes:
     return encode_varint(len(message)) + message
 
 
-def deframe(buffer: bytes) -> tuple[bytes | None, bytes]:
-    """Extract one framed message from *buffer*.
-
-    Returns ``(message, remainder)``; ``message`` is ``None`` when the
-    buffer does not yet hold a complete frame.
-
-    Rebuilding the remainder copies the whole buffer, which is O(n²)
-    across a burst of frames — stream loops should use
-    :func:`deframe_at` over an accumulating ``bytearray`` instead.
-    """
-    message, offset = deframe_at(buffer, 0)
-    if message is None:
-        return None, buffer
-    return message, buffer[offset:]
+def framed_size(message: "Request | Response") -> int:
+    """Bytes *message* occupies once framed (on a stream or in a BATCH
+    payload), computed without encoding it."""
+    body = message.encoded_size()
+    return len(encode_varint(body)) + body
 
 
 def deframe_at(buffer: "bytes | bytearray | memoryview", offset: int) -> tuple[bytes | None, int]:
@@ -544,13 +371,10 @@ def deframe_at(buffer: "bytes | bytearray | memoryview", offset: int) -> tuple[b
     buffer does not yet hold a complete frame.  *buffer* may be ``bytes``
     or a ``bytearray`` that keeps accumulating between calls.
     """
-    try:
-        length, pos = decode_varint(buffer, offset)
-    except ValueError:
+    start, end, offset = deframe_span(buffer, offset)
+    if start < 0:
         return None, offset
-    if len(buffer) - pos < length:
-        return None, offset
-    return bytes(buffer[pos : pos + length]), pos + length
+    return bytes(buffer[start:end]), offset
 
 
 def deframe_span(
@@ -574,54 +398,48 @@ def deframe_span(
 
 
 # ---------------------------------------------------------------------------
-# Batch codec (BATCH opcode payloads)
+# BATCH payloads: framed sub-messages, in order
 # ---------------------------------------------------------------------------
 
 
-def _encode_framed(messages: list[bytes]) -> bytes:
+def _encode_batch(messages: "list[Request] | list[Response]") -> bytes:
     out = bytearray()
     for message in messages:
-        out += frame(message)
+        out += encode_varint(message.encoded_size())
+        message._encode_into(out)
     return bytes(out)
 
 
-def _decode_framed(payload: bytes) -> list[bytes]:
-    messages: list[bytes] = []
+def _decode_batch(
+    payload: bytes, decode_span: Callable[[bytes, int, int], _M]
+) -> list[_M]:
+    messages: list[_M] = []
     offset = 0
     while offset < len(payload):
-        message, offset = deframe_at(payload, offset)
-        if message is None:
+        start, end, offset = deframe_span(payload, offset)
+        if start < 0:
             raise ProtocolError("truncated frame inside batch payload")
-        messages.append(message)
+        messages.append(decode_span(payload, start, end))
     return messages
 
 
-def encode_batch_requests(requests: list[Request], codec: str = "varint") -> bytes:
-    """Pack sub-requests into a BATCH request payload (framed, in order)."""
-    return _encode_framed([r.encode_wire(codec) for r in requests])
+def encode_batch_requests(requests: list[Request], codec: str = "fixed") -> bytes:
+    """Pack sub-requests into a BATCH request payload."""
+    # codec: as for encode_framed_request; leaves with the next benchmark PR.
+    if codec != "fixed":
+        raise ValueError(f"unknown wire codec {codec!r}")
+    return _encode_batch(requests)
 
 
 def decode_batch_requests(payload: bytes) -> list[Request]:
-    return [Request.decode(m) for m in _decode_framed(payload)]
+    return _decode_batch(payload, decode_request_span)
 
 
-def encode_batch_responses(
-    responses: list["Response"], codec: str = "varint"
-) -> bytes:
-    """Pack per-key sub-responses into a BATCH response value (framed,
-    positionally matching the request's sub-requests)."""
-    return _encode_framed([r.encode_wire(codec) for r in responses])
+def encode_batch_responses(responses: list[Response]) -> bytes:
+    """Pack per-key sub-responses into a BATCH response value
+    (positionally matching the request's sub-requests)."""
+    return _encode_batch(responses)
 
 
-def decode_batch_responses(payload: bytes) -> list["Response"]:
-    return [Response.decode(m) for m in _decode_framed(payload)]
-
-
-def batch_request_overhead(request_id: int, epoch: int) -> int:
-    """Encoded size of a BATCH envelope with an empty payload, plus the
-    payload field's worst-case tag+length prefix — used by the client
-    planner to chunk batches under a transport's datagram limit."""
-    probe = Request(
-        op=OpCode.BATCH, request_id=request_id, epoch=epoch
-    ).encode()
-    return len(probe) + 6
+def decode_batch_responses(payload: bytes) -> list[Response]:
+    return _decode_batch(payload, decode_response_span)

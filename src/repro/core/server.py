@@ -755,7 +755,7 @@ class ZHTServerCore:
         result.response = self._respond(
             request,
             outer_status,
-            value=encode_batch_responses(sub_responses, self.config.wire_codec),
+            value=encode_batch_responses(sub_responses),
             membership=need_membership,
         )
         return result
@@ -767,7 +767,7 @@ class ZHTServerCore:
             op=OpCode.BATCH,
             request_id=outer.request_id,
             epoch=self.membership.epoch,
-            payload=encode_batch_requests(updates, self.config.wire_codec),
+            payload=encode_batch_requests(updates),
         )
 
     def _check_limits(self, request: Request) -> None:

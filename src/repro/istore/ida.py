@@ -8,15 +8,20 @@ data".
 
 Encoding is *systematic*: the first ``k`` chunks are the raw data stripes
 (fast path when no chunk is lost); the remaining ``n-k`` parity chunks
-are Vandermonde-coded combinations.  Decoding inverts the k×k submatrix
-of the generator corresponding to the surviving chunk indices.
+are combinations of them.  The generator is the n×k Vandermonde matrix
+``V`` brought to systematic form, ``V · V[:k]⁻¹``: right-multiplying by
+an invertible matrix keeps every k×k row-submatrix invertible, which
+identity rows stacked on *raw* Vandermonde rows do not (that generator
+is singular for one of the 126 five-chunk subsets of a (9, 5) code).
+Decoding inverts the k×k submatrix of the generator corresponding to
+the surviving chunk indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf256 import gf_mul, mat_invert, mat_vec, vandermonde
+from .gf256 import gf_mul, mat_invert, mat_mul, mat_vec, vandermonde
 
 
 @dataclass(frozen=True)
@@ -37,9 +42,9 @@ class IDACodec:
             raise ValueError("GF(256) IDA supports at most 255 chunks")
         self.n = n
         self.k = k
-        # Systematic generator: identity on top, Vandermonde parity below.
-        parity = vandermonde(n, k)[k:] if n > k else []
-        self.parity_rows = parity
+        # Systematic generator: identity on top, parity rows below.
+        v = vandermonde(n, k)
+        self.generator = mat_mul(v, mat_invert(v[:k]))
 
     # ------------------------------------------------------------------
 
@@ -57,7 +62,7 @@ class IDACodec:
             framed[i * stripe_len : (i + 1) * stripe_len] for i in range(k)
         ]
         chunks = [Chunk(i, stripes[i]) for i in range(k)]
-        for p, row in enumerate(self.parity_rows):
+        for p, row in enumerate(self.generator[k:]):
             out = bytearray(stripe_len)
             for coeff, stripe in zip(row, stripes):
                 if coeff == 0:
@@ -97,17 +102,8 @@ class IDACodec:
     def _solve(
         self, indices: list[int], rows_data: list[bytes], stripe_len: int
     ) -> list[bytes]:
-        # Build the k x k generator submatrix for the surviving indices.
-        generator = []
-        full_vandermonde = vandermonde(self.n, self.k)
-        for index in indices:
-            if index < self.k:
-                generator.append(
-                    [int(j == index) for j in range(self.k)]
-                )
-            else:
-                generator.append(full_vandermonde[index])
-        inverse = mat_invert(generator)
+        # Invert the generator's k x k submatrix for the surviving indices.
+        inverse = mat_invert([self.generator[index] for index in indices])
         stripes = [bytearray(stripe_len) for _ in range(self.k)]
         for b in range(stripe_len):
             column = [row[b] for row in rows_data]

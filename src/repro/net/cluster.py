@@ -24,12 +24,7 @@ from ..core.config import ZHTConfig
 from ..core.manager import ManagerCore
 from ..core.membership import MembershipTable
 from ..core.server import ZHTServerCore
-from .tcp import (
-    EventDrivenTCPServer,
-    MultiplexedTCPClient,
-    TCPClient,
-    ThreadedTCPServer,
-)
+from .tcp import EventDrivenTCPServer, MultiplexedTCPClient, TCPClient
 from .transport import ClientTransport, run_script
 from .udp import UDPClient, UDPServer
 
@@ -121,40 +116,25 @@ def _build_socket_cluster(
     return SocketCluster(config, servers, membership, client_factory, rng)
 
 
+def _tcp_client_factory(config: ZHTConfig) -> Callable[[], ClientTransport]:
+    """The paper's two TCP client modes: with connection caching (one
+    multiplexed socket per server) or, at ``connection_cache_size=0``,
+    a fresh ``connect()`` per operation."""
+    if config.connection_cache_size > 0:
+        return MultiplexedTCPClient
+    return lambda: TCPClient(cache_size=0)
+
+
 def build_tcp_cluster(
     num_nodes: int,
     config: ZHTConfig | None = None,
     *,
     seed: int = 0,
-    threaded_server: bool = False,
 ) -> SocketCluster:
-    """Start a ZHT deployment over TCP on loopback.
-
-    ``config.connection_cache_size`` selects between the paper's
-    "TCP with connection caching" (>0) and "TCP without connection
-    caching" (0) client modes.  ``threaded_server=True`` swaps in the
-    thread-per-request server for the architecture ablation.
-    """
+    """Start a ZHT deployment over TCP on loopback."""
     config = config or ZHTConfig(transport="tcp")
-    factory = ThreadedTCPServer if threaded_server else EventDrivenTCPServer
-    if config.tcp_multiplex and config.connection_cache_size > 0:
-        # Default: multiplexed connections (pipelined request path).
-        client_factory = lambda: MultiplexedTCPClient(  # noqa: E731
-            wire_codec=config.wire_codec
-        )
-    else:
-        # Ablations: stop-and-wait client, with or without connection
-        # caching (the paper's two TCP modes).
-        client_factory = lambda: TCPClient(  # noqa: E731
-            cache_size=config.connection_cache_size,
-            wire_codec=config.wire_codec,
-        )
     return _build_socket_cluster(
-        num_nodes,
-        config,
-        factory,
-        client_factory,
-        seed,
+        num_nodes, config, EventDrivenTCPServer, _tcp_client_factory(config), seed
     )
 
 
@@ -208,16 +188,7 @@ def build_sharded_tcp_cluster(
         chunk = instances[node_index * shards : (node_index + 1) * shards]
         node.attach_instances(membership.copy(), chunk)
         node.start()
-    if config.tcp_multiplex and config.connection_cache_size > 0:
-        client_factory = lambda: MultiplexedTCPClient(  # noqa: E731
-            wire_codec=config.wire_codec
-        )
-    else:
-        client_factory = lambda: TCPClient(  # noqa: E731
-            cache_size=config.connection_cache_size,
-            wire_codec=config.wire_codec,
-        )
-    return SocketCluster(config, nodes, membership, client_factory, rng)
+    return SocketCluster(config, nodes, membership, _tcp_client_factory(config), rng)
 
 
 def build_udp_cluster(

@@ -493,7 +493,7 @@ class ShardedNodeServer:
         """Fetch each live shard's STATS snapshot over its private port."""
         from .tcp import TCPClient
 
-        client = TCPClient(cache_size=0, wire_codec=self.config.wire_codec)
+        client = TCPClient(cache_size=0)
         snapshots: list[dict] = []
         try:
             for index, addr in enumerate(self.shard_addresses):

@@ -1,24 +1,22 @@
 """TCP transport for ZHT (§III.D, §III.F).
 
-Two server architectures, matching the paper's ablation:
+:class:`EventDrivenTCPServer` is the paper's production design: a single
+selector (epoll on Linux) event loop, non-blocking sockets, per-
+connection frame reassembly.  "We eventually converged on a much more
+streamlined architecture, an event-driven model server architecture
+based on epoll."  Requests whose effects require peer round trips
+(sync replication, migration forwards) are offloaded to a small worker
+pool so the loop never blocks on the network.  (The thread-per-request
+prototype the paper rejected lives beside its only user,
+``benchmarks/bench_ablation_server_arch.py``.)
 
-* :class:`EventDrivenTCPServer` — the production design: a single
-  selector (epoll on Linux) event loop, non-blocking sockets, per-
-  connection frame reassembly.  "We eventually converged on a much more
-  streamlined architecture, an event-driven model server architecture
-  based on epoll."  Requests whose effects require peer round trips
-  (sync replication, migration forwards) are offloaded to a small worker
-  pool so the loop never blocks on the network.
-* :class:`ThreadedTCPServer` — the early-prototype design the paper
-  rejected ("the overheads of starting, managing, and stopping threads
-  was too high"): one thread spawned per request.  Kept for the
-  server-architecture ablation benchmark.
-
-The client, :class:`TCPClient`, implements the paper's LRU **connection
-cache**: with caching, an established socket per server is reused
-("makes TCP works almost as fast as UDP"); with ``capacity=0`` every
-operation pays a fresh ``connect()`` (the "TCP without connection
-caching" line in Figures 7 and 9).
+Two clients.  :class:`MultiplexedTCPClient` is what cluster clients
+use: one socket per server carrying any number of in-flight requests.
+:class:`TCPClient` is the stop-and-wait client with the paper's LRU
+**connection cache** ("makes TCP works almost as fast as UDP"): servers
+use it for peer traffic, and with ``cache_size=0`` every operation pays
+a fresh ``connect()`` (the "TCP without connection caching" line in
+Figures 7 and 9).
 """
 
 from __future__ import annotations
@@ -31,12 +29,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..core.membership import Address
 from ..core.protocol import (
-    FIXED_MAGIC,
     Request,
     Response,
     decode_request_span,
     decode_response_span,
-    deframe_at,
     deframe_span,
     encode_framed_request,
     encode_framed_response,
@@ -47,44 +43,69 @@ from .lru import LRUCache
 from .transport import ClientTransport, ServerExecutor
 
 
-def _recv_frame(sock: socket.socket, timeout: float) -> bytes | None:
-    """Read one length-prefixed frame from a blocking socket.
+def _recv_response(
+    sock: socket.socket, request_id: int, timeout: float
+) -> tuple[Response | None, bool]:
+    """Read frames from a blocking socket until one answers *request_id*
+    (0 is unmatchable by id: the first frame answers it).
 
-    Accumulates into a ``bytearray`` and deframes at an offset — a large
-    frame arriving in many chunks costs O(total) instead of the O(n²) a
-    ``bytes += chunk`` rebuild would.
+    Returns ``(response, clean)``.  ``response`` is ``None`` on timeout,
+    EOF, socket error or an undecodable frame.  Frames carrying another
+    id are replies to earlier one-way sends on this socket and are
+    skipped inside the same *timeout*.  ``clean`` is False when bytes
+    followed the answer: the stream position is then unknown to the next
+    caller, so the socket must be closed rather than cached.
     """
-    sock.settimeout(timeout)
+    deadline = time.monotonic() + timeout
     buffer = bytearray()
+    offset = 0
     try:
         while True:
-            message, _offset = deframe_at(buffer, 0)
-            if message is not None:
-                return message
+            sock.settimeout(max(deadline - time.monotonic(), 1e-6))
             chunk = sock.recv(65536)
             if not chunk:
-                return None
+                return None, False
             buffer += chunk
-    except (TimeoutError, OSError):
-        return None
+            while True:
+                start, end, offset = deframe_span(buffer, offset)
+                if start < 0:
+                    break
+                response = decode_response_span(buffer, start, end)
+                if not request_id or response.request_id == request_id:
+                    return response, offset == len(buffer)
+    except OSError:
+        return None, False
+    except Exception:
+        REGISTRY.counter("tcp.client.decode_errors").inc()
+        return None, False
+
+
+def _discard_readable(sock: socket.socket) -> bool:
+    """Throw away whatever is already readable on *sock*, without
+    blocking.  Returns False when the peer has closed or the socket
+    failed — the caller must not cache it."""
+    timeout = sock.gettimeout()
+    try:
+        sock.settimeout(0)
+        while sock.recv(65536):
+            pass
+        return False
+    except BlockingIOError:
+        sock.settimeout(timeout)
+        return True
+    except OSError:
+        return False
 
 
 class TCPClient(ClientTransport):
     """Blocking TCP client with an LRU connection cache."""
 
-    def __init__(
-        self,
-        cache_size: int = 128,
-        *,
-        connect_timeout: float = 2.0,
-        wire_codec: str = "fixed",
-    ) -> None:
+    def __init__(self, cache_size: int = 128, *, connect_timeout: float = 2.0) -> None:
         self._cache: LRUCache[Address, socket.socket] = LRUCache(
             cache_size, on_evict=self._on_evict
         )
         self._lock = threading.Lock()
         self.connect_timeout = connect_timeout
-        self._codec = wire_codec
         self.connects = 0
         #: One-way messages retried on a fresh connection after a cached
         #: socket turned out stale.
@@ -95,7 +116,6 @@ class TCPClient(ClientTransport):
         self._c_connects = REGISTRY.counter("tcp.client.connects")
         self._c_oneway_retries = REGISTRY.counter("tcp.client.oneway_retries")
         self._c_oneway_drops = REGISTRY.counter("tcp.client.oneway_drops")
-        self._c_decode_errors = REGISTRY.counter("tcp.client.decode_errors")
         self._c_cache_evictions = REGISTRY.counter(
             "tcp.client.cache_evictions"
         )
@@ -141,25 +161,19 @@ class TCPClient(ClientTransport):
         if sock is None:
             return None
         try:
-            sock.sendall(encode_framed_request(request, self._codec))
-            payload = _recv_frame(sock, timeout)
+            sock.sendall(encode_framed_request(request))
         except OSError:
             sock.close()
             return None
-        if payload is None:
+        response, clean = _recv_response(sock, request.request_id, timeout)
+        # Cache the socket only when the stream is known to sit on a frame
+        # boundary: after a timeout, a garbled frame or trailing bytes the
+        # next caller would read *our* stream position.  Evict-and-close
+        # instead, so the next use reconnects cleanly.
+        if clean:
+            self._checkin(address, sock)
+        else:
             sock.close()
-            return None
-        # Decode BEFORE checking the socket back in: a garbled frame means
-        # the stream is desynced, and caching that connection would corrupt
-        # the next caller's roundtrip (it would read *our* stream position).
-        # Evict-and-close instead, so the next use reconnects cleanly.
-        try:
-            response = Response.decode(payload)
-        except Exception:
-            self._c_decode_errors.inc()
-            sock.close()
-            return None
-        self._checkin(address, sock)
         return response
 
     def send_oneway(self, address: Address, request: Request) -> None:
@@ -167,29 +181,35 @@ class TCPClient(ClientTransport):
         # cached socket whose server side has gone away must not silently
         # swallow them, so a send error triggers one retry on a fresh
         # connection before the message is counted as dropped.
-        payload = encode_framed_request(request, self._codec)
+        payload = encode_framed_request(request)
         sock = self._checkout(address)
         if sock is not None:
-            try:
-                sock.sendall(payload)
-                self._checkin(address, sock)
+            if self._send_oneway(address, sock, payload):
                 return
-            except OSError:
-                sock.close()
-                self.oneway_retries += 1
-                self._c_oneway_retries.inc()
+            self.oneway_retries += 1
+            self._c_oneway_retries.inc()
         sock = self._connect(address)
-        if sock is None:
+        if sock is None or not self._send_oneway(address, sock, payload):
             self.oneway_drops += 1
             self._c_oneway_drops.inc()
-            return
+
+    def _send_oneway(
+        self, address: Address, sock: socket.socket, payload: bytearray
+    ) -> bool:
         try:
             sock.sendall(payload)
-            self._checkin(address, sock)
         except OSError:
             sock.close()
-            self.oneway_drops += 1
-            self._c_oneway_drops.inc()
+            return False
+        # Servers answer one-way messages too.  Nobody waits for those
+        # replies, so discard the ones that have already arrived: left
+        # unread they pile up in the server's write queue for as long as
+        # this socket only ever carries one-way traffic.
+        if _discard_readable(sock):
+            self._checkin(address, sock)
+        else:
+            sock.close()
+        return True
 
     def evict(self, address: Address) -> None:
         with self._lock:
@@ -353,17 +373,13 @@ class MultiplexedTCPClient(ClientTransport):
     instead of serializing behind stop-and-wait round trips.  A timed
     -out request abandons its slot (its late response is discarded by
     id), so slow responses neither poison the stream nor force a
-    reconnect.  :class:`TCPClient` remains available for the
-    stop-and-wait ablation (``ZHTConfig.tcp_multiplex=False``).
+    reconnect.
     """
 
-    def __init__(
-        self, *, connect_timeout: float = 2.0, wire_codec: str = "fixed"
-    ) -> None:
+    def __init__(self, *, connect_timeout: float = 2.0) -> None:
         self._conns: dict[Address, _MuxConnection] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
         self.connect_timeout = connect_timeout
-        self._codec = wire_codec
         self.connects = 0
         self.oneway_retries = 0
         self.oneway_drops = 0
@@ -416,7 +432,7 @@ class MultiplexedTCPClient(ClientTransport):
         if not rid:
             # Unmatchable by id: use an isolated stop-and-wait socket.
             return self._oneshot_roundtrip(address, request, timeout)
-        payload = encode_framed_request(request, self._codec)
+        payload = encode_framed_request(request)
         for _attempt in range(2):  # one retry on a just-died connection
             conn = self._get(address)
             if conn is None:
@@ -448,22 +464,15 @@ class MultiplexedTCPClient(ClientTransport):
         try:
             self.connects += 1
             self._c_connects.inc()
-            sock.sendall(encode_framed_request(request, self._codec))
-            payload = _recv_frame(sock, timeout)
-            if payload is None:
-                return None
-            try:
-                return Response.decode(payload)
-            except Exception:
-                REGISTRY.counter("tcp.client.decode_errors").inc()
-                return None
+            sock.sendall(encode_framed_request(request))
+            return _recv_response(sock, request.request_id, timeout)[0]
         except OSError:
             return None
         finally:
             sock.close()
 
     def send_oneway(self, address: Address, request: Request) -> None:
-        payload = encode_framed_request(request, self._codec)
+        payload = encode_framed_request(request)
         for attempt in range(2):
             conn = self._get(address)
             if conn is not None:
@@ -493,38 +502,26 @@ class MultiplexedTCPClient(ClientTransport):
 
 
 class _Connection:
-    """Per-connection state inside a server.
+    """Per-connection state inside the server.
 
     Frame reassembly accumulates into a ``bytearray`` and tracks a read
     offset instead of rebuilding the buffer per chunk; consumed bytes are
-    compacted once per readable event.  Replies mirror the codec of the
-    last request decoded on the connection, so a varint-speaking peer
-    gets varint responses without any negotiation.
+    compacted once per readable event.  Writes are queued and flushed
+    non-blockingly instead of calling ``sendall`` (which on the loop's
+    non-blocking sockets would raise — and drop the reply — the moment
+    the kernel send buffer filled).
     """
 
-    __slots__ = ("sock", "buffer", "offset", "write_lock", "codec", "closed")
+    __slots__ = ("sock", "buffer", "offset", "write_lock", "closed", "outbuf", "want_write")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.buffer = bytearray()
         self.offset = 0
         self.write_lock = threading.Lock()
-        self.codec = "varint"
         self.closed = False
-
-    def feed(self, chunk: bytes) -> list[bytes]:
-        """Absorb *chunk*; return every complete frame now available."""
-        self.buffer += chunk
-        messages: list[bytes] = []
-        while True:
-            message, self.offset = deframe_at(self.buffer, self.offset)
-            if message is None:
-                break
-            messages.append(message)
-        if self.offset:
-            del self.buffer[: self.offset]
-            self.offset = 0
-        return messages
+        self.outbuf = bytearray()  # guarded-by: write_lock
+        self.want_write = False  # guarded-by: write_lock
 
     def feed_spans(self, chunk: bytes) -> list[tuple[int, int]]:
         """Absorb *chunk*; return ``(start, end)`` spans of every complete
@@ -544,29 +541,6 @@ class _Connection:
         if self.offset:
             del self.buffer[: self.offset]
             self.offset = 0
-
-    def send_response(self, response: Response) -> None:
-        data = encode_framed_response(response, self.codec)
-        with self.write_lock:
-            try:
-                # zht-lint: ignore[LOOP001] loop conns are _EventConnection and take _reply's queued-write path; only worker-thread deferred replies land here
-                self.sock.sendall(data)
-            except OSError:
-                pass
-
-
-class _EventConnection(_Connection):
-    """A :class:`_Connection` served by the event loop: writes are queued
-    and flushed non-blockingly instead of calling ``sendall`` (which on
-    the loop's non-blocking sockets would raise — and drop the reply — the
-    moment the kernel send buffer filled)."""
-
-    __slots__ = ("outbuf", "want_write")
-
-    def __init__(self, sock: socket.socket) -> None:
-        super().__init__(sock)
-        self.outbuf = bytearray()  # guarded-by: write_lock
-        self.want_write = False  # guarded-by: write_lock
 
     def queue_reply(self, data: "bytes | bytearray") -> bool:
         """Send *data*, buffering whatever the socket won't take now.
@@ -702,7 +676,7 @@ class EventDrivenTCPServer:
         # admission bound via ``extra_inflight``.
         self._pending_effects = 0  # guarded-by: _pending_lock
         self._pending_lock = threading.Lock()
-        self._pending_writable: list[_EventConnection] = []  # guarded-by: _pending_lock
+        self._pending_writable: list[_Connection] = []  # guarded-by: _pending_lock
         if core is not None:
             self.attach_core(core)
 
@@ -817,7 +791,7 @@ class EventDrivenTCPServer:
                 return False
         for key in self._selector.get_map().values():
             conn = key.data
-            if isinstance(conn, _EventConnection) and conn.has_backlog():
+            if isinstance(conn, _Connection) and conn.has_backlog():
                 return False
         return True
 
@@ -852,7 +826,7 @@ class EventDrivenTCPServer:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        conn = _EventConnection(sock)
+        conn = _Connection(sock)
         self._selector.register(sock, selectors.EVENT_READ, conn)
 
     def _recv_conn_fds(self) -> None:
@@ -877,7 +851,7 @@ class EventDrivenTCPServer:
             except OSError:
                 pass
 
-    def _readable(self, conn: _EventConnection) -> None:
+    def _readable(self, conn: _Connection) -> None:
         try:
             # zht-lint: ignore[LOOP001] conn sockets are set non-blocking in _register_conn; recv after a READ event never parks
             chunk = conn.sock.recv(65536)
@@ -906,14 +880,13 @@ class EventDrivenTCPServer:
         conn.sock.close()
 
     def _dispatch_span(
-        self, buffer: bytearray, start: int, end: int, conn: _EventConnection
+        self, buffer: bytearray, start: int, end: int, conn: _Connection
     ) -> None:
         try:
             request = decode_request_span(buffer, start, end)
         except Exception:
             REGISTRY.counter("tcp.server.decode_errors").inc()
             return
-        conn.codec = "fixed" if buffer[start] == FIXED_MAGIC else "varint"
         self.requests_served += 1
         REGISTRY.counter("tcp.server.requests").inc()
         result = self.core.handle(request, reply_context=conn)
@@ -948,16 +921,12 @@ class EventDrivenTCPServer:
                 self._reply(conn, result.response)
 
     def _reply(self, conn: _Connection, response: Response) -> None:
-        if not isinstance(conn, _EventConnection):
-            conn.send_response(response)
-            return
-        data = encode_framed_response(response, conn.codec)
-        if conn.queue_reply(data):
+        if conn.queue_reply(encode_framed_response(response)):
             with self._pending_lock:
                 self._pending_writable.append(conn)
             self._wake()
 
-    def _writable(self, conn: _EventConnection) -> None:
+    def _writable(self, conn: _Connection) -> None:
         if conn.flush():
             if conn.closed:
                 self._drop(conn)
@@ -967,7 +936,7 @@ class EventDrivenTCPServer:
             except (KeyError, ValueError):
                 pass
 
-    def _finish(self, result: HandleResult, conn: _EventConnection) -> None:
+    def _finish(self, result: HandleResult, conn: _Connection) -> None:
         try:
             self.executor._apply_effects(result)
             if result.response is not None:
@@ -979,109 +948,3 @@ class EventDrivenTCPServer:
     def _deferred_reply(self, reply_context: object, response: Response) -> None:
         if isinstance(reply_context, _Connection):
             self._reply(reply_context, response)
-
-
-class ThreadedTCPServer:
-    """Thread-per-request server (the rejected early ZHT prototype).
-
-    Every framed request spawns a fresh worker thread, reproducing the
-    start/manage/stop overhead the paper measured at ~3× slower than the
-    event-driven architecture.
-    """
-
-    def __init__(
-        self,
-        core: ZHTServerCore | None = None,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.core: ZHTServerCore | None = None
-        self.executor: ServerExecutor | None = None
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(512)
-        self.address = Address(host, self._listener.getsockname()[1])
-        self._peer_client = TCPClient(cache_size=32)
-        self._running = False
-        self._accept_thread: threading.Thread | None = None
-        self.requests_served = 0
-        if core is not None:
-            self.attach_core(core)
-
-    def attach_core(self, core: ZHTServerCore) -> None:
-        self.core = core
-        self.executor = ServerExecutor(core, self._peer_client, self._deferred_reply)
-
-    def start(self) -> None:
-        if self._accept_thread is not None:
-            return
-        if self.core is None:
-            raise RuntimeError("attach_core() before start()")
-        self._running = True
-        self._listener.settimeout(0.1)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True
-        )
-        self._accept_thread.start()
-
-    def stop(self) -> None:
-        self._running = False
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-            self._accept_thread = None
-        self._listener.close()
-        self._peer_client.close()
-        if self.core is not None:
-            self.core.close()
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _addr = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                break
-            threading.Thread(
-                target=self._connection_loop, args=(sock,), daemon=True
-            ).start()
-
-    def _connection_loop(self, sock: socket.socket) -> None:
-        conn = _Connection(sock)
-        sock.settimeout(30)
-        while self._running:
-            try:
-                chunk = sock.recv(65536)
-            except OSError:
-                break
-            if not chunk:
-                break
-            for message in conn.feed(chunk):
-                # Thread-per-request: spawn, run, join — paying the full
-                # thread lifecycle cost on the request's critical path.
-                worker = threading.Thread(
-                    target=self._serve_one, args=(message, conn)
-                )
-                worker.start()
-                worker.join()
-        sock.close()
-
-    def _serve_one(self, message: bytes, conn: _Connection) -> None:
-        try:
-            request = Request.decode(message)
-        except Exception:
-            REGISTRY.counter("tcp.server.decode_errors").inc()
-            return
-        if message:
-            conn.codec = "fixed" if message[0] == FIXED_MAGIC else "varint"
-        self.requests_served += 1
-        REGISTRY.counter("tcp.server.requests").inc()
-        response = self.executor.process(request, reply_context=conn)
-        if response is not None:
-            conn.send_response(response)
-
-    def _deferred_reply(self, reply_context: object, response: Response) -> None:
-        if isinstance(reply_context, _Connection):
-            reply_context.send_response(response)

@@ -26,6 +26,7 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.faults.transport import FaultyClientTransport
 from repro.net.cluster import build_tcp_cluster, build_udp_cluster
 from repro.net.tcp import MultiplexedTCPClient
+from repro.net.udp import MAX_DATAGRAM
 from repro.novoht import NoVoHT
 from repro.obs import REGISTRY
 
@@ -316,6 +317,27 @@ class TestBatchOverSockets:
             for start in range(0, len(keys), 25):
                 chunk = keys[start : start + 25]
                 assert z.lookup_many(chunk) == {k: items[k] for k in chunk}
+
+    def test_udp_batch_straddling_datagram_limit_splits_exactly(self):
+        cfg = ZHTConfig(transport="udp", num_partitions=64, request_timeout=1.0)
+        with build_udp_cluster(1, cfg) as cluster:
+            z = cluster.client()
+            sizes = []
+            roundtrip = z.transport.roundtrip
+
+            def recording(address, request, timeout):
+                sizes.append(len(request.encode()))
+                return roundtrip(address, request, timeout)
+
+            z.transport.roundtrip = recording
+            # Each sub-request frames to 2 + 44 + 4 + 5363 = 5413 bytes and
+            # 12 of them plus the 44-byte BATCH header are MAX_DATAGRAM to
+            # the byte, so the 13th key must travel in a second datagram.
+            items = {f"s{i:03d}": bytes([i]) * 5363 for i in range(13)}
+            z.insert_many(items)
+            assert sizes == [MAX_DATAGRAM, 44 + 5413]
+            for key, value in items.items():
+                assert z.lookup(key) == value
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,40 @@
-"""Fixed (struct-packed) wire codec: roundtrips, cross-codec
-compatibility, and torn-frame resilience.
+"""The wire format: round trips, rejection of anything else, and
+torn-frame resilience.
 
-The fixed codec replaces the varint header parse on the hot path; it
-must stay byte-compatible with the varint codec at the *message* level
-(same fields in, same fields out) and unambiguously distinguishable on
-the wire (first byte 0xF7 is an invalid protobuf-style tag, so a decoder
-can pick the codec per message).  These tests are the property-style
-contract: every opcode, zero-length and maximal fields, both directions
-across both codecs, and incremental framing torn at every byte offset.
+There is one format — a struct-packed fixed header behind the magic
+byte 0xF7 — so these tests are its whole contract: every opcode and
+status, zero-length and maximal fields, incremental framing torn at
+every byte offset, and a typed ``ProtocolError`` (never a hang, never a
+stray ``struct.error``) for every byte string that is not a message.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.errors import ProtocolError, Status
 from repro.core.protocol import (
-    FIXED_MAGIC,
     OpCode,
     Request,
     Response,
-    WIRE_CODECS,
+    decode_batch_requests,
+    decode_batch_responses,
     decode_request_span,
     decode_response_span,
     deframe_span,
-    detect_codec,
+    encode_batch_requests,
+    encode_batch_responses,
     encode_framed_request,
     encode_framed_response,
     frame,
 )
+
+#: The format's name — the one value the ``encode_framed_*`` /
+#: ``encode_batch_requests`` codec argument (kept for the frozen ledger)
+#: accepts.
+CODECS = ["fixed"]
 
 ALL_OPS = list(OpCode)
 ALL_STATUSES = list(Status)
@@ -62,43 +68,39 @@ def _response(status: Status) -> Response:
 
 
 # ---------------------------------------------------------------------------
-# Roundtrips: every opcode, both codecs, cross-decoded
+# Roundtrips: every opcode and status, whole-message and framed
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
+def _only_span(buffer) -> tuple[int, int]:
+    start, end, next_offset = deframe_span(buffer, 0)
+    assert start >= 0 and next_offset == len(buffer)
+    return start, end
+
+
+@pytest.mark.parametrize("codec", CODECS)
 @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
 def test_request_roundtrip_every_op(codec, op):
     request = _request(op)
-    wire = request.encode_wire(codec)
-    assert Request.decode(bytes(wire)) == request
+    assert Request.decode(request.encode()) == request
+    framed = encode_framed_request(request, codec)
+    assert decode_request_span(framed, *_only_span(framed)) == request
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
+@pytest.mark.parametrize("codec", CODECS)
 @pytest.mark.parametrize("status", ALL_STATUSES, ids=lambda s: s.name)
 def test_response_roundtrip_every_status(codec, status):
     response = _response(status)
-    wire = response.encode_wire(codec)
-    assert Response.decode(bytes(wire)) == response
-
-
-@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
-def test_cross_codec_requests_agree(op):
-    """Both codecs carry the identical message: decode(fixed) ==
-    decode(varint) field for field."""
-    request = _request(op)
-    via_fixed = Request.decode(bytes(request.encode_fixed()))
-    via_varint = Request.decode(request.encode())
-    assert via_fixed == via_varint == request
+    assert Response.decode(response.encode()) == response
+    framed = encode_framed_response(response, codec)
+    assert decode_response_span(framed, *_only_span(framed)) == response
 
 
 def test_zero_length_fields():
     request = Request(op=OpCode.PING)
-    for codec in WIRE_CODECS:
-        assert Request.decode(bytes(request.encode_wire(codec))) == request
+    assert Request.decode(request.encode()) == request
     response = Response()
-    for codec in WIRE_CODECS:
-        assert Response.decode(bytes(response.encode_wire(codec))) == response
+    assert Response.decode(response.encode()) == response
 
 
 def test_maximal_fields():
@@ -115,48 +117,89 @@ def test_maximal_fields():
         inner_op=int(OpCode.BATCH),
         deadline_us=2**64 - 1,
     )
-    for codec in WIRE_CODECS:
-        assert Request.decode(bytes(request.encode_wire(codec))) == request
+    assert Request.decode(request.encode()) == request
+
+
+def test_codec_argument_accepts_only_fixed():
+    request, response = _request(OpCode.INSERT), _response(Status.OK)
+    assert encode_batch_requests([request], "fixed") == encode_batch_requests([request])
+    for encode, message in (
+        (encode_framed_request, request),
+        (encode_framed_response, response),
+        (encode_batch_requests, [request]),
+    ):
+        with pytest.raises(ValueError):
+            encode(message, "varint")
 
 
 # ---------------------------------------------------------------------------
-# Codec detection
+# One format: everything else is a ProtocolError
 # ---------------------------------------------------------------------------
 
+DECODERS = [
+    Request.decode,
+    Response.decode,
+    lambda data: decode_request_span(data, 0, len(data)),
+    lambda data: decode_response_span(data, 0, len(data)),
+    lambda data: decode_batch_requests(frame(data)),
+    lambda data: decode_batch_responses(frame(data)),
+]
+DECODER_IDS = [
+    "Request.decode",
+    "Response.decode",
+    "decode_request_span",
+    "decode_response_span",
+    "decode_batch_requests",
+    "decode_batch_responses",
+]
 
-def test_detect_codec():
-    request = _request(OpCode.INSERT)
-    assert detect_codec(request.encode_fixed()) == "fixed"
-    assert detect_codec(request.encode()) == "varint"
+#: ``Request(op=INSERT, key=b"k")`` in the retired protobuf-style
+#: encoding (tag 1 varint 1, tag 2 bytes "k").
+OLD_ENCODING_INSERT = b"\x08\x01\x12\x01k"
 
 
-@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
-def test_varint_bodies_never_collide_with_magic(op):
-    """The disambiguation property the auto-detect relies on: a varint
-    body never starts with 0xF7 (wire type 7 does not exist), so the
-    magic byte is unambiguous."""
-    wire = _request(op).encode()
-    assert wire[:1] != bytes([FIXED_MAGIC])
-    wire = _response(Status.OK).encode()
-    assert wire[:1] != bytes([FIXED_MAGIC])
+@pytest.mark.parametrize("decode", DECODERS, ids=DECODER_IDS)
+@pytest.mark.parametrize(
+    "message", [OLD_ENCODING_INSERT, b""], ids=["old-encoding", "empty"]
+)
+def test_old_encoding_and_empty_message_rejected(decode, message):
+    with pytest.raises(ProtocolError):
+        decode(message)
 
 
-def test_mixed_codec_stream_decodes():
-    """A framing buffer interleaving both codecs decodes message by
-    message — what a server sees from a mixed-version client pool."""
-    requests = [_request(op) for op in (OpCode.INSERT, OpCode.LOOKUP, OpCode.REMOVE)]
-    buffer = bytearray()
-    buffer += encode_framed_request(requests[0], "fixed")
-    buffer += encode_framed_request(requests[1], "varint")
-    buffer += encode_framed_request(requests[2], "fixed")
-    offset = 0
-    out = []
-    while True:
-        start, end, offset = deframe_span(buffer, offset)
-        if start < 0:
-            break
-        out.append(decode_request_span(buffer, start, end))
-    assert out == requests
+def _valid_wire() -> list[bytes]:
+    messages = [_request(op).encode() for op in (OpCode.INSERT, OpCode.BATCH)]
+    messages += [_response(s).encode() for s in (Status.OK, Status.REDIRECT)]
+    messages.append(Request(op=OpCode.PING).encode())
+    messages.append(encode_batch_requests([_request(OpCode.APPEND)] * 3))
+    messages.append(encode_batch_responses([_response(Status.OK)] * 3))
+    return messages
+
+
+@st.composite
+def _damaged(draw) -> bytes:
+    """A valid message or batch payload, bit-flipped and/or truncated."""
+    wire = bytearray(draw(st.sampled_from(_valid_wire())))
+    for _ in range(draw(st.integers(0, 4))):
+        position = draw(st.integers(0, len(wire) - 1))
+        wire[position] ^= 1 << draw(st.integers(0, 7))
+    return bytes(wire[: draw(st.integers(0, len(wire)))])
+
+
+@given(st.one_of(st.binary(max_size=200), _damaged()))
+def test_hostile_bytes_raise_only_protocol_error(data):
+    """Every decode entry point, fed arbitrary or damaged bytes, returns
+    a message or raises ``ProtocolError`` — nothing else escapes."""
+    for decode in DECODERS + [decode_batch_requests, decode_batch_responses]:
+        try:
+            decode(data)
+        except ProtocolError:
+            pass
+    for offset in range(min(len(data), 4) + 1):
+        start, end, next_offset = deframe_span(data, offset)
+        assert (start, end, next_offset) == (-1, -1, offset) or (
+            offset < start <= end == next_offset <= len(data)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +207,7 @@ def test_mixed_codec_stream_decodes():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
+@pytest.mark.parametrize("codec", CODECS)
 def test_torn_request_frames_at_every_byte_offset(codec):
     requests = [
         _request(OpCode.INSERT),
@@ -195,7 +238,7 @@ def test_torn_request_frames_at_every_byte_offset(codec):
         assert decoded == requests
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
+@pytest.mark.parametrize("codec", CODECS)
 def test_torn_response_frames_at_every_byte_offset(codec):
     responses = [
         _response(Status.OK),
@@ -228,24 +271,19 @@ def test_span_decode_matches_whole_buffer_decode():
 
 def test_corrupt_fixed_header_raises():
     request = _request(OpCode.INSERT)
-    wire = bytearray(request.encode_fixed())
+    wire = bytearray(request.encode())
     wire[2] = 255  # invalid opcode
     with pytest.raises(ProtocolError):
         Request.decode(bytes(wire))
-    truncated = bytes(request.encode_fixed())[:10]
+    truncated = request.encode()[:10]
     with pytest.raises(ProtocolError):
         Request.decode(truncated)
 
 
 def test_frame_compat_with_legacy_frame():
-    """encode_framed_* must produce exactly frame(encode_wire(...)) —
-    the one-buffer fast path is an optimization, not a format change."""
+    """encode_framed_* must produce exactly frame(encode()) — the
+    one-buffer fast path is an optimization, not a format change."""
     request = _request(OpCode.INSERT)
     response = _response(Status.OK)
-    for codec in WIRE_CODECS:
-        assert bytes(encode_framed_request(request, codec)) == frame(
-            bytes(request.encode_wire(codec))
-        )
-        assert bytes(encode_framed_response(response, codec)) == frame(
-            bytes(response.encode_wire(codec))
-        )
+    assert bytes(encode_framed_request(request)) == frame(request.encode())
+    assert bytes(encode_framed_response(response)) == frame(response.encode())

@@ -1,9 +1,10 @@
 """Tests for IStore: GF(256), the IDA codec, and the dispersed store."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import ZHTConfig, build_local_cluster
@@ -178,12 +179,22 @@ class TestIDACodec:
     def test_storage_overhead(self):
         assert IDACodec(6, 4).storage_overhead == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 4), (9, 5), (11, 8)])
+    def test_every_k_subset_reconstructs(self, n, k):
+        """"Any k of n", by enumeration rather than by sampling."""
+        codec = IDACodec(n, k)
+        data = bytes(range(7, 30))
+        chunks = codec.encode(data)
+        for subset in itertools.combinations(chunks, k):
+            assert codec.decode(list(subset)) == data
+
     @settings(max_examples=25, deadline=None)
     @given(
         data=st.binary(max_size=500),
         params=st.sampled_from([(4, 2), (6, 4), (9, 5), (11, 8)]),
         seed=st.integers(0, 1000),
     )
+    @example(params=(9, 5), seed=565, data=b"")
     def test_property_roundtrip_any_subset(self, data, params, seed):
         n, k = params
         codec = IDACodec(n, k)

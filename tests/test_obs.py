@@ -397,31 +397,28 @@ class TestUDPResponseMatching:
 
 class TestTransportCounters:
     def test_oneway_retry_on_stale_cached_socket(self):
-        # Pins the classic checkout/checkin client (tcp_multiplex=False):
-        # the retry-on-stale-cached-socket path under test is specific to
-        # its LRU connection cache.
-        cfg = ZHTConfig(
-            transport="tcp",
-            num_partitions=64,
-            request_timeout=0.5,
-            tcp_multiplex=False,
-        )
+        # The retry-on-stale-cached-socket path is specific to the
+        # checkout/checkin client's LRU connection cache.
+        cfg = ZHTConfig(transport="tcp", num_partitions=64, request_timeout=0.5)
         with build_tcp_cluster(1, cfg) as cluster:
-            z = cluster.client()
-            z.insert("k", b"v")
-            # Break the cached socket in place (leave it in the cache) so
-            # the next one-way send hits a dead file descriptor.
-            transport = z.transport
-            for addr in list(transport._cache):
-                transport._cache._data[addr].close()
-            before = REGISTRY.counter("tcp.client.oneway_retries").value
-            transport.send_oneway(
-                cluster.servers[0].address, Request(op=OpCode.PING)
-            )
-            assert transport.oneway_retries >= 1
-            assert (
-                REGISTRY.counter("tcp.client.oneway_retries").value > before
-            )
+            address = cluster.servers[0].address
+            transport = TCPClient(cache_size=4)
+            try:
+                assert transport.roundtrip(
+                    address, Request(op=OpCode.PING, request_id=1), 0.5
+                )
+                # Break the cached socket in place (leave it in the cache)
+                # so the next one-way send hits a dead file descriptor.
+                for addr in list(transport._cache):
+                    transport._cache._data[addr].close()
+                before = REGISTRY.counter("tcp.client.oneway_retries").value
+                transport.send_oneway(address, Request(op=OpCode.PING))
+                assert transport.oneway_retries >= 1
+                assert (
+                    REGISTRY.counter("tcp.client.oneway_retries").value > before
+                )
+            finally:
+                transport.close()
 
     def test_oneway_drop_on_dead_address(self):
         client = TCPClient(cache_size=4, connect_timeout=0.2)

@@ -10,7 +10,7 @@ from repro.core.protocol import (
     OpCode,
     Request,
     Response,
-    deframe,
+    deframe_at,
     frame,
 )
 
@@ -52,14 +52,14 @@ class TestRequestCodec:
 
     def test_encoding_is_compact(self):
         """A 15B key / 132B value insert — the paper's micro-benchmark
-        shape — must carry only a few bytes of overhead."""
+        shape — carries exactly the 44-byte header on top of its fields."""
         r = Request(op=OpCode.INSERT, key=b"k" * 15, value=b"v" * 132, request_id=7)
-        assert len(r.encode()) < 15 + 132 + 16
+        assert len(r.encode()) == r.encoded_size() == 15 + 132 + 44
 
     def test_unknown_opcode_rejected(self):
         bad = Request(op=OpCode.INSERT)
         data = bytearray(bad.encode())
-        data[1] = 99  # field 1 varint value
+        data[2] = 99  # header byte 2 is the opcode
         with pytest.raises(ProtocolError, match="unknown opcode"):
             Request.decode(bytes(data))
 
@@ -68,18 +68,10 @@ class TestRequestCodec:
             Request.decode(b"\xfa\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")
 
     def test_overrun_length_rejected(self):
-        # Field 2 (key), claims 100 bytes but supplies 1.
-        with pytest.raises(ProtocolError):
-            Request.decode(b"\x08\x01\x12\x64x")
-
-    def test_unknown_fields_are_skipped(self):
-        """Forward compatibility: decoding ignores unknown field numbers."""
-        base = Request(op=OpCode.LOOKUP, key=b"k").encode()
-        # Append field 15 (varint) and field 14 (bytes) — both unknown.
-        extended = base + bytes([15 << 3 | 0, 42]) + bytes([14 << 3 | 2, 2]) + b"xy"
-        decoded = Request.decode(extended)
-        assert decoded.op == OpCode.LOOKUP
-        assert decoded.key == b"k"
+        # The header claims a 100-byte key but the message supplies 1.
+        data = Request(op=OpCode.INSERT, key=b"x" * 100).encode()[: 44 + 1]
+        with pytest.raises(ProtocolError, match="overrun"):
+            Request.decode(data)
 
 
 class TestResponseCodec:
@@ -88,48 +80,44 @@ class TestResponseCodec:
         assert Response.decode(response.encode()) == response
 
     def test_ok_status_is_default(self):
-        # Status.OK == 0 is elided on the wire (protobuf default handling).
-        r = Response(status=Status.OK, request_id=1)
+        r = Response(request_id=1)
         assert Response.decode(r.encode()).status == Status.OK
 
     def test_unknown_status_rejected(self):
-        data = bytes([1 << 3 | 0, 99])
+        data = bytearray(Response().encode())
+        data[2] = 99  # header byte 2 is the status
         with pytest.raises(ProtocolError, match="unknown status"):
-            Response.decode(data)
+            Response.decode(bytes(data))
 
 
 class TestFraming:
     @given(st.binary(max_size=1000))
     def test_frame_roundtrip(self, payload):
-        message, rest = deframe(frame(payload))
-        assert message == payload
-        assert rest == b""
+        framed = frame(payload)
+        assert deframe_at(framed, 0) == (payload, len(framed))
 
     def test_partial_frame_returns_none(self):
         framed = frame(b"hello world")
-        message, rest = deframe(framed[:4])
-        assert message is None
-        assert rest == framed[:4]
+        assert deframe_at(framed[:4], 0) == (None, 0)
 
     def test_two_frames_back_to_back(self):
         buffer = frame(b"first") + frame(b"second")
-        m1, rest = deframe(buffer)
-        m2, rest = deframe(rest)
-        assert (m1, m2, rest) == (b"first", b"second", b"")
+        m1, offset = deframe_at(buffer, 0)
+        m2, offset = deframe_at(buffer, offset)
+        assert (m1, m2, offset) == (b"first", b"second", len(buffer))
 
     def test_empty_buffer(self):
-        message, rest = deframe(b"")
-        assert message is None
+        assert deframe_at(b"", 0) == (None, 0)
 
     @given(st.lists(st.binary(max_size=50), max_size=10), st.integers(1, 20))
     def test_streaming_reassembly(self, payloads, chunk):
         """Frames split at arbitrary boundaries reassemble in order."""
         stream = b"".join(frame(p) for p in payloads)
-        received, buffer = [], b""
+        received, buffer, offset = [], bytearray(), 0
         for i in range(0, len(stream), chunk):
             buffer += stream[i : i + chunk]
             while True:
-                message, buffer = deframe(buffer)
+                message, offset = deframe_at(buffer, offset)
                 if message is None:
                     break
                 received.append(message)

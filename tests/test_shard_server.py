@@ -60,7 +60,7 @@ def _standalone_node(config: ZHTConfig, **kwargs) -> ShardedNodeServer:
 
 def _client(node: ShardedNodeServer) -> tuple[ZHT, MultiplexedTCPClient]:
     assert node.membership is not None
-    transport = MultiplexedTCPClient(wire_codec=node.config.wire_codec)
+    transport = MultiplexedTCPClient()
     core = ZHTClientCore(
         node.membership.copy(), node.config, rng=random.Random(7)
     )
