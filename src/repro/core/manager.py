@@ -20,17 +20,19 @@ sockets and inside the discrete-event simulator::
     except StopIteration as stop:
         result = stop.value
 
-Migration follows the paper's protocol: the source locks and exports the
-partition (queueing incoming requests), the destination imports it, the
-membership delta is broadcast "in an atomic manner", and finally the
-source commits — forwarding queued requests to the new owner.  On any
-failure the source aborts and the queued requests are failed, rolling the
-system back to a consistent state.
+Partition state moves exactly one way — :meth:`ManagerCore.transfer_partition`,
+the paper's protocol: the source locks and exports the partition (queueing
+incoming requests), every receiver imports it, and the lock is released.
+A migration (join, retire) also hands over ownership before the release:
+the membership delta is broadcast "in an atomic manner" and the source
+commits, forwarding queued requests to the new owner.  Repair re-replicates
+with the same script and no ownership change.  On any failure the source
+aborts and the queued requests are failed, rolling the system back to a
+consistent state.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Generator
@@ -52,9 +54,6 @@ class PeerCall:
 
     address: Address
     request: Request
-    #: Scripts set this False for best-effort messages (broadcasts) where
-    #: a timeout should not abort the procedure.
-    required: bool = True
 
 
 Script = Generator[PeerCall, "Response | None", object]
@@ -120,15 +119,70 @@ class ManagerCore:
                     epoch=epoch,
                     payload=payload,
                 ),
-                required=False,
             )
             if response is not None and response.status == Status.OK:
                 delivered += 1
         return delivered
 
     # ------------------------------------------------------------------
-    # Partition migration
+    # Partition transfer
     # ------------------------------------------------------------------
+
+    def transfer_partition(
+        self,
+        pid: int,
+        src: InstanceInfo,
+        receivers: list[InstanceInfo],
+        new_owner: InstanceInfo | None = None,
+    ) -> Script:
+        """The one way partition state moves (§III.C): freeze → install →
+        release.
+
+        *src* locks and exports *pid* (incoming requests queue there) and
+        every receiver installs the snapshot; then the lock goes one of
+        two ways.  A **move** (*new_owner* given) flips ownership,
+        broadcasts the table and commits: the source drops its copy and
+        forwards its queue to the new owner.  A **copy** (re-replication)
+        just releases: the source answers its queue ``MIGRATING`` and the
+        clients retry.
+
+        The source stays frozen until every receiver has acked or timed
+        out, so no write can be acked after the snapshot a receiver is
+        about to install.  Returns the pair count the receivers acked, or
+        ``None`` when the freeze or an install failed — a move is then
+        rolled back, a copy still reaches the other receivers.
+        """
+
+        def call(inst: InstanceInfo, op: OpCode, **fields: bytes) -> PeerCall:
+            request = Request(
+                op=op, request_id=self._request_id(), partition=pid, **fields
+            )
+            return PeerCall(inst.address, request)
+
+        begin = yield call(src, OpCode.MIGRATE_BEGIN)
+        if begin is None or begin.status != Status.OK:
+            return None
+        pairs: int | None = 0
+        for receiver in receivers:
+            ack = yield call(receiver, OpCode.MIGRATE_DATA, value=begin.value)
+            if ack is None or ack.status != Status.OK:
+                pairs = None
+            elif pairs is not None:
+                pairs = int(ack.value or 0)
+        if new_owner is None or pairs is None:
+            yield call(src, OpCode.MIGRATE_COMMIT, value=b"abort")
+            return pairs
+        self.membership.reassign_partition(pid, new_owner.instance_id)
+        yield from self.broadcast_membership()
+        # A lost commit ack changes nothing: ownership is already flipped
+        # and broadcast, so the system is consistent either way.
+        yield call(
+            src,
+            OpCode.MIGRATE_COMMIT,
+            value=b"commit",
+            payload=str(new_owner.address).encode(),
+        )
+        return pairs
 
     def migrate_partition(self, pid: int, dst_instance_id: str) -> Script:
         """Move partition *pid* to *dst_instance_id*; returns a report."""
@@ -138,66 +192,10 @@ class ManagerCore:
             raise MembershipError(f"unknown destination {dst_instance_id}")
         if src.instance_id == dst_instance_id:
             return MigrationReport(pid, src.instance_id, dst_instance_id, True)
-        report = MigrationReport(pid, src.instance_id, dst_instance_id, False)
-
-        # 1. Lock + export at the source. Incoming requests start queueing.
-        begin = yield PeerCall(
-            src.address,
-            Request(
-                op=OpCode.MIGRATE_BEGIN,
-                request_id=self._request_id(),
-                partition=pid,
-            ),
+        moved = yield from self.transfer_partition(pid, src, [dst], new_owner=dst)
+        return MigrationReport(
+            pid, src.instance_id, dst_instance_id, moved is not None, moved or 0
         )
-        if begin is None or begin.status != Status.OK:
-            return report
-
-        abort_payload = Request(
-            op=OpCode.MIGRATE_COMMIT,
-            request_id=self._request_id(),
-            partition=pid,
-            value=b"abort",
-        )
-
-        # 2. Install the data at the destination.
-        data = yield PeerCall(
-            dst.address,
-            Request(
-                op=OpCode.MIGRATE_DATA,
-                request_id=self._request_id(),
-                partition=pid,
-                value=begin.value,
-            ),
-        )
-        if data is None or data.status != Status.OK:
-            yield PeerCall(src.address, abort_payload, required=False)
-            return report
-
-        # 3. Flip ownership and broadcast the new table.
-        self.membership.reassign_partition(pid, dst_instance_id)
-        yield from self.broadcast_membership()
-
-        # 4. Commit at the source; it forwards queued requests to dst.
-        commit = yield PeerCall(
-            src.address,
-            Request(
-                op=OpCode.MIGRATE_COMMIT,
-                request_id=self._request_id(),
-                partition=pid,
-                value=b"commit",
-                payload=str(dst.address).encode(),
-            ),
-        )
-        if commit is None or commit.status != Status.OK:
-            # Ownership already flipped and broadcast; the source's commit
-            # ack was lost but the system is consistent. Report success.
-            pass
-        report.committed = True
-        try:
-            report.pairs_moved = len(json.loads(begin.value.decode("ascii")))
-        except ValueError:
-            report.pairs_moved = 0
-        return report
 
     # ------------------------------------------------------------------
     # Node join
@@ -284,9 +282,11 @@ class ManagerCore:
         the replication level (§III.C "Node departures", §III.H).
 
         For each partition owned by the dead node, ownership moves to its
-        first alive replica (which already holds the data).  The new owner
-        then re-replicates the partition content to the next nodes on the
-        ring so the configured replication level is maintained.
+        first alive replica (which already holds the data) and the table
+        is broadcast.  Then every partition that lost a copy is
+        re-replicated by :meth:`transfer_partition` from its owner to the
+        next nodes on the ring, so the configured replication level is
+        maintained; this script itself sends only the broadcast.
         """
         node = self.membership.nodes.get(dead_node_id)
         if node is None:
@@ -312,18 +312,12 @@ class ManagerCore:
         reassigned: list[int] = []
         for inst in self.membership.instances_on_node(dead_node_id):
             for pid in self.membership.partitions_of_instance(inst.instance_id):
-                chain = self.membership.replicas_for_partition(
-                    pid, max(self.config.num_replicas, 1)
-                )
-                survivor = next(
-                    (
-                        c
-                        for c in chain[1:]
-                        if self.membership.nodes[c.node_id].alive
-                    ),
-                    None,
-                )
-                if survivor is None:
+                # The chain skips dead nodes: past the (dead) owner it
+                # holds only survivors, the first of which has the data.
+                chain = self.membership.replicas_for_partition(pid, depth)
+                if len(chain) > 1:
+                    survivor = chain[1]
+                else:
                     # Data loss: no replica survives. Reassign to any alive
                     # instance so the key range stays routable (lookups
                     # will report KEY_NOT_FOUND).
@@ -336,47 +330,14 @@ class ManagerCore:
 
         yield from self.broadcast_membership()
 
-        # Restore replication level: ask each affected partition's
-        # (possibly new) owner for its content and push it to the new
-        # replica chain.  Partitions where the dead node was only a
-        # successor keep their owner but still need a fresh copy pushed
-        # to whichever node replaced it in the chain.
-        if self.config.num_replicas > 0:
-            for pid in affected:
-                owner = self.membership.owner_of_partition(pid)
-                begin = yield PeerCall(
-                    owner.address,
-                    Request(
-                        op=OpCode.MIGRATE_BEGIN,
-                        request_id=self._request_id(),
-                        partition=pid,
-                    ),
-                )
-                if begin is None or begin.status != Status.OK:
-                    continue
-                # Immediately release the lock; we only needed the export.
-                yield PeerCall(
-                    owner.address,
-                    Request(
-                        op=OpCode.MIGRATE_COMMIT,
-                        request_id=self._request_id(),
-                        partition=pid,
-                        value=b"abort",
-                    ),
-                    required=False,
-                )
-                chain = self.membership.replicas_for_partition(
-                    pid, self.config.num_replicas
-                )
-                for replica in chain[1:]:
-                    yield PeerCall(
-                        replica.address,
-                        Request(
-                            op=OpCode.MIGRATE_DATA,
-                            request_id=self._request_id(),
-                            partition=pid,
-                            value=begin.value,
-                        ),
-                        required=False,
-                    )
+        # Restore the replication level: each affected partition's
+        # (possibly new) owner is the source of one copy transfer to the
+        # rest of its new chain.  Partitions where the dead node was only
+        # a successor keep their owner but still need a fresh copy on
+        # whichever node replaced it in the chain.
+        for pid in affected:
+            owner, *replicas = self.membership.replicas_for_partition(
+                pid, self.config.num_replicas
+            )
+            yield from self.transfer_partition(pid, owner, replicas)
         return reassigned

@@ -267,7 +267,9 @@ class ZHTServerCore:
             )
             if self._maint_submit is not None:
                 part.store.set_maintenance_executor(self._maint_submit)
-            self.partitions[pid] = part
+            # Racing first touches (local callers' threads) must agree on
+            # one partition, or the loser's writes vanish with its copy.
+            part = self.partitions.setdefault(pid, part)
         return part
 
     def set_maintenance_executor(
@@ -889,11 +891,14 @@ class ZHTServerCore:
     def _handle_migrate_data(self, request: Request) -> HandleResult:
         part = self.partition(request.partition)
         try:
-            part.import_bytes(request.value)
+            installed = part.import_bytes(request.value)
         except ZHTError as exc:
             return HandleResult(self._respond(request, exc.status))
         self.stats.inc("migrations_in")
-        return HandleResult(self._respond(request, Status.OK))
+        # Ack the installed pair count: the manager never parses a snapshot.
+        return HandleResult(
+            self._respond(request, Status.OK, value=b"%d" % installed)
+        )
 
     def _handle_migrate_commit(self, request: Request) -> HandleResult:
         part = self.partition(request.partition)

@@ -7,13 +7,16 @@ migration, failure handling) — deterministic, fast, and with first-class
 fault injection (:meth:`LocalNetwork.kill_address` /
 :meth:`LocalNetwork.revive_address`).
 
-Because calls are synchronous and single-threaded, requests queued behind
-a migration cannot be answered in-line; their deferred responses are
+Calls run on the caller's thread, so a request queued behind a frozen
+partition cannot be answered in-line: :meth:`LocalNetwork.roundtrip` waits
+(up to its timeout) for the thread that releases the partition to deliver
+the deferred reply.  Deferred replies to any other reply context are
 parked in :attr:`LocalNetwork.deferred_replies` for tests to assert on.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from ..core.membership import Address
@@ -41,6 +44,8 @@ class LocalNetwork(ClientTransport):
         self.servers: dict[Address, ServerExecutor] = {}
         self.dead: set[Address] = set()
         self.deferred_replies: list[tuple[object, Response]] = []
+        #: Round trips whose request got queued sleep here until released.
+        self._released = threading.Condition()
         self.stats = LocalStats()
 
     # ------------------------------------------------------------------
@@ -56,7 +61,12 @@ class LocalNetwork(ClientTransport):
         return executor
 
     def _deferred_reply(self, reply_context: object, response: Response) -> None:
-        self.deferred_replies.append((reply_context, response))
+        if isinstance(reply_context, list):  # a parked roundtrip's mailbox
+            with self._released:
+                reply_context.append(response)
+                self._released.notify_all()
+        else:
+            self.deferred_replies.append((reply_context, response))
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -88,7 +98,15 @@ class LocalNetwork(ClientTransport):
             return None
         self.stats.inc("roundtrips")
         with REGISTRY.span("local.roundtrip"):
-            return self.servers[address].process(request, reply_context=None)
+            mailbox: list[Response] = []
+            response = self.servers[address].process(request, reply_context=mailbox)
+            if response is None:
+                # Queued behind a frozen partition: like a socket client,
+                # wait for the release (MIGRATING, or the new owner's answer).
+                with self._released:
+                    self._released.wait_for(lambda: mailbox, timeout)
+                response = mailbox[0] if mailbox else None
+            return response
 
     def send_oneway(self, address: Address, request: Request) -> None:
         if not self._reachable(address):

@@ -352,8 +352,8 @@ def run_script(
 ) -> object:
     """Drive a manager :class:`~repro.core.manager.Script` over *transport*.
 
-    Returns the script's return value.  A timeout on a ``required`` call
-    feeds ``None`` back into the script (scripts handle that as failure).
+    Returns the script's return value.  A call that times out feeds
+    ``None`` back into the script (scripts handle that as failure).
     """
     reply: Response | None = None
     try:

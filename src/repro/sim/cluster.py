@@ -34,7 +34,7 @@ from ..core.membership import (
     new_instance_id,
 )
 from ..core.protocol import MUTATING_OPS, OpCode, Request, Response
-from ..core.server import ZHTServerCore
+from ..core.server import HandleResult, ZHTServerCore
 from ..faults.plan import FaultKind
 from .engine import Environment, Store
 from .metrics import LatencyStats, RunResult
@@ -336,8 +336,11 @@ class SimulatedCluster:
             yield env.timeout(cost)
 
             if spec.real_core:
-                result = handler.handle(request)
+                # The message is its own reply context should it get parked.
+                result = handler.handle(request, message)
                 response = result.response
+                if request.op == OpCode.MIGRATE_COMMIT:  # only it ends a freeze
+                    self._release_parked(result, my_node)
                 for addr, update in result.async_sends:
                     yield env.timeout(
                         service.service_time * _REPLICA_DISPATCH_FACTOR
@@ -392,6 +395,19 @@ class SimulatedCluster:
                 yield ack
         if response is not None and message.reply_event is not None:
             self._reply(message, response, my_node)
+
+    def _release_parked(self, result: HandleResult, my_node: int) -> None:
+        """A freeze ended (cf. ``ServerExecutor._apply_effects``): each
+        parked message moves on to the new owner, which answers its
+        requester, or — on abort/release — is failed with ``MIGRATING``."""
+        for addr, queued in result.forwards:
+            self._deliver(self._addr_to_index[addr], queued.reply_context, my_node)
+        for queued in result.failed_queued:
+            if queued.reply_context.reply_event is not None:
+                bounce = Response(
+                    status=Status.MIGRATING, request_id=queued.request.request_id
+                )
+                self._reply(queued.reply_context, bounce, my_node)
 
     def _reply(self, message: _SimMessage, response: Response, my_node: int) -> None:
         size = _MSG_OVERHEAD + len(response.value)

@@ -1,10 +1,14 @@
 """Unit tests for manager orchestration scripts (repro.core.manager)."""
 
+import inspect
+
 import pytest
 
 from repro import ZHTConfig, build_local_cluster
 from repro.core import MembershipError, MigrationReport
+from repro.core.errors import Status
 from repro.core.manager import ManagerCore
+from repro.core.protocol import OpCode, Request
 from repro.net.transport import run_script
 
 
@@ -90,6 +94,28 @@ class TestMigratePartition:
         report = cluster.run(manager.migrate_partition(pid, dst.instance_id))
         assert not report.committed
         assert cluster.membership.partition_owner[pid] == src.instance_id
+
+
+class TestOneTransferPath:
+    def test_only_the_transfer_script_builds_migrate_requests(self):
+        """Join, retire and repair all move partition state through
+        `transfer_partition`; no second copy loop may grow beside it."""
+        whole = inspect.getsource(inspect.getmodule(ManagerCore))
+        script = inspect.getsource(ManagerCore.transfer_partition)
+        assert whole.count("OpCode.MIGRATE_") == script.count("OpCode.MIGRATE_") > 0
+
+    def test_migrate_data_ack_reports_the_installed_pairs(self, cluster):
+        populate(cluster)
+        pid = cluster.membership.partition_of_key(b"key-00000", "fnv1a_64")
+        src = cluster.membership.owner_of_partition(pid)
+        dst = next(
+            i
+            for i in cluster.membership.instances.values()
+            if i.node_id != src.node_id
+        )
+        held = len(cluster.server_for_instance(src.instance_id).partition(pid).store)
+        report = cluster.run(cluster.manager().migrate_partition(pid, dst.instance_id))
+        assert report.pairs_moved == held >= 1
 
 
 class TestBroadcastMembership:
@@ -179,3 +205,70 @@ class TestRepairAfterFailure:
                     )
                 )
                 assert holders >= 2
+
+    def test_unreachable_receiver_still_releases_every_source(self):
+        """Repair holds each source frozen across the pushes; a receiver
+        that never answers must not leave a partition locked or a parked
+        request unanswered."""
+        cfg = ZHTConfig(
+            transport="local",
+            num_partitions=32,
+            num_replicas=1,
+            request_timeout=0.005,
+        )
+        with build_local_cluster(4, cfg) as cluster:
+            populate(cluster, 40)
+            victim, deaf, survivor = list(cluster.membership.nodes)[:3]
+            cluster.kill_node(victim)
+            # Unreachable but not known dead: still in the replica chains.
+            cluster.kill_node(deaf)
+            network, table = cluster.network, cluster.membership
+
+            def key_in(pid):
+                return next(
+                    key
+                    for key in (b"probe-%d" % i for i in range(10_000))
+                    if table.partition_of_key(key, cfg.hash_name) == pid
+                )
+
+            script = cluster.manager(survivor).repair_after_failure(victim)
+            frozen_at, parked, reply = None, 0, None
+            while True:
+                try:
+                    call = script.send(reply)
+                except StopIteration as stop:
+                    reassigned = stop.value
+                    break
+                if call.request.op == OpCode.MIGRATE_BEGIN:
+                    frozen_at = call.address
+                elif (
+                    call.request.op == OpCode.MIGRATE_DATA
+                    and call.address in network.dead
+                ):
+                    # The source is frozen right now: park a write behind it.
+                    write = Request(
+                        op=OpCode.INSERT,
+                        key=key_in(call.request.partition),
+                        value=b"late",
+                        request_id=1000 + parked,
+                    )
+                    answer = network.servers[frozen_at].process(
+                        write, reply_context=f"parked-{parked}"
+                    )
+                    assert answer is None
+                    parked += 1
+                reply = network.roundtrip(call.address, call.request, 1.0)
+
+            assert reassigned
+            assert parked > 0  # the deaf node really was a receiver
+            assert not any(
+                part.is_migrating
+                for server in cluster.servers.values()
+                for part in server.partitions.values()
+            )
+            assert sorted(c for c, _ in network.deferred_replies) == sorted(
+                f"parked-{i}" for i in range(parked)
+            )
+            assert all(
+                r.status == Status.MIGRATING for _, r in network.deferred_replies
+            )

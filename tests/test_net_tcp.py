@@ -81,25 +81,38 @@ class TestConnectionCaching:
             assert z.transport.connects == 10
 
     def test_caching_is_faster_than_no_caching(self):
-        """Connection caching must beat per-op connects (Fig 7's gap)."""
-        ops = 150
+        """Connection caching must beat per-op connects (Fig 7's gap).
 
-        def timed(cache_size):
-            cfg = ZHTConfig(
+        One wall-clock sample per side flips under host load, so the two
+        sides run interleaved and each is judged by its best round; the
+        sibling tests pin the mechanism itself (connect counts)."""
+        ops, rounds = 150, 4
+
+        def cfg(cache_size):
+            return ZHTConfig(
                 transport="tcp",
                 num_partitions=64,
                 connection_cache_size=cache_size,
                 request_timeout=1.0,
             )
-            with build_tcp_cluster(2, cfg) as cluster:
-                z = cluster.client()
-                z.insert("warmup", b"x")
-                t0 = time.perf_counter()
-                for i in range(ops):
-                    z.insert(f"t{i}", b"v")
-                return time.perf_counter() - t0
 
-        assert timed(128) < timed(0)
+        def timed(z, tag):
+            t0 = time.perf_counter()
+            for i in range(ops):
+                z.insert(f"t{tag}-{i}", b"v")
+            return time.perf_counter() - t0
+
+        with build_tcp_cluster(2, cfg(128)) as cached_cluster, build_tcp_cluster(
+            2, cfg(0)
+        ) as uncached_cluster:
+            cached, uncached = cached_cluster.client(), uncached_cluster.client()
+            cached.insert("warmup", b"x")
+            uncached.insert("warmup", b"x")
+            best_cached = best_uncached = float("inf")
+            for r in range(rounds):
+                best_cached = min(best_cached, timed(cached, r))
+                best_uncached = min(best_uncached, timed(uncached, r))
+        assert best_cached < best_uncached
 
 
 class TestReplicationOverTCP:

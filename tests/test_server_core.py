@@ -1,6 +1,7 @@
 """Tests for the sans-I/O server core (repro.core.server)."""
 
 import random
+import threading
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.core.membership import (
     NodeInfo,
     new_instance_id,
 )
+from repro.core.partition import Partition
 from repro.core.protocol import OpCode, Request, Response
 from repro.core.server import ZHTServerCore
 
@@ -124,6 +126,31 @@ class TestClientOps:
             Request(op=OpCode.INSERT, key=b"k", value=b"v", request_id=777)
         )
         assert r.response.request_id == 777
+
+    def test_racing_first_touch_builds_one_partition(self, monkeypatch):
+        """Two threads touching a partition for the first time (the local
+        backend serves on its callers' threads) must end up with the same
+        `Partition`, or the loser's writes vanish with its private copy."""
+        _table, servers, _cfg = deploy()
+        server = next(iter(servers.values()))
+        both_built = threading.Barrier(2)
+        build = Partition.__init__
+
+        def build_then_meet(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            both_built.wait(5.0)
+
+        monkeypatch.setattr(Partition, "__init__", build_then_meet)
+        got = []
+        threads = [
+            threading.Thread(target=lambda: got.append(server.partition(7)))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        assert len(got) == 2 and got[0] is got[1] is server.partitions[7]
 
 
 class TestReplication:

@@ -1,8 +1,13 @@
 """Tests for the simulated cluster and calibration (repro.sim.cluster)."""
 
+import random
+
 import pytest
 
-from repro.core.config import ReplicationMode
+from repro.core.client import ZHTClientCore
+from repro.core.config import ReplicationMode, ZHTConfig
+from repro.core.errors import Status
+from repro.core.protocol import OpCode, Request
 from repro.sim import (
     CASSANDRA_CLUSTER,
     CLUSTER_ETHERNET_LINK,
@@ -208,3 +213,91 @@ class TestInstancesPerNode:
         one = simulate(16, ops_per_client=6, instances_per_node=1)
         four = simulate(16, ops_per_client=6, instances_per_node=4)
         assert four.latency_ms < 1.5 * one.latency_ms
+
+
+class TestParkedRequests:
+    """A request parked behind a frozen partition is answered when the
+    freeze ends, as ``ServerExecutor`` does on the live backends — the
+    client never burns a timeout (and a suspicion strike) on it."""
+
+    KEY = b"parked-key"
+
+    def run_op_across_freeze(self, end_freeze):
+        """INSERT ``KEY`` while its partition is frozen; *end_freeze*
+        builds the MIGRATE_COMMIT that ends the freeze a few simulated
+        milliseconds later.  Returns ``(cluster, client core)``."""
+        spec = SimSpec(num_nodes=4)
+        config = ZHTConfig(
+            num_partitions=spec.num_partitions,
+            transport="local",
+            request_timeout=0.05,
+        )
+        spec.config = config
+        cluster = SimulatedCluster(spec)
+        env = cluster.env
+        core = ZHTClientCore(
+            cluster.membership.copy(),
+            config,
+            rng=random.Random(7),
+            clock=lambda: env.now,
+        )
+        timeouts = []
+        record_timeout = core.record_timeout
+        core.record_timeout = lambda *a, **k: (
+            timeouts.append(a),
+            record_timeout(*a, **k),
+        )[1]
+        pid = cluster.membership.partition_of_key(self.KEY, config.hash_name)
+        owner = cluster.membership.owner_of_partition(pid)
+        outcome = {}
+
+        def client():
+            driver = core.driver(OpCode.INSERT, self.KEY, b"v")
+            outcome["response"] = yield from cluster.execute(core, driver)
+
+        def main():
+            begin = yield from cluster.roundtrip(
+                owner.address, Request(op=OpCode.MIGRATE_BEGIN, partition=pid), 1.0
+            )
+            assert begin.status == Status.OK
+            op = env.process(client(), name="parked-client")
+            yield env.timeout(0.01)  # well inside the client's timeout
+            assert "response" not in outcome  # still parked
+            release = yield from cluster.roundtrip(
+                owner.address, end_freeze(cluster, pid, owner), 1.0
+            )
+            assert release.status == Status.OK
+            yield op
+
+        env.process(main(), name="main")
+        env.run()
+        assert outcome["response"].status == Status.OK
+        assert timeouts == []
+        assert core.stats.nodes_marked_dead == 0
+        return cluster, core
+
+    def test_release_answers_migrating_and_the_client_retries(self):
+        def abort(_cluster, pid, _owner):
+            return Request(op=OpCode.MIGRATE_COMMIT, partition=pid, value=b"abort")
+
+        cluster, core = self.run_op_across_freeze(abort)
+        assert core.stats.retries >= 1
+        assert cluster.owner_value(self.KEY) == b"v"
+
+    def test_commit_forwards_to_the_new_owner_which_answers(self):
+        def commit(cluster, pid, owner):
+            new_owner = next(
+                inst for inst in cluster.instances if inst is not owner
+            )
+            cluster.membership.reassign_partition(pid, new_owner.instance_id)
+            return Request(
+                op=OpCode.MIGRATE_COMMIT,
+                partition=pid,
+                value=b"commit",
+                payload=str(new_owner.address).encode(),
+            )
+
+        cluster, core = self.run_op_across_freeze(commit)
+        # Answered by the forward itself: no MIGRATING bounce, no retry.
+        assert core.stats.retries == 0
+        assert cluster.owner_value(self.KEY) == b"v"
