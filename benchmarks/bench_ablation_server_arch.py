@@ -11,7 +11,7 @@ Four architectures, all on loopback sockets:
   rejected prototype; :class:`ThreadPerRequestTCPServer` below is its
   only implementation — ``src/`` ships the event-driven server alone).
 - ``event + pool hop``: the epoll loop, but every request takes the
-  selector -> executor -> selector hop (``inline_fast_path=False``).
+  selector -> executor -> selector hop (``server.inline_fast_path = False``).
 - ``event + inline``: the epoll loop answering no-peer-IO ops directly
   on the loop thread (the shipped default).
 - ``event + inline + BATCH``: same server, multiplexed client shipping
@@ -184,9 +184,11 @@ def measure(*, threaded: bool, inline: bool = True, batch: bool = False) -> floa
         transport="tcp",
         num_partitions=64,
         request_timeout=2.0,
-        inline_fast_path=inline,
     )
     with _build_cluster(config, threaded=threaded) as cluster:
+        if not inline:
+            for server in cluster.servers:
+                server.inline_fast_path = False
         z = cluster.client()
         z.insert("warmup", b"x")
         start = time.perf_counter()

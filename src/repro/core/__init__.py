@@ -29,7 +29,7 @@ from .hashing import (
     partition_of,
     ring_position,
 )
-from .client import Attempt, ClientStats, OpDriver, OpState, ZHTClientCore
+from .client import Attempt, OpDriver, OpState, ZHTClientCore
 from .manager import ManagerCore, MigrationReport, PeerCall
 from .membership import (
     Address,
@@ -40,12 +40,11 @@ from .membership import (
 )
 from .partition import Partition, PartitionState, QueuedRequest
 from .protocol import OpCode, Request, Response, frame
-from .server import HandleResult, ServerStats, ZHTServerCore
+from .server import HandleResult, ZHTServerCore
 
 __all__ = [
     "Address",
     "Attempt",
-    "ClientStats",
     "HandleResult",
     "HASH_FUNCTIONS",
     "InstanceInfo",
@@ -70,7 +69,6 @@ __all__ = [
     "Request",
     "RequestTimeout",
     "Response",
-    "ServerStats",
     "Status",
     "StoreError",
     "UnsupportedOperation",

@@ -154,59 +154,42 @@ class _Breaker:
     open_count: int = 1
 
 
-class ClientStats:
-    """Per-client operation counters, mirrored into the process registry.
+#: Per-client operation counters (``core.stats.<field>``; process totals
+#: are ``client.<field>``).  Declaring a new client counter is one more
+#: entry here.
+CLIENT_COUNTERS = (
+    "ops",
+    "retries",
+    "redirects_followed",
+    "membership_refreshes",
+    "failovers",
+    "nodes_marked_dead",
+    #: BATCH round trips issued and sub-operations carried by them.
+    "batches",
+    "batch_ops",
+    #: RETRY_LATER (overload-shed) responses absorbed by the retry loop.
+    "retry_later",
+    #: Lookups served by a replica because the owner shed load.
+    "degraded_reads",
+    #: Lookups of a client-observed hot key started at a non-owner
+    #: chain position (heat-triggered read spreading).
+    "hot_spread_reads",
+    #: Hot-key cache outcomes (see repro.api.ZHT's value cache).
+    "hot_cache_hits",
+    "hot_cache_misses",
+    "hot_cache_invalidations",
+    #: Suspected-dead nodes revived for a half-open probe.
+    "reprobes",
+)
 
-    Clients may be driven from several threads at once (benchmark
-    drivers, FusionFS), so every increment is lock-guarded; each bump is
-    also recorded on the process-wide ``client.*`` registry counters,
-    which is where ``repro stats`` and the benchmarks read aggregates.
-    """
-
-    FIELDS = (
-        "ops",
-        "retries",
-        "redirects_followed",
-        "membership_refreshes",
-        "failovers",
-        "nodes_marked_dead",
-        #: BATCH round trips issued and sub-operations carried by them.
-        "batches",
-        "batch_ops",
-        #: RETRY_LATER (overload-shed) responses absorbed by the retry loop.
-        "retry_later",
-        #: Lookups served by a replica because the owner shed load.
-        "degraded_reads",
-        #: Lookups of a client-observed hot key started at a non-owner
-        #: chain position (heat-triggered read spreading).
-        "hot_spread_reads",
-        #: Hot-key cache outcomes (see repro.api.ZHT's value cache).
-        "hot_cache_hits",
-        "hot_cache_misses",
-        "hot_cache_invalidations",
-        #: Suspected-dead nodes revived for a half-open probe.
-        "reprobes",
-    )
-
-    __slots__ = FIELDS + ("_lock",)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for name in self.FIELDS:
-            setattr(self, name, 0)
-
-    def inc(self, field: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + n)
-        REGISTRY.counter(f"client.{field}").inc(n)
-
-    def as_dict(self) -> dict[str, int]:
-        with self._lock:
-            return {name: getattr(self, name) for name in self.FIELDS}
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"ClientStats({body})"
+#: Max suspicion units a single timeout may contribute in phi mode.
+SUSPICION_EVENT_CAP = 2.0
+#: Floor (seconds) for the adaptive retransmission-timeout estimate that
+#: scales suspicion contributions.
+RTO_MIN_S = 0.002
+#: Capacity of the per-client key-heat tracker (bounded LRU of access
+#: counters; the window over which ``hot_key_threshold`` is measured).
+HOT_KEY_TRACKER_SIZE = 512
 
 
 class OpState(enum.Enum):
@@ -228,7 +211,7 @@ class ZHTClientCore:
     ) -> None:
         self.membership = membership
         self.config = config or ZHTConfig()
-        self.stats = ClientStats()
+        self.stats = REGISTRY.counter_set("client", CLIENT_COUNTERS)
         self.rng = rng or random.Random()
         #: Wall-clock source for deadlines and breaker cooldowns; the
         #: simulator injects its virtual clock here.
@@ -245,13 +228,13 @@ class ZHTClientCore:
         #: Consecutive timeout counts per node id (reset on any success).
         self.failure_counts: dict[str, int] = {}  # guarded-by: _state_lock
         #: Accrued suspicion per node id; in "phi" mode each timeout adds
-        #: an RTT-scaled amount in [1, suspicion_event_cap], in "count"
+        #: an RTT-scaled amount in [1, SUSPICION_EVENT_CAP], in "count"
         #: mode exactly 1 — so suspicion >= failures_before_dead is the
         #: single death condition for both detectors.
         self.suspicion: dict[str, float] = {}  # guarded-by: _state_lock
         #: Per-node RTT history feeding the adaptive detector.  Kept
-        #: per-core (a process can host many independent clients) and
-        #: mirrored into the process registry for ``repro stats``.
+        #: per-core (a process can host many independent clients); the
+        #: process-wide ``client.rtt.<node>`` is what ``repro stats`` shows.
         self._rtt: dict[str, LatencyHistogram] = {}  # guarded-by: _state_lock
         #: Circuit breakers for nodes marked dead by *local* suspicion.
         self._breakers: dict[str, _Breaker] = {}  # guarded-by: _state_lock
@@ -272,7 +255,7 @@ class ZHTClientCore:
         from ..net.lru import LRUCache
 
         self._heat_lock = threading.Lock()
-        self._key_heat = LRUCache(self.config.hot_key_tracker_size)
+        self._key_heat = LRUCache(HOT_KEY_TRACKER_SIZE)
 
     def deadline_budget(self) -> float:
         """Wall-clock budget (seconds) for one logical operation.
@@ -478,7 +461,7 @@ class ZHTClientCore:
         Phi-accrual intuition without the Gaussian machinery: the longer
         the elapsed timeout is relative to the node's *expected* response
         time, the stronger the evidence of death.  The expectation is an
-        RTO-style estimate ``max(rto_min_s, 4 * p99(rtt))`` from the
+        RTO-style estimate ``max(RTO_MIN_S, 4 * p99(rtt))`` from the
         node's own RTT history.  A node with no history (cold start)
         contributes exactly 1.0 — identical to the legacy counter — so
         the adaptive detector can only be *faster*, never trigger-happier
@@ -489,8 +472,8 @@ class ZHTClientCore:
             return 1.0
         if hist is None or hist.count < 8:
             return 1.0  # not enough history to trust an RTO estimate
-        rto = max(cfg.rto_min_s, hist.percentile(99) * 4)
-        return min(max(timeout_s / rto, 1.0), cfg.suspicion_event_cap)
+        rto = max(RTO_MIN_S, hist.percentile(99) * 4)
+        return min(max(timeout_s / rto, 1.0), SUSPICION_EVENT_CAP)
 
     def record_timeout(self, node_id: str, timeout_s: float = 0.0) -> bool:
         """Count a timeout against *node_id*; returns True if it just died.

@@ -61,7 +61,7 @@ class ZHTConfig:
     #: Suspicion threshold before a physical node is marked dead.  With
     #: ``failure_detector="count"`` this is the classic consecutive-timeout
     #: counter; with ``"phi"`` each timeout contributes an RTT-scaled
-    #: suspicion amount in ``[1, suspicion_event_cap]``, so established-fast
+    #: suspicion amount in ``[1, SUSPICION_EVENT_CAP]``, so established-fast
     #: nodes are declared dead sooner while cold-start behaviour degrades
     #: exactly to the counter.
     failures_before_dead: int = 3
@@ -78,11 +78,6 @@ class ZHTConfig:
     #: Failure-detector algorithm: ``"phi"`` (RTT-adaptive accrual) or
     #: ``"count"`` (legacy consecutive-timeout counter, kept for ablation).
     failure_detector: str = "phi"
-    #: Max suspicion units a single timeout may contribute in phi mode.
-    suspicion_event_cap: float = 2.0
-    #: Floor for the adaptive retransmission-timeout estimate used to
-    #: scale suspicion contributions (seconds).
-    rto_min_s: float = 0.002
     #: Circuit-breaker cooldown before a suspected-dead node is re-probed
     #: (half-open), doubling per consecutive re-open up to the max.
     breaker_cooldown_s: float = 0.5
@@ -105,9 +100,6 @@ class ZHTConfig:
     #: Lookups of one key within the heat tracker's sliding window before
     #: the client treats it as hot.
     hot_key_threshold: int = 64
-    #: Capacity of the per-client key-heat tracker (bounded LRU of access
-    #: counters; the window over which hot_key_threshold is measured).
-    hot_key_tracker_size: int = 512
     #: Client-side hot-key value cache capacity (entries).  0 disables the
     #: cache (default: caching trades read recency for owner offload and
     #: is only sound while reads tolerate ``hot_key_cache_ttl_s`` of
@@ -159,11 +151,6 @@ class ZHTConfig:
     #: this is ``False`` — a single-listener dispatcher thread accepts
     #: and passes connection FDs to shards round-robin instead.
     reuse_port: bool = True
-    #: Serve requests whose effects need no peer round trip entirely on
-    #: the shard's event-loop thread (decode → apply → queue response; no
-    #: executor submit).  ``False`` restores the selector→pool→selector
-    #: hop for every request, kept for the server-architecture ablation.
-    inline_fast_path: bool = True
 
     # --- consistency mutation modes (verification self-test ONLY) ----------
     #: TEST-ONLY: the owner acknowledges mutations *without* updating the
@@ -198,10 +185,6 @@ class ZHTConfig:
             raise ValueError("op_deadline_s must be positive or None")
         if self.failure_detector not in ("phi", "count"):
             raise ValueError("failure_detector must be 'phi' or 'count'")
-        if self.suspicion_event_cap < 1.0:
-            raise ValueError("suspicion_event_cap must be >= 1.0")
-        if self.rto_min_s <= 0:
-            raise ValueError("rto_min_s must be positive")
         if self.breaker_cooldown_s <= 0:
             raise ValueError("breaker_cooldown_s must be positive")
         if self.breaker_cooldown_max_s < self.breaker_cooldown_s:
@@ -212,8 +195,6 @@ class ZHTConfig:
             raise ValueError("max_inflight must be >= 0")
         if self.hot_key_threshold <= 0:
             raise ValueError("hot_key_threshold must be positive")
-        if self.hot_key_tracker_size <= 0:
-            raise ValueError("hot_key_tracker_size must be positive")
         if self.hot_key_cache_size < 0:
             raise ValueError("hot_key_cache_size must be >= 0")
         if self.hot_key_cache_ttl_s <= 0:

@@ -45,57 +45,30 @@ from .protocol import (
 )
 
 
-class ServerStats:
-    """Per-instance operation counters, mirrored into the process
-    registry (``server.*``).
-
-    The thread-per-request server architecture mutates these from many
-    threads, so increments are lock-guarded.
-    """
-
-    FIELDS = (
-        "inserts",
-        "lookups",
-        "removes",
-        "appends",
-        "batches",
-        "redirects",
-        "queued",
-        "replica_updates",
-        "migrations_in",
-        "migrations_out",
-        "membership_updates",
-        #: Requests shed on arrival because their propagated deadline had
-        #: already expired (doing the work would be wasted effort).
-        "shed_expired",
-        #: Requests shed with RETRY_LATER because the bounded in-flight
-        #: admission queue was full.
-        "shed_overload",
-    )
-
-    __slots__ = FIELDS + ("_lock",)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for name in self.FIELDS:
-            setattr(self, name, 0)
-
-    def inc(self, field: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + n)
-        REGISTRY.counter(f"server.{field}").inc(n)
-
-    def total_client_ops(self) -> int:
-        with self._lock:
-            return self.inserts + self.lookups + self.removes + self.appends
-
-    def as_dict(self) -> dict[str, int]:
-        with self._lock:
-            return {name: getattr(self, name) for name in self.FIELDS}
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"ServerStats({body})"
+#: Per-instance operation counters (``core.stats.<field>``; process
+#: totals are ``server.<field>``).  Declaring a new server counter is one
+#: more entry here.
+SERVER_COUNTERS = (
+    "inserts",
+    "lookups",
+    "removes",
+    "appends",
+    #: BATCH requests handled and sub-operations carried by them.
+    "batches",
+    "batch_sub_ops",
+    "redirects",
+    "queued",
+    "replica_updates",
+    "migrations_in",
+    "migrations_out",
+    "membership_updates",
+    #: Requests shed on arrival because their propagated deadline had
+    #: already expired (doing the work would be wasted effort).
+    "shed_expired",
+    #: Requests shed with RETRY_LATER because the bounded in-flight
+    #: admission queue was full.
+    "shed_overload",
+)
 
 
 class ReplicationSequencer:
@@ -213,7 +186,7 @@ class ZHTServerCore:
         self.membership = membership
         self.config = config or ZHTConfig()
         self.partitions: dict[int, Partition] = {}
-        self.stats = ServerStats()
+        self.stats = REGISTRY.counter_set("server", SERVER_COUNTERS)
         self.repl_sequencer = ReplicationSequencer()
         #: Wall-clock source for deadline checks (simulator injects its
         #: virtual clock).
@@ -594,7 +567,7 @@ class ZHTServerCore:
         except ZHTError:
             return HandleResult(self._respond(request, Status.BAD_REQUEST))
         self.stats.inc("batches")
-        REGISTRY.counter("server.batch_sub_ops").inc(len(subs))
+        self.stats.inc("batch_sub_ops", len(subs))
         sub_responses: list[Response | None] = [None] * len(subs)
         need_membership = False
         result = HandleResult(None)

@@ -17,7 +17,6 @@ parked in :attr:`LocalNetwork.deferred_replies` for tests to assert on.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 from ..core.membership import Address
 from ..core.protocol import Request, Response
@@ -26,15 +25,8 @@ from ..obs import REGISTRY
 from .transport import ClientTransport, ServerExecutor
 
 
-@dataclass
-class LocalStats:
-    roundtrips: int = 0
-    oneways: int = 0
-    dropped: int = 0
-
-    def inc(self, field: str) -> None:
-        setattr(self, field, getattr(self, field) + 1)
-        REGISTRY.counter(f"local.{field}").inc()
+#: Per-network message counters (process totals are ``local.<field>``).
+LOCAL_COUNTERS = ("roundtrips", "oneways", "dropped")
 
 
 class LocalNetwork(ClientTransport):
@@ -46,7 +38,7 @@ class LocalNetwork(ClientTransport):
         self.deferred_replies: list[tuple[object, Response]] = []
         #: Round trips whose request got queued sleep here until released.
         self._released = threading.Condition()
-        self.stats = LocalStats()
+        self.stats = REGISTRY.counter_set("local", LOCAL_COUNTERS)
 
     # ------------------------------------------------------------------
     # Deployment

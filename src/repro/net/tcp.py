@@ -608,8 +608,9 @@ class EventDrivenTCPServer:
     fast path**: decoded (zero-copy, straight out of the receive
     buffer), applied, and their response queued on the loop thread — no
     executor handoff.  Replication/migration/broadcast effects still
-    detour through the worker pool.  ``ZHTConfig.inline_fast_path=False``
-    restores a pool hop for every request (the ablation baseline).
+    detour through the worker pool.  Setting :attr:`inline_fast_path`
+    to ``False`` restores a pool hop for every request (the
+    server-architecture ablation does, on its own servers).
 
     Listeners: by default the server binds one socket itself, but a
     sharded node hands it pre-bound listeners (its private per-shard
@@ -667,7 +668,7 @@ class EventDrivenTCPServer:
         self._running = False
         self._draining = False
         self._drain_deadline = 0.0
-        self._inline = True
+        self.inline_fast_path = True
         self.requests_served = 0
         # Results handed to the effect pool but not yet finished.  The
         # event loop dispatches synchronously, so the core's own in-flight
@@ -688,7 +689,6 @@ class EventDrivenTCPServer:
         table from the real addresses, and only then create the cores.
         """
         self.core = core
-        self._inline = core.config.inline_fast_path
         core.extra_inflight = self._effects_backlog
         # Checkpoint/GC passes tripped by an inline apply must not run on
         # the selector thread (they serialize + fsync the whole table);
@@ -899,7 +899,7 @@ class EventDrivenTCPServer:
             # releases them in apply order and retires the ticket.
             or result.repl_sequencer is not None
         )
-        if needs_peer_io or not self._inline:
+        if needs_peer_io or not self.inline_fast_path:
             # Keep the loop responsive: effects that block on the network
             # run on the worker pool; the response is released after the
             # sync replicas acknowledge.  (With the inline fast path

@@ -4,18 +4,16 @@ Public surface:
 
 * :class:`NoVoHT` — the store (put/get/remove/append, WAL + checkpoint
   persistence, bounded memory with spill-to-disk, log GC).
-* :class:`NoVoHTStats` — per-store operation counters.
 * :class:`WriteAheadLog` — the append-only mutation log (exposed for
   tests and tooling).
 """
 
-from .novoht import NoVoHT, NoVoHTStats
+from .novoht import NoVoHT
 from .wal import WriteAheadLog, encode_varint, decode_varint
 from .checkpoint import read_checkpoint, write_checkpoint
 
 __all__ = [
     "NoVoHT",
-    "NoVoHTStats",
     "WriteAheadLog",
     "encode_varint",
     "decode_varint",

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator
 
 from ..core.errors import KeyNotFound, StoreError
@@ -40,19 +39,26 @@ from .checkpoint import checkpoint_meta, read_checkpoint, write_checkpoint
 from .wal import OP_APPEND, OP_PUT, OP_REMOVE, WriteAheadLog
 
 
-@dataclass
-class NoVoHTStats:
-    """Operation and persistence counters for one store."""
+#: Per-store counters (``store.stats.<field>``; process totals are
+#: ``novoht.<field>``).
+NOVOHT_COUNTERS = (
+    "puts",
+    "gets",
+    "removes",
+    "appends",
+    "checkpoints",
+    "gc_runs",
+    "spilled_reads",
+)
 
-    puts: int = 0
-    gets: int = 0
-    removes: int = 0
-    appends: int = 0
-    checkpoints: int = 0
-    gc_runs: int = 0
-    spilled_reads: int = 0
-    #: WAL records that are known-dead (overwritten or removed keys).
-    dead_records: int = 0
+#: Operation kind -> (span name, counter, WAL opcode).
+_KINDS = {
+    "put": ("novoht.put", "puts", OP_PUT),
+    "get": ("novoht.get", "gets", 0),
+    "remove": ("novoht.remove", "removes", OP_REMOVE),
+    "append": ("novoht.append", "appends", OP_APPEND),
+}
+_REPLAY_KINDS = {OP_PUT: "put", OP_REMOVE: "remove", OP_APPEND: "append"}
 
 
 class _Spilled:
@@ -135,7 +141,10 @@ class NoVoHT:
         #: thread — an event-loop server must not serialize the whole
         #: table on its selector thread.
         self._maint_submit: Callable[[Callable[[], None]], object] | None = None
-        self.stats = NoVoHTStats()
+        self.stats = REGISTRY.counter_set("novoht", NOVOHT_COUNTERS)
+        #: WAL records known dead (overwritten or removed keys): what the
+        #: GC trigger weighs against the log's length.
+        self._dead_records = 0  # guarded-by: _lock
         self.checkpoint_interval_ops = checkpoint_interval_ops
         self.gc_dead_ratio = gc_dead_ratio
         self.max_memory_pairs = max_memory_pairs or 0
@@ -155,11 +164,14 @@ class NoVoHT:
             os.makedirs(path, exist_ok=True)
             self._ckpt_path = os.path.join(path, "novoht.ckpt")
             self._ovf_path = os.path.join(path, "novoht.ovf")
-            self._wal = WriteAheadLog(
+            wal = WriteAheadLog(
                 os.path.join(path, "novoht.wal"), fsync=fsync, opener=wal_opener
             )
-            self._recover()
-            self._wal.open()
+            # Replay runs before the log is attached, so it re-applies
+            # the records without logging them again.
+            self._recover(wal)
+            wal.open()
+            self._wal = wal
 
     @property
     def lock(self) -> threading.RLock:
@@ -176,7 +188,7 @@ class NoVoHT:
     # Recovery
     # ------------------------------------------------------------------
 
-    def _recover(self) -> None:  # lint: single-threaded (construction only)
+    def _recover(self, wal: WriteAheadLog) -> None:  # lint: single-threaded (construction only)
         """Rebuild the in-memory map from checkpoint + WAL replay.
 
         The checkpoint names the WAL prefix it covers (epoch + offset);
@@ -187,25 +199,16 @@ class NoVoHT:
         An epoch mismatch means the log was compacted after the
         checkpoint committed, so the whole log is the uncovered suffix.
         """
-        assert self._wal is not None and self._ckpt_path is not None
+        assert self._ckpt_path is not None
         for key, value in read_checkpoint(self._ckpt_path):
             self._map[key] = value
         meta = checkpoint_meta(self._ckpt_path)
-        wal_epoch = self._wal.read_epoch()
+        wal_epoch = wal.read_epoch()
         start_offset = None
         if meta is not None and wal_epoch and meta[0] == wal_epoch:
             start_offset = meta[1]
-        for op, key, value in self._wal.replay(start_offset=start_offset):
-            if op == OP_PUT:
-                self._map[key] = value
-            elif op == OP_REMOVE:
-                self._map.pop(key, None)
-            elif op == OP_APPEND:
-                old = self._map.get(key)
-                if isinstance(old, bytes):
-                    self._map[key] = old + value
-                else:
-                    self._map[key] = value
+        for op, key, value in wal.replay(start_offset=start_offset):
+            self._apply(_REPLAY_KINDS[op], key, value, None)
         # The overflow file from a previous run is invalidated by recovery
         # (everything replays into RAM); start it fresh.
         if self._ovf_path and os.path.exists(self._ovf_path):
@@ -219,50 +222,24 @@ class NoVoHT:
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite *key* with *value*."""
         self._check_kv(key, value)
-        with REGISTRY.span("novoht.put"), self._lock:
-            self._ensure_open()
-            if key in self._map:
-                self.stats.dead_records += 1
-            if self._wal is not None:
-                self._wal.append(OP_PUT, key, value)
-            self._map[key] = value
-            self.stats.puts += 1
-            REGISTRY.counter("novoht.puts").inc()
-            maint = self._after_mutation()
-        self._run_maintenance(maint)
+        self._mutate("put", key, value)
 
     def get(self, key: bytes) -> bytes:
         """Return the value for *key*; raise :class:`KeyNotFound` if absent."""
         self._check_key(key)
         with REGISTRY.span("novoht.get"), self._lock:
             self._ensure_open()
-            self.stats.gets += 1
-            REGISTRY.counter("novoht.gets").inc()
-            try:
-                value = self._map[key]
-            except KeyError:
-                raise KeyNotFound(repr(key)) from None
-            if isinstance(value, _Spilled):
-                value = self._load_spilled(key, value)
-            return value
+            self.stats.inc("gets")
+            value = self._apply("get", key, b"", None)[1]
+        if value is None:
+            raise KeyNotFound(repr(key))
+        return value
 
     def remove(self, key: bytes) -> None:
         """Delete *key*; raise :class:`KeyNotFound` if absent."""
         self._check_key(key)
-        with REGISTRY.span("novoht.remove"), self._lock:
-            self._ensure_open()
-            if key not in self._map:
-                raise KeyNotFound(repr(key))
-            if self._wal is not None:
-                self._wal.append(OP_REMOVE, key)
-            old = self._map.pop(key)
-            if isinstance(old, _Spilled):
-                self._ovf_garbage += old.length
-            self.stats.removes += 1
-            self.stats.dead_records += 2  # the put and the remove record
-            REGISTRY.counter("novoht.removes").inc()
-            maint = self._after_mutation()
-        self._run_maintenance(maint)
+        if not self._mutate("remove", key, b""):
+            raise KeyNotFound(repr(key))
 
     def append(self, key: bytes, value: bytes) -> None:
         """Append *value* to the value stored at *key*.
@@ -275,22 +252,67 @@ class NoVoHT:
         location".
         """
         self._check_kv(key, value)
-        with REGISTRY.span("novoht.append"), self._lock:
+        self._mutate("append", key, value)
+
+    def _mutate(self, kind: str, key: bytes, value: bytes) -> bool:
+        """One logged mutation plus its bookkeeping; ``False`` (nothing
+        logged or changed) for a remove of a missing key."""
+        span, counter, _op = _KINDS[kind]
+        with REGISTRY.span(span), self._lock:
             self._ensure_open()
-            if self._wal is not None:
-                self._wal.append(OP_APPEND, key, value)
-            old = self._map.get(key)
-            if old is None:
-                self._map[key] = value
-            else:
-                if isinstance(old, _Spilled):
-                    old = self._load_spilled(key, old)
-                self._map[key] = old + value
-                self.stats.dead_records += 1
-            self.stats.appends += 1
-            REGISTRY.counter("novoht.appends").inc()
-            maint = self._after_mutation()
+            if not self._apply(kind, key, value, None)[0]:
+                return False
+            self.stats.inc(counter)
+            maint = self._after_mutations(1)
         self._run_maintenance(maint)
+        return True
+
+    def _apply(
+        self,
+        kind: str,
+        key: bytes,
+        value: bytes,
+        group: list[tuple[int, bytes, bytes]] | None,
+    ) -> tuple[bool, bytes | None]:  # holds-lock: _lock
+        """The store's rules for one operation; every path that changes
+        or reads the map — single ops, batches, WAL replay — runs them.
+
+        Returns ``(ok, value)``: ``ok`` is ``False`` only for a get or
+        remove of a missing key, ``value`` is the bytes a successful get
+        found.  A mutation is logged before the map changes: straight to
+        the WAL, or onto *group* when the caller commits a whole batch
+        with one write (a commit that fails stops the store for good, so
+        a map that ran ahead of its log is never served).
+        """
+        old = self._map.get(key)
+        if kind == "get":
+            if isinstance(old, _Spilled):
+                old = self._load_spilled(key, old)
+            return old is not None, old
+        new = value
+        if kind == "remove":
+            if old is None:
+                return False, None
+            value = b""  # the record names the key only
+        elif kind == "append" and old is not None:
+            if isinstance(old, _Spilled):
+                old = self._load_spilled(key, old)
+            new = old + value
+        op = _KINDS[kind][2]
+        if group is not None:
+            group.append((op, key, value))
+        elif self._wal is not None:
+            self._wal.append(op, key, value)
+        if kind == "remove":
+            del self._map[key]
+            if isinstance(old, _Spilled):
+                self._ovf_garbage += old.length
+            self._dead_records += 2  # the put and the remove record
+        else:
+            self._map[key] = new
+            if old is not None:
+                self._dead_records += 1
+        return True, None
 
     def apply_batch(
         self, ops: list[tuple[str, bytes, bytes]]
@@ -312,68 +334,34 @@ class NoVoHT:
         acknowledged after the group commit returns, acked batches are as
         durable as acked single ops.
         """
+        for kind, key, value in ops:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown batch op kind {kind!r}")
+            if kind == "get":
+                self._check_key(key)
+            else:
+                self._check_kv(key, value)
         results: list[tuple[bool, bytes | None]] = []
-        wal_records: list[tuple[int, bytes, bytes]] = []
+        group: list[tuple[int, bytes, bytes]] = []
+        counts: dict[str, int] = {}
         maint: str | None = None
         with REGISTRY.span("novoht.apply_batch"), self._lock:
             self._ensure_open()
-            for kind, key, value in ops:
-                if kind == "get":
-                    self._check_key(key)
-                else:
-                    self._check_kv(key, value)
-                if kind == "put":
-                    if key in self._map:
-                        self.stats.dead_records += 1
-                    wal_records.append((OP_PUT, key, value))
-                    self._map[key] = value
-                    self.stats.puts += 1
-                    results.append((True, None))
-                elif kind == "get":
-                    self.stats.gets += 1
-                    found = self._map.get(key)
-                    if found is None:
-                        results.append((False, None))
-                    else:
-                        if isinstance(found, _Spilled):
-                            found = self._load_spilled(key, found)
-                        results.append((True, found))
-                elif kind == "remove":
-                    if key not in self._map:
-                        results.append((False, None))
-                        continue
-                    wal_records.append((OP_REMOVE, key, b""))
-                    old = self._map.pop(key)
-                    if isinstance(old, _Spilled):
-                        self._ovf_garbage += old.length
-                    self.stats.removes += 1
-                    self.stats.dead_records += 2
-                    results.append((True, None))
-                elif kind == "append":
-                    wal_records.append((OP_APPEND, key, value))
-                    old = self._map.get(key)
-                    if old is None:
-                        self._map[key] = value
-                    else:
-                        if isinstance(old, _Spilled):
-                            old = self._load_spilled(key, old)
-                        self._map[key] = old + value
-                        self.stats.dead_records += 1
-                    self.stats.appends += 1
-                    results.append((True, None))
-                else:
-                    raise ValueError(f"unknown batch op kind {kind!r}")
-            if self._wal is not None and wal_records:
-                self._wal.append_many(wal_records)
-            counts: dict[str, int] = {}
-            for kind, _key, _value in ops:
-                counts[kind] = counts.get(kind, 0) + 1
+            try:
+                for kind, key, value in ops:
+                    result = self._apply(kind, key, value, group)
+                    results.append(result)
+                    if result[0] or kind == "get":
+                        counts[kind] = counts.get(kind, 0) + 1
+            finally:
+                # Also when an op raised part-way (a spilled value that
+                # cannot be read back): what reached the map is logged.
+                if self._wal is not None and group:
+                    self._wal.append_many(group)
             for kind, n in counts.items():
-                REGISTRY.counter(f"novoht.{kind}s").inc(n)
-            if wal_records:
-                maint = self._after_mutations(len(wal_records))
-            else:
-                self._enforce_memory_bound()
+                self.stats.inc(_KINDS[kind][1], n)
+            if group:
+                maint = self._after_mutations(len(group))
         self._run_maintenance(maint)
         return results
 
@@ -456,12 +444,12 @@ class NoVoHT:
                     # held reentrantly it re-balances), so the in-flight
                     # pass can take the lock to commit.
                     self._maint_cond.wait()
-                if not self._wal.is_open:
+                if not self._wal.is_open or self._wal.failed:
                     return
                 self._maint_busy = True
                 pairs = self._snapshot_pairs()
                 _epoch, covered_offset, covered_records = self._wal.tail_position()
-                covered_dead = self.stats.dead_records
+                covered_dead = self._dead_records
                 self._ops_since_checkpoint = 0
             committed = False
             try:
@@ -479,15 +467,10 @@ class NoVoHT:
                 with self._lock:
                     if committed:
                         self._wal.drop_covered(covered_offset, covered_records)
-                        self.stats.dead_records = max(
-                            0, self.stats.dead_records - covered_dead
+                        self._dead_records = max(
+                            0, self._dead_records - covered_dead
                         )
-                        if kind == "gc":
-                            self.stats.gc_runs += 1
-                            REGISTRY.counter("novoht.gc_runs").inc()
-                        else:
-                            self.stats.checkpoints += 1
-                            REGISTRY.counter("novoht.checkpoints").inc()
+                        self.stats.inc("gc_runs" if kind == "gc" else "checkpoints")
                     self._maint_busy = False
                     self._maint_cond.notify_all()
 
@@ -561,6 +544,10 @@ class NoVoHT:
     def _ensure_open(self) -> None:  # holds-lock: _lock
         if self._closed:
             raise StoreError("NoVoHT is closed")
+        if self._wal is not None and self._wal.failed:
+            # Fail-stop: the log may end in a torn record that replay
+            # stops at, so anything acked from here on could be lost.
+            raise StoreError("WAL write failed; reopen the store")
 
     @staticmethod
     def _check_key(key: bytes) -> None:
@@ -572,9 +559,6 @@ class NoVoHT:
         cls._check_key(key)
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError(f"value must be bytes, got {type(value).__name__}")
-
-    def _after_mutation(self) -> str | None:  # holds-lock: _lock
-        return self._after_mutations(1)
 
     def _after_mutations(self, n: int) -> str | None:  # holds-lock: _lock
         """Post-mutation bookkeeping; returns the maintenance pass that is
@@ -596,7 +580,7 @@ class NoVoHT:
             return "checkpoint"
         if (
             self._wal.record_count >= self._GC_MIN_RECORDS
-            and self.stats.dead_records
+            and self._dead_records
             >= self.gc_dead_ratio * self._wal.record_count
         ):
             return "gc"
@@ -716,7 +700,7 @@ class NoVoHT:
         value = f.read(marker.length)
         if len(value) != marker.length:
             raise StoreError(f"overflow file truncated reading {key!r}")
-        self.stats.spilled_reads += 1
+        self.stats.inc("spilled_reads")
         # Promote back to RAM as the *newest* entry (delete + reinsert moves
         # it to the back of the dict's insertion order) so the bound check
         # re-spills colder keys instead of this one.

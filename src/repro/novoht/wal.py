@@ -212,6 +212,8 @@ class WriteAheadLog:
         self.record_count = 0
         #: Epoch of the current log file (0 = legacy headerless file).
         self.epoch = 0
+        #: Set by the first write/flush/fsync error; see :meth:`_write`.
+        self.failed = False
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -250,19 +252,7 @@ class WriteAheadLog:
 
     def append(self, op: int, key: bytes, value: bytes = b"") -> None:
         """Durably append one mutation record."""
-        if self._file is None:
-            raise StoreError("WAL is not open")
-        with REGISTRY.span("wal.append"):
-            try:
-                self._file.write(encode_record(op, key, value))
-                self._file.flush()
-                if self.fsync:
-                    self._fsync()
-                    REGISTRY.counter("wal.fsyncs").inc()
-            except OSError as exc:
-                raise StoreError(f"WAL append failed: {exc}") from exc
-        self.record_count += 1
-        REGISTRY.counter("wal.appends").inc()
+        self._write(encode_record(op, key, value), 1)
 
     def append_many(self, records: list[tuple[int, bytes, bytes]]) -> None:
         """Durably append *records* with ONE write/flush/fsync (group
@@ -275,24 +265,38 @@ class WriteAheadLog:
         """
         if not records:
             return
-        if self._file is None:
-            raise StoreError("WAL is not open")
         buf = bytearray()
         for op, key, value in records:
             encode_record_into(buf, op, key, value)
+        self._write(buf, len(records))
+        REGISTRY.counter("wal.group_commits").inc()
+        REGISTRY.counter("wal.group_commit_records").inc(len(records))
+
+    def _write(self, data: bytes | bytearray, records: int) -> None:
+        """One write + flush (+ fsync) of *records* whole records.
+
+        An error may leave a torn record in the log, and replay stops
+        at the first torn record: anything appended behind it would be
+        acknowledged and then lost.  So the first error is final — the
+        log is :attr:`failed` and takes no further appends; a fresh
+        instance over the same file starts from what replay can read.
+        """
+        if self._file is None:
+            raise StoreError("WAL is not open")
+        if self.failed:
+            raise StoreError("WAL failed on an earlier write")
         with REGISTRY.span("wal.append"):
             try:
-                self._file.write(buf)
+                self._file.write(data)
                 self._file.flush()
                 if self.fsync:
                     self._fsync()
                     REGISTRY.counter("wal.fsyncs").inc()
             except OSError as exc:
-                raise StoreError(f"WAL group append failed: {exc}") from exc
-        self.record_count += len(records)
-        REGISTRY.counter("wal.appends").inc(len(records))
-        REGISTRY.counter("wal.group_commits").inc()
-        REGISTRY.counter("wal.group_commit_records").inc(len(records))
+                self.failed = True
+                raise StoreError(f"WAL append failed: {exc}") from exc
+        self.record_count += records
+        REGISTRY.counter("wal.appends").inc(records)
 
     def _fsync(self) -> None:
         # Files providing their own fsync (the fault-injection shim, which
@@ -324,7 +328,9 @@ class WriteAheadLog:
         Streams straight off the file — records are never materialized as
         a list, so replaying a large un-checkpointed log costs O(1) extra
         memory instead of doubling the peak during recovery.
-        ``record_count`` is updated as records are consumed.
+        ``record_count`` is updated as records are consumed.  A replay
+        that runs to the end of a log not open for appending also trims
+        a torn or corrupt tail off the file.
 
         ``start_offset`` (a byte position previously returned by
         :meth:`tail_position`) skips the prefix a checkpoint already
@@ -343,9 +349,16 @@ class WriteAheadLog:
                 f.seek(0)
             if start_offset is not None and start_offset > f.tell():
                 f.seek(start_offset)
+            end = f.tell()
             for record in iter_records(f):
+                end = f.tell()
                 self.record_count += 1
                 yield record
+        if self._file is None and end < os.path.getsize(self.path):
+            # Cut off what follows the last complete record before the
+            # log is appended to again: replay will always stop there,
+            # so a record written behind it could never be read back.
+            os.truncate(self.path, end)
 
     def tail_position(self) -> tuple[int, int, int]:
         """``(epoch, byte_offset, record_count)`` of the current log tail.

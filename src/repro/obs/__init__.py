@@ -8,6 +8,12 @@ Usage from instrumented modules::
     with REGISTRY.span("server.handle"):
         ...
 
+An object that keeps counters of its own (a client core, a server core,
+a store) asks for them as one set::
+
+    self.stats = REGISTRY.counter_set("client", CLIENT_COUNTERS)
+    self.stats.inc("retries")       # this owner's cell + ``client.retries``
+
 The process-wide :data:`REGISTRY` starts with spans *disabled* (counters
 are always live); enable with :func:`enable_metrics`, or set
 ``ZHT_METRICS=1`` in the environment before import.  ``python -m repro
@@ -20,6 +26,7 @@ import os
 
 from .metrics import (
     Counter,
+    CounterSet,
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
@@ -31,6 +38,7 @@ from .tracing import NULL_SPAN, Span, TracingRegistry
 
 __all__ = [
     "Counter",
+    "CounterSet",
     "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",

@@ -23,6 +23,8 @@ Design constraints:
 
 from __future__ import annotations
 
+import os
+import platform
 import threading
 from bisect import bisect_left
 from typing import Callable
@@ -49,6 +51,45 @@ class Counter:
     def reset(self) -> None:
         with self._lock:
             self._value = 0
+
+
+class CounterSet:
+    """One owner's counters: a client core's, a server core's, a store's.
+
+    Handed out by :meth:`MetricsRegistry.counter_set`.  The owner reads
+    its own counts as plain attributes (``core.stats.retries``);
+    :meth:`inc` adds to the owner's cell and to the process total
+    ``prefix.field`` — an ordinary registry :class:`Counter`, so it
+    shows in every snapshot and outlives the owner — under that total's
+    lock, which therefore guards the field's cell in every set of the
+    prefix.  Per owner this is one slotted object and one dict; the
+    totals and their locks exist once per prefix.
+    """
+
+    __slots__ = ("_cells", "_totals")
+
+    def __init__(self, fields: tuple[str, ...], totals: dict[str, Counter]):
+        self._cells = dict.fromkeys(fields, 0)
+        self._totals = totals
+
+    def inc(self, field: str, n: int = 1) -> None:
+        total = self._totals[field]
+        with total._lock:
+            self._cells[field] += n
+            total._value += n
+
+    def __getattr__(self, field: str) -> int:
+        try:
+            return self._cells[field]
+        except KeyError:
+            raise AttributeError(field) from None
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(self._cells)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v}" for k, v in self._cells.items())
+        return f"CounterSet({body})"
 
 
 class Gauge:
@@ -154,45 +195,15 @@ class LatencyHistogram:
         if not 0 <= p <= 100:
             raise ValueError("percentile must be in [0, 100]")
         with self._lock:
-            total = self._count
-            if total == 0:
-                return 0.0
-            rank = max(1, int(p / 100 * total + 0.5))
-            seen = 0
-            for index, count in enumerate(self._counts):
-                seen += count
-                if seen >= rank:
-                    if index >= len(self.BOUNDS):
-                        return self._max
-                    # Clamp the bucket bound by the exact extremes so
-                    # p0/p100 never stray outside the observed range.
-                    return min(max(self.BOUNDS[index], self._min), self._max)
-            return self._max
+            return _ladder_percentile(
+                self._counts, self._count, p, self._min, self._max
+            )
 
     def snapshot(self) -> dict:
         with self._lock:
             count, total, mx, mn = self._count, self._sum, self._max, self._min
             counts = list(self._counts)
-        if count == 0:
-            return {"count": 0}
-        return {
-            "count": count,
-            "mean_ms": round(total / count * 1e3, 6),
-            "p50_ms": round(self.percentile(50) * 1e3, 6),
-            "p90_ms": round(self.percentile(90) * 1e3, 6),
-            "p99_ms": round(self.percentile(99) * 1e3, 6),
-            "max_ms": round(mx * 1e3, 6),
-            "min_ms": round(mn * 1e3, 6),
-            "sum_ms": round(total * 1e3, 6),
-            # Sparse raw bucket counts (ladder index -> samples): what
-            # makes snapshots *mergeable* — aggregating across shard
-            # processes sums these and recomputes percentiles on the
-            # shared ladder, instead of averaging per-shard percentiles
-            # (which has no distributional meaning).
-            "buckets": [
-                [index, n] for index, n in enumerate(counts) if n
-            ],
-        }
+        return _ladder_snapshot(counts, count, total * 1e3, mn * 1e3, mx * 1e3)
 
     def reset(self) -> None:
         with self._lock:
@@ -201,6 +212,54 @@ class LatencyHistogram:
             self._sum = 0.0
             self._min = float("inf")
             self._max = 0.0
+
+
+def _ladder_percentile(
+    counts: list[int], total: int, p: float, lo: float, hi: float, scale: float = 1.0
+) -> float:
+    """Upper bound of the ladder bucket holding the p-th of *total*
+    samples, in seconds times *scale*, clamped by the exact extremes
+    *lo*/*hi* so p0/p100 never stray outside the observed range."""
+    if total == 0:
+        return 0.0
+    bounds = LatencyHistogram.BOUNDS
+    rank = max(1, int(p / 100 * total + 0.5))
+    seen = 0
+    for index, count in enumerate(counts):
+        seen += count
+        if seen >= rank:
+            if index >= len(bounds):
+                return hi
+            return min(max(bounds[index] * scale, lo), hi)
+    return hi
+
+
+def _ladder_snapshot(
+    counts: list[int], total: int, sum_ms: float, min_ms: float, max_ms: float
+) -> dict:
+    """The JSON view of one distribution on the shared ladder."""
+    if total == 0:
+        return {"count": 0}
+
+    def percentile_ms(p: float) -> float:
+        return round(_ladder_percentile(counts, total, p, min_ms, max_ms, 1e3), 6)
+
+    return {
+        "count": total,
+        "mean_ms": round(sum_ms / total, 6),
+        "p50_ms": percentile_ms(50),
+        "p90_ms": percentile_ms(90),
+        "p99_ms": percentile_ms(99),
+        "max_ms": round(max_ms, 6),
+        "min_ms": round(min_ms, 6),
+        "sum_ms": round(sum_ms, 6),
+        # Sparse raw bucket counts (ladder index -> samples): what makes
+        # snapshots *mergeable* — aggregating across shard processes sums
+        # these and recomputes percentiles on the shared ladder, instead
+        # of averaging per-shard percentiles (which has no distributional
+        # meaning).
+        "buckets": [[index, n] for index, n in enumerate(counts) if n],
+    }
 
 
 def merge_latency_snapshots(snapshots: list[dict]) -> dict:
@@ -212,8 +271,7 @@ def merge_latency_snapshots(snapshots: list[dict]) -> dict:
     ladder.  Percentiles are **never** averaged across snapshots — the
     average of per-shard p99s is not the p99 of the union.
     """
-    bounds = LatencyHistogram.BOUNDS
-    counts = [0] * (len(bounds) + 1)
+    counts = [0] * (len(LatencyHistogram.BOUNDS) + 1)
     total = 0
     sum_ms = 0.0
     min_ms = float("inf")
@@ -229,59 +287,41 @@ def merge_latency_snapshots(snapshots: list[dict]) -> dict:
         max_ms = max(max_ms, float(snap.get("max_ms", 0.0)))
         for index, count in snap.get("buckets", []):
             counts[index] += count
-    if total == 0:
-        return {"count": 0}
-
-    def _percentile(p: float) -> float:
-        rank = max(1, int(p / 100 * total + 0.5))
-        seen = 0
-        for index, count in enumerate(counts):
-            seen += count
-            if seen >= rank:
-                if index >= len(bounds):
-                    return max_ms
-                return min(max(bounds[index] * 1e3, min_ms), max_ms)
-        return max_ms
-
-    return {
-        "count": total,
-        "mean_ms": round(sum_ms / total, 6),
-        "p50_ms": round(_percentile(50), 6),
-        "p90_ms": round(_percentile(90), 6),
-        "p99_ms": round(_percentile(99), 6),
-        "max_ms": round(max_ms, 6),
-        "min_ms": round(min_ms, 6),
-        "sum_ms": round(sum_ms, 6),
-        "buckets": [[index, n] for index, n in enumerate(counts) if n],
-    }
+    return _ladder_snapshot(counts, total, sum_ms, min_ms, max_ms)
 
 
 def merge_stats_snapshots(snapshots: list[dict]) -> dict:
-    """Merge per-shard ``STATS`` snapshots into one node-level view.
+    """Merge ``STATS`` snapshots into one node- or cluster-level view.
 
-    Counters and gauges are summed, latency histograms are merged
-    bucket-wise (:func:`merge_latency_snapshots`), and per-instance
-    blocks (``instance`` / ``partition_load``) are concatenated so the
-    node view keeps per-shard attribution alongside the totals.
+    A snapshot's counters, gauges and latency describe its whole
+    *process*, so they enter the merge once per ``process`` stamp (the
+    last snapshot polled from a process stands for it; an unstamped
+    snapshot is taken as a process of its own): counters and gauges are
+    summed and histograms merged bucket-wise
+    (:func:`merge_latency_snapshots`) across processes.  Per-instance
+    blocks (``instance`` / ``partition_load``) are concatenated from
+    every snapshot so the view keeps per-server attribution alongside
+    the totals.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}
     latency_parts: dict[str, list[dict]] = {}
     instances: list[dict] = []
-    enabled = False
-    for snap in snapshots:
-        enabled = enabled or bool(snap.get("enabled"))
+    processes: dict[object, dict] = {}
+    for index, snap in enumerate(snapshots):
+        processes[snap.get("process", index)] = snap
+        if "instance" in snap:
+            instances.append(snap["instance"])
+        instances.extend(snap.get("instances", []))
+    for snap in processes.values():
         for name, value in snap.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + int(value)
         for name, value in snap.get("gauges", {}).items():
             gauges[name] = gauges.get(name, 0.0) + float(value)
         for name, hist in snap.get("latency", {}).items():
             latency_parts.setdefault(name, []).append(hist)
-        if "instance" in snap:
-            instances.append(snap["instance"])
-        instances.extend(snap.get("instances", []))
     return {
-        "enabled": enabled,
+        "enabled": any(snap.get("enabled") for snap in snapshots),
         "shards": len(snapshots),
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
@@ -308,6 +348,8 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
+        #: Per counter-set prefix: the declared fields and their totals.
+        self._sets: dict[str, tuple[tuple[str, ...], dict[str, Counter]]] = {}
         self._lock = threading.Lock()
 
     # -- instrument access (get-or-create) ------------------------------
@@ -318,6 +360,21 @@ class MetricsRegistry:
             with self._lock:
                 counter = self._counters.setdefault(name, Counter(name))
         return counter
+
+    def counter_set(self, prefix: str, fields: tuple[str, ...]) -> CounterSet:
+        """A fresh :class:`CounterSet` for one owner of *prefix*.
+
+        *fields* is where a prefix's counters are declared: the first
+        call creates the ``prefix.field`` totals, and every later owner
+        must name the same tuple.
+        """
+        known = self._sets.get(prefix)
+        if known is None:
+            totals = {field: self.counter(f"{prefix}.{field}") for field in fields}
+            known = self._sets.setdefault(prefix, (fields, totals))
+        if known[0] != fields:
+            raise ValueError(f"counter set {prefix!r} is declared as {known[0]}")
+        return CounterSet(fields, known[1])
 
     def gauge(
         self, name: str, provider: Callable[[], float] | None = None
@@ -355,6 +412,10 @@ class MetricsRegistry:
             histograms = dict(self._histograms)
         return {
             "enabled": self.enabled,
+            # Every server of a process reports this same registry; the
+            # stamp lets a merge count the process once (read per call:
+            # shard workers are forked).
+            "process": f"{platform.node()}:{os.getpid()}",
             "counters": {
                 name: c.value for name, c in sorted(counters.items())
             },

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Generator, Iterator
 
 from ..api import ZHT
-from ..core.client import ClientStats, ZHTClientCore
+from ..core.client import ZHTClientCore
 from ..core.config import ZHTConfig
 from ..core.errors import KeyNotFound, ZHTError
 from ..core.membership import MembershipTable
@@ -58,6 +58,7 @@ from ..faults.plan import (
     resolve_victim_rules,
 )
 from ..faults.transport import FaultyClientTransport
+from ..obs import CounterSet
 from ..verify.checker import CheckReport, check_history
 from ..verify.history import STATUS_FAIL, STATUS_NOTFOUND, STATUS_OK, HistoryRecorder
 from .cluster import (
@@ -73,7 +74,7 @@ from .traffic import FRAGMENT_BYTES, ClientStream, build_streams
 
 #: Max violation strings kept per check in the verdict document.
 MAX_VIOLATIONS = 12
-#: ClientStats fields summed over the workload's clients into ``client.*``.
+#: Client counters summed over the workload's clients into ``client.*``.
 _CLIENT_STATS = ("retries", "failovers", "nodes_marked_dead", "reprobes", "hot_cache_hits")
 
 
@@ -686,7 +687,7 @@ def _conclude(
     scenario: Scenario,
     *,
     tally: _Tally,
-    stats: list[ClientStats],
+    stats: list[CounterSet],
     plan: FaultPlan,
     schedule: _FaultSchedule,
     history: _History | None,
@@ -739,7 +740,7 @@ def _run_live(
     tally = _Tally()
     lock = threading.Lock()  # guards tally and stats
     fire_lock = threading.Lock()  # one client at a time enacts fault events
-    stats: list[ClientStats] = []
+    stats: list[CounterSet] = []
 
     try:
         with build_cluster(backend, topo.nodes, config, seed) as cluster:
@@ -923,7 +924,7 @@ def _run_sim(
     resolve_victim_rules(plan, membership, schedule.designated_victim)
     history = _History.start(scenario, streams, history_path, now)
     tally = _Tally()
-    stats: list[ClientStats] = []
+    stats: list[CounterSet] = []
     marks = {"end": 0.0}
 
     def new_core(tag: int) -> ZHTClientCore:

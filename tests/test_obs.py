@@ -4,13 +4,16 @@ TCP stream-desync eviction, UDP stale-response matching, and the
 registry-backed transport counters.
 """
 
+import gc
 import json
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
+from repro import build_local_cluster
 from repro.core import ZHTConfig
 from repro.core.membership import Address
 from repro.core.protocol import OpCode, Request, Response, frame
@@ -23,6 +26,7 @@ from repro.obs import (
     LatencyHistogram,
     PartitionLoadTracker,
     TracingRegistry,
+    merge_latency_snapshots,
     merge_stats_snapshots,
 )
 from repro.obs.metrics import Counter, Gauge
@@ -234,20 +238,90 @@ class TestClientThreadSafety:
         assert len(ids) == len(set(ids)) == 16_000
 
     def test_concurrent_stats_increments_do_not_lose_updates(self):
-        from repro.core.client import ClientStats
-
-        stats = ClientStats()
+        registry = TracingRegistry()
+        stats = registry.counter_set("t", ("ops",))
         threads = [
             threading.Thread(
                 target=lambda: [stats.inc("ops") for _ in range(5000)]
             )
             for _ in range(8)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert stats.ops == 40_000
+        assert registry.counter("t.ops").value == 40_000
+
+
+class TestCounterSet:
+    def test_owners_count_apart_and_the_total_outlives_them(self):
+        registry = TracingRegistry()
+        first = registry.counter_set("t", ("hits", "misses"))
+        second = registry.counter_set("t", ("hits", "misses"))
+        before = registry.snapshot()["counters"]
+        assert before == {"t.hits": 0, "t.misses": 0}
+        first.inc("hits")
+        first.inc("misses", 4)
+        second.inc("hits", 2)
+        assert (first.hits, first.misses) == (1, 4)
+        assert (second.hits, second.misses) == (2, 0)
+        assert first.as_dict() == {"hits": 1, "misses": 4}
+        assert registry.snapshot()["counters"] == {"t.hits": 3, "t.misses": 4}
+        del first, second
+        gc.collect()
+        assert registry.snapshot()["counters"] == {"t.hits": 3, "t.misses": 4}
+        assert registry.counter_set("t", ("hits", "misses")).hits == 0
+
+    def test_undeclared_names_are_errors(self):
+        stats = TracingRegistry().counter_set("t", ("hits",))
+        with pytest.raises(KeyError):
+            stats.inc("typo")
+        with pytest.raises(AttributeError):
+            stats.typo
+        registry = TracingRegistry()
+        registry.counter_set("t", ("hits",))
+        with pytest.raises(ValueError):
+            registry.counter_set("t", ("other",))
+
+    def test_process_totals_move_by_the_sum_of_their_owners(self):
+        """Every core, store and network of a cluster feeds one of four
+        prefixes; each total moves by exactly what its owners counted."""
+        before = REGISTRY.snapshot()["counters"]
+        cfg = ZHTConfig(transport="local", num_partitions=16)
+        with build_local_cluster(2, cfg) as cluster:
+            z = cluster.client()
+            for i in range(20):
+                z.insert(f"k{i}", b"v")
+                assert z.lookup(f"k{i}") == b"v"
+            z.remove("k0")
+            owners = {
+                "client": [z.stats],
+                "server": [core.stats for core in cluster.servers.values()],
+                "local": [cluster.network.stats],
+                "novoht": [
+                    part.store.stats
+                    for core in cluster.servers.values()
+                    for part in core.partitions.values()
+                ],
+            }
+            after = REGISTRY.snapshot()["counters"]
+        for prefix, sets in owners.items():
+            for field in sets[0].as_dict():
+                name = f"{prefix}.{field}"
+                assert after[name] - before.get(name, 0) == sum(
+                    getattr(stats, field) for stats in sets
+                ), name
+        assert after["client.ops"] - before.get("client.ops", 0) == 41
+        assert after["server.inserts"] - before.get("server.inserts", 0) == 20
+        assert after["novoht.gets"] - before.get("novoht.gets", 0) == 20
+        assert after["local.roundtrips"] - before.get("local.roundtrips", 0) == 41
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +574,60 @@ class TestStatsOpcode:
             assert inst["stats"]["inserts"] >= 0
             assert response.op == int(OpCode.STATS)
 
+    #: What a STATS reply carried before owners drew their counters from
+    #: the registry (names appeared on first bump, so this is the set a
+    #: mixed point + batch workload produces), and ``instance.stats``.
+    WIRE_NAMES = (
+        "client.batch_ops client.batches client.ops local.roundtrips "
+        "novoht.appends novoht.gets novoht.puts novoht.removes "
+        "server.appends server.batch_sub_ops server.batches server.inserts "
+        "server.lookups server.removes"
+    ).split()
+    INSTANCE_KEYS = (
+        "inserts lookups removes appends batches redirects queued "
+        "replica_updates migrations_in migrations_out membership_updates "
+        "shed_expired shed_overload"
+    ).split()
+
+    def test_co_located_servers_keep_names_and_merge_once(self):
+        """Both servers of an in-process cluster report the one process
+        registry: every counter name is still on the wire, and merging
+        the two replies counts the process once, not once per server."""
+        before = REGISTRY.snapshot()["counters"]
+        with build_local_cluster(2, ZHTConfig(transport="local")) as local:
+            local.client().insert("x", b"y")
+        cfg = ZHTConfig(transport="tcp", num_partitions=64, request_timeout=0.5)
+        with build_tcp_cluster(2, cfg) as cluster:
+            z = cluster.client()
+            for i in range(50):
+                z.insert(f"s{i}", b"v")
+            z.lookup("s1")
+            z.append("s1", b"x")
+            z.remove("s2")
+            z.insert_many([(f"b{i}", b"v") for i in range(8)])
+            z.lookup_many([f"b{i}" for i in range(8)])
+            snaps = []
+            for server in cluster.servers:
+                response = z.transport.roundtrip(
+                    server.address, Request(op=OpCode.STATS, request_id=7), 1.0
+                )
+                snaps.append(json.loads(response.value))
+        for snap in snaps:
+            for name in self.WIRE_NAMES:
+                assert snap["counters"][name] - before.get(name, 0) > 0, name
+            assert set(self.INSTANCE_KEYS) <= set(snap["instance"]["stats"])
+        assert snaps[0]["process"] == snaps[1]["process"]
+        merged = merge_stats_snapshots(snaps)
+        assert merged["shards"] == 2
+        assert merged["counters"] == snaps[1]["counters"]
+        assert merged["gauges"] == snaps[1]["gauges"]
+        inserts = [inst["stats"]["inserts"] for inst in merged["instances"]]
+        assert len(inserts) == 2 and sum(inserts) == 58
+        assert (
+            merged["counters"]["server.inserts"] - before.get("server.inserts", 0)
+            == 59
+        )
+
 
 # ---------------------------------------------------------------------------
 # Per-partition load accounting (hot-key observability)
@@ -620,6 +748,30 @@ class TestMergeStatsSnapshots:
         assert merged["latency"] == {}
         assert merged["enabled"] is True
         assert merged["shards"] == 2
+
+    def test_process_wide_sections_count_once_per_process(self):
+        hist = LatencyHistogram("rt")
+        hist.record(0.001)
+        a1 = {"process": "a:1", "counters": {"ops": 3}, "gauges": {"g": 1.0},
+              "latency": {"rt": hist.snapshot()}, "instance": {"id": "x"}}
+        hist.record(0.001)
+        a2 = {"process": "a:1", "counters": {"ops": 5}, "gauges": {"g": 2.0},
+              "latency": {"rt": hist.snapshot()}, "instance": {"id": "y"}}
+        b = {"process": "b:1", "counters": {"ops": 10}, "instance": {"id": "z"}}
+        merged = merge_stats_snapshots([a1, a2, b])
+        # The later poll of process a stands for it; b adds on top.
+        assert merged["counters"] == {"ops": 15}
+        assert merged["gauges"] == {"g": 2.0}
+        assert merged["latency"]["rt"]["count"] == 2
+        assert [i["id"] for i in merged["instances"]] == ["x", "y", "z"]
+        assert merged["shards"] == 3
+        assert merge_stats_snapshots([a2, a2, a2])["counters"] == a2["counters"]
+
+    def test_histogram_snapshot_is_the_merge_of_itself(self):
+        hist = LatencyHistogram("rt")
+        for ms in (0.4, 1.0, 3.0, 250.0):
+            hist.record(ms / 1e3)
+        assert merge_latency_snapshots([hist.snapshot()]) == hist.snapshot()
 
     def test_disjoint_histogram_buckets(self):
         """One shard only saw fast ops, the other only slow ones; the

@@ -112,7 +112,6 @@ class TestSimBackend:
 
         from repro.core.client import ZHTClientCore
         from repro.faults import FaultPlan
-        from repro.obs import REGISTRY
 
         monkeypatch.setattr(time, "time", lambda: 1_000.0)
         # The core binds its default clock at definition time.
@@ -121,13 +120,11 @@ class TestSimBackend:
         )
 
         def run():
-            counters = {
-                name: REGISTRY.counter(f"client.{name}")
+            verdict = run_verify("sim", ops=240, seed=11, plan=FaultPlan.flapping(11))
+            return {
+                name: verdict.metrics[f"client.{name}"]
                 for name in ("reprobes", "failovers")
             }
-            before = {name: c.value for name, c in counters.items()}
-            run_verify("sim", ops=240, seed=11, plan=FaultPlan.flapping(11))
-            return {name: c.value - before[name] for name, c in counters.items()}
 
         first, second = run(), run()
         assert first["reprobes"] >= 1

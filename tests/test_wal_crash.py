@@ -11,8 +11,12 @@ before the damage: a clean close checkpoints and truncates the WAL,
 which is exactly what a crash prevents.  Each ``put`` flushes the WAL,
 so the records are on disk regardless."""
 
+import errno
 import os
 
+import pytest
+
+from repro.core.errors import StoreError
 from repro.faults import (
     FaultKind,
     FaultPlan,
@@ -134,6 +138,121 @@ class TestFsyncLossShim:
         with _store(path) as db:
             assert db.get(b"durable") == b"yes"
             assert db.get(b"durable2") == b"also"
+
+
+class _FailingFile:
+    """Append handle that breaks once: the *fail_write*-th ``write`` puts
+    half its bytes on disk and raises, or the first ``fsync`` raises with
+    the record fully written."""
+
+    def __init__(self, path, mode, *, fail_write=0, fail_fsync=False):
+        self._file = open(path, mode)
+        self._fail_write = fail_write
+        self._fail_fsync = fail_fsync
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == self._fail_write:
+            self._file.write(bytes(data[: len(data) // 2]))
+            self._file.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._file.write(data)
+
+    def fsync(self):
+        if self._fail_fsync:
+            self._fail_fsync = False
+            raise OSError(errno.EIO, "Input/output error")
+        os.fsync(self._file.fileno())
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+
+def _assert_refuses_everything(store):
+    for call in (
+        lambda: store.put(b"later", b"x"),
+        lambda: store.get(b"a"),
+        lambda: store.remove(b"a"),
+        lambda: store.append(b"a", b"x"),
+        lambda: store.apply_batch([("get", b"a", b"")]),
+    ):
+        with pytest.raises(StoreError):
+            call()
+
+
+class TestWriteErrorIsFailStop:
+    """A failed WAL write may leave a torn record mid-log; anything
+    logged behind it would be acked and then never replayed."""
+
+    def test_failed_put_stops_the_store(self, tmp_path):
+        path = str(tmp_path)
+        # Write 1 is the epoch header, 2 is the first put.
+        store = _store(
+            path, wal_opener=lambda p, m: _FailingFile(p, m, fail_write=3)
+        )
+        store.put(b"a", b"1")
+        with pytest.raises(StoreError):
+            store.put(b"k", b"v" * 64)
+        _assert_refuses_everything(store)
+        store.close()  # releases the handles; writes no checkpoint
+        assert not os.path.exists(os.path.join(path, "novoht.ckpt"))
+        reopened = _store(path)
+        assert dict(reopened.items()) == {b"a": b"1"}
+        # The torn record is gone, so what the reopened store acks
+        # survives its own crash too.
+        reopened.put(b"later", b"x")
+        with _store(path) as db:
+            assert dict(db.items()) == {b"a": b"1", b"later": b"x"}
+
+    def test_failed_group_commit_stops_the_store(self, tmp_path):
+        path = str(tmp_path)
+        store = _store(
+            path, wal_opener=lambda p, m: _FailingFile(p, m, fail_write=4)
+        )
+        store.put(b"a", b"1")
+        store.put(b"gone", b"2")
+        with pytest.raises(StoreError):
+            store.apply_batch([("put", b"k", b"v" * 64), ("remove", b"gone", b"")])
+        # The batch reached the map before its commit failed: neither
+        # the unlogged put nor the unlogged remove may be served.
+        _assert_refuses_everything(store)
+        with _store(path) as db:
+            assert dict(db.items()) == {b"a": b"1", b"gone": b"2"}
+
+    def test_failed_fsync_stops_the_store(self, tmp_path):
+        path = str(tmp_path)
+        store = _store(
+            path,
+            fsync=True,
+            wal_opener=lambda p, m: _FailingFile(p, m, fail_fsync=True),
+        )
+        with pytest.raises(StoreError):
+            store.put(b"k", b"v")
+        _assert_refuses_everything(store)
+        # Written in full but never acked: it may survive, nothing else.
+        with _store(path) as db:
+            assert dict(db.items()) in ({}, {b"k": b"v"})
+
+    def test_batch_that_raises_midway_logs_what_it_applied(self, tmp_path):
+        path = str(tmp_path)
+        store = _store(path, max_memory_pairs=1)
+        store.put(b"a", b"1")
+        store.put(b"b", b"2")  # spills a
+        os.truncate(os.path.join(path, "novoht.ovf"), 0)
+        with pytest.raises(StoreError):
+            store.apply_batch([("put", b"c", b"3"), ("get", b"a", b"")])
+        assert store.get(b"c") == b"3"
+        reopened = _store(path)
+        assert reopened.get(b"c") == b"3"
+
+    def test_bad_batch_op_changes_nothing(self, tmp_path):
+        with _store(str(tmp_path)) as db:
+            with pytest.raises(ValueError):
+                db.apply_batch([("put", b"k", b"v"), ("frob", b"k", b"")])
+            with pytest.raises(TypeError):
+                db.apply_batch([("put", b"k", b"v"), ("put", b"k2", "str")])
+            assert b"k" not in db
 
 
 class TestDamageHelpers:
