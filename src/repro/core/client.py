@@ -35,6 +35,7 @@ Real and simulated transports drive the same :class:`OpDriver` loop::
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 import threading
 import time
@@ -216,11 +217,11 @@ class ZHTClientCore:
         #: Wall-clock source for deadlines and breaker cooldowns; the
         #: simulator injects its virtual clock here.
         self.clock = clock
-        self._next_request_id = 1  # guarded-by: _request_id_lock
         # Concurrent drivers over one core (threaded benchmark clients,
         # FusionFS) must never mint the same request id: duplicates would
-        # silently defeat the UDP server's mutation dedup cache.
-        self._request_id_lock = threading.Lock()
+        # silently defeat the UDP server's mutation dedup cache.  next()
+        # on an itertools.count is one C call, atomic under the GIL.
+        self._request_ids = itertools.count(1)
         # failure_counts and pending_notifications see read-modify-write
         # from every thread driving ops through this core; guard them like
         # allocate_request_id or concurrent timeouts lose counts.
@@ -232,10 +233,12 @@ class ZHTClientCore:
         #: mode exactly 1 — so suspicion >= failures_before_dead is the
         #: single death condition for both detectors.
         self.suspicion: dict[str, float] = {}  # guarded-by: _state_lock
-        #: Per-node RTT history feeding the adaptive detector.  Kept
-        #: per-core (a process can host many independent clients); the
-        #: process-wide ``client.rtt.<node>`` is what ``repro stats`` shows.
-        self._rtt: dict[str, LatencyHistogram] = {}  # guarded-by: _state_lock
+        #: Per-node RTT history feeding the adaptive detector, paired
+        #: with the process-wide ``client.rtt.<node>`` that ``repro stats``
+        #: shows (bound here once, so a reply formats no name).  Kept
+        #: per-core: a process can host many independent clients.  Only
+        #: ever ``get`` / ``setdefault``, each atomic under the GIL.
+        self._rtt: dict[str, tuple[LatencyHistogram, LatencyHistogram]] = {}
         #: Circuit breakers for nodes marked dead by *local* suspicion.
         self._breakers: dict[str, _Breaker] = {}  # guarded-by: _state_lock
         #: Manager notifications awaiting dispatch by the transport.
@@ -282,10 +285,16 @@ class ZHTClientCore:
     def driver(self, op: OpCode, key: bytes, value: bytes = b"") -> "OpDriver":
         self.maybe_reprobe()
         self.stats.inc("ops")
+        cfg = self.config
+        pid = self.membership.partition_of_key(key, cfg.hash_name)
         start = 0
-        if op is OpCode.LOOKUP:
-            start = self._hot_read_start(key)
-        return OpDriver(self, op, key, value, start_replica_index=start)
+        # Key heat has two consumers, read spreading and the hot-key
+        # cache; a deployment with neither tracks none.
+        if op is OpCode.LOOKUP and (
+            cfg.hot_key_cache_size or (cfg.hot_read_spread and cfg.num_replicas)
+        ):
+            start = self._hot_read_start(key, pid)
+        return OpDriver(self, op, key, value, pid, start_replica_index=start)
 
     # -- client-observed key heat ------------------------------------------
 
@@ -307,7 +316,7 @@ class ZHTClientCore:
     def is_hot(self, key: bytes) -> bool:
         return self.key_heat(key) >= self.config.hot_key_threshold
 
-    def _hot_read_start(self, key: bytes) -> int:
+    def _hot_read_start(self, key: bytes, pid: int) -> int:
         """Replica-chain position this lookup should start at.
 
         Cold keys (and every write) go to the owner.  Once a key's tally
@@ -326,16 +335,11 @@ class ZHTClientCore:
             or count < cfg.hot_key_threshold
         ):
             return 0
-        pid = self.membership.partition_of_key(key, cfg.hash_name)
-        chain = self.membership.replicas_for_partition(pid, cfg.num_replicas)
-        alive = []
-        for index, inst in enumerate(chain):
-            node = self.membership.nodes.get(inst.node_id)
-            if node is not None and node.alive:
-                alive.append(index)
-        if len(alive) <= 1:
+        chain, first = self.membership.route(pid, cfg.num_replicas)
+        # Every position from the first alive one on is alive.
+        if first < 0 or len(chain) - first <= 1:
             return 0
-        start = alive[count % len(alive)]
+        start = first + count % (len(chain) - first)
         if start:
             self.stats.inc("hot_spread_reads")
         return start
@@ -358,25 +362,17 @@ class ZHTClientCore:
         ``max_entries`` caps sub-requests per round trip.
         """
         self.maybe_reprobe()
+        membership = self.membership
+        hash_name, num_replicas = self.config.hash_name, self.config.num_replicas
         groups: dict[str, BatchAttempt] = {}
         unroutable: list[BatchEntry] = []
         for entry in entries:
-            pid = self.membership.partition_of_key(
-                entry.key, self.config.hash_name
-            )
-            chain = self.membership.replicas_for_partition(
-                pid, self.config.num_replicas
-            )
-            target = None
-            replica_index = 0
-            for index, inst in enumerate(chain):
-                node = self.membership.nodes.get(inst.node_id)
-                if node is not None and node.alive:
-                    target, replica_index = inst, index
-                    break
-            if target is None:
+            pid = membership.partition_of_key(entry.key, hash_name)
+            chain, replica_index = membership.route(pid, num_replicas)
+            if replica_index < 0:
                 unroutable.append(entry)
                 continue
+            target = chain[replica_index]
             attempt = groups.get(target.instance_id)
             if attempt is None:
                 attempt = BatchAttempt(
@@ -390,7 +386,7 @@ class ZHTClientCore:
                     key=entry.key,
                     value=entry.value,
                     request_id=self.allocate_request_id(),
-                    epoch=self.membership.epoch,
+                    epoch=membership.epoch,
                     replica_index=replica_index,
                 )
             )
@@ -426,10 +422,7 @@ class ZHTClientCore:
         return attempts, unroutable
 
     def allocate_request_id(self) -> int:
-        with self._request_id_lock:
-            rid = self._next_request_id
-            self._next_request_id += 1
-        return rid
+        return next(self._request_ids)
 
     def adopt_membership(self, payload: bytes) -> bool:
         """Adopt a piggybacked membership table if strictly newer."""
@@ -490,10 +483,12 @@ class ZHTClientCore:
             probe_failed = (
                 breaker is not None and breaker.state is BreakerState.HALF_OPEN
             )
-            hist = self._rtt.get(node_id)
-        # The histogram is internally locked; only the dict lookup needs
-        # _state_lock, so the percentile math runs outside it.
-        contribution = self._suspicion_contribution(hist, timeout_s)
+        # The histogram is internally locked; the percentile math runs
+        # outside _state_lock.
+        pair = self._rtt.get(node_id)
+        contribution = self._suspicion_contribution(
+            pair[0] if pair else None, timeout_s
+        )
         with self._state_lock:
             score = self.suspicion.get(node_id, 0.0) + contribution
             self.suspicion[node_id] = score
@@ -504,18 +499,22 @@ class ZHTClientCore:
 
     def record_success(self, node_id: str, rtt_s: float | None = None) -> None:
         """Clear suspicion for *node_id* and feed its RTT history."""
-        with self._state_lock:
-            self.failure_counts.pop(node_id, None)
-            self.suspicion.pop(node_id, None)
-            self._breakers.pop(node_id, None)  # half-open probe succeeded
-            if rtt_s is not None:
-                hist = self._rtt.get(node_id)
-                if hist is None:
-                    hist = LatencyHistogram(f"client.rtt.{node_id}")
-                    self._rtt[node_id] = hist
-        if rtt_s is not None:
-            hist.record(rtt_s)
-            REGISTRY.histogram(f"client.rtt.{node_id}").record(rtt_s)
+        # zht-lint: ignore[LOCK001] GIL-atomic emptiness reads; a timeout racing this reply lands after it, as if the reply had come first
+        if self.failure_counts or self.suspicion or self._breakers:
+            with self._state_lock:
+                self.failure_counts.pop(node_id, None)
+                self.suspicion.pop(node_id, None)
+                self._breakers.pop(node_id, None)  # half-open probe succeeded
+        if rtt_s is None:
+            return
+        pair = self._rtt.get(node_id)
+        if pair is None:
+            name = f"client.rtt.{node_id}"
+            pair = self._rtt.setdefault(
+                node_id, (LatencyHistogram(name), REGISTRY.histogram(name))
+            )
+        pair[0].record(rtt_s)
+        pair[1].record(rtt_s)
 
     def breaker_state(self, node_id: str) -> BreakerState:
         """Current circuit-breaker state for *node_id* (CLOSED = healthy)."""
@@ -531,6 +530,8 @@ class ZHTClientCore:
         breaker, one timeout re-opens it with a doubled cooldown.  This is
         what lets a client rediscover a recovered node without a restart.
         """
+        if not self._breakers:  # zht-lint: ignore[LOCK001] GIL-atomic emptiness read; a breaker opened this instant is seen by the next op
+            return
         now = self.clock()
         to_probe: list[str] = []
         with self._state_lock:
@@ -550,6 +551,8 @@ class ZHTClientCore:
 
     def take_notifications(self) -> list[Notification]:
         """Atomically drain the pending manager notifications."""
+        if not self.pending_notifications:  # zht-lint: ignore[LOCK001] GIL-atomic emptiness read; a note queued this instant leaves with the next op
+            return []
         with self._state_lock:
             notes = self.pending_notifications
             self.pending_notifications = []
@@ -636,6 +639,7 @@ class OpDriver:
         op: OpCode,
         key: bytes,
         value: bytes,
+        pid: int,
         *,
         start_replica_index: int = 0,
     ) -> None:
@@ -643,6 +647,8 @@ class OpDriver:
         self.op = op
         self.key = key
         self.value = value
+        #: The key's partition: hashed once per operation, by the caller.
+        self.pid = pid
         self.state = OpState.RUNNING
         self.response: Response | None = None
         self.error: ZHTError | None = None
@@ -656,6 +662,9 @@ class OpDriver:
         #: from there like any degraded read.
         self._replica_index = start_replica_index
         self._current: Attempt | None = None
+        #: Node the current attempt went to: the one a reply (or its
+        #: absence) is evidence about, whatever the table says by then.
+        self._sent_to = ""
         self._overloaded_seen = False
 
     # ------------------------------------------------------------------
@@ -668,31 +677,18 @@ class OpDriver:
         consistency checker knows which guarantee the read carries."""
         return self._replica_index
 
-    @property
-    def pid(self) -> int:
-        return self.core.membership.partition_of_key(
-            self.key, self.core.config.hash_name
-        )
-
-    def _chain(self) -> list[InstanceInfo]:
-        return self.core.membership.replicas_for_partition(
-            self.pid, self.core.config.num_replicas
-        )
-
     def _target(self) -> InstanceInfo | None:
         """Current target instance, honouring failover position and
         skipping replicas on dead nodes."""
-        chain = self._chain()
-        index = self._replica_index
-        while index < len(chain):
-            inst = chain[index]
-            node = self.core.membership.nodes.get(inst.node_id)
-            if node is not None and node.alive:
-                if index != self._replica_index:
-                    self._replica_index = index
-                return inst
-            index += 1
-        return None
+        chain, first = self.core.membership.route(
+            self.pid, self.core.config.num_replicas
+        )
+        # Positions past the first alive one are alive (see route()).
+        index = max(self._replica_index, first)
+        if first < 0 or index >= len(chain):
+            return None
+        self._replica_index = index
+        return chain[index]
 
     def next_attempt(self) -> Attempt | None:
         """The next attempt to execute, or ``None`` once settled."""
@@ -733,11 +729,10 @@ class OpDriver:
             replica_index=self._replica_index,
             deadline_us=int(self.deadline * 1e6),
         )
-        timeout = cfg.request_timeout * (
-            cfg.backoff_factor ** self._retries_on_target
-        )
+        timeout = cfg.request_timeout
         delay = 0.0
         if self._retries_on_target > 0:
+            timeout *= cfg.backoff_factor ** self._retries_on_target
             delay = cfg.request_timeout * (
                 cfg.backoff_factor ** (self._retries_on_target - 1)
             )
@@ -757,6 +752,7 @@ class OpDriver:
             )
             return None
         self._current = Attempt(target.address, request, timeout, delay)
+        self._sent_to = target.node_id
         self._attempts_used += 1
         return self._current
 
@@ -766,9 +762,7 @@ class OpDriver:
         if self.state is not OpState.RUNNING or self._current is None:
             return
         core = self.core
-        target = self._target()
-        if target is not None:
-            core.record_success(target.node_id, rtt_s=rtt_s)
+        core.record_success(self._sent_to, rtt_s=rtt_s)
         core.adopt_membership(response.membership)
 
         if response.status == Status.REDIRECT:
@@ -818,10 +812,7 @@ class OpDriver:
         core.stats.inc("retries")
         timeout_s = self._current.timeout
         self._retries_on_target += 1
-        target = self._target()
-        if target is None:
-            return  # next_attempt() will settle the failure
-        died = core.record_timeout(target.node_id, timeout_s=timeout_s)
+        died = core.record_timeout(self._sent_to, timeout_s=timeout_s)
         if died:
             # Fail over to the next replica in the chain.
             self._replica_index += 1

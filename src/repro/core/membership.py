@@ -149,6 +149,10 @@ class MembershipTable:
         #: partition index -> owning instance_id ("" = unassigned)
         self.partition_owner: list[str] = [""] * num_partitions
         self._ring_cache: list[InstanceInfo] | None = None
+        #: ``(pid, num_replicas) -> (chain, first alive position)`` for
+        #: this epoch; see :meth:`route`.  Replaced, never cleared, so a
+        #: reader racing a mutation fills the table being thrown away.
+        self._routes: dict[tuple[int, int], tuple[tuple[InstanceInfo, ...], int]] = {}
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -257,6 +261,29 @@ class MembershipTable:
                 break
         return chain
 
+    def route(
+        self, pid: int, num_replicas: int
+    ) -> tuple[tuple[InstanceInfo, ...], int]:
+        """The per-epoch route table: *pid*'s replica chain and the first
+        chain position whose node is alive (-1 if none is) — what a per-op
+        caller needs from :meth:`replicas_for_partition`, as one dict
+        probe.  Only the owner can sit on a dead node (successors are
+        chosen alive), so every later position is alive too.  Any mutation
+        drops the cache; callers must not keep a route across operations.
+        """
+        routes = self._routes
+        hit = routes.get((pid, num_replicas))
+        if hit is None:
+            chain = tuple(self.replicas_for_partition(pid, num_replicas))
+            first = -1
+            for index, inst in enumerate(chain):
+                node = self.nodes.get(inst.node_id)
+                if node is not None and node.alive:
+                    first = index
+                    break
+            hit = routes[(pid, num_replicas)] = (chain, first)
+        return hit
+
     def instances_on_node(self, node_id: str) -> list[InstanceInfo]:
         return [i for i in self.instances.values() if i.node_id == node_id]
 
@@ -287,9 +314,13 @@ class MembershipTable:
     # Mutation (each bumps the epoch)
     # ------------------------------------------------------------------
 
+    def _drop_caches(self) -> None:
+        self._ring_cache = None
+        self._routes = {}
+
     def _bump(self) -> None:
         self.epoch += 1
-        self._ring_cache = None
+        self._drop_caches()
 
     def add_node(self, node: NodeInfo) -> None:
         if node.node_id in self.nodes:
@@ -427,7 +458,7 @@ class MembershipTable:
         self.instances = dict(other.instances)
         self.partition_owner = list(other.partition_owner)
         self.epoch = other.epoch
-        self._ring_cache = None
+        self._drop_caches()
         return True
 
     def memory_footprint_bytes(self) -> int:

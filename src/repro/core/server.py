@@ -785,7 +785,7 @@ class ZHTServerCore:
         self, request: Request, pid: int
     ) -> list[tuple[Address, Request, bool]]:
         """The ``(address, update, sync?)`` fan-out for one mutation."""
-        chain = self.membership.replicas_for_partition(pid, self.config.num_replicas)
+        chain, _first = self.membership.route(pid, self.config.num_replicas)
         mode = self.config.replication_mode
         is_owner = self.owns(pid)
         plan: list[tuple[Address, Request, bool]] = []

@@ -11,7 +11,10 @@ prototype the paper rejected lives beside its only user,
 ``benchmarks/bench_ablation_server_arch.py``.)
 
 Two clients.  :class:`MultiplexedTCPClient` is what cluster clients
-use: one socket per server carrying any number of in-flight requests.
+use: one socket per server carrying any number of in-flight requests,
+and no thread of its own — the caller waiting for a reply reads the
+socket, fills the slots of any other callers whose replies arrive
+first, and hands the read role on when its own lands.
 :class:`TCPClient` is the stop-and-wait client with the paper's LRU
 **connection cache** ("makes TCP works almost as fast as UDP"): servers
 use it for peer traffic, and with ``cache_size=0`` every operation pays
@@ -21,6 +24,7 @@ Figures 7 and 9).
 
 from __future__ import annotations
 
+import select
 import selectors
 import socket
 import threading
@@ -222,118 +226,188 @@ class TCPClient(ClientTransport):
             self._cache.clear()
 
 
-class _MuxPending:
-    """Future for one in-flight multiplexed request."""
+class _MuxSlot:
+    """One in-flight multiplexed request.  ``lock`` is created held;
+    whoever fills the slot, promotes its owner or fails the connection
+    releases it once, so a caller parks on ``lock.acquire(timeout=...)``."""
 
-    __slots__ = ("event", "response")
+    __slots__ = ("lock", "response", "leader")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self.lock = threading.Lock()
+        self.lock.acquire()
         self.response: Response | None = None
+        self.leader = False  # the read role was handed to this caller
 
 
 class _MuxConnection:
     """One multiplexed socket: many in-flight requests, matched by id.
 
-    A writer sends frames under a lock; a dedicated reader thread
-    reassembles response frames (bytearray + offset, O(total) across
-    chunks) and hands each to its request's :class:`_MuxPending` by
-    ``request_id``.  Connection death fails every outstanding future.
+    No thread belongs to the connection.  A writer sends frames under
+    ``_write_lock``.  The *read role* (``_read_lock``) belongs to one
+    waiting caller at a time — the leader: it reassembles response
+    frames (bytearray + offset, O(total) across chunks) under its own
+    deadline, fills every caller's slot as frames arrive, and on
+    leaving hands the role to a caller still waiting (or frees it).
+    The other callers — followers — park on their slot.  Connection
+    death fails every outstanding slot.
     """
 
     #: Bound on remembered abandoned request ids (timed-out requests
     #: whose late responses must be dropped silently).
     _DISCARD_LIMIT = 4096
+    #: How long a frame that does not fit the kernel send buffer may
+    #: wait for room (a server that has stopped reading).
+    _SEND_TIMEOUT_S = 2.0
 
-    def __init__(self, sock: socket.socket, address: Address) -> None:
+    def __init__(self, sock: socket.socket) -> None:
+        sock.setblocking(False)  # reads poll under a deadline; see _read
         self.sock = sock
-        self.address = address
         self.closed = False
         self._write_lock = threading.Lock()
+        self._read_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._pending: dict[int, _MuxPending] = {}  # guarded-by: _state_lock
+        self._pending: dict[int, _MuxSlot] = {}  # guarded-by: _state_lock
         self._discard: set[int] = set()  # guarded-by: _state_lock
+        # Bytes of a frame still arriving: the read role's holder only.
+        self._buffer = bytearray()
+        self._readable = select.poll()
+        self._readable.register(sock, select.POLLIN)
         self._c_unmatched = REGISTRY.counter("tcp.client.mux_unmatched")
-        self._reader = threading.Thread(
-            target=self._reader_loop,
-            name=f"zht-mux-{address.host}:{address.port}",
-            daemon=True,
-        )
-        self._reader.start()
 
     # -- caller side -------------------------------------------------------
 
-    def register(self, request_id: int) -> _MuxPending | None:
-        """Claim a future for *request_id*; ``None`` if the connection is
+    def register(self, request_id: int) -> _MuxSlot | None:
+        """Claim a slot for *request_id*; ``None`` if the connection is
         closed or the id is already in flight (caller falls back)."""
         with self._state_lock:
             if self.closed or request_id in self._pending:
                 return None
             self._discard.discard(request_id)
-            slot = _MuxPending()
+            slot = _MuxSlot()
             self._pending[request_id] = slot
             return slot
 
-    def send(self, payload: bytes) -> bool:
+    def send(self, payload: "bytes | bytearray") -> bool:
         try:
             with self._write_lock:
-                self.sock.sendall(payload)
+                try:
+                    sent = self.sock.send(payload)
+                except BlockingIOError:
+                    sent = 0
+                if sent < len(payload):
+                    self._send_rest(memoryview(payload)[sent:])
             return True
         except OSError:
             self.shutdown()
             return False
 
-    def forget(self, request_id: int, *, discard: bool = False) -> None:
-        """Abandon *request_id* (timeout); with ``discard``, a late
-        response for it is dropped silently instead of counting as
-        unmatched."""
+    def _send_rest(self, view: memoryview) -> None:  # holds-lock: _write_lock
+        """The kernel buffer filled mid-frame: wait (bounded) for room,
+        so the frame stays whole."""
+        writable = select.poll()
+        writable.register(self.sock, select.POLLOUT)
+        deadline = time.monotonic() + self._SEND_TIMEOUT_S
+        while view:
+            if not writable.poll(max(deadline - time.monotonic(), 0) * 1000):
+                raise TimeoutError("send buffer full")
+            try:
+                view = view[self.sock.send(view):]
+            except BlockingIOError:
+                pass
+
+    def wait(self, request_id: int, slot: _MuxSlot, deadline: float) -> Response | None:
+        """Block until *slot* is filled, *deadline* passes or the
+        connection dies (``None`` for the latter two).  A timeout abandons
+        the slot, not the socket: the late response is dropped by id."""
+        leading = self._read_lock.acquire(False)
+        while True:
+            if leading:
+                self._read(slot, deadline)
+                break
+            if not slot.lock.acquire(timeout=max(deadline - time.monotonic(), 0)):
+                break
+            if not slot.leader:
+                return slot.response  # filled, or the connection died
+            leading = True
         with self._state_lock:
-            self._pending.pop(request_id, None)
-            if discard:
-                if len(self._discard) >= self._DISCARD_LIMIT:
-                    self._discard.pop()
-                self._discard.add(request_id)
+            if self._pending.pop(request_id, None) is not None:
+                self._discard_late(request_id)
+            # A follower can time out just as the role is handed to it.
+            if leading or slot.leader:
+                self._hand_off()
+        return slot.response
+
+    def _discard_late(self, request_id: int) -> None:  # holds-lock: _state_lock
+        if len(self._discard) >= self._DISCARD_LIMIT:
+            self._discard.pop()
+        self._discard.add(request_id)
 
     def expect_discard(self, request_id: int) -> None:
         """Pre-register a oneway request whose response should be eaten."""
-        self.forget(request_id, discard=True)
+        with self._state_lock:
+            self._discard_late(request_id)
 
-    # -- reader side -------------------------------------------------------
+    def drain(self) -> None:
+        """After a one-way send: consume the replies that have already
+        arrived, without blocking (unless a waiting caller is reading
+        anyway).  Unread, they back up into the server's write queue."""
+        if self._read_lock.acquire(False):
+            self._read(None, 0.0)
+            with self._state_lock:
+                self._hand_off()
 
-    def _reader_loop(self) -> None:
-        buffer = bytearray()
-        offset = 0
-        try:
-            self.sock.settimeout(None)
-        except OSError:
-            pass
-        while True:
+    # -- the read role -----------------------------------------------------
+
+    def _hand_off(self) -> None:  # holds-lock: _state_lock
+        """Give the read role to a caller still waiting, else free it.
+        Under the state lock, so a caller registering now either is
+        seen here or finds the role free."""
+        for slot in self._pending.values():
+            slot.leader = True
+            slot.lock.release()
+            return
+        self._read_lock.release()
+
+    def _read(self, slot: _MuxSlot | None, deadline: float) -> None:
+        """Holding the read role: deframe and deliver until *slot* is
+        filled, *deadline* passes (0: only what is already readable) or
+        the connection dies."""
+        buffer = self._buffer
+        while not self.closed and (slot is None or slot.response is None):
+            if deadline:
+                # One poll + one recv per reply: the socket stays
+                # non-blocking so no per-call timeout has to be set.
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not self._readable.poll(remaining * 1000):
+                    return
             try:
                 chunk = self.sock.recv(65536)
+            except BlockingIOError:
+                if deadline:
+                    continue
+                return
             except OSError:
-                break
+                chunk = b""
             if not chunk:
-                break
+                self.shutdown()
+                return
             buffer += chunk
-            while True:
-                start, end, offset = deframe_span(buffer, offset)
-                if start < 0:
-                    break
-                try:
-                    # Parsed straight out of the receive buffer (no
-                    # per-message bytes copy); compaction below is safe
-                    # because decode materialises every field.
-                    response = decode_response_span(buffer, start, end)
-                except Exception:
-                    # Desynced/garbled stream: this connection is unusable.
-                    REGISTRY.counter("tcp.client.decode_errors").inc()
-                    self.shutdown()
-                    return
-                self._deliver(response)
-            if offset:
-                del buffer[:offset]
-                offset = 0
-        self.shutdown()
+            offset = 0
+            try:
+                while True:
+                    start, end, offset = deframe_span(buffer, offset)
+                    if start < 0:
+                        break
+                    # Parsed in place; compacting below is safe because
+                    # decode materialises every field.
+                    self._deliver(decode_response_span(buffer, start, end))
+            except Exception:
+                # Desynced/garbled stream: this connection is unusable.
+                REGISTRY.counter("tcp.client.decode_errors").inc()
+                self.shutdown()
+                return
+            del buffer[:offset]
 
     def _deliver(self, response: Response) -> None:
         with self._state_lock:
@@ -345,22 +419,25 @@ class _MuxConnection:
                     self._c_unmatched.inc()
                 return
         slot.response = response
-        slot.event.set()
+        slot.lock.release()
 
     def shutdown(self) -> None:
         with self._state_lock:
             if self.closed:
-                pending = []
-            else:
-                self.closed = True
-                pending = list(self._pending.values())
-                self._pending.clear()
+                return
+            self.closed = True
+            # A slot already handed the read role has had its wake-up;
+            # its caller sees ``closed`` when it starts to read.
+            parked = [s for s in self._pending.values() if not s.leader]
+            self._pending.clear()
         try:
-            self.sock.close()
+            # Wakes a leader parked in poll(); close() alone would not.
+            self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        for slot in pending:
-            slot.event.set()  # response stays None => timeout upstream
+        self.sock.close()
+        for slot in parked:
+            slot.lock.release()  # response stays None => timeout upstream
 
 
 class MultiplexedTCPClient(ClientTransport):
@@ -368,12 +445,14 @@ class MultiplexedTCPClient(ClientTransport):
 
     Replaces :class:`TCPClient`'s exclusive checkout/checkin model: one
     socket per server carries any number of concurrent in-flight
-    requests, matched back to per-request futures by ``request_id`` via
-    a reader thread — independent operations pipeline on the wire
-    instead of serializing behind stop-and-wait round trips.  A timed
-    -out request abandons its slot (its late response is discarded by
-    id), so slow responses neither poison the stream nor force a
-    reconnect.
+    requests, matched back to per-request slots by ``request_id`` —
+    independent operations pipeline on the wire instead of serializing
+    behind stop-and-wait round trips.  Whichever caller is waiting
+    reads the socket (see :class:`_MuxConnection`), so a lone caller
+    reads its own reply with no thread switch and a client costs no
+    thread per server.  A timed-out request abandons its slot (its
+    late response is discarded by id), so slow responses neither
+    poison the stream nor force a reconnect.
     """
 
     def __init__(self, *, connect_timeout: float = 2.0) -> None:
@@ -384,6 +463,7 @@ class MultiplexedTCPClient(ClientTransport):
         self.oneway_retries = 0
         self.oneway_drops = 0
         self._c_connects = REGISTRY.counter("tcp.client.connects")
+        self._c_oneway_retries = REGISTRY.counter("tcp.client.oneway_retries")
         self._c_oneway_drops = REGISTRY.counter("tcp.client.oneway_drops")
 
     def _connect(self, address: Address) -> _MuxConnection | None:
@@ -398,7 +478,7 @@ class MultiplexedTCPClient(ClientTransport):
         except OSError:
             sock.close()
             return None
-        conn = _MuxConnection(sock, address)
+        conn = _MuxConnection(sock)
         with self._lock:
             current = self._conns.get(address)
             if current is not None and not current.closed:
@@ -413,8 +493,7 @@ class MultiplexedTCPClient(ClientTransport):
         return conn
 
     def _get(self, address: Address) -> _MuxConnection | None:
-        with self._lock:
-            conn = self._conns.get(address)
+        conn = self._conns.get(address)  # zht-lint: ignore[LOCK001] GIL-atomic dict read; _connect settles a miss under the lock
         if conn is not None and not conn.closed:
             return conn
         return self._connect(address)
@@ -433,7 +512,11 @@ class MultiplexedTCPClient(ClientTransport):
             # Unmatchable by id: use an isolated stop-and-wait socket.
             return self._oneshot_roundtrip(address, request, timeout)
         payload = encode_framed_request(request)
-        for _attempt in range(2):  # one retry on a just-died connection
+        deadline = time.monotonic() + timeout
+        # One retry on a connection found dead — by the send, or by the
+        # read that follows it: with no thread watching an idle socket, a
+        # peer's close is first seen by the next request to use it.
+        for _attempt in range(2):
             conn = self._get(address)
             if conn is None:
                 return None
@@ -446,10 +529,9 @@ class MultiplexedTCPClient(ClientTransport):
                 return self._oneshot_roundtrip(address, request, timeout)
             if not conn.send(payload):
                 continue
-            if not slot.event.wait(timeout):
-                conn.forget(rid, discard=True)
-                return None
-            return slot.response
+            response = conn.wait(rid, slot, deadline)
+            if response is not None or not conn.closed:
+                return response
         return None
 
     def _oneshot_roundtrip(
@@ -481,9 +563,10 @@ class MultiplexedTCPClient(ClientTransport):
                     # response instead of counting it unmatched.
                     conn.expect_discard(request.request_id)
                 if conn.send(payload):
+                    conn.drain()
                     return
                 self.oneway_retries += 1
-                REGISTRY.counter("tcp.client.oneway_retries").inc()
+                self._c_oneway_retries.inc()
         self.oneway_drops += 1
         self._c_oneway_drops.inc()
 
@@ -670,6 +753,8 @@ class EventDrivenTCPServer:
         self._drain_deadline = 0.0
         self.inline_fast_path = True
         self.requests_served = 0
+        self._c_requests = REGISTRY.counter("tcp.server.requests")
+        self._c_decode_errors = REGISTRY.counter("tcp.server.decode_errors")
         # Results handed to the effect pool but not yet finished.  The
         # event loop dispatches synchronously, so the core's own in-flight
         # gauge sees at most one request at a time here; this backlog is
@@ -885,10 +970,10 @@ class EventDrivenTCPServer:
         try:
             request = decode_request_span(buffer, start, end)
         except Exception:
-            REGISTRY.counter("tcp.server.decode_errors").inc()
+            self._c_decode_errors.inc()
             return
         self.requests_served += 1
-        REGISTRY.counter("tcp.server.requests").inc()
+        self._c_requests.inc()
         result = self.core.handle(request, reply_context=conn)
         needs_peer_io = bool(
             result.sync_sends

@@ -178,8 +178,9 @@ class LatencyHistogram:
 
     @property
     def mean_s(self) -> float:
+        count = self.count
         # zht-lint: ignore[LOCK001] torn sum/count read only skews a progress readout
-        return self._sum / self._count if self._count else 0.0
+        return self._sum / count if count else 0.0
 
     @property
     def max_s(self) -> float:
@@ -187,8 +188,8 @@ class LatencyHistogram:
 
     @property
     def min_s(self) -> float:
-        # zht-lint: ignore[LOCK001] GIL-atomic float reads; min/count skew is harmless
-        return self._min if self._count else 0.0
+        # zht-lint: ignore[LOCK001] GIL-atomic float read; min/count skew is harmless
+        return self._min if self.count else 0.0
 
     def percentile(self, p: float) -> float:
         """Upper-bound estimate (seconds) of the p-th percentile."""

@@ -29,6 +29,7 @@ accounting, checks, metrics — is shared plain functions.
 
 from __future__ import annotations
 
+import gc
 import random
 import tempfile
 import threading
@@ -821,6 +822,11 @@ def _run_live(
                 )
                 for stream in streams
             ]
+            # The clients run in this process.  A generation-2 collection
+            # of a large heap (a whole test session's: about one request
+            # timeout) falling due mid-run stalls all of them at once and
+            # reads as every server timing out.  Collect now instead.
+            gc.collect()
             t_start = time.perf_counter()
             for t in threads:
                 t.start()

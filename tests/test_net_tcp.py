@@ -2,16 +2,21 @@
 
 import array
 import fcntl
+import heapq
+import socket
 import termios
+import threading
 import time
 
 import pytest
 
 from repro.core import KeyNotFound, ZHTConfig
+from repro.core.errors import Status
 from repro.core.membership import Address
-from repro.core.protocol import OpCode, Request
+from repro.core.protocol import OpCode, Request, Response, deframe_span, frame
 from repro.net.cluster import build_tcp_cluster
-from repro.net.tcp import TCPClient
+from repro.net.tcp import MultiplexedTCPClient, TCPClient, _Connection
+from repro.obs import REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -248,5 +253,276 @@ class TestClientRobustness:
             fcntl.ioctl(client._cache._data[server.address], termios.FIONREAD, unread)
             assert unread[0] < 64 * 1024  # 5,000 PING replies are ~145 KB
             assert client.connects == 1
+        finally:
+            client.close()
+
+
+# ---------------------------------------------------------------------------
+# The multiplexed client without a reader thread
+# ---------------------------------------------------------------------------
+
+
+class _StallingServer:
+    """Accepts one connection and answers request ``rid``
+    ``delay_of(rid)`` seconds after it arrives (``None``: never), so a
+    test decides the order replies come back in, or withholds them."""
+
+    def __init__(self, delay_of):
+        self._delay_of = delay_of
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(1)
+        self.address = Address("127.0.0.1", self._listener.getsockname()[1])
+        self._conn = None
+        self._stop = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        self._conn, _ = self._listener.accept()
+        conn = self._conn
+        conn.settimeout(0.005)
+        buffer, due = bytearray(), []
+        while not self._stop.is_set():
+            try:
+                chunk = conn.recv(65536)
+            except TimeoutError:
+                chunk = None
+            except OSError:
+                return
+            if chunk == b"":
+                return
+            now = time.monotonic()
+            if chunk:
+                buffer += chunk
+                offset = 0
+                while True:
+                    start, end, offset = deframe_span(buffer, offset)
+                    if start < 0:
+                        break
+                    request = Request.decode(bytes(buffer[start:end]))
+                    delay = self._delay_of(request.request_id)
+                    if delay is not None:
+                        reply = Response(
+                            status=Status.OK,
+                            value=request.key,
+                            request_id=request.request_id,
+                            op=int(request.op),
+                        )
+                        heapq.heappush(
+                            due, (now + delay, request.request_id, frame(reply.encode()))
+                        )
+                del buffer[:offset]
+            try:
+                while due and due[0][0] <= now:
+                    conn.sendall(heapq.heappop(due)[2])
+            except OSError:
+                return
+
+    def kill(self):
+        """Drop the connection the way a crashed server would."""
+        self._stop.set()
+        self._listener.close()
+        if self._conn is not None:
+            self._conn.close()
+
+    def close(self):
+        self.kill()
+        self.thread.join(timeout=2)
+        assert not self.thread.is_alive()
+
+
+def _mux_call(client, address, rid, timeout, results):
+    started = time.monotonic()
+    response = client.roundtrip(
+        address,
+        Request(op=OpCode.LOOKUP, key=b"key-%d" % rid, request_id=rid),
+        timeout,
+    )
+    results[rid] = (response, time.monotonic() - started)
+
+
+def _join_all(threads):
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestMuxWithoutReaderThread:
+    def test_no_thread_per_server(self):
+        cfg = ZHTConfig(transport="tcp", num_partitions=64, request_timeout=0.5)
+        with build_tcp_cluster(4, cfg) as cluster:
+            before = threading.active_count()
+            zht = cluster.client()
+            served = [server.requests_served for server in cluster.servers]
+            for i in range(200):
+                zht.insert(f"spread-{i}", b"v")
+            assert all(
+                server.requests_served > then
+                for server, then in zip(cluster.servers, served)
+            )
+            assert len(zht.transport._conns) == 4
+            assert not [t for t in threading.enumerate() if t.name.startswith("zht-mux")]
+            assert threading.active_count() == before
+
+    def test_sixteen_callers_each_get_their_own_reordered_reply(self):
+        callers = 16
+        # Later requests are answered first.
+        server = _StallingServer(lambda rid: 0.01 * (callers + 1 - rid))
+        client = MultiplexedTCPClient()
+        results = {}
+        try:
+            assert client._get(server.address) is not None  # one accept only
+            threads = [
+                threading.Thread(
+                    target=_mux_call, args=(client, server.address, rid, 5.0, results)
+                )
+                for rid in range(1, callers + 1)
+            ]
+            for thread in threads:
+                thread.start()
+            _join_all(threads)
+            for rid in range(1, callers + 1):
+                response, _elapsed = results[rid]
+                assert response is not None
+                assert response.request_id == rid
+                assert response.value == b"key-%d" % rid
+            assert client.connects == 1
+        finally:
+            client.close()
+            server.close()
+
+    @pytest.mark.parametrize("impatient_reads", [True, False])
+    def test_one_timeout_neither_fails_nor_delays_the_others(self, impatient_reads):
+        """Request 1 gives up before its reply is sent; 2 and 3 are
+        answered later still.  Whether the impatient caller held the read
+        role or was parked behind a reader, the others get their replies
+        when those arrive, and the late reply to 1 is eaten by id."""
+        delays = {1: 0.6, 2: 0.3, 3: 0.3, 4: 0.0}
+        timeouts = {1: 0.15, 2: 2.0, 3: 2.0}
+        server = _StallingServer(delays.get)
+        client = MultiplexedTCPClient()
+        unmatched = REGISTRY.counter("tcp.client.mux_unmatched")
+        unmatched_before = unmatched.value
+        results = {}
+        try:
+            assert client._get(server.address) is not None
+            order = [1, 2, 3] if impatient_reads else [2, 3, 1]
+            threads = []
+            for rid in order:
+                thread = threading.Thread(
+                    target=_mux_call,
+                    args=(client, server.address, rid, timeouts[rid], results),
+                )
+                thread.start()
+                threads.append(thread)
+                time.sleep(0.02)  # the first caller takes the read role
+            _join_all(threads)
+            gave_up, waited = results[1]
+            assert gave_up is None and 0.15 <= waited < 0.29
+            for rid in (2, 3):
+                response, waited = results[rid]
+                assert response is not None and response.request_id == rid
+                assert waited < 0.55  # its own reply's arrival, not 1's
+            time.sleep(0.4)  # the reply to 1 is on the wire by now
+            _mux_call(client, server.address, 4, 2.0, results)
+            assert results[4][0].request_id == 4
+            assert unmatched.value == unmatched_before
+            assert client.connects == 1
+        finally:
+            client.close()
+            server.close()
+
+    def test_server_death_fails_every_waiter_promptly(self):
+        request_timeout = 3.0
+        server = _StallingServer(lambda rid: None)  # never answers
+        client = MultiplexedTCPClient()
+        results = {}
+        try:
+            assert client._get(server.address) is not None
+            threads = [
+                threading.Thread(
+                    target=_mux_call,
+                    args=(client, server.address, rid, request_timeout, results),
+                )
+                for rid in range(1, 9)
+            ]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.2)
+            server.kill()
+            _join_all(threads)
+            for rid in range(1, 9):
+                response, waited = results[rid]
+                assert response is None
+                assert waited < request_timeout
+        finally:
+            client.close()
+            server.close()
+
+    def test_idle_connection_closed_by_peer_costs_no_failed_roundtrip(self):
+        """No thread watches an idle socket, so a peer's close is first
+        seen by the next request's read; that request is re-sent once
+        on a fresh connection instead of being reported as a timeout."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        address = Address("127.0.0.1", listener.getsockname()[1])
+
+        def serve():
+            for _ in range(2):  # one request per connection, then close
+                conn, _addr = listener.accept()
+                with conn:
+                    request = Request.decode(bytes(conn.recv(65536))[1:])
+                    reply = Response(status=Status.OK, request_id=request.request_id)
+                    conn.sendall(frame(reply.encode()))
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = MultiplexedTCPClient()
+        try:
+            for rid in (1, 2):
+                response = client.roundtrip(
+                    address, Request(op=OpCode.PING, request_id=rid), 2.0
+                )
+                assert response is not None and response.request_id == rid
+                time.sleep(0.05)  # the server's close reaches the socket
+            assert client.connects == 2
+        finally:
+            client.close()
+            listener.close()
+            thread.join(timeout=2)
+            assert not thread.is_alive()
+
+    def test_oneway_burst_leaves_no_replies_queued(self, tcp_cluster):
+        """10k one-way sends and not one round trip: the replies must be
+        drained by the sends themselves, or they back up into the
+        server's write queue."""
+        server = tcp_cluster.servers[0]
+        client = MultiplexedTCPClient()
+        sends = 10_000
+        try:
+            served = server.requests_served
+            for i in range(1, sends + 1):
+                client.send_oneway(
+                    server.address, Request(op=OpCode.PING, request_id=i)
+                )
+                if i % 500 == 0:
+                    # Keep the in-process server within 500 replies of
+                    # the sender: what is left unread is then bounded by
+                    # the client's behaviour and not by thread timing.
+                    deadline = time.monotonic() + 5
+                    while server.requests_served < served + i:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.005)
+            time.sleep(0.1)
+            queued = [
+                len(key.data.outbuf)
+                for key in list(server._selector.get_map().values())
+                if isinstance(key.data, _Connection)
+            ]
+            assert queued and not any(queued)
+            unread = array.array("i", [0])
+            fcntl.ioctl(client._conns[server.address].sock, termios.FIONREAD, unread)
+            assert unread[0] < 64 * 1024  # 10,000 PING replies are ~290 KB
+            assert client.connects == 1 and client.oneway_drops == 0
         finally:
             client.close()
