@@ -22,11 +22,10 @@ small state machine:
 from __future__ import annotations
 
 import enum
-import json
 import os
 from dataclasses import dataclass
 
-from ..novoht import NoVoHT
+from ..novoht import NoVoHT, encode_image
 from .errors import MigrationError
 from .protocol import Request
 
@@ -98,15 +97,14 @@ class Partition:
         """Finish a successful migration.
 
         Returns the queued requests; the caller forwards them to the new
-        owner (their data is no longer here).  The local store is cleared —
-        the partition content now lives on the receiving instance.
+        owner (their data is no longer here).  The local store is cleared
+        by installing the empty image: the content lives on the receiver now.
         """
         if not self.is_migrating:
             raise MigrationError(f"partition {self.pid} is not migrating")
         queued, self.queued = self.queued, []
         self.state = PartitionState.ACTIVE
-        for key in self.store.keys():
-            self.store.remove(key)
+        self.store.install(encode_image(()))
         return queued
 
     def abort_migration(self) -> list[QueuedRequest]:
@@ -122,29 +120,6 @@ class Partition:
         queued, self.queued = self.queued, []
         self.state = PartitionState.ACTIVE
         return queued
-
-    # ------------------------------------------------------------------
-    # Bulk transfer ("moving a file")
-    # ------------------------------------------------------------------
-
-    def export_bytes(self) -> bytes:
-        """Serialize the full partition content for transfer."""
-        pairs = [
-            [key.hex(), value.hex()] for key, value in self.store.items()
-        ]
-        return json.dumps(pairs, separators=(",", ":")).encode("ascii")
-
-    def import_bytes(self, data: bytes) -> int:
-        """Load transferred content into this (receiving) partition."""
-        try:
-            pairs = json.loads(data.decode("ascii"))
-        except ValueError as exc:
-            raise MigrationError(f"bad partition payload: {exc}") from exc
-        count = 0
-        for khex, vhex in pairs:
-            self.store.put(bytes.fromhex(khex), bytes.fromhex(vhex))
-            count += 1
-        return count
 
     def close(self) -> None:
         self.store.close()

@@ -61,6 +61,9 @@ SERVER_COUNTERS = (
     "replica_updates",
     "migrations_in",
     "migrations_out",
+    #: Store-image bytes MIGRATE_BEGIN produced / MIGRATE_DATA installed.
+    "migration_bytes_out",
+    "migration_bytes_in",
     "membership_updates",
     #: Requests shed on arrival because their propagated deadline had
     #: already expired (doing the work would be wasted effort).
@@ -854,21 +857,22 @@ class ZHTServerCore:
         part = self.partition(request.partition)
         try:
             part.begin_migration()
+            image = part.store.image()
         except ZHTError as exc:
             return HandleResult(self._respond(request, exc.status))
         self.stats.inc("migrations_out")
-        return HandleResult(
-            self._respond(request, Status.OK, value=part.export_bytes())
-        )
+        self.stats.inc("migration_bytes_out", len(image))
+        return HandleResult(self._respond(request, Status.OK, value=image))
 
     def _handle_migrate_data(self, request: Request) -> HandleResult:
         part = self.partition(request.partition)
         try:
-            installed = part.import_bytes(request.value)
+            installed = part.store.install(request.value)
         except ZHTError as exc:
             return HandleResult(self._respond(request, exc.status))
         self.stats.inc("migrations_in")
-        # Ack the installed pair count: the manager never parses a snapshot.
+        self.stats.inc("migration_bytes_in", len(request.value))
+        # Ack the installed pair count: the manager never parses an image.
         return HandleResult(
             self._respond(request, Status.OK, value=b"%d" % installed)
         )

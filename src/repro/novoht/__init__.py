@@ -10,13 +10,14 @@ Public surface:
 
 from .novoht import NoVoHT
 from .wal import WriteAheadLog, encode_varint, decode_varint
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import encode_image, read_checkpoint, write_checkpoint
 
 __all__ = [
     "NoVoHT",
     "WriteAheadLog",
     "encode_varint",
     "decode_varint",
+    "encode_image",
     "read_checkpoint",
     "write_checkpoint",
 ]

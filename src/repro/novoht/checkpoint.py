@@ -1,75 +1,120 @@
-"""Checkpoint (snapshot) files for NoVoHT.
+"""Store images: the one way a set of key/value pairs becomes bytes.
 
-A checkpoint is a point-in-time serialization of the whole table.  After
-a checkpoint commits, the WAL prefix it covers can be dropped; recovery
-is "load latest checkpoint, then replay the uncovered WAL suffix".
+A checkpoint file (``novoht.ckpt``), a ``MIGRATE_BEGIN`` reply and a
+``MIGRATE_DATA`` payload are the same thing, so a partition transfer
+moves the bytes a checkpoint would hold ("migrating a partition is as
+easy as moving a file", §III.C).  Layout (little-endian):
 
-File format (v2):
+    magic      8 bytes  b"NOVOHT\\x03\\x00"
+    wal_epoch  u64      epoch of the WAL file the snapshot was cut against
+    wal_offset u64      byte offset of the WAL tail at snapshot time
+    count      u64      number of records that follow
+    crc32      u32      over the 32 bytes above
+    records    count ×  ``OP_PUT`` WAL records (:mod:`repro.novoht.wal`)
 
-    header     8 bytes  b"NOVOHT\\x02\\x00"
-    wal_epoch  varint   epoch of the WAL file the snapshot was cut against
-    wal_offset varint   byte offset of the WAL tail at snapshot time
-    count      varint   number of pairs
-    pairs      count ×  (klen varint, vlen varint, key, value)
-    crc32      u32      over everything above
+Each record carries its own CRC and the CRC'd header counts them, so an
+image is checked as it streams — a whole-file CRC needs the whole file
+in memory first — and a truncation, a flipped bit or an inflated count
+all show as fewer whole records than the header names.
 
-``(wal_epoch, wal_offset)`` name the exact log prefix the snapshot
+``(wal_epoch, wal_offset)`` name the exact log prefix a checkpoint
 covers: recovery skips it when the on-disk WAL still carries that epoch
 (crash between checkpoint commit and WAL compaction) and replays the
 whole log otherwise (the compacted log *is* the uncovered suffix).  This
 is what makes it safe to write the snapshot outside the store lock while
 mutations keep appending: nothing is ever truncated that the snapshot
 did not capture, and nothing captured is ever replayed twice (replaying
-covered ``append`` records would duplicate fragments).
-
-v1 files (``NOVOHT\\x01\\x00``, no wal metadata) are still readable.
-
-Checkpoints are written to a temp file and atomically renamed, so a crash
-mid-checkpoint leaves the previous checkpoint intact.
+covered ``append`` records would duplicate fragments).  An image in
+flight between stores names no log: both fields are 0.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import struct
 import zlib
-from typing import Iterable, Iterator
+from typing import BinaryIO, Collection, Iterator
 
 from ..core.errors import StoreError
-from .wal import decode_varint, encode_varint
+from .wal import OP_PUT, encode_record_into, iter_records
 
-CHECKPOINT_MAGIC_V1 = b"NOVOHT\x01\x00"
-CHECKPOINT_MAGIC = b"NOVOHT\x02\x00"
+IMAGE_MAGIC = b"NOVOHT\x03\x00"
+_HEADER = struct.Struct("<8sQQQ")
+IMAGE_HEADER_LEN = _HEADER.size + 4
+
+#: The file writer empties its record buffer at about this size, so a
+#: checkpoint never holds a second copy of the table.
+_CHUNK_BYTES = 64 * 1024
+
+Pairs = Iterator[tuple[bytes, bytes]]
+
+
+def _header(count: int, wal_epoch: int, wal_offset: int) -> bytearray:
+    head = bytearray(_HEADER.pack(IMAGE_MAGIC, wal_epoch, wal_offset, count))
+    head += struct.pack("<I", zlib.crc32(head))
+    return head
+
+
+def encode_image(pairs: Collection[tuple[bytes, bytes]]) -> bytes:
+    """The image of *pairs* as one ``bytes`` (what a transfer carries)."""
+    buf = _header(len(pairs), 0, 0)
+    for key, value in pairs:
+        encode_record_into(buf, OP_PUT, key, value)
+    return bytes(buf)
+
+
+def read_image(f: BinaryIO, what: str = "store image") -> tuple[int, int, Pairs]:
+    """``(wal_epoch, wal_offset, pairs)`` of the image *f* is positioned at.
+
+    The header is checked here; *pairs* streams the records in one pass
+    and raises :class:`StoreError` unless exactly the counted number of
+    whole ``OP_PUT`` records, and nothing else, follows.
+    """
+    head = f.read(IMAGE_HEADER_LEN)
+    if len(head) < IMAGE_HEADER_LEN or not head.startswith(IMAGE_MAGIC):
+        raise StoreError(f"corrupt {what}: bad header")
+    (crc,) = struct.unpack_from("<I", head, _HEADER.size)
+    if zlib.crc32(head[: _HEADER.size]) != crc:
+        raise StoreError(f"corrupt {what}: header CRC mismatch")
+    _magic, wal_epoch, wal_offset, count = _HEADER.unpack_from(head)
+
+    def pairs() -> Pairs:
+        found = 0
+        for op, key, value in itertools.islice(iter_records(f), count):
+            if op != OP_PUT:
+                break
+            found += 1
+            yield key, value
+        if found != count or f.read(1):
+            raise StoreError(
+                f"corrupt {what}: {found} whole records where the header "
+                f"counts {count} (truncated, record CRC mismatch, or trailing bytes)"
+            )
+
+    return wal_epoch, wal_offset, pairs()
 
 
 def write_checkpoint(
     path: str,
-    pairs: Iterable[tuple[bytes, bytes]],
+    pairs: Collection[tuple[bytes, bytes]],
     *,
     wal_epoch: int = 0,
     wal_offset: int = 0,
 ) -> int:
-    """Atomically write *pairs* to *path*; return the number written."""
+    """Write the image of *pairs* to *path*; return the count.  Goes to a
+    temp file renamed into place, so a crash leaves the old file intact."""
     tmp = path + ".tmp"
-    crc = zlib.crc32(CHECKPOINT_MAGIC)
-    count = 0
-    body_chunks: list[bytes] = []
-    for key, value in pairs:
-        chunk = encode_varint(len(key)) + encode_varint(len(value)) + key + value
-        body_chunks.append(chunk)
-        count += 1
-    meta_bytes = (
-        encode_varint(wal_epoch) + encode_varint(wal_offset) + encode_varint(count)
-    )
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(meta_bytes)
-            crc = zlib.crc32(meta_bytes, crc)
-            for chunk in body_chunks:
-                f.write(chunk)
-                crc = zlib.crc32(chunk, crc)
-            f.write(struct.pack("<I", crc))
+            buf = _header(len(pairs), wal_epoch, wal_offset)
+            for key, value in pairs:
+                encode_record_into(buf, OP_PUT, key, value)
+                if len(buf) >= _CHUNK_BYTES:
+                    f.write(buf)
+                    del buf[:]
+            f.write(buf)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -79,70 +124,29 @@ def write_checkpoint(
         except OSError:
             pass
         raise StoreError(f"checkpoint write failed: {exc}") from exc
-    return count
+    return len(pairs)
 
 
-def checkpoint_meta(path: str) -> tuple[int, int] | None:
-    """``(wal_epoch, wal_offset)`` recorded in the checkpoint at *path*.
+@contextlib.contextmanager
+def open_checkpoint(path: str) -> Iterator[tuple[int, int, Pairs]]:
+    """:func:`read_image` over the file at *path*, open for the block.
 
-    ``None`` for a missing, v1, or unparseable file — the caller then
-    falls back to a full WAL replay, which is always safe for v1 files
-    (they were written with the WAL truncated under the same lock).
+    A missing file is the empty image naming no log.  Anything else that
+    is not a whole image raises :class:`StoreError` (a checkpoint is
+    written atomically, so unlike the WAL, partial content is a real
+    error, not an expected crash artifact).
     """
-    try:
-        with open(path, "rb") as f:
-            head = f.read(len(CHECKPOINT_MAGIC) + 30)
-    except OSError:
-        return None
-    if not head.startswith(CHECKPOINT_MAGIC):
-        return None
-    try:
-        wal_epoch, pos = decode_varint(head, len(CHECKPOINT_MAGIC))
-        wal_offset, _pos = decode_varint(head, pos)
-    except ValueError:
-        return None
-    return wal_epoch, wal_offset
-
-
-def read_checkpoint(path: str) -> Iterator[tuple[bytes, bytes]]:
-    """Yield all pairs from the checkpoint at *path*.
-
-    Raises :class:`StoreError` on a corrupt or truncated checkpoint (a
-    checkpoint is written atomically, so unlike the WAL, partial content
-    is a real error, not an expected crash artifact).
-    """
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except FileNotFoundError:
+    if not os.path.exists(path):
+        yield 0, 0, iter(())
         return
+    try:
+        with open(path, "rb") as f:
+            yield read_image(f, f"checkpoint {path}")
     except OSError as exc:
         raise StoreError(f"checkpoint read failed: {exc}") from exc
 
-    v2 = data.startswith(CHECKPOINT_MAGIC)
-    if len(data) < len(CHECKPOINT_MAGIC) + 4 or not (
-        v2 or data.startswith(CHECKPOINT_MAGIC_V1)
-    ):
-        raise StoreError(f"corrupt checkpoint {path}: bad header")
-    body, crc_bytes = data[:-4], data[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", crc_bytes)[0]:
-        raise StoreError(f"corrupt checkpoint {path}: CRC mismatch")
 
-    pos = len(CHECKPOINT_MAGIC)
-    try:
-        if v2:
-            _wal_epoch, pos = decode_varint(body, pos)
-            _wal_offset, pos = decode_varint(body, pos)
-        count, pos = decode_varint(body, pos)
-        for _ in range(count):
-            klen, pos = decode_varint(body, pos)
-            vlen, pos = decode_varint(body, pos)
-            key = body[pos : pos + klen]
-            pos += klen
-            value = body[pos : pos + vlen]
-            pos += vlen
-            if len(key) != klen or len(value) != vlen:
-                raise ValueError("truncated pair")
-            yield key, value
-    except ValueError as exc:
-        raise StoreError(f"corrupt checkpoint {path}: {exc}") from exc
+def read_checkpoint(path: str) -> Pairs:
+    """Yield all pairs from the checkpoint at *path*."""
+    with open_checkpoint(path) as (_wal_epoch, _wal_offset, pairs):
+        yield from pairs

@@ -29,13 +29,14 @@ loops, so this lock is uncontended in normal operation).
 
 from __future__ import annotations
 
+import io
 import os
 import threading
 from typing import BinaryIO, Callable, Iterator
 
-from ..core.errors import KeyNotFound, StoreError
+from ..core.errors import KeyNotFound, MigrationError, StoreError
 from ..obs import REGISTRY
-from .checkpoint import checkpoint_meta, read_checkpoint, write_checkpoint
+from .checkpoint import encode_image, open_checkpoint, read_image, write_checkpoint
 from .wal import OP_APPEND, OP_PUT, OP_REMOVE, WriteAheadLog
 
 
@@ -91,10 +92,6 @@ class NoVoHT:
         mutation time; only meaningful between checkpoints).
     max_memory_pairs:
         Maximum number of values kept in RAM; 0 or ``None`` = unlimited.
-    initial_capacity / resize_factor:
-        NoVoHT's "size" and "re-size rate" knobs.  CPython's dict manages
-        its own buckets, so these are advisory here: they pre-size the
-        spill threshold bookkeeping and are reported in :meth:`info`.
     fsync:
         fsync the WAL on every mutation (durability vs throughput).
     wal_opener:
@@ -113,8 +110,6 @@ class NoVoHT:
         checkpoint_interval_ops: int = 10_000,
         gc_dead_ratio: float = 0.5,
         max_memory_pairs: int | None = None,
-        initial_capacity: int = 1024,
-        resize_factor: float = 2.0,
         fsync: bool = False,
         wal_opener: "Callable[[str, str], BinaryIO] | None" = None,
     ) -> None:
@@ -124,10 +119,6 @@ class NoVoHT:
             raise ValueError("gc_dead_ratio must be in [0, 1]")
         if max_memory_pairs is not None and max_memory_pairs < 0:
             raise ValueError("max_memory_pairs must be >= 0")
-        if initial_capacity <= 0:
-            raise ValueError("initial_capacity must be positive")
-        if resize_factor <= 1.0:
-            raise ValueError("resize_factor must be > 1.0")
 
         self._map: dict[bytes, bytes | _Spilled] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
@@ -148,8 +139,6 @@ class NoVoHT:
         self.checkpoint_interval_ops = checkpoint_interval_ops
         self.gc_dead_ratio = gc_dead_ratio
         self.max_memory_pairs = max_memory_pairs or 0
-        self.initial_capacity = initial_capacity
-        self.resize_factor = resize_factor
         self._ops_since_checkpoint = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
 
@@ -200,14 +189,9 @@ class NoVoHT:
         checkpoint committed, so the whole log is the uncovered suffix.
         """
         assert self._ckpt_path is not None
-        for key, value in read_checkpoint(self._ckpt_path):
-            self._map[key] = value
-        meta = checkpoint_meta(self._ckpt_path)
-        wal_epoch = wal.read_epoch()
-        start_offset = None
-        if meta is not None and wal_epoch and meta[0] == wal_epoch:
-            start_offset = meta[1]
-        for op, key, value in wal.replay(start_offset=start_offset):
+        with open_checkpoint(self._ckpt_path) as (ckpt_epoch, ckpt_offset, pairs):
+            self._map.update(pairs)
+        for op, key, value in wal.replay((ckpt_epoch, ckpt_offset)):
             self._apply(_REPLAY_KINDS[op], key, value, None)
         # The overflow file from a previous run is invalidated by recovery
         # (everything replays into RAM); start it fresh.
@@ -376,11 +360,6 @@ class NoVoHT:
         with self._lock:
             return len(self._map)
 
-    def keys(self) -> list[bytes]:
-        """Snapshot of all keys (used by partition migration)."""
-        with self._lock:
-            return list(self._map.keys())
-
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Snapshot iterator over ``(key, value)`` pairs.
 
@@ -488,6 +467,51 @@ class NoVoHT:
             pairs.append((key, value))
         return pairs
 
+    def image(self) -> bytes:
+        """The table as one store image (:mod:`.checkpoint`): what a
+        checkpoint of this moment would hold and a transfer carries."""
+        with self._lock:
+            self._ensure_open()
+            pairs = self._snapshot_pairs()
+        return encode_image(pairs)
+
+    def install(self, image: bytes) -> int:
+        """Replace the table's content with *image*; return the pair count.
+
+        The whole image is checked first (:class:`MigrationError`, store
+        untouched).  Then, under the lock, it is written as the checkpoint
+        covering the current WAL tail — the commit point: a crash reopens
+        as the old content before the rename, as exactly the image after —
+        the map is swapped and the covered log dropped.  Nothing the store
+        held survives: a key the sender removed is not resurrected here.
+        """
+        try:
+            new_map: dict[bytes, bytes | _Spilled] = dict(read_image(io.BytesIO(image))[2])
+        except StoreError as exc:
+            raise MigrationError(f"bad store image: {exc}") from exc
+        with self._lock:
+            self._ensure_open()
+            if self._wal is not None:
+                assert self._ckpt_path is not None
+                while self._maint_busy:
+                    self._maint_cond.wait()
+                epoch, offset, records = self._wal.tail_position()
+                write_checkpoint(
+                    self._ckpt_path, new_map.items(), wal_epoch=epoch, wal_offset=offset
+                )
+            # Disk says "image" from here on, so memory must too, whether
+            # or not trimming the log succeeds.
+            self._map = new_map
+            self._dead_records = 0
+            self._ops_since_checkpoint = 0
+            if self._ovf_file is not None:
+                self._ovf_file.truncate(0)  # every spilled value was the old map's
+                self._ovf_garbage = 0
+            self._enforce_memory_bound()
+            if self._wal is not None:
+                self._wal.drop_covered(offset, records)
+        return len(new_map)
+
     def flush(self) -> None:
         """Force a checkpoint if persistence is enabled."""
         self.checkpoint()
@@ -532,8 +556,6 @@ class NoVoHT:
                 "persistent": self._wal is not None,
                 "wal_bytes": self._wal.size_bytes() if self._wal else 0,
                 "wal_records": self._wal.record_count if self._wal else 0,
-                "initial_capacity": self.initial_capacity,
-                "resize_factor": self.resize_factor,
                 "max_memory_pairs": self.max_memory_pairs,
             }
 

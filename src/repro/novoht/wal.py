@@ -22,7 +22,7 @@ record — this is exercised by the failure-injection tests.
 The log file opens with a small **epoch header**::
 
     magic   5 bytes  b"ZWAL\\x01"
-    epoch   u64le    bumped by every truncate/compaction
+    epoch   u64le    bumped by every compaction
     crc32   u32      over magic + epoch
 
 The epoch lets a checkpoint name the exact log prefix it covers
@@ -142,51 +142,36 @@ def encode_record(op: int, key: bytes, value: bytes = b"") -> bytes:
     return bytes(buf)
 
 
-def _read_exact(f: BinaryIO, n: int) -> bytes | None:
-    data = f.read(n)
-    if len(data) < n:
-        return None
-    return data
-
-
 def iter_records(f: BinaryIO) -> Iterator[tuple[int, bytes, bytes]]:
     """Yield ``(op, key, value)`` for every complete record in *f*.
 
     Stops silently at the first torn or corrupt record — everything before
-    it is valid, matching log-recovery semantics.
+    it is valid, matching log-recovery semantics — and leaves *f* just
+    past the last record yielded.
     """
     while True:
-        header = _read_exact(f, 2)
-        if header is None or header[0] != RECORD_MAGIC or header[1] not in _OPS:
+        # magic + op + two varints of at most 10 bytes each
+        head = f.read(22)
+        if len(head) < 2 or head[0] != RECORD_MAGIC or head[1] not in _OPS:
             return
-        op = header[1]
-        # Varints are at most 10 bytes each for 64-bit lengths.
-        lenbuf = f.read(20)
         try:
-            klen, pos = decode_varint(lenbuf, 0)
-            vlen, pos = decode_varint(lenbuf, pos)
+            klen, pos = decode_varint(head, 2)
+            vlen, pos = decode_varint(head, pos)
         except ValueError:
             return
-        payload_prefix = lenbuf[pos:]
-        need = klen + vlen + 4 - len(payload_prefix)
-        if need > 0:
-            rest = _read_exact(f, need)
-            if rest is None:
-                return
-            payload = payload_prefix + rest
+        end = pos + klen + vlen
+        extra = end + 4 - len(head)
+        if extra > 0:
+            record = head + f.read(extra)
         else:
-            payload = payload_prefix[: klen + vlen + 4]
-            extra = len(payload_prefix) - (klen + vlen + 4)
-            if extra > 0:
-                # Rewind over-read bytes belonging to the next record.
-                f.seek(-extra, os.SEEK_CUR)
-        key = payload[:klen]
-        value = payload[klen : klen + vlen]
-        (crc,) = struct.unpack_from("<I", payload, klen + vlen)
-        body = header + lenbuf[:pos] + key + value
-        if zlib.crc32(body) != crc:
+            record = head
+            f.seek(extra, os.SEEK_CUR)  # over-read into the next record
+        if len(record) < end + 4:
             return
-        yield op, key, value
+        (crc,) = struct.unpack_from("<I", record, end)
+        if zlib.crc32(memoryview(record)[:end]) != crc:
+            return
+        yield head[1], record[pos : pos + klen], record[pos + klen : end]
 
 
 class WriteAheadLog:
@@ -235,7 +220,8 @@ class WriteAheadLog:
                 self._file.write(encode_wal_header(self.epoch))
                 self._file.flush()
             else:
-                self.epoch = self.read_epoch()
+                with open(self.path, "rb") as f:
+                    self.epoch = decode_wal_header(f.read(WAL_HEADER_LEN)) or 0
         except OSError as exc:
             raise StoreError(f"cannot open WAL {self.path}: {exc}") from exc
 
@@ -309,19 +295,8 @@ class WriteAheadLog:
 
     # -- recovery / compaction ------------------------------------------------
 
-    def read_epoch(self) -> int:
-        """Read the epoch header off the on-disk file (0 if headerless or
-        missing); updates :attr:`epoch`."""
-        try:
-            with open(self.path, "rb") as f:
-                head = f.read(WAL_HEADER_LEN)
-        except OSError:
-            return self.epoch
-        self.epoch = decode_wal_header(head) or 0
-        return self.epoch
-
     def replay(
-        self, start_offset: int | None = None
+        self, covered: tuple[int, int] = (0, 0)
     ) -> Iterator[tuple[int, bytes, bytes]]:
         """Yield all complete records currently in the log file.
 
@@ -332,11 +307,11 @@ class WriteAheadLog:
         that runs to the end of a log not open for appending also trims
         a torn or corrupt tail off the file.
 
-        ``start_offset`` (a byte position previously returned by
-        :meth:`tail_position`) skips the prefix a checkpoint already
-        covers; callers must first confirm the checkpoint's ``wal_epoch``
-        matches :meth:`read_epoch`.  A start past EOF yields nothing
-        (the un-covered suffix was lost to a crash before it was synced).
+        ``covered`` is the ``(epoch, byte offset)`` a checkpoint names
+        (from :meth:`tail_position`): while the file still carries that
+        epoch the prefix up to the offset is skipped.  A start past EOF
+        yields nothing (the un-covered suffix was lost to a crash before
+        it was synced).
         """
         self.record_count = 0
         if not os.path.exists(self.path):
@@ -347,8 +322,8 @@ class WriteAheadLog:
             self.epoch = epoch or 0
             if epoch is None:
                 f.seek(0)
-            if start_offset is not None and start_offset > f.tell():
-                f.seek(start_offset)
+            elif epoch == covered[0] and covered[1] > f.tell():
+                f.seek(covered[1])
             end = f.tell()
             for record in iter_records(f):
                 end = f.tell()
@@ -374,22 +349,6 @@ class WriteAheadLog:
         except OSError:
             size = 0
         return self.epoch, size, self.record_count
-
-    def truncate(self) -> None:
-        """Discard all records (bumps the epoch so any checkpoint offset
-        naming the old file can no longer match)."""
-        self.close()
-        new_epoch = self.epoch + 1
-        try:
-            with open(self.path, "wb") as f:
-                f.write(encode_wal_header(new_epoch))
-                f.flush()
-                os.fsync(f.fileno())
-        except OSError as exc:
-            raise StoreError(f"WAL truncate failed: {exc}") from exc
-        self.epoch = new_epoch
-        self.record_count = 0
-        self.open()
 
     def drop_covered(self, upto_offset: int, covered_records: int) -> None:
         """Drop the log prefix up to *upto_offset*, keeping the suffix.
@@ -428,36 +387,6 @@ class WriteAheadLog:
         os.replace(tmp, self.path)
         self.epoch = new_epoch
         self.record_count = max(0, self.record_count - covered_records)
-        self.open()
-
-    def rewrite(self, live: Iterator[tuple[bytes, bytes]]) -> None:
-        """Compact the log to exactly the *live* ``(key, value)`` pairs.
-
-        Garbage collection per the paper: "garbage collection (how often to
-        reclaim unused space on persistent storage)".  Written to a side
-        file and atomically renamed so a crash mid-GC keeps the old log.
-        """
-        tmp = self.path + ".gc"
-        new_epoch = self.epoch + 1
-        try:
-            with open(tmp, "wb") as f:
-                f.write(encode_wal_header(new_epoch))
-                count = 0
-                for key, value in live:
-                    f.write(encode_record(OP_PUT, key, value))
-                    count += 1
-                f.flush()
-                os.fsync(f.fileno())
-        except OSError as exc:
-            try:
-                os.unlink(tmp)  # failed GC must not leave a .gc corpse
-            except OSError:
-                pass
-            raise StoreError(f"WAL GC failed: {exc}") from exc
-        self.close()
-        os.replace(tmp, self.path)
-        self.epoch = new_epoch
-        self.record_count = count
         self.open()
 
     def size_bytes(self) -> int:

@@ -1,6 +1,8 @@
 """Unit tests for manager orchestration scripts (repro.core.manager)."""
 
 import inspect
+import random
+import shutil
 
 import pytest
 
@@ -10,6 +12,8 @@ from repro.core.errors import Status
 from repro.core.manager import ManagerCore
 from repro.core.protocol import OpCode, Request
 from repro.net.transport import run_script
+from repro.novoht import NoVoHT
+from repro.sim.cluster import SimSpec, SimulatedCluster
 
 
 @pytest.fixture
@@ -48,6 +52,32 @@ class TestMigratePartition:
         assert len(src_server.partition(pid).store) == 0
         # Data still reachable (new owner serves it).
         assert z.lookup("key-00000") == b"v0"
+
+    def test_committed_move_of_a_persistent_partition(self, tmp_path):
+        """One image write on each side: the source is cleared by
+        installing the empty image (0 WAL records, not 2N dead ones), and
+        a copy of either directory reopens as exactly what it serves."""
+        cfg = ZHTConfig(
+            transport="local", num_partitions=4, persistence_dir=str(tmp_path / "live")
+        )
+        with build_local_cluster(2, cfg) as cluster:
+            pid = 2
+            src = cluster.membership.owner_of_partition(pid)
+            dst = next(
+                i for i in cluster.membership.instances.values() if i is not src
+            )
+            src_store = cluster.server_for_instance(src.instance_id).partition(pid).store
+            pairs = {b"key-%05d" % i: b"v" * 100 for i in range(2000)}
+            src_store.apply_batch([("put", k, v) for k, v in pairs.items()])
+            report = cluster.run(cluster.manager().migrate_partition(pid, dst.instance_id))
+            assert report.committed and report.pairs_moved == 2000
+            assert src_store.info()["wal_records"] == 0
+            dst_store = cluster.server_for_instance(dst.instance_id).partition(pid).store
+            assert dst_store.info()["wal_records"] == 0
+            for name, store, want in (("src", src_store, {}), ("dst", dst_store, pairs)):
+                image = shutil.copytree(store.path, tmp_path / name)
+                with NoVoHT(str(image)) as reopened:
+                    assert dict(reopened.items()) == want
 
     def test_migrate_to_self_is_noop(self, cluster):
         manager = cluster.manager()
@@ -272,3 +302,130 @@ class TestRepairAfterFailure:
             assert all(
                 r.status == Status.MIGRATING for _, r in network.deferred_replies
             )
+
+
+class _Backend:
+    """The two in-process ways to reach server cores and run a manager
+    script: the threaded ``local`` network and the DES."""
+
+    def __init__(self, kind: str, persistence_dir: str | None):
+        self.config = ZHTConfig(
+            transport="local",
+            num_partitions=4,
+            request_timeout=0.05,
+            persistence_dir=persistence_dir,
+        )
+        if kind == "local":
+            self.cluster = build_local_cluster(4, self.config)
+            self.membership = self.cluster.membership
+            self.cores = {
+                iid: self.cluster.server_for_instance(iid)
+                for iid in self.membership.instances
+            }
+            self.run = self.cluster.run
+        else:
+            self.cluster = sim = SimulatedCluster(
+                SimSpec(num_nodes=4, config=self.config)
+            )
+            self.membership = sim.membership
+            self.cores = {
+                inst.instance_id: core
+                for inst, core in zip(sim.instances, sim.handlers)
+            }
+
+            def run(script):
+                done = sim.env.process(sim.run_script(script, 1.0), name="manager")
+                sim.env.run()
+                return done.result
+
+            self.run = run
+        self.manager = ManagerCore(
+            next(iter(self.membership.nodes)),
+            self.membership,
+            self.config,
+            rng=random.Random(0),
+        )
+
+    def close(self):
+        if hasattr(self.cluster, "close"):
+            self.cluster.close()
+        else:
+            for core in self.cores.values():
+                core.close()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["local", "sim", "local-persistent"])
+def test_every_transfer_replaces_what_the_receiver_held(kind, seed, tmp_path):
+    """Model-based: random insert/remove/append on the owner of one
+    partition, interleaved with copies (what repair runs) and moves
+    (what join and retire run) to instances that still hold an older
+    copy.  After every transfer each receiver's store equals the
+    owner's — above all, a key removed on the owner answers
+    ``KEY_NOT_FOUND`` on every receiver (the merging import kept it)."""
+    backend = _Backend(
+        kind.split("-")[0], str(tmp_path) if kind.endswith("persistent") else None
+    )
+    rng = random.Random(seed)
+    table, pid = backend.membership, 1
+    keys = [
+        key
+        for key in (b"k%d" % i for i in range(400))
+        if table.partition_of_key(key, backend.config.hash_name) == pid
+    ][:10]
+    model: dict[bytes, bytes] = {}
+
+    def store_of(iid):
+        return dict(backend.cores[iid].partition(pid).store.items())
+
+    def check(receivers):
+        for inst in receivers:
+            assert store_of(inst.instance_id) == model
+            for key in keys:
+                answer = backend.cores[inst.instance_id].handle(
+                    Request(op=OpCode.LOOKUP, key=key, partition=pid, replica_index=1)
+                ).response
+                want = Status.OK if key in model else Status.KEY_NOT_FOUND
+                assert answer.status == want, key
+
+    try:
+        for _step in range(60):
+            owner = table.owner_of_partition(pid)
+            others = [i for i in table.instances.values() if i is not owner]
+            roll = rng.random()
+            if roll < 0.75:
+                key, value = rng.choice(keys), b"v%d" % rng.randrange(1000)
+                op = rng.choice([OpCode.INSERT, OpCode.REMOVE, OpCode.APPEND])
+                status = (
+                    backend.cores[owner.instance_id]
+                    .handle(Request(op=op, key=key, value=value, partition=pid))
+                    .response.status
+                )
+                if op == OpCode.REMOVE:
+                    assert status == (
+                        Status.OK if key in model else Status.KEY_NOT_FOUND
+                    )
+                    model.pop(key, None)
+                else:
+                    assert status == Status.OK
+                    model[key] = (
+                        model.get(key, b"") + value if op == OpCode.APPEND else value
+                    )
+            elif roll < 0.9:
+                receivers = rng.sample(others, rng.randint(1, 2))
+                moved = backend.run(
+                    backend.manager.transfer_partition(pid, owner, receivers)
+                )
+                assert moved == len(model)
+                check(receivers)
+            else:
+                dst = rng.choice(others)
+                report = backend.run(
+                    backend.manager.migrate_partition(pid, dst.instance_id)
+                )
+                assert report.committed and report.pairs_moved == len(model)
+                assert table.owner_of_partition(pid).instance_id == dst.instance_id
+                check([dst])
+                assert store_of(owner.instance_id) == {}
+    finally:
+        backend.close()

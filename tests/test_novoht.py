@@ -248,10 +248,6 @@ class TestValidation:
             NoVoHT(None, gc_dead_ratio=2.0)
         with pytest.raises(ValueError):
             NoVoHT(None, max_memory_pairs=-5)
-        with pytest.raises(ValueError):
-            NoVoHT(None, initial_capacity=0)
-        with pytest.raises(ValueError):
-            NoVoHT(None, resize_factor=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the sans-I/O server core (repro.core.server)."""
 
+import os
 import random
 import threading
 
@@ -17,6 +18,8 @@ from repro.core.membership import (
 from repro.core.partition import Partition
 from repro.core.protocol import OpCode, Request, Response
 from repro.core.server import ZHTServerCore
+from repro.novoht import NoVoHT, encode_image
+from repro.novoht.checkpoint import IMAGE_HEADER_LEN
 
 
 def deploy(num_nodes=3, num_partitions=32, **cfg_kwargs):
@@ -249,8 +252,29 @@ class TestMigrationMessages:
         server.handle(Request(op=OpCode.INSERT, key=b"k", value=b"v"))
         r = server.handle(Request(op=OpCode.MIGRATE_BEGIN, partition=pid))
         assert r.response.status == Status.OK
-        assert b"6b" in r.response.value  # hex of b"k"
+        assert r.response.value == encode_image([(b"k", b"v")])
+        assert server.stats.migration_bytes_out == len(r.response.value)
         assert server.partition(pid).is_migrating
+
+    def test_begin_reply_is_a_checkpoint_file(self, tmp_path):
+        """One format: the MIGRATE_BEGIN reply of a persistent partition,
+        written as ``novoht.ckpt`` into an empty directory, opens as the
+        source's exact content."""
+        table, servers, cfg = deploy(persistence_dir=str(tmp_path / "live"))
+        server, pid = owner_server(table, servers, b"k0", cfg)
+        store = server.partition(pid).store
+        for i in range(40):
+            store.put(b"k%d" % i, bytes([i]) * i)
+        store.remove(b"k7")
+        store.append(b"k8", b"+tail")
+        reply = server.handle(Request(op=OpCode.MIGRATE_BEGIN, partition=pid))
+        os.makedirs(tmp_path / "copy")
+        with open(tmp_path / "copy" / "novoht.ckpt", "wb") as f:
+            f.write(reply.response.value)
+        with NoVoHT(str(tmp_path / "copy")) as copy:
+            assert dict(copy.items()) == dict(store.items())
+            assert len(copy) == 39
+        server.close()
 
     def test_requests_queue_during_migration(self):
         table, servers, cfg = deploy()
@@ -307,7 +331,9 @@ class TestMigrationMessages:
             Request(op=OpCode.MIGRATE_DATA, partition=pid, value=export)
         )
         assert r.response.status == Status.OK
+        assert r.response.value == b"1"
         assert dst.partition(pid).store.get(b"k") == b"v"
+        assert dst.stats.migration_bytes_in == len(export)
 
     def test_migrate_data_bad_payload(self):
         table, servers, cfg = deploy()
@@ -316,6 +342,20 @@ class TestMigrationMessages:
             Request(op=OpCode.MIGRATE_DATA, partition=0, value=b"garbage{")
         )
         assert r.response.status == Status.MIGRATING
+        # A header that is valid in itself but counts a record that is
+        # not there is refused the same way, and nothing is installed.
+        server.partition(0).store.put(b"mine", b"before")
+        one, two = [(b"a", b"1")], [(b"a", b"1"), (b"b", b"2")]
+        inflated = (
+            encode_image(two)[:IMAGE_HEADER_LEN] + encode_image(one)[IMAGE_HEADER_LEN:]
+        )
+        r = server.handle(
+            Request(op=OpCode.MIGRATE_DATA, partition=0, value=inflated)
+        )
+        assert r.response.status == Status.MIGRATING
+        assert dict(server.partition(0).store.items()) == {b"mine": b"before"}
+        assert server.stats.migrations_in == 0
+        assert server.stats.migration_bytes_in == 0
 
 
 class TestMembershipUpdate:

@@ -123,28 +123,6 @@ class TestWriteAheadLog:
         with pytest.raises(StoreError):
             wal.append(OP_PUT, b"k", b"v")
 
-    def test_truncate_discards_records(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path / "t.wal"))
-        wal.open()
-        wal.append(OP_PUT, b"k", b"v")
-        wal.truncate()
-        assert wal.record_count == 0
-        wal.close()
-        assert list(WriteAheadLog(str(tmp_path / "t.wal")).replay()) == []
-
-    def test_rewrite_compacts_to_live_set(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path / "gc.wal"))
-        wal.open()
-        for i in range(10):
-            wal.append(OP_PUT, b"key", f"v{i}".encode())
-        size_before = wal.size_bytes()
-        wal.rewrite(iter([(b"key", b"v9")]))
-        assert wal.record_count == 1
-        assert wal.size_bytes() < size_before
-        records = list(WriteAheadLog(wal.path).replay())
-        assert records == [(OP_PUT, b"key", b"v9")]
-        wal.close()
-
     def test_replay_missing_file_is_empty(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "absent.wal"))
         assert list(wal.replay()) == []

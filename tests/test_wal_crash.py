@@ -25,7 +25,8 @@ from repro.faults import (
     faulty_wal_opener,
     tear_tail,
 )
-from repro.novoht import NoVoHT
+import repro.novoht.checkpoint as checkpoint_mod
+from repro.novoht import NoVoHT, encode_image
 from repro.novoht.wal import WAL_HEADER_LEN
 
 
@@ -269,3 +270,100 @@ class TestDamageHelpers:
         p.write_bytes(b"abc")
         corrupt_byte(str(p), 1)
         assert p.read_bytes() == bytes([ord("a"), ord("b") ^ 0xFF, ord("c")])
+
+
+class _Crash(BaseException):
+    """The process dies here: no handler runs, the disk stays as it is."""
+
+
+class TestInstallIsAtomic:
+    """``NoVoHT.install`` replaces the table through one commit point —
+    the rename of the image onto ``novoht.ckpt``.  Stop it at every step
+    around that point: a reopened store is exactly the old table or
+    exactly the image, never a mix, and is writable either way."""
+
+    OLD = {b"old-only": b"1", b"both": b"old", b"appended": b"ab"}
+    IMAGE = {b"both": b"new" * 30_000, b"image-only": b"2"}  # > one write
+
+    def _old_store(self, path):
+        store = _store(path)
+        store.put(b"old-only", b"1")
+        store.put(b"gone", b"x")
+        store.put(b"appended", b"a")
+        store.checkpoint()  # an older checkpoint ...
+        store.put(b"both", b"old")  # ... plus a WAL suffix on top of it
+        store.append(b"appended", b"b")
+        store.remove(b"gone")
+        assert dict(store.items()) == self.OLD
+        return store
+
+    # (function to stop at, which call of it, stop before or after it ran)
+    POINTS = [
+        ("write", 2, "before"),  # novoht.ckpt.tmp holds half an image
+        ("fsync", 1, "before"),
+        ("fsync", 1, "after"),
+        ("replace", 1, "before"),
+        ("replace", 1, "after"),  # committed; drop_covered not started
+        ("fsync", 2, "before"),  # inside drop_covered: novoht.wal.gc written
+        ("replace", 2, "before"),
+        ("replace", 2, "after"),
+    ]
+
+    # A crash can land anywhere; an error is reported by a call that did
+    # not do its work, so only the "before" points can be an OSError.
+    STOPS = [(point, _Crash) for point in POINTS] + [
+        (point, OSError) for point in POINTS if point[2] == "before"
+    ]
+
+    @pytest.mark.parametrize(
+        "point,error",
+        STOPS,
+        ids=["-".join(map(str, point)) + "-" + error.__name__ for point, error in STOPS],
+    )
+    def test_stop_at_every_step(self, tmp_path, monkeypatch, point, error):
+        name, nth, when = point
+        path = str(tmp_path)
+        store = self._old_store(path)
+        calls = {"n": 0}
+
+        def stopping(real):
+            def wrapper(*args, **kwargs):
+                calls["n"] += 1
+                hit = calls["n"] == nth
+                if hit and when == "before":
+                    raise error("injected")
+                result = real(*args, **kwargs)
+                if hit:
+                    raise error("injected")
+                return result
+
+            return wrapper
+
+        if name == "write":
+            monkeypatch.setattr(
+                checkpoint_mod,
+                "encode_record_into",
+                stopping(checkpoint_mod.encode_record_into),
+            )
+        else:
+            monkeypatch.setattr(os, name, stopping(getattr(os, name)))
+        with pytest.raises((error, StoreError)):
+            store.install(encode_image(self.IMAGE.items()))
+        monkeypatch.undo()
+
+        committed = (name, when) == ("replace", "after") or nth == 2 and name != "write"
+        want = self.IMAGE if committed else self.OLD
+        if error is OSError:
+            # The process lives on: what it serves is what the disk holds.
+            assert dict(store.items()) == want
+        with NoVoHT(path) as reopened:  # `store` is abandoned, as after a crash
+            assert dict(reopened.items()) == want
+            reopened.put(b"after", b"crash")
+        with NoVoHT(path) as again:
+            assert dict(again.items()) == {**want, b"after": b"crash"}
+
+    def test_memory_only_store_just_swaps(self):
+        store = NoVoHT(None)
+        store.put(b"old", b"1")
+        assert store.install(encode_image(self.IMAGE.items())) == len(self.IMAGE)
+        assert dict(store.items()) == self.IMAGE
