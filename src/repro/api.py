@@ -340,7 +340,7 @@ class ZHT:
         finally:
             # Batched mutations drop every touched key's cached value,
             # acked or not (a partially-applied batch is still a mutation).
-            if op != OpCode.LOOKUP:
+            if op != OpCode.LOOKUP and self._hot_cache is not None:
                 for entry in entries:
                     self._cache_invalidate(entry.key)
 
@@ -361,12 +361,12 @@ class ZHT:
         finally:
             t_return = recorder.now()
             for entry in entries:
-                if entry.response is None:
+                if entry.status is None:
                     status, result = STATUS_FAIL, b""
-                elif entry.response.status == Status.OK:
+                elif entry.status == Status.OK:
                     status = STATUS_OK
-                    result = entry.response.value if op == OpCode.LOOKUP else b""
-                elif entry.response.status == Status.KEY_NOT_FOUND:
+                    result = entry.result if op == OpCode.LOOKUP else b""
+                elif entry.status == Status.KEY_NOT_FOUND:
                     status, result = STATUS_NOTFOUND, b""
                 else:
                     status, result = STATUS_FAIL, b""
@@ -395,7 +395,7 @@ class ZHT:
         for entry in self._run_batch(OpCode.INSERT, entries):
             if entry.error is not None:
                 raise entry.error
-            raise_for_status(entry.response.status, "INSERT")
+            raise_for_status(entry.status, "INSERT")
 
     def append_many(self, items) -> None:
         """Append many fragments with one BATCH round trip per owning
@@ -407,7 +407,7 @@ class ZHT:
         for entry in self._run_batch(OpCode.APPEND, entries):
             if entry.error is not None:
                 raise entry.error
-            raise_for_status(entry.response.status, "APPEND")
+            raise_for_status(entry.status, "APPEND")
 
     def lookup_many(self, keys) -> dict:
         """Fetch many keys at once; returns ``{key: value | None}``.
@@ -422,11 +422,11 @@ class ZHT:
         for key, entry in zip(keys, entries):
             if entry.error is not None:
                 raise entry.error
-            if entry.response.status == Status.KEY_NOT_FOUND:
+            if entry.status == Status.KEY_NOT_FOUND:
                 result[key] = None
             else:
-                raise_for_status(entry.response.status, "LOOKUP")
-                result[key] = entry.response.value
+                raise_for_status(entry.status, "LOOKUP")
+                result[key] = entry.result
         return result
 
     def remove_many(self, keys) -> dict:
@@ -438,10 +438,10 @@ class ZHT:
         for key, entry in zip(keys, entries):
             if entry.error is not None:
                 raise entry.error
-            if entry.response.status == Status.KEY_NOT_FOUND:
+            if entry.status == Status.KEY_NOT_FOUND:
                 result[key] = False
             else:
-                raise_for_status(entry.response.status, "REMOVE")
+                raise_for_status(entry.status, "REMOVE")
                 result[key] = True
         return result
 

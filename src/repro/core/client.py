@@ -39,7 +39,7 @@ import itertools
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..obs import REGISTRY
@@ -55,14 +55,15 @@ from .errors import (
     ZHTError,
     raise_for_status,
 )
+from .hashing import partition_of
 from .membership import Address, InstanceInfo, MembershipTable
 from .protocol import (
     BATCH_REQUEST_OVERHEAD,
     OpCode,
     Request,
     Response,
-    encode_batch_requests,
-    framed_size,
+    framed_request_size,
+    pack_request,
 )
 
 
@@ -91,17 +92,19 @@ class BatchEntry:
 
     Per-key semantics: a missing key fails only its own entry, a redirect
     re-plans only its own entry, and the final per-key outcome lands in
-    ``response`` (or ``error`` after the retry budget is exhausted).
+    ``status`` + ``result`` — the two fields of the sub-response a caller
+    reads — or in ``error`` after the retry budget is exhausted.
     """
 
     key: bytes
     value: bytes = b""
-    response: Response | None = None
+    status: Status | None = None
+    result: bytes = b""
     error: ZHTError | None = None
 
     @property
     def settled(self) -> bool:
-        return self.response is not None or self.error is not None
+        return self.status is not None or self.error is not None
 
 
 @dataclass
@@ -114,17 +117,28 @@ class BatchAttempt:
     address: Address
     node_id: str
     instance_id: str
+    #: The sub-requests' op and (plan-time) membership epoch.
+    op: OpCode
+    epoch: int
     entries: list[BatchEntry]
-    requests: list[Request]
+    #: ``(key, value, request_id, replica_index)`` per entry: the fields a
+    #: sub-request has of its own, packed when the attempt is sent.
+    subs: list[tuple[bytes, bytes, int, int]]
 
     def to_request(
         self, core: "ZHTClientCore", deadline_us: int = 0
     ) -> Request:
+        payload = bytearray()
+        op, epoch = self.op, self.epoch
+        for key, value, request_id, replica_index in self.subs:
+            pack_request(
+                payload, True, op, key, value, request_id, epoch, 0, replica_index
+            )
         return Request(
             op=OpCode.BATCH,
             request_id=core.allocate_request_id(),
             epoch=core.membership.epoch,
-            payload=encode_batch_requests(self.requests),
+            payload=bytes(payload),
             deadline_us=deadline_us,
         )
 
@@ -363,11 +377,14 @@ class ZHTClientCore:
         """
         self.maybe_reprobe()
         membership = self.membership
+        epoch, num_partitions = membership.epoch, membership.num_partitions
         hash_name, num_replicas = self.config.hash_name, self.config.num_replicas
+        next_id = self._request_ids.__next__
         groups: dict[str, BatchAttempt] = {}
         unroutable: list[BatchEntry] = []
         for entry in entries:
-            pid = membership.partition_of_key(entry.key, hash_name)
+            key = entry.key
+            pid = partition_of(key, num_partitions, hash_name)
             chain, replica_index = membership.route(pid, num_replicas)
             if replica_index < 0:
                 unroutable.append(entry)
@@ -375,21 +392,11 @@ class ZHTClientCore:
             target = chain[replica_index]
             attempt = groups.get(target.instance_id)
             if attempt is None:
-                attempt = BatchAttempt(
-                    target.address, target.node_id, target.instance_id, [], []
+                attempt = groups[target.instance_id] = BatchAttempt(
+                    target.address, target.node_id, target.instance_id, op, epoch, [], []
                 )
-                groups[target.instance_id] = attempt
             attempt.entries.append(entry)
-            attempt.requests.append(
-                Request(
-                    op=op,
-                    key=entry.key,
-                    value=entry.value,
-                    request_id=self.allocate_request_id(),
-                    epoch=membership.epoch,
-                    replica_index=replica_index,
-                )
-            )
+            attempt.subs.append((key, entry.value, next_id(), replica_index))
         if max_bytes is None and max_entries is None:
             return list(groups.values()), unroutable
         # Chunk each owner group under the transport's size/count limits.
@@ -398,24 +405,20 @@ class ZHTClientCore:
         )
         attempts: list[BatchAttempt] = []
         for group in groups.values():
-            chunk = BatchAttempt(
-                group.address, group.node_id, group.instance_id, [], []
-            )
+            chunk = replace(group, entries=[], subs=[])
             size = 0
-            for entry, request in zip(group.entries, group.requests):
-                wire = framed_size(request)
+            for entry, sub in zip(group.entries, group.subs):
+                wire = framed_request_size(sub[0], sub[1])
                 full_count = max_entries and len(chunk.entries) >= max_entries
                 full_bytes = (
                     budget is not None and chunk.entries and size + wire > budget
                 )
                 if full_count or full_bytes:
                     attempts.append(chunk)
-                    chunk = BatchAttempt(
-                        group.address, group.node_id, group.instance_id, [], []
-                    )
+                    chunk = replace(group, entries=[], subs=[])
                     size = 0
                 chunk.entries.append(entry)
-                chunk.requests.append(request)
+                chunk.subs.append(sub)
                 size += wire
             if chunk.entries:
                 attempts.append(chunk)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 from ..novoht.wal import decode_varint, encode_varint
 from .errors import ProtocolError, Status
@@ -53,8 +53,6 @@ _RESP_HEADER = struct.Struct("<BBBBQIIII")
 #: Bytes a BATCH request adds around its payload — what the client's
 #: planner subtracts from a transport's datagram limit.
 BATCH_REQUEST_OVERHEAD = _REQ_HEADER.size
-
-_M = TypeVar("_M")
 
 
 class OpCode(enum.IntEnum):
@@ -121,6 +119,11 @@ NON_MUTATING_OPS = frozenset(
     }
 )
 
+#: Wire byte -> member: what "known opcode" / "known status" means to the
+#: parsers (a dict probe; the enum constructor costs ten times as much).
+_OPCODES = {int(op): op for op in OpCode}
+_STATUSES = {int(status): status for status in Status}
+
 
 @dataclass
 class Request:
@@ -151,26 +154,13 @@ class Request:
     def encoded_size(self) -> int:
         return _REQ_HEADER.size + len(self.key) + len(self.value) + len(self.payload)
 
-    def _encode_into(self, out: bytearray) -> None:
+    def _encode_into(self, out: bytearray, framed: bool = False) -> None:
         """Append the encoding of this request to *out*."""
-        out += _REQ_HEADER.pack(
-            FIXED_MAGIC,
-            _KIND_REQUEST,
-            int(self.op),
-            0,
-            self.request_id,
-            self.epoch,
-            self.partition,
-            self.replica_index,
-            self.inner_op,
-            self.deadline_us,
-            len(self.key),
-            len(self.value),
-            len(self.payload),
+        pack_request(
+            out, framed, self.op, self.key, self.value, self.request_id,
+            self.epoch, self.partition, self.replica_index, self.inner_op,
+            self.payload, self.deadline_us,
         )
-        out += self.key
-        out += self.value
-        out += self.payload
 
     def encode(self) -> bytes:
         out = bytearray()
@@ -179,7 +169,7 @@ class Request:
 
     @classmethod
     def decode(cls, data: bytes) -> "Request":
-        return decode_request_span(data, 0, len(data))
+        return cls(*parse_request(data, 0, len(data)))
 
 
 @dataclass
@@ -205,22 +195,12 @@ class Response:
     def encoded_size(self) -> int:
         return _RESP_HEADER.size + len(self.value) + len(self.redirect) + len(self.membership)
 
-    def _encode_into(self, out: bytearray) -> None:
+    def _encode_into(self, out: bytearray, framed: bool = False) -> None:
         """Append the encoding of this response to *out*."""
-        out += _RESP_HEADER.pack(
-            FIXED_MAGIC,
-            _KIND_RESPONSE,
-            int(self.status),
-            self.op,
-            self.request_id,
-            self.epoch,
-            len(self.value),
-            len(self.redirect),
-            len(self.membership),
+        pack_response(
+            out, framed, self.status, self.value, self.request_id, self.epoch,
+            self.redirect, self.membership, self.op,
         )
-        out += self.value
-        out += self.redirect
-        out += self.membership
 
     def encode(self) -> bytes:
         out = bytearray()
@@ -229,106 +209,120 @@ class Response:
 
     @classmethod
     def decode(cls, data: bytes) -> "Response":
-        return decode_response_span(data, 0, len(data))
+        return cls(*parse_response(data, 0, len(data)))
 
 
 # ---------------------------------------------------------------------------
-# Zero-copy span decode / single-allocation framed encode
+# Field-level codec: one parser and one packer per message kind
 # ---------------------------------------------------------------------------
 #
-# Servers parse requests straight out of the connection's accumulating
-# receive buffer (``decode_request_span(buf, start, end)`` — no
-# intermediate per-message ``bytes`` copy), and encode length-prefixed
-# replies into one buffer (``encode_framed_request`` /
-# ``encode_framed_response``) instead of body-then-prefix concatenation.
-# Field payloads (key/value/...) are still materialised as ``bytes`` —
-# the receive buffer is compacted after dispatch, so no view into it may
-# outlive the call.
+# A message on the wire is its fields; the dataclasses above are one way
+# to hold them.  ``parse_*`` checks a header and returns the fields as a
+# tuple in the dataclass's field order (so ``Request(*fields)`` is the
+# object form), ``pack_*`` appends a message built from fields.  The
+# object API below and the BATCH hot path (which never builds a per-key
+# object) both end here.  Servers parse straight out of a connection's
+# accumulating receive buffer — no per-message ``bytes`` copy of the span
+# — but field payloads are materialised as ``bytes``: the buffer is
+# compacted after dispatch, so no view into it may outlive the call.
+
+
+def parse_request(buf: bytes | bytearray | memoryview, start: int, end: int) -> tuple:
+    """Check the request in ``buf[start:end]``; return ``(op, key, value,
+    request_id, epoch, partition, replica_index, inner_op, payload,
+    deadline_us)``."""
+    if end - start < _REQ_HEADER.size:
+        raise ProtocolError("request header truncated")
+    (
+        magic, kind, op_raw, _flags, request_id, epoch, partition,
+        replica_index, inner_op, deadline_us, klen, vlen, plen,
+    ) = _REQ_HEADER.unpack_from(buf, start)
+    if magic != FIXED_MAGIC or kind != _KIND_REQUEST:
+        raise ProtocolError(f"not a request (magic 0x{magic:02x}, kind {kind})")
+    ko = start + _REQ_HEADER.size
+    vo = ko + klen
+    po = vo + vlen
+    if po + plen != end:
+        raise ProtocolError("request field lengths overrun frame")
+    op = _OPCODES.get(op_raw)
+    if op is None:
+        raise ProtocolError(f"unknown opcode {op_raw}")
+    return (
+        op, bytes(buf[ko:vo]), bytes(buf[vo:po]), request_id, epoch,
+        partition, replica_index, inner_op, bytes(buf[po:end]), deadline_us,
+    )
+
+
+def pack_request(
+    out: bytearray, framed: bool, op: int, key: bytes = b"", value: bytes = b"",
+    request_id: int = 0, epoch: int = 0, partition: int = 0, replica_index: int = 0,
+    inner_op: int = 0, payload: bytes = b"", deadline_us: int = 0,
+) -> None:
+    """Append one request to *out*, length-prefixed when *framed*."""
+    klen, vlen, plen = len(key), len(value), len(payload)
+    if framed:
+        out += encode_varint(_REQ_HEADER.size + klen + vlen + plen)
+    out += _REQ_HEADER.pack(
+        FIXED_MAGIC, _KIND_REQUEST, op, 0, request_id, epoch, partition,
+        replica_index, inner_op, deadline_us, klen, vlen, plen,
+    )
+    out += key
+    out += value
+    out += payload
+
+
+def parse_response(buf: bytes | bytearray | memoryview, start: int, end: int) -> tuple:
+    """Check the response in ``buf[start:end]``; return ``(status, value,
+    request_id, epoch, redirect, membership, op)``."""
+    if end - start < _RESP_HEADER.size:
+        raise ProtocolError("response header truncated")
+    magic, kind, status_raw, op, request_id, epoch, vlen, rlen, mlen = (
+        _RESP_HEADER.unpack_from(buf, start)
+    )
+    if magic != FIXED_MAGIC or kind != _KIND_RESPONSE:
+        raise ProtocolError(f"not a response (magic 0x{magic:02x}, kind {kind})")
+    vo = start + _RESP_HEADER.size
+    ro = vo + vlen
+    mo = ro + rlen
+    if mo + mlen != end:
+        raise ProtocolError("response field lengths overrun frame")
+    status = _STATUSES.get(status_raw)
+    if status is None:
+        raise ProtocolError(f"unknown status {status_raw}")
+    return (
+        status, bytes(buf[vo:ro]), request_id, epoch, bytes(buf[ro:mo]),
+        bytes(buf[mo:end]), op,
+    )
+
+
+def pack_response(
+    out: bytearray, framed: bool, status: int, value: bytes = b"", request_id: int = 0,
+    epoch: int = 0, redirect: bytes = b"", membership: bytes = b"", op: int = 0,
+) -> None:
+    """Append one response to *out*, length-prefixed when *framed*."""
+    vlen, rlen, mlen = len(value), len(redirect), len(membership)
+    if framed:
+        out += encode_varint(_RESP_HEADER.size + vlen + rlen + mlen)
+    out += _RESP_HEADER.pack(
+        FIXED_MAGIC, _KIND_RESPONSE, status, op, request_id, epoch, vlen, rlen, mlen
+    )
+    out += value
+    out += redirect
+    out += membership
 
 
 def decode_request_span(
     buf: bytes | bytearray | memoryview, start: int, end: int
 ) -> Request:
     """Decode one request from ``buf[start:end]`` without copying the span."""
-    if end - start < _REQ_HEADER.size:
-        raise ProtocolError("request header truncated")
-    (
-        magic,
-        kind,
-        op_raw,
-        _flags,
-        request_id,
-        epoch,
-        partition,
-        replica_index,
-        inner_op,
-        deadline_us,
-        klen,
-        vlen,
-        plen,
-    ) = _REQ_HEADER.unpack_from(buf, start)
-    if magic != FIXED_MAGIC or kind != _KIND_REQUEST:
-        raise ProtocolError(f"not a request (magic 0x{magic:02x}, kind {kind})")
-    body = start + _REQ_HEADER.size
-    if body + klen + vlen + plen != end:
-        raise ProtocolError("request field lengths overrun frame")
-    try:
-        op = OpCode(op_raw)
-    except ValueError:
-        raise ProtocolError(f"unknown opcode {op_raw}") from None
-    ko, vo = body, body + klen
-    po = vo + vlen
-    return Request(
-        op=op,
-        key=bytes(buf[ko : ko + klen]),
-        value=bytes(buf[vo : vo + vlen]),
-        request_id=request_id,
-        epoch=epoch,
-        partition=partition,
-        replica_index=replica_index,
-        inner_op=inner_op,
-        payload=bytes(buf[po : po + plen]),
-        deadline_us=deadline_us,
-    )
+    return Request(*parse_request(buf, start, end))
 
 
 def decode_response_span(
     buf: bytes | bytearray | memoryview, start: int, end: int
 ) -> Response:
     """Decode one response from ``buf[start:end]`` without copying the span."""
-    if end - start < _RESP_HEADER.size:
-        raise ProtocolError("response header truncated")
-    (
-        magic,
-        kind,
-        status_raw,
-        op,
-        request_id,
-        epoch,
-        vlen,
-        rlen,
-        mlen,
-    ) = _RESP_HEADER.unpack_from(buf, start)
-    if magic != FIXED_MAGIC or kind != _KIND_RESPONSE:
-        raise ProtocolError(f"not a response (magic 0x{magic:02x}, kind {kind})")
-    body = start + _RESP_HEADER.size
-    if body + vlen + rlen + mlen != end:
-        raise ProtocolError("response field lengths overrun frame")
-    try:
-        status = Status(status_raw)
-    except ValueError:
-        raise ProtocolError(f"unknown status {status_raw}") from None
-    vo, ro = body, body + vlen
-    mo = ro + rlen
-    return Response(
-        status=status,
-        value=bytes(buf[vo : vo + vlen]),
-        request_id=request_id,
-        epoch=epoch,
-        redirect=bytes(buf[ro : ro + rlen]),
-        membership=bytes(buf[mo : mo + mlen]),
-        op=op,
-    )
+    return Response(*parse_response(buf, start, end))
 
 
 def encode_framed_request(request: Request, codec: str = "fixed") -> bytearray:
@@ -336,8 +330,8 @@ def encode_framed_request(request: Request, codec: str = "fixed") -> bytearray:
     # codec: frozen benchmarks/ledger/ passes a literal "fixed"; leaves with the next benchmark PR.
     if codec != "fixed":
         raise ValueError(f"unknown wire codec {codec!r}")
-    out = bytearray(encode_varint(request.encoded_size()))
-    request._encode_into(out)
+    out = bytearray()
+    request._encode_into(out, True)
     return out
 
 
@@ -346,8 +340,8 @@ def encode_framed_response(response: Response, codec: str = "fixed") -> bytearra
     # codec: as for encode_framed_request; leaves with the next benchmark PR.
     if codec != "fixed":
         raise ValueError(f"unknown wire codec {codec!r}")
-    out = bytearray(encode_varint(response.encoded_size()))
-    response._encode_into(out)
+    out = bytearray()
+    response._encode_into(out, True)
     return out
 
 
@@ -356,10 +350,10 @@ def frame(message: bytes) -> bytes:
     return encode_varint(len(message)) + message
 
 
-def framed_size(message: "Request | Response") -> int:
-    """Bytes *message* occupies once framed (on a stream or in a BATCH
-    payload), computed without encoding it."""
-    body = message.encoded_size()
+def framed_request_size(key: bytes, value: bytes) -> int:
+    """Bytes a client sub-request for *key* / *value* occupies in a BATCH
+    payload, computed without encoding it."""
+    body = _REQ_HEADER.size + len(key) + len(value)
     return len(encode_varint(body)) + body
 
 
@@ -402,25 +396,37 @@ def deframe_span(
 # ---------------------------------------------------------------------------
 
 
-def _encode_batch(messages: "list[Request] | list[Response]") -> bytes:
+def pack_batch(pack: Callable[..., None], subs: "list[tuple]") -> bytes:
+    """A BATCH payload from field tuples: ``pack(out, True, *fields)`` for
+    each (*pack* is :func:`pack_request` or :func:`pack_response`)."""
     out = bytearray()
-    for message in messages:
-        out += encode_varint(message.encoded_size())
-        message._encode_into(out)
+    for fields in subs:
+        pack(out, True, *fields)
     return bytes(out)
 
 
-def _decode_batch(
-    payload: bytes, decode_span: Callable[[bytes, int, int], _M]
-) -> list[_M]:
-    messages: list[_M] = []
-    offset = 0
-    while offset < len(payload):
-        start, end, offset = deframe_span(payload, offset)
-        if start < 0:
+def parse_batch(parse: Callable[[bytes, int, int], tuple], payload: bytes) -> list[tuple]:
+    """The field tuples of a BATCH payload's sub-messages, in order
+    (*parse* is :func:`parse_request` or :func:`parse_response`)."""
+    subs: list[tuple] = []
+    offset, size = 0, len(payload)
+    while offset < size:
+        try:
+            length, start = decode_varint(payload, offset)
+        except ValueError:
+            raise ProtocolError("truncated length inside batch payload") from None
+        offset = start + length
+        if offset > size:
             raise ProtocolError("truncated frame inside batch payload")
-        messages.append(decode_span(payload, start, end))
-    return messages
+        subs.append(parse(payload, start, offset))
+    return subs
+
+
+def _encode_batch(messages: "list[Request] | list[Response]") -> bytes:
+    out = bytearray()
+    for message in messages:
+        message._encode_into(out, True)
+    return bytes(out)
 
 
 def encode_batch_requests(requests: list[Request], codec: str = "fixed") -> bytes:
@@ -432,7 +438,7 @@ def encode_batch_requests(requests: list[Request], codec: str = "fixed") -> byte
 
 
 def decode_batch_requests(payload: bytes) -> list[Request]:
-    return _decode_batch(payload, decode_request_span)
+    return [Request(*fields) for fields in parse_batch(parse_request, payload)]
 
 
 def encode_batch_responses(responses: list[Response]) -> bytes:
@@ -442,4 +448,4 @@ def encode_batch_responses(responses: list[Response]) -> bytes:
 
 
 def decode_batch_responses(payload: bytes) -> list[Response]:
-    return _decode_batch(payload, decode_response_span)
+    return [Response(*fields) for fields in parse_batch(parse_response, payload)]

@@ -32,6 +32,7 @@ from ..novoht import NoVoHT
 from ..obs import REGISTRY, PartitionLoadTracker, metrics_snapshot
 from .config import ReplicationMode, ZHTConfig
 from .errors import KeyNotFound, Status, ZHTError
+from .hashing import partition_of
 from .membership import Address, InstanceInfo, MembershipTable
 from .partition import Partition, QueuedRequest
 from .protocol import (
@@ -39,9 +40,17 @@ from .protocol import (
     OpCode,
     Request,
     Response,
-    decode_batch_requests,
-    encode_batch_requests,
-    encode_batch_responses,
+    pack_batch,
+    pack_request,
+    pack_response,
+    parse_batch,
+    parse_request,
+)
+
+#: Sub-answers ``(status, value, redirect)`` that are a status and nothing else.
+_OK, _KEY_NOT_FOUND, _MIGRATING, _BAD_REQUEST = (
+    (status, b"", b"")
+    for status in (Status.OK, Status.KEY_NOT_FOUND, Status.MIGRATING, Status.BAD_REQUEST)
 )
 
 
@@ -431,14 +440,12 @@ class ZHTServerCore:
         # replica; skip the ownership redirect and serve from replica data.
         if request.replica_index == 0 and not self.owns(pid):
             self.stats.inc("redirects")
-            try:
-                owner = self.membership.owner_of_partition(pid)
-                redirect = str(owner.address).encode()
-            except ZHTError:
-                redirect = b""
             return HandleResult(
                 self._respond(
-                    request, Status.REDIRECT, redirect=redirect, membership=True
+                    request,
+                    Status.REDIRECT,
+                    redirect=self._redirect_to(pid),
+                    membership=True,
                 )
             )
 
@@ -481,11 +488,18 @@ class ZHTServerCore:
             self._plan_replication(request, pid, result)
         return result
 
+    def _redirect_to(self, pid: int) -> bytes:
+        """The REDIRECT field for *pid*: its owner's address, if any."""
+        try:
+            return str(self.membership.owner_of_partition(pid).address).encode()
+        except ZHTError:
+            return b""
+
     def _apply_to_store(self, request: Request, store: NoVoHT) -> Response:
         op = request.op
         try:
             if op == OpCode.INSERT:
-                self._check_limits(request)
+                self._check_limits(request.key, request.value)
                 store.put(request.key, request.value)
                 self.stats.inc("inserts")
                 return self._respond(request, Status.OK)
@@ -498,7 +512,7 @@ class ZHTServerCore:
                 self.stats.inc("removes")
                 return self._respond(request, Status.OK)
             if op == OpCode.APPEND:
-                self._check_limits(request)
+                self._check_limits(request.key, request.value)
                 store.append(request.key, request.value)
                 self.stats.inc("appends")
                 return self._respond(request, Status.OK)
@@ -546,168 +560,137 @@ class ZHTServerCore:
         with REGISTRY.span("server.handle_batch"):
             return self._handle_batch_inner(request)
 
-    def _sub_respond(
-        self,
-        sub: Request,
-        status: Status,
-        *,
-        value: bytes = b"",
-        redirect: bytes = b"",
-    ) -> Response:
-        # Membership is piggybacked once, on the outer response.
-        return Response(
-            status=status,
-            value=value,
-            request_id=sub.request_id,
-            epoch=self.membership.epoch,
-            redirect=redirect,
-            op=int(sub.op),
-        )
-
     def _handle_batch_inner(self, request: Request) -> HandleResult:
         try:
-            subs = decode_batch_requests(request.payload)
+            subs = parse_batch(parse_request, request.payload)
         except ZHTError:
             return HandleResult(self._respond(request, Status.BAD_REQUEST))
-        self.stats.inc("batches")
-        self.stats.inc("batch_sub_ops", len(subs))
-        sub_responses: list[Response | None] = [None] * len(subs)
+        cfg, membership = self.config, self.membership
+        num_partitions, hash_name = membership.num_partitions, cfg.hash_name
+        replicated = cfg.num_replicas > 0
+        kinds = self._BATCH_KINDS
+        # self.owns(pid), without the call per group
+        my_id, owners = self.info.instance_id, membership.partition_owner
+        #: Counter bumps, made once per batch: a bump is a lock.
+        counts = {"batches": 1, "batch_sub_ops": len(subs)}
+        #: ``(status, value, redirect)`` per sub; a sub no branch below
+        #: answers has an op a batch cannot carry.
+        answers: list[tuple[Status, bytes, bytes]] = [_BAD_REQUEST] * len(subs)
         need_membership = False
         result = HandleResult(None)
-        sync_groups: dict[Address, list[Request]] = {}
-        async_groups: dict[Address, list[Request]] = {}
+        sync_groups: dict[Address, list[tuple]] = {}
+        async_groups: dict[Address, list[tuple]] = {}
 
         # Route sub-requests to partitions (order preserved within each).
         by_pid: dict[int, list[int]] = {}
         for i, sub in enumerate(subs):
-            if sub.op == OpCode.REPLICA_UPDATE:
-                by_pid.setdefault(sub.partition, []).append(i)
-            elif sub.op in self._BATCH_KINDS:
-                pid = self.membership.partition_of_key(
-                    sub.key, self.config.hash_name
-                )
-                by_pid.setdefault(pid, []).append(i)
+            op = sub[0]
+            if op is OpCode.REPLICA_UPDATE:
+                pid = sub[5]
+            elif op in kinds:
+                pid = partition_of(sub[1], num_partitions, hash_name)
             else:
-                sub_responses[i] = self._sub_respond(sub, Status.BAD_REQUEST)
+                continue
+            group = by_pid.get(pid)
+            if group is None:
+                by_pid[pid] = [i]
+            else:
+                group.append(i)
 
         for pid, idxs in by_pid.items():
-            served: list[int] = []
-            for i in idxs:
-                sub = subs[i]
-                if (
-                    sub.op != OpCode.REPLICA_UPDATE
-                    and sub.replica_index == 0
-                    and not self.owns(pid)
-                ):
-                    self.stats.inc("redirects")
-                    try:
-                        owner = self.membership.owner_of_partition(pid)
-                        redirect = str(owner.address).encode()
-                    except ZHTError:
-                        redirect = b""
-                    sub_responses[i] = self._sub_respond(
-                        sub, Status.REDIRECT, redirect=redirect
-                    )
-                    need_membership = True
-                else:
-                    served.append(i)
-            if not served:
-                continue
-            part = self.partition(pid)
-            self.partition_load.record(pid, len(served))
-
+            owned = owners[pid] == my_id
+            part: Partition | None = None
+            migrating = False
+            moved: tuple[Status, bytes, bytes] | None = None
+            redirected = 0
+            replicating = False
             # Translate servable sub-requests into store batch ops.
             batch_ops: list[tuple[str, bytes, bytes]] = []
             batch_map: list[int] = []
-            for i in served:
-                sub = subs[i]
-                if sub.op == OpCode.REPLICA_UPDATE:
-                    try:
-                        kind = self._BATCH_KINDS[OpCode(sub.inner_op)]
-                    except (ValueError, KeyError):
-                        sub_responses[i] = self._sub_respond(
-                            sub, Status.BAD_REQUEST
-                        )
+            for i in idxs:
+                op, key, value, _, _, _, replica_index, inner_op, _, _ = subs[i]
+                if op is not OpCode.REPLICA_UPDATE and replica_index == 0 and not owned:
+                    if moved is None:
+                        moved = (Status.REDIRECT, b"", self._redirect_to(pid))
+                    answers[i] = moved
+                    redirected += 1
+                    continue
+                if part is None:
+                    part = self.partition(pid)
+                    migrating = part.is_migrating
+                if op is OpCode.REPLICA_UPDATE:
+                    kind = kinds.get(inner_op)
+                    if kind is None:
                         continue
-                    self.stats.inc("replica_updates")
-                    if (
-                        self.config.test_freeze_tail_replicas
-                        and sub.replica_index >= 2
-                    ):
+                    counts["replica_updates"] = counts.get("replica_updates", 0) + 1
+                    if cfg.test_freeze_tail_replicas and replica_index >= 2:
                         # TEST-ONLY broken mode (see _handle_replica_update).
-                        sub_responses[i] = self._sub_respond(sub, Status.OK)
+                        answers[i] = _OK
                         continue
+                elif migrating:
+                    answers[i] = _MIGRATING
+                    continue
                 else:
-                    if part.is_migrating:
-                        sub_responses[i] = self._sub_respond(
-                            sub, Status.MIGRATING
-                        )
-                        continue
-                    kind = self._BATCH_KINDS[sub.op]
-                    if kind in ("put", "append"):
+                    kind = kinds[op]
+                    if kind == "put" or kind == "append":
                         try:
-                            self._check_limits(sub)
+                            self._check_limits(key, value)
                         except ZHTError as exc:
-                            sub_responses[i] = self._sub_respond(
-                                sub, exc.status
-                            )
+                            answers[i] = (exc.status, b"", b"")
                             continue
-                batch_ops.append((kind, sub.key, sub.value))
+                if replicated and op in MUTATING_OPS and (owned or replica_index > 0):
+                    replicating = True
+                batch_ops.append((kind, key, value))
                 batch_map.append(i)
+            if redirected:
+                counts["redirects"] = counts.get("redirects", 0) + redirected
+                need_membership = True
+            if part is None:
+                continue
+            self.partition_load.record(pid, len(idxs) - redirected)
             if not batch_ops:
                 continue
-
-            replicating = self.config.num_replicas > 0 and any(
-                subs[i].op in MUTATING_OPS
-                and (self.owns(pid) or subs[i].replica_index > 0)
-                for i in batch_map
-            )
+            store = part.store
             try:
                 if replicating:
                     # Atomic apply + ticket, as in _handle_client_op; a
                     # batch spanning several partitions trades its ticket
                     # up per group so one (latest) ticket orders it after
                     # every concurrent mutation it raced with.
-                    with part.store.lock:
-                        outcomes = part.store.apply_batch(batch_ops)
+                    with store.lock:
+                        outcomes = store.apply_batch(batch_ops)
                         result.repl_ticket = self.repl_sequencer.reticket(
                             result.repl_ticket
                         )
                         result.repl_sequencer = self.repl_sequencer
                     # Drain maintenance parked while the lock was held.
-                    part.store.run_pending_maintenance()
+                    store.run_pending_maintenance()
                 else:
-                    outcomes = part.store.apply_batch(batch_ops)
+                    outcomes = store.apply_batch(batch_ops)
             except ZHTError as exc:
+                failed = (exc.status, b"", b"")
                 for i in batch_map:
-                    sub_responses[i] = self._sub_respond(subs[i], exc.status)
+                    answers[i] = failed
                 continue
 
-            for (kind, _key, _value), (ok, got), i in zip(
-                batch_ops, outcomes, batch_map
-            ):
+            for (kind, key, value), (ok, got), i in zip(batch_ops, outcomes, batch_map):
                 sub = subs[i]
-                if sub.op == OpCode.REPLICA_UPDATE:
+                if sub[0] is OpCode.REPLICA_UPDATE:
                     # A REMOVE racing ahead of its INSERT on a replica is
                     # not an error at the replication layer (see
                     # _handle_replica_update): fold to OK.
-                    sub_responses[i] = self._sub_respond(sub, Status.OK)
+                    answers[i] = _OK
                     continue
                 if not ok:
-                    sub_responses[i] = self._sub_respond(
-                        sub, Status.KEY_NOT_FOUND
-                    )
+                    answers[i] = _KEY_NOT_FOUND
                     continue
-                self.stats.inc(self._BATCH_STATS[kind])
-                sub_responses[i] = self._sub_respond(
-                    sub, Status.OK, value=got or b""
-                )
-                if (
-                    sub.op in MUTATING_OPS
-                    and self.config.num_replicas > 0
-                    and (self.owns(pid) or sub.replica_index > 0)
-                ):
-                    for address, update, sync in self._replication_plan(sub, pid):
+                stat = self._BATCH_STATS[kind]
+                counts[stat] = counts.get(stat, 0) + 1
+                answers[i] = _OK if got is None else (Status.OK, got, b"")
+                if replicating and kind != "get" and (owned or sub[6] > 0):
+                    for address, update, sync in self._replication_plan(
+                        sub[0], key, value, sub[3], pid
+                    ):
                         group = sync_groups if sync else async_groups
                         group.setdefault(address, []).append(update)
 
@@ -718,44 +701,40 @@ class ZHTServerCore:
         ):
             for address, updates in groups.items():
                 sends.append((address, self._wrap_updates(updates, request)))
+        for name, n in counts.items():
+            self.stats.inc(name, n)
 
-        # A client batch's outer status stays OK (outcomes are per-key),
-        # but a replica-update batch folds its worst sub-status outward so
-        # the sync-ack check in ServerExecutor stays one comparison.
+        # One pass packs every sub-response.  A client batch's outer
+        # status stays OK (outcomes are per-key), but a replica-update
+        # batch folds its first failed sub-status outward so the sync-ack
+        # check in ServerExecutor stays one comparison.
+        epoch = membership.epoch
         outer_status = Status.OK
-        for i, sub in enumerate(subs):
-            if (
-                sub.op == OpCode.REPLICA_UPDATE
-                and sub_responses[i].status != Status.OK
-            ):
-                outer_status = sub_responses[i].status
-                break
+        packed = bytearray()
+        for sub, (status, value, redirect) in zip(subs, answers):
+            if status and not outer_status and sub[0] is OpCode.REPLICA_UPDATE:
+                outer_status = status
+            pack_response(packed, True, status, value, sub[3], epoch, redirect, b"", sub[0])
         result.response = self._respond(
-            request,
-            outer_status,
-            value=encode_batch_responses(sub_responses),
-            membership=need_membership,
+            request, outer_status, value=bytes(packed), membership=need_membership
         )
         return result
 
-    def _wrap_updates(self, updates: list[Request], outer: Request) -> Request:
+    def _wrap_updates(self, updates: list[tuple], outer: Request) -> Request:
         if len(updates) == 1:
-            return updates[0]
+            return Request(*updates[0])
         return Request(
             op=OpCode.BATCH,
             request_id=outer.request_id,
             epoch=self.membership.epoch,
-            payload=encode_batch_requests(updates),
+            payload=pack_batch(pack_request, updates),
         )
 
-    def _check_limits(self, request: Request) -> None:
+    def _check_limits(self, key: bytes, value: bytes) -> None:
         cfg = self.config
-        if cfg.max_key_bytes is not None and len(request.key) > cfg.max_key_bytes:
+        if cfg.max_key_bytes is not None and len(key) > cfg.max_key_bytes:
             raise ZHTError("key too large", status=Status.KEY_TOO_LARGE)
-        if (
-            cfg.max_value_bytes is not None
-            and len(request.value) > cfg.max_value_bytes
-        ):
+        if cfg.max_value_bytes is not None and len(value) > cfg.max_value_bytes:
             raise ZHTError("value too large", status=Status.VALUE_TOO_LARGE)
 
     # ------------------------------------------------------------------
@@ -778,32 +757,27 @@ class ZHTServerCore:
         included — is fire-and-forget: the owner may well be dead, and a
         synchronous wait on it would stall every failover write.
         """
-        for address, update, sync in self._replication_plan(request, pid):
-            if sync:
-                result.sync_sends.append((address, update))
-            else:
-                result.async_sends.append((address, update))
+        for address, update, sync in self._replication_plan(
+            request.op, request.key, request.value, request.request_id, pid
+        ):
+            sends = result.sync_sends if sync else result.async_sends
+            sends.append((address, Request(*update)))
 
     def _replication_plan(
-        self, request: Request, pid: int
-    ) -> list[tuple[Address, Request, bool]]:
-        """The ``(address, update, sync?)`` fan-out for one mutation."""
+        self, op: OpCode, key: bytes, value: bytes, request_id: int, pid: int
+    ) -> list[tuple[Address, tuple, bool]]:
+        """The ``(address, update, sync?)`` fan-out for one mutation; an
+        update is a REPLICA_UPDATE's fields in :class:`Request` order."""
         chain, _first = self.membership.route(pid, self.config.num_replicas)
         mode = self.config.replication_mode
         is_owner = self.owns(pid)
-        plan: list[tuple[Address, Request, bool]] = []
+        epoch = self.membership.epoch
+        plan: list[tuple[Address, tuple, bool]] = []
         for index, inst in enumerate(chain):
             if inst.instance_id == self.info.instance_id:
                 continue
-            update = Request(
-                op=OpCode.REPLICA_UPDATE,
-                key=request.key,
-                value=request.value,
-                request_id=request.request_id,
-                epoch=self.membership.epoch,
-                partition=pid,
-                replica_index=index,
-                inner_op=int(request.op),
+            update = (
+                OpCode.REPLICA_UPDATE, key, value, request_id, epoch, pid, index, int(op)
             )
             sync = is_owner and (
                 mode == ReplicationMode.SYNC

@@ -30,7 +30,7 @@ from ..core.errors import (
 )
 from ..core.manager import PeerCall, Script
 from ..core.membership import Address
-from ..core.protocol import OpCode, Request, Response, decode_batch_responses
+from ..core.protocol import OpCode, Request, Response, parse_batch, parse_response
 from ..core.server import HandleResult, ZHTServerCore
 from ..obs import REGISTRY
 
@@ -260,7 +260,7 @@ def execute_batch(
                 # Larger batches earn proportionally more server time —
                 # capped by what is left of the operation's deadline.
                 timeout = min(
-                    cfg.request_timeout * (1 + len(attempt.requests) / 256),
+                    cfg.request_timeout * (1 + len(attempt.subs) / 256),
                     max(deadline - core.clock(), 1e-6),
                 )
                 core.stats.inc("batches")
@@ -309,25 +309,30 @@ def execute_batch(
                         )
                     continue
                 try:
-                    subs = decode_batch_responses(response.value)
+                    subs = parse_batch(parse_response, response.value)
                 except ProtocolError:
-                    retry.extend(attempt.entries)
-                    needs_backoff = True
-                    continue
-                if len(subs) != len(attempt.entries):
+                    subs = []
+                # A sub-response echoes its sub-request's id and op; a
+                # reply with one missing, extra or out of place answers
+                # nothing reliably, so every entry it carried is retried.
+                if len(subs) != len(attempt.subs) or any(
+                    sub[2] != sent[2] or sub[6] != op
+                    for sub, sent in zip(subs, attempt.subs)
+                ):
                     retry.extend(attempt.entries)
                     needs_backoff = True
                     continue
                 for entry, sub in zip(attempt.entries, subs):
-                    if sub.status == Status.REDIRECT:
+                    status = sub[0]
+                    if status is Status.REDIRECT:
                         core.stats.inc("redirects_followed")
                         retry.append(entry)
-                    elif sub.status == Status.MIGRATING:
+                    elif status is Status.MIGRATING:
                         core.stats.inc("retries")
                         needs_backoff = True
                         retry.append(entry)
                     else:
-                        entry.response = sub
+                        entry.status, entry.result = status, sub[1]
             pending = retry
             rounds += 1
             if pending and needs_backoff:

@@ -248,7 +248,8 @@ class NoVoHT:
                 return False
             self.stats.inc(counter)
             maint = self._after_mutations(1)
-        self._run_maintenance(maint)
+        if maint is not None:
+            self._run_maintenance(maint)
         return True
 
     def _apply(
@@ -305,7 +306,8 @@ class NoVoHT:
 
         *ops* is a list of ``(kind, key, value)`` where ``kind`` is one of
         ``"put"``, ``"get"``, ``"remove"``, ``"append"`` (``value`` is
-        ignored for get/remove).  Returns one ``(ok, value)`` per op, in
+        ignored, and so not checked, for get/remove); all of it is checked
+        before any of it is applied.  Returns one ``(ok, value)`` per op, in
         order: ``ok`` is ``False`` only for a get/remove of a missing key;
         ``value`` is the looked-up bytes for a successful get, else
         ``None``.
@@ -321,9 +323,9 @@ class NoVoHT:
         for kind, key, value in ops:
             if kind not in _KINDS:
                 raise ValueError(f"unknown batch op kind {kind!r}")
-            if kind == "get":
+            if type(key) is not bytes:
                 self._check_key(key)
-            else:
+            if type(value) is not bytes and kind in ("put", "append"):
                 self._check_kv(key, value)
         results: list[tuple[bool, bytes | None]] = []
         group: list[tuple[int, bytes, bytes]] = []
@@ -346,7 +348,8 @@ class NoVoHT:
                 self.stats.inc(_KINDS[kind][1], n)
             if group:
                 maint = self._after_mutations(len(group))
-        self._run_maintenance(maint)
+        if maint is not None:
+            self._run_maintenance(maint)
         return results
 
     def contains(self, key: bytes) -> bool:
@@ -536,6 +539,9 @@ class NoVoHT:
             if self._ovf_file is not None:
                 self._ovf_file.close()
                 self._ovf_file = None
+            # A closed store serves nothing: free the table now, not when
+            # the cycle collector gets to whatever still points at us.
+            self._map = {}
 
     def __enter__(self) -> "NoVoHT":
         return self
@@ -584,7 +590,7 @@ class NoVoHT:
 
     def _after_mutations(self, n: int) -> str | None:  # holds-lock: _lock
         """Post-mutation bookkeeping; returns the maintenance pass that is
-        now due (``"checkpoint"`` / ``"gc"`` / ``None``).
+        now due or still parked (``"checkpoint"`` / ``"gc"`` / ``None``).
 
         The pass itself must run *after* the caller releases ``_lock``
         (:meth:`_run_maintenance`) — running it here would hold the lock
@@ -606,9 +612,9 @@ class NoVoHT:
             >= self.gc_dead_ratio * self._wal.record_count
         ):
             return "gc"
-        return None
+        return self._maint_pending
 
-    def _run_maintenance(self, kind: str | None) -> None:
+    def _run_maintenance(self, kind: str) -> None:
         """Run (or defer) a due maintenance pass, lock not held by us.
 
         Callers that wrap store mutations in ``store.lock`` themselves
@@ -618,10 +624,9 @@ class NoVoHT:
         and picked up by :meth:`run_pending_maintenance` once they
         release the lock.
         """
-        if kind is not None:
-            with self._lock:
-                if self._maint_pending is None:
-                    self._maint_pending = kind
+        with self._lock:
+            if self._maint_pending is None:
+                self._maint_pending = kind
         if self._lock_held_by_caller():
             return
         self.run_pending_maintenance()

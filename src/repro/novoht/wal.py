@@ -78,35 +78,34 @@ _OPS = (OP_PUT, OP_REMOVE, OP_APPEND)
 
 def encode_varint(n: int) -> bytes:
     """LEB128 unsigned varint, as used by protocol buffers."""
-    if n < 0:
-        raise ValueError("varint must be non-negative")
+    if n < 0x80:
+        if n < 0:
+            raise ValueError("varint must be non-negative")
+        return bytes((n,))
+    if n < 0x4000:  # every frame up to 16 KiB
+        return bytes((n & 0x7F | 0x80, n >> 7))
     out = bytearray()
-    while True:
-        byte = n & 0x7F
+    while n >= 0x80:
+        out.append(n & 0x7F | 0x80)
         n >>= 7
-        if n:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(n)
+    return bytes(out)
 
 
 def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
     """Decode a varint at *offset*; return ``(value, next_offset)``."""
-    result = 0
-    shift = 0
-    pos = offset
-    while True:
-        if pos >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[pos]
-        pos += 1
+    result = shift = 0
+    end = len(data)
+    while offset < end:
+        byte = data[offset]
+        offset += 1
+        if byte < 0x80:
+            return result | byte << shift, offset
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
         shift += 7
         if shift > 63:
             raise ValueError("varint too long")
+    raise ValueError("truncated varint")
 
 
 def encode_record_into(

@@ -1,16 +1,29 @@
 """Batched + pipelined request path: BATCH opcode, per-owner planning,
 multiplexed TCP, WAL group commit (tentpole tests)."""
 
+import dataclasses
+import inspect
+import random
 import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.client
+import repro.core.server
 from repro.api import ZHT, build_local_cluster
 from repro.core import KeyNotFound, ZHTConfig
 from repro.core.client import BatchEntry, ZHTClientCore
 from repro.core.errors import ProtocolError, Status
-from repro.core.membership import Address
+from repro.core.membership import (
+    Address,
+    InstanceInfo,
+    MembershipTable,
+    NodeInfo,
+    new_instance_id,
+)
 from repro.core.protocol import (
     OpCode,
     Request,
@@ -25,7 +38,9 @@ from repro.faults.files import faulty_wal_opener
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.faults.transport import FaultyClientTransport
 from repro.net.cluster import build_tcp_cluster, build_udp_cluster
+from repro.core.server import ZHTServerCore
 from repro.net.tcp import MultiplexedTCPClient
+from repro.net.transport import ClientTransport
 from repro.net.udp import MAX_DATAGRAM
 from repro.novoht import NoVoHT
 from repro.obs import REGISTRY
@@ -103,9 +118,10 @@ class TestBatchPlanning:
             assert 1 < len(attempts) <= 4
             assert len({a.instance_id for a in attempts}) == len(attempts)
             for attempt in attempts:
-                for entry, sub in zip(attempt.entries, attempt.requests):
-                    assert sub.key == entry.key
-                    assert sub.request_id > 0
+                for entry, sub in zip(attempt.entries, attempt.subs):
+                    key, _value, request_id, _replica_index = sub
+                    assert key == entry.key
+                    assert request_id > 0
 
     def test_max_bytes_chunks_attempts(self):
         with build_local_cluster(1, ZHTConfig(transport="local")) as cluster:
@@ -272,6 +288,40 @@ class TestBatchFaults:
             assert z.transport.stats.duplicates >= 1
             assert z.lookup_many(items.keys()) == items
 
+    def test_swapped_sub_responses_are_not_matched_by_position(self):
+        """Every sub-response echoes its sub-request's id and op; a reply
+        whose subs arrive out of place is re-planned, not believed."""
+
+        class Swapping(ClientTransport):
+            def __init__(self, inner):
+                self.inner = inner
+                self.swapped = 0
+
+            def roundtrip(self, address, request, timeout):
+                response = self.inner.roundtrip(address, request, timeout)
+                if request.op == OpCode.BATCH and response and not self.swapped:
+                    subs = decode_batch_responses(response.value)
+                    subs[0], subs[1] = subs[1], subs[0]
+                    response = dataclasses.replace(
+                        response, value=encode_batch_responses(subs)
+                    )
+                    self.swapped += 1
+                return response
+
+            def send_oneway(self, address, request):
+                self.inner.send_oneway(address, request)
+
+        with build_local_cluster(
+            1, ZHTConfig(transport="local", request_timeout=0.02)
+        ) as cluster:
+            z = cluster.client()
+            items = {f"swap{i}": f"value-{i}".encode() for i in range(8)}
+            z.insert_many(items)
+            z.transport = Swapping(z.transport)
+            assert z.lookup_many(items.keys()) == items
+            assert z.transport.swapped == 1
+            assert z.stats.batches == 3  # insert, poisoned lookup, retry
+
     def test_delayed_batch_still_settles(self):
         with build_local_cluster(
             2, ZHTConfig(transport="local", request_timeout=0.2)
@@ -283,6 +333,186 @@ class TestBatchFaults:
             items = {f"slow{i}": b"v" for i in range(12)}
             z.insert_many(items)
             assert z.lookup_many(items.keys()) == items
+
+
+# ---------------------------------------------------------------------------
+# The batch path against the per-op path it must agree with
+# ---------------------------------------------------------------------------
+
+_POOL = [b"key-%02d" % i for i in range(10)] + [b"k" * 30]  # the last is over-limit
+_CLIENT_OPS = (OpCode.INSERT, OpCode.LOOKUP, OpCode.REMOVE, OpCode.APPEND)
+_COMPARED = ("inserts", "lookups", "removes", "appends", "redirects", "replica_updates")
+
+_client_sub = st.tuples(
+    st.sampled_from(_CLIENT_OPS),
+    st.integers(0, len(_POOL) - 1),
+    st.binary(max_size=60),  # max_value_bytes is 48
+    st.integers(0, 1),  # replica_index: 1 = failover-addressed
+)
+_replica_sub = st.tuples(
+    st.just(OpCode.REPLICA_UPDATE),
+    st.integers(0, len(_POOL) - 2),
+    st.binary(max_size=48),
+    # inner op: the three a chain carries, and one no OpCode has
+    st.sampled_from([int(OpCode.INSERT), int(OpCode.REMOVE), int(OpCode.APPEND), 99]),
+)
+
+
+def _twin_cores(num_replicas: int) -> tuple[ZHTServerCore, ZHTServerCore, int]:
+    """Two cores with the same identity over equal membership tables, and
+    a partition both hold frozen for migration."""
+    cfg = ZHTConfig(
+        num_partitions=8, transport="local", num_replicas=num_replicas,
+        max_key_bytes=24, max_value_bytes=48,
+    )
+    rng = random.Random(11)
+    nodes = [NodeInfo(f"n{n}", Address(f"n{n}", 1)) for n in range(3)]
+    instances = [
+        InstanceInfo(new_instance_id(rng), f"n{n}", Address(f"n{n}", 9000 + n))
+        for n in range(3)
+    ]
+    table = MembershipTable.bootstrap(8, nodes, instances)
+    me = instances[0]
+    cores = [ZHTServerCore(me, table.copy(), cfg) for _ in range(2)]
+    owned = {table.partition_of_key(key, cfg.hash_name) for key in _POOL}
+    frozen = min(pid for pid in owned if table.partition_owner[pid] == me.instance_id)
+    for core in cores:
+        core.partition(frozen).begin_migration()
+    return cores[0], cores[1], frozen
+
+
+def _flat_sends(result) -> list:
+    """``(sync?, address, update)`` for every replica update a result
+    carries, whether it travels alone or inside a per-peer BATCH."""
+    flat = []
+    for sync, sends in ((True, result.sync_sends), (False, result.async_sends)):
+        for address, request in sends:
+            updates = (
+                decode_batch_requests(request.payload)
+                if request.op == OpCode.BATCH
+                else [request]
+            )
+            flat += [(sync, str(address), update) for update in updates]
+    return flat
+
+
+class TestBatchEqualsSingles:
+    @pytest.mark.parametrize("num_replicas", [0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(specs=st.lists(st.one_of(_client_sub, _replica_sub), min_size=1, max_size=24))
+    def test_one_batch_equals_the_same_ops_one_at_a_time(self, num_replicas, specs):
+        batched, single, frozen = _twin_cores(num_replicas)
+        table, cfg = batched.membership, batched.config
+        subs = []
+        for i, (op, key_index, value, extra) in enumerate(specs):
+            key = _POOL[key_index]
+            if op == OpCode.REPLICA_UPDATE:
+                subs.append(Request(
+                    op=op, key=key, value=value, request_id=100 + i, epoch=table.epoch,
+                    partition=table.partition_of_key(key, cfg.hash_name),
+                    replica_index=1, inner_op=extra,
+                ))
+            else:
+                subs.append(Request(
+                    op=op, key=key, value=value if op != OpCode.LOOKUP else b"",
+                    request_id=100 + i, epoch=table.epoch, replica_index=extra,
+                ))
+        try:
+            result = batched.handle(Request(
+                op=OpCode.BATCH, request_id=1, epoch=table.epoch,
+                payload=encode_batch_requests(subs),
+            ))
+            got = [
+                (r.status, r.value, r.redirect, r.request_id, r.op)
+                for r in decode_batch_responses(result.response.value)
+            ]
+
+            expected, sends = [], []
+            counts = dict.fromkeys(_COMPARED, 0)
+            for sub in subs:
+                before = single.stats.as_dict()
+                one = single.handle(sub)
+                for name in _COMPARED:
+                    # A lone REPLICA_UPDATE also counts its inner op; a
+                    # batched one never did.  Not this test's business.
+                    if sub.op != OpCode.REPLICA_UPDATE or name == "replica_updates":
+                        counts[name] += getattr(single.stats, name) - before[name]
+                sends += _flat_sends(one)
+                if one.response is None:  # parked behind the freeze
+                    expected.append((Status.MIGRATING, b"", b"", sub.request_id, int(sub.op)))
+                else:
+                    r = one.response
+                    expected.append((r.status, r.value, r.redirect, r.request_id, r.op))
+
+            assert got == expected
+            assert sorted(_flat_sends(result), key=repr) == sorted(sends, key=repr)
+            for name in _COMPARED:
+                assert getattr(batched.stats, name) == counts[name], name
+            assert (batched.stats.batches, batched.stats.batch_sub_ops) == (1, len(subs))
+            contents = [
+                {pid: dict(p.store.items()) for pid, p in core.partitions.items() if len(p.store)}
+                for core in (batched, single)
+            ]
+            assert contents[0] == contents[1]
+            # The outer response: membership rides iff a sub was redirected,
+            # and only a failed replica update folds outward.
+            statuses = [status for status, *_ in got]
+            assert bool(result.response.membership) == (Status.REDIRECT in statuses)
+            failed_updates = [
+                status for sub, status in zip(subs, statuses)
+                if sub.op == OpCode.REPLICA_UPDATE and status != Status.OK
+            ]
+            assert result.response.status == (failed_updates or [Status.OK])[0]
+            if sends:  # replica sends are released in ticket order
+                assert result.repl_ticket is not None
+        finally:
+            for core in (batched, single):
+                core.partition(frozen).abort_migration()
+                core.close()
+
+    def test_a_batch_takes_the_counter_lock_a_few_times_not_per_key(self):
+        """32 inserts bump ``batches``, ``batch_sub_ops`` and ``inserts``:
+        three locks, where one per key made 34."""
+        with build_local_cluster(1, ZHTConfig(transport="local")) as cluster:
+            server = next(iter(cluster.servers.values()))
+            epoch = server.membership.epoch
+            subs = [
+                Request(op=OpCode.INSERT, key=b"lock-%d" % i, value=b"v", request_id=i, epoch=epoch)
+                for i in range(32)
+            ]
+            calls = []
+            stats = server.stats
+
+            class Counting:
+                def inc(self, field, n=1):
+                    calls.append((field, n))
+                    stats.inc(field, n)
+
+            server.stats = Counting()
+            try:
+                result = server.handle(Request(
+                    op=OpCode.BATCH, request_id=99, epoch=epoch,
+                    payload=encode_batch_requests(subs),
+                ))
+            finally:
+                server.stats = stats
+            assert result.response.status == Status.OK
+            assert len(calls) <= 8
+            assert dict(calls) == {"batches": 1, "batch_sub_ops": 32, "inserts": 32}
+
+    def test_the_hot_path_builds_no_per_key_message(self):
+        """Replace, not fork: the batch path has no per-key message
+        object, and each message kind has one header check and one pack."""
+        server_src = inspect.getsource(repro.core.server)
+        assert "_sub_respond" not in server_src
+        handler = inspect.getsource(ZHTServerCore._handle_batch_inner)
+        assert "Response(" not in handler and "Request(" not in handler
+        planner = inspect.getsource(ZHTClientCore.plan_batches)
+        assert "Request(" not in planner
+        protocol_src = inspect.getsource(repro.core.protocol)
+        for header in ("_REQ_HEADER", "_RESP_HEADER"):
+            assert protocol_src.count(f"{header}.unpack_from(") == 1
+            assert protocol_src.count(f"{header}.pack(") == 1
 
 
 # ---------------------------------------------------------------------------

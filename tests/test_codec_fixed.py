@@ -10,6 +10,9 @@ stray ``struct.error``) for every byte string that is not a message.
 
 from __future__ import annotations
 
+import dataclasses
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +32,12 @@ from repro.core.protocol import (
     encode_framed_request,
     encode_framed_response,
     frame,
+    pack_batch,
+    pack_request,
+    pack_response,
+    parse_batch,
+    parse_request,
+    parse_response,
 )
 
 #: The format's name — the one value the ``encode_framed_*`` /
@@ -143,6 +152,11 @@ DECODERS = [
     lambda data: decode_response_span(data, 0, len(data)),
     lambda data: decode_batch_requests(frame(data)),
     lambda data: decode_batch_responses(frame(data)),
+    # The field-level parsers the object API and the BATCH path share.
+    lambda data: parse_request(data, 0, len(data)),
+    lambda data: parse_response(data, 0, len(data)),
+    lambda data: parse_batch(parse_request, frame(data)),
+    lambda data: parse_batch(parse_response, frame(data)),
 ]
 DECODER_IDS = [
     "Request.decode",
@@ -151,6 +165,10 @@ DECODER_IDS = [
     "decode_response_span",
     "decode_batch_requests",
     "decode_batch_responses",
+    "parse_request",
+    "parse_response",
+    "parse_batch-requests",
+    "parse_batch-responses",
 ]
 
 #: ``Request(op=INSERT, key=b"k")`` in the retired protobuf-style
@@ -174,6 +192,45 @@ def _valid_wire() -> list[bytes]:
     messages.append(encode_batch_requests([_request(OpCode.APPEND)] * 3))
     messages.append(encode_batch_responses([_response(Status.OK)] * 3))
     return messages
+
+
+def _poke(wire: bytes, offset: int, value: int) -> bytes:
+    out = bytearray(wire)
+    out[offset] = value
+    return bytes(out)
+
+
+def _malformed() -> dict[str, bytes]:
+    """One of each way a header can lie, built from valid messages.  (A
+    request header keeps its key length at byte 32, a response header its
+    value length at byte 20.)"""
+    request = _request(OpCode.INSERT).encode()
+    response = _response(Status.OK).encode()
+    return {
+        "request-header-truncated": request[:43],
+        "response-header-truncated": response[:27],
+        "request-body-truncated": request[:-1],
+        "response-body-truncated": response[:-1],
+        "request-trailing-byte": request + b"x",
+        "response-trailing-byte": response + b"x",
+        "request-bad-magic": _poke(request, 0, 0x00),
+        "response-bad-magic": _poke(response, 0, 0x00),
+        "request-bad-kind": _poke(request, 1, 9),
+        "response-bad-kind": _poke(response, 1, 9),
+        "request-key-length-overruns": _poke(request, 32, request[32] + 1),
+        "response-value-length-overruns": _poke(response, 20, response[20] + 1),
+        "request-unknown-opcode": _poke(request, 2, 255),
+        "response-unknown-status": _poke(response, 2, 200),
+    }
+
+
+@pytest.mark.parametrize("decode", DECODERS, ids=DECODER_IDS)
+@pytest.mark.parametrize("case", sorted(_malformed()))
+def test_malformed_header_rejected_by_every_decoder(decode, case):
+    """Object decoders and field parsers refuse the same inputs, with the
+    same typed error (a request is also not a response, and vice versa)."""
+    with pytest.raises(ProtocolError):
+        decode(_malformed()[case])
 
 
 @st.composite
@@ -287,3 +344,90 @@ def test_frame_compat_with_legacy_frame():
     response = _response(Status.OK)
     assert bytes(encode_framed_request(request)) == frame(request.encode())
     assert bytes(encode_framed_response(response)) == frame(response.encode())
+
+
+# ---------------------------------------------------------------------------
+# Field-level codec: the bytes of the object encoder it replaced
+# ---------------------------------------------------------------------------
+
+_REQ_HEADER = struct.Struct("<BBBBQIIHHQIII")
+_RESP_HEADER = struct.Struct("<BBBBQIIII")
+
+
+def _reference_request(m: Request) -> bytes:
+    """``Request.encode`` as it stood before the field packer: the oracle."""
+    return (
+        _REQ_HEADER.pack(
+            0xF7, 0x01, int(m.op), 0, m.request_id, m.epoch, m.partition,
+            m.replica_index, m.inner_op, m.deadline_us,
+            len(m.key), len(m.value), len(m.payload),
+        )
+        + m.key + m.value + m.payload
+    )
+
+
+def _reference_response(m: Response) -> bytes:
+    return (
+        _RESP_HEADER.pack(
+            0xF7, 0x02, int(m.status), m.op, m.request_id, m.epoch,
+            len(m.value), len(m.redirect), len(m.membership),
+        )
+        + m.value + m.redirect + m.membership
+    )
+
+
+#: A message's fields in dataclass order: what ``parse_*`` returns.
+_fields = dataclasses.astuple
+
+_u16, _u32, _u64 = (st.integers(0, 2**bits - 1) for bits in (16, 32, 64))
+_blob = st.binary(max_size=300)
+_requests = st.builds(
+    Request, op=st.sampled_from(ALL_OPS), key=_blob, value=_blob, request_id=_u64,
+    epoch=_u32, partition=_u32, replica_index=_u16, inner_op=_u16, payload=_blob,
+    deadline_us=_u64,
+)
+_responses = st.builds(
+    Response, status=st.sampled_from(ALL_STATUSES), value=_blob, request_id=_u64,
+    epoch=_u32, redirect=_blob, membership=_blob, op=st.integers(0, 255),
+)
+
+
+@given(st.lists(_requests, max_size=8))
+def test_field_packer_writes_the_object_encoders_request_bytes(messages):
+    expected = b"".join(frame(_reference_request(m)) for m in messages)
+    assert pack_batch(pack_request, [_fields(m) for m in messages]) == expected
+    assert encode_batch_requests(messages) == expected
+    assert parse_batch(parse_request, expected) == [_fields(m) for m in messages]
+    assert decode_batch_requests(expected) == messages
+    for m in messages:
+        out = bytearray()
+        pack_request(out, False, *_fields(m))
+        assert bytes(out) == m.encode() == _reference_request(m)
+        assert bytes(encode_framed_request(m)) == frame(_reference_request(m))
+
+
+@given(st.lists(_responses, max_size=8))
+def test_field_packer_writes_the_object_encoders_response_bytes(messages):
+    expected = b"".join(frame(_reference_response(m)) for m in messages)
+    assert pack_batch(pack_response, [_fields(m) for m in messages]) == expected
+    assert encode_batch_responses(messages) == expected
+    assert parse_batch(parse_response, expected) == [_fields(m) for m in messages]
+    assert decode_batch_responses(expected) == messages
+    for m in messages:
+        out = bytearray()
+        pack_response(out, False, *_fields(m))
+        assert bytes(out) == m.encode() == _reference_response(m)
+        assert bytes(encode_framed_response(m)) == frame(_reference_response(m))
+
+
+def test_parsed_fields_are_enum_members_and_bytes():
+    """The parsers hand out what the dataclasses held: enum members and
+    ``bytes``, also out of a mutable receive buffer."""
+    buffer = bytearray(_request(OpCode.APPEND).encode())
+    fields = parse_request(buffer, 0, len(buffer))
+    assert fields[0] is OpCode.APPEND
+    assert all(type(fields[i]) is bytes for i in (1, 2, 8))
+    buffer = bytearray(_response(Status.REDIRECT).encode())
+    fields = parse_response(memoryview(buffer), 0, len(buffer))
+    assert fields[0] is Status.REDIRECT
+    assert all(type(fields[i]) is bytes for i in (1, 4, 5))

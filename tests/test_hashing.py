@@ -1,6 +1,7 @@
 """Tests for repro.core.hashing — FNV, Jenkins lookup3, ring placement."""
 
 import string
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from repro.core.hashing import (
     ID_SPACE,
     fnv1a_32,
     fnv1a_64,
+    fmix64,
     get_hash_function,
     jenkins_64,
     jenkins_lookup3,
@@ -140,3 +142,47 @@ class TestConsistencyAcrossRuns:
         # Typical ZHT keys are "variable length ASCII text string"s.
         for ch in string.printable:
             assert 0 <= partition_of(ch.encode(), 64) < 64
+
+
+class TestFusedPartitionOf:
+    """``partition_of`` runs the default hash inline; whatever the name
+    and the key's type, its value is the composition it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        raw=st.binary(max_size=4096),
+        n=st.integers(1, 2**20),
+        name=st.sampled_from(sorted(HASH_FUNCTIONS)),
+    )
+    def test_equals_the_composition_for_every_key_type(self, raw, n, name):
+        expected = fmix64(HASH_FUNCTIONS[name](raw)) * n >> 64
+        assert expected == ring_position(raw, name) * n >> 64
+        for key in (raw, bytearray(raw), memoryview(raw)):
+            assert partition_of(key, n, name) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=st.text(max_size=1024),
+        n=st.integers(1, 2**20),
+        name=st.sampled_from(sorted(HASH_FUNCTIONS)),
+    )
+    def test_str_keys_hash_as_their_utf8_bytes(self, text, n, name):
+        raw = text.encode("utf-8")
+        assert partition_of(text, n, name) == fmix64(HASH_FUNCTIONS[name](raw)) * n >> 64
+
+    def test_rejects_non_key_types(self):
+        with pytest.raises(TypeError):
+            partition_of(123, 8)  # type: ignore[arg-type]
+
+    def test_long_keys_cost_no_more_per_byte(self):
+        """No big-int growth: a 64 KiB key costs per byte what a 64 B key
+        does (3x leaves room for a noisy host; an unmasked product would
+        be hundreds of times slower)."""
+        short, long_ = b"k" * 64, b"k" * 65536
+        per_byte_short = min(
+            timeit.repeat(lambda: partition_of(short, 1024), number=500, repeat=5)
+        ) / 500 / len(short)
+        per_byte_long = min(
+            timeit.repeat(lambda: partition_of(long_, 1024), number=1, repeat=3)
+        ) / len(long_)
+        assert per_byte_long <= 3 * per_byte_short

@@ -249,6 +249,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoVoHT(None, max_memory_pairs=-5)
 
+    def test_apply_batch_checks_a_value_only_where_it_is_stored(self, volatile):
+        """``value`` is documented as ignored for get/remove: neither may
+        refuse ``None``; put/append still must, before anything applies."""
+        volatile.put(b"k", b"v")
+        assert volatile.apply_batch([("get", b"k", None), ("remove", b"k", None)]) == [
+            (True, b"v"),
+            (True, None),
+        ]
+        for kind in ("put", "append"):
+            with pytest.raises(TypeError):
+                volatile.apply_batch([("put", b"a", b"1"), (kind, b"k", None)])
+        with pytest.raises(TypeError):
+            volatile.apply_batch([("put", b"a", b"1"), ("remove", "not-bytes", None)])
+        assert b"a" not in volatile
+
 
 # ---------------------------------------------------------------------------
 # Model-based property test: NoVoHT behaves exactly like a dict, both live
