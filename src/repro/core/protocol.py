@@ -100,9 +100,8 @@ MUTATING_OPS = frozenset(
 #: explicit replication decision.  Notes on the less obvious members:
 #: MIGRATE_* move whole partitions (their effects replicate when the
 #: new owner's chain applies them), BROADCAST writes only node-local
-#: broadcast stores, and BATCH is a carrier — its mutating
-#: sub-requests are re-dispatched individually and take the MUTATING
-#: path there.
+#: broadcast stores, and BATCH is a carrier — its sub-requests are
+#: served by the same per-partition path as point ops.
 NON_MUTATING_OPS = frozenset(
     {
         OpCode.LOOKUP,

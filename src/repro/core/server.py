@@ -26,17 +26,16 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..novoht import NoVoHT
 from ..obs import REGISTRY, PartitionLoadTracker, metrics_snapshot
 from .config import ReplicationMode, ZHTConfig
-from .errors import KeyNotFound, Status, ZHTError
+from .errors import KeyNotFound, MigrationError, Status, ZHTError
 from .hashing import partition_of
 from .membership import Address, InstanceInfo, MembershipTable
 from .partition import Partition, QueuedRequest
 from .protocol import (
-    MUTATING_OPS,
     OpCode,
     Request,
     Response,
@@ -48,10 +47,16 @@ from .protocol import (
 )
 
 #: Sub-answers ``(status, value, redirect)`` that are a status and nothing else.
-_OK, _KEY_NOT_FOUND, _MIGRATING, _BAD_REQUEST = (
+_OK, _KEY_NOT_FOUND, _MIGRATING, _BAD_REQUEST, _KEY_TOO_LARGE, _VALUE_TOO_LARGE = (
     (status, b"", b"")
-    for status in (Status.OK, Status.KEY_NOT_FOUND, Status.MIGRATING, Status.BAD_REQUEST)
+    for status in (
+        Status.OK, Status.KEY_NOT_FOUND, Status.MIGRATING, Status.BAD_REQUEST,
+        Status.KEY_TOO_LARGE, Status.VALUE_TOO_LARGE,
+    )
 )
+#: Enum members read per sub, bound once: reading a member through its
+#: class is a metaclass lookup (~0.1 µs).
+_REPLICA_UPDATE, _STATUS_OK = OpCode.REPLICA_UPDATE, Status.OK
 
 
 #: Per-instance operation counters (``core.stats.<field>``; process
@@ -116,11 +121,11 @@ class ReplicationSequencer:
     def reticket(self, old: int | None) -> int:
         """Trade *old* for a fresh (later) ticket.
 
-        Used by multi-partition batches: each mutating partition group
-        re-tickets under that group's store lock, so the result's final
-        ticket is ordered after every concurrent mutation of every
-        partition the batch touched, while never holding more than one
-        live ticket (which keeps the release order deadlock-free).
+        Each replicated partition group re-tickets under its store lock,
+        so the result's final ticket is ordered after every concurrent
+        mutation of every partition a batch touched, while never holding
+        more than one live ticket (which keeps the release order
+        deadlock-free).
         """
         fresh = self.ticket()
         if old is not None:
@@ -293,19 +298,18 @@ class ZHTServerCore:
     def handle(self, request: Request, reply_context: object = None) -> HandleResult:
         """Process one request; never raises for protocol-level errors."""
         with REGISTRY.span("server.handle"):
+            if request.op not in self._ADMITTED_OPS:
+                return self._dispatch(request, reply_context)
             shed = self._admission_shed(request)
             if shed is not None:
                 return HandleResult(shed)
-            admitted = request.op in self._ADMITTED_OPS
-            if admitted:
-                with self._inflight_lock:
-                    self._inflight += 1
+            with self._inflight_lock:
+                self._inflight += 1
             try:
                 return self._dispatch(request, reply_context)
             finally:
-                if admitted:
-                    with self._inflight_lock:
-                        self._inflight -= 1
+                with self._inflight_lock:
+                    self._inflight -= 1
 
     def _admission_shed(self, request: Request) -> Response | None:
         """Deadline + overload admission check for client ops.
@@ -315,8 +319,6 @@ class ZHTServerCore:
         directly — no membership piggyback, no store access — so the shed
         path stays O(1) no matter how overloaded the server is.
         """
-        if request.op not in self._ADMITTED_OPS:
-            return None
         if request.deadline_us and self.clock() * 1e6 > request.deadline_us:
             self.stats.inc("shed_expired")
             return Response(
@@ -340,14 +342,12 @@ class ZHTServerCore:
                 )
         return None
 
-    def _dispatch(
-        self, request: Request, reply_context: object
-    ) -> HandleResult:
+    def _dispatch(self, request: Request, reply_context: object) -> HandleResult:
         op = request.op
         if op in (OpCode.INSERT, OpCode.LOOKUP, OpCode.REMOVE, OpCode.APPEND):
-            return self._handle_client_op(request, reply_context)
+            return self._handle_point(request, reply_context)
         if op == OpCode.REPLICA_UPDATE:
-            return self._handle_replica_update(request)
+            return self._handle_point(request, reply_context)
         if op == OpCode.MIGRATE_BEGIN:
             return self._handle_migrate_begin(request)
         if op == OpCode.MIGRATE_DATA:
@@ -428,117 +428,63 @@ class ZHTServerCore:
         return HandleResult(self._respond(request, Status.OK, value=value))
 
     # ------------------------------------------------------------------
-    # Client operations
+    # Client operations and replica updates: groups of subs on a partition
     # ------------------------------------------------------------------
 
-    def _handle_client_op(
-        self, request: Request, reply_context: object
-    ) -> HandleResult:
-        pid = self.membership.partition_of_key(request.key, self.config.hash_name)
-
-        # Failover requests (replica_index > 0) target this instance as a
-        # replica; skip the ownership redirect and serve from replica data.
-        if request.replica_index == 0 and not self.owns(pid):
-            self.stats.inc("redirects")
-            return HandleResult(
-                self._respond(
-                    request,
-                    Status.REDIRECT,
-                    redirect=self._redirect_to(pid),
-                    membership=True,
-                )
-            )
-
-        part = self.partition(pid)
-        self.partition_load.record(pid)
-        if part.is_migrating:
-            # Queue everything (reads included): partition state is locked.
-            part.queue_request(QueuedRequest(request, reply_context))
-            self.stats.inc("queued")
-            return HandleResult(None)
-
-        replicating = (
-            request.op in MUTATING_OPS
-            and self.config.num_replicas > 0
-            and (self.owns(pid) or request.replica_index > 0)
-        )
-        if replicating:
-            # Apply and grab the replication ticket inside one store
-            # critical section, so the replica-send release order (see
-            # ReplicationSequencer) matches the apply order.
-            with part.store.lock:
-                response = self._apply_to_store(request, part.store)
-                result = HandleResult(response)
-                if response.status == Status.OK:
-                    result.repl_sequencer = self.repl_sequencer
-                    result.repl_ticket = self.repl_sequencer.ticket()
-            # Maintenance triggered by the apply parks while we hold the
-            # store lock (checkpoints must not run under it); drain it now.
-            part.store.run_pending_maintenance()
-        else:
-            response = self._apply_to_store(request, part.store)
-            result = HandleResult(response)
-        if response.status == Status.OK and replicating:
-            # The owner fans out along the chain as usual; this also covers
-            # failover-addressed writes (replica_index > 0) arriving after
-            # a repair promoted us.  A *replica* serving a failover write
-            # back-propagates it to the rest of the chain — including the
-            # owner, which is either dead (the send blackholes) or falsely
-            # suspected by the client (the send keeps it authoritative).
-            self._plan_replication(request, pid, result)
-        return result
-
-    def _redirect_to(self, pid: int) -> bytes:
-        """The REDIRECT field for *pid*: its owner's address, if any."""
-        try:
-            return str(self.membership.owner_of_partition(pid).address).encode()
-        except ZHTError:
-            return b""
-
-    def _apply_to_store(self, request: Request, store: NoVoHT) -> Response:
-        op = request.op
-        try:
-            if op == OpCode.INSERT:
-                self._check_limits(request.key, request.value)
-                store.put(request.key, request.value)
-                self.stats.inc("inserts")
-                return self._respond(request, Status.OK)
-            if op == OpCode.LOOKUP:
-                value = store.get(request.key)
-                self.stats.inc("lookups")
-                return self._respond(request, Status.OK, value=value)
-            if op == OpCode.REMOVE:
-                store.remove(request.key)
-                self.stats.inc("removes")
-                return self._respond(request, Status.OK)
-            if op == OpCode.APPEND:
-                self._check_limits(request.key, request.value)
-                store.append(request.key, request.value)
-                self.stats.inc("appends")
-                return self._respond(request, Status.OK)
-        except KeyNotFound:
-            return self._respond(request, Status.KEY_NOT_FOUND)
-        except ZHTError as exc:
-            return self._respond(request, exc.status)
-        return self._respond(request, Status.BAD_REQUEST)
-
-    # ------------------------------------------------------------------
-    # Batched operations (BATCH opcode)
-    # ------------------------------------------------------------------
-
-    #: Sub-request op → NoVoHT batch-op kind.
+    #: Client op → NoVoHT batch-op kind.
     _BATCH_KINDS = {
         OpCode.INSERT: "put",
         OpCode.LOOKUP: "get",
         OpCode.REMOVE: "remove",
         OpCode.APPEND: "append",
     }
-    _BATCH_STATS = {
-        "put": "inserts",
-        "get": "lookups",
-        "remove": "removes",
-        "append": "appends",
-    }
+    _BATCH_STATS = {"put": "inserts", "get": "lookups", "remove": "removes", "append": "appends"}
+    #: REPLICA_UPDATE inner op → kind: a chain carries mutations only.
+    _REPLICA_KINDS = {op: kind for op, kind in _BATCH_KINDS.items() if kind != "get"}
+
+    def _replica_update_ok(self, inner_op: int, pid: int) -> bool:
+        """A REPLICA_UPDATE is peer input: it is served only when it
+        carries a mutation for a partition that exists."""
+        return inner_op in self._REPLICA_KINDS and pid < self.membership.num_partitions
+
+    def _handle_point(self, request: Request, reply_context: object) -> HandleResult:
+        """One client op or REPLICA_UPDATE, served as a group of one.  Only
+        the envelope differs from a BATCH sub: a client op against a frozen
+        partition is parked until the migration ends (§III.C "All requests
+        are queued"), and each replica update leaves as its own message."""
+        op = request.op
+        if op is _REPLICA_UPDATE:
+            pid = request.partition
+            if not self._replica_update_ok(request.inner_op, pid):
+                return HandleResult(self._respond(request, Status.BAD_REQUEST))
+        else:
+            pid = partition_of(request.key, self.membership.num_partitions, self.config.hash_name)
+        fields = (
+            op, request.key, request.value, request.request_id, request.epoch,
+            request.partition, request.replica_index, request.inner_op,
+            request.payload, request.deadline_us,
+        )
+        answers = [_BAD_REQUEST]
+        counts: dict[str, int] = {}
+        result = HandleResult(None)
+        plan: list[tuple[Address, tuple, bool]] = []
+        self._serve_group(pid, (fields,), (0,), answers, counts, result, plan)
+        for name, n in counts.items():
+            self.stats.inc(name, n)
+        if answers[0] is _MIGRATING:
+            try:
+                self.partitions[pid].queue_request(QueuedRequest(request, reply_context))
+            except MigrationError:
+                pass  # released since the group looked: answer MIGRATING
+            else:
+                self.stats.inc("queued")
+                return result
+        status, value, redirect = answers[0]
+        result.response = self._respond(request, status, value, redirect, "redirects" in counts)
+        for address, update, sync in plan:
+            sends = result.sync_sends if sync else result.async_sends
+            sends.append((address, Request(*update)))
+        return result
 
     def _handle_batch(self, request: Request) -> HandleResult:
         """Serve N framed sub-requests from one message.
@@ -565,30 +511,24 @@ class ZHTServerCore:
             subs = parse_batch(parse_request, request.payload)
         except ZHTError:
             return HandleResult(self._respond(request, Status.BAD_REQUEST))
-        cfg, membership = self.config, self.membership
-        num_partitions, hash_name = membership.num_partitions, cfg.hash_name
-        replicated = cfg.num_replicas > 0
+        num_partitions, hash_name = self.membership.num_partitions, self.config.hash_name
         kinds = self._BATCH_KINDS
-        # self.owns(pid), without the call per group
-        my_id, owners = self.info.instance_id, membership.partition_owner
         #: Counter bumps, made once per batch: a bump is a lock.
         counts = {"batches": 1, "batch_sub_ops": len(subs)}
-        #: ``(status, value, redirect)`` per sub; a sub no branch below
-        #: answers has an op a batch cannot carry.
+        #: ``(status, value, redirect)`` per sub; a sub no group serves
+        #: has an op a batch cannot carry or is a malformed replica update.
         answers: list[tuple[Status, bytes, bytes]] = [_BAD_REQUEST] * len(subs)
-        need_membership = False
         result = HandleResult(None)
-        sync_groups: dict[Address, list[tuple]] = {}
-        async_groups: dict[Address, list[tuple]] = {}
+        plan: list[tuple[Address, tuple, bool]] = []
 
         # Route sub-requests to partitions (order preserved within each).
         by_pid: dict[int, list[int]] = {}
         for i, sub in enumerate(subs):
             op = sub[0]
-            if op is OpCode.REPLICA_UPDATE:
-                pid = sub[5]
-            elif op in kinds:
+            if op in kinds:
                 pid = partition_of(sub[1], num_partitions, hash_name)
+            elif op is _REPLICA_UPDATE and self._replica_update_ok(sub[7], sub[5]):
+                pid = sub[5]
             else:
                 continue
             group = by_pid.get(pid)
@@ -596,111 +536,16 @@ class ZHTServerCore:
                 by_pid[pid] = [i]
             else:
                 group.append(i)
-
         for pid, idxs in by_pid.items():
-            owned = owners[pid] == my_id
-            part: Partition | None = None
-            migrating = False
-            moved: tuple[Status, bytes, bytes] | None = None
-            redirected = 0
-            replicating = False
-            # Translate servable sub-requests into store batch ops.
-            batch_ops: list[tuple[str, bytes, bytes]] = []
-            batch_map: list[int] = []
-            for i in idxs:
-                op, key, value, _, _, _, replica_index, inner_op, _, _ = subs[i]
-                if op is not OpCode.REPLICA_UPDATE and replica_index == 0 and not owned:
-                    if moved is None:
-                        moved = (Status.REDIRECT, b"", self._redirect_to(pid))
-                    answers[i] = moved
-                    redirected += 1
-                    continue
-                if part is None:
-                    part = self.partition(pid)
-                    migrating = part.is_migrating
-                if op is OpCode.REPLICA_UPDATE:
-                    kind = kinds.get(inner_op)
-                    if kind is None:
-                        continue
-                    counts["replica_updates"] = counts.get("replica_updates", 0) + 1
-                    if cfg.test_freeze_tail_replicas and replica_index >= 2:
-                        # TEST-ONLY broken mode (see _handle_replica_update).
-                        answers[i] = _OK
-                        continue
-                elif migrating:
-                    answers[i] = _MIGRATING
-                    continue
-                else:
-                    kind = kinds[op]
-                    if kind == "put" or kind == "append":
-                        try:
-                            self._check_limits(key, value)
-                        except ZHTError as exc:
-                            answers[i] = (exc.status, b"", b"")
-                            continue
-                if replicated and op in MUTATING_OPS and (owned or replica_index > 0):
-                    replicating = True
-                batch_ops.append((kind, key, value))
-                batch_map.append(i)
-            if redirected:
-                counts["redirects"] = counts.get("redirects", 0) + redirected
-                need_membership = True
-            if part is None:
-                continue
-            self.partition_load.record(pid, len(idxs) - redirected)
-            if not batch_ops:
-                continue
-            store = part.store
-            try:
-                if replicating:
-                    # Atomic apply + ticket, as in _handle_client_op; a
-                    # batch spanning several partitions trades its ticket
-                    # up per group so one (latest) ticket orders it after
-                    # every concurrent mutation it raced with.
-                    with store.lock:
-                        outcomes = store.apply_batch(batch_ops)
-                        result.repl_ticket = self.repl_sequencer.reticket(
-                            result.repl_ticket
-                        )
-                        result.repl_sequencer = self.repl_sequencer
-                    # Drain maintenance parked while the lock was held.
-                    store.run_pending_maintenance()
-                else:
-                    outcomes = store.apply_batch(batch_ops)
-            except ZHTError as exc:
-                failed = (exc.status, b"", b"")
-                for i in batch_map:
-                    answers[i] = failed
-                continue
-
-            for (kind, key, value), (ok, got), i in zip(batch_ops, outcomes, batch_map):
-                sub = subs[i]
-                if sub[0] is OpCode.REPLICA_UPDATE:
-                    # A REMOVE racing ahead of its INSERT on a replica is
-                    # not an error at the replication layer (see
-                    # _handle_replica_update): fold to OK.
-                    answers[i] = _OK
-                    continue
-                if not ok:
-                    answers[i] = _KEY_NOT_FOUND
-                    continue
-                stat = self._BATCH_STATS[kind]
-                counts[stat] = counts.get(stat, 0) + 1
-                answers[i] = _OK if got is None else (Status.OK, got, b"")
-                if replicating and kind != "get" and (owned or sub[6] > 0):
-                    for address, update, sync in self._replication_plan(
-                        sub[0], key, value, sub[3], pid
-                    ):
-                        group = sync_groups if sync else async_groups
-                        group.setdefault(address, []).append(update)
+            self._serve_group(pid, subs, idxs, answers, counts, result, plan)
 
         # Re-batch the replica fan-out: one message per peer.
-        for groups, sends in (
-            (sync_groups, result.sync_sends),
-            (async_groups, result.async_sends),
-        ):
-            for address, updates in groups.items():
-                sends.append((address, self._wrap_updates(updates, request)))
+        peers: dict[tuple[bool, Address], list[tuple]] = {}
+        for address, update, sync in plan:
+            peers.setdefault((sync, address), []).append(update)
+        for (sync, address), updates in peers.items():
+            sends = result.sync_sends if sync else result.async_sends
+            sends.append((address, self._wrap_updates(updates, request)))
         for name, n in counts.items():
             self.stats.inc(name, n)
 
@@ -708,17 +553,145 @@ class ZHTServerCore:
         # status stays OK (outcomes are per-key), but a replica-update
         # batch folds its first failed sub-status outward so the sync-ack
         # check in ServerExecutor stays one comparison.
-        epoch = membership.epoch
+        epoch = self.membership.epoch
         outer_status = Status.OK
         packed = bytearray()
         for sub, (status, value, redirect) in zip(subs, answers):
-            if status and not outer_status and sub[0] is OpCode.REPLICA_UPDATE:
+            if status and not outer_status and sub[0] is _REPLICA_UPDATE:
                 outer_status = status
             pack_response(packed, True, status, value, sub[3], epoch, redirect, b"", sub[0])
         result.response = self._respond(
-            request, outer_status, value=bytes(packed), membership=need_membership
+            request, outer_status, value=bytes(packed), membership="redirects" in counts
         )
         return result
+
+    def _serve_group(
+        self, pid: int, subs: Sequence[tuple], idxs: Sequence[int],
+        answers: list[tuple[Status, bytes, bytes]], counts: dict[str, int],
+        result: HandleResult, plan: list[tuple[Address, tuple, bool]],
+    ) -> None:
+        """Serve ``subs[i]`` (fields in :func:`parse_request` order) for
+        each *i* in *idxs*, all routed to partition *pid*, into
+        ``answers[i]``; counter bumps go to *counts*, replica updates to
+        *plan* as ``(address, update, sync?)``.  The only code that runs the
+        four ops (§III.A) and their replica updates (§III.J) on a store:
+
+        * a client op is REDIRECTed unless this instance owns *pid* or it
+          is failover-addressed (``replica_index > 0``, §III.H), and
+          answers MIGRATING while the partition is frozen;
+        * limits are checked where a client write enters; a replica update
+          carries what the owner accepted, so it is applied as sent (a
+          REMOVE that races ahead of its INSERT is OK) and counts only
+          ``replica_updates`` (client ops count ``inserts`` &c. on a hit);
+        * every sub not redirected adds to the partition's load;
+        * the group is one ``NoVoHT.apply_batch``, with the replication
+          ticket taken under the same store lock when it replicates.
+        """
+        cfg = self.config
+        kinds = self._BATCH_KINDS
+        max_key, max_value = cfg.max_key_bytes, cfg.max_value_bytes
+        owned = self.membership.partition_owner[pid] == self.info.instance_id
+        part: Partition | None = None
+        migrating = False
+        moved: tuple[Status, bytes, bytes] | None = None
+        redirected = 0
+        #: A client write accepted here fans out along the chain — from a
+        #: replica serving a failover write too, owner included: it is dead
+        #: (the send blackholes) or falsely suspected (it stays current).
+        replicating = False
+        batch_ops: list[tuple[str, bytes, bytes]] = []
+        batch_map: list[int] = []
+        for i in idxs:
+            op, key, value, _, _, _, replica_index, inner_op, _, _ = subs[i]
+            replica = op is _REPLICA_UPDATE
+            if not replica and replica_index == 0 and not owned:
+                if moved is None:
+                    moved = (Status.REDIRECT, b"", self._redirect_to(pid))
+                answers[i] = moved
+                redirected += 1
+                continue
+            if part is None:
+                part = self.partition(pid)
+                migrating = part.is_migrating
+            if replica:
+                counts["replica_updates"] = counts.get("replica_updates", 0) + 1
+                if cfg.test_freeze_tail_replicas and replica_index >= 2:
+                    # TEST-ONLY broken mode: the tail replica acks but
+                    # never applies, so its reads go unboundedly stale —
+                    # the failure the bounded-staleness checker must flag.
+                    answers[i] = _OK
+                    continue
+                kind = self._REPLICA_KINDS[inner_op]
+            elif migrating:
+                answers[i] = _MIGRATING
+                continue
+            else:
+                kind = kinds[op]
+                if kind == "put" or kind == "append":
+                    if max_key is not None and len(key) > max_key:
+                        answers[i] = _KEY_TOO_LARGE
+                        continue
+                    if max_value is not None and len(value) > max_value:
+                        answers[i] = _VALUE_TOO_LARGE
+                        continue
+                if kind != "get" and cfg.num_replicas > 0:
+                    replicating = True
+            batch_ops.append((kind, key, value))
+            batch_map.append(i)
+        if redirected:
+            counts["redirects"] = counts.get("redirects", 0) + redirected
+        if part is None:
+            return
+        self.partition_load.record(pid, len(idxs) - redirected)
+        if not batch_ops:
+            return
+        store = part.store
+        try:
+            if replicating:
+                # Apply and ticket in one store critical section, so replica
+                # sends leave in apply order (ReplicationSequencer); a result
+                # spanning several groups trades its ticket up per group.
+                with store.lock:
+                    outcomes = store.apply_batch(batch_ops)
+                    result.repl_ticket = self.repl_sequencer.reticket(result.repl_ticket)
+                    result.repl_sequencer = self.repl_sequencer
+                # Maintenance triggered by the apply parks while we hold
+                # the store lock (checkpoints must not run under it).
+                store.run_pending_maintenance()
+            else:
+                outcomes = store.apply_batch(batch_ops)
+        except ZHTError as exc:
+            failed = (exc.status, b"", b"")
+            for i in batch_map:
+                answers[i] = failed
+            return
+
+        targets: list[tuple[Address, int, bool]] | None = None
+        for (kind, key, value), (ok, got), i in zip(batch_ops, outcomes, batch_map):
+            sub = subs[i]
+            if sub[0] is _REPLICA_UPDATE:
+                answers[i] = _OK
+                continue
+            if not ok:
+                answers[i] = _KEY_NOT_FOUND
+                continue
+            stat = self._BATCH_STATS[kind]
+            counts[stat] = counts.get(stat, 0) + 1
+            answers[i] = _OK if got is None else (_STATUS_OK, got, b"")
+            if replicating and kind != "get":
+                if targets is None:
+                    targets = self._replica_targets(pid, owned)
+                    epoch = self.membership.epoch
+                for address, index, sync in targets:
+                    update = (_REPLICA_UPDATE, key, value, sub[3], epoch, pid, index, int(sub[0]))
+                    plan.append((address, update, sync))
+
+    def _redirect_to(self, pid: int) -> bytes:
+        """The REDIRECT field for *pid*: its owner's address, if any."""
+        try:
+            return str(self.membership.owner_of_partition(pid).address).encode()
+        except ZHTError:
+            return b""
 
     def _wrap_updates(self, updates: list[tuple], outer: Request) -> Request:
         if len(updates) == 1:
@@ -730,21 +703,9 @@ class ZHTServerCore:
             payload=pack_batch(pack_request, updates),
         )
 
-    def _check_limits(self, key: bytes, value: bytes) -> None:
-        cfg = self.config
-        if cfg.max_key_bytes is not None and len(key) > cfg.max_key_bytes:
-            raise ZHTError("key too large", status=Status.KEY_TOO_LARGE)
-        if cfg.max_value_bytes is not None and len(value) > cfg.max_value_bytes:
-            raise ZHTError("value too large", status=Status.VALUE_TOO_LARGE)
-
-    # ------------------------------------------------------------------
-    # Replication
-    # ------------------------------------------------------------------
-
-    def _plan_replication(
-        self, request: Request, pid: int, result: HandleResult
-    ) -> None:
-        """Fan the mutation out along the replica chain.
+    def _replica_targets(self, pid: int, owned: bool) -> list[tuple[Address, int, bool]]:
+        """``(address, chain index, sync?)`` for every replica a mutation
+        of *pid* accepted here is sent to.
 
         Chain position 1 (the secondary) is synchronous in ASYNC mode —
         "The ZHT primary replica and secondary replica are strongly
@@ -757,29 +718,13 @@ class ZHTServerCore:
         included — is fire-and-forget: the owner may well be dead, and a
         synchronous wait on it would stall every failover write.
         """
-        for address, update, sync in self._replication_plan(
-            request.op, request.key, request.value, request.request_id, pid
-        ):
-            sends = result.sync_sends if sync else result.async_sends
-            sends.append((address, Request(*update)))
-
-    def _replication_plan(
-        self, op: OpCode, key: bytes, value: bytes, request_id: int, pid: int
-    ) -> list[tuple[Address, tuple, bool]]:
-        """The ``(address, update, sync?)`` fan-out for one mutation; an
-        update is a REPLICA_UPDATE's fields in :class:`Request` order."""
         chain, _first = self.membership.route(pid, self.config.num_replicas)
         mode = self.config.replication_mode
-        is_owner = self.owns(pid)
-        epoch = self.membership.epoch
-        plan: list[tuple[Address, tuple, bool]] = []
+        targets: list[tuple[Address, int, bool]] = []
         for index, inst in enumerate(chain):
             if inst.instance_id == self.info.instance_id:
                 continue
-            update = (
-                OpCode.REPLICA_UPDATE, key, value, request_id, epoch, pid, index, int(op)
-            )
-            sync = is_owner and (
+            sync = owned and (
                 mode == ReplicationMode.SYNC
                 or (mode == ReplicationMode.ASYNC and index == 1)
             )
@@ -788,40 +733,8 @@ class ZHTServerCore:
                 # replica write, so the secondary silently diverges —
                 # the failure class the consistency checker must flag.
                 continue
-            plan.append((inst.address, update, sync))
-        return plan
-
-    def _handle_replica_update(self, request: Request) -> HandleResult:
-        try:
-            inner = OpCode(request.inner_op)
-        except ValueError:
-            return HandleResult(self._respond(request, Status.BAD_REQUEST))
-        if (
-            self.config.test_freeze_tail_replicas
-            and request.replica_index >= 2
-        ):
-            # TEST-ONLY broken mode: the tail replica acks but never
-            # applies, so its reads go unboundedly stale — the failure
-            # the bounded-staleness checker must flag.
-            self.stats.inc("replica_updates")
-            return HandleResult(self._respond(request, Status.OK))
-        part = self.partition(request.partition)
-        inner_request = Request(
-            op=inner,
-            key=request.key,
-            value=request.value,
-            request_id=request.request_id,
-        )
-        response = self._apply_to_store(inner_request, part.store)
-        # _apply_to_store echoed the *inner* op; the peer on the wire sent
-        # REPLICA_UPDATE and matches its ack against that.
-        response.op = int(request.op)
-        self.stats.inc("replica_updates")
-        # A REMOVE racing ahead of its INSERT on an async replica is not an
-        # error at the replication layer; report OK so chains don't wedge.
-        if response.status == Status.KEY_NOT_FOUND:
-            response.status = Status.OK
-        return HandleResult(response)
+            targets.append((inst.address, index, sync))
+        return targets
 
     # ------------------------------------------------------------------
     # Migration (server side; orchestrated by the manager)
@@ -889,25 +802,18 @@ class ZHTServerCore:
         self,
         request: Request,
         status: Status,
-        *,
         value: bytes = b"",
         redirect: bytes = b"",
         membership: bool = False,
     ) -> Response:
         # Lazy membership propagation: any client whose epoch is behind
         # ours gets the current table piggybacked on the response.
-        stale_client = request.epoch and request.epoch < self.membership.epoch
-        payload = (
-            self.membership.to_bytes() if (membership or stale_client) else b""
-        )
+        table = self.membership
+        epoch = table.epoch
+        payload = table.to_bytes() if membership or 0 < request.epoch < epoch else b""
+        # Positional: keyword arguments make this dataclass cost ~1.7x.
         return Response(
-            status=status,
-            value=value,
-            request_id=request.request_id,
-            epoch=self.membership.epoch,
-            redirect=redirect,
-            membership=payload,
-            op=int(request.op),
+            status, value, request.request_id, epoch, redirect, payload, int(request.op)
         )
 
     def close(self) -> None:

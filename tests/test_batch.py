@@ -4,6 +4,7 @@ multiplexed TCP, WAL group commit (tentpole tests)."""
 import dataclasses
 import inspect
 import random
+import re
 import socket
 import threading
 
@@ -43,7 +44,7 @@ from repro.net.tcp import MultiplexedTCPClient
 from repro.net.transport import ClientTransport
 from repro.net.udp import MAX_DATAGRAM
 from repro.novoht import NoVoHT
-from repro.obs import REGISTRY
+from repro.obs import REGISTRY, PartitionLoadTracker
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +352,10 @@ _client_sub = st.tuples(
 )
 _replica_sub = st.tuples(
     st.just(OpCode.REPLICA_UPDATE),
-    st.integers(0, len(_POOL) - 2),
-    st.binary(max_size=48),
-    # inner op: the three a chain carries, and one no OpCode has
-    st.sampled_from([int(OpCode.INSERT), int(OpCode.REMOVE), int(OpCode.APPEND), 99]),
+    st.integers(0, len(_POOL) - 1),  # over-limit keys and values are stored as sent
+    st.binary(max_size=60),
+    # inner op: the three a chain carries, two it does not, one no OpCode has
+    st.sampled_from([int(op) for op in _CLIENT_OPS + (OpCode.PING,)] + [99]),
 )
 
 
@@ -374,6 +375,8 @@ def _twin_cores(num_replicas: int) -> tuple[ZHTServerCore, ZHTServerCore, int]:
     table = MembershipTable.bootstrap(8, nodes, instances)
     me = instances[0]
     cores = [ZHTServerCore(me, table.copy(), cfg) for _ in range(2)]
+    for core in cores:
+        core.partition_load = PartitionLoadTracker(clock=lambda: 0.0)
     owned = {table.partition_of_key(key, cfg.hash_name) for key in _POOL}
     frozen = min(pid for pid in owned if table.partition_owner[pid] == me.instance_id)
     for core in cores:
@@ -433,10 +436,7 @@ class TestBatchEqualsSingles:
                 before = single.stats.as_dict()
                 one = single.handle(sub)
                 for name in _COMPARED:
-                    # A lone REPLICA_UPDATE also counts its inner op; a
-                    # batched one never did.  Not this test's business.
-                    if sub.op != OpCode.REPLICA_UPDATE or name == "replica_updates":
-                        counts[name] += getattr(single.stats, name) - before[name]
+                    counts[name] += getattr(single.stats, name) - before[name]
                 sends += _flat_sends(one)
                 if one.response is None:  # parked behind the freeze
                     expected.append((Status.MIGRATING, b"", b"", sub.request_id, int(sub.op)))
@@ -454,6 +454,13 @@ class TestBatchEqualsSingles:
                 for core in (batched, single)
             ]
             assert contents[0] == contents[1]
+            assert set(batched.partitions) == set(single.partitions)
+            loads = [
+                core.partition_load.snapshot(top=cfg.num_partitions) for core in (batched, single)
+            ]
+            for load in loads:
+                load["hottest"].sort()
+            assert loads[0] == loads[1]
             # The outer response: membership rides iff a sub was redirected,
             # and only a failed replica update folds outward.
             statuses = [status for status, *_ in got]
@@ -501,12 +508,22 @@ class TestBatchEqualsSingles:
             assert dict(calls) == {"batches": 1, "batch_sub_ops": 32, "inserts": 32}
 
     def test_the_hot_path_builds_no_per_key_message(self):
-        """Replace, not fork: the batch path has no per-key message
-        object, and each message kind has one header check and one pack."""
+        """Replace, not fork: one group function serves every client op
+        and replica update against a partition store and builds no per-key
+        message object, and each message kind has one header check and
+        one pack."""
         server_src = inspect.getsource(repro.core.server)
         assert "_sub_respond" not in server_src
-        handler = inspect.getsource(ZHTServerCore._handle_batch_inner)
-        assert "Response(" not in handler and "Request(" not in handler
+        for gone in ("_apply_to_store", "_handle_replica_update", "_plan_replication"):
+            assert not hasattr(ZHTServerCore, gone), gone
+        group = inspect.getsource(ZHTServerCore._serve_group)
+        for handler in (group, inspect.getsource(ZHTServerCore._handle_batch_inner)):
+            assert "Response(" not in handler and "Request(" not in handler
+        # apply_batch( is the only call made on a partition store, and only
+        # the group function makes it (the broadcast store is not one).
+        calls = re.findall(r"(\w*store)\.(put|get|remove|append|apply_batch)\(", server_src)
+        assert {call for call in calls if call[0] != "broadcast_store"} == {("store", "apply_batch")}
+        assert server_src.count("apply_batch(") == group.count("apply_batch(") > 0
         planner = inspect.getsource(ZHTClientCore.plan_batches)
         assert "Request(" not in planner
         protocol_src = inspect.getsource(repro.core.protocol)

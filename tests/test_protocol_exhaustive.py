@@ -157,8 +157,8 @@ def test_raise_for_status_is_total(status):
 
 
 def test_batch_kinds_cover_batchable_ops():
-    # The BATCH fast path must understand every key/value data op the
-    # client can batch; anything else goes through _dispatch per-sub-op.
+    # The BATCH path must understand every key/value data op the client
+    # can batch; a batch answers any other sub but REPLICA_UPDATE BAD_REQUEST.
     batchable = {OpCode.INSERT, OpCode.LOOKUP, OpCode.REMOVE, OpCode.APPEND}
     assert set(ZHTServerCore._BATCH_KINDS) == batchable
     # Kind strings must be unique (they key the NoVoHT batch op switch).

@@ -16,7 +16,13 @@ from repro.core.membership import (
     new_instance_id,
 )
 from repro.core.partition import Partition
-from repro.core.protocol import OpCode, Request, Response
+from repro.core.protocol import (
+    OpCode,
+    Request,
+    Response,
+    decode_batch_responses,
+    encode_batch_requests,
+)
 from repro.core.server import ZHTServerCore
 from repro.novoht import NoVoHT, encode_image
 from repro.novoht.checkpoint import IMAGE_HEADER_LEN
@@ -243,6 +249,67 @@ class TestReplication:
         )
         replica = next(s for s in servers.values() if s is not server)
         assert replica.handle(update).response.status == Status.OK
+
+
+def replica_update_both_ways(inner_op, value=b"v", partition=None, **cfg_kwargs):
+    """The same REPLICA_UPDATE sent alone and inside a BATCH, each to a
+    fresh replica: ``(sub-status, replica, pid)`` for the two forms."""
+    out = []
+    for batched in (False, True):
+        table, servers, cfg = deploy(num_nodes=3, num_replicas=1, **cfg_kwargs)
+        owner, pid = owner_server(table, servers, b"k", cfg)
+        replica = next(s for s in servers.values() if s is not owner)
+        update = Request(
+            op=OpCode.REPLICA_UPDATE, key=b"k", value=value, request_id=5,
+            epoch=table.epoch, partition=pid if partition is None else partition,
+            replica_index=1, inner_op=int(inner_op),
+        )
+        if batched:
+            outer = replica.handle(Request(
+                op=OpCode.BATCH, request_id=6, epoch=table.epoch,
+                payload=encode_batch_requests([update]),
+            ))
+            status = decode_batch_responses(outer.response.value)[0].status
+        else:
+            status = replica.handle(update).response.status
+        out.append((status, replica, pid))
+    return out
+
+
+class TestReplicaUpdateRules:
+    """A replica update is peer input with one rule per case, whether it
+    travels alone or inside a BATCH."""
+
+    def test_inner_lookup_is_a_bad_request(self):
+        for status, replica, pid in replica_update_both_ways(OpCode.LOOKUP):
+            assert status == Status.BAD_REQUEST
+            assert replica.stats.lookups == replica.stats.replica_updates == 0
+            assert pid not in replica.partitions
+
+    def test_value_over_the_limit_is_stored_as_the_owner_accepted_it(self):
+        for status, replica, pid in replica_update_both_ways(
+            OpCode.INSERT, value=b"x" * 60, max_value_bytes=48
+        ):
+            assert status == Status.OK
+            assert replica.partition(pid).store.get(b"k") == b"x" * 60
+
+    def test_inner_ping_is_a_bad_request_that_leaves_no_trace(self):
+        for status, replica, pid in replica_update_both_ways(OpCode.PING):
+            assert status == Status.BAD_REQUEST
+            assert replica.stats.replica_updates == 0
+            assert not replica.partitions
+            assert replica.partition_load.snapshot()["total_requests"] == 0
+
+    def test_applied_update_counts_replica_updates_and_partition_load(self):
+        for status, replica, pid in replica_update_both_ways(OpCode.INSERT):
+            assert status == Status.OK
+            assert (replica.stats.replica_updates, replica.stats.inserts) == (1, 0)
+            assert replica.partition_load.snapshot()["hottest"] == [[pid, 1]]
+
+    def test_update_for_a_partition_that_does_not_exist_is_a_bad_request(self):
+        for status, replica, _pid in replica_update_both_ways(OpCode.INSERT, partition=10**6):
+            assert status == Status.BAD_REQUEST
+            assert not replica.partitions
 
 
 class TestMigrationMessages:
