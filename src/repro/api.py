@@ -29,7 +29,7 @@ import random
 import threading
 from typing import Callable
 
-from .core.client import BatchEntry, ZHTClientCore
+from .core.client import BatchEntry, OpDriver, ZHTClientCore
 from .core.config import ZHTConfig
 from .core.errors import (
     KeyNotFound,
@@ -50,12 +50,7 @@ from .core.membership import (
 from .core.protocol import OpCode, Response
 from .core.server import ZHTServerCore
 from .net.local import LocalNetwork
-from .net.transport import (
-    ClientTransport,
-    execute_batch,
-    execute_op,
-    run_script,
-)
+from .net.transport import ClientTransport, execute_op, run_script
 
 
 def _to_key(key: str | bytes) -> bytes:
@@ -185,91 +180,81 @@ class ZHT:
             self.core.stats.inc("hot_cache_invalidations")
 
     def _execute(self, op: OpCode, key: bytes, value: bytes = b"") -> "Response":
-        """Drive one operation, recording its interval when enabled."""
+        """Drive one point operation (with the hot-key cache around it)."""
         if op == OpCode.LOOKUP:
             hit = self._cache_get(key)
             if hit is not None:
                 return self._serve_cache_hit(key, hit)
             fetched_at = self.core.clock() if self._hot_cache is not None else 0.0
+        driver = self.core.driver(op, key, value)
         try:
-            driver = self.core.driver(op, key, value)
-            recorder = self.recorder
-            if recorder is None:
-                response = execute_op(self.core, driver, self.transport)
-                if op == OpCode.LOOKUP:
-                    self._cache_fill(
-                        key,
-                        response.value,
-                        fetched_at,
-                        driver.served_replica_index,
-                    )
-                return response
-            from .verify.history import STATUS_FAIL, STATUS_NOTFOUND, STATUS_OK
-
-            t_call = recorder.now()
-            status, result = STATUS_FAIL, b""
-            try:
-                response = execute_op(self.core, driver, self.transport)
-                status = STATUS_OK
-                if op == OpCode.LOOKUP:
-                    result = response.value
-                    self._cache_fill(
-                        key,
-                        response.value,
-                        fetched_at,
-                        driver.served_replica_index,
-                    )
-                return response
-            except KeyNotFound:
-                # A retried REMOVE that observes NOT_FOUND may have applied on
-                # an earlier attempt whose ack was lost (ZHT mutations are
-                # at-least-once), so its outcome is indefinite for the checker.
-                if op == OpCode.REMOVE and driver._attempts_used > 1:
-                    status = STATUS_FAIL
-                else:
-                    status = STATUS_NOTFOUND
-                raise
-            finally:
-                recorder.record(
-                    self.client_id,
-                    _OP_NAMES[op],
-                    key,
-                    value,
-                    t_call,
-                    recorder.now(),
-                    status,
-                    result=result,
-                    replica_index=driver.served_replica_index,
-                )
+            response = self._run(driver)
         finally:
             # Mutations (acked *or* ambiguous) drop the key's cached value.
             if op != OpCode.LOOKUP:
                 self._cache_invalidate(key)
+        if op == OpCode.LOOKUP:
+            self._cache_fill(
+                key, response.value, fetched_at, driver.entries[0].replica_index
+            )
+        return response
+
+    def _run(self, driver: OpDriver) -> Response:
+        """Drive *driver* to completion, recording one history event per
+        entry when a recorder is set."""
+        recorder = self.recorder
+        if recorder is None:
+            return execute_op(self.core, driver, self.transport)
+        t_call = recorder.now()
+        try:
+            return execute_op(self.core, driver, self.transport)
+        finally:
+            t_return = recorder.now()
+            for entry in driver.entries:
+                self._record(driver.op, entry, t_call, t_return)
+
+    def _record(
+        self, op: OpCode, entry: BatchEntry, t_call: float, t_return: float
+    ) -> None:
+        """Record *entry*'s invocation/response interval for the checker,
+        at the chain position that served it."""
+        from .verify.history import STATUS_FAIL, STATUS_NOTFOUND, STATUS_OK
+
+        status, result = STATUS_FAIL, b""
+        if entry.status == Status.OK:
+            status = STATUS_OK
+            if op == OpCode.LOOKUP:
+                result = entry.result
+        elif entry.status == Status.KEY_NOT_FOUND and not (
+            # A retried REMOVE that observes NOT_FOUND may have applied on
+            # an earlier attempt whose ack was lost (ZHT mutations are
+            # at-least-once), so its outcome is indefinite for the checker.
+            op == OpCode.REMOVE and entry.attempts > 1
+        ):
+            status = STATUS_NOTFOUND
+        self.recorder.record(
+            self.client_id,
+            _OP_NAMES[op],
+            entry.key,
+            entry.value,
+            t_call,
+            t_return,
+            status,
+            result=result,
+            replica_index=entry.replica_index,
+        )
 
     def _serve_cache_hit(self, key: bytes, hit: tuple[bytes, int]) -> Response:
         """Answer a lookup from the hot-key cache, recording it as a
         bounded-stale read at the clamped replica index."""
         value, replica_index = hit
-        response = Response(
-            status=Status.OK, value=value, op=int(OpCode.LOOKUP)
-        )
-        recorder = self.recorder
-        if recorder is not None:
-            from .verify.history import STATUS_OK
-
-            now = recorder.now()
-            recorder.record(
-                self.client_id,
-                "lookup",
-                key,
-                b"",
-                now,
-                recorder.now(),
-                STATUS_OK,
-                result=value,
-                replica_index=replica_index,
+        if self.recorder is not None:
+            now = self.recorder.now()
+            entry = BatchEntry(
+                key, status=Status.OK, result=value, replica_index=replica_index
             )
-        return response
+            self._record(OpCode.LOOKUP, entry, now, self.recorder.now())
+        return Response(status=Status.OK, value=value, op=int(OpCode.LOOKUP))
 
     # -- the four ZHT operations (§III.A) -------------------------------
 
@@ -302,84 +287,28 @@ class ZHT:
         of linearizability.  Primarily a verification/diagnostic aid.
         """
         driver = self.core.driver(OpCode.LOOKUP, _to_key(key))
-        driver._replica_index = replica_index
-        recorder = self.recorder
-        if recorder is None:
-            return execute_op(self.core, driver, self.transport).value
-        from .verify.history import STATUS_FAIL, STATUS_NOTFOUND, STATUS_OK
-
-        t_call = recorder.now()
-        status, result = STATUS_FAIL, b""
-        try:
-            response = execute_op(self.core, driver, self.transport)
-            status, result = STATUS_OK, response.value
-            return result
-        except KeyNotFound:
-            status = STATUS_NOTFOUND
-            raise
-        finally:
-            recorder.record(
-                self.client_id,
-                "lookup",
-                _to_key(key),
-                b"",
-                t_call,
-                recorder.now(),
-                status,
-                result=result,
-                replica_index=driver.served_replica_index,
-            )
+        driver.entries[0].replica_index = replica_index
+        return self._run(driver).value
 
     # -- batched operations (one BATCH round trip per owner) -------------
 
     def _run_batch(
         self, op: OpCode, entries: list[BatchEntry]
     ) -> list[BatchEntry]:
+        driver = self.core.driver_many(
+            op, entries, max_bytes=self.transport.max_request_bytes
+        )
         try:
-            return self._run_batch_inner(op, entries)
+            self._run(driver)
+        except ZHTError:
+            pass  # each entry carries its own outcome; the callers map them
         finally:
             # Batched mutations drop every touched key's cached value,
             # acked or not (a partially-applied batch is still a mutation).
             if op != OpCode.LOOKUP and self._hot_cache is not None:
                 for entry in entries:
                     self._cache_invalidate(entry.key)
-
-    def _run_batch_inner(
-        self, op: OpCode, entries: list[BatchEntry]
-    ) -> list[BatchEntry]:
-        recorder = self.recorder
-        if recorder is None:
-            return execute_batch(self.core, op, entries, self.transport)
-        # Each entry settles independently; record one event per key
-        # spanning the batch call (every sub-op was invoked and settled
-        # within this interval, which is all the checker needs).
-        from .verify.history import STATUS_FAIL, STATUS_NOTFOUND, STATUS_OK
-
-        t_call = recorder.now()
-        try:
-            return execute_batch(self.core, op, entries, self.transport)
-        finally:
-            t_return = recorder.now()
-            for entry in entries:
-                if entry.status is None:
-                    status, result = STATUS_FAIL, b""
-                elif entry.status == Status.OK:
-                    status = STATUS_OK
-                    result = entry.result if op == OpCode.LOOKUP else b""
-                elif entry.status == Status.KEY_NOT_FOUND:
-                    status, result = STATUS_NOTFOUND, b""
-                else:
-                    status, result = STATUS_FAIL, b""
-                recorder.record(
-                    self.client_id,
-                    _OP_NAMES[op],
-                    entry.key,
-                    entry.value,
-                    t_call,
-                    t_return,
-                    status,
-                    result=result,
-                )
+        return entries
 
     def insert_many(self, items) -> None:
         """Store many pairs with one BATCH round trip per owning instance.

@@ -23,11 +23,12 @@ implements everything about an operation *except* moving bytes:
   toward suspicion, and lookups may degrade to replica reads;
 * lazy membership refresh from piggybacked tables and redirects.
 
-Real and simulated transports drive the same :class:`OpDriver` loop::
+Real and simulated transports drive the same :class:`OpDriver` loop,
+for a point op (``core.driver``) and a batch (``core.driver_many``) alike::
 
     driver = core.driver(OpCode.LOOKUP, key)
     while True:
-        attempt = driver.next_attempt()        # None => driver.outcome set
+        attempt = driver.next_attempt()        # None => every entry settled
         response = transport.roundtrip(attempt)  # or timeout
         driver.on_response(response)             # or driver.on_timeout()
 """
@@ -49,6 +50,7 @@ from .errors import (
     DeadlineExceeded,
     MembershipError,
     NodeDeadError,
+    ProtocolError,
     RequestTimeout,
     ServerOverloaded,
     Status,
@@ -56,7 +58,7 @@ from .errors import (
     raise_for_status,
 )
 from .hashing import partition_of
-from .membership import Address, InstanceInfo, MembershipTable
+from .membership import Address, MembershipTable
 from .protocol import (
     BATCH_REQUEST_OVERHEAD,
     OpCode,
@@ -64,18 +66,69 @@ from .protocol import (
     Response,
     framed_request_size,
     pack_request,
+    parse_batch,
+    parse_response,
 )
 
 
-@dataclass
+@dataclass(slots=True)
+class BatchEntry:
+    """One key's slot in an operation, settled independently.
+
+    A point op is a driver over one entry, a batch a driver over many.
+    Per-key semantics: a missing key fails only its own entry, a redirect
+    re-plans only its own entry, and the final per-key outcome lands in
+    ``status`` + ``result`` — the two fields of the reply a caller reads —
+    or in ``error`` once the retry budget is exhausted.  The remaining
+    fields are the entry's retry state, kept by :class:`OpDriver`.
+    """
+
+    key: bytes
+    value: bytes = b""
+    status: Status | None = None
+    result: bytes = b""
+    error: ZHTError | None = None
+    #: The key's partition: hashed once per operation.
+    pid: int = -1
+    #: Chain position of the entry's target (0 = owner, 1 = strongly
+    #: consistent secondary, >= 2 = async replica): where the last attempt
+    #: went, so the history recorder knows which guarantee a read carries.
+    replica_index: int = 0
+    #: Consecutive retries at the current chain position: the backoff
+    #: exponent, reset by a failover, a redirect or a degraded read.
+    retries: int = 0
+    #: Round trips that carried this entry.
+    attempts: int = 0
+    #: Whether a server shed this entry (RETRY_LATER) along the way.
+    overloaded: bool = False
+
+    @property
+    def settled(self) -> bool:
+        return self.status is not None or self.error is not None
+
+
+@dataclass(slots=True)
 class Attempt:
-    """One network attempt the transport should execute."""
+    """One round trip: a group of entries whose keys all live on the same
+    instance (per-owner planning — the aggregation Monnerat & Amorim use
+    per destination, applied to ZHT's zero-hop routing where the owner is
+    known client-side), and once :class:`OpDriver` sends it, the request,
+    its timeout and the backoff delay before it."""
 
     address: Address
-    request: Request
-    timeout: float
+    node_id: str
+    instance_id: str
+    #: The entries' op and the membership epoch they were planned against.
+    op: OpCode
+    epoch: int
+    entries: list[BatchEntry]
+    request: Request | None = None
+    timeout: float = 0.0
     #: Seconds to wait before issuing this attempt (backoff delay).
     delay: float = 0.0
+    #: Sub-request ids of a BATCH, which its sub-responses must echo;
+    #: ``None`` when the group went out as one plain request.
+    sub_ids: list[int] | None = None
 
 
 @dataclass
@@ -84,63 +137,6 @@ class Notification:
 
     address: Address
     request: Request
-
-
-@dataclass
-class BatchEntry:
-    """One key's slot in a batched operation, settled independently.
-
-    Per-key semantics: a missing key fails only its own entry, a redirect
-    re-plans only its own entry, and the final per-key outcome lands in
-    ``status`` + ``result`` — the two fields of the sub-response a caller
-    reads — or in ``error`` after the retry budget is exhausted.
-    """
-
-    key: bytes
-    value: bytes = b""
-    status: Status | None = None
-    result: bytes = b""
-    error: ZHTError | None = None
-
-    @property
-    def settled(self) -> bool:
-        return self.status is not None or self.error is not None
-
-
-@dataclass
-class BatchAttempt:
-    """One BATCH round trip the transport should execute: a group of
-    entries whose keys all live on the same instance (per-owner planning
-    — the aggregation Monnerat & Amorim use per destination, applied to
-    ZHT's zero-hop routing where the owner is known client-side)."""
-
-    address: Address
-    node_id: str
-    instance_id: str
-    #: The sub-requests' op and (plan-time) membership epoch.
-    op: OpCode
-    epoch: int
-    entries: list[BatchEntry]
-    #: ``(key, value, request_id, replica_index)`` per entry: the fields a
-    #: sub-request has of its own, packed when the attempt is sent.
-    subs: list[tuple[bytes, bytes, int, int]]
-
-    def to_request(
-        self, core: "ZHTClientCore", deadline_us: int = 0
-    ) -> Request:
-        payload = bytearray()
-        op, epoch = self.op, self.epoch
-        for key, value, request_id, replica_index in self.subs:
-            pack_request(
-                payload, True, op, key, value, request_id, epoch, 0, replica_index
-            )
-        return Request(
-            op=OpCode.BATCH,
-            request_id=core.allocate_request_id(),
-            epoch=core.membership.epoch,
-            payload=bytes(payload),
-            deadline_us=deadline_us,
-        )
 
 
 class BreakerState(enum.Enum):
@@ -297,18 +293,17 @@ class ZHTClientCore:
     # ------------------------------------------------------------------
 
     def driver(self, op: OpCode, key: bytes, value: bytes = b"") -> "OpDriver":
-        self.maybe_reprobe()
+        """A driver for one point operation: the group of one."""
         self.stats.inc("ops")
-        cfg = self.config
-        pid = self.membership.partition_of_key(key, cfg.hash_name)
-        start = 0
-        # Key heat has two consumers, read spreading and the hot-key
-        # cache; a deployment with neither tracks none.
-        if op is OpCode.LOOKUP and (
-            cfg.hot_key_cache_size or (cfg.hot_read_spread and cfg.num_replicas)
-        ):
-            start = self._hot_read_start(key, pid)
-        return OpDriver(self, op, key, value, pid, start_replica_index=start)
+        return OpDriver(self, op, [BatchEntry(key, value)])
+
+    def driver_many(
+        self, op: OpCode, entries: list[BatchEntry], *, max_bytes: int | None = None
+    ) -> "OpDriver":
+        """A driver for one batched operation: *op* over every entry, one
+        BATCH round trip per owner (chunked under *max_bytes*)."""
+        self.stats.inc("batch_ops", len(entries))
+        return OpDriver(self, op, entries, max_bytes=max_bytes)
 
     # -- client-observed key heat ------------------------------------------
 
@@ -364,64 +359,55 @@ class ZHTClientCore:
         entries: list[BatchEntry],
         *,
         max_bytes: int | None = None,
-        max_entries: int | None = None,
-    ) -> tuple[list[BatchAttempt], list[BatchEntry]]:
-        """Group *entries* by owning instance into BATCH attempts.
+    ) -> tuple[list[Attempt], list[BatchEntry]]:
+        """Group the unsettled *entries* by target instance into round trips.
 
-        Every key's owner is computed from the local membership table
-        (zero hops); keys whose whole replica chain is dead come back in
-        the second element so the caller can fail them without a round
-        trip.  ``max_bytes`` chunks each owner's group so the encoded
-        BATCH request stays under a transport's datagram limit (UDP);
-        ``max_entries`` caps sub-requests per round trip.
+        Each entry goes to the first alive chain position at or past its
+        ``replica_index``, computed from the local membership table (zero
+        hops); entries whose chain has no such position come back in the
+        second element so the caller can fail them without a round trip.
+        ``max_bytes`` chunks each owner's group so the encoded BATCH
+        request stays under a transport's datagram limit (UDP).
         """
-        self.maybe_reprobe()
         membership = self.membership
-        epoch, num_partitions = membership.epoch, membership.num_partitions
-        hash_name, num_replicas = self.config.hash_name, self.config.num_replicas
-        next_id = self._request_ids.__next__
-        groups: dict[str, BatchAttempt] = {}
+        route, epoch = membership.route, membership.epoch
+        num_replicas = self.config.num_replicas
+        groups: dict[str, Attempt] = {}
         unroutable: list[BatchEntry] = []
         for entry in entries:
-            key = entry.key
-            pid = partition_of(key, num_partitions, hash_name)
-            chain, replica_index = membership.route(pid, num_replicas)
-            if replica_index < 0:
+            if entry.settled:
+                continue
+            chain, first = route(entry.pid, num_replicas)
+            # Positions past the first alive one are alive (see route()).
+            index = entry.replica_index if entry.replica_index > first else first
+            if first < 0 or index >= len(chain):
                 unroutable.append(entry)
                 continue
-            target = chain[replica_index]
+            entry.replica_index = index
+            target = chain[index]
             attempt = groups.get(target.instance_id)
             if attempt is None:
-                attempt = groups[target.instance_id] = BatchAttempt(
-                    target.address, target.node_id, target.instance_id, op, epoch, [], []
+                attempt = groups[target.instance_id] = Attempt(
+                    target.address, target.node_id, target.instance_id, op, epoch, []
                 )
             attempt.entries.append(entry)
-            attempt.subs.append((key, entry.value, next_id(), replica_index))
-        if max_bytes is None and max_entries is None:
+        if max_bytes is None:
             return list(groups.values()), unroutable
-        # Chunk each owner group under the transport's size/count limits.
-        budget = (
-            None if max_bytes is None else max(1, max_bytes - BATCH_REQUEST_OVERHEAD)
-        )
-        attempts: list[BatchAttempt] = []
+        # Chunk each owner group under the transport's size limit.
+        budget = max(1, max_bytes - BATCH_REQUEST_OVERHEAD)
+        attempts: list[Attempt] = []
         for group in groups.values():
-            chunk = replace(group, entries=[], subs=[])
+            chunk = replace(group, entries=[])
             size = 0
-            for entry, sub in zip(group.entries, group.subs):
-                wire = framed_request_size(sub[0], sub[1])
-                full_count = max_entries and len(chunk.entries) >= max_entries
-                full_bytes = (
-                    budget is not None and chunk.entries and size + wire > budget
-                )
-                if full_count or full_bytes:
+            for entry in group.entries:
+                wire = framed_request_size(entry.key, entry.value)
+                if chunk.entries and size + wire > budget:
                     attempts.append(chunk)
-                    chunk = replace(group, entries=[], subs=[])
+                    chunk = replace(group, entries=[])
                     size = 0
                 chunk.entries.append(entry)
-                chunk.subs.append(sub)
                 size += wire
-            if chunk.entries:
-                attempts.append(chunk)
+            attempts.append(chunk)
         return attempts, unroutable
 
     def allocate_request_id(self) -> int:
@@ -634,210 +620,310 @@ class ZHTClientCore:
 
 
 class OpDriver:
-    """Drives one logical operation through attempts until done/failed."""
+    """Drives one logical operation — *op* over a list of entries — through
+    round trips until every entry settled.
+
+    Each round plans the unsettled entries into one round trip per owner
+    group (:meth:`ZHTClientCore.plan_batches`); :meth:`next_attempt` hands
+    them out one at a time, and :meth:`on_response` / :meth:`on_timeout`
+    settle or requeue the entries of the attempt just sent.  A point op is
+    the group of one, so it follows the same schedule as every batch
+    entry: timeouts and delays grow with the entry's retries at its chain
+    position, a timeout that leaves the target's node dead fails over down
+    the replica chain, and a round's backoff delay is the schedule of its
+    most-retried entry.
+    """
 
     def __init__(
         self,
         core: ZHTClientCore,
         op: OpCode,
-        key: bytes,
-        value: bytes,
-        pid: int,
+        entries: list[BatchEntry],
         *,
-        start_replica_index: int = 0,
+        max_bytes: int | None = None,
     ) -> None:
+        core.maybe_reprobe()
         self.core = core
         self.op = op
-        self.key = key
-        self.value = value
-        #: The key's partition: hashed once per operation, by the caller.
-        self.pid = pid
-        self.state = OpState.RUNNING
+        self.entries = entries
+        self.max_bytes = max_bytes
+        #: The last reply received.
         self.response: Response | None = None
-        self.error: ZHTError | None = None
         #: Absolute wall-clock deadline; propagated in every request
         #: header and enforced locally when planning each attempt.
         self.deadline = core.clock() + core.deadline_budget()
-        self._attempts_used = 0
-        self._retries_on_target = 0
-        #: Chain position of the current target.  Normally 0 (the owner);
-        #: heat-spread lookups start deeper in the chain and walk forward
-        #: from there like any degraded read.
-        self._replica_index = start_replica_index
+        cfg = core.config
+        membership = core.membership
+        num_partitions, hash_name = membership.num_partitions, cfg.hash_name
+        # Key heat has two consumers, read spreading and the hot-key
+        # cache; a deployment with neither tracks none.
+        heat = op is OpCode.LOOKUP and bool(
+            cfg.hot_key_cache_size or (cfg.hot_read_spread and cfg.num_replicas)
+        )
+        for entry in entries:
+            entry.pid = partition_of(entry.key, num_partitions, hash_name)
+            if heat:
+                # Heat-spread lookups start deeper in the chain and walk
+                # forward from there like any degraded read.
+                entry.replica_index = core._hot_read_start(entry.key, entry.pid)
+        #: This round's attempts not yet handed out, last one first.
+        self._queue: list[Attempt] = []
+        #: Backoff delay owed before the next attempt handed out.
+        self._delay = 0.0
         self._current: Attempt | None = None
-        #: Node the current attempt went to: the one a reply (or its
-        #: absence) is evidence about, whatever the table says by then.
-        self._sent_to = ""
-        self._overloaded_seen = False
 
     # ------------------------------------------------------------------
 
     @property
-    def served_replica_index(self) -> int:
-        """Replica-chain position of the final attempt's target (0 =
-        owner, 1 = strongly-consistent secondary, >=2 = async replica).
-        The history recorder stores this with each event so the
-        consistency checker knows which guarantee the read carries."""
-        return self._replica_index
+    def state(self) -> OpState:
+        failed = False
+        for entry in self.entries:
+            if entry.error is not None:
+                failed = True
+            elif entry.status is None:
+                return OpState.RUNNING
+        return OpState.FAILED if failed else OpState.DONE
 
-    def _target(self) -> InstanceInfo | None:
-        """Current target instance, honouring failover position and
-        skipping replicas on dead nodes."""
-        chain, first = self.core.membership.route(
-            self.pid, self.core.config.num_replicas
-        )
-        # Positions past the first alive one are alive (see route()).
-        index = max(self._replica_index, first)
-        if first < 0 or index >= len(chain):
-            return None
-        self._replica_index = index
-        return chain[index]
-
-    def next_attempt(self) -> Attempt | None:
-        """The next attempt to execute, or ``None`` once settled."""
-        if self.state is not OpState.RUNNING:
-            return None
-        cfg = self.core.config
-        if self._attempts_used > cfg.max_retries:
-            if self._overloaded_seen:
-                self._fail(
-                    ServerOverloaded(
-                        f"{self.op.name} shed by overloaded servers"
-                    )
+    def _plan_round(self) -> None:
+        """Fail the entries out of budget and plan the rest into this
+        round's attempts."""
+        core = self.core
+        cfg = core.config
+        op = self.op
+        entries = self.entries
+        pending = False
+        retries = 0
+        for entry in entries:
+            if entry.settled:
+                continue
+            if entry.attempts > cfg.max_retries:
+                entry.error = (
+                    ServerOverloaded(f"{op.name} shed by overloaded servers")
+                    if entry.overloaded
+                    else RequestTimeout(f"{op.name} exhausted retries")
                 )
-            else:
-                self._fail(RequestTimeout(f"{self.op.name} exhausted retries"))
-            return None
-        remaining = self.deadline - self.core.clock()
-        if remaining <= 0:
-            self._fail(
-                DeadlineExceeded(f"{self.op.name} deadline exceeded")
+                continue
+            pending = True
+            if entry.retries > retries:
+                retries = entry.retries
+        if not pending:
+            return
+        if self.deadline - core.clock() <= 0:
+            for entry in entries:
+                if not entry.settled:
+                    entry.error = DeadlineExceeded(f"{op.name} deadline exceeded")
+            return
+        attempts, unroutable = core.plan_batches(op, entries, max_bytes=self.max_bytes)
+        for entry in unroutable:
+            entry.error = NodeDeadError(
+                f"no alive replica for partition {entry.pid} (op {op.name})"
             )
-            return None
-        target = self._target()
-        if target is None:
-            self._fail(
-                NodeDeadError(
-                    f"no alive replica for partition {self.pid} "
-                    f"(op {self.op.name})"
-                )
-            )
-            return None
-        request = Request(
-            op=self.op,
-            key=self.key,
-            value=self.value,
-            request_id=self.core.allocate_request_id(),
-            epoch=self.core.membership.epoch,
-            replica_index=self._replica_index,
-            deadline_us=int(self.deadline * 1e6),
-        )
-        timeout = cfg.request_timeout
+        if not attempts:
+            return
         delay = 0.0
-        if self._retries_on_target > 0:
-            timeout *= cfg.backoff_factor ** self._retries_on_target
-            delay = cfg.request_timeout * (
-                cfg.backoff_factor ** (self._retries_on_target - 1)
-            )
+        if retries:
+            delay = cfg.request_timeout * cfg.backoff_factor ** (retries - 1)
             if cfg.retry_jitter:
                 # Full jitter (delay ~ U[0, base]) desynchronizes the
                 # retry storms that lockstep exponential backoff creates
                 # when many clients time out against one slow server.
-                delay = self.core.rng.uniform(0.0, delay)
-        # The deadline caps both the wait before the attempt and the
-        # attempt itself; a schedule that cannot fit gives the attempt
-        # whatever budget is left rather than overshooting the deadline.
-        delay = min(delay, remaining)
-        timeout = min(timeout, remaining - delay)
-        if timeout <= 0:
-            self._fail(
-                DeadlineExceeded(f"{self.op.name} deadline exceeded")
+                delay = core.rng.uniform(0.0, delay)
+        attempts.reverse()
+        self._queue = attempts
+        self._delay = delay
+
+    def next_attempt(self) -> Attempt | None:
+        """The next round trip to execute, or ``None`` once every entry
+        settled."""
+        if not self._queue:
+            self._plan_round()
+        queue = self._queue
+        core = self.core
+        cfg = core.config
+        while queue:
+            attempt = queue.pop()
+            entries = attempt.entries
+            retries = 0
+            for entry in entries:
+                entry.attempts += 1
+                if entry.retries > retries:
+                    retries = entry.retries
+            # The deadline caps both the wait before the attempt and the
+            # attempt itself; a schedule that cannot fit gives the attempt
+            # whatever budget is left rather than overshooting the deadline.
+            remaining = self.deadline - core.clock()
+            delay = min(self._delay, remaining)
+            self._delay = 0.0
+            timeout = min(
+                cfg.request_timeout * cfg.backoff_factor**retries, remaining - delay
             )
-            return None
-        self._current = Attempt(target.address, request, timeout, delay)
-        self._sent_to = target.node_id
-        self._attempts_used += 1
-        return self._current
+            if timeout <= 0:
+                for entry in entries:
+                    entry.error = DeadlineExceeded(f"{self.op.name} deadline exceeded")
+                continue
+            attempt.request = self._encode(attempt)
+            attempt.timeout = timeout
+            attempt.delay = delay
+            self._current = attempt
+            return attempt
+        return None
+
+    def _encode(self, attempt: Attempt) -> Request:
+        """The request carrying *attempt*: a group of one goes out as a
+        plain request, a larger group as a BATCH.  Every request id of an
+        operation is minted here."""
+        next_id = self.core._request_ids.__next__
+        op, epoch, entries = attempt.op, attempt.epoch, attempt.entries
+        deadline_us = int(self.deadline * 1e6)
+        if len(entries) == 1:
+            entry = entries[0]
+            return Request(
+                op=op,
+                key=entry.key,
+                value=entry.value,
+                request_id=next_id(),
+                epoch=epoch,
+                replica_index=entry.replica_index,
+                deadline_us=deadline_us,
+            )
+        self.core.stats.inc("batches")
+        payload = bytearray()
+        sub_ids = attempt.sub_ids = []
+        for entry in entries:
+            request_id = next_id()
+            sub_ids.append(request_id)
+            pack_request(
+                payload, True, op, entry.key, entry.value, request_id, epoch, 0,
+                entry.replica_index,
+            )
+        return Request(
+            op=OpCode.BATCH,
+            request_id=next_id(),
+            epoch=self.core.membership.epoch,
+            payload=bytes(payload),
+            deadline_us=deadline_us,
+        )
 
     # ------------------------------------------------------------------
 
     def on_response(self, response: Response, rtt_s: float | None = None) -> None:
-        if self.state is not OpState.RUNNING or self._current is None:
+        attempt = self._current
+        if attempt is None:
             return
-        core = self.core
-        core.record_success(self._sent_to, rtt_s=rtt_s)
-        core.adopt_membership(response.membership)
-
-        if response.status == Status.REDIRECT:
-            # Membership was piggybacked; recompute the owner and retry.
-            core.stats.inc("redirects_followed")
-            self._retries_on_target = 0
-            return
-        if response.status == Status.MIGRATING:
-            # Partition briefly locked; back off and retry.
-            core.stats.inc("retries")
-            self._retries_on_target += 1
-            return
-        if response.status == Status.RETRY_LATER:
-            # Explicit overload shed: the node is alive (it answered), so
-            # nothing counts toward suspicion.  Lookups degrade to the
-            # next replica under the bounded-staleness contract; anything
-            # else backs off (with jitter) and retries the same target.
-            core.stats.inc("retry_later")
-            if (
-                self.op == OpCode.LOOKUP
-                and core.config.degraded_reads
-                and self._replica_index < core.config.num_replicas
-            ):
-                self._replica_index += 1
-                self._retries_on_target = 0
-                core.stats.inc("degraded_reads")
-                return
-            self._overloaded_seen = True
-            core.stats.inc("retries")
-            self._retries_on_target += 1
-            return
-        if response.status == Status.DEADLINE_EXCEEDED:
-            # The server's clock says our deadline passed.  Trust our own
-            # clock instead (tolerates skew): back off and let
-            # next_attempt() settle the failure if we agree.
-            core.stats.inc("retries")
-            self._retries_on_target += 1
-            return
+        self._current = None
         self.response = response
-        self.state = OpState.DONE
+        entries = attempt.entries
+        if attempt.sub_ids is None or response.status is not Status.OK:
+            # A plain reply, or a whole-BATCH status: one answer for all.
+            outcomes = itertools.repeat((response.status, response.value), len(entries))
+        else:
+            outcomes = _sub_responses(attempt, response)
+            if outcomes is None:
+                # A reply that answers no entry reliably is a lost reply, as
+                # it is to a point request over a transport matching by id.
+                self._timed_out(attempt)
+                return
+        core = self.core
+        core.record_success(attempt.node_id, rtt_s=rtt_s)
+        core.adopt_membership(response.membership)
+        cfg = core.config
+        stats = core.stats
+        for entry, outcome in zip(entries, outcomes):
+            status = outcome[0]
+            if status is Status.REDIRECT:
+                # Membership was piggybacked; recompute the owner and retry.
+                stats.inc("redirects_followed")
+                entry.retries = 0
+            elif status is Status.MIGRATING or status is Status.DEADLINE_EXCEEDED:
+                # MIGRATING: the partition is briefly frozen.  DEADLINE_EXCEEDED:
+                # the server's clock says our deadline passed; trust our own
+                # clock instead (tolerates skew).  Either way back off and
+                # let the next round settle the failure if we agree.
+                stats.inc("retries")
+                entry.retries += 1
+            elif status is Status.RETRY_LATER:
+                # Explicit overload shed: the node is alive (it answered),
+                # so nothing counts toward suspicion.  Lookups degrade to
+                # the next replica under the bounded-staleness contract;
+                # anything else backs off (with jitter) and retries the
+                # same target.
+                stats.inc("retry_later")
+                if (
+                    self.op is OpCode.LOOKUP
+                    and cfg.degraded_reads
+                    and entry.replica_index < cfg.num_replicas
+                ):
+                    entry.replica_index += 1
+                    entry.retries = 0
+                    stats.inc("degraded_reads")
+                else:
+                    entry.overloaded = True
+                    stats.inc("retries")
+                    entry.retries += 1
+            else:
+                entry.status, entry.result = status, outcome[1]
 
     def on_timeout(self) -> None:
         """The transport observed no response within ``attempt.timeout``."""
-        if self.state is not OpState.RUNNING or self._current is None:
+        attempt = self._current
+        if attempt is None:
             return
+        self._current = None
+        self._timed_out(attempt)
+
+    def _timed_out(self, attempt: Attempt) -> None:
         core = self.core
-        core.stats.inc("retries")
-        timeout_s = self._current.timeout
-        self._retries_on_target += 1
-        died = core.record_timeout(self._sent_to, timeout_s=timeout_s)
-        if died:
-            # Fail over to the next replica in the chain.
-            self._replica_index += 1
-            self._retries_on_target = 0
-            if self._replica_index <= core.config.num_replicas:
-                core.stats.inc("failovers")
+        entries = attempt.entries
+        core.stats.inc("retries", len(entries))
+        core.record_timeout(attempt.node_id, timeout_s=attempt.timeout)
+        # Fail over to the next replica in the chain once the node is dead,
+        # whether this timeout or a concurrent operation's tipped it.
+        node = core.membership.nodes.get(attempt.node_id)
+        if node is not None and node.alive:
+            for entry in entries:
+                entry.retries += 1
+            return
+        num_replicas = core.config.num_replicas
+        failovers = 0
+        for entry in entries:
+            entry.replica_index += 1
+            entry.retries = 0
+            if entry.replica_index <= num_replicas:
+                failovers += 1
+        if failovers:
+            core.stats.inc("failovers", failovers)
 
     # ------------------------------------------------------------------
 
-    def _fail(self, error: ZHTError) -> None:
-        self.error = error
-        self.state = OpState.FAILED
-
     def result(self) -> Response:
-        """Final response; raises the mapped exception on failure."""
-        if self.state is OpState.FAILED:
-            assert self.error is not None
-            raise self.error
-        if self.state is not OpState.DONE or self.response is None:
-            raise ZHTError("operation still in flight")
-        raise_for_status(
-            self.response.status,
-            f"{self.op.name} {self.key!r}",
-        )
+        """The last reply once every entry settled; raises the first
+        failed entry's exception (its error, or the one its status maps
+        to)."""
+        for entry in self.entries:
+            if entry.error is not None:
+                raise entry.error
+            if entry.status is None:
+                raise ZHTError("operation still in flight")
+            if entry.status is not Status.OK:
+                raise_for_status(entry.status, f"{self.op.name} {entry.key!r}")
+        assert self.response is not None
         return self.response
+
+
+def _sub_responses(attempt: Attempt, response: Response) -> list | None:
+    """The sub-response field tuples ``(status, value, ...)`` of a BATCH
+    reply, one per entry of *attempt*, or ``None`` when the reply answers
+    none of them reliably."""
+    sub_ids = attempt.sub_ids
+    try:
+        subs = parse_batch(parse_response, response.value)
+    except ProtocolError:
+        return None
+    # A sub-response echoes its sub-request's id and op; a reply with one
+    # missing, extra or out of place answers nothing reliably.
+    op = attempt.op
+    if len(subs) != len(sub_ids) or any(
+        sub[2] != request_id or sub[6] != op for sub, request_id in zip(subs, sub_ids)
+    ):
+        return None
+    return subs

@@ -953,8 +953,9 @@ def _run_sim(
     ) -> Generator[Any, Any, tuple[str, bytes]]:
         """One (recorded) operation; returns ``(status, result)``."""
         driver = core.driver(op, key, value)
+        entry = driver.entries[0]
         if replica_index:
-            driver._replica_index = replica_index
+            entry.replica_index = replica_index
         t_call = env.now
         status, result = STATUS_FAIL, b""
         try:
@@ -965,7 +966,7 @@ def _run_sim(
         except KeyNotFound:
             # Same at-least-once caveat as ZHT._execute: a retried REMOVE
             # observing NOT_FOUND may have applied on a lost attempt.
-            if not (op == OpCode.REMOVE and driver._attempts_used > 1):
+            if not (op == OpCode.REMOVE and entry.attempts > 1):
                 status = STATUS_NOTFOUND
         except ZHTError:
             pass
@@ -979,7 +980,7 @@ def _run_sim(
                 env.now,
                 status,
                 result=result,
-                replica_index=driver.served_replica_index,
+                replica_index=entry.replica_index,
             )
         return status, result
 

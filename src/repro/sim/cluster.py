@@ -528,7 +528,8 @@ class SimulatedCluster:
         self, core: ZHTClientCore, driver: OpDriver
     ) -> Generator[Any, Any, Response]:
         """DES sub-generator mirroring :func:`repro.net.transport.execute_op`:
-        drives one op through retries/backoff/failover in simulated time."""
+        drives one op — a point op or a batch — through retries, backoff
+        and failover in simulated time."""
         while True:
             attempt = driver.next_attempt()
             if attempt is None:

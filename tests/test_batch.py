@@ -103,14 +103,19 @@ class TestBatchCodec:
 # ---------------------------------------------------------------------------
 
 
+def _planned_entries(core, keys, value=b"v"):
+    """Entries as an :class:`OpDriver` hands them to the planner: hashed."""
+    return [
+        BatchEntry(key, value, pid=core.membership.partition_of_key(key, core.config.hash_name))
+        for key in keys
+    ]
+
+
 class TestBatchPlanning:
     def test_groups_by_owner_and_covers_all_entries(self):
         with build_local_cluster(4, ZHTConfig(transport="local")) as cluster:
             core = cluster.client().core
-            entries = [
-                BatchEntry(key=f"key-{i}".encode(), value=b"v")
-                for i in range(64)
-            ]
+            entries = _planned_entries(core, [f"key-{i}".encode() for i in range(64)])
             attempts, unroutable = core.plan_batches(OpCode.INSERT, entries)
             assert not unroutable
             assert sum(len(a.entries) for a in attempts) == 64
@@ -119,10 +124,12 @@ class TestBatchPlanning:
             assert 1 < len(attempts) <= 4
             assert len({a.instance_id for a in attempts}) == len(attempts)
             for attempt in attempts:
-                for entry, sub in zip(attempt.entries, attempt.subs):
-                    key, _value, request_id, _replica_index = sub
-                    assert key == entry.key
-                    assert request_id > 0
+                for entry in attempt.entries:
+                    owner = core.membership.owner_of_partition(entry.pid)
+                    assert owner.instance_id == attempt.instance_id
+                    assert entry.replica_index == 0
+                # Planning mints no request id: the driver does, on sending.
+                assert attempt.request is None and attempt.sub_ids is None
 
     def test_max_bytes_chunks_attempts(self):
         with build_local_cluster(1, ZHTConfig(transport="local")) as cluster:
@@ -132,14 +139,15 @@ class TestBatchPlanning:
                 for i in range(50)
             ]
             limit = 1024
-            attempts, _ = core.plan_batches(
-                OpCode.INSERT, entries, max_bytes=limit
-            )
-            assert len(attempts) > 1
-            assert sum(len(a.entries) for a in attempts) == 50
-            for attempt in attempts:
-                outer = attempt.to_request(core)
-                assert len(outer.encode()) <= limit
+            driver = core.driver_many(OpCode.INSERT, entries, max_bytes=limit)
+            sizes = []
+            while (attempt := driver.next_attempt()) is not None:
+                sizes.append(len(attempt.request.encode()))
+                driver.on_response(
+                    cluster.network.roundtrip(attempt.address, attempt.request, 1.0)
+                )
+            assert len(sizes) > 1 and max(sizes) <= limit
+            assert all(entry.status == Status.OK for entry in entries)
 
     def test_dead_chain_is_unroutable(self):
         with build_local_cluster(1, ZHTConfig(transport="local")) as cluster:
@@ -147,7 +155,7 @@ class TestBatchPlanning:
             node_id = next(iter(core.membership.nodes))
             core.membership.mark_node_dead(node_id)
             attempts, unroutable = core.plan_batches(
-                OpCode.INSERT, [BatchEntry(key=b"k", value=b"v")]
+                OpCode.INSERT, _planned_entries(core, [b"k"])
             )
             assert not attempts
             assert len(unroutable) == 1
@@ -533,6 +541,249 @@ class TestBatchEqualsSingles:
 
 
 # ---------------------------------------------------------------------------
+# The client: one retry engine, a batch is N entries and a point op is one
+# ---------------------------------------------------------------------------
+
+_SCRIPTED = ("ok", "not_found", "redirect", "migrating", "retry_later", "timeout", "wrong_id")
+_SUB_STATUS = {
+    "ok": Status.OK,
+    "not_found": Status.KEY_NOT_FOUND,
+    "redirect": Status.REDIRECT,
+    "migrating": Status.MIGRATING,
+}
+_CLIENT_COUNTERS = ("retries", "failovers", "degraded_reads", "redirects_followed")
+
+
+class _ScriptedServers:
+    """Answers a round trip by its address and the round it belongs to —
+    the same answer for every entry a round sends to one address, whether
+    the entries travel in one BATCH or one request each."""
+
+    def __init__(self, script: dict, newer_table: bytes):
+        self.script = script
+        self.newer_table = newer_table
+
+    def reply(self, attempt):
+        outcomes = self.script[attempt.address]
+        kind = outcomes[min(attempt.entries[0].attempts - 1, len(outcomes) - 1)]
+        request = attempt.request
+        if kind == "timeout":
+            return None
+        if kind == "retry_later":
+            return Response(status=Status.RETRY_LATER, request_id=request.request_id)
+        membership = self.newer_table if kind == "redirect" else b""
+        if request.op != OpCode.BATCH:
+            # A plain request with a wrong id never reaches its caller.
+            if kind == "wrong_id":
+                return None
+            return Response(
+                status=_SUB_STATUS[kind], value=b"got:" + request.key,
+                request_id=request.request_id, membership=membership, op=request.op,
+            )
+        subs = [
+            Response(
+                status=_SUB_STATUS.get(kind, Status.OK), value=b"got:" + sub.key,
+                request_id=sub.request_id + (kind == "wrong_id"), op=sub.op,
+            )
+            for sub in decode_batch_requests(request.payload)
+        ]
+        return Response(
+            status=Status.OK, value=encode_batch_responses(subs),
+            request_id=request.request_id, membership=membership, op=OpCode.BATCH,
+        )
+
+
+def _client_twins():
+    """Two client cores over equal tables with a fixed clock, and a newer
+    table (partitions moved one instance along) a REDIRECT can carry."""
+    cfg = ZHTConfig(
+        num_partitions=16, transport="local", num_replicas=2, request_timeout=0.01,
+        max_retries=4, failures_before_dead=1, retry_jitter=False,
+    )
+    rng = random.Random(5)
+    nodes = [NodeInfo(f"n{n}", Address(f"n{n}", 1)) for n in range(4)]
+    instances = [
+        InstanceInfo(new_instance_id(rng), f"n{n}", Address(f"n{n}", 9000 + n))
+        for n in range(4)
+    ]
+    table = MembershipTable.bootstrap(16, nodes, instances)
+    newer = table.copy()
+    ids = sorted(newer.instances)
+    for pid in range(16):
+        owner = newer.partition_owner[pid]
+        newer.reassign_partition(pid, ids[(ids.index(owner) + 1) % len(ids)])
+    newer.epoch = table.epoch + 100
+    cores = [
+        ZHTClientCore(table.copy(), cfg, rng=random.Random(1), clock=lambda: 1000.0)
+        for _ in range(2)
+    ]
+    return cores, [inst.address for inst in instances], newer.to_bytes()
+
+
+def _outcome(entry):
+    error = None if entry.error is None else type(entry.error)
+    return (entry.status, entry.result, error, entry.replica_index)
+
+
+class TestClientBatchEqualsSingles:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        op=st.sampled_from(_CLIENT_OPS),
+        key_count=st.integers(1, 8),
+        scripts=st.lists(
+            st.lists(st.sampled_from(_SCRIPTED), min_size=1, max_size=4),
+            min_size=4, max_size=4,
+        ),
+    )
+    def test_one_driver_over_n_entries_equals_n_drivers_of_one(self, op, key_count, scripts):
+        (batched, single), addresses, newer = _client_twins()
+        servers = _ScriptedServers(dict(zip(addresses, scripts)), newer)
+        keys = [b"key-%d" % i for i in range(key_count)]
+        value = b"" if op == OpCode.LOOKUP else b"v"
+
+        entries = [BatchEntry(key, value) for key in keys]
+        driver = batched.driver_many(op, entries)
+        while (attempt := driver.next_attempt()) is not None:
+            response = servers.reply(attempt)
+            driver.on_timeout() if response is None else driver.on_response(response)
+
+        # The singles run in lockstep, a round at a time, and their replies
+        # arrive in the order the batch's round trips went out.
+        drivers = [single.driver(op, key, value) for key in keys]
+        while True:
+            by_address: dict = {}
+            for one in drivers:
+                attempt = one.next_attempt()
+                if attempt is not None:
+                    by_address.setdefault(attempt.address, []).append((one, attempt))
+            if not by_address:
+                break
+            for sent in by_address.values():
+                for one, attempt in sent:
+                    response = servers.reply(attempt)
+                    one.on_timeout() if response is None else one.on_response(response)
+
+        assert [_outcome(e) for e in entries] == [_outcome(d.entries[0]) for d in drivers]
+        for name in _CLIENT_COUNTERS:
+            assert getattr(batched.stats, name) == getattr(single.stats, name), name
+
+    def test_the_des_runs_a_batch(self):
+        from repro.sim import SimSpec, SimulatedCluster
+
+        spec = SimSpec(num_nodes=4)
+        config = ZHTConfig(num_partitions=spec.num_partitions, transport="local")
+        spec.config = config
+        cluster = SimulatedCluster(spec)
+        env = cluster.env
+        core = ZHTClientCore(
+            cluster.membership.copy(), config, rng=random.Random(3), clock=lambda: env.now
+        )
+        items = {b"des-%d" % i: b"v%d" % i for i in range(24)}
+        inserts = [BatchEntry(key, value) for key, value in items.items()]
+        lookups = [BatchEntry(key) for key in items]
+
+        def client():
+            yield from cluster.execute(core, core.driver_many(OpCode.INSERT, inserts))
+            yield from cluster.execute(core, core.driver_many(OpCode.LOOKUP, lookups))
+
+        env.process(client(), name="batch-client")
+        env.run()
+        assert all(entry.status == Status.OK for entry in inserts)
+        assert {entry.key: entry.result for entry in lookups} == items
+        assert 1 < core.stats.batches <= 8  # one BATCH per owner, per op
+        assert all(cluster.owner_value(key) == value for key, value in items.items())
+
+
+class TestBatchHistory:
+    def test_batch_read_records_the_chain_position_that_served_it(self):
+        from repro.verify import HistoryRecorder
+
+        cfg = ZHTConfig(
+            transport="local", num_partitions=16, num_replicas=2, retry_jitter=False
+        )
+        with build_local_cluster(4, cfg) as cluster:
+            recorder = HistoryRecorder()
+            writer = cluster.client()
+            table = cluster.membership
+            pid = table.partition_of_key(b"anchor", cfg.hash_name)
+            keys = [b"anchor"] + [
+                key for key in (b"k%d" % i for i in range(400))
+                if table.partition_of_key(key, cfg.hash_name) == pid
+            ][:3]
+            items = {key: b"v" + key for key in keys}
+            writer.insert_many(items)
+            chain = table.replicas_for_partition(pid, 2)
+
+            # Owner and secondary dead in this client's view: the chain
+            # re-forms from alive successors and position 1 serves.
+            z = cluster.client(recorder=recorder)
+            z.core.membership.mark_node_dead(chain[0].node_id)
+            z.core.membership.mark_node_dead(chain[1].node_id)
+            assert z.lookup_many(keys) == items
+
+            # Owner and secondary shed load: the reads degrade to chain
+            # position 2, an asynchronously updated replica.
+            for inst in chain[:2]:
+                cluster.servers[inst.instance_id].extra_inflight = lambda: 10**6
+            z = cluster.client(recorder=recorder)
+            assert z.lookup_many(keys) == items
+            assert z.stats.degraded_reads == 2 * len(keys)
+        reads = [event for event in recorder.events() if event.op == "lookup"]
+        assert [event.replica_index for event in reads] == [1] * len(keys) + [2] * len(keys)
+
+
+class TestOneClientRetryEngine:
+    def test_one_driver_handles_every_status_and_mints_every_id(self):
+        """Replace, not fork: a batch is an OpDriver over N entries, so each
+        retry status is handled in one client function and every request
+        id of an operation is minted inside OpDriver."""
+        import ast
+
+        import repro.api
+        import repro.net.transport
+        import repro.sim.cluster
+
+        assert not hasattr(repro.net.transport, "execute_batch")
+        assert not hasattr(repro.core.client, "BatchAttempt")
+        # Every function of the client modules, and the client-side ones
+        # of the modules that also hold server glue.
+        server_side = {"ServerExecutor", "SimulatedCluster"}
+        functions = {}
+        for module in (repro.core.client, repro.net.transport, repro.api, repro.sim.cluster):
+            source = inspect.getsource(module)
+            tree = ast.parse(source)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.ClassDef, ast.Module)):
+                    owner = getattr(node, "name", module.__name__)
+                    for child in node.body:
+                        if isinstance(child, ast.FunctionDef) and owner not in server_side:
+                            functions[f"{owner}.{child.name}"] = ast.get_source_segment(
+                                source, child
+                            )
+        functions["SimulatedCluster.execute"] = inspect.getsource(
+            repro.sim.cluster.SimulatedCluster.execute
+        )
+        for status in ("RETRY_LATER", "MIGRATING", "REDIRECT", "DEADLINE_EXCEEDED"):
+            handlers = [name for name, src in functions.items() if f"Status.{status}" in src]
+            assert handlers == ["OpDriver.on_response"], (status, handlers)
+        minting = {
+            name for name, src in functions.items()
+            if "allocate_request_id()" in src or "_request_ids" in src
+        }
+        allowed = {
+            "OpDriver._encode",
+            "ZHTClientCore.__init__",  # creates the counter
+            "ZHTClientCore.allocate_request_id",
+            "ZHTClientCore._mark_node_dead",  # the manager notification
+            "ZHT.broadcast",
+            "ZHT.lookup_broadcast",  # LOOKUP_LOCAL
+            "ZHT.refresh_membership",  # GET_MEMBERSHIP
+        }
+        assert minting <= allowed, minting - allowed
+        assert "OpDriver._encode" in minting
+
+
+# ---------------------------------------------------------------------------
 # Real sockets
 # ---------------------------------------------------------------------------
 
@@ -579,10 +830,11 @@ class TestBatchOverSockets:
             z.transport.roundtrip = recording
             # Each sub-request frames to 2 + 44 + 4 + 5363 = 5413 bytes and
             # 12 of them plus the 44-byte BATCH header are MAX_DATAGRAM to
-            # the byte, so the 13th key must travel in a second datagram.
+            # the byte, so the 13th key must travel in a second datagram —
+            # alone, so as a plain 44 + 4 + 5363-byte request.
             items = {f"s{i:03d}": bytes([i]) * 5363 for i in range(13)}
             z.insert_many(items)
-            assert sizes == [MAX_DATAGRAM, 44 + 5413]
+            assert sizes == [MAX_DATAGRAM, 44 + 4 + 5363]
             for key, value in items.items():
                 assert z.lookup(key) == value
 

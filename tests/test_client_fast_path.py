@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.api import build_local_cluster
-from repro.core.client import ZHTClientCore
+from repro.core.client import BatchEntry, ZHTClientCore
 from repro.core.config import ZHTConfig
 from repro.core.errors import Status
 from repro.core.hashing import HASH_FUNCTIONS, fnv1a_64
@@ -126,7 +126,8 @@ def _uncached_route(table: MembershipTable, pid: int, num_replicas: int):
 
 
 def _uncached_target(table: MembershipTable, pid: int, num_replicas: int, start: int):
-    """``OpDriver._target`` as it walked the chain before the route table."""
+    """Where an entry at chain position *start* goes, computed by walking
+    the chain as the client did before the route table."""
     chain = table.replicas_for_partition(pid, num_replicas)
     for index in range(start, len(chain)):
         node = table.nodes.get(chain[index].node_id)
@@ -188,14 +189,14 @@ class TestRouteTableModel:
                     )
                     for start in range(num_replicas + 2):
                         core.config = cfg.replace(num_replicas=num_replicas)
-                        driver = core.driver(OpCode.INSERT, b"k")
-                        driver.pid, driver._replica_index = pid, start
+                        entry = BatchEntry(b"k", pid=pid, replica_index=start)
                         expected = _uncached_target(table, pid, num_replicas, start)
-                        target = driver._target()
+                        attempts, _ = core.plan_batches(OpCode.INSERT, [entry])
                         if expected is None:
-                            assert target is None
+                            assert not attempts
                         else:
-                            assert (driver._replica_index, target) == expected
+                            target = table.instances[attempts[0].instance_id]
+                            assert (entry.replica_index, target) == expected
 
         check()  # fills the table, so every later step must invalidate it
         for step in range(40):
@@ -229,7 +230,7 @@ class TestReplyCreditsTheAnsweringNode:
         table, _servers, cfg = deploy(num_nodes=3, num_replicas=1)
         core = ZHTClientCore(table.copy(), cfg, rng=random.Random(1))
         driver = core.driver(OpCode.INSERT, b"k", b"v")
-        chain = core.membership.replicas_for_partition(driver.pid, 1)
+        chain = core.membership.replicas_for_partition(driver.entries[0].pid, 1)
         owner, secondary = chain[0].node_id, chain[1].node_id
         # Both nodes carry one strike from earlier operations.
         core.record_timeout(owner)
@@ -253,7 +254,7 @@ class TestReplyCreditsTheAnsweringNode:
         table, _servers, cfg = deploy(num_nodes=3, num_replicas=1)
         core = ZHTClientCore(table.copy(), cfg, rng=random.Random(1))
         driver = core.driver(OpCode.INSERT, b"k", b"v")
-        chain = core.membership.replicas_for_partition(driver.pid, 1)
+        chain = core.membership.replicas_for_partition(driver.entries[0].pid, 1)
         driver.next_attempt()
         core.membership.mark_node_dead(chain[0].node_id)
         driver.on_timeout()
