@@ -7,8 +7,8 @@ Most users interact with exactly two things:
   helpers.
 * a cluster builder — :func:`build_local_cluster` for an in-process
   deployment (tests, examples, integrations) or
-  :func:`repro.net.tcp.build_tcp_cluster` /
-  :func:`repro.net.udp.build_udp_cluster` for real sockets.
+  :func:`repro.net.cluster.build_tcp_cluster` /
+  :func:`repro.net.cluster.build_udp_cluster` for real sockets.
 
 Example::
 
@@ -24,10 +24,11 @@ Example::
 
 from __future__ import annotations
 
+import abc
 import itertools
 import random
 import threading
-from typing import Callable
+from typing import Callable, Self
 
 from .core.client import BatchEntry, OpDriver, ZHTClientCore
 from .core.config import ZHTConfig
@@ -484,30 +485,35 @@ class ZHT:
         return self.core.membership
 
 
-class LocalCluster:
-    """An in-process ZHT deployment over :class:`LocalNetwork`.
-
-    Holds the authoritative membership table, the server cores, and a
-    manager per node.  Suitable for tests, the examples, and as the
-    substrate for FusionFS / IStore / MATRIX integrations.
-    """
+class LiveCluster(abc.ABC):
+    """The half every live deployment shares: clients, managers and
+    manager-script runs over its transport.  Every cluster handle, this
+    or the DES's :class:`~repro.sim.cluster.SimulatedCluster`, answers
+    ``kill_node``, ``cores`` and ``close`` (also on ``with`` exit)."""
 
     def __init__(
-        self,
-        config: ZHTConfig,
-        network: LocalNetwork,
-        membership: MembershipTable,
-        servers: dict[str, ZHTServerCore],
-        rng: random.Random,
+        self, config: ZHTConfig, membership: MembershipTable, rng: random.Random
     ):
         self.config = config
-        self.network = network
         self.membership = membership
-        self.servers = servers
         self.rng = rng
-        self._next_port = 20000 + len(servers)
 
-    # -- clients ----------------------------------------------------------
+    @abc.abstractmethod
+    def _transport(self) -> ClientTransport:
+        """The transport a new client or script run goes over."""
+
+    @property
+    @abc.abstractmethod
+    def cores(self) -> list[ZHTServerCore]:
+        """The server cores living in this process."""
+
+    @abc.abstractmethod
+    def kill_node(self, node_id: str) -> list[Address]:
+        """Kill every instance of *node_id*; returns their addresses."""
+
+    @abc.abstractmethod
+    def close(self) -> None:
+        """Stop the deployment; a second call does nothing."""
 
     def client(
         self,
@@ -519,9 +525,7 @@ class LocalCluster:
         """A new client with its own copy of the membership table."""
         rng = random.Random(seed if seed is not None else self.rng.random())
         core = ZHTClientCore(self.membership.copy(), self.config, rng=rng)
-        return ZHT(core, self.network, recorder=recorder, client_id=client_id)
-
-    # -- managers ----------------------------------------------------------
+        return ZHT(core, self._transport(), recorder=recorder, client_id=client_id)
 
     def manager(self, node_id: str | None = None) -> ManagerCore:
         """A manager bound to the authoritative membership table."""
@@ -530,8 +534,47 @@ class LocalCluster:
         return ManagerCore(node_id, self.membership, self.config, rng=self.rng)
 
     def run(self, script) -> object:
-        """Execute a manager script against the cluster network."""
-        return run_script(script, self.network)
+        """Execute a manager script against the cluster."""
+        return run_script(script, self._transport())
+
+    def quiesce(self) -> None:
+        """Wait for in-flight asynchronous replica updates to land."""
+
+    def __enter__(self) -> Self:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class LocalCluster(LiveCluster):
+    """An in-process ZHT deployment over :class:`LocalNetwork`.
+
+    Holds the authoritative membership table, the server cores, and a
+    manager per node.  Suitable for tests, the examples, and as the
+    substrate for FusionFS / IStore / MATRIX integrations.  Its network
+    delivers every message, replica updates included, synchronously.
+    """
+
+    def __init__(
+        self,
+        config: ZHTConfig,
+        network: LocalNetwork,
+        membership: MembershipTable,
+        servers: dict[str, ZHTServerCore],
+        rng: random.Random,
+    ):
+        super().__init__(config, membership, rng)
+        self.network = network
+        self.servers = servers
+        self._next_port = 20000 + len(servers)
+
+    def _transport(self) -> ClientTransport:
+        return self.network
+
+    @property
+    def cores(self) -> list[ZHTServerCore]:
+        return list(self.servers.values())
 
     # -- topology changes ---------------------------------------------------
 
@@ -572,10 +615,11 @@ class LocalCluster:
         )
         return self.run(manager.retire_node(node_id))
 
-    def kill_node(self, node_id: str) -> None:
+    def kill_node(self, node_id: str) -> list[Address]:
         """Abruptly fail every instance on *node_id* (fault injection)."""
-        for inst in self.membership.instances_on_node(node_id):
-            self.network.kill_address(inst.address)
+        addresses = [i.address for i in self.membership.instances_on_node(node_id)]
+        self.network.kill_node(addresses)
+        return addresses
 
     def repair(self, dead_node_id: str) -> object:
         manager = self.manager(
@@ -602,12 +646,6 @@ class LocalCluster:
 
     def close(self) -> None:
         self.network.close()
-
-    def __enter__(self) -> "LocalCluster":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def build_membership(

@@ -126,8 +126,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_sockets(args: argparse.Namespace) -> int:
+    from .api import LiveCluster
     from .core import ZHTConfig
-    from .net.cluster import build_tcp_cluster, build_udp_cluster
+    from .scenario.cluster import build_cluster
 
     config = ZHTConfig(
         transport=args.transport,
@@ -135,8 +136,9 @@ def _cmd_sockets(args: argparse.Namespace) -> int:
         connection_cache_size=0 if args.no_cache else 128,
         request_timeout=1.0,
     )
-    builder = build_udp_cluster if args.transport == "udp" else build_tcp_cluster
-    with builder(args.nodes, config) as cluster:
+    cluster = build_cluster(args.transport, args.nodes, config, seed=0)
+    assert isinstance(cluster, LiveCluster)
+    with cluster:
         zht = cluster.client()
         zht.insert("warmup", b"x")
         start = time.perf_counter()
@@ -185,7 +187,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         for spec in args.address.split(","):
             host, _, port = spec.strip().rpartition(":")
             addresses.append(Address(host or "127.0.0.1", int(port)))
-        transport = UDPClient() if args.transport == "udp" else TCPClient()
+        transport = {"tcp": TCPClient, "udp": UDPClient}[args.transport]()
         snapshots = []
         try:
             for address in addresses:
@@ -210,7 +212,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     # Self-contained mode: start a live TCP cluster, run a short
     # workload with spans enabled, then pull the snapshot off the wire.
-    from .net.cluster import build_tcp_cluster, build_udp_cluster
+    from .api import LiveCluster
+    from .scenario.cluster import build_cluster
 
     enable_metrics()
     config = ZHTConfig(
@@ -218,26 +221,24 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         num_partitions=args.partitions,
         request_timeout=1.0,
     )
-    builder = build_udp_cluster if args.transport == "udp" else build_tcp_cluster
-    with builder(args.nodes, config) as cluster:
+    cluster = build_cluster(args.transport, args.nodes, config, seed=0)
+    assert isinstance(cluster, LiveCluster)
+    with cluster:
         zht = cluster.client()
         for i in range(args.ops):
             zht.insert(f"stats-{i}", b"v" * 132)
         for i in range(args.ops):
             zht.lookup(f"stats-{i}")
-        snapshot = _query_stats(
-            zht.transport, cluster.servers[0].address, args.timeout
-        )
+        addresses = [core.info.address for core in cluster.cores]
+        snapshot = _query_stats(zht.transport, addresses[0], args.timeout)
         if snapshot is None:
             print("error: no STATS response from cluster", file=sys.stderr)
             return 1
         # All loopback servers share one process registry; the per-server
         # query adds each instance's scoped counters.
         snapshot["instances"] = []
-        for server in cluster.servers:
-            per_server = _query_stats(
-                zht.transport, server.address, args.timeout
-            )
+        for address in addresses:
+            per_server = _query_stats(zht.transport, address, args.timeout)
             if per_server is not None:
                 snapshot["instances"].append(per_server["instance"])
         snapshot.pop("instance", None)

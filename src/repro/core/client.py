@@ -232,12 +232,10 @@ class ZHTClientCore:
         # silently defeat the UDP server's mutation dedup cache.  next()
         # on an itertools.count is one C call, atomic under the GIL.
         self._request_ids = itertools.count(1)
-        # failure_counts and pending_notifications see read-modify-write
-        # from every thread driving ops through this core; guard them like
+        # suspicion and pending_notifications see read-modify-write from
+        # every thread driving ops through this core; guard them like
         # allocate_request_id or concurrent timeouts lose counts.
         self._state_lock = threading.Lock()
-        #: Consecutive timeout counts per node id (reset on any success).
-        self.failure_counts: dict[str, int] = {}  # guarded-by: _state_lock
         #: Accrued suspicion per node id; in "phi" mode each timeout adds
         #: an RTT-scaled amount in [1, SUSPICION_EVENT_CAP], in "count"
         #: mode exactly 1 — so suspicion >= failures_before_dead is the
@@ -466,8 +464,6 @@ class ZHTClientCore:
         immediately — a failed probe is conclusive, not one more strike.
         """
         with self._state_lock:
-            count = self.failure_counts.get(node_id, 0) + 1
-            self.failure_counts[node_id] = count
             breaker = self._breakers.get(node_id)
             probe_failed = (
                 breaker is not None and breaker.state is BreakerState.HALF_OPEN
@@ -489,9 +485,8 @@ class ZHTClientCore:
     def record_success(self, node_id: str, rtt_s: float | None = None) -> None:
         """Clear suspicion for *node_id* and feed its RTT history."""
         # zht-lint: ignore[LOCK001] GIL-atomic emptiness reads; a timeout racing this reply lands after it, as if the reply had come first
-        if self.failure_counts or self.suspicion or self._breakers:
+        if self.suspicion or self._breakers:
             with self._state_lock:
-                self.failure_counts.pop(node_id, None)
                 self.suspicion.pop(node_id, None)
                 self._breakers.pop(node_id, None)  # half-open probe succeeded
         if rtt_s is None:
@@ -563,7 +558,6 @@ class ZHTClientCore:
                 self.membership.mark_node_dead(node_id)
             except MembershipError:
                 return False
-            self.failure_counts.pop(node_id, None)
             self.suspicion.pop(node_id, None)
             # Open (or re-open) the circuit breaker so the node gets a
             # half-open probe after the cooldown instead of staying dead

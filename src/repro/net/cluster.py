@@ -12,25 +12,22 @@ processes would.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable
+import time
+from typing import Callable
 
-if TYPE_CHECKING:
-    from ..core.manager import Script
-    from ..verify.history import HistoryRecorder
-
-from ..api import ZHT, build_membership
-from ..core.client import ZHTClientCore
+from ..api import LiveCluster, build_membership
 from ..core.config import ZHTConfig
-from ..core.manager import ManagerCore
-from ..core.membership import MembershipTable
+from ..core.membership import Address, MembershipTable
 from ..core.server import ZHTServerCore
 from .tcp import EventDrivenTCPServer, MultiplexedTCPClient, TCPClient
-from .transport import ClientTransport, run_script
+from .transport import ClientTransport
 from .udp import UDPClient, UDPServer
 
 
-class SocketCluster:
-    """A running ZHT deployment over real loopback sockets."""
+class SocketCluster(LiveCluster):
+    """A running ZHT deployment over real loopback sockets.  *servers*
+    are the listening servers, one per instance, or one per node when
+    sharded; *cores* are the server cores that live in this process."""
 
     def __init__(
         self,
@@ -39,54 +36,46 @@ class SocketCluster:
         membership: MembershipTable,
         client_factory: Callable[[], ClientTransport],
         rng: random.Random,
+        cores: list[ZHTServerCore] | None = None,
     ) -> None:
-        self.config = config
+        super().__init__(config, membership, rng)
         self.servers = servers
-        self.membership = membership
+        self._cores = cores or []
         self._client_factory = client_factory
-        self.rng = rng
         self._transports: list[ClientTransport] = []
 
-    def client(
-        self,
-        *,
-        seed: int | None = None,
-        recorder: HistoryRecorder | None = None,
-        client_id: str | None = None,
-    ) -> ZHT:
+    def _transport(self) -> ClientTransport:
         transport = self._client_factory()
         self._transports.append(transport)
-        rng = random.Random(seed if seed is not None else self.rng.random())
-        core = ZHTClientCore(self.membership.copy(), self.config, rng=rng)
-        return ZHT(core, transport, recorder=recorder, client_id=client_id)
+        return transport
 
-    def manager(self) -> ManagerCore:
-        node_id = next(iter(self.membership.nodes))
-        return ManagerCore(node_id, self.membership, self.config, rng=self.rng)
+    @property
+    def cores(self) -> list[ZHTServerCore]:
+        return self._cores
 
-    def run(self, script: Script) -> object:
-        transport = self._client_factory()
-        self._transports.append(transport)
-        return run_script(script, transport)
+    def kill_node(self, node_id: str) -> list[Address]:
+        """Hard-kill every server of *node_id*; a sharded node's
+        addresses are its shards'."""
+        addresses = [i.address for i in self.membership.instances_on_node(node_id)]
+        for server in self.servers:
+            served = getattr(server, "shard_addresses", None) or [server.address]
+            if not set(served).isdisjoint(addresses):
+                server.stop()
+        return addresses
 
-    def stop_server(self, index: int) -> None:
-        """Hard-kill one server (fault injection on real sockets)."""
-        self.servers[index].stop()
+    def quiesce(self) -> None:
+        """Replica updates travel over sockets: give them time to land."""
+        time.sleep(0.2)
 
     def close(self) -> None:
-        for transport in self._transports:
+        transports, self._transports = self._transports, []
+        for transport in transports:
             transport.close()
         for server in self.servers:
             try:
                 server.stop()
             except Exception:
                 pass
-
-    def __enter__(self) -> "SocketCluster":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def _build_socket_cluster(
@@ -98,22 +87,17 @@ def _build_socket_cluster(
 ) -> SocketCluster:
     rng = random.Random(seed)
     # 1. Bind all listeners to learn their addresses.
-    total = num_nodes * config.instances_per_node
-    servers = [server_factory() for _ in range(total)]
-    addresses = [server.address for server in servers]
-    index = iter(range(total))
+    servers = [server_factory() for _ in range(num_nodes * config.instances_per_node)]
+    addresses = iter([server.address for server in servers])
     membership, _nodes, instances = build_membership(
-        num_nodes,
-        config,
-        rng,
-        port_allocator=lambda node_id, i: addresses[next(index)],
+        num_nodes, config, rng, port_allocator=lambda node_id, i: next(addresses)
     )
     # 2. One core per server, each with a private copy of the table.
-    for server, inst in zip(servers, instances):
-        core = ZHTServerCore(inst, membership.copy(), config)
+    cores = [ZHTServerCore(inst, membership.copy(), config) for inst in instances]
+    for server, core in zip(servers, cores):
         server.attach_core(core)
         server.start()
-    return SocketCluster(config, servers, membership, client_factory, rng)
+    return SocketCluster(config, servers, membership, client_factory, rng, cores)
 
 
 def _tcp_client_factory(config: ZHTConfig) -> Callable[[], ClientTransport]:
@@ -150,37 +134,23 @@ def build_sharded_tcp_cluster(
     forking ``config.num_shards`` worker processes; the membership table
     advertises every shard's **private** port so clients route zero-hop
     to the owning shard.  From the cluster API's point of view a node is
-    one server (``stop_server`` kills all of its shards), matching how
-    the chaos harness kills whole nodes.
+    one server (``kill_node`` kills all of its shards), and its server
+    cores live in the shard processes, so ``cores`` is empty.
     """
     from .shard import ShardedNodeServer
 
     config = config or ZHTConfig(transport="tcp", num_shards=2)
     shards = max(1, config.num_shards)
     rng = random.Random(seed)
-    # 1. Bind every node's sockets up front to learn shard addresses.
-    nodes = [
-        ShardedNodeServer(config, num_shards=shards)
-        for _ in range(num_nodes)
-    ]
-    addresses = {
-        (node_index, shard_index): address
-        for node_index, node in enumerate(nodes)
-        for shard_index, address in enumerate(node.shard_addresses)
-    }
-    node_counter = iter(range(num_nodes))
-    node_of: dict[str, int] = {}
-
-    def _allocate(node_id: str, shard_index: int) -> "object":
-        if node_id not in node_of:
-            node_of[node_id] = next(node_counter)
-        return addresses[(node_of[node_id], shard_index)]
-
+    # 1. Bind every node's sockets up front to learn shard addresses
+    # (build_membership asks for them node by node, shard by shard).
+    nodes = [ShardedNodeServer(config, num_shards=shards) for _ in range(num_nodes)]
+    addresses = iter([address for node in nodes for address in node.shard_addresses])
     membership, _nodes, instances = build_membership(
         num_nodes,
         config.replace(instances_per_node=shards),
         rng,
-        port_allocator=_allocate,
+        port_allocator=lambda node_id, i: next(addresses),
     )
     # 2. Hand each node its chunk of instances (build_membership yields
     # them grouped by node, ``instances_per_node`` at a time).

@@ -1,25 +1,31 @@
 """Cluster plumbing for the scenario runner
 (:mod:`repro.scenario.runner`): the harness-standard config for every
-backend, and building / killing / repairing / quiescing the live ones
-(``local`` / ``tcp`` / ``udp`` / ``sharded``; the ``sim`` cluster is a
-:class:`~repro.sim.cluster.SimulatedCluster`, built by the runner's DES
-loop).
+backend, :func:`build_cluster` — the one place a backend name picks a
+deployment (a cluster handle, see :class:`~repro.api.LiveCluster`) —
+and the manager's repair script.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Callable
 
-from ..api import build_local_cluster
+from ..api import LiveCluster, build_local_cluster
 from ..core.config import ZHTConfig
 from ..core.manager import ManagerCore, Script
 from ..core.membership import MembershipTable
+from ..net.cluster import build_sharded_tcp_cluster, build_tcp_cluster, build_udp_cluster
+from ..sim.cluster import SimSpec, SimulatedCluster
 
 if TYPE_CHECKING:
-    from ..core.server import ZHTServerCore
     from ..faults.plan import FaultPlan
+
+_LIVE_BUILDERS: dict[str, Callable[..., LiveCluster]] = {
+    "local": build_local_cluster,
+    "tcp": build_tcp_cluster,
+    "udp": build_udp_cluster,
+    "sharded": build_sharded_tcp_cluster,
+}
 
 
 def default_config(backend: str, replicas: int) -> ZHTConfig:
@@ -41,52 +47,22 @@ def default_config(backend: str, replicas: int) -> ZHTConfig:
     )
 
 
-def build_cluster(backend: str, nodes: int, config: ZHTConfig, seed: int) -> Any:
-    """Build a running cluster for any live backend (context manager)."""
-    if backend == "local":
-        return build_local_cluster(nodes, config, seed=seed)
-    from ..net.cluster import (
-        build_sharded_tcp_cluster,
-        build_tcp_cluster,
-        build_udp_cluster,
-    )
-
-    if backend == "sharded":
-        return build_sharded_tcp_cluster(nodes, config, seed=seed)
-    builder = build_udp_cluster if backend == "udp" else build_tcp_cluster
-    return builder(nodes, config, seed=seed)
-
-
-def kill_node(cluster: Any, backend: str, victim: str, plan: FaultPlan) -> None:
-    """Hard-kill every instance of node *victim* on any backend and
-    record the crash in *plan* so transports refuse to reach it."""
-    addresses = [
-        str(inst.address) for inst in cluster.membership.instances_on_node(victim)
-    ]
-    if backend in ("local", "sim"):
-        cluster.kill_node(victim)
-    else:
-        for server in cluster.servers:
-            # A sharded node advertises its shards' private addresses in
-            # the membership table, not the shared bootstrap port.
-            owned = {str(a) for a in getattr(server, "shard_addresses", [])}
-            owned.add(str(server.address))
-            if owned.intersection(addresses):
-                server.stop()
-    plan.crash_target(victim, *addresses)
-
-
-def server_cores(cluster: Any, backend: str) -> list[ZHTServerCore]:
-    """The in-process :class:`~repro.core.server.ZHTServerCore` list, for
-    the store-level invariant checkers.  Sharded workers live in child
-    processes, so their cores are not introspectable from here."""
-    if backend == "local":
-        return list(cluster.servers.values())
-    return [
-        core
-        for core in (getattr(s, "core", None) for s in cluster.servers)
-        if core is not None
-    ]
+def build_cluster(
+    backend: str,
+    nodes: int,
+    config: ZHTConfig,
+    seed: int,
+    faults: FaultPlan | None = None,
+) -> LiveCluster | SimulatedCluster:
+    """Build a running deployment for *backend* (a context manager).
+    *faults* is the plan the DES enacts inside its own network; a live
+    deployment meets its plan in its clients' transports
+    (:class:`~repro.faults.transport.FaultyClientTransport`)."""
+    if backend == "sim":
+        return SimulatedCluster(
+            SimSpec(num_nodes=nodes, seed=seed, faults=faults, config=config)
+        )
+    return _LIVE_BUILDERS[backend](nodes, config, seed=seed)
 
 
 def repair_script(
@@ -101,10 +77,3 @@ def repair_script(
         manager_node, membership, config, rng=random.Random(seed ^ 0xC0DE)
     )
     return manager.repair_after_failure(victim)
-
-
-def quiesce(backend: str) -> None:
-    """Let in-flight async replica updates drain before the stores are
-    judged (the in-process network delivers them synchronously)."""
-    if backend != "local":
-        time.sleep(0.2)

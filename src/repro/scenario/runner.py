@@ -22,9 +22,10 @@ declarative config:
 
 There are exactly two run loops: threads over a live cluster
 (:func:`_run_live`) and generators over the DES (:func:`_run_sim`).
-Each is the only one that runs on its backends; everything that is not
-"how an op is issued and awaited" — config, plan, event schedule, op
-accounting, checks, metrics — is shared plain functions.
+:func:`~repro.scenario.cluster.build_cluster` builds the deployment
+and its type picks the loop; everything that is not "how an op is
+issued and awaited" — config, plan, event schedule, op accounting,
+checks, metrics — is shared plain functions.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from typing import Any, Callable, Generator, Iterator
 
-from ..api import ZHT
+from ..api import ZHT, LiveCluster
 from ..core.client import ZHTClientCore
 from ..core.config import ZHTConfig
 from ..core.errors import KeyNotFound, ZHTError
@@ -59,17 +60,12 @@ from ..faults.plan import (
     resolve_victim_rules,
 )
 from ..faults.transport import FaultyClientTransport
+from ..net.cluster import SocketCluster
 from ..obs import CounterSet
+from ..sim.cluster import SimulatedCluster
 from ..verify.checker import CheckReport, check_history
 from ..verify.history import STATUS_FAIL, STATUS_NOTFOUND, STATUS_OK, HistoryRecorder
-from .cluster import (
-    build_cluster,
-    default_config,
-    kill_node,
-    quiesce,
-    repair_script,
-    server_cores,
-)
+from .cluster import build_cluster, default_config, repair_script
 from .schema import FaultEvent, Scenario, ScenarioError
 from .traffic import FRAGMENT_BYTES, ClientStream, build_streams
 
@@ -727,14 +723,14 @@ def _conclude(
 
 def _run_live(
     scenario: Scenario,
-    backend: str,
+    cluster: LiveCluster,
+    plan: FaultPlan,
     seed: int,
     verdict: Verdict,
     history_path: str | None,
 ) -> None:
     topo = scenario.topology
-    config, tmpdir = _build_config(scenario, backend)
-    plan = build_plan(scenario, seed)
+    config = cluster.config
     streams = build_streams(scenario.workload, seed)
     verdict.clients = len(streams)
     history = _History.start(scenario, streams, history_path, time.monotonic)
@@ -744,153 +740,149 @@ def _run_live(
     stats: list[CounterSet] = []
 
     try:
-        with build_cluster(backend, topo.nodes, config, seed) as cluster:
-            schedule = _FaultSchedule(scenario, cluster.membership, time.perf_counter)
-            resolve_victim_rules(plan, cluster.membership, schedule.designated_victim)
-            respawns: list[tuple] = []
+        schedule = _FaultSchedule(scenario, cluster.membership, time.perf_counter)
+        resolve_victim_rules(plan, cluster.membership, schedule.designated_victim)
+        respawns: list[tuple] = []
 
-            def client(tag: int, client_id: str) -> ZHT:
-                zht: ZHT = cluster.client(
-                    seed=(seed << 8) + tag,
-                    recorder=history.recorder if history is not None else None,
-                    client_id=client_id,
-                )
-                zht.transport = FaultyClientTransport(zht.transport, plan)
-                return zht
+        def client(tag: int, client_id: str) -> ZHT:
+            zht: ZHT = cluster.client(
+                seed=(seed << 8) + tag,
+                recorder=history.recorder if history is not None else None,
+                client_id=client_id,
+            )
+            zht.transport = FaultyClientTransport(zht.transport, plan)
+            return zht
 
-            def fire() -> None:
-                # Whichever client crosses a scheduled progress point enacts
-                # the event, as in the DES loop, so a kill lands between two
-                # ops of the workload.  Nobody waits for it: the other
-                # clients keep issuing ops while the kill or repair runs
-                # (the lock only stops two clients enacting the same event).
-                if not schedule.pending or not fire_lock.acquire(blocking=False):
-                    return
+        def fire() -> None:
+            # Whichever client crosses a scheduled progress point enacts
+            # the event, as in the DES loop, so a kill lands between two
+            # ops of the workload.  Nobody waits for it: the other
+            # clients keep issuing ops while the kill or repair runs
+            # (the lock only stops two clients enacting the same event).
+            if not schedule.pending or not fire_lock.acquire(blocking=False):
+                return
+            try:
+                for action, target in schedule.due(tally.done):
+                    if action == "kill":
+                        plan.crash_target(target, *map(str, cluster.kill_node(target)))
+                    elif action == "repair":
+                        cluster.run(
+                            repair_script(cluster.membership, target, config, seed)
+                        )
+                    else:  # kill_shard validates onto the sharded backend only
+                        assert isinstance(cluster, SocketCluster)
+                        server = cluster.servers[0]
+                        respawns.append(
+                            (server, target, server.shard_pid(target))
+                        )
+                        server.kill_shard(target)
+                        # Record the kill in the trace, but do NOT mark
+                        # the target crashed: the supervisor respawns
+                        # the shard and clients retry through the gap.
+                        plan.record_external(FaultKind.CRASH, f"shard:{target}")
+            finally:
+                fire_lock.release()
+
+        def worker(stream: ClientStream) -> None:
+            zht = client(stream.client_index, f"c{stream.client_index:02d}")
+            for op, key, value in stream.ops:
+                fire()
+                t_call = time.perf_counter()
                 try:
-                    for action, target in schedule.due(tally.done):
-                        if action == "kill":
-                            kill_node(cluster, backend, target, plan)
-                        elif action == "repair":
-                            cluster.run(
-                                repair_script(
-                                    cluster.membership, target, config, seed
-                                )
-                            )
-                        else:
-                            server = cluster.servers[0]
-                            respawns.append(
-                                (server, target, server.shard_pid(target))
-                            )
-                            server.kill_shard(target)
-                            # Record the kill in the trace, but do NOT mark
-                            # the target crashed: the supervisor respawns
-                            # the shard and clients retry through the gap.
-                            plan.record_external(FaultKind.CRASH, f"shard:{target}")
-                finally:
-                    fire_lock.release()
-
-            def worker(stream: ClientStream) -> None:
-                zht = client(stream.client_index, f"c{stream.client_index:02d}")
-                for op, key, value in stream.ops:
-                    fire()
-                    t_call = time.perf_counter()
-                    try:
-                        if op == OpCode.INSERT:
-                            zht.insert(key, value)
-                        elif op == OpCode.APPEND:
-                            zht.append(key, value)
-                        elif op == OpCode.REMOVE:
-                            zht.remove(key)
-                        else:
-                            zht.lookup(key)
-                        ok = True
-                    except KeyNotFound:
-                        ok = True
-                    except ZHTError:
-                        ok = False
-                    t_return = time.perf_counter()
-                    with lock:
-                        tally.settle(stream, op, key, value, t_call, t_return, ok)
+                    if op == OpCode.INSERT:
+                        zht.insert(key, value)
+                    elif op == OpCode.APPEND:
+                        zht.append(key, value)
+                    elif op == OpCode.REMOVE:
+                        zht.remove(key)
+                    else:
+                        zht.lookup(key)
+                    ok = True
+                except KeyNotFound:
+                    ok = True
+                except ZHTError:
+                    ok = False
+                t_return = time.perf_counter()
                 with lock:
-                    stats.append(zht.stats)
+                    tally.settle(stream, op, key, value, t_call, t_return, ok)
+            with lock:
+                stats.append(zht.stats)
 
-            threads = [
-                threading.Thread(
-                    target=worker,
-                    args=(stream,),
-                    name=f"scenario-c{stream.client_index}",
-                )
-                for stream in streams
-            ]
-            # The clients run in this process.  A generation-2 collection
-            # of a large heap (a whole test session's: about one request
-            # timeout) falling due mid-run stalls all of them at once and
-            # reads as every server timing out.  Collect now instead.
-            gc.collect()
-            t_start = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            t_end = time.perf_counter()
-            fire()
+        threads = [
+            threading.Thread(
+                target=worker,
+                args=(stream,),
+                name=f"scenario-c{stream.client_index}",
+            )
+            for stream in streams
+        ]
+        # The clients run in this process.  A generation-2 collection
+        # of a large heap (a whole test session's: about one request
+        # timeout) falling due mid-run stalls all of them at once and
+        # reads as every server timing out.  Collect now instead.
+        gc.collect()
+        t_start = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        t_end = time.perf_counter()
+        fire()
 
-            for server, shard, old_pid in respawns:
-                server.wait_for_respawn(shard, old_pid, timeout=10.0)
-            quiesce(backend)
+        for server, shard, old_pid in respawns:
+            server.wait_for_respawn(shard, old_pid, timeout=10.0)
+        cluster.quiesce()
 
-            if history is not None:
-                reader = client(0xF1, "reader")
+        if history is not None:
+            reader = client(0xF1, "reader")
+            for key in history.keys:
+                for _attempt in range(3):
+                    try:
+                        history.final_values[key] = reader.lookup(key)
+                    except KeyNotFound:
+                        history.final_values[key] = None
+                    except ZHTError:
+                        continue
+                    break
+            if topo.replicas >= 2:
+                # Let more than the bound elapse so a frozen tail is
+                # unambiguously out of its staleness window; a
+                # converged tail passes no matter how long we wait.
+                time.sleep(scenario.checks.staleness_bound + 0.05)
+                prober = client(0xF2, "tail-prober")
                 for key in history.keys:
-                    for _attempt in range(3):
-                        try:
-                            history.final_values[key] = reader.lookup(key)
-                        except KeyNotFound:
-                            history.final_values[key] = None
-                        except ZHTError:
-                            continue
-                        break
-                if topo.replicas >= 2:
-                    # Let more than the bound elapse so a frozen tail is
-                    # unambiguously out of its staleness window; a
-                    # converged tail passes no matter how long we wait.
-                    time.sleep(scenario.checks.staleness_bound + 0.05)
-                    prober = client(0xF2, "tail-prober")
-                    for key in history.keys:
-                        if key in history.append_keys:
-                            continue
-                        try:
-                            prober.lookup_at_replica(key, 2)
-                        except ZHTError:
-                            pass
-                        history.tail_probes += 1
+                    if key in history.append_keys:
+                        continue
+                    try:
+                        prober.lookup_at_replica(key, 2)
+                    except ZHTError:
+                        pass
+                    history.tail_probes += 1
 
-            verdict.checks = _run_checks(
-                scenario,
-                ledger=tally.ledger,
-                append_acked=tally.append_acked,
-                lookup=cluster.client(seed=seed + 0xF00D).lookup,
-                cores=server_cores(cluster, backend),
-                membership=cluster.membership,
-                hash_name=config.hash_name,
-                history=history,
-            )
-            _conclude(
-                verdict,
-                scenario,
-                tally=tally,
-                stats=stats,
-                plan=plan,
-                schedule=schedule,
-                history=history,
-                t_start=t_start,
-                t_end=t_end,
-            )
+        verdict.checks = _run_checks(
+            scenario,
+            ledger=tally.ledger,
+            append_acked=tally.append_acked,
+            lookup=cluster.client(seed=seed + 0xF00D).lookup,
+            cores=cluster.cores,
+            membership=cluster.membership,
+            hash_name=config.hash_name,
+            history=history,
+        )
+        _conclude(
+            verdict,
+            scenario,
+            tally=tally,
+            stats=stats,
+            plan=plan,
+            schedule=schedule,
+            history=history,
+            t_start=t_start,
+            t_end=t_end,
+        )
     finally:
         if history is not None:
             history.recorder.close()
-        if tmpdir is not None:
-            tmpdir.cleanup()
 
 
 # ---------------------------------------------------------------------------
@@ -899,27 +891,17 @@ def _run_live(
 
 
 def _run_sim(
-    scenario: Scenario, seed: int, verdict: Verdict, history_path: str | None
+    scenario: Scenario,
+    cluster: SimulatedCluster,
+    plan: FaultPlan,
+    seed: int,
+    verdict: Verdict,
+    history_path: str | None,
 ) -> None:
-    from ..sim.cluster import SimSpec, SimulatedCluster
-
     topo = scenario.topology
-    config, _ = _build_config(scenario, "sim")
-    plan = build_plan(scenario, seed)
+    config = cluster.config
     streams = build_streams(scenario.workload, seed)
     verdict.clients = len(streams)
-    cluster = SimulatedCluster(
-        SimSpec(
-            num_nodes=topo.nodes,
-            num_replicas=topo.replicas,
-            replication_mode=config.replication_mode,
-            partitions_per_instance=config.num_partitions // topo.nodes,
-            real_core=True,
-            seed=seed,
-            faults=plan,
-            config=config,
-        )
-    )
     env = cluster.env
     membership = cluster.membership
 
@@ -984,15 +966,25 @@ def _run_sim(
             )
         return status, result
 
+    enacting = False
+
     def fire(done: int) -> Iterator[Any]:
+        # One client at a time enacts events, as in the live loop: a kill
+        # that falls due while a repair is still re-replicating waits for
+        # it, instead of taking down the last copy it was about to copy.
+        nonlocal enacting
+        if enacting:
+            return
+        enacting = True
         for action, target in schedule.due(done):
             if action == "kill":
-                kill_node(cluster, "sim", target, plan)
+                plan.crash_target(target, *map(str, cluster.kill_node(target)))
             else:  # kill_shard cannot validate onto the sim backend
                 yield from cluster.run_script(
                     repair_script(membership, target, config, seed),
                     config.request_timeout * 4,
                 )
+        enacting = False
 
     def client_proc(stream: ClientStream) -> Iterator[Any]:
         core = new_core(0xE5 + stream.client_index)
@@ -1052,7 +1044,7 @@ def _run_sim(
             ledger=tally.ledger,
             append_acked=tally.append_acked,
             lookup=cluster.owner_value,
-            cores=cluster.handlers,
+            cores=cluster.cores,
             membership=membership,
             hash_name=config.hash_name,
             history=history,
@@ -1118,13 +1110,22 @@ def run_scenario(
 
     verdict = Verdict(scenario=scenario.name, backend=backend, seed=seed)
     t0 = time.perf_counter()
+    tmpdir: tempfile.TemporaryDirectory | None = None
     try:
-        if backend == "sim":
-            _run_sim(scenario, seed, verdict, history_path)
-        else:
-            _run_live(scenario, backend, seed, verdict, history_path)
+        config, tmpdir = _build_config(scenario, backend)
+        plan = build_plan(scenario, seed)
+        with build_cluster(
+            backend, scenario.topology.nodes, config, seed, faults=plan
+        ) as cluster:
+            if isinstance(cluster, SimulatedCluster):
+                _run_sim(scenario, cluster, plan, seed, verdict, history_path)
+            else:
+                _run_live(scenario, cluster, plan, seed, verdict, history_path)
     except Exception as exc:  # noqa: BLE001 - fold into the verdict
         verdict.error = f"{type(exc).__name__}: {exc}"
+    finally:
+        if tmpdir is not None:
+            tmpdir.cleanup()
     verdict.duration_s = time.perf_counter() - t0
     verdict.ok = (
         verdict.error is None

@@ -66,19 +66,16 @@ _REPLICA_APPLY_FACTOR = 0.8
 
 @dataclass
 class SimSpec:
-    """Everything defining one simulated deployment."""
+    """Everything defining one simulated deployment: the simulator's own
+    inputs, plus the one :class:`ZHTConfig` its servers and clients run.
+    Partitions, replicas, replication mode and instances per node are
+    read from that config."""
 
     num_nodes: int
-    instances_per_node: int = 1
     link: LinkModel = BGP_TORUS_LINK
     service: ServiceModel = ZHT_BGP
     topology: str = "torus"  # "torus" | "switch"
     cores_per_node: int = 4
-    num_replicas: int = 0
-    #: Replication mode for the sim: "none" (fire-and-forget, ZHT's
-    #: Figure 12 configuration), "async" (sync secondary), "sync" (all).
-    replication_mode: str = ReplicationMode.NONE
-    partitions_per_instance: int = 1
     #: Run the real ZHT server/client cores (True) or a dict handler
     #: with the same network envelope (baselines).
     real_core: bool = True
@@ -87,17 +84,26 @@ class SimSpec:
     #: drop/delay/duplicate injection in :meth:`SimulatedCluster._deliver`
     #: and scheduled node crashes, so scale sweeps can run under churn.
     faults: object | None = None
-    #: Override the auto-built :class:`ZHTConfig` (timeouts, retries, ...).
-    #: Partition/replica counts must match the spec.
-    config: ZHTConfig | None = None
+    #: Omitted: one partition per node and no replicas.  Its
+    #: ``num_partitions`` must be a whole number per instance.
+    config: ZHTConfig = None  # type: ignore[assignment]  # see __post_init__
+
+    def __post_init__(self) -> None:
+        if self.config is None:
+            self.config = ZHTConfig(num_partitions=self.num_nodes, transport="local")
+        if self.num_partitions % self.num_instances:  # ZHTConfig: > 0
+            raise ValueError(
+                f"num_partitions={self.num_partitions} is not a multiple "
+                f"of the {self.num_instances} instances"
+            )
 
     @property
     def num_instances(self) -> int:
-        return self.num_nodes * self.instances_per_node
+        return self.num_nodes * self.config.instances_per_node
 
     @property
     def num_partitions(self) -> int:
-        return self.num_instances * self.partitions_per_instance
+        return self.config.num_partitions
 
 
 @dataclass
@@ -150,8 +156,9 @@ class SimulatedCluster:
         else:
             raise ValueError(f"unknown topology {spec.topology!r}")
 
+        self.config = spec.config
         self.effective_service = zht_instance_service(
-            spec.service, spec.instances_per_node, spec.cores_per_node
+            spec.service, self.config.instances_per_node, spec.cores_per_node
         )
 
         self._build_membership()
@@ -163,16 +170,6 @@ class SimulatedCluster:
         #: future messages are discarded (a dead server is a blackhole).
         self.dead_instances: set[int] = set()
         if spec.real_core:
-            self.config = spec.config or ZHTConfig(
-                num_partitions=spec.num_partitions,
-                num_replicas=spec.num_replicas,
-                replication_mode=(
-                    spec.replication_mode
-                    if spec.replication_mode != ReplicationMode.NONE
-                    else ReplicationMode.NONE
-                ),
-                transport="local",
-            )
             self.handlers = [
                 ZHTServerCore(
                     inst, self.membership, self.config, clock=lambda: self.env.now
@@ -180,9 +177,6 @@ class SimulatedCluster:
                 for inst in self.instances
             ]
         else:
-            self.config = spec.config or ZHTConfig(
-                num_partitions=spec.num_partitions, transport="local"
-            )
             self.handlers = [_DictHandler() for _ in self.instances]
 
         for i in range(spec.num_instances):
@@ -201,7 +195,7 @@ class SimulatedCluster:
         for n in range(spec.num_nodes):
             node_id = f"n{n}"
             nodes.append(NodeInfo(node_id, Address(node_id, 0)))
-            for i in range(spec.instances_per_node):
+            for i in range(self.config.instances_per_node):
                 instances.append(
                     InstanceInfo(
                         new_instance_id(self.rng), node_id, Address(node_id, i + 1)
@@ -220,12 +214,31 @@ class SimulatedCluster:
     # Fault injection
     # ------------------------------------------------------------------
 
-    def kill_node(self, target: str) -> None:
+    def kill_node(self, target: str) -> list[Address]:
         """Abruptly fail a node (by node id, e.g. ``"n1"``) or a single
-        instance (by address string): its messages vanish from now on."""
+        instance (by address string): its messages vanish from now on.
+        Returns the addresses of the instances it took down."""
+        addresses = []
         for i, inst in enumerate(self.instances):
             if inst.node_id == target or str(inst.address) == target:
                 self.dead_instances.add(i)
+                addresses.append(inst.address)
+        return addresses
+
+    @property
+    def cores(self) -> list[ZHTServerCore]:
+        """The real server cores (none for a baseline's dict handlers)."""
+        return self.handlers if self.spec.real_core else []
+
+    def close(self) -> None:
+        for core in self.cores:
+            core.close()
+
+    def __enter__(self) -> "SimulatedCluster":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _crash_at(self, at_time: float, target: str):
         yield self.env.timeout(at_time)
@@ -433,10 +446,10 @@ class SimulatedCluster:
         my_node = self._node_of_instance(client_id)
         client_core = ZHTClientCore(
             self.membership,
-            ZHTConfig(num_partitions=spec.num_partitions, transport="local"),
+            self.config,
             rng=random.Random((spec.seed << 16) ^ client_id),
         )
-        hash_name = client_core.config.hash_name
+        hash_name = self.config.hash_name
         forwards = service.routing_forwards(spec.num_instances)
 
         # Stagger start times so clients do not tick in lockstep.
@@ -594,7 +607,7 @@ class SimulatedCluster:
         return RunResult(
             system=self.spec.service.name,
             num_nodes=self.spec.num_nodes,
-            instances_per_node=self.spec.instances_per_node,
+            instances_per_node=self.config.instances_per_node,
             ops=stats.count,
             duration_s=self.env.now,
             latency=stats,
@@ -632,14 +645,18 @@ def simulate(
     the metrics row."""
     spec = SimSpec(
         num_nodes=num_nodes,
-        instances_per_node=instances_per_node,
         link=link,
         service=service,
         topology=topology,
-        num_replicas=num_replicas,
-        replication_mode=replication_mode,
         real_core=real_core,
         seed=seed,
+        config=ZHTConfig(
+            num_partitions=num_nodes * instances_per_node,
+            num_replicas=num_replicas,
+            replication_mode=replication_mode,
+            instances_per_node=instances_per_node,
+            transport="local",
+        ),
     )
     cluster = SimulatedCluster(spec)
     workload = MicroBenchmarkWorkload(

@@ -168,7 +168,7 @@ class TestTimeoutsAndBackoff:
         d2 = client.driver(OpCode.LOOKUP, b"k")
         d2.next_attempt()
         d2.on_response(Response(status=Status.OK))
-        assert client.failure_counts == {}
+        assert client.suspicion == {}
 
 
 class TestFailover:

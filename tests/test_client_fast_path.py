@@ -246,9 +246,8 @@ class TestReplyCreditsTheAnsweringNode:
         )
         assert core._rtt[owner][0].count == 1
         assert secondary not in core._rtt
-        assert owner not in core.suspicion and owner not in core.failure_counts
+        assert owner not in core.suspicion
         assert core.suspicion[secondary] == 1.0
-        assert core.failure_counts[secondary] == 1
 
     def test_timeout_is_charged_to_the_node_that_was_asked(self):
         table, _servers, cfg = deploy(num_nodes=3, num_replicas=1)
@@ -259,7 +258,7 @@ class TestReplyCreditsTheAnsweringNode:
         core.membership.mark_node_dead(chain[0].node_id)
         driver.on_timeout()
         assert chain[1].node_id not in core.suspicion
-        assert core.failure_counts == {chain[0].node_id: 1}
+        assert core.suspicion == {chain[0].node_id: 1.0}
 
 
 # ---------------------------------------------------------------------------

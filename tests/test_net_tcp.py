@@ -160,12 +160,7 @@ class TestReplicationOverTCP:
             time.sleep(0.2)  # let async replicas land
             pid = cluster.membership.partition_of_key(b"f0", cfg.hash_name)
             owner = cluster.membership.owner_of_partition(pid)
-            victim_index = next(
-                i
-                for i, s in enumerate(cluster.servers)
-                if s.core.info.instance_id == owner.instance_id
-            )
-            cluster.stop_server(victim_index)
+            cluster.kill_node(owner.node_id)
             assert z.lookup("f0") == b"v0"
             assert z.stats.failovers >= 1
 

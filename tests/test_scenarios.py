@@ -68,6 +68,15 @@ def test_library_scenario_passes_on_tcp(name):
     assert verdict.ok, "\n".join(verdict.summary_lines())
 
 
+@pytest.mark.parametrize(
+    "name",
+    [n for n in library_names() if "sim" in load_scenario(n).backends],
+)
+def test_library_scenario_passes_on_sim(name):
+    verdict = run_scenario(load_scenario(name), backend="sim")
+    assert verdict.ok, "\n".join(verdict.summary_lines())
+
+
 def test_runner_folds_runtime_failure_into_verdict():
     """A gate that cannot hold produces a failing verdict, not an
     exception — CI can always upload the JSON."""

@@ -179,8 +179,12 @@ class TestReplicationOverheads:
         spec = SimSpec(
             num_nodes=8,
             service=ZHT_BGP,
-            num_replicas=1,
-            replication_mode=ReplicationMode.NONE,
+            config=ZHTConfig(
+                num_partitions=8,
+                num_replicas=1,
+                replication_mode=ReplicationMode.NONE,
+                transport="local",
+            ),
         )
         cluster = SimulatedCluster(spec)
         cluster.run_workload(
@@ -192,6 +196,37 @@ class TestReplicationOverheads:
             for part in handler.partitions.values()
         )
         assert total == 8 * 4 * 2  # primary + 1 replica per key
+
+
+class TestOneConfig:
+    """The DES runs the one config it is given: servers, membership and
+    benchmark clients alike."""
+
+    def test_benchmark_clients_hash_with_the_cluster_config(self):
+        config = ZHTConfig(num_partitions=4, hash_name="jenkins_64", transport="local")
+        cluster = SimulatedCluster(SimSpec(num_nodes=4, config=config))
+        result = cluster.run_workload(MicroBenchmarkWorkload(ops_per_client=4))
+        assert result.ops == 48
+
+    def test_partitions_and_replicas_come_from_the_config(self):
+        config = ZHTConfig(num_partitions=8, num_replicas=1, transport="local")
+        cluster = SimulatedCluster(SimSpec(num_nodes=4, config=config))
+        assert cluster.membership.num_partitions == 8
+        cluster.run_workload(
+            MicroBenchmarkWorkload(ops_per_client=4, include_remove=False)
+        )
+        total = sum(
+            len(part.store)
+            for handler in cluster.handlers
+            for part in handler.partitions.values()
+        )
+        assert total == 4 * 4 * 2  # primary + 1 replica per key
+
+    @pytest.mark.parametrize("partitions", [2, 6])
+    def test_partitions_must_be_a_whole_number_per_instance(self, partitions):
+        config = ZHTConfig(num_partitions=partitions, transport="local")
+        with pytest.raises(ValueError):
+            SimSpec(num_nodes=4, config=config)
 
 
 class TestInstancesPerNode:
