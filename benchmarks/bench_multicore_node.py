@@ -2,9 +2,10 @@
 
 The paper's Figs. 13/14 scale one node to all cores by running multiple
 ZHT instances per node (one per core, stable latency up to 4).  Our
-:class:`~repro.net.shard.ShardedNodeServer` reproduces that with forked
-worker processes accepting on a shared SO_REUSEPORT port.  This bench
-drives a single node with forked client processes and compares
+:class:`~repro.net.shard.ShardedNodeServer` reproduces that with one
+forked worker process per shard, each on its own private port.  This
+bench builds the node with ``build_sharded_tcp_cluster(1, config)``,
+drives it with forked client processes and compares
 aggregate insert+lookup throughput and p99 latency for 1 shard (the
 old single-process ``EventDrivenTCPServer``) vs ``SHARDS`` shards.
 
@@ -20,7 +21,8 @@ import time
 from _util import emit_json, fmt, fmt_int, print_table, scales
 
 from repro.core import ZHTConfig
-from repro.net.shard import ShardedNodeServer, fork_supported
+from repro.net.cluster import build_sharded_tcp_cluster
+from repro.net.shard import fork_supported
 
 import pytest
 
@@ -69,16 +71,14 @@ def measure(num_shards: int, *, clients: int = CLIENTS, ops: int = OPS):
         request_timeout=2.0,
         num_shards=num_shards,
     )
-    node = ShardedNodeServer(config, num_shards=num_shards)
-    node.bootstrap_membership(seed=0)
-    node.start()
+    cluster = build_sharded_tcp_cluster(1, config)
     ctx = multiprocessing.get_context("fork")
     barrier = ctx.Barrier(clients)
     queue = ctx.Queue()
     workers = [
         ctx.Process(
             target=_client_worker,
-            args=(node.membership.copy(), config, ops, c, barrier, queue),
+            args=(cluster.membership.copy(), config, ops, c, barrier, queue),
         )
         for c in range(clients)
     ]
@@ -89,7 +89,7 @@ def measure(num_shards: int, *, clients: int = CLIENTS, ops: int = OPS):
         for w in workers:
             w.join(timeout=10)
     finally:
-        node.stop()
+        cluster.close()
     elapsed = max(e for e, _ in results)
     merged = sorted(l for _, ls in results for l in ls)
     p99 = merged[min(len(merged) - 1, int(len(merged) * 0.99))] * 1e3

@@ -146,11 +146,6 @@ class ZHTConfig:
     #: node saturates all cores
     #: (the paper's one-instance-per-core deployment, Figs. 13/14).
     num_shards: int = 1
-    #: Accept on one shared port from every shard via ``SO_REUSEPORT``
-    #: (kernel balances connections).  When the platform lacks it — or
-    #: this is ``False`` — a single-listener dispatcher thread accepts
-    #: and passes connection FDs to shards round-robin instead.
-    reuse_port: bool = True
 
     # --- consistency mutation modes (verification self-test ONLY) ----------
     #: TEST-ONLY: the owner acknowledges mutations *without* updating the

@@ -130,21 +130,22 @@ def build_sharded_tcp_cluster(
 ) -> SocketCluster:
     """Start a deployment of multi-core nodes (process-per-shard).
 
-    Each "server" is one :class:`~repro.net.shard.ShardedNodeServer`
-    forking ``config.num_shards`` worker processes; the membership table
-    advertises every shard's **private** port so clients route zero-hop
-    to the owning shard.  From the cluster API's point of view a node is
-    one server (``kill_node`` kills all of its shards), and its server
-    cores live in the shard processes, so ``cores`` is empty.
+    Each "server" is one :class:`~repro.net.shard.ShardedNodeServer`:
+    ``config.num_shards`` instances, each a forked worker process on the
+    private port the membership table advertises for it, so clients
+    route zero-hop to the owning shard.  From the cluster API's point of
+    view a node is one server (``kill_node`` kills all of its shards),
+    and its server cores live in the shard processes, so ``cores`` is
+    empty.  A standalone node is ``build_sharded_tcp_cluster(1, config)``.
     """
     from .shard import ShardedNodeServer
 
     config = config or ZHTConfig(transport="tcp", num_shards=2)
-    shards = max(1, config.num_shards)
+    shards = config.num_shards
     rng = random.Random(seed)
     # 1. Bind every node's sockets up front to learn shard addresses
     # (build_membership asks for them node by node, shard by shard).
-    nodes = [ShardedNodeServer(config, num_shards=shards) for _ in range(num_nodes)]
+    nodes = [ShardedNodeServer(config) for _ in range(num_nodes)]
     addresses = iter([address for node in nodes for address in node.shard_addresses])
     membership, _nodes, instances = build_membership(
         num_nodes,

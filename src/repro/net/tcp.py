@@ -681,7 +681,19 @@ class _Connection:
 #: Selector-key markers for non-connection file objects.
 _ACCEPT = "accept"
 _WAKE = "wake"
-_FDRECV = "fdrecv"
+
+
+def tcp_listener(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
+    """A bound, listening TCP socket (port 0: the kernel picks one)."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((host, port))
+        sock.listen(512)
+    except OSError:
+        sock.close()
+        raise
+    return sock
 
 
 class EventDrivenTCPServer:
@@ -695,11 +707,9 @@ class EventDrivenTCPServer:
     to ``False`` restores a pool hop for every request (the
     server-architecture ablation does, on its own servers).
 
-    Listeners: by default the server binds one socket itself, but a
-    sharded node hands it pre-bound listeners (its private per-shard
-    port plus an ``SO_REUSEPORT`` shared port) via *listeners*, and/or an
-    AF_UNIX *conn_receiver* on which a parent dispatcher passes accepted
-    connection FDs (the fallback for platforms without ``SO_REUSEPORT``).
+    Listener: by default the server binds its socket itself; a shard
+    worker of a sharded node passes the private listener its supervisor
+    bound (*listener*), so a respawned worker serves the same port.
     """
 
     def __init__(
@@ -709,35 +719,16 @@ class EventDrivenTCPServer:
         host: str = "127.0.0.1",
         port: int = 0,
         effect_workers: int = 4,
-        listeners: "list[socket.socket] | None" = None,
-        conn_receiver: "socket.socket | None" = None,
+        listener: socket.socket | None = None,
     ) -> None:
         self.core: ZHTServerCore | None = None
         self.executor: ServerExecutor | None = None
-        if listeners:
-            self._listeners = list(listeners)
-        else:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            try:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                sock.bind((host, port))
-                sock.listen(512)
-            except OSError:
-                sock.close()
-                raise
-            self._listeners = [sock]
-        for sock in self._listeners:
-            sock.setblocking(False)
-        self._listener = self._listeners[0]
+        self._listener = listener if listener is not None else tcp_listener(host, port)
+        self._listener.setblocking(False)
         addr = self._listener.getsockname()
         self.address = Address(addr[0], addr[1])
-        self._conn_receiver = conn_receiver
         self._selector = selectors.DefaultSelector()
-        for sock in self._listeners:
-            self._selector.register(sock, selectors.EVENT_READ, _ACCEPT)
-        if conn_receiver is not None:
-            conn_receiver.setblocking(False)
-            self._selector.register(conn_receiver, selectors.EVENT_READ, _FDRECV)
+        self._selector.register(self._listener, selectors.EVENT_READ, _ACCEPT)
         # Self-pipe: effect-pool threads wake the selector when a reply
         # they queued needs EVENT_WRITE registration.
         self._wake_r, self._wake_w = socket.socketpair()
@@ -839,11 +830,9 @@ class EventDrivenTCPServer:
             for key, mask in events:
                 data = key.data
                 if data is _ACCEPT:
-                    self._accept(key.fileobj)
+                    self._accept()
                 elif data is _WAKE:
                     self._drain_wake()
-                elif data is _FDRECV:
-                    self._recv_conn_fds()
                 else:
                     if mask & selectors.EVENT_WRITE:
                         self._writable(data)
@@ -852,11 +841,7 @@ class EventDrivenTCPServer:
             if self._draining:
                 if not draining:
                     draining = True
-                    for sock in self._listeners:
-                        try:
-                            self._selector.unregister(sock)
-                        except (KeyError, ValueError):
-                            pass
+                    self._selector.unregister(self._listener)
                 # "Drained" must hold across one idle select cycle before we
                 # exit: a client's pipelined burst can still be in flight on
                 # the wire the instant our buffers look empty, and exiting
@@ -897,15 +882,12 @@ class EventDrivenTCPServer:
             except (KeyError, ValueError):
                 pass
 
-    def _accept(self, listener: socket.socket) -> None:
+    def _accept(self) -> None:
         try:
             # zht-lint: ignore[LOOP001] listener is non-blocking and only accepted after a selector READ event
-            sock, _addr = listener.accept()
+            sock, _addr = self._listener.accept()
         except OSError:
             return
-        self._register_conn(sock)
-
-    def _register_conn(self, sock: socket.socket) -> None:
         sock.setblocking(False)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -914,31 +896,9 @@ class EventDrivenTCPServer:
         conn = _Connection(sock)
         self._selector.register(sock, selectors.EVENT_READ, conn)
 
-    def _recv_conn_fds(self) -> None:
-        """Dispatcher fallback: adopt connection FDs passed by the parent
-        over the AF_UNIX control socket."""
-        try:
-            msg, fds, _flags, _addr = socket.recv_fds(self._conn_receiver, 64, 16)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            fds, msg = [], b""
-        if not fds and not msg:
-            # Dispatcher went away; stop watching.
-            try:
-                self._selector.unregister(self._conn_receiver)
-            except (KeyError, ValueError):
-                pass
-            return
-        for fd in fds:
-            try:
-                self._register_conn(socket.socket(fileno=fd))
-            except OSError:
-                pass
-
     def _readable(self, conn: _Connection) -> None:
         try:
-            # zht-lint: ignore[LOOP001] conn sockets are set non-blocking in _register_conn; recv after a READ event never parks
+            # zht-lint: ignore[LOOP001] conn sockets are set non-blocking in _accept; recv after a READ event never parks
             chunk = conn.sock.recv(65536)
         except BlockingIOError:
             return
