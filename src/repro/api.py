@@ -55,10 +55,14 @@ from .net.transport import ClientTransport, execute_op, run_script
 
 
 def _to_key(key: str | bytes) -> bytes:
+    if type(key) is bytes:
+        return key
     return key.encode("utf-8") if isinstance(key, str) else bytes(key)
 
 
 def _to_value(value: str | bytes) -> bytes:
+    if type(value) is bytes:
+        return value
     return value.encode("utf-8") if isinstance(value, str) else bytes(value)
 
 
@@ -182,6 +186,8 @@ class ZHT:
 
     def _execute(self, op: OpCode, key: bytes, value: bytes = b"") -> "Response":
         """Drive one point operation (with the hot-key cache around it)."""
+        if self._hot_cache is None:
+            return self._run(self.core.driver(op, key, value))
         if op == OpCode.LOOKUP:
             hit = self._cache_get(key)
             if hit is not None:

@@ -40,7 +40,7 @@ import itertools
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from ..obs import REGISTRY
@@ -71,7 +71,6 @@ from .protocol import (
 )
 
 
-@dataclass(slots=True)
 class BatchEntry:
     """One key's slot in an operation, settled independently.
 
@@ -81,10 +80,12 @@ class BatchEntry:
     ``status`` + ``result`` — the two fields of the reply a caller reads —
     or in ``error`` once the retry budget is exhausted.  The remaining
     fields are the entry's retry state, kept by :class:`OpDriver`.
+
+    Every field but the key and value starts as the class default, so an
+    entry is built with two stores; ``BatchEntry(key, value, status=...)``
+    sets the named fields too.
     """
 
-    key: bytes
-    value: bytes = b""
     status: Status | None = None
     result: bytes = b""
     error: ZHTError | None = None
@@ -102,12 +103,27 @@ class BatchEntry:
     #: Whether a server shed this entry (RETRY_LATER) along the way.
     overloaded: bool = False
 
+    def __init__(self, key: bytes, value: bytes = b"", **state: object) -> None:
+        self.key = key
+        self.value = value
+        if state:
+            for name, field_value in state.items():
+                if name not in _ENTRY_STATE:
+                    raise TypeError(f"BatchEntry has no field {name!r}")
+                setattr(self, name, field_value)
+
     @property
     def settled(self) -> bool:
         return self.status is not None or self.error is not None
 
+    def __repr__(self) -> str:
+        state = ", ".join(f"{name}={getattr(self, name)!r}" for name in _ENTRY_STATE)
+        return f"BatchEntry(key={self.key!r}, value={self.value!r}, {state})"
 
-@dataclass(slots=True)
+
+_ENTRY_STATE = tuple(BatchEntry.__annotations__)
+
+
 class Attempt:
     """One round trip: a group of entries whose keys all live on the same
     instance (per-owner planning — the aggregation Monnerat & Amorim use
@@ -115,13 +131,6 @@ class Attempt:
     known client-side), and once :class:`OpDriver` sends it, the request,
     its timeout and the backoff delay before it."""
 
-    address: Address
-    node_id: str
-    instance_id: str
-    #: The entries' op and the membership epoch they were planned against.
-    op: OpCode
-    epoch: int
-    entries: list[BatchEntry]
     request: Request | None = None
     timeout: float = 0.0
     #: Seconds to wait before issuing this attempt (backoff delay).
@@ -129,6 +138,22 @@ class Attempt:
     #: Sub-request ids of a BATCH, which its sub-responses must echo;
     #: ``None`` when the group went out as one plain request.
     sub_ids: list[int] | None = None
+
+    def __init__(
+        self, address: Address, node_id: str, instance_id: str, op: OpCode, epoch: int,
+        entries: list[BatchEntry],
+    ) -> None:
+        self.address = address
+        self.node_id = node_id
+        self.instance_id = instance_id
+        #: The entries' op and the membership epoch they were planned against.
+        self.op = op
+        self.epoch = epoch
+        self.entries = entries
+
+    def empty_copy(self) -> "Attempt":
+        """The same target, op and epoch with no entries yet."""
+        return Attempt(self.address, self.node_id, self.instance_id, self.op, self.epoch, [])
 
 
 @dataclass
@@ -203,6 +228,12 @@ RTO_MIN_S = 0.002
 HOT_KEY_TRACKER_SIZE = 512
 
 
+#: Reply statuses that leave an entry unsettled: it is planned again.
+_RETRIED = frozenset(
+    {Status.REDIRECT, Status.MIGRATING, Status.DEADLINE_EXCEEDED, Status.RETRY_LATER}
+)
+
+
 class OpState(enum.Enum):
     RUNNING = "running"
     DONE = "done"
@@ -241,12 +272,13 @@ class ZHTClientCore:
         #: mode exactly 1 — so suspicion >= failures_before_dead is the
         #: single death condition for both detectors.
         self.suspicion: dict[str, float] = {}  # guarded-by: _state_lock
-        #: Per-node RTT history feeding the adaptive detector, paired
-        #: with the process-wide ``client.rtt.<node>`` that ``repro stats``
-        #: shows (bound here once, so a reply formats no name).  Kept
-        #: per-core: a process can host many independent clients.  Only
-        #: ever ``get`` / ``setdefault``, each atomic under the GIL.
-        self._rtt: dict[str, tuple[LatencyHistogram, LatencyHistogram]] = {}
+        #: Per-node RTT history feeding the adaptive detector.  Kept
+        #: per-core (a process can host many independent clients); the
+        #: process-wide ``client.rtt.<node>`` that ``repro stats`` shows
+        #: merges every core's at snapshot time, so a reply records its
+        #: RTT once.  Only ever ``get`` / ``setdefault``, each atomic
+        #: under the GIL.
+        self._rtt: dict[str, LatencyHistogram] = {}
         #: Circuit breakers for nodes marked dead by *local* suspicion.
         self._breakers: dict[str, _Breaker] = {}  # guarded-by: _state_lock
         #: Manager notifications awaiting dispatch by the transport.
@@ -267,6 +299,13 @@ class ZHTClientCore:
 
         self._heat_lock = threading.Lock()
         self._key_heat = LRUCache(HOT_KEY_TRACKER_SIZE)
+        cfg = self.config
+        #: Whether lookups track key heat: it has two consumers, read
+        #: spreading and the hot-key cache; a deployment with neither
+        #: tracks none.
+        self.tracks_heat = bool(
+            cfg.hot_key_cache_size or (cfg.hot_read_spread and cfg.num_replicas)
+        )
 
     def deadline_budget(self) -> float:
         """Wall-clock budget (seconds) for one logical operation.
@@ -373,7 +412,7 @@ class ZHTClientCore:
         groups: dict[str, Attempt] = {}
         unroutable: list[BatchEntry] = []
         for entry in entries:
-            if entry.settled:
+            if entry.status is not None or entry.error is not None:
                 continue
             chain, first = route(entry.pid, num_replicas)
             # Positions past the first alive one are alive (see route()).
@@ -383,10 +422,11 @@ class ZHTClientCore:
                 continue
             entry.replica_index = index
             target = chain[index]
-            attempt = groups.get(target.instance_id)
+            instance_id = target.instance_id
+            attempt = groups.get(instance_id)
             if attempt is None:
-                attempt = groups[target.instance_id] = Attempt(
-                    target.address, target.node_id, target.instance_id, op, epoch, []
+                attempt = groups[instance_id] = Attempt(
+                    target.address, target.node_id, instance_id, op, epoch, []
                 )
             attempt.entries.append(entry)
         if max_bytes is None:
@@ -395,13 +435,13 @@ class ZHTClientCore:
         budget = max(1, max_bytes - BATCH_REQUEST_OVERHEAD)
         attempts: list[Attempt] = []
         for group in groups.values():
-            chunk = replace(group, entries=[])
+            chunk = group.empty_copy()
             size = 0
             for entry in group.entries:
                 wire = framed_request_size(entry.key, entry.value)
                 if chunk.entries and size + wire > budget:
                     attempts.append(chunk)
-                    chunk = replace(group, entries=[])
+                    chunk = group.empty_copy()
                     size = 0
                 chunk.entries.append(entry)
                 size += wire
@@ -470,10 +510,7 @@ class ZHTClientCore:
             )
         # The histogram is internally locked; the percentile math runs
         # outside _state_lock.
-        pair = self._rtt.get(node_id)
-        contribution = self._suspicion_contribution(
-            pair[0] if pair else None, timeout_s
-        )
+        contribution = self._suspicion_contribution(self._rtt.get(node_id), timeout_s)
         with self._state_lock:
             score = self.suspicion.get(node_id, 0.0) + contribution
             self.suspicion[node_id] = score
@@ -491,14 +528,12 @@ class ZHTClientCore:
                 self._breakers.pop(node_id, None)  # half-open probe succeeded
         if rtt_s is None:
             return
-        pair = self._rtt.get(node_id)
-        if pair is None:
-            name = f"client.rtt.{node_id}"
-            pair = self._rtt.setdefault(
-                node_id, (LatencyHistogram(name), REGISTRY.histogram(name))
+        history = self._rtt.get(node_id)
+        if history is None:
+            history = self._rtt.setdefault(
+                node_id, REGISTRY.histogram_part(f"client.rtt.{node_id}")
             )
-        pair[0].record(rtt_s)
-        pair[1].record(rtt_s)
+        history.record(rtt_s)
 
     def breaker_state(self, node_id: str) -> BreakerState:
         """Current circuit-breaker state for *node_id* (CLOSED = healthy)."""
@@ -641,30 +676,29 @@ class OpDriver:
         self.op = op
         self.entries = entries
         self.max_bytes = max_bytes
-        #: The last reply received.
-        self.response: Response | None = None
         #: Absolute wall-clock deadline; propagated in every request
         #: header and enforced locally when planning each attempt.
         self.deadline = core.clock() + core.deadline_budget()
-        cfg = core.config
-        membership = core.membership
-        num_partitions, hash_name = membership.num_partitions, cfg.hash_name
-        # Key heat has two consumers, read spreading and the hot-key
-        # cache; a deployment with neither tracks none.
-        heat = op is OpCode.LOOKUP and bool(
-            cfg.hot_key_cache_size or (cfg.hot_read_spread and cfg.num_replicas)
-        )
+        num_partitions, hash_name = core.membership.num_partitions, core.config.hash_name
+        heat = op is OpCode.LOOKUP and core.tracks_heat
         for entry in entries:
             entry.pid = partition_of(entry.key, num_partitions, hash_name)
             if heat:
                 # Heat-spread lookups start deeper in the chain and walk
                 # forward from there like any degraded read.
                 entry.replica_index = core._hot_read_start(entry.key, entry.pid)
+        #: Entries with neither a status nor an error: once none is left,
+        #: the op is over without another planning pass.
+        self._unsettled = len(entries)
         #: This round's attempts not yet handed out, last one first.
         self._queue: list[Attempt] = []
-        #: Backoff delay owed before the next attempt handed out.
-        self._delay = 0.0
-        self._current: Attempt | None = None
+
+    #: The last reply received.
+    response: Response | None = None
+    #: Backoff delay owed before the next attempt handed out.
+    _delay = 0.0
+    #: The attempt handed out and not yet answered or timed out.
+    _current: Attempt | None = None
 
     # ------------------------------------------------------------------
 
@@ -685,10 +719,9 @@ class OpDriver:
         cfg = core.config
         op = self.op
         entries = self.entries
-        pending = False
         retries = 0
         for entry in entries:
-            if entry.settled:
+            if entry.status is not None or entry.error is not None:
                 continue
             if entry.attempts > cfg.max_retries:
                 entry.error = (
@@ -696,22 +729,23 @@ class OpDriver:
                     if entry.overloaded
                     else RequestTimeout(f"{op.name} exhausted retries")
                 )
-                continue
-            pending = True
-            if entry.retries > retries:
+                self._unsettled -= 1
+            elif entry.retries > retries:
                 retries = entry.retries
-        if not pending:
+        if not self._unsettled:
             return
         if self.deadline - core.clock() <= 0:
             for entry in entries:
                 if not entry.settled:
                     entry.error = DeadlineExceeded(f"{op.name} deadline exceeded")
+            self._unsettled = 0
             return
         attempts, unroutable = core.plan_batches(op, entries, max_bytes=self.max_bytes)
         for entry in unroutable:
             entry.error = NodeDeadError(
                 f"no alive replica for partition {entry.pid} (op {op.name})"
             )
+        self._unsettled -= len(unroutable)
         if not attempts:
             return
         delay = 0.0
@@ -730,6 +764,8 @@ class OpDriver:
         """The next round trip to execute, or ``None`` once every entry
         settled."""
         if not self._queue:
+            if not self._unsettled:
+                return None
             self._plan_round()
         queue = self._queue
         core = self.core
@@ -746,14 +782,18 @@ class OpDriver:
             # attempt itself; a schedule that cannot fit gives the attempt
             # whatever budget is left rather than overshooting the deadline.
             remaining = self.deadline - core.clock()
-            delay = min(self._delay, remaining)
-            self._delay = 0.0
-            timeout = min(
-                cfg.request_timeout * cfg.backoff_factor**retries, remaining - delay
-            )
+            delay = self._delay
+            if delay:
+                self._delay = 0.0
+                if delay > remaining:
+                    delay = remaining
+            timeout = cfg.request_timeout * cfg.backoff_factor**retries
+            if timeout > remaining - delay:
+                timeout = remaining - delay
             if timeout <= 0:
                 for entry in entries:
                     entry.error = DeadlineExceeded(f"{self.op.name} deadline exceeded")
+                self._unsettled -= len(entries)
                 continue
             attempt.request = self._encode(attempt)
             attempt.timeout = timeout
@@ -771,14 +811,10 @@ class OpDriver:
         deadline_us = int(self.deadline * 1e6)
         if len(entries) == 1:
             entry = entries[0]
+            # Positional: keyword arguments make this dataclass cost ~1.7x.
             return Request(
-                op=op,
-                key=entry.key,
-                value=entry.value,
-                request_id=next_id(),
-                epoch=epoch,
-                replica_index=entry.replica_index,
-                deadline_us=deadline_us,
+                op, entry.key, entry.value, next_id(), epoch, 0, entry.replica_index,
+                0, b"", deadline_us,
             )
         self.core.stats.inc("batches")
         payload = bytearray()
@@ -809,7 +845,7 @@ class OpDriver:
         entries = attempt.entries
         if attempt.sub_ids is None or response.status is not Status.OK:
             # A plain reply, or a whole-BATCH status: one answer for all.
-            outcomes = itertools.repeat((response.status, response.value), len(entries))
+            outcomes = [(response.status, response.value)] * len(entries)
         else:
             outcomes = _sub_responses(attempt, response)
             if outcomes is None:
@@ -818,13 +854,18 @@ class OpDriver:
                 self._timed_out(attempt)
                 return
         core = self.core
-        core.record_success(attempt.node_id, rtt_s=rtt_s)
-        core.adopt_membership(response.membership)
+        core.record_success(attempt.node_id, rtt_s)
+        if response.membership:
+            core.adopt_membership(response.membership)
         cfg = core.config
         stats = core.stats
+        settled = 0
         for entry, outcome in zip(entries, outcomes):
             status = outcome[0]
-            if status is Status.REDIRECT:
+            if status not in _RETRIED:
+                entry.status, entry.result = status, outcome[1]
+                settled += 1
+            elif status is Status.REDIRECT:
                 # Membership was piggybacked; recompute the owner and retry.
                 stats.inc("redirects_followed")
                 entry.retries = 0
@@ -854,8 +895,7 @@ class OpDriver:
                     entry.overloaded = True
                     stats.inc("retries")
                     entry.retries += 1
-            else:
-                entry.status, entry.result = status, outcome[1]
+        self._unsettled -= settled
 
     def on_timeout(self) -> None:
         """The transport observed no response within ``attempt.timeout``."""

@@ -20,7 +20,11 @@ Two message types cover all traffic:
   client-side membership update.
 
 Stream transports length-prefix each message with a varint
-(:func:`frame`); a BATCH payload is a run of such frames.
+(:func:`frame`); a BATCH payload is a run of such frames.  A prefix that
+runs past ten bytes (a 64-bit varint) can never become a frame:
+:func:`frame_prefix` raises :class:`ProtocolError` for it, and a stream
+reader drops the connection instead of waiting for bytes that cannot
+help.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from ..novoht.wal import decode_varint, encode_varint
+from ..novoht.wal import encode_varint
 from .errors import ProtocolError, Status
 
 #: First byte of every message; anything else is rejected before a
@@ -53,6 +57,11 @@ _RESP_HEADER = struct.Struct("<BBBBQIIII")
 #: Bytes a BATCH request adds around its payload — what the client's
 #: planner subtracts from a transport's datagram limit.
 BATCH_REQUEST_OVERHEAD = _REQ_HEADER.size
+
+_REQ_HEADER_SIZE, _RESP_HEADER_SIZE = _REQ_HEADER.size, _RESP_HEADER.size
+#: The length prefix of every message shorter than 2 KiB, by length: a
+#: packer appends one of these instead of encoding the varint.
+_SHORT_PREFIXES = tuple(encode_varint(n) for n in range(0x800))
 
 
 class OpCode(enum.IntEnum):
@@ -230,7 +239,7 @@ def parse_request(buf: bytes | bytearray | memoryview, start: int, end: int) -> 
     """Check the request in ``buf[start:end]``; return ``(op, key, value,
     request_id, epoch, partition, replica_index, inner_op, payload,
     deadline_us)``."""
-    if end - start < _REQ_HEADER.size:
+    if end - start < _REQ_HEADER_SIZE:
         raise ProtocolError("request header truncated")
     (
         magic, kind, op_raw, _flags, request_id, epoch, partition,
@@ -238,7 +247,7 @@ def parse_request(buf: bytes | bytearray | memoryview, start: int, end: int) -> 
     ) = _REQ_HEADER.unpack_from(buf, start)
     if magic != FIXED_MAGIC or kind != _KIND_REQUEST:
         raise ProtocolError(f"not a request (magic 0x{magic:02x}, kind {kind})")
-    ko = start + _REQ_HEADER.size
+    ko = start + _REQ_HEADER_SIZE
     vo = ko + klen
     po = vo + vlen
     if po + plen != end:
@@ -246,9 +255,12 @@ def parse_request(buf: bytes | bytearray | memoryview, start: int, end: int) -> 
     op = _OPCODES.get(op_raw)
     if op is None:
         raise ProtocolError(f"unknown opcode {op_raw}")
+    # An empty field costs no slice (a lookup carries no value, and no
+    # point op a payload).
     return (
-        op, bytes(buf[ko:vo]), bytes(buf[vo:po]), request_id, epoch,
-        partition, replica_index, inner_op, bytes(buf[po:end]), deadline_us,
+        op, bytes(buf[ko:vo]), bytes(buf[vo:po]) if vlen else b"", request_id, epoch,
+        partition, replica_index, inner_op, bytes(buf[po:end]) if plen else b"",
+        deadline_us,
     )
 
 
@@ -260,7 +272,8 @@ def pack_request(
     """Append one request to *out*, length-prefixed when *framed*."""
     klen, vlen, plen = len(key), len(value), len(payload)
     if framed:
-        out += encode_varint(_REQ_HEADER.size + klen + vlen + plen)
+        size = _REQ_HEADER_SIZE + klen + vlen + plen
+        out += _SHORT_PREFIXES[size] if size < 0x800 else encode_varint(size)
     out += _REQ_HEADER.pack(
         FIXED_MAGIC, _KIND_REQUEST, op, 0, request_id, epoch, partition,
         replica_index, inner_op, deadline_us, klen, vlen, plen,
@@ -273,14 +286,14 @@ def pack_request(
 def parse_response(buf: bytes | bytearray | memoryview, start: int, end: int) -> tuple:
     """Check the response in ``buf[start:end]``; return ``(status, value,
     request_id, epoch, redirect, membership, op)``."""
-    if end - start < _RESP_HEADER.size:
+    if end - start < _RESP_HEADER_SIZE:
         raise ProtocolError("response header truncated")
     magic, kind, status_raw, op, request_id, epoch, vlen, rlen, mlen = (
         _RESP_HEADER.unpack_from(buf, start)
     )
     if magic != FIXED_MAGIC or kind != _KIND_RESPONSE:
         raise ProtocolError(f"not a response (magic 0x{magic:02x}, kind {kind})")
-    vo = start + _RESP_HEADER.size
+    vo = start + _RESP_HEADER_SIZE
     ro = vo + vlen
     mo = ro + rlen
     if mo + mlen != end:
@@ -288,9 +301,11 @@ def parse_response(buf: bytes | bytearray | memoryview, start: int, end: int) ->
     status = _STATUSES.get(status_raw)
     if status is None:
         raise ProtocolError(f"unknown status {status_raw}")
+    # An empty field costs no slice (most replies carry no redirect and
+    # no membership table).
     return (
-        status, bytes(buf[vo:ro]), request_id, epoch, bytes(buf[ro:mo]),
-        bytes(buf[mo:end]), op,
+        status, bytes(buf[vo:ro]) if vlen else b"", request_id, epoch,
+        bytes(buf[ro:mo]) if rlen else b"", bytes(buf[mo:end]) if mlen else b"", op,
     )
 
 
@@ -301,7 +316,8 @@ def pack_response(
     """Append one response to *out*, length-prefixed when *framed*."""
     vlen, rlen, mlen = len(value), len(redirect), len(membership)
     if framed:
-        out += encode_varint(_RESP_HEADER.size + vlen + rlen + mlen)
+        size = _RESP_HEADER_SIZE + vlen + rlen + mlen
+        out += _SHORT_PREFIXES[size] if size < 0x800 else encode_varint(size)
     out += _RESP_HEADER.pack(
         FIXED_MAGIC, _KIND_RESPONSE, status, op, request_id, epoch, vlen, rlen, mlen
     )
@@ -330,7 +346,11 @@ def encode_framed_request(request: Request, codec: str = "fixed") -> bytearray:
     if codec != "fixed":
         raise ValueError(f"unknown wire codec {codec!r}")
     out = bytearray()
-    request._encode_into(out, True)
+    pack_request(
+        out, True, request.op, request.key, request.value, request.request_id,
+        request.epoch, request.partition, request.replica_index, request.inner_op,
+        request.payload, request.deadline_us,
+    )
     return out
 
 
@@ -340,7 +360,10 @@ def encode_framed_response(response: Response, codec: str = "fixed") -> bytearra
     if codec != "fixed":
         raise ValueError(f"unknown wire codec {codec!r}")
     out = bytearray()
-    response._encode_into(out, True)
+    pack_response(
+        out, True, response.status, response.value, response.request_id, response.epoch,
+        response.redirect, response.membership, response.op,
+    )
     return out
 
 
@@ -379,15 +402,39 @@ def deframe_span(
     ``buffer[start:end]`` and is *not* copied, so callers can decode it
     in place (:func:`decode_request_span`) before compacting the buffer.
     When the buffer does not yet hold a complete frame, returns
-    ``(-1, -1, offset)``.
+    ``(-1, -1, offset)``; so it does for a malformed prefix, which only
+    :func:`frame_prefix` tells apart — a reader of a live stream calls
+    that, since no byte still to come turns such a prefix into a frame.
     """
     try:
-        length, pos = decode_varint(buffer, offset)
-    except ValueError:
+        length, pos = frame_prefix(buffer, offset)
+    except ProtocolError:
         return -1, -1, offset
-    if len(buffer) - pos < length:
+    end = pos + length
+    if length < 0 or end > len(buffer):
         return -1, -1, offset
-    return pos, pos + length, pos + length
+    return pos, end, end
+
+
+def frame_prefix(buffer: "bytes | bytearray | memoryview", offset: int) -> tuple[int, int]:
+    """The length prefix of the frame at *offset*: ``(length, start of
+    the message)``, or ``(-1, offset)`` while the buffer ends inside the
+    prefix.  Raises :class:`ProtocolError` for a prefix longer than a
+    64-bit varint.  Stream readers decode the one- and two-byte prefixes
+    inline and call this for the rest."""
+    result = shift = 0
+    end = len(buffer)
+    pos = offset
+    while pos < end:
+        byte = buffer[pos]
+        pos += 1
+        if byte < 0x80:
+            return result | byte << shift, pos
+        result |= (byte & 0x7F) << shift
+        shift += 7
+        if shift > 63:
+            raise ProtocolError("frame length prefix longer than a 64-bit varint")
+    return -1, offset
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +457,12 @@ def parse_batch(parse: Callable[[bytes, int, int], tuple], payload: bytes) -> li
     subs: list[tuple] = []
     offset, size = 0, len(payload)
     while offset < size:
-        try:
-            length, start = decode_varint(payload, offset)
-        except ValueError:
-            raise ProtocolError("truncated length inside batch payload") from None
+        length = payload[offset]
+        start = offset + 1
+        if length >= 0x80:
+            length, start = frame_prefix(payload, offset)
+            if length < 0:
+                raise ProtocolError("truncated length inside batch payload")
         offset = start + length
         if offset > size:
             raise ProtocolError("truncated frame inside batch payload")

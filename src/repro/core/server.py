@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..novoht import NoVoHT
@@ -56,7 +55,10 @@ _OK, _KEY_NOT_FOUND, _MIGRATING, _BAD_REQUEST, _KEY_TOO_LARGE, _VALUE_TOO_LARGE 
 )
 #: Enum members read per sub, bound once: reading a member through its
 #: class is a metaclass lookup (~0.1 µs).
-_REPLICA_UPDATE, _STATUS_OK = OpCode.REPLICA_UPDATE, Status.OK
+_REPLICA_UPDATE, _LOOKUP, _BATCH = OpCode.REPLICA_UPDATE, OpCode.LOOKUP, OpCode.BATCH
+_STATUS_OK, _REDIRECT, _STATUS_BAD_REQUEST = Status.OK, Status.REDIRECT, Status.BAD_REQUEST
+#: The index list of a group of one.
+_FIRST = (0,)
 
 
 #: Per-instance operation counters (``core.stats.<field>``; process
@@ -150,32 +152,43 @@ class ReplicationSequencer:
             self._cond.notify_all()
 
 
-@dataclass
 class HandleResult:
     """Outcome of handling one request.
 
     ``response`` is ``None`` when the request was queued behind a
     migration — the transport must remember the requester and answer when
-    the queue drains (via ``forwards`` of a later commit/abort).
+    the queue drains (via ``forwards`` of a later commit/abort).  The
+    effect fields default to empty on the class, so a result with no
+    effects — most of them — stores its response and nothing else.
     """
 
-    response: Response | None
     #: Replica updates that must be acknowledged *before* the response is
     #: released to the client (the strongly-consistent secondary, plus all
     #: replicas in SYNC mode).
-    sync_sends: list[tuple[Address, Request]] = field(default_factory=list)
+    sync_sends: Sequence[tuple[Address, Request]] = ()
     #: Fire-and-forget replica updates (asynchronous replicas).
-    async_sends: list[tuple[Address, Request]] = field(default_factory=list)
+    async_sends: Sequence[tuple[Address, Request]] = ()
     #: Queued client requests to forward to a partition's new owner after
     #: a migration commit.
-    forwards: list[tuple[Address, QueuedRequest]] = field(default_factory=list)
+    forwards: Sequence[tuple[Address, QueuedRequest]] = ()
     #: Queued requests to fail (answered with MIGRATING) after an abort.
-    failed_queued: list[QueuedRequest] = field(default_factory=list)
+    failed_queued: Sequence[QueuedRequest] = ()
     #: When set, the transport must release this result's replica sends
     #: in ticket order (and retire the ticket afterwards, even if no
     #: sends were planned).
     repl_sequencer: ReplicationSequencer | None = None
     repl_ticket: int | None = None
+
+    def __init__(self, response: Response | None) -> None:
+        self.response = response
+
+    def add_sends(self, plan: Sequence[tuple[Address, Request, bool]]) -> None:
+        """Split ``(address, update, sync?)`` into the two send lists."""
+        sync: list[tuple[Address, Request]] = []
+        async_: list[tuple[Address, Request]] = []
+        for address, update, is_sync in plan:
+            (sync if is_sync else async_).append((address, update))
+        self.sync_sends, self.async_sends = sync, async_
 
 
 class ZHTServerCore:
@@ -208,10 +221,11 @@ class ZHTServerCore:
         #: Wall-clock source for deadline checks (simulator injects its
         #: virtual clock).
         self.clock = clock
-        #: Client requests currently admitted (between admission and the
-        #: end of dispatch); bounded by ``config.max_inflight``.
-        self._inflight = 0  # guarded-by: _inflight_lock
-        self._inflight_lock = threading.Lock()
+        #: One entry per client request between admission and the end of
+        #: dispatch; bounded by ``config.max_inflight``.  ``append`` /
+        #: ``pop`` / ``len`` are each atomic under the GIL, so the tally
+        #: needs no lock.
+        self._inflight: list[None] = []
         #: Optional extra load source counted against the admission bound —
         #: event-driven transports report queued-but-not-yet-dispatched
         #: work here so backpressure sees the true backlog, not just the
@@ -296,51 +310,44 @@ class ZHTServerCore:
     )
 
     def handle(self, request: Request, reply_context: object = None) -> HandleResult:
-        """Process one request; never raises for protocol-level errors."""
-        with REGISTRY.span("server.handle"):
-            if request.op not in self._ADMITTED_OPS:
-                return self._dispatch(request, reply_context)
-            shed = self._admission_shed(request)
-            if shed is not None:
-                return HandleResult(shed)
-            with self._inflight_lock:
-                self._inflight += 1
-            try:
-                return self._dispatch(request, reply_context)
-            finally:
-                with self._inflight_lock:
-                    self._inflight -= 1
+        """Process one request; never raises for protocol-level errors.
 
-    def _admission_shed(self, request: Request) -> Response | None:
-        """Deadline + overload admission check for client ops.
-
-        Returns the shed :class:`Response` (DEADLINE_EXCEEDED or
-        RETRY_LATER), or ``None`` to admit.  Shed responses are built
-        directly — no membership piggyback, no store access — so the shed
-        path stays O(1) no matter how overloaded the server is.
+        A client op is admitted first: one whose propagated deadline has
+        passed is shed with DEADLINE_EXCEEDED, and one arriving while the
+        backlog is at ``config.max_inflight`` with RETRY_LATER.
         """
-        if request.deadline_us and self.clock() * 1e6 > request.deadline_us:
-            self.stats.inc("shed_expired")
-            return Response(
-                status=Status.DEADLINE_EXCEEDED,
-                request_id=request.request_id,
-                epoch=self.membership.epoch,
-                op=int(request.op),
-            )
-        limit = self.config.max_inflight
-        if limit:
-            backlog = self._inflight  # zht-lint: ignore[LOCK001] GIL-atomic int read; admission is advisory
-            if self.extra_inflight is not None:
-                backlog += self.extra_inflight()
-            if backlog >= limit:
-                self.stats.inc("shed_overload")
-                return Response(
-                    status=Status.RETRY_LATER,
-                    request_id=request.request_id,
-                    epoch=self.membership.epoch,
-                    op=int(request.op),
-                )
-        return None
+        with REGISTRY.span("server.handle"):
+            op = request.op
+            if op not in self._ADMITTED_OPS:
+                return self._dispatch(request, reply_context)
+            deadline_us = request.deadline_us
+            if deadline_us and self.clock() * 1e6 > deadline_us:
+                return self._shed(request, Status.DEADLINE_EXCEEDED, "shed_expired")
+            inflight = self._inflight
+            limit = self.config.max_inflight
+            if limit:
+                backlog = len(inflight)
+                if self.extra_inflight is not None:
+                    backlog += self.extra_inflight()
+                if backlog >= limit:
+                    return self._shed(request, Status.RETRY_LATER, "shed_overload")
+            inflight.append(None)
+            try:
+                # The admitted ops are BATCH and the four point ops.
+                if op is _BATCH:
+                    return self._handle_batch(request)
+                return self._handle_point(request, reply_context)
+            finally:
+                inflight.pop()
+
+    def _shed(self, request: Request, status: Status, counter: str) -> HandleResult:
+        """A client op refused at admission.  The response is built
+        directly — no membership piggyback, no store access — so the shed
+        path stays O(1) no matter how overloaded the server is."""
+        self.stats.inc(counter)
+        return HandleResult(
+            Response(status, b"", request.request_id, self.membership.epoch, b"", b"", int(request.op))
+        )
 
     def _dispatch(self, request: Request, reply_context: object) -> HandleResult:
         op = request.op
@@ -404,8 +411,10 @@ class ZHTServerCore:
         subtree = decode_subtree(request.payload)
         # The payload lists this instance's subtree (self first); forward
         # to each child subtree's head, fire-and-forget.
+        sends: list[tuple[Address, Request]] = []
+        result.async_sends = sends
         for child in split_subtree(subtree):
-            result.async_sends.append(
+            sends.append(
                 (
                     child[0],
                     Request(
@@ -439,6 +448,8 @@ class ZHTServerCore:
         OpCode.APPEND: "append",
     }
     _BATCH_STATS = {"put": "inserts", "get": "lookups", "remove": "removes", "append": "appends"}
+    #: Client op → the counter a hit bumps.
+    _OP_STATS = dict(zip(_BATCH_KINDS, map(_BATCH_STATS.__getitem__, _BATCH_KINDS.values())))
     #: REPLICA_UPDATE inner op → kind: a chain carries mutations only.
     _REPLICA_KINDS = {op: kind for op, kind in _BATCH_KINDS.items() if kind != "get"}
 
@@ -459,19 +470,24 @@ class ZHTServerCore:
                 return HandleResult(self._respond(request, Status.BAD_REQUEST))
         else:
             pid = partition_of(request.key, self.membership.num_partitions, self.config.hash_name)
-        fields = (
+        sub = (
             op, request.key, request.value, request.request_id, request.epoch,
             request.partition, request.replica_index, request.inner_op,
             request.payload, request.deadline_us,
         )
         answers = [_BAD_REQUEST]
-        counts: dict[str, int] = {}
         result = HandleResult(None)
         plan: list[tuple[Address, tuple, bool]] = []
-        self._serve_group(pid, (fields,), (0,), answers, counts, result, plan)
-        for name, n in counts.items():
-            self.stats.inc(name, n)
-        if answers[0] is _MIGRATING:
+        self._serve_group(pid, (sub,), _FIRST, answers, result, plan)
+        answer = answers[0]
+        status = answer[0]
+        if op is _REPLICA_UPDATE:
+            self.stats.inc("replica_updates")
+        elif status is _STATUS_OK:
+            self.stats.inc(self._OP_STATS[op])
+        elif status is _REDIRECT:
+            self.stats.inc("redirects")
+        if answer is _MIGRATING:
             try:
                 self.partitions[pid].queue_request(QueuedRequest(request, reply_context))
             except MigrationError:
@@ -479,11 +495,9 @@ class ZHTServerCore:
             else:
                 self.stats.inc("queued")
                 return result
-        status, value, redirect = answers[0]
-        result.response = self._respond(request, status, value, redirect, "redirects" in counts)
-        for address, update, sync in plan:
-            sends = result.sync_sends if sync else result.async_sends
-            sends.append((address, Request(*update)))
+        result.response = self._respond(request, status, answer[1], answer[2], status is _REDIRECT)
+        if plan:
+            result.add_sends([(address, Request(*update), sync) for address, update, sync in plan])
         return result
 
     def _handle_batch(self, request: Request) -> HandleResult:
@@ -513,8 +527,6 @@ class ZHTServerCore:
             return HandleResult(self._respond(request, Status.BAD_REQUEST))
         num_partitions, hash_name = self.membership.num_partitions, self.config.hash_name
         kinds = self._BATCH_KINDS
-        #: Counter bumps, made once per batch: a bump is a lock.
-        counts = {"batches": 1, "batch_sub_ops": len(subs)}
         #: ``(status, value, redirect)`` per sub; a sub no group serves
         #: has an op a batch cannot carry or is a malformed replica update.
         answers: list[tuple[Status, bytes, bytes]] = [_BAD_REQUEST] * len(subs)
@@ -537,59 +549,79 @@ class ZHTServerCore:
             else:
                 group.append(i)
         for pid, idxs in by_pid.items():
-            self._serve_group(pid, subs, idxs, answers, counts, result, plan)
+            self._serve_group(pid, subs, idxs, answers, result, plan)
 
         # Re-batch the replica fan-out: one message per peer.
-        peers: dict[tuple[bool, Address], list[tuple]] = {}
-        for address, update, sync in plan:
-            peers.setdefault((sync, address), []).append(update)
-        for (sync, address), updates in peers.items():
-            sends = result.sync_sends if sync else result.async_sends
-            sends.append((address, self._wrap_updates(updates, request)))
-        for name, n in counts.items():
-            self.stats.inc(name, n)
+        if plan:
+            peers: dict[tuple[bool, Address], list[tuple]] = {}
+            for address, update, sync in plan:
+                peers.setdefault((sync, address), []).append(update)
+            result.add_sends([
+                (address, self._wrap_updates(updates, request), sync)
+                for (sync, address), updates in peers.items()
+            ])
 
-        # One pass packs every sub-response.  A client batch's outer
-        # status stays OK (outcomes are per-key), but a replica-update
-        # batch folds its first failed sub-status outward so the sync-ack
-        # check in ServerExecutor stays one comparison.
+        # One pass packs every sub-response and tallies the counters, so
+        # a batch bumps each counter once.  A client batch's outer status
+        # stays OK (outcomes are per-key), but a replica-update batch folds
+        # its first failed sub-status outward so the sync-ack check in
+        # ServerExecutor stays one comparison.
         epoch = self.membership.epoch
         outer_status = Status.OK
         packed = bytearray()
-        for sub, (status, value, redirect) in zip(subs, answers):
-            if status and not outer_status and sub[0] is _REPLICA_UPDATE:
-                outer_status = status
-            pack_response(packed, True, status, value, sub[3], epoch, redirect, b"", sub[0])
+        hits = [0] * 5  # per client op (1-4)
+        redirected = replica_updates = 0
+        for i, (status, value, redirect) in enumerate(answers):
+            sub = subs[i]
+            op = sub[0]
+            if op is _REPLICA_UPDATE:
+                if status is not _STATUS_BAD_REQUEST:
+                    replica_updates += 1
+                if status and not outer_status:
+                    outer_status = status
+            elif status is _STATUS_OK:
+                hits[op] += 1
+            elif status is _REDIRECT:
+                redirected += 1
+            pack_response(packed, True, status, value, sub[3], epoch, redirect, b"", op)
+        stats = self.stats
+        stats.inc("batches")
+        stats.inc("batch_sub_ops", len(subs))
+        for op, name in self._OP_STATS.items():
+            if hits[op]:
+                stats.inc(name, hits[op])
+        if redirected:
+            stats.inc("redirects", redirected)
+        if replica_updates:
+            stats.inc("replica_updates", replica_updates)
         result.response = self._respond(
-            request, outer_status, value=bytes(packed), membership="redirects" in counts
+            request, outer_status, value=bytes(packed), membership=redirected > 0
         )
         return result
 
     def _serve_group(
         self, pid: int, subs: Sequence[tuple], idxs: Sequence[int],
-        answers: list[tuple[Status, bytes, bytes]], counts: dict[str, int],
-        result: HandleResult, plan: list[tuple[Address, tuple, bool]],
+        answers: list[tuple[Status, bytes, bytes]], result: HandleResult,
+        plan: list[tuple[Address, tuple, bool]],
     ) -> None:
         """Serve ``subs[i]`` (fields in :func:`parse_request` order) for
         each *i* in *idxs*, all routed to partition *pid*, into
-        ``answers[i]``; counter bumps go to *counts*, replica updates to
-        *plan* as ``(address, update, sync?)``.  The only code that runs the
-        four ops (§III.A) and their replica updates (§III.J) on a store:
+        ``answers[i]``; replica updates go to *plan* as ``(address, update,
+        sync?)``.  The only code that runs the four ops (§III.A) and their
+        replica updates (§III.J) on a store:
 
         * a client op is REDIRECTed unless this instance owns *pid* or it
           is failover-addressed (``replica_index > 0``, §III.H), and
           answers MIGRATING while the partition is frozen;
         * limits are checked where a client write enters; a replica update
           carries what the owner accepted, so it is applied as sent (a
-          REMOVE that races ahead of its INSERT is OK) and counts only
-          ``replica_updates`` (client ops count ``inserts`` &c. on a hit);
+          REMOVE that races ahead of its INSERT is OK);
         * every sub not redirected adds to the partition's load;
         * the group is one ``NoVoHT.apply_batch``, with the replication
           ticket taken under the same store lock when it replicates.
         """
         cfg = self.config
         kinds = self._BATCH_KINDS
-        max_key, max_value = cfg.max_key_bytes, cfg.max_value_bytes
         owned = self.membership.partition_owner[pid] == self.info.instance_id
         part: Partition | None = None
         migrating = False
@@ -600,7 +632,8 @@ class ZHTServerCore:
         #: (the send blackholes) or falsely suspected (it stays current).
         replicating = False
         batch_ops: list[tuple[str, bytes, bytes]] = []
-        batch_map: list[int] = []
+        #: ``subs`` index of each of ``batch_ops``.
+        served: list[int] = []
         for i in idxs:
             op, key, value, _, _, _, replica_index, inner_op, _, _ = subs[i]
             replica = op is _REPLICA_UPDATE
@@ -611,10 +644,9 @@ class ZHTServerCore:
                 redirected += 1
                 continue
             if part is None:
-                part = self.partition(pid)
+                part = self.partitions.get(pid) or self.partition(pid)
                 migrating = part.is_migrating
             if replica:
-                counts["replica_updates"] = counts.get("replica_updates", 0) + 1
                 if cfg.test_freeze_tail_replicas and replica_index >= 2:
                     # TEST-ONLY broken mode: the tail replica acks but
                     # never applies, so its reads go unboundedly stale —
@@ -628,6 +660,7 @@ class ZHTServerCore:
             else:
                 kind = kinds[op]
                 if kind == "put" or kind == "append":
+                    max_key, max_value = cfg.max_key_bytes, cfg.max_value_bytes
                     if max_key is not None and len(key) > max_key:
                         answers[i] = _KEY_TOO_LARGE
                         continue
@@ -637,9 +670,7 @@ class ZHTServerCore:
                 if kind != "get" and cfg.num_replicas > 0:
                     replicating = True
             batch_ops.append((kind, key, value))
-            batch_map.append(i)
-        if redirected:
-            counts["redirects"] = counts.get("redirects", 0) + redirected
+            served.append(i)
         if part is None:
             return
         self.partition_load.record(pid, len(idxs) - redirected)
@@ -662,28 +693,28 @@ class ZHTServerCore:
                 outcomes = store.apply_batch(batch_ops)
         except ZHTError as exc:
             failed = (exc.status, b"", b"")
-            for i in batch_map:
+            for i in served:
                 answers[i] = failed
             return
 
         targets: list[tuple[Address, int, bool]] | None = None
-        for (kind, key, value), (ok, got), i in zip(batch_ops, outcomes, batch_map):
+        for j, (ok, got) in enumerate(outcomes):
+            i = served[j]
             sub = subs[i]
-            if sub[0] is _REPLICA_UPDATE:
+            op = sub[0]
+            if op is _REPLICA_UPDATE:
                 answers[i] = _OK
                 continue
             if not ok:
                 answers[i] = _KEY_NOT_FOUND
                 continue
-            stat = self._BATCH_STATS[kind]
-            counts[stat] = counts.get(stat, 0) + 1
             answers[i] = _OK if got is None else (_STATUS_OK, got, b"")
-            if replicating and kind != "get":
+            if replicating and op is not _LOOKUP:
                 if targets is None:
                     targets = self._replica_targets(pid, owned)
                     epoch = self.membership.epoch
                 for address, index, sync in targets:
-                    update = (_REPLICA_UPDATE, key, value, sub[3], epoch, pid, index, int(sub[0]))
+                    update = (_REPLICA_UPDATE, sub[1], sub[2], sub[3], epoch, pid, index, int(op))
                     plan.append((address, update, sync))
 
     def _redirect_to(self, pid: int) -> bytes:

@@ -25,21 +25,21 @@ Figures 7 and 9).
 from __future__ import annotations
 
 import select
-import selectors
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..core.membership import Address
+from ..core.errors import ProtocolError
 from ..core.protocol import (
     Request,
     Response,
     decode_request_span,
     decode_response_span,
-    deframe_span,
     encode_framed_request,
     encode_framed_response,
+    frame_prefix,
 )
 from ..core.server import HandleResult, ZHTServerCore
 from ..obs import REGISTRY
@@ -71,9 +71,11 @@ def _recv_response(
                 return None, False
             buffer += chunk
             while True:
-                start, end, offset = deframe_span(buffer, offset)
-                if start < 0:
+                length, start = frame_prefix(buffer, offset)
+                end = start + length
+                if length < 0 or end > len(buffer):
                     break
+                offset = end
                 response = decode_response_span(buffer, start, end)
                 if not request_id or response.request_id == request_id:
                     return response, offset == len(buffer)
@@ -227,17 +229,23 @@ class TCPClient(ClientTransport):
 
 
 class _MuxSlot:
-    """One in-flight multiplexed request.  ``lock`` is created held;
-    whoever fills the slot, promotes its owner or fails the connection
-    releases it once, so a caller parks on ``lock.acquire(timeout=...)``."""
+    """One in-flight multiplexed request.  A follower's ``lock`` is
+    created held; whoever fills the slot, promotes its owner or fails the
+    connection releases it once, so the follower parks on
+    ``lock.acquire(timeout=...)``.  The slot of a caller that holds the
+    read role from the start is never waited on, so it has no lock."""
 
     __slots__ = ("lock", "response", "leader")
 
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.lock.acquire()
+    def __init__(self, lock: threading.Lock | None) -> None:
+        self.lock = lock
         self.response: Response | None = None
-        self.leader = False  # the read role was handed to this caller
+        self.leader = lock is None  # the read role belongs to this caller
+
+
+class _IdInFlight(Exception):
+    """The request id is already in flight on this connection (a foreign
+    core sharing the transport mints the same ids)."""
 
 
 class _MuxConnection:
@@ -246,11 +254,17 @@ class _MuxConnection:
     No thread belongs to the connection.  A writer sends frames under
     ``_write_lock``.  The *read role* (``_read_lock``) belongs to one
     waiting caller at a time — the leader: it reassembles response
-    frames (bytearray + offset, O(total) across chunks) under its own
-    deadline, fills every caller's slot as frames arrive, and on
-    leaving hands the role to a caller still waiting (or frees it).
-    The other callers — followers — park on their slot.  Connection
-    death fails every outstanding slot.
+    frames under its own deadline, fills every other caller's slot as
+    frames arrive, and on leaving hands the role to a caller still
+    waiting (or frees it).  The other callers — followers — park on their
+    slot.  Connection death fails every outstanding slot.
+
+    A caller that finds the role free takes it before it sends (the lone
+    caller, the common case): nobody else can then read its reply, so it
+    allocates no lock, and it touches ``_state_lock`` only if it times
+    out or must hand the role on.  Each request id is claimed with one
+    ``dict.setdefault`` (GIL-atomic), so two callers can never both own
+    an id; ``_state_lock`` orders registration, hand-off and shutdown.
     """
 
     #: Bound on remembered abandoned request ids (timed-out requests
@@ -267,7 +281,10 @@ class _MuxConnection:
         self._write_lock = threading.Lock()
         self._read_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._pending: dict[int, _MuxSlot] = {}  # guarded-by: _state_lock
+        #: In-flight request id -> slot.  Claimed with ``setdefault`` and
+        #: emptied with ``pop`` (each GIL-atomic); shutdown and hand-off
+        #: read it under ``_state_lock``.
+        self._pending: dict[int, _MuxSlot] = {}
         self._discard: set[int] = set()  # guarded-by: _state_lock
         # Bytes of a frame still arriving: the read role's holder only.
         self._buffer = bytearray()
@@ -277,16 +294,43 @@ class _MuxConnection:
 
     # -- caller side -------------------------------------------------------
 
-    def register(self, request_id: int) -> _MuxSlot | None:
-        """Claim a slot for *request_id*; ``None`` if the connection is
-        closed or the id is already in flight (caller falls back)."""
+    def call(self, request_id: int, payload: "bytes | bytearray", deadline: float) -> Response | None:
+        """Send *payload* and wait for the reply to *request_id* until
+        *deadline*: the response, or ``None`` on a timeout or a dead
+        connection (see ``closed``).  Raises :class:`_IdInFlight`."""
+        if not self._read_lock.acquire(False):
+            return self._follow(request_id, payload, deadline)
+        slot = _MuxSlot(None)
+        pending = self._pending
+        response = None
+        if pending.setdefault(request_id, slot) is not slot:
+            self._release_role()
+            raise _IdInFlight(request_id)
+        if not self.closed and self.send(payload):
+            response = self._read(request_id, deadline)
+            if pending.pop(request_id, None) is not None and response is None:
+                with self._state_lock:
+                    self._discard_late(request_id)
+        else:
+            pending.pop(request_id, None)
+        self._release_role()
+        return response
+
+    def _follow(self, request_id: int, payload: "bytes | bytearray", deadline: float) -> Response | None:
+        """Another caller reads this socket: park on a slot until it
+        delivers the reply or hands over the read role."""
+        lock = threading.Lock()
+        lock.acquire()
+        slot = _MuxSlot(lock)
         with self._state_lock:
-            if self.closed or request_id in self._pending:
+            if self.closed:
                 return None
+            if self._pending.setdefault(request_id, slot) is not slot:
+                raise _IdInFlight(request_id)
             self._discard.discard(request_id)
-            slot = _MuxSlot()
-            self._pending[request_id] = slot
-            return slot
+        if not self.send(payload):
+            return None
+        return self.wait(request_id, slot, deadline)
 
     def send(self, payload: "bytes | bytearray") -> bool:
         try:
@@ -317,13 +361,17 @@ class _MuxConnection:
                 pass
 
     def wait(self, request_id: int, slot: _MuxSlot, deadline: float) -> Response | None:
-        """Block until *slot* is filled, *deadline* passes or the
-        connection dies (``None`` for the latter two).  A timeout abandons
-        the slot, not the socket: the late response is dropped by id."""
+        """A follower: block until *slot* is filled, *deadline* passes or
+        the connection dies (``None`` for the latter two).  A timeout
+        abandons the slot, not the socket: the late response is dropped
+        by id."""
+        assert slot.lock is not None
         leading = self._read_lock.acquire(False)
         while True:
             if leading:
-                self._read(slot, deadline)
+                response = self._read(request_id, deadline)
+                if response is not None:
+                    slot.response = response
                 break
             if not slot.lock.acquire(timeout=max(deadline - time.monotonic(), 0)):
                 break
@@ -331,7 +379,7 @@ class _MuxConnection:
                 return slot.response  # filled, or the connection died
             leading = True
         with self._state_lock:
-            if self._pending.pop(request_id, None) is not None:
+            if self._pending.pop(request_id, None) is not None and slot.response is None:
                 self._discard_late(request_id)
             # A follower can time out just as the role is handed to it.
             if leading or slot.leader:
@@ -353,61 +401,102 @@ class _MuxConnection:
         arrived, without blocking (unless a waiting caller is reading
         anyway).  Unread, they back up into the server's write queue."""
         if self._read_lock.acquire(False):
-            self._read(None, 0.0)
-            with self._state_lock:
-                self._hand_off()
+            self._read(0, 0.0)
+            self._release_role()
 
     # -- the read role -----------------------------------------------------
+
+    def _release_role(self) -> None:
+        """Free the read role, then make sure no follower that parked
+        while we held it is left without a reader.  A follower registers
+        before it tries the role, and we look after freeing it: either it
+        took the role itself or we see its slot."""
+        self._read_lock.release()
+        if self._pending and self._read_lock.acquire(False):
+            with self._state_lock:
+                self._hand_off()
 
     def _hand_off(self) -> None:  # holds-lock: _state_lock
         """Give the read role to a caller still waiting, else free it.
         Under the state lock, so a caller registering now either is
         seen here or finds the role free."""
         for slot in self._pending.values():
+            # Only the role's holder has a slot without a lock, and it
+            # took its own out before handing the role on.
+            assert slot.lock is not None
             slot.leader = True
             slot.lock.release()
             return
         self._read_lock.release()
 
-    def _read(self, slot: _MuxSlot | None, deadline: float) -> None:
-        """Holding the read role: deframe and deliver until *slot* is
-        filled, *deadline* passes (0: only what is already readable) or
-        the connection dies."""
-        buffer = self._buffer
-        while not self.closed and (slot is None or slot.response is None):
+    def _read(self, request_id: int, deadline: float) -> Response | None:
+        """Holding the read role: deframe and deliver until the reply to
+        *request_id* arrives (returned, not delivered), *deadline* passes
+        (0: only what is already readable) or the connection dies."""
+        while not self.closed:
             if deadline:
                 # One poll + one recv per reply: the socket stays
                 # non-blocking so no per-call timeout has to be set.
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._readable.poll(remaining * 1000):
-                    return
+                    return None
             try:
                 chunk = self.sock.recv(65536)
             except BlockingIOError:
                 if deadline:
                     continue
-                return
+                return None
             except OSError:
                 chunk = b""
             if not chunk:
                 self.shutdown()
-                return
-            buffer += chunk
+                return None
+            buffer: bytes | bytearray = chunk
+            if self._buffer:
+                buffer = self._buffer
+                buffer += chunk
+            size = len(buffer)
             offset = 0
+            own = None
             try:
-                while True:
-                    start, end, offset = deframe_span(buffer, offset)
-                    if start < 0:
+                while offset < size:
+                    # The length prefix, inline for frames up to 16 KiB.
+                    length = buffer[offset]
+                    start = offset + 1
+                    if length >= 0x80:
+                        if start < size and buffer[start] < 0x80:
+                            length = length & 0x7F | buffer[start] << 7
+                            start += 1
+                        else:
+                            length, start = frame_prefix(buffer, offset)
+                            if length < 0:
+                                break
+                    end = start + length
+                    if end > size:
                         break
-                    # Parsed in place; compacting below is safe because
-                    # decode materialises every field.
-                    self._deliver(decode_response_span(buffer, start, end))
+                    # Parsed in place; the buffer may shift afterwards
+                    # because decode materialises every field.
+                    response = decode_response_span(buffer, start, end)
+                    offset = end
+                    if response.request_id == request_id and request_id:
+                        own = response
+                    else:
+                        self._deliver(response)
             except Exception:
-                # Desynced/garbled stream: this connection is unusable.
+                # A malformed prefix or a garbled frame: the stream is
+                # desynced and this connection unusable; the next request
+                # reconnects.
                 REGISTRY.counter("tcp.client.decode_errors").inc()
                 self.shutdown()
-                return
-            del buffer[:offset]
+                return None
+            if buffer is chunk:
+                if offset < size:
+                    self._buffer += memoryview(chunk)[offset:]
+            elif offset:
+                del self._buffer[:offset]
+            if own is not None:
+                return own
+        return None
 
     def _deliver(self, response: Response) -> None:
         with self._state_lock:
@@ -419,6 +508,7 @@ class _MuxConnection:
                     self._c_unmatched.inc()
                 return
         slot.response = response
+        assert slot.lock is not None  # the reader's own slot is never delivered to
         slot.lock.release()
 
     def shutdown(self) -> None:
@@ -437,6 +527,7 @@ class _MuxConnection:
             pass
         self.sock.close()
         for slot in parked:
+            assert slot.lock is not None
             slot.lock.release()  # response stays None => timeout upstream
 
 
@@ -502,37 +593,28 @@ class MultiplexedTCPClient(ClientTransport):
         self, address: Address, request: Request, timeout: float
     ) -> Response | None:
         with REGISTRY.span("tcp.roundtrip"):
-            return self._roundtrip(address, request, timeout)
-
-    def _roundtrip(
-        self, address: Address, request: Request, timeout: float
-    ) -> Response | None:
-        rid = request.request_id
-        if not rid:
-            # Unmatchable by id: use an isolated stop-and-wait socket.
-            return self._oneshot_roundtrip(address, request, timeout)
-        payload = encode_framed_request(request)
-        deadline = time.monotonic() + timeout
-        # One retry on a connection found dead — by the send, or by the
-        # read that follows it: with no thread watching an idle socket, a
-        # peer's close is first seen by the next request to use it.
-        for _attempt in range(2):
-            conn = self._get(address)
-            if conn is None:
-                return None
-            slot = conn.register(rid)
-            if slot is None:
-                if conn.closed:
-                    continue
-                # Same id already in flight on this socket (foreign core
-                # sharing the transport): isolate rather than mis-match.
+            rid = request.request_id
+            if not rid:
+                # Unmatchable by id: use an isolated stop-and-wait socket.
                 return self._oneshot_roundtrip(address, request, timeout)
-            if not conn.send(payload):
-                continue
-            response = conn.wait(rid, slot, deadline)
-            if response is not None or not conn.closed:
-                return response
-        return None
+            payload = encode_framed_request(request)
+            deadline = time.monotonic() + timeout
+            # One retry on a connection found dead — by the send, or by the
+            # read that follows it: with no thread watching an idle socket, a
+            # peer's close is first seen by the next request to use it.
+            for _attempt in range(2):
+                conn = self._get(address)
+                if conn is None:
+                    return None
+                try:
+                    response = conn.call(rid, payload, deadline)
+                except _IdInFlight:
+                    # Same id already in flight on this socket (foreign core
+                    # sharing the transport): isolate rather than mis-match.
+                    return self._oneshot_roundtrip(address, request, timeout)
+                if response is not None or not conn.closed:
+                    return response
+            return None
 
     def _oneshot_roundtrip(
         self, address: Address, request: Request, timeout: float
@@ -587,43 +669,25 @@ class MultiplexedTCPClient(ClientTransport):
 class _Connection:
     """Per-connection state inside the server.
 
-    Frame reassembly accumulates into a ``bytearray`` and tracks a read
-    offset instead of rebuilding the buffer per chunk; consumed bytes are
-    compacted once per readable event.  Writes are queued and flushed
-    non-blockingly instead of calling ``sendall`` (which on the loop's
-    non-blocking sockets would raise — and drop the reply — the moment
-    the kernel send buffer filled).
+    A read is deframed straight out of the received chunk; only the bytes
+    of a frame still arriving are kept, in ``buffer``, which then
+    accumulates in place (O(total) for a frame split over many reads).
+    Writes go out with one ``send`` when nothing is queued; whatever the
+    kernel does not take is queued and flushed on EPOLLOUT instead of
+    calling ``sendall`` (which on the loop's non-blocking sockets would
+    raise — and drop the reply — the moment the kernel send buffer filled).
     """
 
-    __slots__ = ("sock", "buffer", "offset", "write_lock", "closed", "outbuf", "want_write")
+    __slots__ = ("sock", "fd", "buffer", "write_lock", "closed", "outbuf", "want_write")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
+        self.fd = sock.fileno()
         self.buffer = bytearray()
-        self.offset = 0
         self.write_lock = threading.Lock()
         self.closed = False
         self.outbuf = bytearray()  # guarded-by: write_lock
         self.want_write = False  # guarded-by: write_lock
-
-    def feed_spans(self, chunk: bytes) -> list[tuple[int, int]]:
-        """Absorb *chunk*; return ``(start, end)`` spans of every complete
-        frame now sitting in ``self.buffer`` — no copies.  The caller must
-        decode the spans and then call :meth:`compact` before the next
-        read, since compaction shifts the buffer under the spans."""
-        self.buffer += chunk
-        spans: list[tuple[int, int]] = []
-        while True:
-            start, end, self.offset = deframe_span(self.buffer, self.offset)
-            if start < 0:
-                break
-            spans.append((start, end))
-        return spans
-
-    def compact(self) -> None:
-        if self.offset:
-            del self.buffer[: self.offset]
-            self.offset = 0
 
     def queue_reply(self, data: "bytes | bytearray") -> bool:
         """Send *data*, buffering whatever the socket won't take now.
@@ -635,29 +699,27 @@ class _Connection:
         with self.write_lock:
             if self.closed:
                 return False
-            if not self.outbuf:
-                sent = 0
-                view = memoryview(data)
+            if self.outbuf:
+                self.outbuf += data
+            else:
                 try:
-                    while sent < len(view):
-                        sent += self.sock.send(view[sent:])
+                    sent = self.sock.send(data)
                 except BlockingIOError:
-                    pass
+                    sent = 0
                 except OSError:
                     self.closed = True
                     return False
-                if sent < len(view):
-                    self.outbuf += view[sent:]
-            else:
-                self.outbuf += data
-            if self.outbuf and not self.want_write:
+                if sent == len(data):
+                    return False
+                self.outbuf += memoryview(data)[sent:]
+            if not self.want_write:
                 self.want_write = True
                 return True
             return False
 
     def flush(self) -> bool:
-        """Drain the out-buffer (called on EVENT_WRITE).  Returns True
-        once nothing is left to write (caller drops the write interest)."""
+        """Drain the out-buffer (called on EPOLLOUT).  Returns True once
+        nothing is left to write (caller drops the write interest)."""
         with self.write_lock:
             if self.closed:
                 return True
@@ -675,12 +737,23 @@ class _Connection:
 
     def has_backlog(self) -> bool:
         with self.write_lock:
-            return bool(self.outbuf) or self.offset < len(self.buffer)
+            return bool(self.outbuf) or bool(self.buffer)
 
 
-#: Selector-key markers for non-connection file objects.
-_ACCEPT = "accept"
-_WAKE = "wake"
+#: Server counters (``server.tcp_stats.<field>``; process totals are
+#: ``tcp.server.<field>``).
+TCP_SERVER_COUNTERS = (
+    "requests",
+    #: Frames that failed to decode, and malformed length prefixes (each
+    #: of which also drops its connection).
+    "decode_errors",
+)
+
+_EPOLLIN, _EPOLLOUT = select.EPOLLIN, select.EPOLLOUT
+#: An event on a connection beyond plain readability (EPOLLOUT, EPOLLERR,
+#: EPOLLHUP) tries the write side; beyond plain writability, the read side
+#: (a read then sees the error or the EOF).
+_NOT_IN, _NOT_OUT = ~select.EPOLLIN, ~select.EPOLLOUT
 
 
 def tcp_listener(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
@@ -697,7 +770,7 @@ def tcp_listener(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
 
 
 class EventDrivenTCPServer:
-    """Single-threaded selector (epoll) event loop serving one instance.
+    """Single-threaded epoll event loop serving one instance.
 
     Requests whose effects need no peer round trip take the **inline
     fast path**: decoded (zero-copy, straight out of the receive
@@ -707,10 +780,17 @@ class EventDrivenTCPServer:
     to ``False`` restores a pool hop for every request (the
     server-architecture ablation does, on its own servers).
 
+    The loop polls ``epoll`` directly and finds a ready connection by its
+    file descriptor; it sleeps until there is work (``stop`` wakes it
+    through the self-pipe), so an idle server runs no bytecode.
+
     Listener: by default the server binds its socket itself; a shard
     worker of a sharded node passes the private listener its supervisor
     bound (*listener*), so a respawned worker serves the same port.
     """
+
+    #: Poll timeout while draining: how often "drained" is re-checked.
+    _DRAIN_POLL_S = 0.1
 
     def __init__(
         self,
@@ -727,13 +807,15 @@ class EventDrivenTCPServer:
         self._listener.setblocking(False)
         addr = self._listener.getsockname()
         self.address = Address(addr[0], addr[1])
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, _ACCEPT)
-        # Self-pipe: effect-pool threads wake the selector when a reply
-        # they queued needs EVENT_WRITE registration.
+        self._epoll = select.epoll()
+        self._epoll.register(self._listener.fileno(), _EPOLLIN)
+        #: Every open connection by file descriptor: the loop thread's own.
+        self._conns: dict[int, _Connection] = {}
+        # Self-pipe: effect-pool threads wake the loop when a reply they
+        # queued needs EPOLLOUT registration, and ``stop`` wakes it to exit.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
-        self._selector.register(self._wake_r, selectors.EVENT_READ, _WAKE)
+        self._epoll.register(self._wake_r.fileno(), _EPOLLIN)
         self._peer_client = TCPClient(cache_size=32)
         self._pool = ThreadPoolExecutor(
             max_workers=effect_workers, thread_name_prefix="zht-effects"
@@ -743,19 +825,22 @@ class EventDrivenTCPServer:
         self._draining = False
         self._drain_deadline = 0.0
         self.inline_fast_path = True
-        self.requests_served = 0
-        self._c_requests = REGISTRY.counter("tcp.server.requests")
-        self._c_decode_errors = REGISTRY.counter("tcp.server.decode_errors")
-        # Results handed to the effect pool but not yet finished.  The
+        self.stats = REGISTRY.counter_set("tcp.server", TCP_SERVER_COUNTERS)
+        # Results handed to the effect pool but not yet finished, one
+        # entry each (``append`` / ``pop`` / ``len`` are GIL-atomic).  The
         # event loop dispatches synchronously, so the core's own in-flight
-        # gauge sees at most one request at a time here; this backlog is
+        # tally sees at most one request at a time here; this backlog is
         # where overload actually accumulates, so it feeds the core's
         # admission bound via ``extra_inflight``.
-        self._pending_effects = 0  # guarded-by: _pending_lock
+        self._pending_effects: list[None] = []
         self._pending_lock = threading.Lock()
         self._pending_writable: list[_Connection] = []  # guarded-by: _pending_lock
         if core is not None:
             self.attach_core(core)
+
+    @property
+    def requests_served(self) -> int:
+        return self.stats.requests
 
     def attach_core(self, core: ZHTServerCore) -> None:
         """Bind the server logic to this (pre-bound) socket.
@@ -765,15 +850,12 @@ class EventDrivenTCPServer:
         table from the real addresses, and only then create the cores.
         """
         self.core = core
-        core.extra_inflight = self._effects_backlog
+        core.extra_inflight = self._pending_effects.__len__
         # Checkpoint/GC passes tripped by an inline apply must not run on
-        # the selector thread (they serialize + fsync the whole table);
-        # hop them to the worker pool.
+        # the loop thread (they serialize + fsync the whole table); hop
+        # them to the worker pool.
         core.set_maintenance_executor(self._pool.submit)
         self.executor = ServerExecutor(core, self._peer_client, self._deferred_reply)
-
-    def _effects_backlog(self) -> int:
-        return self._pending_effects  # zht-lint: ignore[LOCK001] GIL-atomic int read; admission is advisory
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -800,11 +882,15 @@ class EventDrivenTCPServer:
             self._thread.join(timeout=drain_timeout + 5)
         self._running = False
         if self._thread is not None:
+            self._wake()
             self._thread.join(timeout=5)
             self._thread = None
-        for key in list(self._selector.get_map().values()):
-            key.fileobj.close()
-        self._selector.close()
+        for conn in list(self._conns.values()):
+            conn.sock.close()
+        self._conns.clear()
+        self._listener.close()
+        self._wake_r.close()
+        self._epoll.close()
         try:
             self._wake_w.close()
         except OSError:
@@ -825,24 +911,30 @@ class EventDrivenTCPServer:
     def _loop(self) -> None:  # lint: event-loop
         draining = False
         quiet_since = 0.0
+        poll = self._epoll.poll
+        conns = self._conns
+        listen_fd, wake_fd = self._listener.fileno(), self._wake_r.fileno()
+        timeout = -1.0
         while self._running:
-            events = self._selector.select(timeout=0.1)
-            for key, mask in events:
-                data = key.data
-                if data is _ACCEPT:
-                    self._accept()
-                elif data is _WAKE:
-                    self._drain_wake()
-                else:
-                    if mask & selectors.EVENT_WRITE:
-                        self._writable(data)
-                    if mask & selectors.EVENT_READ:
-                        self._readable(data)
+            events = poll(timeout)
+            for fd, mask in events:
+                conn = conns.get(fd)
+                if conn is None:
+                    if fd == listen_fd:
+                        self._accept()
+                    elif fd == wake_fd:
+                        self._drain_wake()
+                    continue
+                if mask & _NOT_IN:
+                    self._writable(conn)
+                if mask & _NOT_OUT:
+                    self._readable(conn)
             if self._draining:
                 if not draining:
                     draining = True
-                    self._selector.unregister(self._listener)
-                # "Drained" must hold across one idle select cycle before we
+                    timeout = self._DRAIN_POLL_S
+                    self._epoll.unregister(listen_fd)
+                # "Drained" must hold across one idle poll cycle before we
                 # exit: a client's pipelined burst can still be in flight on
                 # the wire the instant our buffers look empty, and exiting
                 # then would reset the connection mid-burst.
@@ -856,14 +948,9 @@ class EventDrivenTCPServer:
         self._running = False
 
     def _drained(self) -> bool:
-        with self._pending_lock:
-            if self._pending_effects:
-                return False
-        for key in self._selector.get_map().values():
-            conn = key.data
-            if isinstance(conn, _Connection) and conn.has_backlog():
-                return False
-        return True
+        if self._pending_effects:
+            return False
+        return not any(conn.has_backlog() for conn in list(self._conns.values()))
 
     def _drain_wake(self) -> None:
         try:
@@ -875,16 +962,12 @@ class EventDrivenTCPServer:
         with self._pending_lock:
             pending, self._pending_writable = self._pending_writable, []
         for conn in pending:
-            try:
-                self._selector.modify(
-                    conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn
-                )
-            except (KeyError, ValueError):
-                pass
+            if self._conns.get(conn.fd) is conn:
+                self._epoll.modify(conn.fd, _EPOLLIN | _EPOLLOUT)
 
     def _accept(self) -> None:
         try:
-            # zht-lint: ignore[LOOP001] listener is non-blocking and only accepted after a selector READ event
+            # zht-lint: ignore[LOOP001] listener is non-blocking and only accepted after an EPOLLIN event
             sock, _addr = self._listener.accept()
         except OSError:
             return
@@ -894,11 +977,14 @@ class EventDrivenTCPServer:
         except OSError:
             pass
         conn = _Connection(sock)
-        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._conns[conn.fd] = conn
+        self._epoll.register(conn.fd, _EPOLLIN)
 
     def _readable(self, conn: _Connection) -> None:
+        """Read once, then deframe and serve every complete request in
+        one pass — straight out of the chunk unless a frame was split."""
         try:
-            # zht-lint: ignore[LOOP001] conn sockets are set non-blocking in _accept; recv after a READ event never parks
+            # zht-lint: ignore[LOOP001] conn sockets are set non-blocking in _accept; recv after an EPOLLIN event never parks
             chunk = conn.sock.recv(65536)
         except BlockingIOError:
             return
@@ -908,34 +994,61 @@ class EventDrivenTCPServer:
         if not chunk:
             self._drop(conn)
             return
-        spans = conn.feed_spans(chunk)
-        for start, end in spans:
-            self._dispatch_span(conn.buffer, start, end, conn)
-        # Compact only after every span is decoded: requests were parsed
-        # in place, so the buffer must not shift under them mid-batch.
-        conn.compact()
+        buffer: bytes | bytearray = chunk
+        if conn.buffer:
+            buffer = conn.buffer
+            buffer += chunk
+        size = len(buffer)
+        offset = 0
+        while offset < size:
+            # The length prefix, inline for frames up to 16 KiB.
+            length = buffer[offset]
+            start = offset + 1
+            if length >= 0x80:
+                if start < size and buffer[start] < 0x80:
+                    length = length & 0x7F | buffer[start] << 7
+                    start += 1
+                else:
+                    try:
+                        length, start = frame_prefix(buffer, offset)
+                    except ProtocolError:
+                        # No later byte makes this a frame: the stream is lost.
+                        self.stats.inc("decode_errors")
+                        self._drop(conn)
+                        return
+                    if length < 0:
+                        break
+            end = start + length
+            if end > size:
+                break
+            # Parsed in place: every field is copied out, so the buffer
+            # may shift once the pass is over.
+            self._serve(conn, buffer, start, end)
+            offset = end
+        if buffer is chunk:
+            if offset < size:
+                conn.buffer += memoryview(chunk)[offset:]
+        elif offset:
+            del conn.buffer[:offset]
 
     def _drop(self, conn: _Connection) -> None:
         with conn.write_lock:
             conn.closed = True
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
+        if self._conns.pop(conn.fd, None) is not None:
+            self._epoll.unregister(conn.fd)
         conn.sock.close()
 
-    def _dispatch_span(
-        self, buffer: bytearray, start: int, end: int, conn: _Connection
+    def _serve(
+        self, conn: _Connection, buffer: "bytes | bytearray", start: int, end: int
     ) -> None:
         try:
             request = decode_request_span(buffer, start, end)
-        except Exception:
-            self._c_decode_errors.inc()
+        except ProtocolError:
+            self.stats.inc("decode_errors")
             return
-        self.requests_served += 1
-        self._c_requests.inc()
-        result = self.core.handle(request, reply_context=conn)
-        needs_peer_io = bool(
+        self.stats.inc("requests")
+        result = self.core.handle(request, conn)
+        if self.inline_fast_path and not (
             result.sync_sends
             or result.forwards
             or result.failed_queued
@@ -943,27 +1056,23 @@ class EventDrivenTCPServer:
             # pool even when all their sends are async: _apply_effects
             # releases them in apply order and retires the ticket.
             or result.repl_sequencer is not None
-        )
-        if needs_peer_io or not self.inline_fast_path:
-            # Keep the loop responsive: effects that block on the network
-            # run on the worker pool; the response is released after the
-            # sync replicas acknowledge.  (With the inline fast path
-            # disabled, every request pays this selector→pool→selector
-            # hop — the server-architecture ablation baseline.)
-            with self._pending_lock:
-                self._pending_effects += 1
-            self._pool.submit(self._finish, result, conn)
-        else:
+        ):
             # Inline fast path: this thread IS the event loop, so the
             # reply is encoded and queued right here — no executor
             # submit, no wakeup latency.  Fire-and-forget replica
             # updates still leave via the pool (they are peer I/O).
             for address, update in result.async_sends:
-                self._pool.submit(
-                    self._peer_client.send_oneway, address, update
-                )
+                self._pool.submit(self._peer_client.send_oneway, address, update)
             if result.response is not None:
                 self._reply(conn, result.response)
+        else:
+            # Keep the loop responsive: effects that block on the network
+            # run on the worker pool; the response is released after the
+            # sync replicas acknowledge.  (With the inline fast path
+            # disabled, every request pays this loop→pool→loop hop — the
+            # server-architecture ablation baseline.)
+            self._pending_effects.append(None)
+            self._pool.submit(self._finish, result, conn)
 
     def _reply(self, conn: _Connection, response: Response) -> None:
         if conn.queue_reply(encode_framed_response(response)):
@@ -975,11 +1084,8 @@ class EventDrivenTCPServer:
         if conn.flush():
             if conn.closed:
                 self._drop(conn)
-                return
-            try:
-                self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
-            except (KeyError, ValueError):
-                pass
+            elif self._conns.get(conn.fd) is conn:
+                self._epoll.modify(conn.fd, _EPOLLIN)
 
     def _finish(self, result: HandleResult, conn: _Connection) -> None:
         try:
@@ -987,8 +1093,7 @@ class EventDrivenTCPServer:
             if result.response is not None:
                 self._reply(conn, result.response)
         finally:
-            with self._pending_lock:
-                self._pending_effects -= 1
+            self._pending_effects.pop()
 
     def _deferred_reply(self, reply_context: object, response: Response) -> None:
         if isinstance(reply_context, _Connection):

@@ -174,15 +174,11 @@ def execute_op(
             else:
                 # The measured RTT feeds the per-node history behind the
                 # adaptive (phi) failure detector.
-                driver.on_response(response, rtt_s=time.monotonic() - start)
-    _flush_notifications(core, transport)
-    return driver.result()
-
-
-def _flush_notifications(core: ZHTClientCore, transport: ClientTransport) -> None:
-    """Deliver any pending failure reports to managers (best effort)."""
+                driver.on_response(response, time.monotonic() - start)
+    # Pending failure reports go to the managers (best effort).
     for note in core.take_notifications():
         transport.send_oneway(note.address, note.request)
+    return driver.result()
 
 
 def run_script(

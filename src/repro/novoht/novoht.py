@@ -60,6 +60,8 @@ _KINDS = {
     "append": ("novoht.append", "appends", OP_APPEND),
 }
 _REPLAY_KINDS = {OP_PUT: "put", OP_REMOVE: "remove", OP_APPEND: "append"}
+#: Operation kind -> the counter a hit bumps.
+_COUNTERS = {kind: counter for kind, (_span, counter, _op) in _KINDS.items()}
 
 
 class _Spilled:
@@ -321,16 +323,12 @@ class NoVoHT:
         durable as acked single ops.
         """
         for kind, key, value in ops:
-            if kind not in _KINDS:
-                raise ValueError(f"unknown batch op kind {kind!r}")
-            if type(key) is not bytes:
-                self._check_key(key)
-            if type(value) is not bytes and kind in ("put", "append"):
-                self._check_kv(key, value)
+            if type(key) is not bytes or type(value) is not bytes or kind not in _KINDS:
+                self._check_op(kind, key, value)
         results: list[tuple[bool, bytes | None]] = []
         group: list[tuple[int, bytes, bytes]] = []
-        counts: dict[str, int] = {}
         maint: str | None = None
+        stats = self.stats
         with REGISTRY.span("novoht.apply_batch"), self._lock:
             self._ensure_open()
             try:
@@ -338,19 +336,26 @@ class NoVoHT:
                     result = self._apply(kind, key, value, group)
                     results.append(result)
                     if result[0] or kind == "get":
-                        counts[kind] = counts.get(kind, 0) + 1
+                        stats.inc(_COUNTERS[kind])
             finally:
                 # Also when an op raised part-way (a spilled value that
                 # cannot be read back): what reached the map is logged.
-                if self._wal is not None and group:
+                if group and self._wal is not None:
                     self._wal.append_many(group)
-            for kind, n in counts.items():
-                self.stats.inc(_KINDS[kind][1], n)
             if group:
                 maint = self._after_mutations(len(group))
         if maint is not None:
             self._run_maintenance(maint)
         return results
+
+    @classmethod
+    def _check_op(cls, kind: str, key: bytes, value: bytes) -> None:
+        """The checks of one :meth:`apply_batch` op that is not all bytes."""
+        if kind not in _KINDS:
+            raise ValueError(f"unknown batch op kind {kind!r}")
+        cls._check_key(key)
+        if kind in ("put", "append"):
+            cls._check_kv(key, value)
 
     def contains(self, key: bytes) -> bool:
         with self._lock:

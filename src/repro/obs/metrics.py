@@ -9,8 +9,10 @@ and the same fixed-bucket latency distributions.
 
 Design constraints:
 
-* **Cheap when idle.** Counters are a lock-protected integer add (the
-  lock is uncontended in the single-threaded event-loop servers).
+* **Cheap when idle.** An owner's counter bump is a dict add in the
+  bumping thread's own cell, summed only when read (see
+  :class:`CounterSet`); a free-standing counter is a lock-protected
+  integer add.
   Timing spans allocate nothing and read no clock unless the registry
   is enabled (see :mod:`repro.obs.tracing`).
 * **Fixed memory.** Histograms use a fixed logarithmic bucket ladder —
@@ -26,19 +28,27 @@ from __future__ import annotations
 import os
 import platform
 import threading
+import weakref
+from threading import get_ident
 from bisect import bisect_left
 from typing import Callable
 
 
 class Counter:
-    """A monotonically increasing integer."""
+    """A monotonically increasing integer.
 
-    __slots__ = ("name", "_value", "_lock")
+    A counter that totals a counter-set family (``server.inserts``) is
+    bumped through the owners' cells, not here: it reads as what retired
+    owners left in ``_value`` plus the live owners' cells."""
+
+    __slots__ = ("name", "_value", "_lock", "_family", "_field")
 
     def __init__(self, name: str):
         self.name = name
         self._value = 0  # guarded-by: _lock
         self._lock = threading.Lock()
+        self._family: _Family | None = None
+        self._field = ""
 
     def inc(self, n: int = 1) -> None:
         with self._lock:
@@ -46,49 +56,111 @@ class Counter:
 
     @property
     def value(self) -> int:
-        return self._value  # zht-lint: ignore[LOCK001] GIL-atomic int read; snapshot precision not required
+        family = self._family
+        live = family.live(self._field) if family is not None else 0
+        return self._value + live  # zht-lint: ignore[LOCK001] GIL-atomic int read; snapshot precision not required
 
     def reset(self) -> None:
+        family = self._family
+        live = family.live(self._field) if family is not None else 0
         with self._lock:
-            self._value = 0
+            self._value = -live
+
+
+class _Family:
+    """One counter-set prefix: its declared fields, its process totals
+    and its owners' cells."""
+
+    __slots__ = ("fields", "totals", "owners", "retired")
+
+    def __init__(self, fields: tuple[str, ...], totals: dict[str, Counter]) -> None:
+        self.fields = fields
+        self.totals = totals
+        #: ``id(owner)`` -> that owner's cells, one per thread, while it lives.
+        self.owners: dict[int, dict[int, dict[str, int]]] = {}
+        #: The cells of owners gone since the last :meth:`fold`.
+        self.retired: list[dict[int, dict[str, int]]] = []
+        for field, total in totals.items():
+            total._family, total._field = self, field
+
+    def live(self, field: str) -> int:
+        self.fold()
+        return sum(
+            cells[field] for by_thread in list(self.owners.values())
+            for cells in list(by_thread.values())
+        )
+
+    def fold(self) -> None:
+        """Add the counts of owners gone into the totals.  An owner only
+        hands its cells over (GIL-atomic dict and list operations: a
+        finaliser must take no lock, since a collection can run it while
+        this very code holds one)."""
+        retired = self.retired
+        while retired:
+            try:
+                by_thread = retired.pop()
+            except IndexError:
+                return
+            for cells in by_thread.values():
+                for field, n in cells.items():
+                    total = self.totals[field]
+                    with total._lock:
+                        total._value += n
 
 
 class CounterSet:
     """One owner's counters: a client core's, a server core's, a store's.
 
-    Handed out by :meth:`MetricsRegistry.counter_set`.  The owner reads
-    its own counts as plain attributes (``core.stats.retries``);
-    :meth:`inc` adds to the owner's cell and to the process total
-    ``prefix.field`` — an ordinary registry :class:`Counter`, so it
-    shows in every snapshot and outlives the owner — under that total's
-    lock, which therefore guards the field's cell in every set of the
-    prefix.  Per owner this is one slotted object and one dict; the
-    totals and their locks exist once per prefix.
+    Handed out by :meth:`MetricsRegistry.counter_set`.  A bump is a dict
+    add in the calling thread's own cell — no lock, no shared write — and
+    the owner reads its counts as plain attributes (``core.stats.retries``),
+    each the sum of its threads' cells.  The process total ``prefix.field``
+    is an ordinary registry :class:`Counter`, so it shows in every
+    snapshot; it sums the live owners' cells when read, and an owner that
+    goes away folds its counts into it, so the total outlives the owner.
     """
 
-    __slots__ = ("_cells", "_totals")
+    __slots__ = ("_family", "_by_thread")
 
-    def __init__(self, fields: tuple[str, ...], totals: dict[str, Counter]):
-        self._cells = dict.fromkeys(fields, 0)
-        self._totals = totals
+    def __init__(self, family: _Family):
+        self._family = family
+        #: Thread id -> ``{field: count}`` of every thread that has bumped
+        #: this set.  A thread id reused after its thread ended takes over
+        #: that cell: no two live threads ever share one.
+        self._by_thread: dict[int, dict[str, int]] = {}
+        family.owners[id(self)] = self._by_thread
 
     def inc(self, field: str, n: int = 1) -> None:
-        total = self._totals[field]
-        with total._lock:
-            self._cells[field] += n
-            total._value += n
+        try:
+            self._by_thread[get_ident()][field] += n
+        except KeyError:
+            self._thread_cells()[field] += n
+
+    def _thread_cells(self) -> dict[str, int]:
+        ident = get_ident()
+        cells = self._by_thread.get(ident)
+        if cells is None:
+            cells = self._by_thread[ident] = dict.fromkeys(self._family.fields, 0)
+        return cells
+
+    def count(self, field: str) -> int:
+        return sum(cells[field] for cells in list(self._by_thread.values()))
 
     def __getattr__(self, field: str) -> int:
-        try:
-            return self._cells[field]
-        except KeyError:
-            raise AttributeError(field) from None
+        if field not in self._family.fields:
+            raise AttributeError(field)
+        return self.count(field)
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self._cells)
+        return {field: self.count(field) for field in self._family.fields}
+
+    def __del__(self) -> None:
+        family = self._family
+        family.owners.pop(id(self), None)
+        family.retired.append(self._by_thread)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in self._cells.items())
+        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"CounterSet({body})"
 
 
@@ -146,14 +218,13 @@ class LatencyHistogram:
     constant memory.  Exact ``min``/``max``/``sum`` are kept alongside.
     """
 
-    __slots__ = ("name", "_counts", "_count", "_sum", "_min", "_max", "_lock")
+    __slots__ = ("name", "_counts", "_sum", "_min", "_max", "_lock", "__weakref__")
 
     BOUNDS: tuple[float, ...] = _build_bucket_bounds()
 
     def __init__(self, name: str):
         self.name = name
         self._counts = [0] * (len(self.BOUNDS) + 1)  # guarded-by: _lock
-        self._count = 0  # guarded-by: _lock
         self._sum = 0.0  # guarded-by: _lock
         self._min = float("inf")  # guarded-by: _lock
         self._max = 0.0  # guarded-by: _lock
@@ -165,7 +236,6 @@ class LatencyHistogram:
         index = bisect_left(self.BOUNDS, seconds)
         with self._lock:
             self._counts[index] += 1
-            self._count += 1
             self._sum += seconds
             if seconds < self._min:
                 self._min = seconds
@@ -174,7 +244,7 @@ class LatencyHistogram:
 
     @property
     def count(self) -> int:
-        return self._count  # zht-lint: ignore[LOCK001] GIL-atomic int read
+        return sum(self._counts)  # zht-lint: ignore[LOCK001] GIL-atomic bucket reads; a sample landing mid-sum is counted or not
 
     @property
     def mean_s(self) -> float:
@@ -197,19 +267,18 @@ class LatencyHistogram:
             raise ValueError("percentile must be in [0, 100]")
         with self._lock:
             return _ladder_percentile(
-                self._counts, self._count, p, self._min, self._max
+                self._counts, sum(self._counts), p, self._min, self._max
             )
 
     def snapshot(self) -> dict:
         with self._lock:
-            count, total, mx, mn = self._count, self._sum, self._max, self._min
             counts = list(self._counts)
+            count, total, mx, mn = sum(counts), self._sum, self._max, self._min
         return _ladder_snapshot(counts, count, total * 1e3, mn * 1e3, mx * 1e3)
 
     def reset(self) -> None:
         with self._lock:
             self._counts = [0] * (len(self.BOUNDS) + 1)
-            self._count = 0
             self._sum = 0.0
             self._min = float("inf")
             self._max = 0.0
@@ -349,8 +418,11 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
-        #: Per counter-set prefix: the declared fields and their totals.
-        self._sets: dict[str, tuple[tuple[str, ...], dict[str, Counter]]] = {}
+        #: Per counter-set prefix: the declared fields, totals and owners.
+        self._sets: dict[str, _Family] = {}
+        #: Histograms their owners keep (a client core's RTT history per
+        #: node), shown merged per name in the snapshot.
+        self._parts: dict[str, weakref.WeakSet[LatencyHistogram]] = {}
         self._lock = threading.Lock()
 
     # -- instrument access (get-or-create) ------------------------------
@@ -359,8 +431,11 @@ class MetricsRegistry:
         counter = self._counters.get(name)
         if counter is None:
             with self._lock:
-                counter = self._counters.setdefault(name, Counter(name))
+                counter = self._counter(name)
         return counter
+
+    def _counter(self, name: str) -> Counter:  # holds-lock: _lock
+        return self._counters.setdefault(name, Counter(name))
 
     def counter_set(self, prefix: str, fields: tuple[str, ...]) -> CounterSet:
         """A fresh :class:`CounterSet` for one owner of *prefix*.
@@ -369,13 +444,17 @@ class MetricsRegistry:
         call creates the ``prefix.field`` totals, and every later owner
         must name the same tuple.
         """
-        known = self._sets.get(prefix)
-        if known is None:
-            totals = {field: self.counter(f"{prefix}.{field}") for field in fields}
-            known = self._sets.setdefault(prefix, (fields, totals))
-        if known[0] != fields:
-            raise ValueError(f"counter set {prefix!r} is declared as {known[0]}")
-        return CounterSet(fields, known[1])
+        family = self._sets.get(prefix)
+        if family is None:
+            with self._lock:
+                family = self._sets.get(prefix)
+                if family is None:
+                    totals = {field: self._counter(f"{prefix}.{field}") for field in fields}
+                    family = self._sets[prefix] = _Family(fields, totals)
+        if family.fields != fields:
+            raise ValueError(f"counter set {prefix!r} is declared as {family.fields}")
+        family.fold()
+        return CounterSet(family)
 
     def gauge(
         self, name: str, provider: Callable[[], float] | None = None
@@ -395,6 +474,16 @@ class MetricsRegistry:
                 )
         return histogram
 
+    def histogram_part(self, name: str) -> LatencyHistogram:
+        """A fresh histogram for the caller to own and record into; the
+        snapshot shows every live part of *name* merged into one
+        distribution, so a sample is recorded once, not once per view.
+        :meth:`reset` leaves parts alone: they are their owners' state."""
+        histogram = LatencyHistogram(name)
+        with self._lock:
+            self._parts.setdefault(name, weakref.WeakSet()).add(histogram)
+        return histogram
+
     # -- enablement ------------------------------------------------------
 
     def enable(self) -> None:
@@ -411,6 +500,14 @@ class MetricsRegistry:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
+            parts = {name: list(owned) for name, owned in self._parts.items()}
+        latency = {name: h.snapshot() for name, h in histograms.items() if h.count}
+        for name, owned in parts.items():
+            merged = [h.snapshot() for h in owned if h.count]
+            if merged:
+                if name in latency:
+                    merged.append(latency[name])
+                latency[name] = merge_latency_snapshots(merged)
         return {
             "enabled": self.enabled,
             # Every server of a process reports this same registry; the
@@ -421,11 +518,7 @@ class MetricsRegistry:
                 name: c.value for name, c in sorted(counters.items())
             },
             "gauges": {name: g.value for name, g in sorted(gauges.items())},
-            "latency": {
-                name: h.snapshot()
-                for name, h in sorted(histograms.items())
-                if h.count
-            },
+            "latency": dict(sorted(latency.items())),
         }
 
     def reset(self) -> None:

@@ -244,7 +244,7 @@ class TestReplyCreditsTheAnsweringNode:
             Response(status=Status.OK, request_id=attempt.request.request_id),
             rtt_s=0.001,
         )
-        assert core._rtt[owner][0].count == 1
+        assert core._rtt[owner].count == 1
         assert secondary not in core._rtt
         assert owner not in core.suspicion
         assert core.suspicion[secondary] == 1.0

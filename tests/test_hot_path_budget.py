@@ -1,0 +1,54 @@
+"""Bytecode budget of the hot path.
+
+Counts every bytecode that a ``tcp-point`` op executes, and every one that
+a key of a 64-key ``insert_many`` / ``lookup_many`` executes.  The counts
+cover the client thread and both in-process servers' event loops.  They
+come from ``benchmarks/profile_ledger.py --opcodes``, which builds the
+ledger workload with ``build_tcp_cluster(2)`` and a fixed seed.  A count
+does not depend on the host's speed, so a change that puts work back on
+the path fails here in one run, before any timing could show it.
+
+Counts depend on the interpreter version, so the budgets are enforced
+on CPython 3.11 only (CI's 3.11 leg).
+"""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks"))
+
+import profile_ledger  # noqa: E402
+
+pytestmark = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="bytecode counts are per interpreter version"
+)
+
+#: Bytecodes of one tcp-point op, all threads: 3,073 on 3.11.7, down from
+#: 4,057 before the point-op diet.
+POINT_OP_BYTECODES = 3073
+#: Bytecodes per key of a 64-key batch op: 1,956 before the diet.
+BATCH_KEY_BYTECODES = 1956
+SLACK = 1.05
+
+
+def _count(workload, ops, warm_ops, tmp_path):
+    report, segment = profile_ledger.count_opcodes(
+        workload, seed=1, ops=ops, warm_ops=warm_ops, smoke=True, work_dir=str(tmp_path)
+    )
+    assert segment.failed == 0
+    return report
+
+
+def test_a_point_op_stays_inside_its_bytecode_budget(tmp_path):
+    report = _count("tcp-point", 400, 400, tmp_path)
+    assert report.per_op() <= POINT_OP_BYTECODES * SLACK, report.table(20)
+    # The key is hashed once on each side of the wire, and no more.
+    assert report.calls_per_op("partition_of") == 2
+
+
+def test_a_batched_key_stays_inside_its_bytecode_budget(tmp_path):
+    report = _count("tcp-batch64", 20, 10, tmp_path)
+    assert report.ops == 20 * 64
+    assert report.per_op() <= BATCH_KEY_BYTECODES * SLACK, report.table(20)

@@ -15,7 +15,7 @@ from repro.core.errors import Status
 from repro.core.membership import Address
 from repro.core.protocol import OpCode, Request, Response, deframe_span, frame
 from repro.net.cluster import build_tcp_cluster
-from repro.net.tcp import MultiplexedTCPClient, TCPClient, _Connection
+from repro.net.tcp import MultiplexedTCPClient, TCPClient
 from repro.obs import REGISTRY
 
 
@@ -509,11 +509,7 @@ class TestMuxWithoutReaderThread:
                         assert time.monotonic() < deadline
                         time.sleep(0.005)
             time.sleep(0.1)
-            queued = [
-                len(key.data.outbuf)
-                for key in list(server._selector.get_map().values())
-                if isinstance(key.data, _Connection)
-            ]
+            queued = [len(conn.outbuf) for conn in list(server._conns.values())]
             assert queued and not any(queued)
             unread = array.array("i", [0])
             fcntl.ioctl(client._conns[server.address].sock, termios.FIONREAD, unread)
@@ -521,3 +517,91 @@ class TestMuxWithoutReaderThread:
             assert client.connects == 1 and client.oneway_drops == 0
         finally:
             client.close()
+
+
+# ---------------------------------------------------------------------------
+# A length prefix longer than a 64-bit varint can never become a frame
+# ---------------------------------------------------------------------------
+
+#: Eleven continuation bytes: past the ten a 64-bit varint may take.
+OVERLONG_PREFIX = b"\xff" * 11
+
+
+def _ping_frame(request_id: int) -> bytes:
+    return frame(Request(op=OpCode.PING, request_id=request_id).encode())
+
+
+class TestMalformedLengthPrefix:
+    def test_server_drops_the_connection_and_counts_it(self, tcp_cluster):
+        """The server cannot find a frame boundary past such a prefix, so
+        it must not sit on the connection buffering whatever follows: it
+        counts a decode error and closes, and a valid PING behind the
+        prefix is never answered."""
+        server = tcp_cluster.servers[0]
+        before = REGISTRY.counter("tcp.server.decode_errors").value
+        sock = socket.create_connection((server.address.host, server.address.port), timeout=1.0)
+        try:
+            sock.sendall(OVERLONG_PREFIX + _ping_frame(7))
+            # EOF (or a reset), not a PING reply and not a 1 s silence.
+            try:
+                assert sock.recv(65536) == b""
+            except ConnectionResetError:
+                pass
+        finally:
+            sock.close()
+        deadline = time.monotonic() + 2
+        while REGISTRY.counter("tcp.server.decode_errors").value < before + 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert REGISTRY.counter("tcp.server.decode_errors").value == before + 1
+        # The server goes on serving everyone else.
+        client = MultiplexedTCPClient()
+        try:
+            reply = client.roundtrip(server.address, Request(op=OpCode.PING, request_id=8), 1.0)
+            assert reply is not None and reply.status == Status.OK
+        finally:
+            client.close()
+
+    def test_mux_client_shuts_a_garbled_socket_and_reconnects(self):
+        """A reply stream that starts with an over-long prefix is lost:
+        the client counts ``tcp.client.decode_errors`` and shuts the
+        socket at once — not at the caller's timeout — and the request is
+        sent again on a fresh connection, as for any connection found
+        dead."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+        address = Address("127.0.0.1", listener.getsockname()[1])
+        accepted = []
+
+        def serve():
+            # First connection: answer with garbage.  Second: a real reply.
+            for garbage in (True, False):
+                conn, _ = listener.accept()
+                accepted.append(conn)
+                data = conn.recv(65536)
+                request = Request.decode(data[1:])  # one-byte prefix
+                if garbage:
+                    conn.sendall(OVERLONG_PREFIX)
+                else:
+                    reply = Response(status=Status.OK, request_id=request.request_id,
+                                     op=int(OpCode.PING))
+                    conn.sendall(frame(reply.encode()))
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = MultiplexedTCPClient()
+        before = REGISTRY.counter("tcp.client.decode_errors").value
+        try:
+            start = time.monotonic()
+            reply = client.roundtrip(address, Request(op=OpCode.PING, request_id=1), 5.0)
+            assert reply is not None and reply.request_id == 1
+            assert time.monotonic() - start < 2.0
+            assert REGISTRY.counter("tcp.client.decode_errors").value == before + 1
+            assert client.connects == 2
+        finally:
+            client.close()
+            thread.join(5)
+            for conn in accepted:
+                conn.close()
+            listener.close()
