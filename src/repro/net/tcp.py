@@ -4,11 +4,14 @@
 selector (epoll on Linux) event loop, non-blocking sockets, per-
 connection frame reassembly.  "We eventually converged on a much more
 streamlined architecture, an event-driven model server architecture
-based on epoll."  Requests whose effects require peer round trips
-(sync replication, migration forwards) are offloaded to a small worker
-pool so the loop never blocks on the network.  (The thread-per-request
-prototype the paper rejected lives beside its only user,
-``benchmarks/bench_ablation_server_arch.py``.)
+based on epoll."  Replication runs on the loop too: each replica
+address has one non-blocking **peer link** registered with the same
+epoll, a write's replica updates are written onto the links in apply
+order, and its reply is held until the sync replicas have acked (§III.J).
+Only forwards of requests parked behind a migration, which block on the
+new owner, and checkpoint maintenance go to a small worker pool.  (The
+thread-per-request prototype the paper rejected lives beside its only
+user, ``benchmarks/bench_ablation_server_arch.py``.)
 
 Two clients.  :class:`MultiplexedTCPClient` is what cluster clients
 use: one socket per server carrying any number of in-flight requests,
@@ -16,22 +19,25 @@ and no thread of its own — the caller waiting for a reply reads the
 socket, fills the slots of any other callers whose replies arrive
 first, and hands the read role on when its own lands.
 :class:`TCPClient` is the stop-and-wait client with the paper's LRU
-**connection cache** ("makes TCP works almost as fast as UDP"): servers
-use it for peer traffic, and with ``cache_size=0`` every operation pays
-a fresh ``connect()`` (the "TCP without connection caching" line in
-Figures 7 and 9).
+**connection cache** ("makes TCP works almost as fast as UDP"): a
+server's worker pool uses it for migration forwards (and for every peer
+send when the inline fast path is off), and with ``cache_size=0`` every
+operation pays a fresh ``connect()`` (the "TCP without connection
+caching" line in Figures 7 and 9).
 """
 
 from __future__ import annotations
 
+import errno
 import select
 import socket
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from ..core.membership import Address
-from ..core.errors import ProtocolError
+from ..core.errors import ProtocolError, Status
 from ..core.protocol import (
     Request,
     Response,
@@ -40,6 +46,7 @@ from ..core.protocol import (
     encode_framed_request,
     encode_framed_response,
     frame_prefix,
+    parse_response,
 )
 from ..core.server import HandleResult, ZHTServerCore
 from ..obs import REGISTRY
@@ -672,17 +679,22 @@ class _Connection:
     A read is deframed straight out of the received chunk; only the bytes
     of a frame still arriving are kept, in ``buffer``, which then
     accumulates in place (O(total) for a frame split over many reads).
+    Each complete frame goes to ``serve``: the server's request handler
+    for a client connection, its ack handler for a peer link.
     Writes go out with one ``send`` when nothing is queued; whatever the
     kernel does not take is queued and flushed on EPOLLOUT instead of
     calling ``sendall`` (which on the loop's non-blocking sockets would
     raise — and drop the reply — the moment the kernel send buffer filled).
     """
 
-    __slots__ = ("sock", "fd", "buffer", "write_lock", "closed", "outbuf", "want_write")
+    __slots__ = (
+        "sock", "fd", "serve", "buffer", "write_lock", "closed", "outbuf", "want_write",
+    )
 
-    def __init__(self, sock: socket.socket) -> None:
+    def __init__(self, sock: socket.socket, serve) -> None:
         self.sock = sock
         self.fd = sock.fileno()
+        self.serve = serve
         self.buffer = bytearray()
         self.write_lock = threading.Lock()
         self.closed = False
@@ -740,6 +752,54 @@ class _Connection:
             return bool(self.outbuf) or bool(self.buffer)
 
 
+class _Held:
+    """A client's reply held on the loop until its sync replicas ack."""
+
+    __slots__ = ("conn", "response", "remaining", "sent", "deadline")
+
+    def __init__(self, conn: _Connection, response: Response, acks: int, sent: float, timeout: float) -> None:
+        self.conn = conn
+        self.response = response
+        self.remaining = acks  # acks still outstanding
+        self.sent = sent
+        self.deadline = sent + timeout
+
+
+class _PeerLink(_Connection):
+    """The server's own connection to one peer address.
+
+    The write side and the read pass are a client connection's; on top,
+    ``waiters`` lists every frame sent and not yet answered, oldest first,
+    as ``(request id, held reply or None)``.  The peer's loop answers a
+    stream in order, so each ack answers the head.  The connect is
+    non-blocking: frames queue in ``outbuf`` until EPOLLOUT and
+    ``SO_ERROR`` say it is done.
+    """
+
+    __slots__ = ("waiters", "connecting")
+
+    def __init__(self, sock: socket.socket, serve) -> None:
+        super().__init__(sock, serve)
+        self.waiters: deque[tuple[int, _Held | None]] = deque()
+        self.connecting = True
+        self.want_write = True  # EPOLLOUT is registered with the link
+
+    def queue_reply(self, data: "bytes | bytearray") -> bool:
+        if self.connecting:
+            with self.write_lock:
+                self.outbuf += data
+            return False
+        return super().queue_reply(data)
+
+    def flush(self) -> bool:
+        if self.connecting:
+            if self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+                self.closed = True
+                return True
+            self.connecting = False
+        return super().flush()
+
+
 #: Server counters (``server.tcp_stats.<field>``; process totals are
 #: ``tcp.server.<field>``).
 TCP_SERVER_COUNTERS = (
@@ -750,6 +810,7 @@ TCP_SERVER_COUNTERS = (
 )
 
 _EPOLLIN, _EPOLLOUT = select.EPOLLIN, select.EPOLLOUT
+_OK = Status.OK
 #: An event on a connection beyond plain readability (EPOLLOUT, EPOLLERR,
 #: EPOLLHUP) tries the write side; beyond plain writability, the read side
 #: (a read then sees the error or the EOF).
@@ -772,12 +833,19 @@ def tcp_listener(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
 class EventDrivenTCPServer:
     """Single-threaded epoll event loop serving one instance.
 
-    Requests whose effects need no peer round trip take the **inline
-    fast path**: decoded (zero-copy, straight out of the receive
-    buffer), applied, and their response queued on the loop thread — no
-    executor handoff.  Replication/migration/broadcast effects still
-    detour through the worker pool.  Setting :attr:`inline_fast_path`
-    to ``False`` restores a pool hop for every request (the
+    Requests take the **inline fast path**: decoded (zero-copy,
+    straight out of the receive buffer), applied, and their response
+    queued on the loop thread — no executor handoff.  Replica updates
+    and broadcast fan-out leave on the loop as well, through one
+    :class:`_PeerLink` per peer address: a write's updates are written
+    in apply order, and its reply is held (counted in the admission
+    backlog) until every sync replica has acked.  A failed or missing
+    ack, or none within the peer timeout (the loop's poll timeout
+    enforces it, and closes the link), answers ``REPLICATION_ERROR``.
+    Only forwards of requests parked behind a migration, which block on
+    the new owner, detour through the worker pool.  Setting
+    :attr:`inline_fast_path` to ``False`` restores a pool hop for every
+    request, with :class:`ServerExecutor`'s blocking peer calls (the
     server-architecture ablation does, on its own servers).
 
     The loop polls ``epoll`` directly and finds a ready connection by its
@@ -809,8 +877,14 @@ class EventDrivenTCPServer:
         self.address = Address(addr[0], addr[1])
         self._epoll = select.epoll()
         self._epoll.register(self._listener.fileno(), _EPOLLIN)
-        #: Every open connection by file descriptor: the loop thread's own.
+        #: Every open connection, peer links included, by file descriptor:
+        #: the loop thread's own.
         self._conns: dict[int, _Connection] = {}
+        #: The peer link of each replica address (loop thread only).
+        self._links: dict[Address, _PeerLink] = {}
+        #: Replies waiting for sync acks, oldest first (loop thread only):
+        #: one peer timeout for all, so the head has the next deadline.
+        self._held: deque[_Held] = deque()
         # Self-pipe: effect-pool threads wake the loop when a reply they
         # queued needs EPOLLOUT registration, and ``stop`` wakes it to exit.
         self._wake_r, self._wake_w = socket.socketpair()
@@ -826,12 +900,13 @@ class EventDrivenTCPServer:
         self._drain_deadline = 0.0
         self.inline_fast_path = True
         self.stats = REGISTRY.counter_set("tcp.server", TCP_SERVER_COUNTERS)
-        # Results handed to the effect pool but not yet finished, one
-        # entry each (``append`` / ``pop`` / ``len`` are GIL-atomic).  The
-        # event loop dispatches synchronously, so the core's own in-flight
-        # tally sees at most one request at a time here; this backlog is
-        # where overload actually accumulates, so it feeds the core's
-        # admission bound via ``extra_inflight``.
+        # Replies held for sync acks and results handed to the effect
+        # pool, one entry each until answered (``append`` / ``pop`` /
+        # ``len`` are GIL-atomic).  The event loop dispatches
+        # synchronously, so the core's own in-flight tally sees at most
+        # one request at a time here; this backlog is where overload
+        # actually accumulates, so it feeds the core's admission bound via
+        # ``extra_inflight`` (and ``stop(drain=True)`` waits for it).
         self._pending_effects: list[None] = []
         self._pending_lock = threading.Lock()
         self._pending_writable: list[_Connection] = []  # guarded-by: _pending_lock
@@ -888,6 +963,7 @@ class EventDrivenTCPServer:
         for conn in list(self._conns.values()):
             conn.sock.close()
         self._conns.clear()
+        self._links.clear()
         self._listener.close()
         self._wake_r.close()
         self._epoll.close()
@@ -913,8 +989,9 @@ class EventDrivenTCPServer:
         quiet_since = 0.0
         poll = self._epoll.poll
         conns = self._conns
+        held = self._held
         listen_fd, wake_fd = self._listener.fileno(), self._wake_r.fileno()
-        timeout = -1.0
+        idle = timeout = -1.0
         while self._running:
             events = poll(timeout)
             for fd, mask in events:
@@ -929,10 +1006,12 @@ class EventDrivenTCPServer:
                     self._writable(conn)
                 if mask & _NOT_OUT:
                     self._readable(conn)
+            # While a reply waits for acks, the poll wakes for its deadline.
+            timeout = self._expire(idle) if held else idle
             if self._draining:
                 if not draining:
                     draining = True
-                    timeout = self._DRAIN_POLL_S
+                    idle = timeout = self._DRAIN_POLL_S
                     self._epoll.unregister(listen_fd)
                 # "Drained" must hold across one idle poll cycle before we
                 # exit: a client's pipelined burst can still be in flight on
@@ -976,7 +1055,7 @@ class EventDrivenTCPServer:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        conn = _Connection(sock)
+        conn = _Connection(sock, self._serve)
         self._conns[conn.fd] = conn
         self._epoll.register(conn.fd, _EPOLLIN)
 
@@ -1000,6 +1079,7 @@ class EventDrivenTCPServer:
             buffer += chunk
         size = len(buffer)
         offset = 0
+        serve = conn.serve
         while offset < size:
             # The length prefix, inline for frames up to 16 KiB.
             length = buffer[offset]
@@ -1023,7 +1103,7 @@ class EventDrivenTCPServer:
                 break
             # Parsed in place: every field is copied out, so the buffer
             # may shift once the pass is over.
-            self._serve(conn, buffer, start, end)
+            serve(conn, buffer, start, end)
             offset = end
         if buffer is chunk:
             if offset < size:
@@ -1034,11 +1114,21 @@ class EventDrivenTCPServer:
     def _drop(self, conn: _Connection) -> None:
         with conn.write_lock:
             conn.closed = True
-        if self._conns.pop(conn.fd, None) is not None:
+        if self._conns.get(conn.fd) is conn:
+            del self._conns[conn.fd]
             self._epoll.unregister(conn.fd)
         conn.sock.close()
+        if isinstance(conn, _PeerLink):
+            # The updates still in flight on the link are lost: the
+            # replies waiting for them fail.
+            waiters = conn.waiters
+            while waiters:
+                held = waiters.popleft()[1]
+                if held is not None:
+                    self._settle(held, False)
 
-    def _serve(
+    # ``_readable`` reaches the two frame handlers through ``conn.serve``.
+    def _serve(  # lint: event-loop
         self, conn: _Connection, buffer: "bytes | bytearray", start: int, end: int
     ) -> None:
         try:
@@ -1048,31 +1138,135 @@ class EventDrivenTCPServer:
             return
         self.stats.inc("requests")
         result = self.core.handle(request, conn)
-        if self.inline_fast_path and not (
-            result.sync_sends
-            or result.forwards
-            or result.failed_queued
-            # Ticketed results (replicated mutations) detour through the
-            # pool even when all their sends are async: _apply_effects
-            # releases them in apply order and retires the ticket.
-            or result.repl_sequencer is not None
-        ):
-            # Inline fast path: this thread IS the event loop, so the
-            # reply is encoded and queued right here — no executor
-            # submit, no wakeup latency.  Fire-and-forget replica
-            # updates still leave via the pool (they are peer I/O).
-            for address, update in result.async_sends:
-                self._pool.submit(self._peer_client.send_oneway, address, update)
-            if result.response is not None:
-                self._reply(conn, result.response)
-        else:
-            # Keep the loop responsive: effects that block on the network
-            # run on the worker pool; the response is released after the
-            # sync replicas acknowledge.  (With the inline fast path
-            # disabled, every request pays this loop→pool→loop hop — the
-            # server-architecture ablation baseline.)
+        if not self.inline_fast_path or result.forwards or result.failed_queued:
+            # Keep the loop responsive: forwarding parked requests blocks
+            # on the new owner, so it runs on the worker pool.  (With the
+            # inline fast path disabled, every request pays this
+            # loop→pool→loop hop — the server-architecture ablation
+            # baseline.)
             self._pending_effects.append(None)
             self._pool.submit(self._finish, result, conn)
+            return
+        if result.repl_sequencer is not None:
+            # One loop writing one FIFO stream per peer IS the apply
+            # order, so nothing waits on the ticket.
+            result.repl_sequencer.retire(result.repl_ticket)
+        if result.sync_sends or result.async_sends:
+            self._replicate(conn, result)
+        elif result.response is not None:
+            # Inline fast path: this thread IS the event loop, so the
+            # reply is encoded and queued right here — no executor
+            # submit, no wakeup latency.
+            self._reply(conn, result.response)
+
+    # -- peer links ---------------------------------------------------------
+
+    def _replicate(self, conn: _Connection, result: HandleResult) -> None:
+        """Write *result*'s replica updates onto the peer links and hold
+        its reply until the sync ones are acked."""
+        response = result.response
+        held = None
+        if result.sync_sends and response is not None:
+            held = _Held(
+                conn, response, len(result.sync_sends), time.monotonic(), self.executor.peer_timeout
+            )
+            self._pending_effects.append(None)
+            self._held.append(held)
+            for address, update in result.sync_sends:
+                self._send_update(address, update, held)
+        for address, update in result.async_sends:
+            self._send_update(address, update, None)
+        if held is None and response is not None:
+            self._reply(conn, response)
+
+    def _send_update(self, address: Address, update: Request, held: _Held | None) -> None:
+        link = self._links.get(address)
+        if link is None or link.closed:
+            link = self._connect(address)
+        link.waiters.append((update.request_id, held))
+        if link.queue_reply(encode_framed_request(update)):
+            self._epoll.modify(link.fd, _EPOLLIN | _EPOLLOUT)
+        if link.closed:
+            self._drop(link)
+
+    def _connect(self, address: Address) -> _PeerLink:
+        """A new link to *address*, its connect under way (or already
+        failed: then it is closed and was never registered)."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        link = self._links[address] = _PeerLink(sock, self._ack)
+        try:
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            error = sock.connect_ex((address.host, address.port))
+        except OSError as exc:
+            error = exc.errno or errno.EIO
+        if error and error != errno.EINPROGRESS:
+            link.closed = True
+        else:
+            self._conns[link.fd] = link
+            self._epoll.register(link.fd, _EPOLLIN | _EPOLLOUT)
+        return link
+
+    def _ack(  # lint: event-loop
+        self, link: _PeerLink, buffer: "bytes | bytearray", start: int, end: int
+    ) -> None:
+        """A frame from a peer: the answer to the oldest update in flight
+        on *link*."""
+        waiters = link.waiters
+        if not waiters:
+            # Nothing was asked (or the link has just failed): this
+            # stream is not the one the link sent.
+            self._drop(link)
+            return
+        request_id, held = waiters.popleft()
+        try:
+            status, _value, acked = parse_response(buffer, start, end)[:3]
+        except ProtocolError:
+            acked = None
+        if acked != request_id:
+            # A garbled frame or an answer out of order: no later ack on
+            # this stream can be matched either.
+            if held is not None:
+                self._settle(held, False)
+            self._drop(link)
+        elif held is not None:
+            self._settle(held, status is _OK)
+
+    def _settle(self, held: _Held, ok: bool) -> None:
+        """One of *held*'s acks is in (or lost): a failed one degrades
+        the reply (§III.J), and the last one releases it."""
+        if not ok:
+            held.response.status = Status.REPLICATION_ERROR
+        held.remaining -= 1
+        if not held.remaining:
+            if self._held[0] is held:
+                self._held.popleft()  # else ``_expire`` drops it in turn
+            self._pending_effects.pop()
+            self._reply(held.conn, held.response)
+            if REGISTRY.enabled:
+                REGISTRY.time("server.replication_wait", time.monotonic() - held.sent)
+
+    def _expire(self, idle: float) -> float:
+        """Fail the held replies whose acks are overdue, closing the links
+        they wait on; returns the poll timeout to the next deadline (or
+        *idle* when nothing is held)."""
+        held = self._held
+        now = time.monotonic()
+        while held:
+            head = held[0]
+            if not head.remaining:
+                held.popleft()
+                continue
+            wait = head.deadline - now
+            if wait > 0:
+                return wait if idle < 0 or wait < idle else idle
+            for link in list(self._links.values()):
+                if any(h is head for _id, h in link.waiters):
+                    self._drop(link)  # settles, and so releases, *head*
+            if head.remaining:  # on no link: nothing is left to answer it
+                head.remaining = 1
+                self._settle(head, False)
+        return idle
 
     def _reply(self, conn: _Connection, response: Response) -> None:
         if conn.queue_reply(encode_framed_response(response)):

@@ -173,6 +173,10 @@ def iter_records(f: BinaryIO) -> Iterator[tuple[int, bytes, bytes]]:
         yield head[1], record[pos : pos + klen], record[pos + klen : end]
 
 
+#: WAL counters (``wal.<field>`` process totals, summed over every log).
+WAL_COUNTERS = ("appends", "fsyncs", "group_commits", "group_commit_records")
+
+
 class WriteAheadLog:
     """Append-only mutation log with replay and compaction support.
 
@@ -198,6 +202,7 @@ class WriteAheadLog:
         self.epoch = 0
         #: Set by the first write/flush/fsync error; see :meth:`_write`.
         self.failed = False
+        self.stats = REGISTRY.counter_set("wal", WAL_COUNTERS)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -254,8 +259,9 @@ class WriteAheadLog:
         for op, key, value in records:
             encode_record_into(buf, op, key, value)
         self._write(buf, len(records))
-        REGISTRY.counter("wal.group_commits").inc()
-        REGISTRY.counter("wal.group_commit_records").inc(len(records))
+        stats = self.stats
+        stats.inc("group_commits")
+        stats.inc("group_commit_records", len(records))
 
     def _write(self, data: bytes | bytearray, records: int) -> None:
         """One write + flush (+ fsync) of *records* whole records.
@@ -276,12 +282,12 @@ class WriteAheadLog:
                 self._file.flush()
                 if self.fsync:
                     self._fsync()
-                    REGISTRY.counter("wal.fsyncs").inc()
+                    self.stats.inc("fsyncs")
             except OSError as exc:
                 self.failed = True
                 raise StoreError(f"WAL append failed: {exc}") from exc
         self.record_count += records
-        REGISTRY.counter("wal.appends").inc(records)
+        self.stats.inc("appends", records)
 
     def _fsync(self) -> None:
         # Files providing their own fsync (the fault-injection shim, which

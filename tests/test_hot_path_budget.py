@@ -1,8 +1,9 @@
 """Bytecode budget of the hot path.
 
-Counts every bytecode that a ``tcp-point`` op executes, and every one that
-a key of a 64-key ``insert_many`` / ``lookup_many`` executes.  The counts
-cover the client thread and both in-process servers' event loops.  They
+Counts every bytecode that a ``tcp-point`` op executes, every one that a
+key of a 64-key ``insert_many`` / ``lookup_many`` executes, and every one
+of a ``tcp-durable-repl`` op (1 KiB writes to a WAL with a sync replica).
+The counts cover the client thread and both in-process servers' threads.  They
 come from ``benchmarks/profile_ledger.py --opcodes``, which builds the
 ledger workload with ``build_tcp_cluster(2)`` and a fixed seed.  A count
 does not depend on the host's speed, so a change that puts work back on
@@ -30,6 +31,9 @@ pytestmark = pytest.mark.skipif(
 POINT_OP_BYTECODES = 3073
 #: Bytecodes per key of a 64-key batch op: 1,956 before the diet.
 BATCH_KEY_BYTECODES = 1956
+#: Bytecodes of one tcp-durable-repl op, all threads: 5,691 on 3.11.7,
+#: down from 6,193 when replica updates went out from the effect pool.
+DURABLE_REPL_OP_BYTECODES = 5691
 SLACK = 1.05
 
 
@@ -52,3 +56,10 @@ def test_a_batched_key_stays_inside_its_bytecode_budget(tmp_path):
     report = _count("tcp-batch64", 20, 10, tmp_path)
     assert report.ops == 20 * 64
     assert report.per_op() <= BATCH_KEY_BYTECODES * SLACK, report.table(20)
+
+
+def test_a_replicated_write_stays_on_the_event_loops(tmp_path):
+    report = _count("tcp-durable-repl", 400, 400, tmp_path)
+    assert report.per_op() <= DURABLE_REPL_OP_BYTECODES * SLACK, report.table(20)
+    # Replica updates and their acks take no hop to the effect pool.
+    assert not [name for name in report.threads if name.startswith("zht-effects")], report.table(20)

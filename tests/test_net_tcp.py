@@ -3,6 +3,8 @@
 import array
 import fcntl
 import heapq
+import random
+import select
 import socket
 import termios
 import threading
@@ -10,13 +12,16 @@ import time
 
 import pytest
 
+from repro.api import build_membership
 from repro.core import KeyNotFound, ZHTConfig
 from repro.core.errors import Status
 from repro.core.membership import Address
 from repro.core.protocol import OpCode, Request, Response, deframe_span, frame
+from repro.core.server import ZHTServerCore
 from repro.net.cluster import build_tcp_cluster
-from repro.net.tcp import MultiplexedTCPClient, TCPClient
+from repro.net.tcp import EventDrivenTCPServer, MultiplexedTCPClient, TCPClient, tcp_listener
 from repro.obs import REGISTRY
+from tests._wait import wait_until
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +168,255 @@ class TestReplicationOverTCP:
             cluster.kill_node(owner.node_id)
             assert z.lookup("f0") == b"v0"
             assert z.stats.failovers >= 1
+
+
+class _FakeReplica:
+    """A replica whose answers a test scripts: ``answer(request)`` is the
+    response to send, or ``None`` to stay silent (the default: a replica
+    whose server has stalled, which accepts and reads but never answers)."""
+
+    def __init__(self, answer=lambda _request: None):
+        self._answer = answer
+        self._listener = tcp_listener()
+        self.address = Address("127.0.0.1", self._listener.getsockname()[1])
+        self._conns = {}  # socket -> bytes of a frame still arriving
+        self.accepted = 0
+        self.received = 0  # requests
+        self._stop = threading.Event()
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _run(self):
+        while not self._stop.is_set():
+            ready, _, _ = select.select([self._listener, *self._conns], [], [], 0.01)
+            for sock in ready:
+                if sock is self._listener:
+                    self._conns[sock.accept()[0]] = bytearray()
+                    self.accepted += 1
+                    continue
+                try:
+                    data = sock.recv(65536)
+                except OSError:
+                    data = b""
+                if not data:
+                    del self._conns[sock]
+                    sock.close()
+                    continue
+                buffer = self._conns[sock]
+                buffer += data
+                offset = 0
+                while True:
+                    start, end, offset = deframe_span(buffer, offset)
+                    if start < 0:
+                        break
+                    self.received += 1
+                    response = self._answer(Request.decode(bytes(buffer[start:end])))
+                    if response is not None:
+                        sock.sendall(frame(response.encode()))
+                del buffer[:offset]
+
+    def close(self):
+        """Go away the way a stopped replica does: every connection and
+        the listener close."""
+        self._stop.set()
+        self.thread.join(timeout=2)
+        for conn in self._conns:
+            conn.close()
+        self._listener.close()
+
+
+def _primary_with_fake_replica(config, answer=lambda _request: None):
+    """A two-node deployment whose node 0 is a real server and whose node
+    1, the replica of node 0's partitions, is a :class:`_FakeReplica`."""
+    server, replica = EventDrivenTCPServer(), _FakeReplica(answer)
+    addresses = iter([server.address, replica.address])
+    membership, _nodes, instances = build_membership(
+        2, config, random.Random(0), port_allocator=lambda _node, _i: next(addresses)
+    )
+    server.attach_core(ZHTServerCore(instances[0], membership.copy(), config))
+    server.start()
+    return server, replica, membership, instances
+
+
+def _keys_owned_by(membership, config, address, count):
+    keys = []
+    for i in range(10_000):
+        key = f"owned-{i}".encode()
+        pid = membership.partition_of_key(key, config.hash_name)
+        if membership.owner_of_partition(pid).address == address:
+            keys.append(key)
+            if len(keys) == count:
+                return keys
+    raise AssertionError("no keys owned by the primary")
+
+
+class TestReplicationFailuresOverSockets:
+    """The primary replicates on its event loop: a write's reply is held
+    until the sync replica acks, and a replica that fails answers the
+    write REPLICATION_ERROR without stalling the loop."""
+
+    def test_a_replica_that_never_answers_times_the_write_out_not_the_loop(self):
+        cfg = ZHTConfig(transport="tcp", num_partitions=8, num_replicas=1, request_timeout=0.5)
+        server, deaf, membership, _ = _primary_with_fake_replica(cfg)
+        client = MultiplexedTCPClient()
+        try:
+            (key,) = _keys_owned_by(membership, cfg, server.address, 1)
+            box = {}
+
+            def write():
+                start = time.monotonic()
+                box["response"] = client.roundtrip(
+                    server.address, Request(OpCode.INSERT, key, b"v", request_id=1), 5.0
+                )
+                box["elapsed"] = time.monotonic() - start
+
+            writer = threading.Thread(target=write)
+            writer.start()
+            wait_until(lambda: deaf.received > 0, desc="the update reached the replica")
+            start = time.monotonic()
+            lookup = client.roundtrip(
+                server.address, Request(OpCode.LOOKUP, key, request_id=2), 5.0
+            )
+            assert lookup is not None and lookup.value == b"v"
+            assert time.monotonic() - start < 0.25
+            assert writer.is_alive()  # the write is still held for its ack
+            writer.join(timeout=5)
+            assert box["response"].status == Status.REPLICATION_ERROR
+            assert box["elapsed"] <= cfg.request_timeout + 0.5
+            assert not server._pending_effects
+        finally:
+            client.close()
+            server.stop()
+            deaf.close()
+
+    def test_a_stopped_replica_fails_every_pending_write_and_a_restart_reconnects(self):
+        # A peer timeout far beyond the test's waits: only the closed
+        # link can answer the writes this fast.
+        cfg = ZHTConfig(transport="tcp", num_partitions=8, num_replicas=1, request_timeout=5.0)
+        server, deaf, membership, instances = _primary_with_fake_replica(cfg)
+        client = MultiplexedTCPClient()
+        replica = None
+        try:
+            keys = _keys_owned_by(membership, cfg, server.address, 5)
+            responses = {}
+
+            def write(rid, key):
+                responses[rid] = client.roundtrip(
+                    server.address, Request(OpCode.INSERT, key, b"v", request_id=rid), 10.0
+                )
+
+            writers = [
+                threading.Thread(target=write, args=(rid, key))
+                for rid, key in enumerate(keys[:4], start=1)
+            ]
+            for writer in writers:
+                writer.start()
+            wait_until(lambda: len(server._pending_effects) == 4, desc="4 writes held for acks")
+            stopped = time.monotonic()
+            deaf.close()
+            for writer in writers:
+                writer.join(timeout=3)
+                assert not writer.is_alive()
+            assert time.monotonic() - stopped < 2.0
+            assert [responses[rid].status for rid in range(1, 5)] == [Status.REPLICATION_ERROR] * 4
+            assert not server._pending_effects
+
+            replica = EventDrivenTCPServer(port=deaf.address.port)
+            replica.attach_core(ZHTServerCore(instances[1], membership.copy(), cfg))
+            replica.start()
+            key = keys[4]
+            response = client.roundtrip(
+                server.address, Request(OpCode.INSERT, key, b"after", request_id=9), 10.0
+            )
+            assert response.status == Status.OK
+            pid = membership.partition_of_key(key, cfg.hash_name)
+            assert replica.core.partitions[pid].store.get(key) == b"after"
+        finally:
+            client.close()
+            server.stop()
+            deaf.close()
+            if replica is not None:
+                replica.stop()
+
+    def test_an_error_ack_fails_the_write_and_a_stray_ack_closes_the_link(self):
+        cfg = ZHTConfig(transport="tcp", num_partitions=8, num_replicas=1, request_timeout=5.0)
+        script = {"status": Status.BAD_REQUEST, "id_shift": 0}
+
+        def answer(request):
+            return Response(
+                status=script["status"],
+                request_id=request.request_id + script["id_shift"],
+                op=int(request.op),
+            )
+
+        server, fake, membership, _ = _primary_with_fake_replica(cfg, answer)
+        client = MultiplexedTCPClient()
+
+        def insert(rid, key):
+            start = time.monotonic()
+            response = client.roundtrip(
+                server.address, Request(OpCode.INSERT, key, b"v", request_id=rid), 10.0
+            )
+            assert time.monotonic() - start < 1.0  # answered by the ack, not the timeout
+            return response.status
+
+        try:
+            keys = _keys_owned_by(membership, cfg, server.address, 4)
+            assert insert(1, keys[0]) == Status.REPLICATION_ERROR
+            script["status"] = Status.OK
+            assert insert(2, keys[1]) == Status.OK
+            assert fake.accepted == 1  # an error ack leaves the stream in step
+            script["id_shift"] = 1  # answers some other update's id
+            assert insert(3, keys[2]) == Status.REPLICATION_ERROR
+            script["id_shift"] = 0
+            assert insert(4, keys[3]) == Status.OK
+            assert fake.accepted == 2  # the stray ack closed the link
+        finally:
+            client.close()
+            server.stop()
+            fake.close()
+
+    def test_the_replica_wait_shows_in_stats_when_spans_are_on(self):
+        cfg = ZHTConfig(transport="tcp", num_partitions=8, num_replicas=1, request_timeout=2.0)
+        was_enabled = REGISTRY.enabled
+        REGISTRY.enable()
+        try:
+            wait = REGISTRY.histogram("server.replication_wait")
+            before = wait.count
+            with build_tcp_cluster(2, cfg) as cluster:
+                z = cluster.client()
+                for i in range(10):
+                    z.insert(f"wait-{i}", b"v")
+            assert wait.count >= before + 10  # one sync replica per write
+        finally:
+            if not was_enabled:
+                REGISTRY.disable()
+
+    def test_concurrent_appends_leave_primary_and_secondary_identical(self):
+        cfg = ZHTConfig(transport="tcp", num_partitions=8, num_replicas=1, request_timeout=2.0)
+        keys = [f"shared-{i}".encode() for i in range(4)]
+        with build_tcp_cluster(2, cfg) as cluster:
+            errors = []
+
+            def appender(tid):
+                z = cluster.client(seed=tid, client_id=f"appender-{tid}")
+                try:
+                    for i in range(60):
+                        z.append(keys[i % len(keys)], f"|c{tid}i{i:03d};".encode())
+                except Exception as exc:  # pragma: no cover - fails the test
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=appender, args=(tid,)) for tid in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not errors
+            for key in keys:
+                pid = cluster.membership.partition_of_key(key, cfg.hash_name)
+                values = [core.partitions[pid].store.get(key) for core in cluster.cores]
+                assert len(values[0]) == 2 * 15 * len(b"|c0i000;")
+                assert values[0] == values[1]
 
 
 class TestClientRobustness:
