@@ -24,7 +24,8 @@ import time
 from _util import emit_json, fmt, fmt_int, print_table, scales
 
 from repro import ZHTConfig, build_local_cluster
-from repro.net.transport import execute_op
+from repro.core.loops import OpClient
+from repro.net.transport import drive
 from repro.core.protocol import OpCode
 from repro.scenario.traffic import synthesize_history
 from repro.verify import HistoryRecorder, check_history
@@ -83,10 +84,10 @@ def overhead_series(ops: int):
 
         core = zht.core
         transport = cluster.network
+        raw = OpClient(core)
 
         def raw_driver():
-            driver = core.driver(OpCode.LOOKUP, b"bench-key", b"")
-            execute_op(core, driver, transport)
+            drive(raw.run(core.driver(OpCode.LOOKUP, b"bench-key", b"")), transport)
 
         timed("raw driver loop", raw_driver)
         timed("ZHT, recording off", lambda: zht.lookup(b"bench-key"))

@@ -404,10 +404,11 @@ class ProjectIndex:
         return index
 
     def _flatten_inheritance(self) -> None:
-        """Copy lock/guard/type declarations from base classes into
-        subclasses: a ``guarded-by`` annotation in a subclass may name a
-        lock its base declares (e.g. a connection subclass guarding new
-        state with the base's ``write_lock``)."""
+        """Copy lock/guard/type declarations and methods from base classes
+        into subclasses: a ``guarded-by`` annotation in a subclass may name
+        a lock its base declares (e.g. a connection subclass guarding new
+        state with the base's ``write_lock``), and ``self.m()`` may call a
+        method only the base defines (``ZHT`` running ``OpClient.op``)."""
         flattened: set[str] = set()
 
         def flatten(name: str) -> None:
@@ -428,6 +429,8 @@ class ProjectIndex:
                     cinfo.guarded.setdefault(attr, guard)
                 for attr, types in binfo.attr_types.items():
                     cinfo.attr_types.setdefault(attr, list(types))
+                for method, finfo in binfo.methods.items():
+                    cinfo.methods.setdefault(method, finfo)
 
         for name in list(self.classes):
             flatten(name)

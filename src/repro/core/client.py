@@ -23,14 +23,9 @@ implements everything about an operation *except* moving bytes:
   toward suspicion, and lookups may degrade to replica reads;
 * lazy membership refresh from piggybacked tables and redirects.
 
-Real and simulated transports drive the same :class:`OpDriver` loop,
-for a point op (``core.driver``) and a batch (``core.driver_many``) alike::
-
-    driver = core.driver(OpCode.LOOKUP, key)
-    while True:
-        attempt = driver.next_attempt()        # None => every entry settled
-        response = transport.roundtrip(attempt)  # or timeout
-        driver.on_response(response)             # or driver.on_timeout()
+Real and simulated transports run the one :class:`OpDriver` loop
+(:meth:`repro.core.loops.OpClient.run`), for a point op
+(``core.driver``) and a batch (``core.driver_many``) alike.
 """
 
 from __future__ import annotations
@@ -40,6 +35,7 @@ import itertools
 import random
 import threading
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -156,12 +152,9 @@ class Attempt:
         return Attempt(self.address, self.node_id, self.instance_id, self.op, self.epoch, [])
 
 
-@dataclass
-class Notification:
-    """Deferred client→manager message (e.g. failure report)."""
-
-    address: Address
-    request: Request
+#: A one-way send whose reply is ``None`` (a command of the loops in
+#: :mod:`repro.core.loops`): the client's failure report to a manager.
+Cast = namedtuple("Cast", "address request")
 
 
 class BreakerState(enum.Enum):
@@ -282,7 +275,7 @@ class ZHTClientCore:
         #: Circuit breakers for nodes marked dead by *local* suspicion.
         self._breakers: dict[str, _Breaker] = {}  # guarded-by: _state_lock
         #: Manager notifications awaiting dispatch by the transport.
-        self.pending_notifications: list[Notification] = []  # guarded-by: _state_lock
+        self.pending_notifications: list[Cast] = []  # guarded-by: _state_lock
         #: Called as ``fn(node_id, instance_addresses)`` right after a node
         #: is marked dead — the transport layer hooks this to evict cached
         #: connections so failovers never re-use a socket to a dead server.
@@ -568,7 +561,7 @@ class ZHTClientCore:
                 continue
             self.stats.inc("reprobes")
 
-    def take_notifications(self) -> list[Notification]:
+    def take_notifications(self) -> list[Cast]:
         """Atomically drain the pending manager notifications."""
         if not self.pending_notifications:  # zht-lint: ignore[LOCK001] GIL-atomic emptiness read; a note queued this instant leaves with the next op
             return []
@@ -628,7 +621,7 @@ class ZHTClientCore:
         if manager is not None:
             # Push our (newer) table — with the node marked dead — to a
             # random manager, which will broadcast and rebuild replicas.
-            note = Notification(
+            note = Cast(
                 manager,
                 Request(
                     op=OpCode.MEMBERSHIP_UPDATE,

@@ -4,13 +4,12 @@ for deterministic tests."""
 
 from .local import LocalNetwork
 from .lru import LRUCache
-from .transport import ClientTransport, ServerExecutor, execute_op, run_script
+from .transport import ClientTransport, ServerExecutor, drive
 
 __all__ = [
     "ClientTransport",
     "LRUCache",
     "LocalNetwork",
     "ServerExecutor",
-    "execute_op",
-    "run_script",
+    "drive",
 ]

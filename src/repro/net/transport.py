@@ -6,25 +6,24 @@ Two pieces of glue live here so each concrete transport stays small:
   :class:`~repro.core.server.HandleResult` (synchronous replica acks,
   asynchronous fan-out, forwarding of queued requests after migration)
   against a :class:`PeerClient`.
-* :func:`execute_op` — drives a client :class:`~repro.core.client.OpDriver`
-  (a point op or a batch) over any :class:`ClientTransport`, sleeping real
-  time for backoff delays and dispatching failure notifications to
-  managers.
+* :func:`drive` — the live trampoline: runs one of the sans-IO loops of
+  :mod:`repro.core.loops` (an op, a manager script, a scenario client)
+  over any :class:`ClientTransport`, blocking on each call, sending
+  casts one-way and sleeping real time for backoff.  The DES runs the
+  same loops with :meth:`repro.sim.cluster.SimulatedCluster.drive`.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from typing import Callable
+from typing import Callable, Generator
 
-from ..core.client import OpDriver, ZHTClientCore
 from ..core.errors import Status
-from ..core.manager import PeerCall, Script
+from ..core.loops import Cast, Sleep
 from ..core.membership import Address
 from ..core.protocol import Request, Response
 from ..core.server import HandleResult, ZHTServerCore
-from ..obs import REGISTRY
 
 
 class ClientTransport(abc.ABC):
@@ -146,56 +145,29 @@ class ServerExecutor:
                 )
 
 
-def execute_op(
-    core: ZHTClientCore,
-    driver: OpDriver,
+def drive(
+    loop: Generator,
     transport: ClientTransport,
     *,
     sleep: Callable[[float], None] = time.sleep,
-) -> Response:
-    """Run *driver* to completion over *transport*; returns
-    :meth:`OpDriver.result` (raising the first failed entry's exception)."""
-    # The root span of one logical operation: covers every retry,
-    # redirect, backoff sleep, and failover attempt — submission to
-    # settled outcome, which is what the paper's latency figures measure.
-    with REGISTRY.span("client.op"):
-        while True:
-            attempt = driver.next_attempt()
-            if attempt is None:
-                break
-            if attempt.delay > 0:
-                sleep(attempt.delay)
-            start = time.monotonic()
-            response = transport.roundtrip(
-                attempt.address, attempt.request, attempt.timeout
-            )
-            if response is None:
-                driver.on_timeout()
-            else:
-                # The measured RTT feeds the per-node history behind the
-                # adaptive (phi) failure detector.
-                driver.on_response(response, time.monotonic() - start)
-    # Pending failure reports go to the managers (best effort).
-    for note in core.take_notifications():
-        transport.send_oneway(note.address, note.request)
-    return driver.result()
-
-
-def run_script(
-    script: Script,
-    transport: ClientTransport,
-    *,
-    timeout: float = 5.0,
 ) -> object:
-    """Drive a manager :class:`~repro.core.manager.Script` over *transport*.
-
-    Returns the script's return value.  A call that times out feeds
-    ``None`` back into the script (scripts handle that as failure).
-    """
-    reply: Response | None = None
+    """Run *loop* to completion over *transport*; returns its return
+    value and raises what it raises."""
+    send = loop.send
+    reply = None
     try:
         while True:
-            call: PeerCall = script.send(reply)
-            reply = transport.roundtrip(call.address, call.request, timeout)
+            command = send(reply)
+            kind = command.__class__
+            if kind is Sleep:
+                reply = None
+                sleep(command.seconds)
+            elif kind is Cast:
+                reply = None
+                transport.send_oneway(command.address, command.request)
+            else:
+                reply = transport.roundtrip(
+                    command.address, command.request, command.timeout
+                )
     except StopIteration as stop:
         return stop.value

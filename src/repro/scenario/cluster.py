@@ -69,7 +69,7 @@ def repair_script(
     membership: MembershipTable, victim: str, config: ZHTConfig, seed: int
 ) -> Script:
     """The manager repair script for *victim*, run from the first alive
-    survivor (drive it with ``cluster.run`` / ``SimulatedCluster.run_script``)."""
+    survivor (run it with ``cluster.run`` or ``script_loop``)."""
     manager_node = next(
         n for n, info in membership.nodes.items() if info.alive and n != victim
     )

@@ -17,6 +17,7 @@ import repro.core.server
 from repro.api import ZHT, build_local_cluster
 from repro.core import KeyNotFound, ZHTConfig
 from repro.core.client import BatchEntry, ZHTClientCore
+from repro.core.loops import OpClient
 from repro.core.errors import ProtocolError, Status
 from repro.core.membership import (
     Address,
@@ -682,9 +683,11 @@ class TestClientBatchEqualsSingles:
         inserts = [BatchEntry(key, value) for key, value in items.items()]
         lookups = [BatchEntry(key) for key in items]
 
+        client_ops = OpClient(core)
+
         def client():
-            yield from cluster.execute(core, core.driver_many(OpCode.INSERT, inserts))
-            yield from cluster.execute(core, core.driver_many(OpCode.LOOKUP, lookups))
+            yield from cluster.drive(client_ops.run(core.driver_many(OpCode.INSERT, inserts)))
+            yield from cluster.drive(client_ops.run(core.driver_many(OpCode.LOOKUP, lookups)))
 
         env.process(client(), name="batch-client")
         env.run()
@@ -740,6 +743,7 @@ class TestOneClientRetryEngine:
         import ast
 
         import repro.api
+        import repro.core.loops
         import repro.net.transport
         import repro.sim.cluster
 
@@ -749,7 +753,11 @@ class TestOneClientRetryEngine:
         # of the modules that also hold server glue.
         server_side = {"ServerExecutor", "SimulatedCluster"}
         functions = {}
-        for module in (repro.core.client, repro.net.transport, repro.api, repro.sim.cluster):
+        modules = (
+            repro.core.client, repro.core.loops, repro.net.transport, repro.api,
+            repro.sim.cluster,
+        )
+        for module in modules:
             source = inspect.getsource(module)
             tree = ast.parse(source)
             for node in ast.walk(tree):
@@ -760,8 +768,8 @@ class TestOneClientRetryEngine:
                             functions[f"{owner}.{child.name}"] = ast.get_source_segment(
                                 source, child
                             )
-        functions["SimulatedCluster.execute"] = inspect.getsource(
-            repro.sim.cluster.SimulatedCluster.execute
+        functions["SimulatedCluster.drive"] = inspect.getsource(
+            repro.sim.cluster.SimulatedCluster.drive
         )
         for status in ("RETRY_LATER", "MIGRATING", "REDIRECT", "DEADLINE_EXCEEDED"):
             handlers = [name for name, src in functions.items() if f"Status.{status}" in src]

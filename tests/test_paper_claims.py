@@ -132,9 +132,8 @@ class TestMicroBenchmarkEndToEnd:
             clients = [cluster.client(seed=i) for i in range(4)]
             for cid, z in enumerate(clients):
                 for op, key, value in workload.client_ops(cid):
-                    from repro.net.transport import execute_op
+                    from repro.net.transport import drive
 
-                    driver = z.core.driver(op, key, value)
-                    execute_op(z.core, driver, z.transport)
+                    drive(z.run(z.core.driver(op, key, value)), z.transport)
             # insert+lookup+remove leaves the cluster empty.
             assert cluster.total_pairs() == 0

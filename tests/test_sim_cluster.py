@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.client import ZHTClientCore
+from repro.core.loops import OpClient
 from repro.core.config import ReplicationMode, ZHTConfig
 from repro.core.errors import Status
 from repro.core.protocol import OpCode, Request
@@ -288,7 +289,7 @@ class TestParkedRequests:
 
         def client():
             driver = core.driver(OpCode.INSERT, self.KEY, b"v")
-            outcome["response"] = yield from cluster.execute(core, driver)
+            outcome["response"] = yield from cluster.drive(OpClient(core).run(driver))
 
         def main():
             begin = yield from cluster.roundtrip(

@@ -9,7 +9,8 @@ from repro.core.errors import RequestTimeout, Status
 from repro.core.membership import Address
 from repro.core.protocol import OpCode, Request, Response
 from repro.net.local import LocalNetwork
-from repro.net.transport import execute_op, run_script
+from repro.core.loops import OpClient, script_loop
+from repro.net.transport import drive
 from tests.test_server_core import deploy, owner_server
 
 
@@ -121,7 +122,7 @@ class TestExecuteOp:
         network.kill_address(victim.info.address)
         driver = client.driver(OpCode.LOOKUP, b"k")
         with pytest.raises(Exception):
-            execute_op(client, driver, network, sleep=lambda _t: None)
+            drive(OpClient(client).run(driver), network, sleep=lambda _t: None)
         # The dead-node report reached a manager (via the network).
         assert client.pending_notifications == []
 
@@ -140,7 +141,7 @@ class TestExecuteOp:
         sleeps: list[float] = []
         driver = client.driver(OpCode.LOOKUP, b"k")
         with pytest.raises(RequestTimeout):
-            execute_op(client, driver, network, sleep=sleeps.append)
+            drive(OpClient(client).run(driver), network, sleep=sleeps.append)
         assert sleeps and sleeps == sorted(sleeps)  # growing backoff
 
 
@@ -158,7 +159,7 @@ class TestRunScript:
             )
             return response.status
 
-        assert run_script(script(), network) == Status.OK
+        assert drive(script_loop(script(), cfg), network) == Status.OK
 
     def test_feeds_none_on_timeout(self):
         table, servers, cfg = deploy()
@@ -172,4 +173,4 @@ class TestRunScript:
             )
             return response
 
-        assert run_script(script(), network) is None
+        assert drive(script_loop(script(), cfg), network) is None
