@@ -2,18 +2,21 @@
 
 :class:`SimulatedCluster` wires the DES engine, a network topology, the
 calibrated latency/service models, and — for ZHT runs — the *same*
-:class:`~repro.core.server.ZHTServerCore` /
-:class:`~repro.core.client.OpDriver` state machines the real transports
-use.  Baseline systems (Memcached-, Cassandra-like) run a plain
+:class:`~repro.core.server.ZHTServerCore` the real transports serve
+with.  Baseline systems (Memcached-, Cassandra-like) run a plain
 dictionary handler with their own service models, since only their
 performance envelope (not their protocol semantics) is compared in the
 paper.
 
-One simulated **client process per instance** issues operations
-sequentially (the paper's 1:1 client:server deployment); servers are
-single-threaded queues (the event-driven architecture); multiple
-instances per node time-share the node's cores via the service-time
-scaling in :func:`~repro.sim.network.zht_instance_service`.
+:meth:`~SimulatedCluster.run_workload` runs one simulated **client
+process per instance**, issuing operations sequentially (the paper's
+1:1 client:server deployment); each builds its ``Request`` by hand and
+sends it to the owner, with no retry.  :meth:`~SimulatedCluster.drive`
+and :meth:`~SimulatedCluster.roundtrip` run the sans-IO loops of
+:mod:`repro.core.loops` (an ``OpDriver`` or a manager script) instead.
+Servers are single-threaded queues (the event-driven architecture);
+multiple instances per node time-share the node's cores via the
+service-time scaling in :func:`~repro.sim.network.zht_instance_service`.
 """
 
 from __future__ import annotations
@@ -106,11 +109,23 @@ class SimSpec:
         return self.config.num_partitions
 
 
-@dataclass
 class _SimMessage:
-    request: Request
-    reply_event: object  # engine Event or None for one-way
-    src_node: int
+    """A request on the simulated wire, and the context of its reply."""
+
+    __slots__ = ("request", "reply_event", "src_node")
+
+    def __init__(self, request: Request, reply_event, src_node: int):
+        self.request = request
+        self.reply_event = reply_event  # engine Event, or None for one-way
+        self.src_node = src_node
+
+    def _land(self, queue: Store, _exc) -> None:
+        queue.put(self)
+
+    def _answer(self, response: Response, _exc) -> None:
+        # A duplicated request can get two replies; only the first counts.
+        if not self.reply_event.triggered:
+            self.reply_event.succeed(response)
 
 
 class _DictHandler:
@@ -302,12 +317,15 @@ class SimulatedCluster:
             + extra_delay
         )
 
-        def arrive(_value=None):
-            self.queues[dst_index].put(message)
-
+        landing = (message._land, self.queues[dst_index])
         for _ in range(copies):
-            evt = self.env.timeout(delay)
-            evt._wait(_CallbackWaiter(arrive))
+            self.env._schedule(delay, self._in_flight, landing, None)
+
+    def _in_flight(self, landing, _exc) -> None:
+        """The wire delay is up; the message lands one zero-delay event
+        later (the event order pinned in the tests counts both)."""
+        land, arg = landing
+        self.env._schedule(0.0, land, arg, None)
 
     # ------------------------------------------------------------------
     # Server process
@@ -425,15 +443,7 @@ class SimulatedCluster:
     def _reply(self, message: _SimMessage, response: Response, my_node: int) -> None:
         size = _MSG_OVERHEAD + len(response.value)
         delay = self._one_way(my_node, message.src_node, size)
-
-        def arrive(_value=None):
-            # A duplicated request can produce two replies; only the
-            # first settles the waiter.
-            if not message.reply_event.triggered:
-                message.reply_event.succeed(response)
-
-        evt = self.env.timeout(delay)
-        evt._wait(_CallbackWaiter(arrive))
+        self.env._schedule(delay, self._in_flight, (message._answer, response), None)
 
     # ------------------------------------------------------------------
     # Client process
@@ -590,19 +600,6 @@ class SimulatedCluster:
             duration_s=self.env.now,
             latency=stats,
         )
-
-
-class _CallbackWaiter:
-    """Adapter letting a plain callback wait on an engine event."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def _resume(self, value, exc):
-        if exc is None:
-            self._fn(value)
 
 
 def simulate(

@@ -28,6 +28,7 @@ sequence number.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
@@ -48,26 +49,32 @@ class Event:
         self.triggered = False
         self._waiters: list[Process] = []
 
-    def succeed(self, value: Any = None) -> "Event":
+    def _fire(self, value: Any, exc: BaseException | None) -> None:
+        """Succeed with *value*, or fail with *exc* if set (a timeout's
+        callback); each waiter wakes at zero delay, in the order it waited."""
         if self.triggered:
             raise SimError("event already triggered")
         self.triggered = True
-        self._value = value
-        self._ok = True
-        for proc in self._waiters:
-            self.env._schedule(0.0, proc._resume, value, None)
-        self._waiters.clear()
+        if exc is None:
+            self._value = value
+        else:
+            self._value = exc
+            self._ok = False
+        waiters = self._waiters
+        if waiters:
+            env = self.env
+            ready = env._ready
+            for proc in waiters:
+                env._seq = seq = env._seq + 1
+                ready.append((seq, proc._resume, value, exc))
+            waiters.clear()
+
+    def succeed(self, value: Any = None) -> "Event":
+        self._fire(value, None)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
-        if self.triggered:
-            raise SimError("event already triggered")
-        self.triggered = True
-        self._value = exc
-        self._ok = False
-        for proc in self._waiters:
-            self.env._schedule(0.0, proc._resume, None, exc)
-        self._waiters.clear()
+        self._fire(None, exc)
         return self
 
     @property
@@ -134,11 +141,15 @@ class Process:
 
 
 class Environment:
-    """The simulation clock and event queue."""
+    """The simulation clock and event queue: callbacks ``fn(value, exc)``
+    run in ``(time, seq)`` order.  Zero-delay ones wait in a FIFO ready
+    queue instead of the heap; a heap entry due at ``now`` runs before the
+    ready queue's head only if its ``seq`` is smaller."""
 
     def __init__(self):
         self.now = 0.0
         self._queue: list[tuple[float, int, Callable, Any, Any]] = []
+        self._ready: deque[tuple[int, Callable, Any, Any]] = deque()
         self._seq = 0
         self.events_processed = 0
 
@@ -148,7 +159,10 @@ class Environment:
         if delay < 0:
             raise SimError("cannot schedule into the past")
         self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, value, exc))
+        if delay:
+            heapq.heappush(self._queue, (self.now + delay, self._seq, fn, value, exc))
+        else:
+            self._ready.append((self._seq, fn, value, exc))
 
     def event(self) -> Event:
         return Event(self)
@@ -156,11 +170,7 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that succeeds after *delay* simulated seconds."""
         evt = Event(self)
-        self._seq += 1
-        heapq.heappush(
-            self._queue,
-            (self.now + delay, self._seq, evt.succeed, value, None),
-        )
+        self._schedule(delay, evt._fire, value, None)
         return evt
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -173,32 +183,46 @@ class Environment:
 
     def step(self) -> None:
         """Pop and execute exactly one scheduled callback."""
-        time, _seq, fn, value, exc = heapq.heappop(self._queue)
-        self.now = time
-        self.events_processed += 1
-        self._invoke(fn, value, exc)
-
-    def _invoke(self, fn: Callable, value: Any, exc: Any) -> None:
-        # Two callback shapes: Event.succeed(value) and Process._resume(v, e).
-        if getattr(fn, "__func__", None) is Event.succeed:
-            fn(value)
+        queue, ready = self._queue, self._ready
+        if ready and not (queue and queue[0][0] == self.now and queue[0][1] < ready[0][0]):
+            _seq, fn, value, exc = ready.popleft()
         else:
-            fn(value, exc)
+            self.now, _seq, fn, value, exc = heapq.heappop(queue)
+        self.events_processed += 1
+        fn(value, exc)
 
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock passes *until*.
 
-        Returns the final simulation time.
+        Returns the final simulation time (short of *until* if the queue drained).
         """
-        while self._queue:
-            time = self._queue[0][0]
-            if until is not None and time > until:
-                self.now = until
-                return self.now
-            time, _seq, fn, value, exc = heapq.heappop(self._queue)
-            self.now = time
-            self.events_processed += 1
-            self._invoke(fn, value, exc)
+        now = self.now
+        if until is None:
+            until = math.inf
+        elif until < now:
+            raise SimError(f"cannot run until {until}: the clock is at {now}")
+        queue, ready = self._queue, self._ready
+        heappop, popleft = heapq.heappop, ready.popleft
+        count = 0
+        try:
+            while True:
+                if ready:
+                    if queue and queue[0][0] == now and queue[0][1] < ready[0][0]:
+                        _time, _seq, fn, value, exc = heappop(queue)
+                    else:
+                        _seq, fn, value, exc = popleft()
+                elif not queue:
+                    break
+                elif queue[0][0] > until:
+                    self.now = until
+                    break
+                else:
+                    now, _seq, fn, value, exc = heappop(queue)
+                    self.now = now
+                count += 1
+                fn(value, exc)
+        finally:
+            self.events_processed += count
         return self.now
 
     def run_process(self, gen: Generator) -> Any:
@@ -245,15 +269,15 @@ class Store:
 
     def put(self, item: Any) -> None:
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.popleft()._fire(item, None)
         else:
             self._items.append(item)
 
     def get(self) -> Event:
         """An event yielding the next item (immediately if available)."""
-        evt = self.env.event()
+        evt = Event(self.env)
         if self._items:
-            evt.succeed(self._items.popleft())
+            evt._fire(self._items.popleft(), None)
         else:
             self._getters.append(evt)
         return evt

@@ -69,12 +69,18 @@ class TorusTopology:
         """Torus Manhattan distance plus any rack-crossing penalty."""
         if src == dst:
             return 0
-        total = 0
-        for a, b, size in zip(
-            self.coordinates(src), self.coordinates(dst), self.dims
-        ):
-            d = abs(a - b)
-            total += min(d, size - d)
+        x, y, z = self.dims
+        xy = x * y
+        if not (0 <= src < xy * z and 0 <= dst < xy * z):
+            bad = dst if 0 <= src < xy * z else src
+            raise ValueError(f"node {bad} outside torus of {xy * z}")
+        # Per dimension (cf. coordinates()), the shorter way round the ring.
+        d = (src - dst) % x
+        total = d if d + d <= x else x - d
+        d = (src // x - dst // x) % y
+        total += d if d + d <= y else y - d
+        d = (src // xy - dst // xy) % z
+        total += d if d + d <= z else z - d
         if src // self.rack_size != dst // self.rack_size:
             total += self.rack_penalty_hops
         return total

@@ -5,7 +5,9 @@ key of a 64-key ``insert_many`` / ``lookup_many`` executes, and every one
 of a ``tcp-durable-repl`` op (1 KiB writes to a WAL with a sync replica).
 The counts cover the client thread and both in-process servers' threads.  They
 come from ``benchmarks/profile_ledger.py --opcodes``, which builds the
-ledger workload with ``build_tcp_cluster(2)`` and a fixed seed.  A count
+ledger workload with ``build_tcp_cluster(2)`` and a fixed seed.  A
+``sim-des-1k`` op is counted too, at the smoke size: the DES engine, the
+simulated network and the ZHT cores it runs.  A count
 does not depend on the host's speed, so a change that puts work back on
 the path fails here in one run, before any timing could show it.
 
@@ -34,6 +36,9 @@ BATCH_KEY_BYTECODES = 1956
 #: Bytecodes of one tcp-durable-repl op, all threads: 5,691 on 3.11.7,
 #: down from 6,193 when replica updates went out from the effect pool.
 DURABLE_REPL_OP_BYTECODES = 5691
+#: Bytecodes of one sim-des-1k op at the smoke size (64 nodes, 3 rounds):
+#: 3,121 on 3.11.7, down from 3,713 before the engine's ready queue.
+DES_OP_BYTECODES = 3121
 SLACK = 1.05
 
 
@@ -63,3 +68,12 @@ def test_a_replicated_write_stays_on_the_event_loops(tmp_path):
     assert report.per_op() <= DURABLE_REPL_OP_BYTECODES * SLACK, report.table(20)
     # Replica updates and their acks take no hop to the effect pool.
     assert not [name for name in report.threads if name.startswith("zht-effects")], report.table(20)
+
+
+def test_a_simulated_op_stays_inside_its_bytecode_budget(tmp_path):
+    report, segment = profile_ledger.count_opcodes(
+        "sim-des-1k", seed=1, seconds=0.05, smoke=True, work_dir=str(tmp_path)
+    )
+    assert segment.failed == 0
+    assert report.ops == 3 * 3 * 2 * 64  # 3 rounds of 2 inserts, lookups, removes per node
+    assert report.per_op() <= DES_OP_BYTECODES * SLACK, report.table(20)

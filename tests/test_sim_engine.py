@@ -78,6 +78,94 @@ class TestTimeouts:
         env.run(until=10.0)
         assert env.now == 10.0
 
+    def test_run_until_the_past_is_rejected(self):
+        env = Environment()
+        env.run_process(_sleep(env, 2.0))
+        with pytest.raises(SimError):
+            env.run(until=1.0)
+        assert env.now == 2.0
+
+    def test_run_until_on_a_drained_queue_keeps_the_clock(self):
+        env = Environment()
+        env.run_process(_sleep(env, 2.0))
+        # A drained queue returns the clock as it is, short of *until*.
+        assert env.run(until=5.0) == 2.0
+        assert env.run(until=2.0) == 2.0
+        assert env.now == 2.0
+
+    def test_every_callback_is_counted_even_one_that_raises(self):
+        env = Environment()
+
+        def broken():
+            yield env.timeout(1.0)
+            raise ValueError("bad")
+
+        env.process(broken())
+        with pytest.raises(ValueError):
+            env.run()
+        # The start, the timeout firing, and the wakeup that raised.
+        assert env.events_processed == 3
+
+
+class TestEventOrder:
+    """Callbacks run in (time, schedule order), whether they wait on the
+    heap or on the zero-delay ready queue."""
+
+    def tie_trace(self, drive):
+        """At t=1.0 a callback queues wakeup 1, a timeout that is due at
+        once (1.0 + 2**-60 rounds to 1.0), and wakeup 2, while a timeout
+        made at t=0 is also due at 1.0.  Returns, per wakeup, the
+        timeouts that had fired when it ran."""
+        env = Environment()
+        log = []
+        timeouts = {}
+
+        def wakeup(tag, _exc):
+            assert env.now == 1.0
+            log.append((tag, sorted(n for n, evt in timeouts.items() if evt.triggered)))
+
+        def at_one(_value, _exc):
+            env._schedule(0.0, wakeup, "wake-1", None)
+            assert env.now + 2.0**-60 == env.now
+            timeouts["due-now"] = env.timeout(2.0**-60)
+            env._schedule(0.0, wakeup, "wake-2", None)
+
+        env._schedule(1.0, at_one, None, None)
+        timeouts["made-earlier"] = env.timeout(1.0)
+        drive(env)
+        assert env.events_processed == 5
+        return log
+
+    EXPECTED = [
+        ("wake-1", ["made-earlier"]),
+        ("wake-2", ["due-now", "made-earlier"]),
+    ]
+
+    def test_a_due_timeout_merges_by_schedule_order_in_run(self):
+        assert self.tie_trace(lambda env: env.run()) == self.EXPECTED
+
+    def test_a_due_timeout_merges_by_schedule_order_in_step(self):
+        def five_steps(env):
+            for _ in range(5):
+                env.step()
+
+        assert self.tie_trace(five_steps) == self.EXPECTED
+
+    def test_zero_delay_work_runs_in_schedule_order(self):
+        env = Environment()
+        log = []
+
+        def tagger(tag):
+            log.append(tag)
+            yield env.timeout(0.0)
+            log.append(tag + "'")
+
+        for tag in "abc":
+            env.process(tagger(tag))
+        env.run()
+        assert log == ["a", "b", "c", "a'", "b'", "c'"]
+        assert env.now == 0.0
+
 
 class TestEvents:
     def test_succeed_delivers_value(self):
@@ -339,6 +427,10 @@ def test_property_completion_time_is_max_delay(delays):
         env.process(sleeper(d))
     env.run()
     assert env.now == max(delays)
+
+
+def _sleep(env, delay):
+    yield env.timeout(delay)
 
 
 def _trigger(env, evt, value):
