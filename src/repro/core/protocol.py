@@ -457,12 +457,17 @@ def parse_batch(parse: Callable[[bytes, int, int], tuple], payload: bytes) -> li
     subs: list[tuple] = []
     offset, size = 0, len(payload)
     while offset < size:
+        # The length prefix, inline for sub-messages up to 16 KiB.
         length = payload[offset]
         start = offset + 1
         if length >= 0x80:
-            length, start = frame_prefix(payload, offset)
-            if length < 0:
-                raise ProtocolError("truncated length inside batch payload")
+            if start < size and payload[start] < 0x80:
+                length = length & 0x7F | payload[start] << 7
+                start += 1
+            else:
+                length, start = frame_prefix(payload, offset)
+                if length < 0:
+                    raise ProtocolError("truncated length inside batch payload")
         offset = start + length
         if offset > size:
             raise ProtocolError("truncated frame inside batch payload")

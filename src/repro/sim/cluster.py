@@ -39,7 +39,7 @@ from ..core.membership import (
 from ..core.protocol import MUTATING_OPS, OpCode, Request, Response
 from ..core.server import HandleResult, ZHTServerCore
 from ..faults.plan import FaultKind
-from .engine import Environment, Store
+from .engine import Environment, Reply, Store
 from .metrics import LatencyStats, RunResult
 from .network import (
     BGP_TORUS_LINK,
@@ -109,23 +109,28 @@ class SimSpec:
         return self.config.num_partitions
 
 
-class _SimMessage:
-    """A request on the simulated wire, and the context of its reply."""
+class _SimMessage(Reply):
+    """A request on the simulated wire, and the reply its sender waits for
+    (``response = yield message``) unless it is one-way."""
 
-    __slots__ = ("request", "reply_event", "src_node")
+    #: ``leg_hops`` is the hop count between ``src_node`` and
+    #: ``leg_node``, kept from a delivery so a reply from ``leg_node``
+    #: need not count it again (hop counts are symmetric).
+    __slots__ = ("request", "src_node", "one_way", "leg_node", "leg_hops")
 
-    def __init__(self, request: Request, reply_event, src_node: int):
+    def __init__(
+        self,
+        env: Environment,
+        request: Request,
+        src_node: int,
+        one_way: bool = False,
+        timeout: float | None = None,
+    ):
+        Reply.__init__(self, env, timeout)
         self.request = request
-        self.reply_event = reply_event  # engine Event, or None for one-way
         self.src_node = src_node
-
-    def _land(self, queue: Store, _exc) -> None:
-        queue.put(self)
-
-    def _answer(self, response: Response, _exc) -> None:
-        # A duplicated request can get two replies; only the first counts.
-        if not self.reply_event.triggered:
-            self.reply_event.succeed(response)
+        self.one_way = one_way
+        self.leg_node = -1
 
 
 class _DictHandler:
@@ -170,6 +175,8 @@ class SimulatedCluster:
             self.topology = SwitchedTopology(spec.num_nodes)
         else:
             raise ValueError(f"unknown topology {spec.topology!r}")
+        self._hops = self.topology.hops
+        self._link = spec.link
 
         self.config = spec.config
         self.effective_service = zht_instance_service(
@@ -207,6 +214,8 @@ class SimulatedCluster:
     def _build_membership(self) -> None:
         spec = self.spec
         nodes, instances = [], []
+        #: The node each instance runs on, by instance index.
+        self._instance_node: list[int] = []
         for n in range(spec.num_nodes):
             node_id = f"n{n}"
             nodes.append(NodeInfo(node_id, Address(node_id, 0)))
@@ -216,14 +225,11 @@ class SimulatedCluster:
                         new_instance_id(self.rng), node_id, Address(node_id, i + 1)
                     )
                 )
+                self._instance_node.append(n)
         self.membership = MembershipTable.bootstrap(
             spec.num_partitions, nodes, instances
         )
         self.instances = instances
-        self._node_index = {f"n{n}": n for n in range(spec.num_nodes)}
-
-    def _node_of_instance(self, index: int) -> int:
-        return self._node_index[self.instances[index].node_id]
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -256,24 +262,9 @@ class SimulatedCluster:
         self.close()
 
     def _crash_at(self, at_time: float, target: str):
-        yield self.env.timeout(at_time)
+        yield float(at_time)
         self.kill_node(target)
         self.spec.faults.crash_target(target)
-
-    def _first_of(self, *events):
-        """An event succeeding with the index of whichever input event
-        triggers first (a race — used to put timeouts on sim round trips
-        that faults may leave unanswered)."""
-        gate = self.env.event()
-
-        def watch(i, evt):
-            yield evt
-            if not gate.triggered:
-                gate.succeed(i)
-
-        for i, evt in enumerate(events):
-            self.env.process(watch(i, evt), name=f"first-of-{i}")
-        return gate
 
     @property
     def _faulty(self) -> bool:
@@ -283,13 +274,9 @@ class SimulatedCluster:
     # Message transport
     # ------------------------------------------------------------------
 
-    def _one_way(self, src_node: int, dst_node: int, nbytes: int) -> float:
-        return self.spec.link.one_way(
-            self.topology.hops(src_node, dst_node), nbytes
-        )
-
     def _deliver(self, dst_index: int, message: _SimMessage, src_node: int) -> None:
-        """Schedule *message* to arrive at instance *dst_index*."""
+        """Schedule *message* to land in instance *dst_index*'s queue: one
+        heap entry per copy, :meth:`Store._land` itself."""
         copies = 1
         extra_delay = 0.0
         plan = self.spec.faults
@@ -306,26 +293,18 @@ class SimulatedCluster:
                     copies += 1
         if dst_index in self.dead_instances:
             return  # blackhole: packets to a crashed instance vanish
-        size = (
-            _MSG_OVERHEAD
-            + len(message.request.key)
-            + len(message.request.value)
-            + len(message.request.payload)
-        )
-        delay = (
-            self._one_way(src_node, self._node_of_instance(dst_index), size)
-            + extra_delay
-        )
-
-        landing = (message._land, self.queues[dst_index])
-        for _ in range(copies):
-            self.env._schedule(delay, self._in_flight, landing, None)
-
-    def _in_flight(self, landing, _exc) -> None:
-        """The wire delay is up; the message lands one zero-delay event
-        later (the event order pinned in the tests counts both)."""
-        land, arg = landing
-        self.env._schedule(0.0, land, arg, None)
+        request = message.request
+        size = _MSG_OVERHEAD + len(request.key) + len(request.value) + len(request.payload)
+        dst_node = self._instance_node[dst_index]
+        hops = self._hops(src_node, dst_node)
+        if src_node == message.src_node:  # not a forward
+            message.leg_node, message.leg_hops = dst_node, hops
+        delay = self._link.one_way(hops, size) + extra_delay
+        land = self.queues[dst_index]._land
+        self.env._schedule(delay, land, message, None)
+        while copies > 1:  # a duplicated message lands once per copy
+            copies -= 1
+            self.env._schedule(delay, land, message, None)
 
     # ------------------------------------------------------------------
     # Server process
@@ -336,49 +315,52 @@ class SimulatedCluster:
         spec = self.spec
         queue = self.queues[index]
         handler = self.handlers[index]
-        my_node = self._node_of_instance(index)
+        my_node = self._instance_node[index]
         service = self.effective_service
+        # Service times, as the floats a process sleeps by yielding.
+        forward_cost = float(service.service_time * _FORWARD_SERVICE_FACTOR)
+        # Fire-and-forget replica apply: no response is built.
+        apply_cost = float(
+            service.service_time * _REPLICA_APPLY_FACTOR + service.persistence_time
+        )
+        write_cost = float(service.service_time + service.persistence_time)
+        read_cost = float(service.service_time)
+        dispatch_cost = float(service.service_time * _REPLICA_DISPATCH_FACTOR)
 
         while True:
             message: _SimMessage = yield queue.get()
             request = message.request
+            op = request.op
 
             if index in self.dead_instances:
                 continue  # crashed: drain and discard without replying
 
-            if request.op == OpCode.PING and request.payload == b"fwd":
+            if op == OpCode.PING and request.payload == b"fwd":
                 # Routing forward at an intermediate server (log-routing
                 # baselines): partial service, immediate ack.
-                yield env.timeout(service.service_time * _FORWARD_SERVICE_FACTOR)
-                if message.reply_event is not None:
+                yield forward_cost
+                if not message.one_way:
                     self._reply(message, Response(status=Status.OK), my_node)
                 continue
 
-            if request.op == OpCode.REPLICA_UPDATE and message.reply_event is None:
-                # Fire-and-forget replica apply: no response is built.
-                cost = (
-                    service.service_time * _REPLICA_APPLY_FACTOR
-                    + service.persistence_time
-                )
-            elif request.op in MUTATING_OPS:
-                cost = service.service_time + service.persistence_time
+            if op == OpCode.REPLICA_UPDATE and message.one_way:
+                yield apply_cost
+            elif op in MUTATING_OPS:
+                yield write_cost
             else:
-                cost = service.service_time
-            yield env.timeout(cost)
+                yield read_cost
 
             if spec.real_core:
                 # The message is its own reply context should it get parked.
                 result = handler.handle(request, message)
                 response = result.response
-                if request.op == OpCode.MIGRATE_COMMIT:  # only it ends a freeze
+                if op == OpCode.MIGRATE_COMMIT:  # only it ends a freeze
                     self._release_parked(result, my_node)
                 for addr, update in result.async_sends:
-                    yield env.timeout(
-                        service.service_time * _REPLICA_DISPATCH_FACTOR
-                    )
+                    yield dispatch_cost
                     self._deliver(
                         self._addr_to_index[addr],
-                        _SimMessage(update, None, my_node),
+                        _SimMessage(env, update, my_node, one_way=True),
                         my_node,
                     )
                 if result.sync_sends:
@@ -396,35 +378,30 @@ class SimulatedCluster:
             else:
                 response = handler.handle(request)
 
-            if request.op == OpCode.REPLICA_UPDATE and message.reply_event is None:
+            if op == OpCode.REPLICA_UPDATE and message.one_way:
                 # Fire-and-forget replica apply: partial cost, no response.
                 continue
-            if response is not None and message.reply_event is not None:
+            if response is not None and not message.one_way:
                 self._reply(message, response, my_node)
 
     def _sync_replicate_then_reply(
         self, sync_sends, message: _SimMessage, response: Response, my_node: int
     ):
         for addr, update in sync_sends:
-            ack = self.env.event()
-            self._deliver(
-                self._addr_to_index[addr],
-                _SimMessage(update, ack, my_node),
+            # Under fault injection the ack may never come (replica
+            # crashed, update dropped): a timed wait gives up on it and
+            # degrades the response per §III.J.
+            ack = _SimMessage(
+                self.env,
+                update,
                 my_node,
+                timeout=self.config.request_timeout if self._faulty else None,
             )
-            if self._faulty:
-                # Under fault injection the ack may never come (replica
-                # crashed, update dropped): race it against the timeout
-                # and degrade the response per §III.J.
-                winner = yield self._first_of(
-                    ack, self.env.timeout(self.config.request_timeout)
-                )
-                if winner == 1:
-                    response.status = Status.REPLICATION_ERROR
-                    break
-            else:
-                yield ack
-        if response is not None and message.reply_event is not None:
+            self._deliver(self._addr_to_index[addr], ack, my_node)
+            if (yield ack) is None:
+                response.status = Status.REPLICATION_ERROR
+                break
+        if response is not None and not message.one_way:
             self._reply(message, response, my_node)
 
     def _release_parked(self, result: HandleResult, my_node: int) -> None:
@@ -434,16 +411,19 @@ class SimulatedCluster:
         for addr, queued in result.forwards:
             self._deliver(self._addr_to_index[addr], queued.reply_context, my_node)
         for queued in result.failed_queued:
-            if queued.reply_context.reply_event is not None:
+            if not queued.reply_context.one_way:
                 bounce = Response(
                     status=Status.MIGRATING, request_id=queued.request.request_id
                 )
                 self._reply(queued.reply_context, bounce, my_node)
 
     def _reply(self, message: _SimMessage, response: Response, my_node: int) -> None:
-        size = _MSG_OVERHEAD + len(response.value)
-        delay = self._one_way(my_node, message.src_node, size)
-        self.env._schedule(delay, self._in_flight, (message._answer, response), None)
+        if message.leg_node == my_node:
+            hops = message.leg_hops
+        else:
+            hops = self._hops(my_node, message.src_node)
+        delay = self._link.one_way(hops, _MSG_OVERHEAD + len(response.value))
+        self.env._schedule(delay, message._land, response, None)
 
     # ------------------------------------------------------------------
     # Client process
@@ -453,7 +433,7 @@ class SimulatedCluster:
         env = self.env
         spec = self.spec
         service = spec.service
-        my_node = self._node_of_instance(client_id)
+        my_node = self._instance_node[client_id]
         client_core = ZHTClientCore(
             self.membership,
             self.config,
@@ -461,59 +441,53 @@ class SimulatedCluster:
         )
         hash_name = self.config.hash_name
         forwards = service.routing_forwards(spec.num_instances)
+        overhead = float(service.client_overhead)
+        request_timeout = self.config.request_timeout
+        plan, dead = spec.faults, self.dead_instances
+        membership, addr_to_index = self.membership, self._addr_to_index
 
         # Stagger start times so clients do not tick in lockstep.
-        yield env.timeout(self.rng.random() * 1e-4)
+        yield self.rng.random() * 1e-4
 
         for op, key, value in ops:
             t0 = env.now
-            yield env.timeout(service.client_overhead)
+            yield overhead
 
             # Target instance: zero-hop via membership for ZHT; a random
             # entry point + log(N) forwards for log-routing baselines.
-            pid = self.membership.partition_of_key(key, hash_name)
-            target = self._addr_to_index[
-                self.membership.owner_of_partition(pid).address
-            ]
+            pid = membership.partition_of_key(key, hash_name)
+            target = addr_to_index[membership.owner_of_partition(pid).address]
 
             if service.connect_round_trips:
                 # TCP without connection caching: handshake round trip.
-                dst_node = self._node_of_instance(target)
-                rtt = 2 * self._one_way(my_node, dst_node, _MSG_OVERHEAD)
-                yield env.timeout(rtt * service.connect_round_trips)
+                hops = self._hops(my_node, self._instance_node[target])
+                rtt = 2 * self._link.one_way(hops, _MSG_OVERHEAD)
+                yield rtt * service.connect_round_trips
 
             for _ in range(forwards):
                 hop = self.rng.randrange(spec.num_instances)
-                ack = env.event()
-                self._deliver(
-                    hop,
-                    _SimMessage(
-                        Request(op=OpCode.PING, payload=b"fwd"), ack, my_node
-                    ),
-                    my_node,
-                )
+                ack = _SimMessage(env, Request(op=OpCode.PING, payload=b"fwd"), my_node)
+                self._deliver(hop, ack, my_node)
                 yield ack
 
-            reply = env.event()
             request = Request(
                 op=op,
                 key=key,
                 value=value,
                 request_id=client_core.allocate_request_id(),
-                epoch=self.membership.epoch,
+                epoch=membership.epoch,
             )
-            self._deliver(target, _SimMessage(request, reply, my_node), my_node)
-            if self._faulty:
-                # Under churn the reply may never arrive; give up after
-                # the configured timeout rather than deadlocking the run.
-                winner = yield self._first_of(
-                    reply, env.timeout(self.config.request_timeout)
-                )
-                if winner == 1:
-                    continue
-                response = reply.value
-            else:
-                response = yield reply
+            # Under churn the reply may never arrive: a timed wait gives up
+            # after the configured timeout rather than deadlocking the run.
+            faulty = plan is not None or bool(dead)
+            message = _SimMessage(
+                env, request, my_node, timeout=request_timeout if faulty else None
+            )
+            self._deliver(target, message, my_node)
+            response = yield message
+            if response is None:
+                continue
+            if not faulty:
                 assert response.status in (
                     Status.OK,
                     Status.KEY_NOT_FOUND,
@@ -528,7 +502,7 @@ class SimulatedCluster:
     def roundtrip(
         self, address: Address, request: Request, timeout: float
     ) -> Generator[Any, Any, Response | None]:
-        """DES sub-generator: one request/response with a timeout race.
+        """DES sub-generator: one request/response as a timed wait.
 
         Returns the response, or ``None`` on timeout / unroutable address
         (mirrors :meth:`ClientTransport.roundtrip`).
@@ -537,12 +511,11 @@ class SimulatedCluster:
         if dst is None:
             # Unroutable (e.g. a manager port): burn the timeout like a real
             # transport waiting on a dead address would.
-            yield self.env.timeout(timeout)
+            yield float(timeout)
             return None
-        reply = self.env.event()
-        self._deliver(dst, _SimMessage(request, reply, 0), 0)
-        winner = yield self._first_of(reply, self.env.timeout(timeout))
-        return reply.value if winner == 0 else None
+        message = _SimMessage(self.env, request, 0, timeout=timeout)
+        self._deliver(dst, message, 0)
+        return (yield message)
 
     def drive(self, loop: Generator) -> Generator[Any, Any, Any]:
         """DES sub-generator running a sans-IO loop of :mod:`repro.core.loops`
@@ -556,7 +529,7 @@ class SimulatedCluster:
             kind = command.__class__
             reply = None
             if kind is Sleep:
-                yield self.env.timeout(command.seconds)
+                yield float(command.seconds)
             elif kind is not Cast:  # a cast's only target, a manager, is not modelled
                 reply = yield from self.roundtrip(
                     command.address, command.request, command.timeout

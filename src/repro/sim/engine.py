@@ -10,19 +10,25 @@ Model:
 * **Processes** are Python generators driven by the engine.  A process
   may ``yield``:
 
-  - an :class:`Event` — suspend until the event succeeds; the ``yield``
-    evaluates to the event's value;
+  - a ``float`` — sleep that many simulated seconds.  No object is made:
+    the sleeper's own wakeup is the heap entry.  Any other number (an
+    ``int`` included) is a stray yield and raises :class:`SimError`;
+  - a :class:`Store` (``yield store.get()``) — take its next item,
+    waiting for a ``put`` if it is empty;
+  - a :class:`Reply` — wait for its first answer or, when its
+    ``timeout`` is set (a *timed wait*), for ``None`` once that many
+    seconds pass unanswered;
+  - an :class:`Event`, such as :meth:`Environment.timeout` — suspend
+    until the event succeeds; the ``yield`` evaluates to its value;
   - another :class:`Process` — suspend until that process returns; the
-    ``yield`` evaluates to its return value;
-  - the result of :meth:`Environment.timeout` — suspend for simulated
-    seconds.
+    ``yield`` evaluates to its return value.
 
-* :class:`Store` is an unbounded FIFO channel with blocking ``get``
-  (message queues between simulated servers/clients).
 * :class:`Resource` is a counted semaphore (CPU cores, disk channels).
 
-The engine is deterministic: ties in time are broken by scheduling
-sequence number.
+The engine is deterministic: callbacks run in ``(time, seq)`` order, seq
+being the order they were scheduled in.  A wakeup that would run next
+anyway runs at once instead of being queued, which leaves that order as
+it was (DESIGN.md §18).
 """
 
 from __future__ import annotations
@@ -30,11 +36,16 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable
 
 
 class SimError(Exception):
     """Raised for illegal engine operations (double-succeed, etc.)."""
+
+
+#: A :class:`Reply` nobody has answered yet.
+_PENDING = object()
 
 
 class Event:
@@ -82,62 +93,93 @@ class Event:
         return self._value
 
     def _wait(self, proc: "Process") -> None:
-        if self.triggered:
-            if self._ok:
-                self.env._schedule(0.0, proc._resume, self._value, None)
-            else:
-                self.env._schedule(0.0, proc._resume, None, self._value)
-        else:
+        if not self.triggered:
             self._waiters.append(proc)
+        elif self._ok:
+            proc._wake(self._value, None)
+        else:
+            proc._wake(None, self._value)
 
 
 class Process:
     """A running generator, resumable by the engine."""
 
-    __slots__ = ("env", "_gen", "done", "result", "_completion", "name")
+    __slots__ = ("env", "_gen", "_send", "done", "result", "_error", "_completion", "name")
 
     def __init__(self, env: "Environment", gen: Generator, name: str = ""):
         self.env = env
         self._gen = gen
+        self._send = gen.send
         self.name = name or getattr(gen, "__name__", "process")
         self.done = False
         self.result: Any = None
-        self._completion = Event(env)
+        self._error: BaseException | None = None
+        #: The event of "yield process", made when something first waits.
+        self._completion: Event | None = None
 
-    # The completion event doubles as "yield process" support.
     def _wait(self, proc: "Process") -> None:
-        self._completion._wait(proc)
+        completion = self._completion
+        if completion is None:
+            completion = self._completion = Event(self.env)
+            if self.done:
+                completion._fire(self.result, self._error)
+        completion._wait(proc)
 
     @property
     def triggered(self) -> bool:
-        return self._completion.triggered
+        return self.done
+
+    def _wake(self, value: Any, exc: BaseException | None) -> None:
+        """What this process waits on is done: resume it at once when
+        nothing else is due now, else queue the resume behind what is (where
+        a zero-delay wakeup would run)."""
+        env = self.env
+        if env._ready or ((queue := env._queue) and queue[0][0] == env.now):
+            env._seq = seq = env._seq + 1
+            env._ready.append((seq, self._resume, value, exc))
+        else:
+            self._resume(value, exc)
 
     def _resume(self, value: Any, exc: BaseException | None) -> None:
         try:
-            if exc is not None:
-                yielded = self._gen.throw(exc)
+            if exc is None:
+                yielded = self._send(value)
             else:
-                yielded = self._gen.send(value)
+                yielded = self._gen.throw(exc)
         except StopIteration as stop:
             self.done = True
             self.result = stop.value
-            self._completion.succeed(stop.value)
+            if self._completion is not None:
+                self._completion.succeed(stop.value)
             return
         except BaseException as err:
             self.done = True
-            self._completion.fail(err)
-            if not self._completion._waiters and not isinstance(
-                err, GeneratorExit
-            ):
+            self._error = err
+            if self._completion is not None:
+                self._completion.fail(err)
+            if not isinstance(err, GeneratorExit):
                 raise
             return
-        if isinstance(yielded, (Event, Process)):
-            yielded._wait(self)
-        else:
+        if yielded.__class__ is float:
+            # A sleep: the heap entry is this process's own wakeup.
+            env = self.env
+            if yielded > 0.0:
+                env._seq = seq = env._seq + 1
+                heappush(env._queue, (env.now + yielded, seq, self._wake, None, None))
+            elif yielded == 0.0:
+                env._seq = seq = env._seq + 1
+                env._ready.append((seq, self._wake, None, None))
+            else:
+                raise SimError(f"process {self.name!r} cannot sleep {yielded} s")
+            return
+        try:
+            wait = yielded._wait
+        except AttributeError:
             raise SimError(
-                f"process {self.name!r} yielded {type(yielded).__name__}; "
-                "yield an Event, a timeout, or a Process"
-            )
+                f"process {self.name!r} yielded {type(yielded).__name__}; yield a "
+                "float (a sleep), a Store, a Reply, an Event or a Process"
+            ) from None
+        wait(self)
 
 
 class Environment:
@@ -151,18 +193,29 @@ class Environment:
         self._queue: list[tuple[float, int, Callable, Any, Any]] = []
         self._ready: deque[tuple[int, Callable, Any, Any]] = deque()
         self._seq = 0
+        #: The seqs of cancelled heap entries: popped unrun, and the clock
+        #: does not move to them.
+        self._cancelled: set[int] = set()
         self.events_processed = 0
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, delay: float, fn: Callable, value: Any, exc: Any) -> None:
-        if delay < 0:
-            raise SimError("cannot schedule into the past")
-        self._seq += 1
-        if delay:
-            heapq.heappush(self._queue, (self.now + delay, self._seq, fn, value, exc))
+    def _schedule(self, delay: float, fn: Callable, value: Any, exc: Any) -> int:
+        """Queue ``fn(value, exc)`` *delay* seconds from now; returns the
+        entry's seq, which :meth:`_cancel` takes."""
+        if delay > 0:
+            self._seq = seq = self._seq + 1
+            heappush(self._queue, (self.now + delay, seq, fn, value, exc))
+        elif delay == 0:
+            self._seq = seq = self._seq + 1
+            self._ready.append((seq, fn, value, exc))
         else:
-            self._ready.append((self._seq, fn, value, exc))
+            raise SimError("cannot schedule into the past")
+        return seq
+
+    def _cancel(self, seq: int) -> None:
+        """Drop the heap entry *seq* (scheduled with a delay > 0) unrun."""
+        self._cancelled.add(seq)
 
     def event(self) -> Event:
         return Event(self)
@@ -183,11 +236,19 @@ class Environment:
 
     def step(self) -> None:
         """Pop and execute exactly one scheduled callback."""
-        queue, ready = self._queue, self._ready
-        if ready and not (queue and queue[0][0] == self.now and queue[0][1] < ready[0][0]):
-            _seq, fn, value, exc = ready.popleft()
-        else:
-            self.now, _seq, fn, value, exc = heapq.heappop(queue)
+        queue, ready, cancelled = self._queue, self._ready, self._cancelled
+        while True:
+            if ready and not (
+                queue and queue[0][0] == self.now and queue[0][1] < ready[0][0]
+            ):
+                _seq, fn, value, exc = ready.popleft()
+                break
+            time, seq, fn, value, exc = heapq.heappop(queue)
+            if seq in cancelled:
+                cancelled.remove(seq)
+                continue
+            self.now = time
+            break
         self.events_processed += 1
         fn(value, exc)
 
@@ -201,14 +262,22 @@ class Environment:
             until = math.inf
         elif until < now:
             raise SimError(f"cannot run until {until}: the clock is at {now}")
-        queue, ready = self._queue, self._ready
+        queue, ready, cancelled = self._queue, self._ready, self._cancelled
         heappop, popleft = heapq.heappop, ready.popleft
-        count = 0
+        # Callbacks are counted at the end, not one by one: every queued
+        # entry takes a fresh seq, so the entries popped are the seqs issued
+        # less what the queues grew by, and the callbacks run are those
+        # popped less the cancelled ones skipped.
+        seq0, size0, skipped = self._seq, len(queue) + len(ready), 0
         try:
             while True:
                 if ready:
                     if queue and queue[0][0] == now and queue[0][1] < ready[0][0]:
-                        _time, _seq, fn, value, exc = heappop(queue)
+                        _time, seq, fn, value, exc = heappop(queue)
+                        if cancelled and seq in cancelled:
+                            cancelled.remove(seq)
+                            skipped += 1
+                            continue
                     else:
                         _seq, fn, value, exc = popleft()
                 elif not queue:
@@ -217,12 +286,19 @@ class Environment:
                     self.now = until
                     break
                 else:
-                    now, _seq, fn, value, exc = heappop(queue)
+                    now, seq, fn, value, exc = heappop(queue)
+                    if cancelled and seq in cancelled:
+                        # The local clock may run ahead here: the ready
+                        # queue is empty, so the next pass pops again
+                        # (resetting it) or leaves with self.now as it was.
+                        cancelled.remove(seq)
+                        skipped += 1
+                        continue
                     self.now = now
-                count += 1
                 fn(value, exc)
         finally:
-            self.events_processed += count
+            popped = self._seq - seq0 - (len(queue) + len(ready) - size0)
+            self.events_processed += popped - skipped
         return self.now
 
     def run_process(self, gen: Generator) -> Any:
@@ -260,30 +336,118 @@ class Environment:
 
 
 class Store:
-    """Unbounded FIFO channel with blocking get."""
+    """Unbounded FIFO channel: ``item = yield store.get()`` takes the next
+    item, waiting for a ``put`` if there is none."""
+
+    __slots__ = ("env", "_items", "_getters")
 
     def __init__(self, env: Environment):
         self.env = env
         self._items: deque = deque()
-        self._getters: deque[Event] = deque()
+        self._getters: deque[Process] = deque()
 
     def put(self, item: Any) -> None:
+        """Add *item*; a waiting getter takes it at zero delay."""
         if self._getters:
-            self._getters.popleft()._fire(item, None)
+            proc = self._getters.popleft()
+            env = self.env
+            env._seq = seq = env._seq + 1
+            env._ready.append((seq, proc._resume, item, None))
         else:
             self._items.append(item)
 
-    def get(self) -> Event:
-        """An event yielding the next item (immediately if available)."""
-        evt = Event(self.env)
+    def get(self) -> "Store":
+        """What a process yields to take the next item: the store itself,
+        so a receive allocates nothing."""
+        return self
+
+    def _wait(self, proc: Process) -> None:
         if self._items:
-            evt._fire(self._items.popleft(), None)
+            proc._wake(self._items.popleft(), None)
         else:
-            self._getters.append(evt)
-        return evt
+            self._getters.append(proc)
+
+    def _land(self, item: Any, _exc: Any) -> None:
+        """Heap callback: *item* arrives after its delay.  A waiting getter
+        takes it at once when nothing else is due now; otherwise the put
+        queues behind what is, as a zero-delay callback."""
+        env = self.env
+        if env._ready or ((queue := env._queue) and queue[0][0] == env.now):
+            env._seq = seq = env._seq + 1
+            env._ready.append((seq, self._put_last, item, None))
+        elif self._getters:
+            self._getters.popleft()._resume(item, None)
+        else:
+            self._items.append(item)
+
+    def _put_last(self, item: Any, _exc: Any) -> None:
+        """``put`` as a callback's last act: the getter wakes, not queues."""
+        if self._getters:
+            self._getters.popleft()._wake(item, None)
+        else:
+            self._items.append(item)
 
     def __len__(self) -> int:
         return len(self._items)
+
+
+class Reply:
+    """One answer a process waits for, as a client waits for its reply.
+
+    ``value = yield reply`` suspends until the first answer lands
+    (:meth:`_land`, a heap callback); later ones are dropped, as a
+    duplicated request can be answered twice.  With :attr:`timeout` set
+    the wait is *timed*: it ends with ``None`` when that many seconds pass
+    unanswered, and an answer in time cancels the timer, so an answered
+    wait leaves nothing queued."""
+
+    __slots__ = ("env", "timeout", "_waiter", "_value", "_timer")
+
+    def __init__(self, env: Environment, timeout: float | None = None):
+        self.env = env
+        self.timeout = timeout
+        self._waiter: Process | None = None
+        self._value: Any = _PENDING
+
+    def _wait(self, proc: Process) -> None:
+        if self._value is not _PENDING:  # answered before anyone waited
+            proc._wake(self._value, None)
+            return
+        self._waiter = proc
+        if self.timeout is not None:
+            self._timer = self.env._schedule(self.timeout, self._expire, None, None)
+
+    def _land(self, value: Any, exc: Any) -> None:
+        """Heap callback: an answer arrives after its delay.  The waiter
+        resumes at once when nothing else is due now; otherwise the answer
+        queues behind what is, as a zero-delay callback."""
+        env = self.env
+        if env._ready or ((queue := env._queue) and queue[0][0] == env.now):
+            env._seq = seq = env._seq + 1
+            env._ready.append((seq, self._settle, value, exc))
+        elif self._value is _PENDING:
+            self._value = value
+            proc = self._waiter
+            if proc is not None:
+                if self.timeout is not None:
+                    env._cancel(self._timer)
+                proc._resume(value, exc)
+
+    def _settle(self, value: Any, exc: Any) -> None:
+        """The answer, taken as a callback's last act."""
+        if self._value is _PENDING:
+            self._value = value
+            proc = self._waiter
+            if proc is not None:
+                if self.timeout is not None:
+                    self.env._cancel(self._timer)
+                proc._wake(value, exc)
+
+    def _expire(self, _value: Any, _exc: Any) -> None:
+        """The timed wait's timer: the wait ends with ``None``."""
+        if self._value is _PENDING:
+            self._value = None
+            self._waiter._wake(None, None)
 
 
 class Resource:

@@ -15,7 +15,7 @@ Two models cover the paper's testbeds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 def torus_dims_for(num_nodes: int) -> tuple[int, int, int]:
@@ -49,6 +49,17 @@ class TorusTopology:
     #: Extra hops charged when source and destination racks differ
     #: (inter-rack cabling and the extra switch chips on the path).
     rack_penalty_hops: int = 4
+    #: What :meth:`hops` reads: the dimensions, the node count, the rack
+    #: terms and, per dimension, a ring table (``ring[d]`` is the shorter
+    #: way round for an offset ``d``).  Tables are O(x + y + z), so a
+    #: 1M-node torus costs no memory per node.
+    _tables: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        x, y, z = self.dims
+        rings = [tuple(min(d, k - d) for d in range(k)) for k in self.dims]
+        tables = (x, y, x * y, x * y * z, self.rack_size, self.rack_penalty_hops, *rings)
+        object.__setattr__(self, "_tables", tables)
 
     @classmethod
     def for_nodes(cls, num_nodes: int, **kwargs) -> "TorusTopology":
@@ -67,22 +78,18 @@ class TorusTopology:
 
     def hops(self, src: int, dst: int) -> int:
         """Torus Manhattan distance plus any rack-crossing penalty."""
-        if src == dst:
-            return 0
-        x, y, z = self.dims
-        xy = x * y
-        if not (0 <= src < xy * z and 0 <= dst < xy * z):
-            bad = dst if 0 <= src < xy * z else src
-            raise ValueError(f"node {bad} outside torus of {xy * z}")
-        # Per dimension (cf. coordinates()), the shorter way round the ring.
-        d = (src - dst) % x
-        total = d if d + d <= x else x - d
-        d = (src // x - dst // x) % y
-        total += d if d + d <= y else y - d
-        d = (src // xy - dst // xy) % z
-        total += d if d + d <= z else z - d
-        if src // self.rack_size != dst // self.rack_size:
-            total += self.rack_penalty_hops
+        x, y, xy, n, rack, penalty, ring_x, ring_y, ring_z = self._tables
+        if src >= n or dst >= n or (src | dst) < 0:
+            raise ValueError(f"node {dst if 0 <= src < n else src} outside torus of {n}")
+        # Per dimension (cf. coordinates()), the ring offset of the two
+        # coordinates; z needs no modulo, as a negative index wraps.
+        total = (
+            ring_x[(src - dst) % x]
+            + ring_y[(src // x - dst // x) % y]
+            + ring_z[src // xy - dst // xy]
+        )
+        if src // rack != dst // rack:
+            total += penalty
         return total
 
     def average_hops(self, num_nodes: int | None = None, samples: int = 512) -> float:

@@ -317,6 +317,37 @@ def test_torn_response_frames_at_every_byte_offset(codec):
         assert decoded == responses[: len(decoded)]
 
 
+# ---------------------------------------------------------------------------
+# BATCH payloads: length prefixes of every width, and broken ones
+# ---------------------------------------------------------------------------
+
+
+def test_batch_prefixes_of_one_two_and_three_bytes_roundtrip():
+    requests = [
+        _request(OpCode.INSERT),  # a one-byte prefix
+        _request(OpCode.INSERT, value=b"v" * 150),  # two bytes: a ~190-byte sub-request
+        _request(OpCode.INSERT, value=b"v" * 20_000),  # three bytes: over 16 KiB
+    ]
+    payload = encode_batch_requests(requests)
+    assert decode_batch_requests(payload) == requests
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b"\x85",  # a two-byte prefix cut after its first byte
+        b"\x85\x80",  # a third prefix byte promised, then the end
+        b"\x85\x01",  # a whole two-byte prefix (133) and no sub-message
+        b"\xff" * 10 + b"\x01",  # longer than a 64-bit varint
+    ],
+    ids=["cut-prefix", "cut-third-byte", "missing-body", "overlong-varint"],
+)
+def test_batch_with_a_broken_prefix_raises_protocol_error(tail):
+    payload = encode_batch_requests([_request(OpCode.INSERT)]) + tail
+    with pytest.raises(ProtocolError):
+        parse_batch(parse_request, payload)
+
+
 def test_span_decode_matches_whole_buffer_decode():
     request = _request(OpCode.APPEND)
     framed = encode_framed_request(request, "fixed")

@@ -37,8 +37,9 @@ BATCH_KEY_BYTECODES = 1956
 #: down from 6,193 when replica updates went out from the effect pool.
 DURABLE_REPL_OP_BYTECODES = 5691
 #: Bytecodes of one sim-des-1k op at the smoke size (64 nodes, 3 rounds):
-#: 3,121 on 3.11.7, down from 3,713 before the engine's ready queue.
-DES_OP_BYTECODES = 3121
+#: 2,360 on 3.11.7, down from 3,121 when processes began to sleep, receive
+#: and take replies with no Event (3,713 before the engine's ready queue).
+DES_OP_BYTECODES = 2360
 SLACK = 1.05
 
 
@@ -77,3 +78,5 @@ def test_a_simulated_op_stays_inside_its_bytecode_budget(tmp_path):
     assert segment.failed == 0
     assert report.ops == 3 * 3 * 2 * 64  # 3 rounds of 2 inserts, lookups, removes per node
     assert report.per_op() <= DES_OP_BYTECODES * SLACK, report.table(20)
+    # A fault-free op sleeps, receives and takes its reply with no Event.
+    assert report.calls_per_op("Event.__init__") == 0, report.table(20)

@@ -10,6 +10,7 @@ from repro.core.loops import OpClient
 from repro.core.config import ReplicationMode, ZHTConfig
 from repro.core.errors import Status
 from repro.core.protocol import OpCode, Request
+from repro.faults.plan import FaultPlan
 from repro.sim import (
     CASSANDRA_CLUSTER,
     CLUSTER_ETHERNET_LINK,
@@ -338,6 +339,48 @@ class TestParkedRequests:
         # Answered by the forward itself: no MIGRATING bounce, no retry.
         assert core.stats.retries == 0
         assert cluster.owner_value(self.KEY) == b"v"
+
+
+class TestTimedWaits:
+    """A wait that may go unanswered is one cancellable timer: an answer in
+    time leaves nothing queued, so the clock ends where the work did."""
+
+    @staticmethod
+    def _run(faults):
+        cluster = SimulatedCluster(SimSpec(num_nodes=16, seed=3, faults=faults))
+        return cluster.run_workload(MicroBenchmarkWorkload(ops_per_client=4, seed=3))
+
+    def test_an_empty_fault_plan_changes_no_result(self):
+        plain, planned = self._run(None), self._run(FaultPlan(seed=1))
+        assert planned.ops == plain.ops == 16 * 12
+        # The race against request_timeout used to run the clock on to it.
+        assert planned.duration_s == plain.duration_s
+        assert planned.latency.samples == plain.latency.samples
+
+    def test_a_roundtrip_answered_at_t_drains_the_queue_at_t(self):
+        cluster = SimulatedCluster(SimSpec(num_nodes=4))
+        env = cluster.env
+        answered = []
+
+        def ping():
+            request = Request(op=OpCode.PING, request_id=1)
+            response = yield from cluster.roundtrip(cluster.instances[2].address, request, 5.0)
+            answered.append(env.now)
+            return response
+
+        proc = env.process(ping())
+        assert env.run() == answered[0] < 0.01
+        assert proc.result.status == Status.OK
+        assert not env._queue and not env._ready
+
+    def test_an_unanswered_roundtrip_ends_with_none_at_its_timeout(self):
+        cluster = SimulatedCluster(SimSpec(num_nodes=4))
+        target = cluster.instances[2]
+        cluster.kill_node(target.node_id)
+        request = Request(op=OpCode.PING, request_id=1)
+        proc = cluster.env.process(cluster.roundtrip(target.address, request, 0.25))
+        assert cluster.env.run() == 0.25
+        assert proc.done and proc.result is None
 
 
 class TestEventOrderPin:

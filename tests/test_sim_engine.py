@@ -1,10 +1,12 @@
 """Tests for the discrete-event engine (repro.sim.engine)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Environment, Event, Resource, SimError, Store
+from collections import deque
+
+from repro.sim.engine import Environment, Event, Reply, Resource, SimError, Store
 
 
 class TestTimeouts:
@@ -414,6 +416,167 @@ class TestResource:
             Resource(Environment(), capacity=0)
 
 
+class TestSleeps:
+    def test_a_float_sleeps_that_long_in_one_callback(self):
+        env = Environment()
+
+        def proc():
+            yield 2.5
+            return env.now
+
+        assert env.run_process(proc()) == 2.5
+        assert env.events_processed == 2  # the start and the wakeup
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_a_negative_or_nan_sleep_is_rejected(self, delay):
+        env = Environment()
+
+        def proc():
+            yield delay
+
+        env.process(proc())
+        with pytest.raises(SimError, match="cannot sleep"):
+            env.run()
+
+
+class TestReply:
+    def test_the_first_answer_wakes_the_waiter_and_later_ones_are_dropped(self):
+        env = Environment()
+        reply = Reply(env)
+        env._schedule(1.0, reply._land, "first", None)
+        env._schedule(2.0, reply._land, "duplicate", None)
+
+        def waiter():
+            value = yield reply
+            return value, env.now
+
+        assert env.run_process(waiter()) == ("first", 1.0)
+
+    def test_an_answer_before_the_wait_is_kept(self):
+        env = Environment()
+        reply = Reply(env)
+
+        def waiter():
+            yield 2.0
+            return (yield reply)
+
+        env._schedule(1.0, reply._land, "early", None)
+        assert env.run_process(waiter()) == "early"
+
+    def test_a_timed_wait_ends_with_none(self):
+        env = Environment()
+        reply = Reply(env, timeout=3.0)
+
+        def waiter():
+            return (yield reply), env.now
+
+        env._schedule(5.0, reply._land, "late", None)
+        assert env.run_process(waiter()) == (None, 3.0)
+
+    def test_an_answer_in_time_cancels_the_timer_without_moving_the_clock(self):
+        env = Environment()
+        reply = Reply(env, timeout=3.0)
+        env._schedule(1.0, reply._land, "answer", None)
+        proc = env.process(_wait_for(reply))
+        assert env.run() == 1.0  # the cancelled timer at 3.0 is dropped unrun
+        assert proc.result == "answer"
+        assert not env._queue and not env._cancelled
+        assert env.events_processed == 2  # the start and the answer
+
+    def test_run_until_stops_short_of_a_cancelled_timer_as_of_a_live_one(self):
+        env = Environment()
+        reply = Reply(env, timeout=3.0)
+        env._schedule(1.0, reply._land, "answer", None)
+        env.process(_wait_for(reply))
+        assert env.run(until=2.0) == 2.0
+        assert env.run(until=4.0) == 2.0  # drained: the clock stays put
+
+
+class _QueuedStore:
+    """A store whose every wakeup is a queued zero-delay callback, as
+    before getters were woken directly: the reference order."""
+
+    def __init__(self, env):
+        self.env, self.items, self.getters = env, deque(), deque()
+
+    def put(self, item):
+        if self.getters:
+            self.getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
+
+    def get(self):
+        evt = self.env.event()
+        if self.items:
+            evt.succeed(self.items.popleft())
+        else:
+            self.getters.append(evt)
+        return evt
+
+
+def _relayed(env, then):
+    """A heap callback that queues *then* at zero delay (a message's old
+    in-flight hop)."""
+    return lambda value, _exc: env._schedule(0.0, lambda v, _e: then(v), value, None)
+
+
+STEP = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from([0.0, 0.25, 0.5])),
+    st.tuples(st.just("timeout"), st.sampled_from([0.0, 0.25, 0.5])),
+    st.tuples(st.just("call"), st.sampled_from([0.25, 0.5])),
+    st.tuples(st.just("send"), st.integers(0, 1), st.sampled_from([0.25, 0.5])),
+    st.tuples(st.just("recv"), st.integers(0, 1)),
+)
+
+
+def _trace(scripts, direct):
+    """Run *scripts* (one per process) with direct wakeups (sleeps, Store
+    and Reply) or with the queued ones they replace, among timeouts that
+    stay queued in both; returns what ran when."""
+    env = Environment()
+    stores = [Store(env) if direct else _QueuedStore(env) for _ in range(2)]
+    log = []
+
+    def proc(pid, script):
+        for i, step in enumerate(script):
+            kind, got = step[0], None
+            if kind == "sleep":
+                got = yield (step[1] if direct else env.timeout(step[1]))
+            elif kind == "timeout":  # an Event in both runs
+                got = yield env.timeout(step[1])
+            elif kind == "call":  # an answer lands after the delay
+                if direct:
+                    reply = Reply(env)
+                    env._schedule(step[1], reply._land, (pid, i), None)
+                    got = yield reply
+                else:
+                    evt = env.event()
+                    env._schedule(step[1], _relayed(env, evt.succeed), (pid, i), None)
+                    got = yield evt
+            elif kind == "send":  # an item lands in a store after the delay
+                store = stores[step[1]]
+                land = store._land if direct else _relayed(env, store.put)
+                env._schedule(step[2], land, (pid, i), None)
+            else:
+                got = yield stores[step[1]].get()
+            log.append((env.now, pid, i, got))
+
+    for pid, script in enumerate(scripts):
+        env.process(proc(pid, script))
+    env.run()
+    return log, env.now
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripts=st.lists(st.lists(STEP, max_size=6), min_size=1, max_size=4))
+# A receive that finds its item waiting while other work is due now.
+@example(scripts=[[("sleep", 0.5), ("sleep", 0.0)], [("send", 1, 0.25), ("call", 0.5), ("recv", 1)]])
+def test_property_direct_wakeups_keep_the_queued_order(scripts):
+    """A wakeup taken at once instead of queued runs the same code at the
+    same time in the same order, ties included (delays repeat on purpose)."""
+    assert _trace(scripts, direct=True) == _trace(scripts, direct=False)
+
+
 @settings(max_examples=30, deadline=None)
 @given(delays=st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=30))
 def test_property_completion_time_is_max_delay(delays):
@@ -431,6 +594,10 @@ def test_property_completion_time_is_max_delay(delays):
 
 def _sleep(env, delay):
     yield env.timeout(delay)
+
+
+def _wait_for(waitable):
+    return (yield waitable)
 
 
 def _trigger(env, evt, value):

@@ -1,5 +1,7 @@
 """Tests for simulator topologies (repro.sim.topology)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,45 @@ class TestTorusHops:
 
     def test_average_hops_trivial_cases(self):
         assert TorusTopology.for_nodes(1).average_hops() == 0.0
+
+
+def _defined_hops(topo: TorusTopology, src: int, dst: int) -> int:
+    """Hop count by its definition: per dimension of the coordinates, the
+    shorter way round the ring, plus the rack penalty."""
+    a, b = topo.coordinates(src), topo.coordinates(dst)
+    total = sum(min((p - q) % k, (q - p) % k) for p, q, k in zip(a, b, topo.dims))
+    if src // topo.rack_size != dst // topo.rack_size:
+        total += topo.rack_penalty_hops
+    return total
+
+
+class TestHopTables:
+    """``hops`` reads per-dimension ring tables; it must agree with the
+    coordinate definition everywhere and reject what is not a node."""
+
+    def test_every_pair_of_a_4x4x8_torus(self):
+        topo = TorusTopology((4, 4, 8))
+        for src in range(128):
+            for dst in range(128):
+                assert topo.hops(src, dst) == _defined_hops(topo, src, dst)
+
+    def test_sampled_pairs_at_8192_nodes_with_the_rack_penalty(self):
+        topo = TorusTopology.for_nodes(8192)
+        rng = random.Random(7)
+        crossed = 0
+        for _ in range(20_000):
+            src, dst = rng.randrange(8192), rng.randrange(8192)
+            assert topo.hops(src, dst) == _defined_hops(topo, src, dst)
+            crossed += src // topo.rack_size != dst // topo.rack_size
+        assert crossed > 10_000  # most pairs cross racks at 8 racks
+
+    @pytest.mark.parametrize(
+        "src,dst", [(-1, 0), (0, -1), (-1, -1), (128, 0), (0, 128), (128, 128), (-5, 300)]
+    )
+    def test_a_node_outside_the_torus_raises(self, src, dst):
+        # A table read would silently wrap a negative node: -1 is node 127.
+        with pytest.raises(ValueError, match="outside torus of 128"):
+            TorusTopology((4, 4, 8)).hops(src, dst)
 
 
 class TestSwitched:
