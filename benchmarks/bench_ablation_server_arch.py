@@ -5,15 +5,15 @@ which each request had a separate thread, but the overheads of starting,
 managing, and stopping threads was too high ... The current epoll-based
 ZHT outperforms the multithread version 3X."
 
-Four architectures, all on loopback sockets:
+Three architectures, all on loopback sockets:
 
 - ``thread-per-request``: one thread spawned per request (the paper's
   rejected prototype; :class:`ThreadPerRequestTCPServer` below is its
   only implementation — ``src/`` ships the event-driven server alone).
-- ``event + pool hop``: the epoll loop, but every request takes the
-  selector -> executor -> selector hop (``server.inline_fast_path = False``).
+  Its worker runs a result's effects with the live trampoline
+  (:func:`repro.net.transport.serve_effects`).
 - ``event + inline``: the epoll loop answering no-peer-IO ops directly
-  on the loop thread (the shipped default).
+  on the loop thread (the shipped server).
 - ``event + inline + BATCH``: same server, multiplexed client shipping
   ``insert_many`` batches — the client-side half of the thin-path
   argument.
@@ -37,8 +37,8 @@ from repro.core import ZHTConfig
 from repro.core.membership import Address
 from repro.core.protocol import Request, deframe_at, encode_framed_response
 from repro.net.cluster import _build_socket_cluster, build_tcp_cluster
-from repro.net.tcp import MultiplexedTCPClient, TCPClient
-from repro.net.transport import ServerExecutor
+from repro.net.tcp import MultiplexedTCPClient
+from repro.net.transport import serve_effects
 from repro.obs import REGISTRY
 
 OPS = scales(small=(1500,), paper=(6000,))[0]
@@ -88,20 +88,18 @@ class ThreadPerRequestTCPServer:
 
     def __init__(self, *, host="127.0.0.1", port=0):
         self.core = None
-        self.executor = None
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(512)
         self.address = Address(host, self._listener.getsockname()[1])
-        self._peer_client = TCPClient(cache_size=32)
+        self._peer_client = MultiplexedTCPClient()
         self._running = False
         self._accept_thread = None
         self.requests_served = 0
 
     def attach_core(self, core):
         self.core = core
-        self.executor = ServerExecutor(core, self._peer_client, self._deferred_reply)
 
     def start(self):
         if self._accept_thread is not None:
@@ -161,11 +159,14 @@ class ThreadPerRequestTCPServer:
             return
         self.requests_served += 1
         REGISTRY.counter("tcp.server.requests").inc()
-        response = self.executor.process(request, reply_context=conn)
+        result = self.core.handle(request, conn)
+        response = serve_effects(
+            result, self._peer_client, self._answer, self.core.config.request_timeout
+        )
         if response is not None:
             conn.send_response(response)
 
-    def _deferred_reply(self, reply_context, response):
+    def _answer(self, reply_context, response):
         if isinstance(reply_context, _ThreadedConnection):
             reply_context.send_response(response)
 
@@ -178,7 +179,7 @@ def _build_cluster(config, *, threaded):
     )
 
 
-def measure(*, threaded: bool, inline: bool = True, batch: bool = False) -> float:
+def measure(*, threaded: bool, batch: bool = False) -> float:
     """Ops/s for a single-client insert storm against one server."""
     config = ZHTConfig(
         transport="tcp",
@@ -186,9 +187,6 @@ def measure(*, threaded: bool, inline: bool = True, batch: bool = False) -> floa
         request_timeout=2.0,
     )
     with _build_cluster(config, threaded=threaded) as cluster:
-        if not inline:
-            for server in cluster.servers:
-                server.inline_fast_path = False
         z = cluster.client()
         z.insert("warmup", b"x")
         start = time.perf_counter()
@@ -208,13 +206,11 @@ def measure(*, threaded: bool, inline: bool = True, batch: bool = False) -> floa
 def generate_series():
     with registry_capture():
         threaded = measure(threaded=True)
-        pool_hop = measure(threaded=False, inline=False)
         inline = measure(threaded=False)
         batched = measure(threaded=False, batch=True)
         latency = registry_percentiles()
     rows = [
         ("thread-per-request", fmt_int(threaded), "1.00"),
-        ("event + pool hop", fmt_int(pool_hop), fmt(pool_hop / threaded, 2)),
         ("event + inline", fmt_int(inline), fmt(inline / threaded, 2)),
         (
             "event + inline + BATCH",

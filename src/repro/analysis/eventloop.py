@@ -2,7 +2,7 @@
 
 ZHT's throughput claim rests on the event-driven server: the selector
 loop must never block, because every connection multiplexes onto it and
-the inline fast path (PR 8) runs whole ops on the loop thread.  This
+whole ops, replica updates included, run on the loop thread.  This
 checker walks the shared call graph forward from every **event-loop
 entry point** and flags anything that can stall the loop:
 
@@ -21,17 +21,17 @@ Entry points are declared, not guessed:
 
 * any function carrying a ``# lint: event-loop`` comment on (or in the
   comment block directly above) its ``def`` line
-  (``EventDrivenTCPServer._loop`` is the canonical one — the
-  selector callbacks and the inline fast path are then *found* by
+  (``EventDrivenTCPServer._loop`` is the canonical one — the epoll
+  callbacks and the effect-loop stepping are then *found* by
   reachability, not annotated one by one);
 * every ``async def`` coroutine, automatically.
 
 The escape hatch is ``# holds-executor: <reason>`` at a ``def`` line:
 the body is only ever *scheduled* from loop code (``pool.submit``) and
 runs on a worker thread, so reachability stops there.  Callables passed
-as arguments (``pool.submit(self._finish, ...)``) never produce a call
-edge in the first place, so the usual hand-off idiom needs no
-annotation at all.
+as arguments (``pool.submit(self._finish, conn, effects, command)``,
+the TCP server's hand-off of a forward) never produce a call edge in
+the first place, so the usual hand-off idiom needs no annotation at all.
 """
 
 from __future__ import annotations

@@ -180,14 +180,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         # one per shard of a multi-core node) the snapshots are merged
         # into one node view: counters summed, latency histograms
         # bucket-merged so p50/p90/p99 stay meaningful.
-        from .net.tcp import TCPClient
+        from .net.tcp import MultiplexedTCPClient
         from .net.udp import UDPClient
 
         addresses = []
         for spec in args.address.split(","):
             host, _, port = spec.strip().rpartition(":")
             addresses.append(Address(host or "127.0.0.1", int(port)))
-        transport = {"tcp": TCPClient, "udp": UDPClient}[args.transport]()
+        transport = {"tcp": MultiplexedTCPClient, "udp": UDPClient}[args.transport]()
         snapshots = []
         try:
             for address in addresses:

@@ -1,17 +1,21 @@
-"""The client's loops, written once as sans-IO generators.
+"""The client's and the server's loops, written once as sans-IO generators.
 
 A loop never touches a socket, a thread or a clock of its own: it
 yields a command and is sent the reply.  A **call** is any object with
 ``address``, ``request`` and ``timeout`` — the
 :class:`~repro.core.client.Attempt` of an op, the
-:class:`~repro.core.manager.PeerCall` of a manager script — and its
-reply is the :class:`~repro.core.protocol.Response`, or ``None`` on
-timeout; a :class:`Cast` is a one-way send and a :class:`Sleep` a
-backoff wait, both replied ``None``.  The live runtime runs a loop with
-:func:`repro.net.transport.drive` (blocking ``roundtrip`` /
-``send_oneway`` / ``time.sleep``), the DES with
+:class:`~repro.core.manager.PeerCall` of a manager script or of a
+forward — and its reply is the :class:`~repro.core.protocol.Response`,
+or ``None`` on timeout; a :class:`Cast` is a one-way send and a
+:class:`Sleep` a backoff wait, both replied ``None``.  The live runtime
+runs a loop with :func:`repro.net.transport.drive` (blocking
+``roundtrip`` / ``send_oneway`` / ``time.sleep``), the DES with
 :meth:`repro.sim.cluster.SimulatedCluster.drive`, so an op, a manager
 script and a scenario client behave the same on both.
+
+:func:`effect_loop` is the server's (DESIGN.md §10): local, UDP, TCP and
+the DES step it with two more commands, a :class:`Group` of calls and
+an :class:`Answer` to a parked request's requester.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from ..obs import NULL_SPAN, REGISTRY
 from .client import BatchEntry, Cast, OpDriver, ZHTClientCore
 from .config import ZHTConfig
 from .errors import Status
-from .manager import Script
+from .manager import PeerCall, Script
 from .protocol import OpCode, Response
+from .server import HandleResult
 
-__all__ = ["SCRIPT_TIMEOUT_FACTOR", "Cast", "OpClient", "Sleep", "script_loop"]
+__all__ = ["SCRIPT_TIMEOUT_FACTOR", "Answer", "Cast", "Group", "OpClient", "Sleep",
+           "effect_loop", "script_loop"]
 
 #: A manager script's call waits this many request timeouts: one call
 #: may carry a whole partition's store image.
@@ -37,6 +43,15 @@ SCRIPT_TIMEOUT_FACTOR = 4
 
 #: Wait *seconds* (a backoff delay); the reply is ``None``.
 Sleep = namedtuple("Sleep", "seconds")
+
+#: Send each ``(address, request)`` of *sends* as a call waiting up to
+#: *timeout*; the reply is the list of their replies (``None`` for a
+#: lost one), in any order.
+Group = namedtuple("Group", "sends timeout")
+
+#: Answer a parked request's requester — its reply *context* — with
+#: *response*; the reply is ``None``.
+Answer = namedtuple("Answer", "context response")
 
 #: Default client ids (``client-0``, ``client-1``, ...), process-wide.
 _client_ids = itertools.count()
@@ -208,3 +223,39 @@ def script_loop(script: Script, config: ZHTConfig) -> Generator:
             return stop.value
         call.timeout = timeout
         reply = yield call
+
+
+def effect_loop(result: HandleResult, timeout: float) -> Generator:
+    """The server-effect loop: runs *result*'s effects, calls waiting up
+    to *timeout*, and returns its response.
+
+    1. Each async replica update is a :class:`Cast`.
+    2. The sync ones are one :class:`Group` of calls: a missing or
+       non-OK ack degrades the response to ``REPLICATION_ERROR`` (§III.J).
+    3. A request parked behind a committed migration is forwarded to the
+       new owner as a call, whose answer (or ``TIMEOUT``) goes back to
+       the requester as an :class:`Answer`.
+    4. One parked behind an aborted migration is answered ``MIGRATING``.
+    """
+    response = result.response
+    for address, update in result.async_sends:
+        yield Cast(address, update)
+    if result.sync_sends:
+        acks = yield Group(result.sync_sends, timeout)
+        if response is not None and any(ack is None or ack.status != Status.OK for ack in acks):
+            response.status = Status.REPLICATION_ERROR
+    for address, queued in result.forwards:
+        forwarded = yield PeerCall(address, queued.request, timeout)
+        if queued.reply_context is not None:
+            yield Answer(
+                queued.reply_context,
+                forwarded
+                or Response(status=Status.TIMEOUT, request_id=queued.request.request_id),
+            )
+    for queued in result.failed_queued:
+        if queued.reply_context is not None:
+            yield Answer(
+                queued.reply_context,
+                Response(status=Status.MIGRATING, request_id=queued.request.request_id),
+            )
+    return response

@@ -159,8 +159,13 @@ class HandleResult:
     migration — the transport must remember the requester and answer when
     the queue drains (via ``forwards`` of a later commit/abort).  The
     effect fields default to empty on the class, so a result with no
-    effects — most of them — stores its response and nothing else.
+    effects — most of them — stores its response and nothing else.  The
+    runtimes read only ``effects``: when it is set they step
+    :func:`~repro.core.loops.effect_loop`, the one reader of the rest.
     """
+
+    #: Set once any field below is: the result has effects to run.
+    effects = False
 
     #: Replica updates that must be acknowledged *before* the response is
     #: released to the client (the strongly-consistent secondary, plus all
@@ -189,6 +194,7 @@ class HandleResult:
         for address, update, is_sync in plan:
             (sync if is_sync else async_).append((address, update))
         self.sync_sends, self.async_sends = sync, async_
+        self.effects = True
 
 
 class ZHTServerCore:
@@ -413,6 +419,7 @@ class ZHTServerCore:
         # to each child subtree's head, fire-and-forget.
         sends: list[tuple[Address, Request]] = []
         result.async_sends = sends
+        result.effects = True
         for child in split_subtree(subtree):
             sends.append(
                 (
@@ -565,7 +572,7 @@ class ZHTServerCore:
         # a batch bumps each counter once.  A client batch's outer status
         # stays OK (outcomes are per-key), but a replica-update batch folds
         # its first failed sub-status outward so the sync-ack check in
-        # ServerExecutor stays one comparison.
+        # effect_loop stays one comparison.
         epoch = self.membership.epoch
         outer_status = Status.OK
         packed = bytearray()
@@ -686,6 +693,7 @@ class ZHTServerCore:
                     outcomes = store.apply_batch(batch_ops)
                     result.repl_ticket = self.repl_sequencer.reticket(result.repl_ticket)
                     result.repl_sequencer = self.repl_sequencer
+                    result.effects = True
                 # Maintenance triggered by the apply parks while we hold
                 # the store lock (checkpoints must not run under it).
                 store.run_pending_maintenance()
@@ -814,6 +822,7 @@ class ZHTServerCore:
             result.forwards = [(new_owner, item) for item in queued]
         else:
             result.failed_queued = queued
+        result.effects = True
         return result
 
     def _handle_membership_update(self, request: Request) -> HandleResult:

@@ -1,15 +1,15 @@
-"""Real transports for ZHT: TCP (epoll-style event loop with LRU
-connection caching), UDP (ack-based), and an in-process local transport
+"""Real transports for ZHT: TCP (epoll-style event loop with cached,
+multiplexed connections), UDP (ack-based), and an in-process local transport
 for deterministic tests."""
 
 from .local import LocalNetwork
 from .lru import LRUCache
-from .transport import ClientTransport, ServerExecutor, drive
+from .transport import ClientTransport, drive, serve_effects
 
 __all__ = [
     "ClientTransport",
     "LRUCache",
     "LocalNetwork",
-    "ServerExecutor",
     "drive",
+    "serve_effects",
 ]

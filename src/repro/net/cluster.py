@@ -19,7 +19,7 @@ from ..api import LiveCluster, build_membership
 from ..core.config import ZHTConfig
 from ..core.membership import Address, MembershipTable
 from ..core.server import ZHTServerCore
-from .tcp import EventDrivenTCPServer, MultiplexedTCPClient, TCPClient
+from .tcp import EventDrivenTCPServer, MultiplexedTCPClient
 from .transport import ClientTransport
 from .udp import UDPClient, UDPServer
 
@@ -104,9 +104,8 @@ def _tcp_client_factory(config: ZHTConfig) -> Callable[[], ClientTransport]:
     """The paper's two TCP client modes: with connection caching (one
     multiplexed socket per server) or, at ``connection_cache_size=0``,
     a fresh ``connect()`` per operation."""
-    if config.connection_cache_size > 0:
-        return MultiplexedTCPClient
-    return lambda: TCPClient(cache_size=0)
+    cached = config.connection_cache_size > 0
+    return lambda: MultiplexedTCPClient(cache_connections=cached)
 
 
 def build_tcp_cluster(

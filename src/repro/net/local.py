@@ -22,7 +22,7 @@ from ..core.membership import Address
 from ..core.protocol import Request, Response
 from ..core.server import ZHTServerCore
 from ..obs import REGISTRY
-from .transport import ClientTransport, ServerExecutor
+from .transport import ClientTransport, serve_effects
 
 
 #: Per-network message counters (process totals are ``local.<field>``).
@@ -33,7 +33,7 @@ class LocalNetwork(ClientTransport):
     """Registry of in-process servers addressable like a real network."""
 
     def __init__(self) -> None:
-        self.servers: dict[Address, ServerExecutor] = {}
+        self.servers: dict[Address, ZHTServerCore] = {}
         self.dead: set[Address] = set()
         self.deferred_replies: list[tuple[object, Response]] = []
         #: Round trips whose request got queued sleep here until released.
@@ -44,13 +44,18 @@ class LocalNetwork(ClientTransport):
     # Deployment
     # ------------------------------------------------------------------
 
-    def add_server(self, core: ZHTServerCore) -> ServerExecutor:
-        """Register *core* at its own address; returns its executor."""
-        executor = ServerExecutor(
-            core, self, self._deferred_reply, peer_timeout=1.0
-        )
-        self.servers[core.info.address] = executor
-        return executor
+    def add_server(self, core: ZHTServerCore) -> None:
+        """Register *core* at its own address."""
+        self.servers[core.info.address] = core
+
+    def serve(
+        self, address: Address, request: Request, reply_context: object = None
+    ) -> Response | None:
+        """Handle *request* at *address*'s core and run its effects (peer
+        calls wait up to 1 s); returns the immediate response, or ``None``
+        if the request was parked behind a migration."""
+        result = self.servers[address].handle(request, reply_context)
+        return serve_effects(result, self, self._deferred_reply, 1.0)
 
     def _deferred_reply(self, reply_context: object, response: Response) -> None:
         if isinstance(reply_context, list):  # a parked roundtrip's mailbox
@@ -91,7 +96,7 @@ class LocalNetwork(ClientTransport):
         self.stats.inc("roundtrips")
         with REGISTRY.span("local.roundtrip"):
             mailbox: list[Response] = []
-            response = self.servers[address].process(request, reply_context=mailbox)
+            response = self.serve(address, request, mailbox)
             if response is None:
                 # Queued behind a frozen partition: like a socket client,
                 # wait for the release (MIGRATING, or the new owner's answer).
@@ -105,8 +110,8 @@ class LocalNetwork(ClientTransport):
             self.stats.inc("dropped")
             return
         self.stats.inc("oneways")
-        self.servers[address].process(request, reply_context=None)
+        self.serve(address, request)
 
     def close(self) -> None:
-        for executor in self.servers.values():
-            executor.core.close()
+        for core in self.servers.values():
+            core.close()

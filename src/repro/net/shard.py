@@ -48,7 +48,7 @@ from ..core.errors import MembershipError
 from ..core.membership import Address, InstanceInfo, MembershipTable
 from ..core.protocol import OpCode, Request
 from ..core.server import ZHTServerCore
-from .tcp import EventDrivenTCPServer, TCPClient, tcp_listener
+from .tcp import EventDrivenTCPServer, MultiplexedTCPClient, tcp_listener
 
 _CMD_GRACEFUL = b"G"
 _CMD_HARD = b"S"
@@ -96,7 +96,7 @@ def _newest_membership(
         (p for p in membership.instances.values() if p.instance_id != instance.instance_id),
         key=lambda peer: peer.node_id != instance.node_id,
     )
-    client = TCPClient(cache_size=0)
+    client = MultiplexedTCPClient(cache_connections=False)
     try:
         for peer in peers:
             response = client.roundtrip(
@@ -347,7 +347,7 @@ class ShardedNodeServer:
 
     def shard_stats(self, timeout: float = 2.0) -> list[dict]:
         """Fetch each live shard's STATS snapshot over its private port."""
-        client = TCPClient(cache_size=0)
+        client = MultiplexedTCPClient(cache_connections=False)
         snapshots: list[dict] = []
         try:
             for index, addr in enumerate(self.shard_addresses):

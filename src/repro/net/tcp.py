@@ -8,22 +8,20 @@ based on epoll."  Replication runs on the loop too: each replica
 address has one non-blocking **peer link** registered with the same
 epoll, a write's replica updates are written onto the links in apply
 order, and its reply is held until the sync replicas have acked (§III.J).
-Only forwards of requests parked behind a migration, which block on the
-new owner, and checkpoint maintenance go to a small worker pool.  (The
-thread-per-request prototype the paper rejected lives beside its only
-user, ``benchmarks/bench_ablation_server_arch.py``.)
+The loop steps each result's :func:`~repro.core.loops.effect_loop`
+itself; only forwards of requests parked behind a migration, which block
+on the new owner, and checkpoint maintenance go to a small worker pool.
+(The thread-per-request prototype the paper rejected lives beside its
+only user, ``benchmarks/bench_ablation_server_arch.py``.)
 
-Two clients.  :class:`MultiplexedTCPClient` is what cluster clients
-use: one socket per server carrying any number of in-flight requests,
-and no thread of its own — the caller waiting for a reply reads the
-socket, fills the slots of any other callers whose replies arrive
-first, and hands the read role on when its own lands.
-:class:`TCPClient` is the stop-and-wait client with the paper's LRU
-**connection cache** ("makes TCP works almost as fast as UDP"): a
-server's worker pool uses it for migration forwards (and for every peer
-send when the inline fast path is off), and with ``cache_size=0`` every
-operation pays a fresh ``connect()`` (the "TCP without connection
-caching" line in Figures 7 and 9).
+One client.  :class:`MultiplexedTCPClient` carries any number of
+in-flight requests on one socket per server, and has no thread of its
+own — the caller waiting for a reply reads the socket, fills the slots
+of any other callers whose replies arrive first, and hands the read role
+on when its own lands.  That cached socket is the paper's **connection
+cache** ("makes TCP works almost as fast as UDP"); with
+``cache_connections=False`` every operation pays a fresh ``connect()``
+instead (the "TCP without connection caching" line in Figures 7 and 9).
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from typing import Generator
 
 from ..core.membership import Address
 from ..core.errors import ProtocolError, Status
@@ -48,191 +47,10 @@ from ..core.protocol import (
     frame_prefix,
     parse_response,
 )
-from ..core.server import HandleResult, ZHTServerCore
+from ..core.loops import Cast, Group, effect_loop
+from ..core.server import ZHTServerCore
 from ..obs import REGISTRY
-from .lru import LRUCache
-from .transport import ClientTransport, ServerExecutor
-
-
-def _recv_response(
-    sock: socket.socket, request_id: int, timeout: float
-) -> tuple[Response | None, bool]:
-    """Read frames from a blocking socket until one answers *request_id*
-    (0 is unmatchable by id: the first frame answers it).
-
-    Returns ``(response, clean)``.  ``response`` is ``None`` on timeout,
-    EOF, socket error or an undecodable frame.  Frames carrying another
-    id are replies to earlier one-way sends on this socket and are
-    skipped inside the same *timeout*.  ``clean`` is False when bytes
-    followed the answer: the stream position is then unknown to the next
-    caller, so the socket must be closed rather than cached.
-    """
-    deadline = time.monotonic() + timeout
-    buffer = bytearray()
-    offset = 0
-    try:
-        while True:
-            sock.settimeout(max(deadline - time.monotonic(), 1e-6))
-            chunk = sock.recv(65536)
-            if not chunk:
-                return None, False
-            buffer += chunk
-            while True:
-                length, start = frame_prefix(buffer, offset)
-                end = start + length
-                if length < 0 or end > len(buffer):
-                    break
-                offset = end
-                response = decode_response_span(buffer, start, end)
-                if not request_id or response.request_id == request_id:
-                    return response, offset == len(buffer)
-    except OSError:
-        return None, False
-    except Exception:
-        REGISTRY.counter("tcp.client.decode_errors").inc()
-        return None, False
-
-
-def _discard_readable(sock: socket.socket) -> bool:
-    """Throw away whatever is already readable on *sock*, without
-    blocking.  Returns False when the peer has closed or the socket
-    failed — the caller must not cache it."""
-    timeout = sock.gettimeout()
-    try:
-        sock.settimeout(0)
-        while sock.recv(65536):
-            pass
-        return False
-    except BlockingIOError:
-        sock.settimeout(timeout)
-        return True
-    except OSError:
-        return False
-
-
-class TCPClient(ClientTransport):
-    """Blocking TCP client with an LRU connection cache."""
-
-    def __init__(self, cache_size: int = 128, *, connect_timeout: float = 2.0) -> None:
-        self._cache: LRUCache[Address, socket.socket] = LRUCache(
-            cache_size, on_evict=self._on_evict
-        )
-        self._lock = threading.Lock()
-        self.connect_timeout = connect_timeout
-        self.connects = 0
-        #: One-way messages retried on a fresh connection after a cached
-        #: socket turned out stale.
-        self.oneway_retries = 0
-        #: One-way messages dropped after the retry also failed.
-        self.oneway_drops = 0
-        # Process-wide aggregates of the per-instance counters above.
-        self._c_connects = REGISTRY.counter("tcp.client.connects")
-        self._c_oneway_retries = REGISTRY.counter("tcp.client.oneway_retries")
-        self._c_oneway_drops = REGISTRY.counter("tcp.client.oneway_drops")
-        self._c_cache_evictions = REGISTRY.counter(
-            "tcp.client.cache_evictions"
-        )
-
-    def _on_evict(self, _address: Address, sock: socket.socket) -> None:
-        self._c_cache_evictions.inc()
-        sock.close()
-
-    def _connect(self, address: Address) -> socket.socket | None:
-        sock = None
-        try:
-            sock = socket.create_connection(
-                (address.host, address.port), timeout=self.connect_timeout
-            )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self.connects += 1
-            self._c_connects.inc()
-            return sock
-        except OSError:
-            if sock is not None:
-                sock.close()
-            return None
-
-    def _checkout(self, address: Address) -> socket.socket | None:
-        with self._lock:
-            sock = self._cache.pop(address)
-        return sock or self._connect(address)
-
-    def _checkin(self, address: Address, sock: socket.socket) -> None:
-        with self._lock:
-            self._cache.put(address, sock)
-
-    def roundtrip(
-        self, address: Address, request: Request, timeout: float
-    ) -> Response | None:
-        with REGISTRY.span("tcp.roundtrip"):
-            return self._roundtrip(address, request, timeout)
-
-    def _roundtrip(
-        self, address: Address, request: Request, timeout: float
-    ) -> Response | None:
-        sock = self._checkout(address)
-        if sock is None:
-            return None
-        try:
-            sock.sendall(encode_framed_request(request))
-        except OSError:
-            sock.close()
-            return None
-        response, clean = _recv_response(sock, request.request_id, timeout)
-        # Cache the socket only when the stream is known to sit on a frame
-        # boundary: after a timeout, a garbled frame or trailing bytes the
-        # next caller would read *our* stream position.  Evict-and-close
-        # instead, so the next use reconnects cleanly.
-        if clean:
-            self._checkin(address, sock)
-        else:
-            sock.close()
-        return response
-
-    def send_oneway(self, address: Address, request: Request) -> None:
-        # Failure reports and async replica updates travel this path; a
-        # cached socket whose server side has gone away must not silently
-        # swallow them, so a send error triggers one retry on a fresh
-        # connection before the message is counted as dropped.
-        payload = encode_framed_request(request)
-        sock = self._checkout(address)
-        if sock is not None:
-            if self._send_oneway(address, sock, payload):
-                return
-            self.oneway_retries += 1
-            self._c_oneway_retries.inc()
-        sock = self._connect(address)
-        if sock is None or not self._send_oneway(address, sock, payload):
-            self.oneway_drops += 1
-            self._c_oneway_drops.inc()
-
-    def _send_oneway(
-        self, address: Address, sock: socket.socket, payload: bytearray
-    ) -> bool:
-        try:
-            sock.sendall(payload)
-        except OSError:
-            sock.close()
-            return False
-        # Servers answer one-way messages too.  Nobody waits for those
-        # replies, so discard the ones that have already arrived: left
-        # unread they pile up in the server's write queue for as long as
-        # this socket only ever carries one-way traffic.
-        if _discard_readable(sock):
-            self._checkin(address, sock)
-        else:
-            sock.close()
-        return True
-
-    def evict(self, address: Address) -> None:
-        with self._lock:
-            sock = self._cache.pop(address)
-        if sock is not None:
-            sock.close()
-
-    def close(self) -> None:
-        with self._lock:
-            self._cache.clear()
+from .transport import ClientTransport, drive
 
 
 class _MuxSlot:
@@ -541,30 +359,32 @@ class _MuxConnection:
 class MultiplexedTCPClient(ClientTransport):
     """TCP client with multiplexed connections (pipelined request path).
 
-    Replaces :class:`TCPClient`'s exclusive checkout/checkin model: one
-    socket per server carries any number of concurrent in-flight
-    requests, matched back to per-request slots by ``request_id`` —
-    independent operations pipeline on the wire instead of serializing
-    behind stop-and-wait round trips.  Whichever caller is waiting
-    reads the socket (see :class:`_MuxConnection`), so a lone caller
-    reads its own reply with no thread switch and a client costs no
-    thread per server.  A timed-out request abandons its slot (its
-    late response is discarded by id), so slow responses neither
-    poison the stream nor force a reconnect.
+    One cached socket per server carries any number of concurrent
+    in-flight requests, matched back to per-request slots by
+    ``request_id`` — independent operations pipeline on the wire instead
+    of serializing behind stop-and-wait round trips.  Whichever caller
+    is waiting reads the socket (see :class:`_MuxConnection`), so a lone
+    caller reads its own reply with no thread switch and a client costs
+    no thread per server.  A timed-out request abandons its slot (its
+    late response is discarded by id), so slow responses neither poison
+    the stream nor force a reconnect.
+
+    With ``cache_connections=False`` nothing is cached: every operation
+    dials its own socket and closes it when done (the paper's "TCP
+    without connection caching"; also what a one-off probe wants).
     """
 
-    def __init__(self, *, connect_timeout: float = 2.0) -> None:
+    def __init__(self, *, connect_timeout: float = 2.0, cache_connections: bool = True) -> None:
         self._conns: dict[Address, _MuxConnection] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
         self.connect_timeout = connect_timeout
+        self.cache_connections = cache_connections
         self.connects = 0
-        self.oneway_retries = 0
-        self.oneway_drops = 0
         self._c_connects = REGISTRY.counter("tcp.client.connects")
         self._c_oneway_retries = REGISTRY.counter("tcp.client.oneway_retries")
         self._c_oneway_drops = REGISTRY.counter("tcp.client.oneway_drops")
 
-    def _connect(self, address: Address) -> _MuxConnection | None:
+    def _dial(self, address: Address) -> socket.socket | None:
         try:
             sock = socket.create_connection(
                 (address.host, address.port), timeout=self.connect_timeout
@@ -575,6 +395,12 @@ class MultiplexedTCPClient(ClientTransport):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             sock.close()
+            return None
+        return sock
+
+    def _connect(self, address: Address) -> _MuxConnection | None:
+        sock = self._dial(address)
+        if sock is None:
             return None
         conn = _MuxConnection(sock)
         with self._lock:
@@ -601,8 +427,9 @@ class MultiplexedTCPClient(ClientTransport):
     ) -> Response | None:
         with REGISTRY.span("tcp.roundtrip"):
             rid = request.request_id
-            if not rid:
-                # Unmatchable by id: use an isolated stop-and-wait socket.
+            if not rid or not self.cache_connections:
+                # Unmatchable by id, or nothing cached: use an isolated
+                # stop-and-wait socket.
                 return self._oneshot_roundtrip(address, request, timeout)
             payload = encode_framed_request(request)
             deadline = time.monotonic() + timeout
@@ -626,23 +453,47 @@ class MultiplexedTCPClient(ClientTransport):
     def _oneshot_roundtrip(
         self, address: Address, request: Request, timeout: float
     ) -> Response | None:
-        try:
-            sock = socket.create_connection(
-                (address.host, address.port), timeout=self.connect_timeout
-            )
-        except OSError:
+        """Stop-and-wait on a socket of its own: the reply to *request*'s
+        id (0 is unmatchable by id: the first frame answers it), or
+        ``None`` on timeout, EOF, socket error or an undecodable frame."""
+        sock = self._dial(address)
+        if sock is None:
             return None
         try:
             self.connects += 1
             self._c_connects.inc()
             sock.sendall(encode_framed_request(request))
-            return _recv_response(sock, request.request_id, timeout)[0]
+            deadline = time.monotonic() + timeout
+            buffer = bytearray()
+            offset = 0
+            while True:
+                sock.settimeout(max(deadline - time.monotonic(), 1e-6))
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return None
+                buffer += chunk
+                while True:
+                    length, start = frame_prefix(buffer, offset)
+                    end = start + length
+                    if length < 0 or end > len(buffer):
+                        break
+                    offset = end
+                    response = decode_response_span(buffer, start, end)
+                    if not request.request_id or response.request_id == request.request_id:
+                        return response
         except OSError:
+            return None
+        except Exception:
+            REGISTRY.counter("tcp.client.decode_errors").inc()
             return None
         finally:
             sock.close()
 
     def send_oneway(self, address: Address, request: Request) -> None:
+        if not self.cache_connections:
+            # A one-shot round trip that waits for no reply.
+            self._oneshot_roundtrip(address, request, 0.0)
+            return
         payload = encode_framed_request(request)
         for attempt in range(2):
             conn = self._get(address)
@@ -654,9 +505,7 @@ class MultiplexedTCPClient(ClientTransport):
                 if conn.send(payload):
                     conn.drain()
                     return
-                self.oneway_retries += 1
                 self._c_oneway_retries.inc()
-        self.oneway_drops += 1
         self._c_oneway_drops.inc()
 
     def evict(self, address: Address) -> None:
@@ -671,6 +520,15 @@ class MultiplexedTCPClient(ClientTransport):
             self._conns.clear()
         for conn in conns:
             conn.shutdown()
+
+
+class PeerTCPClient(MultiplexedTCPClient):
+    """The TCP server's client (forwards of parked requests), named apart
+    so span tables can time server-to-server round trips on their own:
+    ``benchmarks/ledger/spans.py`` imports it by its old name."""
+
+
+TCPClient = PeerTCPClient
 
 
 class _Connection:
@@ -753,14 +611,17 @@ class _Connection:
 
 
 class _Held:
-    """A client's reply held on the loop until its sync replicas ack."""
+    """An effect loop (and its reply) held until its call group's acks are in."""
 
-    __slots__ = ("conn", "response", "remaining", "sent", "deadline")
+    __slots__ = ("conn", "effects", "acks", "remaining", "sent", "deadline")
 
-    def __init__(self, conn: _Connection, response: Response, acks: int, sent: float, timeout: float) -> None:
+    def __init__(
+        self, conn: _Connection, effects: Generator, calls: int, sent: float, timeout: float
+    ) -> None:
         self.conn = conn
-        self.response = response
-        self.remaining = acks  # acks still outstanding
+        self.effects = effects
+        self.acks: list[Response | None] = []  # _ACK, or None: failed or lost
+        self.remaining = calls  # acks still outstanding
         self.sent = sent
         self.deadline = sent + timeout
 
@@ -811,6 +672,8 @@ TCP_SERVER_COUNTERS = (
 
 _EPOLLIN, _EPOLLOUT = select.EPOLLIN, select.EPOLLOUT
 _OK = Status.OK
+#: An OK ack in a held group's reply (the effect loop reads only its status).
+_ACK = Response(status=_OK)
 #: An event on a connection beyond plain readability (EPOLLOUT, EPOLLERR,
 #: EPOLLHUP) tries the write side; beyond plain writability, the read side
 #: (a read then sees the error or the EOF).
@@ -833,20 +696,18 @@ def tcp_listener(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
 class EventDrivenTCPServer:
     """Single-threaded epoll event loop serving one instance.
 
-    Requests take the **inline fast path**: decoded (zero-copy,
-    straight out of the receive buffer), applied, and their response
-    queued on the loop thread — no executor handoff.  Replica updates
-    and broadcast fan-out leave on the loop as well, through one
-    :class:`_PeerLink` per peer address: a write's updates are written
-    in apply order, and its reply is held (counted in the admission
-    backlog) until every sync replica has acked.  A failed or missing
-    ack, or none within the peer timeout (the loop's poll timeout
-    enforces it, and closes the link), answers ``REPLICATION_ERROR``.
-    Only forwards of requests parked behind a migration, which block on
-    the new owner, detour through the worker pool.  Setting
-    :attr:`inline_fast_path` to ``False`` restores a pool hop for every
-    request, with :class:`ServerExecutor`'s blocking peer calls (the
-    server-architecture ablation does, on its own servers).
+    Requests are decoded (zero-copy, straight out of the receive
+    buffer), applied, and their response queued on the loop thread — no
+    executor handoff.  A result with effects steps its
+    :func:`~repro.core.loops.effect_loop` on the loop too: replica
+    updates and broadcast fan-out leave through one :class:`_PeerLink`
+    per peer address, so a write's updates are written in apply order,
+    and a call group's loop (with its reply) is held, counted in the
+    admission backlog, until every sync replica has acked.  A lost ack,
+    or none within the peer timeout (the loop's poll timeout enforces
+    it, and closes the link), is replied ``None``.  Only forwards of
+    requests parked behind a migration, which block on the new owner,
+    continue the effect loop on the worker pool.
 
     The loop polls ``epoll`` directly and finds a ready connection by its
     file descriptor; it sleeps until there is work (``stop`` wakes it
@@ -870,7 +731,6 @@ class EventDrivenTCPServer:
         listener: socket.socket | None = None,
     ) -> None:
         self.core: ZHTServerCore | None = None
-        self.executor: ServerExecutor | None = None
         self._listener = listener if listener is not None else tcp_listener(host, port)
         self._listener.setblocking(False)
         addr = self._listener.getsockname()
@@ -882,15 +742,15 @@ class EventDrivenTCPServer:
         self._conns: dict[int, _Connection] = {}
         #: The peer link of each replica address (loop thread only).
         self._links: dict[Address, _PeerLink] = {}
-        #: Replies waiting for sync acks, oldest first (loop thread only):
-        #: one peer timeout for all, so the head has the next deadline.
+        #: Effect loops waiting for sync acks, oldest first (loop thread
+        #: only): one peer timeout for all, so the head has the next deadline.
         self._held: deque[_Held] = deque()
         # Self-pipe: effect-pool threads wake the loop when a reply they
         # queued needs EPOLLOUT registration, and ``stop`` wakes it to exit.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._epoll.register(self._wake_r.fileno(), _EPOLLIN)
-        self._peer_client = TCPClient(cache_size=32)
+        self._peer_client = PeerTCPClient()
         self._pool = ThreadPoolExecutor(
             max_workers=effect_workers, thread_name_prefix="zht-effects"
         )
@@ -898,7 +758,6 @@ class EventDrivenTCPServer:
         self._running = False
         self._draining = False
         self._drain_deadline = 0.0
-        self.inline_fast_path = True
         self.stats = REGISTRY.counter_set("tcp.server", TCP_SERVER_COUNTERS)
         # Replies held for sync acks and results handed to the effect
         # pool, one entry each until answered (``append`` / ``pop`` /
@@ -930,7 +789,6 @@ class EventDrivenTCPServer:
         # the loop thread (they serialize + fsync the whole table); hop
         # them to the worker pool.
         core.set_maintenance_executor(self._pool.submit)
-        self.executor = ServerExecutor(core, self._peer_client, self._deferred_reply)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -1138,46 +996,54 @@ class EventDrivenTCPServer:
             return
         self.stats.inc("requests")
         result = self.core.handle(request, conn)
-        if not self.inline_fast_path or result.forwards or result.failed_queued:
-            # Keep the loop responsive: forwarding parked requests blocks
-            # on the new owner, so it runs on the worker pool.  (With the
-            # inline fast path disabled, every request pays this
-            # loop→pool→loop hop — the server-architecture ablation
-            # baseline.)
-            self._pending_effects.append(None)
-            self._pool.submit(self._finish, result, conn)
-            return
-        if result.repl_sequencer is not None:
-            # One loop writing one FIFO stream per peer IS the apply
-            # order, so nothing waits on the ticket.
-            result.repl_sequencer.retire(result.repl_ticket)
-        if result.sync_sends or result.async_sends:
-            self._replicate(conn, result)
+        if result.effects:
+            if result.repl_sequencer is not None:
+                # One loop writing one FIFO stream per peer IS the apply
+                # order, so nothing waits on the ticket.
+                result.repl_sequencer.retire(result.repl_ticket)
+            self._step(conn, effect_loop(result, self.core.config.request_timeout), None)
         elif result.response is not None:
-            # Inline fast path: this thread IS the event loop, so the
-            # reply is encoded and queued right here — no executor
-            # submit, no wakeup latency.
+            # This thread IS the event loop, so the reply is encoded and
+            # queued right here — no executor submit, no wakeup latency.
             self._reply(conn, result.response)
 
-    # -- peer links ---------------------------------------------------------
+    # -- effects and peer links ---------------------------------------------
 
-    def _replicate(self, conn: _Connection, result: HandleResult) -> None:
-        """Write *result*'s replica updates onto the peer links and hold
-        its reply until the sync ones are acked."""
-        response = result.response
-        held = None
-        if result.sync_sends and response is not None:
-            held = _Held(
-                conn, response, len(result.sync_sends), time.monotonic(), self.executor.peer_timeout
-            )
-            self._pending_effects.append(None)
-            self._held.append(held)
-            for address, update in result.sync_sends:
-                self._send_update(address, update, held)
-        for address, update in result.async_sends:
-            self._send_update(address, update, None)
-        if held is None and response is not None:
-            self._reply(conn, response)
+    def _step(self, conn: _Connection, effects: Generator, reply: object) -> None:
+        """Step an effect loop, sending it *reply* first: casts and a call
+        group go onto the peer links, and the loop is held until the
+        group's acks are in (:meth:`_settle`).  Forwards, which block on
+        the new owner, and answers to parked requests run on the pool."""
+        try:
+            command = effects.send(reply)
+            while command.__class__ is Cast:
+                self._send_update(command.address, command.request, None)
+                command = effects.send(None)
+            if command.__class__ is Group:
+                held = _Held(conn, effects, len(command.sends), time.monotonic(), command.timeout)
+                self._pending_effects.append(None)
+                self._held.append(held)
+                for address, update in command.sends:
+                    self._send_update(address, update, held)
+            else:
+                self._pending_effects.append(None)
+                self._pool.submit(self._finish, conn, effects, command)
+        except StopIteration as stop:
+            if stop.value is not None:
+                self._reply(conn, stop.value)
+
+    def _finish(self, conn: _Connection, effects: Generator, command: object) -> None:
+        """The worker pool's part of an effect loop, from *command* on."""
+        try:
+            response = drive(effects, self._peer_client, answer=self._answer, command=command)
+            if response is not None:
+                self._reply(conn, response)
+        finally:
+            self._pending_effects.pop()
+
+    def _answer(self, reply_context: object, response: Response) -> None:
+        if isinstance(reply_context, _Connection):
+            self._reply(reply_context, response)
 
     def _send_update(self, address: Address, update: Request, held: _Held | None) -> None:
         link = self._links.get(address)
@@ -1233,18 +1099,17 @@ class EventDrivenTCPServer:
             self._settle(held, status is _OK)
 
     def _settle(self, held: _Held, ok: bool) -> None:
-        """One of *held*'s acks is in (or lost): a failed one degrades
-        the reply (§III.J), and the last one releases it."""
-        if not ok:
-            held.response.status = Status.REPLICATION_ERROR
+        """One of *held*'s acks is in (or lost); the last one sends the
+        effect loop the group's acks."""
+        held.acks.append(_ACK if ok else None)
         held.remaining -= 1
         if not held.remaining:
             if self._held[0] is held:
                 self._held.popleft()  # else ``_expire`` drops it in turn
             self._pending_effects.pop()
-            self._reply(held.conn, held.response)
             if REGISTRY.enabled:
                 REGISTRY.time("server.replication_wait", time.monotonic() - held.sent)
+            self._step(held.conn, held.effects, held.acks)
 
     def _expire(self, idle: float) -> float:
         """Fail the held replies whose acks are overdue, closing the links
@@ -1280,15 +1145,3 @@ class EventDrivenTCPServer:
                 self._drop(conn)
             elif self._conns.get(conn.fd) is conn:
                 self._epoll.modify(conn.fd, _EPOLLIN)
-
-    def _finish(self, result: HandleResult, conn: _Connection) -> None:
-        try:
-            self.executor._apply_effects(result)
-            if result.response is not None:
-                self._reply(conn, result.response)
-        finally:
-            self._pending_effects.pop()
-
-    def _deferred_reply(self, reply_context: object, response: Response) -> None:
-        if isinstance(reply_context, _Connection):
-            self._reply(reply_context, response)

@@ -1,29 +1,26 @@
 """Transport abstractions shared by the TCP, UDP, and local runtimes.
 
-Two pieces of glue live here so each concrete transport stays small:
-
-* :class:`ServerExecutor` — executes the side effects of a
-  :class:`~repro.core.server.HandleResult` (synchronous replica acks,
-  asynchronous fan-out, forwarding of queued requests after migration)
-  against a :class:`PeerClient`.
 * :func:`drive` — the live trampoline: runs one of the sans-IO loops of
-  :mod:`repro.core.loops` (an op, a manager script, a scenario client)
-  over any :class:`ClientTransport`, blocking on each call, sending
-  casts one-way and sleeping real time for backoff.  The DES runs the
-  same loops with :meth:`repro.sim.cluster.SimulatedCluster.drive`.
+  :mod:`repro.core.loops` (an op, a manager script, a scenario client,
+  a server's effects) over any :class:`ClientTransport`, blocking on
+  each call, sending casts one-way and sleeping real time for backoff.
+  The DES runs the same loops with
+  :meth:`repro.sim.cluster.SimulatedCluster.drive`.
+* :func:`serve_effects` — a :class:`~repro.core.server.HandleResult`'s
+  :func:`~repro.core.loops.effect_loop` run with :func:`drive`, for the
+  local transport and the UDP server's effect worker.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from typing import Callable, Generator
+from typing import Any, Callable, Generator
 
-from ..core.errors import Status
-from ..core.loops import Cast, Sleep
+from ..core.loops import Answer, Cast, Group, Sleep, effect_loop
 from ..core.membership import Address
 from ..core.protocol import Request, Response
-from ..core.server import HandleResult, ZHTServerCore
+from ..core.server import HandleResult
 
 
 class ClientTransport(abc.ABC):
@@ -61,88 +58,27 @@ class ClientTransport(abc.ABC):
 ReplyFn = Callable[[object, Response], None]
 
 
-class ServerExecutor:
-    """Applies a :class:`HandleResult`'s effects for one server core."""
-
-    def __init__(
-        self,
-        core: ZHTServerCore,
-        peer_client: ClientTransport,
-        reply_fn: ReplyFn,
-        *,
-        peer_timeout: float | None = None,
-    ) -> None:
-        self.core = core
-        self.peer_client = peer_client
-        self.reply_fn = reply_fn
-        self.peer_timeout = (
-            peer_timeout
-            if peer_timeout is not None
-            else core.config.request_timeout
-        )
-
-    def process(
-        self, request: Request, reply_context: object = None
-    ) -> Response | None:
-        """Handle *request* fully; returns the immediate response, or
-        ``None`` if the request was queued behind a migration."""
-        result = self.core.handle(request, reply_context)
-        self._apply_effects(result)
+def serve_effects(
+    result: HandleResult, transport: ClientTransport, answer: ReplyFn, timeout: float
+) -> Response | None:
+    """Run *result*'s effects with :func:`drive` over *transport* (peer
+    calls wait up to *timeout*; answers to parked requesters go to
+    *answer*) and return its response: ``None`` if the request was
+    parked, ``REPLICATION_ERROR`` if a sync replica failed to ack."""
+    if not result.effects:
         return result.response
-
-    def _apply_effects(self, result: HandleResult) -> None:
-        response = result.response
-        # Replica updates must leave in store-apply order (ticketed by the
-        # core, see ReplicationSequencer) or concurrent mutations can land
-        # on replicas in a different order than the primary applied them.
-        if result.repl_sequencer is not None:
-            result.repl_sequencer.wait_turn(
-                result.repl_ticket, self.peer_timeout
-            )
-        try:
-            # Strongly-consistent replicas: the response cannot be
-            # released until every sync replica acknowledged; a failed ack
-            # degrades the response to REPLICATION_ERROR (§III.J).
-            if response is not None:
-                for address, update in result.sync_sends:
-                    ack = self.peer_client.roundtrip(
-                        address, update, self.peer_timeout
-                    )
-                    if ack is None or ack.status != Status.OK:
-                        response.status = Status.REPLICATION_ERROR
-                        break
-            for address, update in result.async_sends:
-                self.peer_client.send_oneway(address, update)
-        finally:
-            if result.repl_sequencer is not None:
-                result.repl_sequencer.retire(result.repl_ticket)
-        # Queued requests released by a migration commit are forwarded to
-        # the new owner, and the owner's answer relayed to the original
-        # requester.
-        for address, queued in result.forwards:
-            forwarded = self.peer_client.roundtrip(
-                address, queued.request, self.peer_timeout
-            )
-            if queued.reply_context is not None:
-                self.reply_fn(
-                    queued.reply_context,
-                    forwarded
-                    or Response(
-                        status=Status.TIMEOUT,
-                        request_id=queued.request.request_id,
-                    ),
-                )
-        # Queued requests discarded by a migration abort fail loudly:
-        # "discarding the queued requests and reporting error to clients".
-        for queued in result.failed_queued:
-            if queued.reply_context is not None:
-                self.reply_fn(
-                    queued.reply_context,
-                    Response(
-                        status=Status.MIGRATING,
-                        request_id=queued.request.request_id,
-                    ),
-                )
+    sequencer = result.repl_sequencer
+    # Replica updates must leave in store-apply order (ticketed by the
+    # core, see ReplicationSequencer) or concurrent mutations can land
+    # on replicas in a different order than the primary applied them.
+    if sequencer is not None:
+        sequencer.wait_turn(result.repl_ticket, timeout)
+    try:
+        response: Response | None = drive(effect_loop(result, timeout), transport, answer=answer)
+        return response
+    finally:
+        if sequencer is not None:
+            sequencer.retire(result.repl_ticket)
 
 
 def drive(
@@ -150,14 +86,18 @@ def drive(
     transport: ClientTransport,
     *,
     sleep: Callable[[float], None] = time.sleep,
-) -> object:
+    answer: ReplyFn | None = None,
+    command: Any = None,
+) -> Any:
     """Run *loop* to completion over *transport*; returns its return
-    value and raises what it raises."""
+    value and raises what it raises.  A :class:`Group`'s calls go out
+    one after another, an :class:`Answer` to *answer*.  With *command*,
+    *loop* has already yielded it: the run resumes there."""
     send = loop.send
-    reply = None
     try:
+        if command is None:
+            command = send(None)
         while True:
-            command = send(reply)
             kind = command.__class__
             if kind is Sleep:
                 reply = None
@@ -165,9 +105,20 @@ def drive(
             elif kind is Cast:
                 reply = None
                 transport.send_oneway(command.address, command.request)
+            elif kind is Group:
+                timeout = command.timeout
+                reply = [
+                    transport.roundtrip(address, request, timeout)
+                    for address, request in command.sends
+                ]
+            elif kind is Answer:
+                reply = None
+                if answer is not None:
+                    answer(command.context, command.response)
             else:
                 reply = transport.roundtrip(
                     command.address, command.request, command.timeout
                 )
+            command = send(reply)
     except StopIteration as stop:
         return stop.value

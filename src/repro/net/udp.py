@@ -9,24 +9,35 @@ Because UDP retransmits can duplicate *mutations* (an ``append`` applied
 twice corrupts the value), the server keeps a small per-peer
 deduplication cache of recently answered request ids and replays the
 cached response for duplicates instead of re-executing.
+
+The server's loop never waits on a peer: it hands a result with effects
+(replica updates, forwards of parked requests) to one effect worker,
+which runs them (:func:`~repro.net.transport.serve_effects`) and sends
+the reply.  Otherwise two servers that replicate to each other would
+each block on an ack the other's loop cannot send.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 from ..core.errors import Status
 from ..core.membership import Address
 from ..core.protocol import MUTATING_OPS, OpCode, Request, Response
-from ..core.server import ZHTServerCore
+from ..core.server import HandleResult, ZHTServerCore
 from ..obs import REGISTRY
 from .lru import LRUCache
-from .transport import ClientTransport, ServerExecutor
+from .transport import ClientTransport, serve_effects
 
 #: Conservative safe datagram size; ZHT values are small (the paper's
 #: micro-benchmarks use 132 B values).
 MAX_DATAGRAM = 65000
+
+#: The dedup entry of a mutation the effect worker still owes a reply:
+#: a retransmit of it is dropped, not run again.
+_IN_FLIGHT = Response(status=Status.OK)
 
 
 class UDPClient(ClientTransport):
@@ -113,7 +124,8 @@ class UDPClient(ClientTransport):
 
 
 class UDPServer:
-    """Single-threaded datagram server for one ZHT instance."""
+    """Single-threaded datagram server for one ZHT instance (plus its
+    effect worker)."""
 
     def __init__(
         self,
@@ -124,7 +136,6 @@ class UDPServer:
         dedup_cache_size: int = 1024,
     ) -> None:
         self.core: ZHTServerCore | None = None
-        self.executor: ServerExecutor | None = None
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((host, port))
         self._sock.settimeout(0.1)
@@ -132,6 +143,13 @@ class UDPServer:
         self._peer_client = UDPClient()
         #: (peer sockaddr, request_id) -> cached Response for retransmits.
         self._dedup: LRUCache[tuple, Response] = LRUCache(dedup_cache_size)
+        self._dedup_lock = threading.Lock()
+        #: One worker, so the replica updates of the results handed to it
+        #: leave in the order the loop applied them.
+        self._worker = ThreadPoolExecutor(1, thread_name_prefix="zht-udp-effects")
+        #: One entry per handed-over result until it is answered; the
+        #: core's admission bound counts them (``extra_inflight``).
+        self._pending_effects: list[None] = []
         self._running = False
         self._thread: threading.Thread | None = None
         self.requests_served = 0
@@ -141,7 +159,7 @@ class UDPServer:
 
     def attach_core(self, core: ZHTServerCore) -> None:
         self.core = core
-        self.executor = ServerExecutor(core, self._peer_client, self._deferred_reply)
+        core.extra_inflight = self._pending_effects.__len__
 
     def start(self) -> None:
         if self._thread is not None:
@@ -159,6 +177,7 @@ class UDPServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        self._worker.shutdown(wait=False)
         self._sock.close()
         self._peer_client.close()
         if self.core is not None:
@@ -187,27 +206,49 @@ class UDPServer:
             request.op in MUTATING_OPS or request.op == OpCode.BATCH
         ) and request.request_id:
             dedup_key = (peer, request.request_id)
-            cached = self._dedup.get(dedup_key)
+            with self._dedup_lock:
+                cached = self._dedup.get(dedup_key)
             if cached is not None:
                 self.duplicates_suppressed += 1
                 REGISTRY.counter("udp.server.duplicates_suppressed").inc()
-                self._send(cached, peer)
+                if cached is not _IN_FLIGHT:
+                    self._send(cached, peer)
                 return
         self.requests_served += 1
         REGISTRY.counter("udp.server.requests").inc()
-        response = self.executor.process(request, reply_context=peer)
-        if response is not None:
-            # Shed verdicts (overload / expired deadline) must not enter
-            # the dedup cache: a client retrying the same request id after
-            # backing off would get the cached shed replayed forever
-            # instead of the mutation actually executing.
-            shed = response.status in (
-                Status.RETRY_LATER,
-                Status.DEADLINE_EXCEEDED,
+        result = self.core.handle(request, peer)
+        if result.effects:
+            if dedup_key is not None:
+                with self._dedup_lock:
+                    self._dedup.put(dedup_key, _IN_FLIGHT)
+            self._pending_effects.append(None)
+            self._worker.submit(self._finish, result, peer, dedup_key)
+        elif result.response is not None:
+            self._respond(result.response, peer, dedup_key)
+
+    def _finish(self, result: HandleResult, peer: tuple, dedup_key: tuple | None) -> None:
+        """The effect worker: *result*'s effects, then its reply."""
+        try:
+            response = serve_effects(
+                result, self._peer_client, self._answer, self.core.config.request_timeout
             )
-            if dedup_key is not None and not shed:
+            if response is not None:
+                self._respond(response, peer, dedup_key)
+        finally:
+            self._pending_effects.pop()
+
+    def _respond(self, response: Response, peer: tuple, dedup_key: tuple | None) -> None:
+        # Shed verdicts (overload / expired deadline) must not enter
+        # the dedup cache: a client retrying the same request id after
+        # backing off would get the cached shed replayed forever
+        # instead of the mutation actually executing.
+        if dedup_key is not None and response.status not in (
+            Status.RETRY_LATER,
+            Status.DEADLINE_EXCEEDED,
+        ):
+            with self._dedup_lock:
                 self._dedup.put(dedup_key, response)
-            self._send(response, peer)
+        self._send(response, peer)
 
     def _send(self, response: Response, peer: tuple) -> None:
         try:
@@ -215,6 +256,6 @@ class UDPServer:
         except OSError:
             pass
 
-    def _deferred_reply(self, reply_context: object, response: Response) -> None:
+    def _answer(self, reply_context: object, response: Response) -> None:
         if isinstance(reply_context, tuple):
             self._send(response, reply_context)

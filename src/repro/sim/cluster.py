@@ -28,7 +28,7 @@ from typing import Any, Generator
 from ..core.client import ZHTClientCore
 from ..core.config import ReplicationMode, ZHTConfig
 from ..core.errors import KeyNotFound, Status
-from ..core.loops import Cast, Sleep
+from ..core.loops import Answer, Cast, Group, Sleep, effect_loop
 from ..core.membership import (
     Address,
     InstanceInfo,
@@ -37,7 +37,7 @@ from ..core.membership import (
     new_instance_id,
 )
 from ..core.protocol import MUTATING_OPS, OpCode, Request, Response
-from ..core.server import HandleResult, ZHTServerCore
+from ..core.server import ZHTServerCore
 from ..faults.plan import FaultKind
 from .engine import Environment, Reply, Store
 from .metrics import LatencyStats, RunResult
@@ -326,6 +326,7 @@ class SimulatedCluster:
         write_cost = float(service.service_time + service.persistence_time)
         read_cost = float(service.service_time)
         dispatch_cost = float(service.service_time * _REPLICA_DISPATCH_FACTOR)
+        request_timeout = self.config.request_timeout
 
         while True:
             message: _SimMessage = yield queue.get()
@@ -353,69 +354,57 @@ class SimulatedCluster:
             if spec.real_core:
                 # The message is its own reply context should it get parked.
                 result = handler.handle(request, message)
-                response = result.response
-                if op == OpCode.MIGRATE_COMMIT:  # only it ends a freeze
-                    self._release_parked(result, my_node)
-                for addr, update in result.async_sends:
-                    yield dispatch_cost
-                    self._deliver(
-                        self._addr_to_index[addr],
-                        _SimMessage(env, update, my_node, one_way=True),
-                        my_node,
-                    )
-                if result.sync_sends:
-                    # The response is held until every synchronous replica
-                    # acks, but the server loop keeps serving — otherwise
-                    # two servers replicating to each other deadlock (an
-                    # event-driven server never blocks on the network).
-                    env.process(
-                        self._sync_replicate_then_reply(
-                            result.sync_sends, message, response, my_node
-                        ),
-                        name="sync-repl",
+                if result.effects:
+                    yield from self._effects(
+                        effect_loop(result, request_timeout), message, my_node, dispatch_cost
                     )
                     continue
+                response = result.response
             else:
                 response = handler.handle(request)
-
-            if op == OpCode.REPLICA_UPDATE and message.one_way:
-                # Fire-and-forget replica apply: partial cost, no response.
-                continue
+            # A one-way message (a fire-and-forget replica apply) gets none.
             if response is not None and not message.one_way:
                 self._reply(message, response, my_node)
 
-    def _sync_replicate_then_reply(
-        self, sync_sends, message: _SimMessage, response: Response, my_node: int
-    ):
-        for addr, update in sync_sends:
-            # Under fault injection the ack may never come (replica
-            # crashed, update dropped): a timed wait gives up on it and
-            # degrades the response per §III.J.
-            ack = _SimMessage(
-                self.env,
-                update,
-                my_node,
-                timeout=self.config.request_timeout if self._faulty else None,
-            )
-            self._deliver(self._addr_to_index[addr], ack, my_node)
-            if (yield ack) is None:
-                response.status = Status.REPLICATION_ERROR
-                break
-        if response is not None and not message.one_way:
-            self._reply(message, response, my_node)
-
-    def _release_parked(self, result: HandleResult, my_node: int) -> None:
-        """A freeze ended (cf. ``ServerExecutor._apply_effects``): each
-        parked message moves on to the new owner, which answers its
-        requester, or — on abort/release — is failed with ``MIGRATING``."""
-        for addr, queued in result.forwards:
-            self._deliver(self._addr_to_index[addr], queued.reply_context, my_node)
-        for queued in result.failed_queued:
-            if not queued.reply_context.one_way:
-                bounce = Response(
-                    status=Status.MIGRATING, request_id=queued.request.request_id
-                )
-                self._reply(queued.reply_context, bounce, my_node)
+    def _effects(self, effects, message, my_node, dispatch_cost, command=None):
+        """Step a result's effect loop (from *command* on) and reply to
+        *message* with its response.  A cast costs the server process
+        *dispatch_cost*; the first call moves the rest to a spawned
+        process (two servers replicating to each other would otherwise
+        deadlock), which sends each call and waits (timed under faults)."""
+        spawned = command is not None
+        try:
+            if command is None:
+                command = effects.send(None)
+            while True:
+                kind = command.__class__
+                reply = None
+                if kind is Cast:
+                    yield dispatch_cost
+                    update = _SimMessage(self.env, command.request, my_node, one_way=True)
+                    self._deliver(self._addr_to_index[command.address], update, my_node)
+                elif kind is Answer:
+                    if not command.context.one_way:
+                        self._reply(command.context, command.response, my_node)
+                elif not spawned:
+                    self.env.process(
+                        self._effects(effects, message, my_node, dispatch_cost, command),
+                        name="sync-repl",
+                    )
+                    return
+                else:
+                    calls = command.sends if kind is Group else [(command.address, command.request)]
+                    acks = []
+                    for address, request in calls:
+                        timeout = self.config.request_timeout if self._faulty else None
+                        call = _SimMessage(self.env, request, my_node, timeout=timeout)
+                        self._deliver(self._addr_to_index[address], call, my_node)
+                        acks.append((yield call))
+                    reply = acks if kind is Group else acks[0]
+                command = effects.send(reply)
+        except StopIteration as stop:
+            if stop.value is not None and not message.one_way:
+                self._reply(message, stop.value, my_node)
 
     def _reply(self, message: _SimMessage, response: Response, my_node: int) -> None:
         if message.leg_node == my_node:

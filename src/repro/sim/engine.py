@@ -21,7 +21,7 @@ Model:
   - an :class:`Event`, such as :meth:`Environment.timeout` — suspend
     until the event succeeds; the ``yield`` evaluates to its value;
   - another :class:`Process` — suspend until that process returns; the
-    ``yield`` evaluates to its return value.
+    ``yield`` evaluates to its return value, or raises its error.
 
 * :class:`Resource` is a counted semaphore (CPU cores, disk channels).
 
@@ -156,9 +156,9 @@ class Process:
             self.done = True
             self._error = err
             if self._completion is not None:
-                self._completion.fail(err)
-            if not isinstance(err, GeneratorExit):
-                raise
+                self._completion.fail(err)  # thrown into every waiter
+            elif not isinstance(err, GeneratorExit):
+                raise  # nobody waits: the run fails
             return
         if yielded.__class__ is float:
             # A sleep: the heap entry is this process's own wakeup.

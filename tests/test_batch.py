@@ -751,7 +751,7 @@ class TestOneClientRetryEngine:
         assert not hasattr(repro.core.client, "BatchAttempt")
         # Every function of the client modules, and the client-side ones
         # of the modules that also hold server glue.
-        server_side = {"ServerExecutor", "SimulatedCluster"}
+        server_side = {"SimulatedCluster", "effect_loop"}
         functions = {}
         modules = (
             repro.core.client, repro.core.loops, repro.net.transport, repro.api,
@@ -764,7 +764,9 @@ class TestOneClientRetryEngine:
                 if isinstance(node, (ast.ClassDef, ast.Module)):
                     owner = getattr(node, "name", module.__name__)
                     for child in node.body:
-                        if isinstance(child, ast.FunctionDef) and owner not in server_side:
+                        if isinstance(child, ast.FunctionDef) and not (
+                            server_side & {owner, child.name}
+                        ):
                             functions[f"{owner}.{child.name}"] = ast.get_source_segment(
                                 source, child
                             )
@@ -971,10 +973,11 @@ class TestMultiplexedClient:
 
     def test_oneway_drop_on_dead_address_counted(self):
         client = MultiplexedTCPClient(connect_timeout=0.2)
+        before = REGISTRY.counter("tcp.client.oneway_drops").value
         client.send_oneway(
             Address("127.0.0.1", 1), Request(op=OpCode.PING, request_id=9)
         )
-        assert client.oneway_drops == 1
+        assert REGISTRY.counter("tcp.client.oneway_drops").value == before + 1
         client.close()
 
 

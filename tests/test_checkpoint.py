@@ -4,7 +4,7 @@ import os
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import StoreError
@@ -94,6 +94,9 @@ class TestCheckpoint:
         assert list(read_checkpoint(path)) == [(b"new", b"2")]
         assert not os.path.exists(path + ".tmp")
 
+    # Each example writes and fsyncs a checkpoint file: a slow disk, not
+    # slow code, is what crosses Hypothesis' default 200 ms deadline.
+    @settings(deadline=None)
     @given(
         st.lists(
             st.tuples(

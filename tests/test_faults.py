@@ -18,8 +18,9 @@ from repro.faults import (
     FaultyClientTransport,
     FaultyWALFile,
 )
-from repro.net.tcp import TCPClient
+from repro.net.tcp import MultiplexedTCPClient
 from repro.net.transport import ClientTransport
+from repro.obs import REGISTRY
 
 
 class TestFaultRule:
@@ -218,22 +219,24 @@ class TestTCPOnewayRetry:
         host, port = listener.getsockname()
         return listener, stop, chunks, Address(host, port)
 
-    def _plant_dead_socket(self, client, address):
-        a, b = socket.socketpair()
-        a.close()
-        b.close()
-        client._checkin(address, a)
+    def _stale_client(self, address):
+        """A client whose cached connection to *address* has gone bad in
+        place (still cached, its socket closed)."""
+        client = MultiplexedTCPClient()
+        client._get(address).sock.close()
+        return client
 
     def test_retry_on_stale_cached_socket(self):
         listener, stop, chunks, address = self._listener()
         try:
-            client = TCPClient()
-            self._plant_dead_socket(client, address)
+            client = self._stale_client(address)
+            retries = REGISTRY.counter("tcp.client.oneway_retries").value
+            drops = REGISTRY.counter("tcp.client.oneway_drops").value
             client.send_oneway(
                 address, Request(op=OpCode.PING, request_id=9)
             )
-            assert client.oneway_retries == 1
-            assert client.oneway_drops == 0
+            assert REGISTRY.counter("tcp.client.oneway_retries").value == retries + 1
+            assert REGISTRY.counter("tcp.client.oneway_drops").value == drops
             deadline = time.time() + 2.0
             while not chunks and time.time() < deadline:
                 time.sleep(0.01)
@@ -248,19 +251,37 @@ class TestTCPOnewayRetry:
         probe = socket.create_server(("127.0.0.1", 0))
         address = Address(*probe.getsockname())
         probe.close()
-        client = TCPClient()
+        client = MultiplexedTCPClient()
+        drops = REGISTRY.counter("tcp.client.oneway_drops").value
         client.send_oneway(address, Request(op=OpCode.PING, request_id=9))
-        assert client.oneway_drops == 1
+        assert REGISTRY.counter("tcp.client.oneway_drops").value == drops + 1
 
     def test_evict_closes_cached_connection(self):
-        client = TCPClient()
-        address = Address("127.0.0.1", 1)
-        a, b = socket.socketpair()
-        client._checkin(address, a)
-        client.evict(address)
-        assert a.fileno() == -1  # closed
-        client.evict(address)  # idempotent on an empty cache
-        b.close()
+        listener, stop, _chunks, address = self._listener()
+        try:
+            client = MultiplexedTCPClient()
+            conn = client._get(address)
+            client.evict(address)
+            assert conn.closed and conn.sock.fileno() == -1
+            client.evict(address)  # idempotent on an empty cache
+        finally:
+            stop.set()
+            listener.close()
+
+    def test_uncached_client_dials_every_operation(self):
+        listener, stop, chunks, address = self._listener()
+        try:
+            client = MultiplexedTCPClient(cache_connections=False)
+            for i in range(3):
+                client.send_oneway(address, Request(op=OpCode.PING, request_id=i + 1))
+            assert client.connects == 3 and not client._conns
+            deadline = time.time() + 2.0
+            while len(chunks) < 3 and time.time() < deadline:
+                time.sleep(0.01)
+            assert len(chunks) == 3  # one connection, one message each
+        finally:
+            stop.set()
+            listener.close()
 
 
 class TestDeadNodeEviction:

@@ -319,9 +319,7 @@ class TestRepairAfterFailure:
                         value=b"late",
                         request_id=1000 + parked,
                     )
-                    answer = network.servers[frozen_at].process(
-                        write, reply_context=f"parked-{parked}"
-                    )
+                    answer = network.serve(frozen_at, write, f"parked-{parked}")
                     assert answer is None
                     parked += 1
                 reply = network.roundtrip(call.address, call.request, 1.0)

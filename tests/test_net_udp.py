@@ -1,5 +1,6 @@
 """Tests for the UDP transport (repro.net.udp)."""
 
+import threading
 import time
 
 import pytest
@@ -119,3 +120,37 @@ class TestRobustness:
                     break
                 time.sleep(0.05)
             assert total == 30
+
+    def test_servers_replicating_to_each_other_do_not_wait_on_each_other(self):
+        """Two servers, each the other's sync replica, under four writers:
+        the loop hands a write that waits on its replica's ack to the
+        effect worker and keeps serving, so no ack waits on a loop that
+        is itself waiting for an ack."""
+        timeout = 0.5
+        cfg = ZHTConfig(
+            transport="udp", num_partitions=64, num_replicas=1, request_timeout=timeout
+        )
+        errors: list[Exception] = []
+        latencies: list[float] = []
+
+        def writer(cluster, tid):
+            z = cluster.client(seed=tid)
+            for i in range(200):
+                t0 = time.perf_counter()
+                try:
+                    z.insert(f"w{tid}-{i}", b"v")
+                except Exception as exc:  # pragma: no cover - fails the test
+                    errors.append(exc)
+                latencies.append(time.perf_counter() - t0)
+
+        with build_udp_cluster(2, cfg) as cluster:
+            threads = [
+                threading.Thread(target=writer, args=(cluster, tid)) for tid in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not errors, errors[:3]
+        assert len(latencies) == 800
+        assert max(latencies) < timeout

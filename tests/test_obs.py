@@ -18,7 +18,7 @@ from repro.core import ZHTConfig
 from repro.core.membership import Address
 from repro.core.protocol import OpCode, Request, Response, frame
 from repro.net.cluster import build_tcp_cluster, build_udp_cluster
-from repro.net.tcp import TCPClient
+from repro.net.tcp import MultiplexedTCPClient
 from repro.net.udp import UDPClient
 from repro.obs import (
     NULL_SPAN,
@@ -358,15 +358,16 @@ def _garbage_server(replies: list[bytes]):
 class TestTCPDesyncEviction:
     def test_garbled_frame_not_recached(self):
         listener, address = _garbage_server([b"\xff\xff\xff\xff"])
-        client = TCPClient(cache_size=8)
+        client = MultiplexedTCPClient()
         before = REGISTRY.counter("tcp.client.decode_errors").value
         try:
             response = client.roundtrip(
                 address, Request(op=OpCode.PING, request_id=1), timeout=1.0
             )
             assert response is None
-            # The desynced socket must NOT be checked back into the cache.
-            assert address not in client._cache
+            # The desynced connection is dropped, not used again: the
+            # client's one retry dials a fresh one.
+            assert client.connects == 2
             assert (
                 REGISTRY.counter("tcp.client.decode_errors").value
                 == before + 1
@@ -378,13 +379,13 @@ class TestTCPDesyncEviction:
     def test_valid_frame_is_recached(self):
         payload = Response(status=0, request_id=1, op=int(OpCode.PING)).encode()
         listener, address = _garbage_server([payload])
-        client = TCPClient(cache_size=8)
+        client = MultiplexedTCPClient()
         try:
             response = client.roundtrip(
                 address, Request(op=OpCode.PING, request_id=1), timeout=1.0
             )
             assert response is not None
-            assert address in client._cache
+            assert not client._conns[address].closed
         finally:
             client.close()
             listener.close()
@@ -471,34 +472,31 @@ class TestUDPResponseMatching:
 
 class TestTransportCounters:
     def test_oneway_retry_on_stale_cached_socket(self):
-        # The retry-on-stale-cached-socket path is specific to the
-        # checkout/checkin client's LRU connection cache.
         cfg = ZHTConfig(transport="tcp", num_partitions=64, request_timeout=0.5)
         with build_tcp_cluster(1, cfg) as cluster:
             address = cluster.servers[0].address
-            transport = TCPClient(cache_size=4)
+            transport = MultiplexedTCPClient()
             try:
                 assert transport.roundtrip(
                     address, Request(op=OpCode.PING, request_id=1), 0.5
                 )
                 # Break the cached socket in place (leave it in the cache)
                 # so the next one-way send hits a dead file descriptor.
-                for addr in list(transport._cache):
-                    transport._cache._data[addr].close()
+                for conn in transport._conns.values():
+                    conn.sock.close()
                 before = REGISTRY.counter("tcp.client.oneway_retries").value
                 transport.send_oneway(address, Request(op=OpCode.PING))
-                assert transport.oneway_retries >= 1
                 assert (
                     REGISTRY.counter("tcp.client.oneway_retries").value > before
                 )
+                assert transport.connects == 2  # the retry dialled afresh
             finally:
                 transport.close()
 
     def test_oneway_drop_on_dead_address(self):
-        client = TCPClient(cache_size=4, connect_timeout=0.2)
+        client = MultiplexedTCPClient(connect_timeout=0.2)
         before = REGISTRY.counter("tcp.client.oneway_drops").value
         client.send_oneway(Address("127.0.0.1", 1), Request(op=OpCode.PING))
-        assert client.oneway_drops == 1
         assert REGISTRY.counter("tcp.client.oneway_drops").value == before + 1
         client.close()
 
@@ -522,31 +520,6 @@ class TestTransportCounters:
                 == before + 1
             )
             assert cluster.servers[0].duplicates_suppressed >= 1
-
-    def test_connection_cache_eviction_under_contention(self):
-        """A cache smaller than the server set must evict (and close) on
-        every alternation, visible on the registry."""
-        cfg = ZHTConfig(transport="tcp", num_partitions=64, request_timeout=0.5)
-        with build_tcp_cluster(2, cfg) as cluster:
-            client = TCPClient(cache_size=1)
-            before = REGISTRY.counter("tcp.client.cache_evictions").value
-            try:
-                for i in range(6):
-                    server = cluster.servers[i % 2]
-                    response = client.roundtrip(
-                        server.address,
-                        Request(op=OpCode.PING, request_id=i + 1),
-                        timeout=0.5,
-                    )
-                    assert response is not None
-            finally:
-                client.close()
-            evictions = (
-                REGISTRY.counter("tcp.client.cache_evictions").value - before
-            )
-            # 6 alternating checkins through a 1-slot cache: 5 evictions.
-            assert evictions >= 4
-            assert client._cache.evictions >= 4
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.core.protocol import (
 )
 from repro.net.cluster import SocketCluster, build_sharded_tcp_cluster
 from repro.net.shard import fork_supported
-from repro.net.tcp import TCPClient
+from repro.net.tcp import MultiplexedTCPClient
 from repro.obs import merge_stats_snapshots
 from tests._wait import wait_until
 
@@ -72,7 +72,7 @@ def _recv_responses(sock: socket.socket, n: int) -> list[Response]:
 
 def _ping_epochs(cluster: SocketCluster, node_indexes: list[int]) -> list[int]:
     """The membership epoch each shard of the given nodes answers a PING with."""
-    client = TCPClient(cache_size=0)
+    client = MultiplexedTCPClient(cache_connections=False)
     try:
         epochs = []
         for index in node_indexes:
@@ -168,7 +168,7 @@ def test_kill_shard_siblings_survive_and_respawn_recovers_wal(tmp_path):
 
         # Sibling keeps serving while the victim is down (PING its
         # private port directly, no retries involved).
-        client = TCPClient(cache_size=0)
+        client = MultiplexedTCPClient(cache_connections=False)
         response = client.roundtrip(
             survivor_addr,
             Request(op=OpCode.PING, request_id=1, epoch=1),

@@ -9,7 +9,8 @@ from repro.core.client import ZHTClientCore
 from repro.core.loops import OpClient
 from repro.core.config import ReplicationMode, ZHTConfig
 from repro.core.errors import Status
-from repro.core.protocol import OpCode, Request
+from repro.core.protocol import OpCode, Request, Response
+from repro.core.server import HandleResult
 from repro.faults.plan import FaultPlan
 from repro.sim import (
     CASSANDRA_CLUSTER,
@@ -253,10 +254,45 @@ class TestInstancesPerNode:
         assert four.latency_ms < 1.5 * one.latency_ms
 
 
+class TestSyncReplicaAcks:
+    def test_a_non_ok_sync_ack_degrades_the_reply(self):
+        """A sync replica that answers its update with anything but OK
+        (here it sheds it, RETRY_LATER) did not apply it: the write is
+        answered REPLICATION_ERROR (§III.J), as on the live backends."""
+        config = ZHTConfig(num_partitions=4, num_replicas=1, transport="local")
+        cluster = SimulatedCluster(SimSpec(num_nodes=4, config=config))
+        pid = cluster.membership.partition_of_key(b"k", config.hash_name)
+        primary, secondary = cluster.membership.replicas_for_partition(pid, 1)
+        replica = cluster.handlers[cluster._addr_to_index[secondary.address]]
+        handle = replica.handle
+
+        def shedding(request, reply_context=None):
+            if request.op == OpCode.REPLICA_UPDATE:
+                return HandleResult(
+                    Response(status=Status.RETRY_LATER, request_id=request.request_id)
+                )
+            return handle(request, reply_context)
+
+        replica.handle = shedding
+        outcome = {}
+
+        def client():
+            outcome["response"] = yield from cluster.roundtrip(
+                primary.address,
+                Request(op=OpCode.INSERT, key=b"k", value=b"v", request_id=7,
+                        epoch=cluster.membership.epoch),
+                1.0,
+            )
+
+        cluster.env.process(client())
+        cluster.env.run()
+        assert outcome["response"].status == Status.REPLICATION_ERROR
+
+
 class TestParkedRequests:
     """A request parked behind a frozen partition is answered when the
-    freeze ends, as ``ServerExecutor`` does on the live backends — the
-    client never burns a timeout (and a suspicion strike) on it."""
+    freeze ends, by the effect loop every backend steps — the client
+    never burns a timeout (and a suspicion strike) on it."""
 
     KEY = b"parked-key"
 

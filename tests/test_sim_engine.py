@@ -317,6 +317,40 @@ class TestProcesses:
         with pytest.raises(ValueError, match="bad"):
             env.run()
 
+    def test_a_child_error_is_thrown_into_the_parent_waiting_on_it(self):
+        env = Environment()
+        caught = []
+
+        def child():
+            yield 0.001
+            raise ValueError("child failed")
+
+        def parent():
+            try:
+                yield env.process(child())
+            except ValueError as exc:
+                caught.append((env.now, str(exc)))
+            return "resumed"
+
+        parent_proc = env.process(parent())
+        env.run()  # the waiter handles it: run() does not raise
+        assert caught == [(0.001, "child failed")]
+        assert parent_proc.result == "resumed"
+
+    def test_a_child_error_nobody_handles_still_aborts_the_run(self):
+        env = Environment()
+
+        def child():
+            yield 0.001
+            raise ValueError("child failed")
+
+        def parent():
+            yield env.process(child())
+
+        env.process(parent())
+        with pytest.raises(ValueError, match="child failed"):
+            env.run()
+
 
 class TestStore:
     def test_put_then_get(self):
