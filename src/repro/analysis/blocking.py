@@ -31,10 +31,6 @@ from .engine import (
     register,
 )
 
-_CODES = {
-    "BLOCK001": "blocking call while holding a lock",
-}
-
 
 def _held_str(held) -> str:
     return ", ".join(str(lock) for lock in held)
@@ -55,7 +51,7 @@ def blocking_summaries(project: Project) -> dict[str, str]:
     return project.call_graph().propagate(seeds)
 
 
-@register("blocking-under-lock", codes=_CODES)
+@register("blocking-under-lock")
 def check(project: Project) -> list[Finding]:
     all_facts = project.lock_facts()
     blocks = blocking_summaries(project)

@@ -20,8 +20,8 @@ lint run (DESIGN.md §17):
   loop");
 * the blocking-call vocabulary (:func:`blocking_call_description`)
   shared by the BLOCK and LOOP checkers;
-* the reporting pipeline: suppressions, fingerprints, baseline
-  diffing, JSON and SARIF output, per-checker timings.
+* the reporting pipeline: suppressions, JSON output, per-checker
+  timings.
 
 Suppression policy (DESIGN.md §11): every finding on the tree is either
 **fixed** or **suppressed with a one-line justification**.  Two ways to
@@ -31,7 +31,7 @@ suppress, both requiring a reason:
 
       self._value += 1  # zht-lint: ignore[LOCK001] atomic int read
 
-* in the committed baseline file ``.zhtlint.toml``::
+* in the committed file ``.zhtlint.toml``::
 
       [[suppress]]
       code = "BLOCK001"
@@ -44,20 +44,14 @@ suppress, both requiring a reason:
 ``# guarded-by:`` annotation, and ``[options] roots = [...]``.
 
 A suppression without a reason is a configuration error (exit 2), and
-suppressions that matched nothing are reported so the baseline cannot
-silently rot.
-
-Distinct from suppressions, a **baseline** file (``--baseline``) holds
-line-independent fingerprints of known findings: a baselined finding is
-reported but does not fail the run, so CI can gate on *new* findings
-only.  ``--update-baseline`` rewrites the file from the current tree.
+suppressions that matched nothing are reported so the file cannot
+silently rot.  Every unsuppressed finding fails the run.
 """
 
 from __future__ import annotations
 
 import ast
 import fnmatch
-import hashlib
 import json
 import re
 import time
@@ -82,8 +76,6 @@ from .astutil import (
 DEFAULT_ROOTS = ("src/repro",)
 
 _INLINE_RE = re.compile(r"zht-lint:\s*ignore\[([A-Z0-9,\s]+)\]\s*(.*)")
-
-_SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +397,6 @@ class Finding:
     symbol: str  #: enclosing "Class.method" / "function" / ""
     message: str
     suppressed_by: str | None = None  #: reason, when suppressed
-    baselined: bool = False  #: known finding per the baseline file
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity, stable across unrelated edits.
-
-        Hashes code, path, enclosing symbol, and message — but not the
-        line number, so findings don't churn when code above them moves.
-        """
-        text = f"{self.code}|{self.path}|{self.symbol}|{self.message}"
-        return hashlib.sha1(text.encode("utf-8")).hexdigest()[:16]
 
     def as_dict(self) -> dict:
         return {
@@ -426,8 +407,6 @@ class Finding:
             "symbol": self.symbol,
             "message": self.message,
             "suppressed_by": self.suppressed_by,
-            "baselined": self.baselined,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:
@@ -579,7 +558,7 @@ class Project:
 
 
 # ---------------------------------------------------------------------------
-# Report, baseline, SARIF
+# Report
 # ---------------------------------------------------------------------------
 
 
@@ -594,33 +573,16 @@ class LintReport:
 
     @property
     def active(self) -> list[Finding]:
-        """Findings that fail the run: not suppressed, not baselined."""
-        return [
-            f
-            for f in self.findings
-            if f.suppressed_by is None and not f.baselined
-        ]
+        """Findings that fail the run: the unsuppressed ones."""
+        return [f for f in self.findings if f.suppressed_by is None]
 
     @property
     def suppressed(self) -> list[Finding]:
         return [f for f in self.findings if f.suppressed_by is not None]
 
     @property
-    def baselined_findings(self) -> list[Finding]:
-        return [f for f in self.findings if f.baselined]
-
-    @property
     def ok(self) -> bool:
         return not self.active and not self.errors
-
-    def apply_baseline(self, fingerprints: set[str]) -> None:
-        """Mark unsuppressed findings present in *fingerprints* as known."""
-        for finding in self.findings:
-            if (
-                finding.suppressed_by is None
-                and finding.fingerprint in fingerprints
-            ):
-                finding.baselined = True
 
     def as_dict(self) -> dict:
         return {
@@ -628,7 +590,6 @@ class LintReport:
             "counts": {
                 "active": len(self.active),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined_findings),
             },
             "findings": [f.as_dict() for f in self.findings],
             "errors": self.errors,
@@ -644,114 +605,6 @@ class LintReport:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
-    def to_sarif(self) -> str:
-        """SARIF 2.1.0 for GitHub code-scanning annotations.
-
-        Every finding becomes a result; suppressed and baselined ones
-        carry a ``suppressions`` entry so code scanning shows them as
-        resolved rather than re-announcing them on every PR.
-        """
-        rules = [
-            {
-                "id": code,
-                "shortDescription": {"text": RULE_DOCS[code]},
-                "defaultConfiguration": {"level": "error"},
-            }
-            for code in sorted(RULE_DOCS)
-        ]
-        results = []
-        for finding in self.findings:
-            quiet = finding.suppressed_by is not None or finding.baselined
-            result: dict = {
-                "ruleId": finding.code,
-                "level": "note" if quiet else "error",
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": finding.path.replace("\\", "/"),
-                                "uriBaseId": "SRCROOT",
-                            },
-                            "region": {"startLine": max(finding.line, 1)},
-                        },
-                        "logicalLocations": (
-                            [{"fullyQualifiedName": finding.symbol}]
-                            if finding.symbol
-                            else []
-                        ),
-                    }
-                ],
-                "partialFingerprints": {
-                    "zhtLintFingerprint/v1": finding.fingerprint
-                },
-            }
-            if finding.suppressed_by is not None:
-                result["suppressions"] = [
-                    {
-                        "kind": "inSource",
-                        "justification": finding.suppressed_by,
-                    }
-                ]
-            elif finding.baselined:
-                result["suppressions"] = [
-                    {
-                        "kind": "external",
-                        "justification": "baselined pre-existing finding",
-                    }
-                ]
-            results.append(result)
-        sarif = {
-            "$schema": _SARIF_SCHEMA,
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "zht-lint",
-                            "informationUri": (
-                                "https://example.invalid/zht-lint"
-                            ),
-                            "rules": rules,
-                        }
-                    },
-                    "originalUriBaseIds": {
-                        "SRCROOT": {"uri": "file:///"}
-                    },
-                    "results": results,
-                }
-            ],
-        }
-        return json.dumps(sarif, indent=2, sort_keys=True)
-
-
-def load_baseline(path: Path) -> set[str]:
-    """Fingerprints from a baseline file written by :func:`write_baseline`."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LintConfigError(f"{path}: {exc}") from exc
-    fingerprints = data.get("fingerprints", {})
-    return set(fingerprints)
-
-
-def write_baseline(report: LintReport, path: Path) -> int:
-    """Record every unsuppressed finding as known; returns the count.
-
-    The value of each entry is a human-readable hint only — matching
-    uses the fingerprint key.
-    """
-    entries = {
-        f.fingerprint: f"{f.code} {f.path} [{f.symbol}]"
-        for f in report.findings
-        if f.suppressed_by is None
-    }
-    payload = {"version": 1, "fingerprints": entries}
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return len(entries)
 
 
 def _apply_inline_suppressions(
@@ -776,7 +629,6 @@ def run_lint(
     root: Path | str,
     checkers: list[str] | None = None,
     config: LintConfig | None = None,
-    baseline: set[str] | None = None,
 ) -> LintReport:
     """Run the checkers over *root*; returns the full report."""
     # The package __init__ imports the checker modules, which register
@@ -826,8 +678,6 @@ def run_lint(
         report.unused_suppressions = [
             s for s in project.config.suppressions if not s.used
         ]
-    if baseline:
-        report.apply_baseline(baseline)
     report.total_seconds = time.perf_counter() - started
     return report
 
@@ -836,14 +686,9 @@ def run_lint(
 #: the checker modules at import time via :func:`register`.
 CHECKERS: dict[str, Callable[[Project], list[Finding]]] = {}
 
-#: finding code -> one-line description (feeds the SARIF rules array).
-RULE_DOCS: dict[str, str] = {}
 
-
-def register(name: str, codes: dict[str, str] | None = None):
-    """Register a checker; *codes* documents its finding codes."""
-    if codes:
-        RULE_DOCS.update(codes)
+def register(name: str):
+    """Register a checker under *name*."""
 
     def wrap(fn):
         CHECKERS[name] = fn

@@ -48,14 +48,6 @@ from .engine import (
     render_witness,
 )
 
-_CODES = {
-    "LOOP001": "blocking call reachable on the event-loop thread",
-    "LOOP002": (
-        "lock acquired on the event loop is held across a blocking call "
-        "elsewhere"
-    ),
-}
-
 
 def _lock_acquire_desc(facts, call: ast.Call) -> str | None:
     """``lock.acquire()`` with no bound — an unbounded lock wait."""
@@ -72,7 +64,7 @@ def _lock_acquire_desc(facts, call: ast.Call) -> str | None:
     return f"{lock}.acquire()"
 
 
-@register("event-loop", codes=_CODES)
+@register("event-loop")
 def check(project: Project) -> list[Finding]:
     all_facts = project.lock_facts()
     graph = project.call_graph()

@@ -36,16 +36,6 @@ import ast
 from .astutil import _called_name
 from .engine import Finding, FunctionLockFacts, Project, register
 
-_CODES = {
-    "FORK001": "process spawned while holding a lock",
-    "FORK002": "process forked in a class that also starts threads",
-    "FORK003": (
-        "fork child entry acquires a module-level lock shared with the "
-        "parent"
-    ),
-    "FORK004": "fork child never closes inherited parent sockets",
-}
-
 
 def _spawn_desc(call: ast.Call) -> str | None:
     chain = _called_name(call)
@@ -99,7 +89,7 @@ def _child_entries(
     return []
 
 
-@register("fork-safety", codes=_CODES)
+@register("fork-safety")
 def check(project: Project) -> list[Finding]:
     all_facts = project.lock_facts()
     graph = project.call_graph()

@@ -27,19 +27,12 @@ from __future__ import annotations
 from .astutil import LockId
 from .engine import Finding, Project, register
 
-_CODES = {
-    "LOCK001": "guarded attribute accessed without holding its lock",
-    "LOCK002": "potential deadlock cycle in the lock-acquisition graph",
-    "LOCK003": "guarded-by declaration names an unknown lock",
-    "LOCK004": "non-reentrant lock re-acquired while already held",
-}
-
 
 def _held_str(held: tuple[LockId, ...]) -> str:
     return ", ".join(str(lock) for lock in held)
 
 
-@register("lock-discipline", codes=_CODES)
+@register("lock-discipline")
 def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
     index = project.index

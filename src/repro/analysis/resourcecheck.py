@@ -37,11 +37,6 @@ from dataclasses import dataclass
 from .astutil import _called_name
 from .engine import Finding, FunctionLockFacts, Project, register
 
-_CODES = {
-    "RES001": "resource opened but never closed or handed off",
-    "RES002": "exception path leaks a resource before close/hand-off",
-    "RES003": "error path leaves a temp file on disk",
-}
 
 _CLOSE_METHODS = frozenset({"close", "cleanup"})
 _TEMP_SUFFIXES = (".tmp", ".gc", ".part", ".new")
@@ -154,7 +149,7 @@ def _body_range(stmts: list[ast.stmt]) -> tuple[int, int]:
     return stmts[0].lineno, stmts[-1].end_lineno or stmts[-1].lineno
 
 
-@register("resource-lifetime", codes=_CODES)
+@register("resource-lifetime")
 def check(project: Project) -> list[Finding]:
     known = returns_resource_summary(project)
     findings: list[Finding] = []

@@ -425,10 +425,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .analysis import CHECKERS, run_lint
-    from .analysis.engine import LintConfigError, load_baseline, write_baseline
 
     if args.checker:
         unknown = [c for c in args.checker if c not in CHECKERS]
@@ -441,34 +438,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    baseline = None
-    if args.baseline and not args.update_baseline:
-        bpath = Path(args.baseline)
-        # A missing baseline means "nothing is grandfathered"; CI
-        # bootstraps by running once with --update-baseline.
-        if bpath.exists():
-            try:
-                baseline = load_baseline(bpath)
-            except LintConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-    report = run_lint(
-        args.root, checkers=args.checker or None, baseline=baseline
-    )
-    if args.update_baseline:
-        if not args.baseline:
-            print("error: --update-baseline requires --baseline PATH", file=sys.stderr)
-            return 2
-        count = write_baseline(report, Path(args.baseline))
-        print(f"lint: baseline updated — {count} fingerprint(s) in {args.baseline}")
-        return 0
+    report = run_lint(args.root, checkers=args.checker or None)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-            fh.write("\n")
-    if args.sarif:
-        with open(args.sarif, "w", encoding="utf-8") as fh:
-            fh.write(report.to_sarif())
             fh.write("\n")
     for error in report.errors:
         print(f"error: {error}", file=sys.stderr)
@@ -478,8 +451,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for finding in report.suppressed:
             print(f"suppressed: {finding.render()}")
             print(f"  reason: {finding.suppressed_by}")
-        for finding in report.baselined_findings:
-            print(f"baselined: {finding.render()}")
         for name in sorted(report.timings, key=report.timings.get, reverse=True):
             print(f"timing: {name} {report.timings[name]:.3f}s")
     for supp in report.unused_suppressions:
@@ -488,8 +459,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         f"{len(report.active)} finding(s), "
         f"{len(report.suppressed)} suppressed"
     )
-    if report.baselined_findings:
-        summary += f", {len(report.baselined_findings)} baselined"
     if report.errors:
         print(f"lint: configuration errors; {summary}", file=sys.stderr)
         return 2
@@ -813,25 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="run only this checker (repeatable); default: all",
-    )
-    lint.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="also write the report as SARIF 2.1.0 (code-scanning upload)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="fingerprint baseline: findings recorded there are reported "
-        "but do not fail the run (missing file = empty baseline)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline with every current unsuppressed finding "
-        "and exit 0 (run this once to grandfather the existing tree)",
     )
     lint.add_argument(
         "--max-seconds",

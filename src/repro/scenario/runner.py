@@ -224,14 +224,6 @@ class Verdict:
 # Fault-plan compilation
 # ---------------------------------------------------------------------------
 
-_KIND_MAP = {
-    "drop": FaultKind.DROP,
-    "delay": FaultKind.DELAY,
-    "duplicate": FaultKind.DUPLICATE,
-    "reset": FaultKind.RESET,
-    "stall": FaultKind.STALL,
-}
-
 
 def build_plan(scenario: Scenario, seed: int) -> FaultPlan:
     """Compile the declarative fault spec into one seeded FaultPlan."""
@@ -245,7 +237,7 @@ def build_plan(scenario: Scenario, seed: int) -> FaultPlan:
     for message in faults.messages:
         plan.add(
             FaultRule(
-                _KIND_MAP[message.kind],
+                message.kind,
                 target=VICTIM_TARGET if message.target == "victim" else None,
                 op=message.op,
                 after=message.after,

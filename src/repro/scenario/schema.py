@@ -7,21 +7,25 @@ starts, so a malformed config is rejected with an actionable,
 path-qualified error instead of a traceback halfway through a cluster
 run (the validation-first design of AsyncFlow's ``SimulationPayload``).
 
-Everything is plain stdlib dataclasses + explicit validation: the
-schema must load in the bare container.  ``from_dict`` is strict
-(unknown fields are rejected, with a did-you-mean suggestion);
-``to_dict`` emits the full canonical form, so
-``Scenario.from_dict(s.to_dict()).to_dict() == s.to_dict()`` — the
-round-trip property the library tests enforce on every shipped
-scenario file.
+Everything is plain stdlib dataclasses: the schema must load in the
+bare container.  One codec, :func:`from_dict` / :func:`to_dict`, reads
+and writes every spec from its field declarations.  Parsing is strict
+(unknown fields are rejected, with a did-you-mean suggestion; every
+value must have its declared type) and checks nothing else: ranges,
+choices and cross-field rules live in each spec's ``validate()``,
+which Python-built scenarios pass through too.  ``to_dict`` emits the
+full canonical form, so every scenario that validates satisfies
+``Scenario.from_json(s.to_json()) == s`` — the round-trip property the
+library tests enforce on every shipped scenario file.
 """
 
 from __future__ import annotations
 
 import difflib
+import functools
 import json
-from dataclasses import dataclass, field, fields as dc_fields
-from typing import Any, Iterable, Sequence
+from dataclasses import MISSING, dataclass, field, fields as dc_fields, is_dataclass
+from typing import Any, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 #: Backends a scenario may declare; the first entry of
 #: ``Scenario.backends`` is its default.
@@ -30,8 +34,8 @@ BACKENDS = ("local", "tcp", "udp", "sim", "sharded")
 SHAPES = ("uniform", "zipf", "append", "registers")
 #: Node-level fault actions, fired at workload-progress fractions.
 FAULT_ACTIONS = ("kill", "repair", "kill_shard")
-#: Message-level fault kinds (mirror of FaultKind.MESSAGE_KINDS).
-MESSAGE_KINDS = ("drop", "delay", "duplicate", "reset", "stall")
+#: Which messages a message-level fault rule matches.
+MESSAGE_TARGETS = ("any", "victim")
 #: Named FaultPlan presets layered under the per-rule messages.
 NAMED_PLANS = ("overload", "flapping")
 #: Gate comparison operators.
@@ -120,15 +124,81 @@ def _string(value: Any, path: str) -> str:
     return value
 
 
-def _choice(value: Any, allowed: Sequence[str], path: str) -> str:
-    value = _string(value, path)
-    if value not in allowed:
+def _choice(value: Any, allowed: Sequence[str], path: str) -> None:
+    if _string(value, path) not in allowed:
         raise ScenarioError(
             path,
             f"unknown value {value!r}{_suggest(value, allowed)}; "
             f"must be one of: {', '.join(allowed)}",
         )
+
+
+# ---------------------------------------------------------------------------
+# The codec: one reader and one writer for every spec
+# ---------------------------------------------------------------------------
+
+_SCALARS: dict[Any, Callable[[Any, str], Any]] = {
+    int: _integer,
+    float: _number,
+    bool: _boolean,
+    str: _string,
+}
+
+
+@functools.cache
+def _hints(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _decode(hint: Any, value: Any, path: str) -> Any:
+    """One JSON value as a field declared ``hint``: a scalar, ``dict``,
+    ``tuple[T, ...]`` (a JSON list), ``X | None`` or a nested spec."""
+    if hint in _SCALARS:
+        return _SCALARS[hint](value, path)
+    if hint is dict:
+        return dict(_as_dict(value, path))
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
+        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if type(None) in args:
+        return None if value is None else _decode(args[0], value, path)
+    return from_dict(hint, value, path)
+
+
+def from_dict(cls: Any, data: Any, path: str) -> Any:
+    """Build the spec ``cls`` from a JSON object, strictly: unknown keys
+    are rejected, an absent field takes its declared default (a field
+    without one is required), and each value must have its declared
+    type.  Ranges and choices are left to ``validate()``."""
+    data = _as_dict(data, path)
+    _check_keys(data, cls, path)
+    hints = _hints(cls)
+    values = {}
+    for f in dc_fields(cls):
+        where = f"{path}.{f.name}"
+        if f.name in data:
+            values[f.name] = _decode(hints[f.name], data[f.name], where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioError(where, "required field is missing")
+    return cls(**values)
+
+
+def _encode(value: Any) -> Any:
+    if is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
     return value
+
+
+def to_dict(spec: Any) -> dict:
+    """The canonical JSON form of a spec: every field, nested specs as
+    objects and tuples as lists."""
+    return {f.name: _encode(getattr(spec, f.name)) for f in dc_fields(spec)}
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +220,6 @@ class TopologySpec:
     #: ZHTConfig field overrides.  ``persistence_dir: "auto"`` asks the
     #: runner for a run-scoped temporary directory.
     config: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "topology") -> "TopologySpec":
-        data = _as_dict(data, path)
-        _check_keys(data, cls, path)
-        spec = cls(
-            nodes=_integer(data.get("nodes", cls.nodes), f"{path}.nodes"),
-            replicas=_integer(data.get("replicas", cls.replicas), f"{path}.replicas"),
-            shards=_integer(data.get("shards", cls.shards), f"{path}.shards"),
-            partitions=_integer(
-                data.get("partitions", cls.partitions), f"{path}.partitions"
-            ),
-            config=dict(_as_dict(data.get("config", {}), f"{path}.config")),
-        )
-        spec.validate(path)
-        return spec
 
     def validate(self, path: str = "topology") -> None:
         if self.nodes < 1:
@@ -213,15 +267,6 @@ class TopologySpec:
                     f"override must be a JSON scalar, got {type(value).__name__}",
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "replicas": self.replicas,
-            "shards": self.shards,
-            "partitions": self.partitions,
-            "config": dict(self.config),
-        }
-
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -246,42 +291,13 @@ class TenantSpec:
     hot_keys: int = 2
     value_bytes: int = 64
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "TenantSpec":
-        data = _as_dict(data, path)
-        _check_keys(data, cls, path)
-        if "name" not in data:
-            raise ScenarioError(f"{path}.name", "tenant name is required")
-        spec = cls(
-            name=_string(data["name"], f"{path}.name"),
-            shape=_choice(data.get("shape", cls.shape), SHAPES, f"{path}.shape"),
-            clients=_integer(data.get("clients", cls.clients), f"{path}.clients"),
-            write_ratio=_number(
-                data.get("write_ratio", cls.write_ratio), f"{path}.write_ratio"
-            ),
-            zipf_alpha=_number(
-                data.get("zipf_alpha", cls.zipf_alpha), f"{path}.zipf_alpha"
-            ),
-            universe=_integer(data.get("universe", cls.universe), f"{path}.universe"),
-            hot_keys=_integer(data.get("hot_keys", cls.hot_keys), f"{path}.hot_keys"),
-            value_bytes=_integer(
-                data.get("value_bytes", cls.value_bytes), f"{path}.value_bytes"
-            ),
-        )
-        spec.validate(path)
-        return spec
-
     def validate(self, path: str) -> None:
         if not self.name or not self.name.replace("-", "").isalnum():
             raise ScenarioError(
                 f"{path}.name",
                 f"must be a non-empty alphanumeric/dash identifier, got {self.name!r}",
             )
-        if self.shape not in SHAPES:
-            raise ScenarioError(
-                f"{path}.shape",
-                f"unknown shape {self.shape!r}; must be one of: {', '.join(SHAPES)}",
-            )
+        _choice(self.shape, SHAPES, f"{path}.shape")
         if self.clients < 1:
             raise ScenarioError(f"{path}.clients", f"must be >= 1, got {self.clients}")
         if not 0.0 <= self.write_ratio <= 1.0:
@@ -306,18 +322,6 @@ class TenantSpec:
                 f"must be in [1, 65536], got {self.value_bytes}",
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "shape": self.shape,
-            "clients": self.clients,
-            "write_ratio": self.write_ratio,
-            "zipf_alpha": self.zipf_alpha,
-            "universe": self.universe,
-            "hot_keys": self.hot_keys,
-            "value_bytes": self.value_bytes,
-        }
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -325,28 +329,7 @@ class WorkloadSpec:
     tenant classes the clients belong to."""
 
     ops_per_client: int = 60
-    tenants: tuple = (TenantSpec(name="default"),)
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "workload") -> "WorkloadSpec":
-        data = _as_dict(data, path)
-        _check_keys(data, cls, path)
-        raw_tenants = data.get("tenants", [t.to_dict() for t in cls.tenants])
-        if not isinstance(raw_tenants, list):
-            raise ScenarioError(f"{path}.tenants", "expected a list of tenants")
-        tenants = tuple(
-            TenantSpec.from_dict(t, f"{path}.tenants[{i}]")
-            for i, t in enumerate(raw_tenants)
-        )
-        spec = cls(
-            ops_per_client=_integer(
-                data.get("ops_per_client", cls.ops_per_client),
-                f"{path}.ops_per_client",
-            ),
-            tenants=tenants,
-        )
-        spec.validate(path)
-        return spec
+    tenants: tuple[TenantSpec, ...] = (TenantSpec(name="default"),)
 
     def validate(self, path: str = "workload") -> None:
         if self.ops_per_client < 1:
@@ -371,12 +354,6 @@ class WorkloadSpec:
     def total_ops(self) -> int:
         return self.ops_per_client * self.total_clients
 
-    def to_dict(self) -> dict:
-        return {
-            "ops_per_client": self.ops_per_client,
-            "tenants": [t.to_dict() for t in self.tenants],
-        }
-
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -391,27 +368,8 @@ class FaultEvent:
     #: or a shard index (``kill_shard``).
     target: int = -1
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "FaultEvent":
-        data = _as_dict(data, path)
-        _check_keys(data, cls, path)
-        if "action" not in data or "at" not in data:
-            raise ScenarioError(path, "fault events require 'action' and 'at'")
-        event = cls(
-            action=_choice(data["action"], FAULT_ACTIONS, f"{path}.action"),
-            at=_number(data["at"], f"{path}.at"),
-            target=_integer(data.get("target", cls.target), f"{path}.target"),
-        )
-        event.validate(path)
-        return event
-
     def validate(self, path: str) -> None:
-        if self.action not in FAULT_ACTIONS:
-            raise ScenarioError(
-                f"{path}.action",
-                f"unknown action {self.action!r}; must be one of: "
-                f"{', '.join(FAULT_ACTIONS)}",
-            )
+        _choice(self.action, FAULT_ACTIONS, f"{path}.action")
         if not 0.0 <= self.at <= 1.0:
             raise ScenarioError(
                 f"{path}.at",
@@ -421,9 +379,6 @@ class FaultEvent:
             raise ScenarioError(
                 f"{path}.target", f"must be -1 (auto) or >= 0, got {self.target}"
             )
-
-    def to_dict(self) -> dict:
-        return {"action": self.action, "at": self.at, "target": self.target}
 
 
 @dataclass(frozen=True)
@@ -446,37 +401,11 @@ class MessageFault:
     #: Injected latency for delay/stall kinds (seconds).
     delay_s: float = 0.0
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "MessageFault":
-        data = _as_dict(data, path)
-        _check_keys(data, cls, path)
-        if "kind" not in data:
-            raise ScenarioError(f"{path}.kind", "message faults require 'kind'")
-        op = data.get("op", cls.op)
-        count = data.get("count", cls.count)
-        rule = cls(
-            kind=_choice(data["kind"], MESSAGE_KINDS, f"{path}.kind"),
-            probability=_number(
-                data.get("probability", cls.probability), f"{path}.probability"
-            ),
-            target=_choice(
-                data.get("target", cls.target), ("any", "victim"), f"{path}.target"
-            ),
-            op=None if op is None else _string(op, f"{path}.op"),
-            after=_integer(data.get("after", cls.after), f"{path}.after"),
-            count=None if count is None else _integer(count, f"{path}.count"),
-            delay_s=_number(data.get("delay_s", cls.delay_s), f"{path}.delay_s"),
-        )
-        rule.validate(path)
-        return rule
-
     def validate(self, path: str) -> None:
-        if self.kind not in MESSAGE_KINDS:
-            raise ScenarioError(
-                f"{path}.kind",
-                f"unknown kind {self.kind!r}{_suggest(self.kind, MESSAGE_KINDS)}; "
-                f"must be one of: {', '.join(MESSAGE_KINDS)}",
-            )
+        from ..faults.plan import FaultKind
+
+        _choice(self.kind, FaultKind.MESSAGE_KINDS, f"{path}.kind")
+        _choice(self.target, MESSAGE_TARGETS, f"{path}.target")
         if not 0.0 <= self.probability <= 1.0:
             raise ScenarioError(
                 f"{path}.probability", f"must be in [0, 1], got {self.probability}"
@@ -507,17 +436,6 @@ class MessageFault:
                 f"{self.kind} faults need delay_s > 0",
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "probability": self.probability,
-            "target": self.target,
-            "op": self.op,
-            "after": self.after,
-            "count": self.count,
-            "delay_s": self.delay_s,
-        }
-
 
 @dataclass(frozen=True)
 class FaultsSpec:
@@ -527,47 +445,12 @@ class FaultsSpec:
     #: Named :class:`~repro.faults.plan.FaultPlan` preset layered under
     #: the explicit message rules (``overload`` / ``flapping``).
     plan: str | None = None
-    events: tuple = ()
-    messages: tuple = ()
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "faults") -> "FaultsSpec":
-        data = _as_dict(data, path)
-        _check_keys(data, cls, path)
-        plan = data.get("plan", cls.plan)
-        raw_events = data.get("events", [])
-        raw_messages = data.get("messages", [])
-        if not isinstance(raw_events, list):
-            raise ScenarioError(f"{path}.events", "expected a list of fault events")
-        if not isinstance(raw_messages, list):
-            raise ScenarioError(
-                f"{path}.messages", "expected a list of message faults"
-            )
-        spec = cls(
-            plan=(
-                None
-                if plan is None
-                else _choice(plan, NAMED_PLANS, f"{path}.plan")
-            ),
-            events=tuple(
-                FaultEvent.from_dict(e, f"{path}.events[{i}]")
-                for i, e in enumerate(raw_events)
-            ),
-            messages=tuple(
-                MessageFault.from_dict(m, f"{path}.messages[{i}]")
-                for i, m in enumerate(raw_messages)
-            ),
-        )
-        spec.validate(path)
-        return spec
+    events: tuple[FaultEvent, ...] = ()
+    messages: tuple[MessageFault, ...] = ()
 
     def validate(self, path: str = "faults") -> None:
-        if self.plan is not None and self.plan not in NAMED_PLANS:
-            raise ScenarioError(
-                f"{path}.plan",
-                f"unknown plan {self.plan!r}; must be one of: "
-                f"{', '.join(NAMED_PLANS)}",
-            )
+        if self.plan is not None:
+            _choice(self.plan, NAMED_PLANS, f"{path}.plan")
         last_at = 0.0
         pending_kills = 0
         for i, event in enumerate(self.events):
@@ -606,13 +489,6 @@ class FaultsSpec:
             m.kind in ("drop", "duplicate", "reset") for m in self.messages
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "plan": self.plan,
-            "events": [e.to_dict() for e in self.events],
-            "messages": [m.to_dict() for m in self.messages],
-        }
-
 
 @dataclass(frozen=True)
 class ChecksSpec:
@@ -642,30 +518,12 @@ class ChecksSpec:
     #: Seconds an async-replica read may lag (used when replicas >= 2).
     staleness_bound: float = 0.25
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "checks") -> "ChecksSpec":
-        data = _as_dict(data, path)
-        _check_keys(data, cls, path)
-        spec = cls(
-            **{
-                f.name: (_number if f.name == "staleness_bound" else _boolean)(
-                    data.get(f.name, getattr(cls, f.name)), f"{path}.{f.name}"
-                )
-                for f in dc_fields(cls)
-            }
-        )
-        spec.validate(path)
-        return spec
-
     def validate(self, path: str = "checks") -> None:
         if self.staleness_bound <= 0:
             raise ScenarioError(
                 f"{path}.staleness_bound",
                 f"must be > 0 seconds, got {self.staleness_bound}",
             )
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
 @dataclass(frozen=True)
@@ -679,28 +537,8 @@ class GateSpec:
     op: str
     value: float
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "GateSpec":
-        data = _as_dict(data, path)
-        _check_keys(data, cls, path)
-        for required in ("metric", "op", "value"):
-            if required not in data:
-                raise ScenarioError(path, f"gates require {required!r}")
-        gate = cls(
-            metric=_string(data["metric"], f"{path}.metric"),
-            op=_choice(data["op"], GATE_OPS, f"{path}.op"),
-            value=_number(data["value"], f"{path}.value"),
-        )
-        gate.validate(path)
-        return gate
-
     def validate(self, path: str) -> None:
-        if self.op not in GATE_OPS:
-            raise ScenarioError(
-                f"{path}.op",
-                f"unknown operator {self.op!r}; must be one of: "
-                f"{', '.join(GATE_OPS)}",
-            )
+        _choice(self.op, GATE_OPS, f"{path}.op")
         metric = self.metric
         if ":" in metric:
             parts = metric.split(":")
@@ -727,9 +565,6 @@ class GateSpec:
                 f"'counter:<name>' / 'latency:<histogram>:<stat>'",
             )
 
-    def to_dict(self) -> dict:
-        return {"metric": self.metric, "op": self.op, "value": self.value}
-
     def describe(self) -> str:
         return f"{self.metric} {self.op} {self.value:g}"
 
@@ -745,57 +580,18 @@ class Scenario:
 
     name: str
     description: str
-    backends: tuple = ("local",)
+    backends: tuple[str, ...] = ("local",)
     seed: int = 0
-    tags: tuple = ()
+    tags: tuple[str, ...] = ()
     topology: TopologySpec = field(default_factory=TopologySpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     faults: FaultsSpec = field(default_factory=FaultsSpec)
     checks: ChecksSpec = field(default_factory=ChecksSpec)
-    gates: tuple = ()
+    gates: tuple[GateSpec, ...] = ()
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "scenario") -> "Scenario":
-        data = _as_dict(data, path)
-        _check_keys(data, cls, path)
-        for required in ("name", "description"):
-            if required not in data:
-                raise ScenarioError(path, f"scenarios require {required!r}")
-        raw_backends = data.get("backends", list(cls.backends))
-        if not isinstance(raw_backends, list) or not raw_backends:
-            raise ScenarioError(
-                f"{path}.backends", "expected a non-empty list of backends"
-            )
-        raw_tags = data.get("tags", [])
-        if not isinstance(raw_tags, list):
-            raise ScenarioError(f"{path}.tags", "expected a list of strings")
-        raw_gates = data.get("gates", [])
-        if not isinstance(raw_gates, list):
-            raise ScenarioError(f"{path}.gates", "expected a list of gates")
-        scenario = cls(
-            name=_string(data["name"], f"{path}.name"),
-            description=_string(data["description"], f"{path}.description"),
-            backends=tuple(
-                _choice(b, BACKENDS, f"{path}.backends[{i}]")
-                for i, b in enumerate(raw_backends)
-            ),
-            seed=_integer(data.get("seed", cls.seed), f"{path}.seed"),
-            tags=tuple(
-                _string(t, f"{path}.tags[{i}]") for i, t in enumerate(raw_tags)
-            ),
-            topology=TopologySpec.from_dict(
-                data.get("topology", {}), f"{path}.topology"
-            ),
-            workload=WorkloadSpec.from_dict(
-                data.get("workload", {}), f"{path}.workload"
-            ),
-            faults=FaultsSpec.from_dict(data.get("faults", {}), f"{path}.faults"),
-            checks=ChecksSpec.from_dict(data.get("checks", {}), f"{path}.checks"),
-            gates=tuple(
-                GateSpec.from_dict(g, f"{path}.gates[{i}]")
-                for i, g in enumerate(raw_gates)
-            ),
-        )
+        scenario: Scenario = from_dict(cls, data, path)
         scenario.validate(path)
         return scenario
 
@@ -808,18 +604,18 @@ class Scenario:
         return cls.from_dict(data, path)
 
     def validate(self, path: str = "scenario") -> None:
+        # A Python-built scenario meets the parser's type rules too, so
+        # whatever validates survives to_json -> from_json.
+        from_dict(Scenario, to_dict(self), path)
         if not self.name or not self.name.replace("-", "").isalnum():
             raise ScenarioError(
                 f"{path}.name",
                 f"must be a non-empty kebab-case identifier, got {self.name!r}",
             )
-        for backend in self.backends:
-            if backend not in BACKENDS:
-                raise ScenarioError(
-                    f"{path}.backends",
-                    f"unknown backend {backend!r}{_suggest(backend, BACKENDS)}; "
-                    f"must be one of: {', '.join(BACKENDS)}",
-                )
+        if not self.backends:
+            raise ScenarioError(f"{path}.backends", "at least one backend is required")
+        for i, backend in enumerate(self.backends):
+            _choice(backend, BACKENDS, f"{path}.backends[{i}]")
         self.topology.validate(f"{path}.topology")
         self.workload.validate(f"{path}.workload")
         self.faults.validate(f"{path}.faults")
@@ -883,18 +679,7 @@ class Scenario:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "backends": list(self.backends),
-            "seed": self.seed,
-            "tags": list(self.tags),
-            "topology": self.topology.to_dict(),
-            "workload": self.workload.to_dict(),
-            "faults": self.faults.to_dict(),
-            "checks": self.checks.to_dict(),
-            "gates": [g.to_dict() for g in self.gates],
-        }
+        return to_dict(self)
 
     def to_json(self) -> str:
         """Canonical serialization (the library's on-disk format)."""

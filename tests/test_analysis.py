@@ -914,92 +914,8 @@ def test_res003_temp_file_left_behind_on_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# SARIF / baseline / timings
+# Timings
 # ---------------------------------------------------------------------------
-
-
-def test_sarif_output_shape(tmp_path):
-    import json
-
-    report = lint_snippet(tmp_path, LOCK_SNIPPET, "lock-discipline")
-    doc = json.loads(report.to_sarif())
-    assert doc["version"] == "2.1.0"
-    assert "sarif-2.1.0" in doc["$schema"]
-    run = doc["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "zht-lint"
-    rule_ids = {rule["id"] for rule in driver["rules"]}
-    (result,) = run["results"]
-    assert result["ruleId"] == "LOCK001"
-    assert result["ruleId"] in rule_ids
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "mod.py"
-    assert location["region"]["startLine"] == report.active[0].line
-    assert result["partialFingerprints"]["zhtLintFingerprint/v1"]
-    assert "suppressions" not in result or result["suppressions"] == []
-
-
-def test_sarif_marks_suppressed_findings(tmp_path):
-    import json
-
-    cfg = LintConfig(
-        roots=["."],
-        suppressions=[
-            Suppression(
-                code="LOCK001", path="mod.py", symbol="*", reason="test"
-            )
-        ],
-    )
-    report = lint_snippet(tmp_path, LOCK_SNIPPET, "lock-discipline", config=cfg)
-    assert report.active == []
-    doc = json.loads(report.to_sarif())
-    (result,) = doc["runs"][0]["results"]
-    assert result["suppressions"], "suppressed finding must carry suppressions"
-
-
-def test_baseline_grandfathers_old_but_fails_new(tmp_path):
-    from repro.analysis.engine import load_baseline, write_baseline
-
-    report = lint_snippet(tmp_path, LOCK_SNIPPET, "lock-discipline")
-    assert len(report.active) == 1
-    baseline_path = tmp_path / "baseline.json"
-    assert write_baseline(report, baseline_path) == 1
-    fingerprints = load_baseline(baseline_path)
-
-    # The recorded finding no longer fails the run...
-    report = run_lint(
-        tmp_path,
-        checkers=["lock-discipline"],
-        config=LintConfig(roots=["."]),
-        baseline=fingerprints,
-    )
-    assert report.active == []
-    assert len(report.baselined_findings) == 1
-
-    # ...but a NEW finding in the same file still does.
-    grown = LOCK_SNIPPET + """
-        def worse(self, k):
-            return self._data.pop(k)
-    """
-    (tmp_path / "mod.py").write_text(
-        textwrap.dedent(grown), encoding="utf-8"
-    )
-    report = run_lint(
-        tmp_path,
-        checkers=["lock-discipline"],
-        config=LintConfig(roots=["."]),
-        baseline=fingerprints,
-    )
-    assert [f.symbol for f in report.active] == ["Store.worse"]
-    assert len(report.baselined_findings) == 1
-
-
-def test_fingerprints_survive_line_moves(tmp_path):
-    report_a = lint_snippet(tmp_path, LOCK_SNIPPET, "lock-discipline")
-    shifted = "\n    # a new leading comment\n" + LOCK_SNIPPET
-    report_b = lint_snippet(tmp_path, shifted, "lock-discipline")
-    assert report_a.active[0].line != report_b.active[0].line
-    assert report_a.active[0].fingerprint == report_b.active[0].fingerprint
 
 
 def test_timings_per_checker_in_report(tmp_path):
@@ -1012,3 +928,34 @@ def test_timings_per_checker_in_report(tmp_path):
     assert set(data["timings"]) == set(CHECKERS)
     assert all(t >= 0 for t in data["timings"].values())
     assert data["total_seconds"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# The CLI gate: `repro lint` exit codes, as CI runs it
+# ---------------------------------------------------------------------------
+
+
+def _lint_tree(tmp_path, source, toml='[options]\nroots = ["."]\n'):
+    (tmp_path / ".zhtlint.toml").write_text(toml, encoding="utf-8")
+    (tmp_path / "mod.py").write_text(textwrap.dedent(source), encoding="utf-8")
+    from repro.cli import main
+
+    return main(["lint", "--root", str(tmp_path), "--max-seconds", "30"])
+
+
+def test_cli_lint_exits_0_on_a_clean_tree(tmp_path, capsys):
+    assert _lint_tree(tmp_path, "def f(x):\n    return x + 1\n") == 0
+    assert "lint: OK — 0 finding(s), 0 suppressed" in capsys.readouterr().out
+
+
+def test_cli_lint_exits_1_and_prints_an_unsuppressed_finding(tmp_path, capsys):
+    assert _lint_tree(tmp_path, LOCK_SNIPPET) == 1
+    captured = capsys.readouterr()
+    assert "mod.py:" in captured.out and "LOCK001" in captured.out
+    assert "lint: FAIL — 1 finding(s)" in captured.err
+
+
+def test_cli_lint_exits_2_on_a_suppression_without_a_reason(tmp_path, capsys):
+    toml = '[options]\nroots = ["."]\n\n[[suppress]]\ncode = "LOCK001"\npath = "mod.py"\n'
+    assert _lint_tree(tmp_path, LOCK_SNIPPET, toml) == 2
+    assert "has no reason" in capsys.readouterr().err

@@ -18,9 +18,32 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.protocol import OpCode
+from repro.faults.plan import FaultKind
 from repro.scenario.library import library_names, load_scenario
-from repro.scenario.schema import Scenario, ScenarioError
+from repro.scenario.schema import (
+    BACKENDS,
+    FAULT_ACTIONS,
+    GATE_OPS,
+    LATENCY_STATS,
+    MESSAGE_TARGETS,
+    NAMED_PLANS,
+    REPORT_METRICS,
+    SHAPES,
+    ChecksSpec,
+    FaultEvent,
+    FaultsSpec,
+    GateSpec,
+    MessageFault,
+    Scenario,
+    ScenarioError,
+    TenantSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 
 LIBRARY_DIR = (
     Path(__file__).resolve().parent.parent
@@ -312,3 +335,196 @@ def test_run_scenario_rejects_undeclared_backend():
     scenario = Scenario.from_dict(minimal(backends=["local"]))
     with pytest.raises(ScenarioError, match="does not support"):
         run_scenario(scenario, backend="tcp")
+
+
+# ---------------------------------------------------------------------------
+# The codec: one from_dict / to_dict pair driven by the field declarations
+# ---------------------------------------------------------------------------
+
+
+def test_only_scenario_defines_the_codec_and_as_thin_wrappers():
+    import dataclasses
+    import inspect
+
+    from repro.scenario import schema
+
+    specs = [
+        obj
+        for obj in vars(schema).values()
+        if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+    ]
+    assert len(specs) == 9
+    for spec in specs:
+        if spec is not Scenario:
+            assert "from_dict" not in vars(spec), spec.__name__
+            assert "to_dict" not in vars(spec), spec.__name__
+    for method in (Scenario.from_dict, Scenario.to_dict):
+        body = inspect.getsource(method).strip().splitlines()
+        assert len(body) <= 5, body
+
+
+def test_misspelt_message_target_rejected_by_validate():
+    scenario = Scenario(
+        name="t",
+        description="test scenario",
+        faults=FaultsSpec(messages=(MessageFault(kind="drop", target="vicitm"),)),
+    )
+    with pytest.raises(ScenarioError, match="did you mean 'victim'") as excinfo:
+        scenario.validate()
+    assert excinfo.value.path == "scenario.faults.messages[0].target"
+
+
+def test_validate_checks_declared_types():
+    scenario = Scenario(name="t", description="", topology=TopologySpec(nodes="4"))
+    with pytest.raises(ScenarioError, match="expected an integer") as excinfo:
+        scenario.validate()
+    assert excinfo.value.path == "scenario.topology.nodes"
+
+
+def test_required_field_error_names_the_field():
+    with pytest.raises(ScenarioError, match="required") as excinfo:
+        Scenario.from_dict(minimal(faults={"events": [{"action": "kill"}]}))
+    assert excinfo.value.path == "scenario.faults.events[0].at"
+
+
+def test_empty_backends_rejected():
+    with pytest.raises(ScenarioError, match="backend") as excinfo:
+        Scenario.from_dict(minimal(backends=[]))
+    assert excinfo.value.path == "scenario.backends"
+
+
+# ---------------------------------------------------------------------------
+# Property: every scenario that validates survives to_json -> from_json
+# ---------------------------------------------------------------------------
+
+_IDENT = st.from_regex(r"[a-z][a-z0-9-]{0,8}", fullmatch=True)
+_FRACTION = st.floats(0.0, 1.0, allow_nan=False)
+_CONFIG_OVERRIDES = st.dictionaries(
+    st.sampled_from(["request_timeout", "max_retries", "wal_fsync", "persistence_dir"]),
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 5), _FRACTION, st.text(max_size=4)),
+    max_size=3,
+)
+
+
+@st.composite
+def _tenant(draw, name):
+    return TenantSpec(
+        name=name,
+        shape=draw(st.sampled_from(SHAPES)),
+        clients=draw(st.integers(1, 8)),
+        write_ratio=draw(_FRACTION),
+        zipf_alpha=draw(st.floats(0.01, 3.0)),
+        universe=draw(st.integers(1, 1000)),
+        hot_keys=draw(st.integers(1, 16)),
+        value_bytes=draw(st.integers(1, 65536)),
+    )
+
+
+@st.composite
+def _events(draw, nodes, sharded):
+    actions = list(FAULT_ACTIONS) if sharded else ["kill", "repair"]
+    ats = sorted(draw(st.lists(_FRACTION, max_size=4)))
+    events, kills, pending = [], 0, 0
+    for at in ats:
+        action = draw(st.sampled_from(actions))
+        if action == "kill" and kills >= nodes - 2:
+            continue
+        if action == "repair" and pending == 0:
+            continue
+        kills += action == "kill"
+        pending += {"kill": 1, "repair": -1}.get(action, 0)
+        events.append(FaultEvent(action, at, draw(st.integers(-1, 5))))
+    return tuple(events)
+
+
+@st.composite
+def _message(draw):
+    kind = draw(st.sampled_from(FaultKind.MESSAGE_KINDS))
+    slow = kind in ("delay", "stall")
+    return MessageFault(
+        kind=kind,
+        probability=draw(_FRACTION),
+        target=draw(st.sampled_from(MESSAGE_TARGETS)),
+        op=draw(st.none() | st.sampled_from([o.name for o in OpCode])),
+        after=draw(st.integers(0, 100)),
+        count=draw(st.none() | st.integers(1, 10)),
+        delay_s=draw(st.floats(0.001, 2.0) if slow else st.floats(0.0, 2.0)),
+    )
+
+
+_METRICS = st.one_of(
+    st.sampled_from(REPORT_METRICS),
+    _IDENT.map(lambda name: f"counter:{name}"),
+    st.tuples(_IDENT, st.sampled_from(LATENCY_STATS)).map(
+        lambda hs: f"latency:{hs[0]}:{hs[1]}"
+    ),
+)
+_GATES = st.builds(
+    GateSpec,
+    metric=_METRICS,
+    op=st.sampled_from(GATE_OPS),
+    value=st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def _scenarios(draw):
+    sharded = draw(st.booleans())
+    backends = ("sharded",) if sharded else tuple(
+        draw(st.lists(st.sampled_from(BACKENDS[:4]), min_size=1, max_size=3, unique=True))
+    )
+    nodes = draw(st.integers(4, 8))
+    names = draw(st.lists(_IDENT, min_size=1, max_size=3, unique=True))
+    messages = tuple(draw(st.lists(_message(), max_size=3)))
+    plan = draw(st.none() | st.sampled_from(NAMED_PLANS))
+    faults = FaultsSpec(plan=plan, events=draw(_events(nodes, sharded)), messages=messages)
+    quiet = not faults.lossy
+    return Scenario(
+        name=draw(_IDENT),
+        description=draw(st.text(max_size=20)),
+        backends=backends,
+        seed=draw(st.integers(0, 2**63)),
+        tags=tuple(draw(st.lists(st.text(max_size=6), max_size=3))),
+        topology=TopologySpec(
+            nodes=nodes,
+            replicas=draw(st.integers(1, nodes - 1)),
+            shards=draw(st.integers(2, 4)),
+            partitions=draw(st.integers(1, 128)),
+            config=draw(_CONFIG_OVERRIDES),
+        ),
+        workload=WorkloadSpec(
+            ops_per_client=draw(st.integers(1, 500)),
+            tenants=tuple(draw(_tenant(name)) for name in names),
+        ),
+        faults=faults,
+        checks=ChecksSpec(
+            durability=draw(st.booleans()),
+            divergence=quiet and draw(st.booleans()),
+            replication=draw(st.booleans()),
+            convergence=quiet and draw(st.booleans()),
+            linearizability=draw(st.booleans()),
+            staleness_bound=draw(st.floats(0.001, 10.0)),
+        ),
+        gates=tuple(draw(st.lists(_GATES, max_size=3))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=_scenarios())
+@example(
+    scenario=Scenario(
+        name="misspelt-target",
+        description="a rule aimed at a victim, misspelt",
+        faults=FaultsSpec(messages=(MessageFault(kind="drop", target="vicitm"),)),
+    )
+)
+@example(scenario=Scenario(name="t", description="", checks=ChecksSpec(staleness_bound=True)))
+def test_property_every_valid_scenario_round_trips(scenario):
+    """A draw that ``validate()`` rejects is skipped; the two examples
+    are such draws, which an earlier ``validate()`` let through to a
+    ``to_json()`` that ``from_json`` rejected."""
+    try:
+        scenario.validate()
+    except ScenarioError:
+        return
+    assert Scenario.from_json(scenario.to_json()) == scenario
