@@ -19,12 +19,14 @@ ledger itself, with profiling off.  Servers in other processes (the
 
 ``--opcodes`` counts bytecodes instead of time: every thread runs under
 ``sys.settrace`` with ``f_trace_opcodes``, and the table gives bytecodes
-per op — in total, per thread and per function — over a fixed number of
-calls (``--ops``, after ``--warm-ops`` untraced ones) of a KV workload,
-or over ``--seconds`` worth of DES rounds.  Unlike a timing, the count
-does not depend on the host: run twice, it reads the same, so a change's
-cost in executed bytecode is known from one run.  It depends on the
-Python version, so compare counts from one interpreter only.
+per op — in total, per thread, per layer (:data:`LAYERS`) and per
+function — over a fixed number of calls (``--ops``, after ``--warm-ops``
+untraced ones) of a KV workload, or over ``--seconds`` worth of DES
+rounds.  Unlike a timing, the count does not depend on the host, nor on
+what was counted before it in the process: run twice, it reads the same,
+so a change's cost in executed bytecode is known from one run.  It
+depends on the Python version, so compare counts from one interpreter
+only.
 """
 
 from __future__ import annotations
@@ -180,14 +182,43 @@ class ThreadOpcodes(PerThread):
 
 
 def _where(code) -> str:
+    return f"{_path(code)}:{code.co_firstlineno}({code.co_qualname})"
+
+
+def _path(code) -> str:
     path = code.co_filename
     for root in (os.path.join(ROOT, "src", ""), os.path.join(ROOT, "")):
         if path.startswith(root):
-            path = path[len(root):]
-            break
-    else:
-        path = os.path.basename(path)
-    return f"{path}:{code.co_firstlineno}({code.co_qualname})"
+            return path[len(root):]
+    return os.path.basename(path)
+
+
+#: Layer of a function, by the longest matching prefix of its module path
+#: (relative to ``src/``); ``<string>`` holds the methods ``dataclasses``
+#: generates, nearly all of them the messages' ``__init__``.
+LAYERS = (
+    ("hash", ("repro/core/hashing.py",)),
+    ("client engine", ("repro/core/client.py", "repro/core/loops.py",
+                       "repro/net/transport.py", "repro/api.py")),
+    ("server core", ("repro/core/server.py", "repro/core/partition.py",
+                     "repro/core/membership.py")),
+    ("store", ("repro/novoht/",)),
+    ("codec and messages", ("repro/core/protocol.py", "repro/core/errors.py", "<string>")),
+    ("net", ("repro/net/",)),
+    ("obs", ("repro/obs/",)),
+    ("sim", ("repro/sim/",)),
+)
+
+
+def layer_of(path: str) -> str:
+    """The layer a module path (as :func:`_path` gives it) belongs to;
+    ``other`` for the standard library and the rest of the program."""
+    best, name = 0, "other"
+    for layer, prefixes in LAYERS:
+        for prefix in prefixes:
+            if path.startswith(prefix) and len(prefix) > best:
+                best, name = len(prefix), layer
+    return name
 
 
 class OpcodeReport:
@@ -198,6 +229,8 @@ class OpcodeReport:
         self.ops = ops
         self.threads: dict[str, int] = {}
         self.functions: dict[str, list[int]] = {}
+        #: Own bytecodes per layer (:data:`LAYERS`), all threads.
+        self.layers: dict[str, int] = dict.fromkeys([name for name, _ in LAYERS] + ["other"], 0)
         for name, counts in tables:
             if name in skip:
                 continue
@@ -211,6 +244,7 @@ class OpcodeReport:
                 cell = self.functions.setdefault(_where(code), [0, 0])
                 cell[0] += calls
                 cell[1] += bytecodes
+                self.layers[layer_of(_path(code))] += bytecodes
 
     @property
     def total(self) -> int:
@@ -232,6 +266,11 @@ class OpcodeReport:
         lines.append("  per thread         bytecodes/op")
         for name, n in sorted(self.threads.items(), key=lambda kv: -kv[1]):
             lines.append(f"  {name:<24} {n / ops:10.1f}")
+        lines.append("")
+        lines.append("  per layer          bytecodes/op")
+        for name, n in self.layers.items():
+            if n:
+                lines.append(f"  {name:<24} {n / ops:10.1f}")
         lines.append("")
         lines.append(f"  top {top} functions by own bytecodes: bytecodes/op  calls/op  function")
         ranked = sorted(self.functions.items(), key=lambda kv: -kv[1][1])
@@ -274,7 +313,10 @@ def count_opcodes(workload: str, *, seed: int = 1, ops: int = 400, warm_ops: int
                     return OpcodeReport([], 1, set()), warm
                 wl.streams = [stream[: warm_ops + ops] for stream in streams]
             wl.prepare(seconds)
+            # Finalisers and folds owed by what ran before (an earlier
+            # workload's torn-down cores) run now, not in the count.
             gc.collect()
+            REGISTRY.fold_retired()
             gc.freeze()
             counter.trace_caller()
             counter.start()

@@ -53,6 +53,10 @@ from .net.local import LocalNetwork
 from .net.transport import ClientTransport, drive
 
 
+#: Bound once: reading a member through its enum class costs ~0.1 µs.
+_INSERT, _LOOKUP, _REMOVE, _APPEND = OpCode.INSERT, OpCode.LOOKUP, OpCode.REMOVE, OpCode.APPEND
+
+
 def _to_key(key: str | bytes) -> bytes:
     if type(key) is bytes:
         return key
@@ -108,23 +112,23 @@ class ZHT(OpClient):
 
     def insert(self, key: str | bytes, value: str | bytes) -> None:
         """Store *value* under *key*, overwriting any existing value."""
-        drive(self.op(OpCode.INSERT, _to_key(key), _to_value(value)), self.transport)
+        drive(self.op(_INSERT, _to_key(key), _to_value(value)), self.transport)
 
     def lookup(self, key: str | bytes) -> bytes:
         """Return the value stored under *key*.
 
         Raises :class:`~repro.core.errors.KeyNotFound` if absent.
         """
-        return drive(self.op(OpCode.LOOKUP, _to_key(key)), self.transport).value
+        return drive(self.op(_LOOKUP, _to_key(key)), self.transport).value
 
     def remove(self, key: str | bytes) -> None:
         """Delete *key*; raises :class:`KeyNotFound` if absent."""
-        drive(self.op(OpCode.REMOVE, _to_key(key)), self.transport)
+        drive(self.op(_REMOVE, _to_key(key)), self.transport)
 
     def append(self, key: str | bytes, value: str | bytes) -> None:
         """Append *value* to the value under *key* (lock-free concurrent
         modification; creates the key if absent)."""
-        drive(self.op(OpCode.APPEND, _to_key(key), _to_value(value)), self.transport)
+        drive(self.op(_APPEND, _to_key(key), _to_value(value)), self.transport)
 
     def lookup_at_replica(self, key: str | bytes, replica_index: int) -> bytes:
         """Read *key* directly from chain position *replica_index*.

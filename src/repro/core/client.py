@@ -37,7 +37,7 @@ import threading
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..obs import REGISTRY
 from ..obs.metrics import LatencyHistogram
@@ -134,6 +134,8 @@ class Attempt:
     #: Sub-request ids of a BATCH, which its sub-responses must echo;
     #: ``None`` when the group went out as one plain request.
     sub_ids: list[int] | None = None
+    #: Its timeout's backoff exponent: its most-retried entry's retries.
+    retries: int = 0
 
     def __init__(
         self, address: Address, node_id: str, instance_id: str, op: OpCode, epoch: int,
@@ -221,6 +223,7 @@ RTO_MIN_S = 0.002
 HOT_KEY_TRACKER_SIZE = 512
 
 
+_OK = Status.OK
 #: Reply statuses that leave an entry unsettled: it is planned again.
 _RETRIED = frozenset(
     {Status.REDIRECT, Status.MIGRATING, Status.DEADLINE_EXCEEDED, Status.RETRY_LATER}
@@ -405,8 +408,6 @@ class ZHTClientCore:
         groups: dict[str, Attempt] = {}
         unroutable: list[BatchEntry] = []
         for entry in entries:
-            if entry.status is not None or entry.error is not None:
-                continue
             chain, first = route(entry.pid, num_replicas)
             # Positions past the first alive one are alive (see route()).
             index = entry.replica_index if entry.replica_index > first else first
@@ -418,10 +419,11 @@ class ZHTClientCore:
             instance_id = target.instance_id
             attempt = groups.get(instance_id)
             if attempt is None:
-                attempt = groups[instance_id] = Attempt(
-                    target.address, target.node_id, instance_id, op, epoch, []
+                groups[instance_id] = Attempt(
+                    target.address, target.node_id, instance_id, op, epoch, [entry]
                 )
-            attempt.entries.append(entry)
+            else:
+                attempt.entries.append(entry)
         if max_bytes is None:
             return list(groups.values()), unroutable
         # Chunk each owner group under the transport's size limit.
@@ -542,8 +544,6 @@ class ZHTClientCore:
         breaker, one timeout re-opens it with a doubled cooldown.  This is
         what lets a client rediscover a recovered node without a restart.
         """
-        if not self._breakers:  # zht-lint: ignore[LOCK001] GIL-atomic emptiness read; a breaker opened this instant is seen by the next op
-            return
         now = self.clock()
         to_probe: list[str] = []
         with self._state_lock:
@@ -563,8 +563,6 @@ class ZHTClientCore:
 
     def take_notifications(self) -> list[Cast]:
         """Atomically drain the pending manager notifications."""
-        if not self.pending_notifications:  # zht-lint: ignore[LOCK001] GIL-atomic emptiness read; a note queued this instant leaves with the next op
-            return []
         with self._state_lock:
             notes = self.pending_notifications
             self.pending_notifications = []
@@ -664,7 +662,8 @@ class OpDriver:
         *,
         max_bytes: int | None = None,
     ) -> None:
-        core.maybe_reprobe()
+        if core._breakers:  # GIL-atomic; one opened this instant is seen next op
+            core.maybe_reprobe()
         self.core = core
         self.op = op
         self.entries = entries
@@ -673,18 +672,13 @@ class OpDriver:
         #: header and enforced locally when planning each attempt.
         self.deadline = core.clock() + core.deadline_budget()
         num_partitions, hash_name = core.membership.num_partitions, core.config.hash_name
-        heat = op is OpCode.LOOKUP and core.tracks_heat
+        heat = core.tracks_heat and op is OpCode.LOOKUP
         for entry in entries:
             entry.pid = partition_of(entry.key, num_partitions, hash_name)
             if heat:
                 # Heat-spread lookups start deeper in the chain and walk
                 # forward from there like any degraded read.
                 entry.replica_index = core._hot_read_start(entry.key, entry.pid)
-        #: Entries with neither a status nor an error: once none is left,
-        #: the op is over without another planning pass.
-        self._unsettled = len(entries)
-        #: This round's attempts not yet handed out, last one first.
-        self._queue: list[Attempt] = []
 
     #: The last reply received.
     response: Response | None = None
@@ -692,6 +686,11 @@ class OpDriver:
     _delay = 0.0
     #: The attempt handed out and not yet answered or timed out.
     _current: Attempt | None = None
+    #: This round's attempts not yet handed out (a plan assigns a new list).
+    _queue: list[Attempt] = []
+    #: The most retries of an entry requeued since the round was planned, or
+    #: ``None`` if none was (the op is over); ``-1`` before the first round.
+    _retries: int | None = -1
 
     # ------------------------------------------------------------------
 
@@ -705,72 +704,40 @@ class OpDriver:
                 return OpState.RUNNING
         return OpState.FAILED if failed else OpState.DONE
 
-    def _plan_round(self) -> None:
-        """Fail the entries out of budget and plan the rest into this
-        round's attempts."""
-        core = self.core
-        cfg = core.config
-        op = self.op
-        entries = self.entries
-        retries = 0
-        for entry in entries:
-            if entry.status is not None or entry.error is not None:
-                continue
-            if entry.attempts > cfg.max_retries:
-                entry.error = (
-                    ServerOverloaded(f"{op.name} shed by overloaded servers")
-                    if entry.overloaded
-                    else RequestTimeout(f"{op.name} exhausted retries")
-                )
-                self._unsettled -= 1
-            elif entry.retries > retries:
-                retries = entry.retries
-        if not self._unsettled:
-            return
-        if self.deadline - core.clock() <= 0:
-            for entry in entries:
-                if not entry.settled:
-                    entry.error = DeadlineExceeded(f"{op.name} deadline exceeded")
-            self._unsettled = 0
-            return
-        attempts, unroutable = core.plan_batches(op, entries, max_bytes=self.max_bytes)
-        for entry in unroutable:
-            entry.error = NodeDeadError(
-                f"no alive replica for partition {entry.pid} (op {op.name})"
+    def _requeue(self, entry: BatchEntry) -> None:
+        """*entry* goes back for another round, or fails out of retries."""
+        if entry.attempts > self.core.config.max_retries:
+            entry.error = (
+                ServerOverloaded(f"{self.op.name} shed by overloaded servers")
+                if entry.overloaded
+                else RequestTimeout(f"{self.op.name} exhausted retries")
             )
-        self._unsettled -= len(unroutable)
-        if not attempts:
-            return
-        delay = 0.0
-        if retries:
-            delay = cfg.request_timeout * cfg.backoff_factor ** (retries - 1)
-            if cfg.retry_jitter:
-                # Full jitter (delay ~ U[0, base]) desynchronizes the
-                # retry storms that lockstep exponential backoff creates
-                # when many clients time out against one slow server.
-                delay = core.rng.uniform(0.0, delay)
-        attempts.reverse()
-        self._queue = attempts
-        self._delay = delay
+        elif self._retries is None or entry.retries > self._retries:
+            self._retries = entry.retries
 
     def next_attempt(self) -> Attempt | None:
         """The next round trip to execute, or ``None`` once every entry
-        settled."""
-        if not self._queue:
-            if not self._unsettled:
-                return None
-            self._plan_round()
+        settled.  A first round is only the plan: no entry can be out of
+        retries (:meth:`_requeue`) or of time yet."""
         queue = self._queue
         core = self.core
+        if not queue:
+            retries = self._retries
+            if retries is None:
+                return None
+            self._retries = None
+            entries = self.entries if retries < 0 else self._retry_entries(core)
+            queue, unroutable = core.plan_batches(self.op, entries, max_bytes=self.max_bytes)
+            for entry in unroutable:
+                entry.error = NodeDeadError(
+                    f"no alive replica for partition {entry.pid} (op {self.op.name})"
+                )
+            if retries > 0 and queue:
+                self._back_off(core, retries, queue)
+            self._queue = queue
         cfg = core.config
         while queue:
-            attempt = queue.pop()
-            entries = attempt.entries
-            retries = 0
-            for entry in entries:
-                entry.attempts += 1
-                if entry.retries > retries:
-                    retries = entry.retries
+            attempt = queue.pop(0)
             # The deadline caps both the wait before the attempt and the
             # attempt itself; a schedule that cannot fit gives the attempt
             # whatever budget is left rather than overshooting the deadline.
@@ -780,39 +747,65 @@ class OpDriver:
                 self._delay = 0.0
                 if delay > remaining:
                     delay = remaining
-            timeout = cfg.request_timeout * cfg.backoff_factor**retries
-            if timeout > remaining - delay:
-                timeout = remaining - delay
-            if timeout <= 0:
-                for entry in entries:
-                    entry.error = DeadlineExceeded(f"{self.op.name} deadline exceeded")
-                self._unsettled -= len(entries)
-                continue
+                attempt.delay = delay
+                remaining -= delay
+            retries = attempt.retries
+            timeout = cfg.request_timeout * cfg.backoff_factor**retries if retries else cfg.request_timeout
+            if timeout > remaining:
+                timeout = remaining
+                if timeout <= 0:
+                    for entry in attempt.entries:
+                        entry.error = DeadlineExceeded(f"{self.op.name} deadline exceeded")
+                    continue
             attempt.request = self._encode(attempt)
             attempt.timeout = timeout
-            attempt.delay = delay
             self._current = attempt
             return attempt
         return None
 
+    def _retry_entries(self, core: ZHTClientCore) -> list[BatchEntry]:
+        """A retry round's entries: the unsettled ones, failed past the deadline."""
+        entries = [entry for entry in self.entries if not entry.settled]
+        if self.deadline - core.clock() <= 0:
+            for entry in entries:
+                entry.error = DeadlineExceeded(f"{self.op.name} deadline exceeded")
+            return []
+        return entries
+
+    def _back_off(self, core: ZHTClientCore, retries: int, attempts: list[Attempt]) -> None:
+        """A retry round waits its most-retried entry's backoff; an attempt's
+        timeout grows with its own most-retried entry."""
+        cfg = core.config
+        delay = cfg.request_timeout * cfg.backoff_factor ** (retries - 1)
+        if cfg.retry_jitter:
+            # Full jitter (delay ~ U[0, base]) desynchronizes the retry
+            # storms that lockstep exponential backoff creates when many
+            # clients time out against one slow server.
+            delay = core.rng.uniform(0.0, delay)
+        self._delay = delay
+        for attempt in attempts:
+            attempt.retries = max(entry.retries for entry in attempt.entries)
+
     def _encode(self, attempt: Attempt) -> Request:
         """The request carrying *attempt*: a group of one goes out as a
         plain request, a larger group as a BATCH.  Every request id of an
-        operation is minted here."""
-        next_id = self.core._request_ids.__next__
-        op, epoch, entries = attempt.op, attempt.epoch, attempt.entries
-        deadline_us = int(self.deadline * 1e6)
+        operation is minted, and each entry's round trips counted, here."""
+        entries = attempt.entries
         if len(entries) == 1:
             entry = entries[0]
+            entry.attempts += 1
             # Positional: keyword arguments make this dataclass cost ~1.7x.
             return Request(
-                op, entry.key, entry.value, next_id(), epoch, 0, entry.replica_index,
-                0, b"", deadline_us,
+                attempt.op, entry.key, entry.value, next(self.core._request_ids),
+                attempt.epoch, 0, entry.replica_index, 0, b"", int(self.deadline * 1e6),
             )
+        next_id = self.core._request_ids.__next__
+        op, epoch = attempt.op, attempt.epoch
         self.core.stats.inc("batches")
         payload = bytearray()
         sub_ids = attempt.sub_ids = []
         for entry in entries:
+            entry.attempts += 1
             request_id = next_id()
             sub_ids.append(request_id)
             pack_request(
@@ -824,7 +817,7 @@ class OpDriver:
             request_id=next_id(),
             epoch=self.core.membership.epoch,
             payload=bytes(payload),
-            deadline_us=deadline_us,
+            deadline_us=int(self.deadline * 1e6),
         )
 
     # ------------------------------------------------------------------
@@ -835,13 +828,11 @@ class OpDriver:
             return
         self._current = None
         self.response = response
-        entries = attempt.entries
-        if attempt.sub_ids is None or response.status is not Status.OK:
-            # A plain reply, or a whole-BATCH status: one answer for all.
-            outcomes = [(response.status, response.value)] * len(entries)
-        else:
-            outcomes = _sub_responses(attempt, response)
-            if outcomes is None:
+        status = response.status
+        subs: Sequence[tuple] | None = None
+        if attempt.sub_ids is not None and status is _OK:
+            subs = _sub_responses(attempt, response)
+            if subs is None:
                 # A reply that answers no entry reliably is a lost reply, as
                 # it is to a point request over a transport matching by id.
                 self._timed_out(attempt)
@@ -850,15 +841,24 @@ class OpDriver:
         core.record_success(attempt.node_id, rtt_s)
         if response.membership:
             core.adopt_membership(response.membership)
+        entries = attempt.entries
+        if subs is None:
+            # A plain reply, or a whole-BATCH status: one answer for all.
+            if status not in _RETRIED:
+                value = response.value
+                for entry in entries:
+                    entry.status = status
+                    entry.result = value
+                return
+            subs = ((status,),) * len(entries)
         cfg = core.config
         stats = core.stats
-        settled = 0
-        for entry, outcome in zip(entries, outcomes):
-            status = outcome[0]
+        for entry, sub in zip(entries, subs):
+            status = sub[0]
             if status not in _RETRIED:
-                entry.status, entry.result = status, outcome[1]
-                settled += 1
-            elif status is Status.REDIRECT:
+                entry.status, entry.result = status, sub[1]
+                continue
+            if status is Status.REDIRECT:
                 # Membership was piggybacked; recompute the owner and retry.
                 stats.inc("redirects_followed")
                 entry.retries = 0
@@ -888,7 +888,7 @@ class OpDriver:
                     entry.overloaded = True
                     stats.inc("retries")
                     entry.retries += 1
-        self._unsettled -= settled
+            self._requeue(entry)
 
     def on_timeout(self) -> None:
         """The transport observed no response within ``attempt.timeout``."""
@@ -909,6 +909,7 @@ class OpDriver:
         if node is not None and node.alive:
             for entry in entries:
                 entry.retries += 1
+                self._requeue(entry)
             return
         num_replicas = core.config.num_replicas
         failovers = 0
@@ -917,6 +918,7 @@ class OpDriver:
             entry.retries = 0
             if entry.replica_index <= num_replicas:
                 failovers += 1
+            self._requeue(entry)
         if failovers:
             core.stats.inc("failovers", failovers)
 
@@ -927,11 +929,11 @@ class OpDriver:
         failed entry's exception (its error, or the one its status maps
         to)."""
         for entry in self.entries:
-            if entry.error is not None:
-                raise entry.error
-            if entry.status is None:
-                raise ZHTError("operation still in flight")
-            if entry.status is not Status.OK:
+            if entry.status is not _OK:
+                if entry.error is not None:
+                    raise entry.error
+                if entry.status is None:
+                    raise ZHTError("operation still in flight")
                 raise_for_status(entry.status, f"{self.op.name} {entry.key!r}")
         assert self.response is not None
         return self.response

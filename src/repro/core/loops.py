@@ -53,6 +53,8 @@ Group = namedtuple("Group", "sends timeout")
 #: *response*; the reply is ``None``.
 Answer = namedtuple("Answer", "context response")
 
+_OK = Status.OK
+
 #: Default client ids (``client-0``, ``client-1``, ...), process-wide.
 _client_ids = itertools.count()
 
@@ -116,30 +118,30 @@ class OpClient:
         mutation drops its keys from the hot-key cache; with a recorder,
         every entry lands in the history."""
         core = self.core
-        clock = core.clock
         recorder = self.recorder
         t_call = recorder.now() if recorder is not None else 0.0
         try:
             # The root span of one logical operation: every retry,
             # redirect, backoff and failover attempt — submission to
             # settled outcome, what the paper's latency figures measure.
-            with REGISTRY.span("client.op") if self.timed else NULL_SPAN:
+            with REGISTRY.span("client.op") if self.timed and REGISTRY.enabled else NULL_SPAN:
                 while True:
                     attempt = driver.next_attempt()
                     if attempt is None:
                         break
-                    if attempt.delay > 0:
+                    if attempt.delay:
                         yield Sleep(attempt.delay)
-                    sent_at = clock()
+                    sent_at = core.clock()
                     response = yield attempt
                     if response is None:
                         driver.on_timeout()
                     else:
                         # The measured RTT, backoff excluded, feeds the
                         # per-node history behind the phi failure detector.
-                        driver.on_response(response, clock() - sent_at)
+                        driver.on_response(response, core.clock() - sent_at)
             # Pending failure reports go to the managers (best effort).
-            yield from core.take_notifications()
+            if core.pending_notifications:  # zht-lint: ignore[LOCK001] GIL-atomic emptiness read; a note queued this instant leaves with the next op
+                yield from core.take_notifications()
             return driver.result()
         finally:
             if recorder is not None:
@@ -242,7 +244,7 @@ def effect_loop(result: HandleResult, timeout: float) -> Generator:
         yield Cast(address, update)
     if result.sync_sends:
         acks = yield Group(result.sync_sends, timeout)
-        if response is not None and any(ack is None or ack.status != Status.OK for ack in acks):
+        if response is not None and any(ack is None or ack.status != _OK for ack in acks):
             response.status = Status.REPLICATION_ERROR
     for address, queued in result.forwards:
         forwarded = yield PeerCall(address, queued.request, timeout)

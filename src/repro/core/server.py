@@ -22,18 +22,19 @@ Request handling implements the paper's semantics:
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
 from typing import Callable, Sequence
 
 from ..novoht import NoVoHT
-from ..obs import REGISTRY, PartitionLoadTracker, metrics_snapshot
+from ..obs import NULL_SPAN, REGISTRY, PartitionLoadTracker, metrics_snapshot
 from .config import ReplicationMode, ZHTConfig
 from .errors import KeyNotFound, MigrationError, Status, ZHTError
 from .hashing import partition_of
 from .membership import Address, InstanceInfo, MembershipTable
-from .partition import Partition, QueuedRequest
+from .partition import Partition, PartitionState, QueuedRequest
 from .protocol import (
     OpCode,
     Request,
@@ -43,6 +44,7 @@ from .protocol import (
     pack_response,
     parse_batch,
     parse_request,
+    request_fields,
 )
 
 #: Sub-answers ``(status, value, redirect)`` that are a status and nothing else.
@@ -57,8 +59,29 @@ _OK, _KEY_NOT_FOUND, _MIGRATING, _BAD_REQUEST, _KEY_TOO_LARGE, _VALUE_TOO_LARGE 
 #: class is a metaclass lookup (~0.1 µs).
 _REPLICA_UPDATE, _LOOKUP, _BATCH = OpCode.REPLICA_UPDATE, OpCode.LOOKUP, OpCode.BATCH
 _STATUS_OK, _REDIRECT, _STATUS_BAD_REQUEST = Status.OK, Status.REDIRECT, Status.BAD_REQUEST
+_MIGRATING_OUT = PartitionState.MIGRATING_OUT
+_SYNC, _ASYNC = ReplicationMode.SYNC, ReplicationMode.ASYNC
 #: The index list of a group of one.
 _FIRST = (0,)
+
+#: Client op → NoVoHT batch-op kind.
+_CLIENT_KINDS = {OpCode.INSERT: "put", OpCode.LOOKUP: "get", OpCode.REMOVE: "remove",
+                 OpCode.APPEND: "append"}
+#: REPLICA_UPDATE inner op → kind: a chain carries mutations only.
+_REPLICA_KINDS = {op: kind for op, kind in _CLIENT_KINDS.items() if kind != "get"}
+#: Batch-op kind → the counter a served client op of that kind bumps.
+_KIND_STATS = {"put": "inserts", "get": "lookups", "remove": "removes", "append": "appends"}
+#: Client op → the counter a served one bumps.
+_OP_STATS = {op: _KIND_STATS[kind] for op, kind in _CLIENT_KINDS.items()}
+#: Point op → the counter a served one bumps.
+_POINT_STATS = {**_OP_STATS, OpCode.REPLICA_UPDATE: "replica_updates"}
+#: Client ops whose key and value the size limits cover.
+_SIZED = frozenset({OpCode.INSERT, OpCode.APPEND})
+#: Ops subject to admission control.  Server-to-server traffic
+#: (replica updates, migration, membership, probes) must never be
+#: shed: dropping a replica update breaks the consistency contract,
+#: and shedding PING would make overload look like death.
+_ADMITTED_OPS = frozenset({*_CLIENT_KINDS, OpCode.BATCH})
 
 
 #: Per-instance operation counters (``core.stats.<field>``; process
@@ -110,15 +133,13 @@ class ReplicationSequencer:
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        self._next = 0  # guarded-by: _cond
+        #: Tickets in issue order: ``next`` is one C call, atomic under the GIL.
+        self._tickets = itertools.count()
         self._served = 0  # guarded-by: _cond
         self._retired: set[int] = set()  # guarded-by: _cond
 
     def ticket(self) -> int:
-        with self._cond:
-            t = self._next
-            self._next += 1
-            return t
+        return next(self._tickets)
 
     def reticket(self, old: int | None) -> int:
         """Trade *old* for a fresh (later) ticket.
@@ -129,7 +150,7 @@ class ReplicationSequencer:
         more than one live ticket (which keeps the release order
         deadlock-free).
         """
-        fresh = self.ticket()
+        fresh = next(self._tickets)
         if old is not None:
             self.retire(old)
         return fresh
@@ -307,14 +328,6 @@ class ZHTServerCore:
     # Request dispatch
     # ------------------------------------------------------------------
 
-    #: Ops subject to admission control.  Server-to-server traffic
-    #: (replica updates, migration, membership, probes) must never be
-    #: shed: dropping a replica update breaks the consistency contract,
-    #: and shedding PING would make overload look like death.
-    _ADMITTED_OPS = frozenset(
-        {OpCode.INSERT, OpCode.LOOKUP, OpCode.REMOVE, OpCode.APPEND, OpCode.BATCH}
-    )
-
     def handle(self, request: Request, reply_context: object = None) -> HandleResult:
         """Process one request; never raises for protocol-level errors.
 
@@ -322,9 +335,9 @@ class ZHTServerCore:
         passed is shed with DEADLINE_EXCEEDED, and one arriving while the
         backlog is at ``config.max_inflight`` with RETRY_LATER.
         """
-        with REGISTRY.span("server.handle"):
+        with REGISTRY.span("server.handle") if REGISTRY.enabled else NULL_SPAN:
             op = request.op
-            if op not in self._ADMITTED_OPS:
+            if op not in _ADMITTED_OPS:
                 return self._dispatch(request, reply_context)
             deadline_us = request.deadline_us
             if deadline_us and self.clock() * 1e6 > deadline_us:
@@ -357,9 +370,9 @@ class ZHTServerCore:
 
     def _dispatch(self, request: Request, reply_context: object) -> HandleResult:
         op = request.op
-        if op in (OpCode.INSERT, OpCode.LOOKUP, OpCode.REMOVE, OpCode.APPEND):
-            return self._handle_point(request, reply_context)
         if op == OpCode.REPLICA_UPDATE:
+            return self._handle_point(request, reply_context)
+        if op in (OpCode.INSERT, OpCode.LOOKUP, OpCode.REMOVE, OpCode.APPEND):
             return self._handle_point(request, reply_context)
         if op == OpCode.MIGRATE_BEGIN:
             return self._handle_migrate_begin(request)
@@ -447,23 +460,13 @@ class ZHTServerCore:
     # Client operations and replica updates: groups of subs on a partition
     # ------------------------------------------------------------------
 
-    #: Client op → NoVoHT batch-op kind.
-    _BATCH_KINDS = {
-        OpCode.INSERT: "put",
-        OpCode.LOOKUP: "get",
-        OpCode.REMOVE: "remove",
-        OpCode.APPEND: "append",
-    }
-    _BATCH_STATS = {"put": "inserts", "get": "lookups", "remove": "removes", "append": "appends"}
-    #: Client op → the counter a hit bumps.
-    _OP_STATS = dict(zip(_BATCH_KINDS, map(_BATCH_STATS.__getitem__, _BATCH_KINDS.values())))
-    #: REPLICA_UPDATE inner op → kind: a chain carries mutations only.
-    _REPLICA_KINDS = {op: kind for op, kind in _BATCH_KINDS.items() if kind != "get"}
+    #: The op tables (module constants above), as the batch path reads them.
+    _BATCH_KINDS, _BATCH_STATS, _OP_STATS = _CLIENT_KINDS, _KIND_STATS, _OP_STATS
 
     def _replica_update_ok(self, inner_op: int, pid: int) -> bool:
         """A REPLICA_UPDATE is peer input: it is served only when it
         carries a mutation for a partition that exists."""
-        return inner_op in self._REPLICA_KINDS and pid < self.membership.num_partitions
+        return inner_op in _REPLICA_KINDS and pid < self.membership.num_partitions
 
     def _handle_point(self, request: Request, reply_context: object) -> HandleResult:
         """One client op or REPLICA_UPDATE, served as a group of one.  Only
@@ -477,24 +480,19 @@ class ZHTServerCore:
                 return HandleResult(self._respond(request, Status.BAD_REQUEST))
         else:
             pid = partition_of(request.key, self.membership.num_partitions, self.config.hash_name)
-        sub = (
-            op, request.key, request.value, request.request_id, request.epoch,
-            request.partition, request.replica_index, request.inner_op,
-            request.payload, request.deadline_us,
-        )
         answers = [_BAD_REQUEST]
         result = HandleResult(None)
         plan: list[tuple[Address, tuple, bool]] = []
-        self._serve_group(pid, (sub,), _FIRST, answers, result, plan)
+        self._serve_group(pid, (request_fields(request),), _FIRST, answers, result, plan)
         answer = answers[0]
         status = answer[0]
-        if op is _REPLICA_UPDATE:
+        if status is _STATUS_OK:
+            self.stats.inc(_POINT_STATS[op])
+        elif op is _REPLICA_UPDATE:
             self.stats.inc("replica_updates")
-        elif status is _STATUS_OK:
-            self.stats.inc(self._OP_STATS[op])
         elif status is _REDIRECT:
             self.stats.inc("redirects")
-        if answer is _MIGRATING:
+        elif answer is _MIGRATING:
             try:
                 self.partitions[pid].queue_request(QueuedRequest(request, reply_context))
             except MigrationError:
@@ -502,7 +500,7 @@ class ZHTServerCore:
             else:
                 self.stats.inc("queued")
                 return result
-        result.response = self._respond(request, status, answer[1], answer[2], status is _REDIRECT)
+        result.response = self._respond(request, *answer)
         if plan:
             result.add_sends([(address, Request(*update), sync) for address, update, sync in plan])
         return result
@@ -524,7 +522,7 @@ class ZHTServerCore:
         MIGRATING (retry-after-backoff) instead of queuing, so one
         locked partition cannot stall its batch-siblings' responses.
         """
-        with REGISTRY.span("server.handle_batch"):
+        with REGISTRY.span("server.handle_batch") if REGISTRY.enabled else NULL_SPAN:
             return self._handle_batch_inner(request)
 
     def _handle_batch_inner(self, request: Request) -> HandleResult:
@@ -628,61 +626,62 @@ class ZHTServerCore:
           ticket taken under the same store lock when it replicates.
         """
         cfg = self.config
-        kinds = self._BATCH_KINDS
         owned = self.membership.partition_owner[pid] == self.info.instance_id
-        part: Partition | None = None
-        migrating = False
+        part = self.partitions.get(pid)
+        migrating = part is not None and part.state is _MIGRATING_OUT
+        #: Subs not redirected: what the partition's load counts.
+        load = len(idxs)
         moved: tuple[Status, bytes, bytes] | None = None
-        redirected = 0
-        #: A client write accepted here fans out along the chain — from a
-        #: replica serving a failover write too, owner included: it is dead
-        #: (the send blackholes) or falsely suspected (it stays current).
-        replicating = False
+        #: Whether a client write / a replica update (OK whatever the store says) is served.
+        writes = updates = False
         batch_ops: list[tuple[str, bytes, bytes]] = []
         #: ``subs`` index of each of ``batch_ops``.
         served: list[int] = []
         for i in idxs:
             op, key, value, _, _, _, replica_index, inner_op, _, _ = subs[i]
-            replica = op is _REPLICA_UPDATE
-            if not replica and replica_index == 0 and not owned:
-                if moved is None:
-                    moved = (Status.REDIRECT, b"", self._redirect_to(pid))
-                answers[i] = moved
-                redirected += 1
-                continue
-            if part is None:
-                part = self.partitions.get(pid) or self.partition(pid)
-                migrating = part.is_migrating
-            if replica:
-                if cfg.test_freeze_tail_replicas and replica_index >= 2:
+            if op is _REPLICA_UPDATE:
+                if replica_index >= 2 and cfg.test_freeze_tail_replicas:
                     # TEST-ONLY broken mode: the tail replica acks but
                     # never applies, so its reads go unboundedly stale —
                     # the failure the bounded-staleness checker must flag.
                     answers[i] = _OK
                     continue
-                kind = self._REPLICA_KINDS[inner_op]
+                kind = _REPLICA_KINDS[inner_op]
+                updates = True
+            elif not (owned or replica_index):
+                if moved is None:
+                    moved = (_REDIRECT, b"", self._redirect_to(pid))
+                answers[i] = moved
+                load -= 1
+                continue
             elif migrating:
                 answers[i] = _MIGRATING
                 continue
             else:
-                kind = kinds[op]
-                if kind == "put" or kind == "append":
-                    max_key, max_value = cfg.max_key_bytes, cfg.max_value_bytes
-                    if max_key is not None and len(key) > max_key:
-                        answers[i] = _KEY_TOO_LARGE
-                        continue
-                    if max_value is not None and len(value) > max_value:
-                        answers[i] = _VALUE_TOO_LARGE
-                        continue
-                if kind != "get" and cfg.num_replicas > 0:
-                    replicating = True
+                kind = _CLIENT_KINDS[op]
+                if op is not _LOOKUP:
+                    if op in _SIZED:
+                        max_key, max_value = cfg.max_key_bytes, cfg.max_value_bytes
+                        if max_key is not None and len(key) > max_key:
+                            answers[i] = _KEY_TOO_LARGE
+                            continue
+                        if max_value is not None and len(value) > max_value:
+                            answers[i] = _VALUE_TOO_LARGE
+                            continue
+                    writes = True
             batch_ops.append((kind, key, value))
             served.append(i)
-        if part is None:
+        if not load:
             return
-        self.partition_load.record(pid, len(idxs) - redirected)
+        if part is None:
+            part = self.partition(pid)
+        self.partition_load.record(pid, load)
         if not batch_ops:
             return
+        #: A client write accepted here fans out along the chain — from a
+        #: replica serving a failover write too, owner included: it is dead
+        #: (the send blackholes) or falsely suspected (it stays current).
+        replicating = writes and cfg.num_replicas > 0
         store = part.store
         try:
             if replicating:
@@ -705,25 +704,25 @@ class ZHTServerCore:
                 answers[i] = failed
             return
 
-        targets: list[tuple[Address, int, bool]] | None = None
-        for j, (ok, got) in enumerate(outcomes):
-            i = served[j]
-            sub = subs[i]
-            op = sub[0]
-            if op is _REPLICA_UPDATE:
+        if replicating:
+            targets = self._replica_targets(pid, owned)
+            epoch = self.membership.epoch
+        for i, (ok, got) in zip(served, outcomes):
+            if updates and subs[i][0] is _REPLICA_UPDATE:
                 answers[i] = _OK
-                continue
-            if not ok:
+            elif got is not None:
+                answers[i] = (_STATUS_OK, got, b"")  # a lookup's value
+            elif not ok:
                 answers[i] = _KEY_NOT_FOUND
-                continue
-            answers[i] = _OK if got is None else (_STATUS_OK, got, b"")
-            if replicating and op is not _LOOKUP:
-                if targets is None:
-                    targets = self._replica_targets(pid, owned)
-                    epoch = self.membership.epoch
-                for address, index, sync in targets:
-                    update = (_REPLICA_UPDATE, sub[1], sub[2], sub[3], epoch, pid, index, int(op))
-                    plan.append((address, update, sync))
+            else:
+                answers[i] = _OK
+                if replicating:
+                    # A mutation: it fans out to every replica target.
+                    sub = subs[i]
+                    op = sub[0]
+                    for address, index, sync in targets:
+                        update = (_REPLICA_UPDATE, sub[1], sub[2], sub[3], epoch, pid, index, int(op))
+                        plan.append((address, update, sync))
 
     def _redirect_to(self, pid: int) -> bytes:
         """The REDIRECT field for *pid*: its owner's address, if any."""
@@ -763,10 +762,7 @@ class ZHTServerCore:
         for index, inst in enumerate(chain):
             if inst.instance_id == self.info.instance_id:
                 continue
-            sync = owned and (
-                mode == ReplicationMode.SYNC
-                or (mode == ReplicationMode.ASYNC and index == 1)
-            )
+            sync = owned and (mode == _SYNC or (mode == _ASYNC and index == 1))
             if sync and self.config.test_skip_secondary_sync:
                 # TEST-ONLY broken mode: acknowledge without the sync
                 # replica write, so the secondary silently diverges —
@@ -846,14 +842,15 @@ class ZHTServerCore:
         redirect: bytes = b"",
         membership: bool = False,
     ) -> Response:
-        # Lazy membership propagation: any client whose epoch is behind
-        # ours gets the current table piggybacked on the response.
+        # Lazy membership propagation: a client behind our epoch, or
+        # redirected, gets the current table piggybacked on the response.
         table = self.membership
         epoch = table.epoch
-        payload = table.to_bytes() if membership or 0 < request.epoch < epoch else b""
+        stale = request.epoch < epoch and request.epoch
+        payload = table.to_bytes() if membership or stale or status is _REDIRECT else b""
         # Positional: keyword arguments make this dataclass cost ~1.7x.
         return Response(
-            status, value, request.request_id, epoch, redirect, payload, int(request.op)
+            status, value, request.request_id, epoch, redirect, payload, request.op
         )
 
     def close(self) -> None:

@@ -21,7 +21,7 @@ import threading
 from ..core.membership import Address
 from ..core.protocol import Request, Response
 from ..core.server import ZHTServerCore
-from ..obs import REGISTRY
+from ..obs import NULL_SPAN, REGISTRY
 from .transport import ClientTransport, serve_effects
 
 
@@ -94,7 +94,7 @@ class LocalNetwork(ClientTransport):
             self.stats.inc("dropped")
             return None
         self.stats.inc("roundtrips")
-        with REGISTRY.span("local.roundtrip"):
+        with REGISTRY.span("local.roundtrip") if REGISTRY.enabled else NULL_SPAN:
             mailbox: list[Response] = []
             response = self.serve(address, request, mailbox)
             if response is None:

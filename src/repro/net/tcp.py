@@ -40,16 +40,15 @@ from ..core.errors import ProtocolError, Status
 from ..core.protocol import (
     Request,
     Response,
-    decode_request_span,
-    decode_response_span,
     encode_framed_request,
     encode_framed_response,
     frame_prefix,
+    parse_request,
     parse_response,
 )
 from ..core.loops import Cast, Group, effect_loop
 from ..core.server import ZHTServerCore
-from ..obs import REGISTRY
+from ..obs import NULL_SPAN, REGISTRY
 from .transport import ClientTransport, drive
 
 
@@ -57,8 +56,8 @@ class _MuxSlot:
     """One in-flight multiplexed request.  A follower's ``lock`` is
     created held; whoever fills the slot, promotes its owner or fails the
     connection releases it once, so the follower parks on
-    ``lock.acquire(timeout=...)``.  The slot of a caller that holds the
-    read role from the start is never waited on, so it has no lock."""
+    ``lock.acquire(timeout=...)``.  Every caller that holds the read role
+    from the start registers the one lockless :data:`_LEADING` slot."""
 
     __slots__ = ("lock", "response", "leader")
 
@@ -66,6 +65,11 @@ class _MuxSlot:
         self.lock = lock
         self.response: Response | None = None
         self.leader = lock is None  # the read role belongs to this caller
+
+
+#: The slot of every caller that holds the read role from the start: it
+#: reads its own reply, so the slot is never waited on nor filled.
+_LEADING = _MuxSlot(None)
 
 
 class _IdInFlight(Exception):
@@ -125,10 +129,9 @@ class _MuxConnection:
         connection (see ``closed``).  Raises :class:`_IdInFlight`."""
         if not self._read_lock.acquire(False):
             return self._follow(request_id, payload, deadline)
-        slot = _MuxSlot(None)
         pending = self._pending
         response = None
-        if pending.setdefault(request_id, slot) is not slot:
+        if pending.setdefault(request_id, _LEADING) is not _LEADING:
             self._release_role()
             raise _IdInFlight(request_id)
         if not self.closed and self.send(payload):
@@ -301,7 +304,7 @@ class _MuxConnection:
                         break
                     # Parsed in place; the buffer may shift afterwards
                     # because decode materialises every field.
-                    response = decode_response_span(buffer, start, end)
+                    response = Response(*parse_response(buffer, start, end))
                     offset = end
                     if response.request_id == request_id and request_id:
                         own = response
@@ -425,7 +428,7 @@ class MultiplexedTCPClient(ClientTransport):
     def roundtrip(
         self, address: Address, request: Request, timeout: float
     ) -> Response | None:
-        with REGISTRY.span("tcp.roundtrip"):
+        with REGISTRY.span("tcp.roundtrip") if REGISTRY.enabled else NULL_SPAN:
             rid = request.request_id
             if not rid or not self.cache_connections:
                 # Unmatchable by id, or nothing cached: use an isolated
@@ -436,7 +439,7 @@ class MultiplexedTCPClient(ClientTransport):
             # One retry on a connection found dead — by the send, or by the
             # read that follows it: with no thread watching an idle socket, a
             # peer's close is first seen by the next request to use it.
-            for _attempt in range(2):
+            for _attempt in (1, 2):
                 conn = self._get(address)
                 if conn is None:
                     return None
@@ -478,7 +481,7 @@ class MultiplexedTCPClient(ClientTransport):
                     if length < 0 or end > len(buffer):
                         break
                     offset = end
-                    response = decode_response_span(buffer, start, end)
+                    response = Response(*parse_response(buffer, start, end))
                     if not request.request_id or response.request_id == request.request_id:
                         return response
         except OSError:
@@ -759,6 +762,8 @@ class EventDrivenTCPServer:
         self._draining = False
         self._drain_deadline = 0.0
         self.stats = REGISTRY.counter_set("tcp.server", TCP_SERVER_COUNTERS)
+        #: The counters the event loop bumps, on its one thread.
+        self._loop_counts = self.stats.owned_cells()
         # Replies held for sync acks and results handed to the effect
         # pool, one entry each until answered (``append`` / ``pop`` /
         # ``len`` are GIL-atomic).  The event loop dispatches
@@ -951,7 +956,7 @@ class EventDrivenTCPServer:
                         length, start = frame_prefix(buffer, offset)
                     except ProtocolError:
                         # No later byte makes this a frame: the stream is lost.
-                        self.stats.inc("decode_errors")
+                        self._loop_counts["decode_errors"] += 1
                         self._drop(conn)
                         return
                     if length < 0:
@@ -990,11 +995,11 @@ class EventDrivenTCPServer:
         self, conn: _Connection, buffer: "bytes | bytearray", start: int, end: int
     ) -> None:
         try:
-            request = decode_request_span(buffer, start, end)
+            request = Request(*parse_request(buffer, start, end))
         except ProtocolError:
-            self.stats.inc("decode_errors")
+            self._loop_counts["decode_errors"] += 1
             return
-        self.stats.inc("requests")
+        self._loop_counts["requests"] += 1
         result = self.core.handle(request, conn)
         if result.effects:
             if result.repl_sequencer is not None:

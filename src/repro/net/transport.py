@@ -57,6 +57,9 @@ class ClientTransport(abc.ABC):
 #: Called to deliver a (possibly deferred) response to a request origin.
 ReplyFn = Callable[[object, Response], None]
 
+#: The commands that are not a call.
+_NOT_CALLS = frozenset({Sleep, Cast, Group, Answer})
+
 
 def serve_effects(
     result: HandleResult, transport: ClientTransport, answer: ReplyFn, timeout: float
@@ -99,7 +102,11 @@ def drive(
             command = send(None)
         while True:
             kind = command.__class__
-            if kind is Sleep:
+            if kind not in _NOT_CALLS:  # a call: an Attempt, a PeerCall
+                reply = transport.roundtrip(
+                    command.address, command.request, command.timeout
+                )
+            elif kind is Sleep:
                 reply = None
                 sleep(command.seconds)
             elif kind is Cast:
@@ -111,14 +118,10 @@ def drive(
                     transport.roundtrip(address, request, timeout)
                     for address, request in command.sends
                 ]
-            elif kind is Answer:
+            else:
                 reply = None
                 if answer is not None:
                     answer(command.context, command.response)
-            else:
-                reply = transport.roundtrip(
-                    command.address, command.request, command.timeout
-                )
             command = send(reply)
     except StopIteration as stop:
         return stop.value

@@ -27,7 +27,7 @@ from ..core.errors import Status
 from ..core.membership import Address
 from ..core.protocol import MUTATING_OPS, OpCode, Request, Response
 from ..core.server import HandleResult, ZHTServerCore
-from ..obs import REGISTRY
+from ..obs import NULL_SPAN, REGISTRY
 from .lru import LRUCache
 from .transport import ClientTransport, serve_effects
 
@@ -55,7 +55,7 @@ class UDPClient(ClientTransport):
     def roundtrip(
         self, address: Address, request: Request, timeout: float
     ) -> Response | None:
-        with REGISTRY.span("udp.roundtrip"):
+        with REGISTRY.span("udp.roundtrip") if REGISTRY.enabled else NULL_SPAN:
             return self._roundtrip(address, request, timeout)
 
     @staticmethod

@@ -35,7 +35,7 @@ import threading
 from typing import BinaryIO, Callable, Iterator
 
 from ..core.errors import KeyNotFound, MigrationError, StoreError
-from ..obs import REGISTRY
+from ..obs import NULL_SPAN, REGISTRY
 from .checkpoint import encode_image, open_checkpoint, read_image, write_checkpoint
 from .wal import OP_APPEND, OP_PUT, OP_REMOVE, WriteAheadLog
 
@@ -135,6 +135,8 @@ class NoVoHT:
         #: table on its selector thread.
         self._maint_submit: Callable[[Callable[[], None]], object] | None = None
         self.stats = REGISTRY.counter_set("novoht", NOVOHT_COUNTERS)
+        #: The op counters, bumped under the store lock.
+        self._counts = self.stats.owned_cells()  # guarded-by: _lock
         #: WAL records known dead (overwritten or removed keys): what the
         #: GC trigger weighs against the log's length.
         self._dead_records = 0  # guarded-by: _lock
@@ -213,9 +215,9 @@ class NoVoHT:
     def get(self, key: bytes) -> bytes:
         """Return the value for *key*; raise :class:`KeyNotFound` if absent."""
         self._check_key(key)
-        with REGISTRY.span("novoht.get"), self._lock:
+        with REGISTRY.span("novoht.get") if REGISTRY.enabled else NULL_SPAN, self._lock:
             self._ensure_open()
-            self.stats.inc("gets")
+            self._counts["gets"] += 1
             value = self._apply("get", key, b"", None)[1]
         if value is None:
             raise KeyNotFound(repr(key))
@@ -244,11 +246,11 @@ class NoVoHT:
         """One logged mutation plus its bookkeeping; ``False`` (nothing
         logged or changed) for a remove of a missing key."""
         span, counter, _op = _KINDS[kind]
-        with REGISTRY.span(span), self._lock:
+        with REGISTRY.span(span) if REGISTRY.enabled else NULL_SPAN, self._lock:
             self._ensure_open()
             if not self._apply(kind, key, value, None)[0]:
                 return False
-            self.stats.inc(counter)
+            self._counts[counter] += 1
             maint = self._after_mutations(1)
         if maint is not None:
             self._run_maintenance(maint)
@@ -323,27 +325,27 @@ class NoVoHT:
         durable as acked single ops.
         """
         for kind, key, value in ops:
-            if type(key) is not bytes or type(value) is not bytes or kind not in _KINDS:
+            if key.__class__ is not bytes or value.__class__ is not bytes or kind not in _KINDS:
                 self._check_op(kind, key, value)
         results: list[tuple[bool, bytes | None]] = []
         group: list[tuple[int, bytes, bytes]] = []
-        maint: str | None = None
-        stats = self.stats
-        with REGISTRY.span("novoht.apply_batch"), self._lock:
-            self._ensure_open()
+        with REGISTRY.span("novoht.apply_batch") if REGISTRY.enabled else NULL_SPAN, self._lock:
+            wal = self._wal
+            if self._closed or wal is not None and wal.failed:
+                self._ensure_open()  # raises: the store is fail-stop
+            counts = self._counts
             try:
                 for kind, key, value in ops:
                     result = self._apply(kind, key, value, group)
                     results.append(result)
                     if result[0] or kind == "get":
-                        stats.inc(_COUNTERS[kind])
+                        counts[_COUNTERS[kind]] += 1
             finally:
                 # Also when an op raised part-way (a spilled value that
                 # cannot be read back): what reached the map is logged.
-                if group and self._wal is not None:
-                    self._wal.append_many(group)
-            if group:
-                maint = self._after_mutations(len(group))
+                if group and wal is not None:
+                    wal.append_many(group)
+            maint = self._after_mutations(len(group)) if group else None
         if maint is not None:
             self._run_maintenance(maint)
         return results
@@ -422,7 +424,7 @@ class NoVoHT:
     def _checkpoint_impl(self, kind: str, *, wait: bool) -> None:
         if self._wal is None or self._ckpt_path is None:
             return
-        with REGISTRY.span(f"novoht.{kind}"):
+        with REGISTRY.span(f"novoht.{kind}") if REGISTRY.enabled else NULL_SPAN:
             with self._lock:
                 while self._maint_busy:
                     if not wait:
@@ -603,7 +605,8 @@ class NoVoHT:
         the store for the duration.
         """
         self._ops_since_checkpoint += n
-        self._enforce_memory_bound()
+        if self.max_memory_pairs:
+            self._enforce_memory_bound()
         if self._wal is None:
             return None
         if (

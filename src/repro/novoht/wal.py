@@ -42,7 +42,7 @@ import zlib
 from typing import BinaryIO, Callable, Iterator
 
 from ..core.errors import StoreError
-from ..obs import REGISTRY
+from ..obs import NULL_SPAN, REGISTRY
 
 RECORD_MAGIC = 0xA7
 
@@ -203,6 +203,9 @@ class WriteAheadLog:
         #: Set by the first write/flush/fsync error; see :meth:`_write`.
         self.failed = False
         self.stats = REGISTRY.counter_set("wal", WAL_COUNTERS)
+        #: The write counters: a log's writes are serialized by its owner
+        #: (a store appends under its lock), so they bump one cell in place.
+        self._counts = self.stats.owned_cells()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -259,9 +262,9 @@ class WriteAheadLog:
         for op, key, value in records:
             encode_record_into(buf, op, key, value)
         self._write(buf, len(records))
-        stats = self.stats
-        stats.inc("group_commits")
-        stats.inc("group_commit_records", len(records))
+        counts = self._counts
+        counts["group_commits"] += 1
+        counts["group_commit_records"] += len(records)
 
     def _write(self, data: bytes | bytearray, records: int) -> None:
         """One write + flush (+ fsync) of *records* whole records.
@@ -276,18 +279,18 @@ class WriteAheadLog:
             raise StoreError("WAL is not open")
         if self.failed:
             raise StoreError("WAL failed on an earlier write")
-        with REGISTRY.span("wal.append"):
+        with REGISTRY.span("wal.append") if REGISTRY.enabled else NULL_SPAN:
             try:
                 self._file.write(data)
                 self._file.flush()
                 if self.fsync:
                     self._fsync()
-                    self.stats.inc("fsyncs")
+                    self._counts["fsyncs"] += 1
             except OSError as exc:
                 self.failed = True
                 raise StoreError(f"WAL append failed: {exc}") from exc
         self.record_count += records
-        self.stats.inc("appends", records)
+        self._counts["appends"] += records
 
     def _fsync(self) -> None:
         # Files providing their own fsync (the fault-injection shim, which

@@ -143,6 +143,13 @@ class CounterSet:
             cells = self._by_thread[ident] = dict.fromkeys(self._family.fields, 0)
         return cells
 
+    def owned_cells(self) -> dict[str, int]:
+        """The cell of an owner whose bumps are serialized already (a store
+        under its lock, an event loop on its thread): it bumps it in place,
+        ``cells[field] += n``, with no call and no thread lookup.  Summed
+        like a thread's cell, under key 0, which no thread id takes."""
+        return self._by_thread.setdefault(0, dict.fromkeys(self._family.fields, 0))
+
     def count(self, field: str) -> int:
         return sum(cells[field] for cells in list(self._by_thread.values()))
 
@@ -483,6 +490,11 @@ class MetricsRegistry:
         with self._lock:
             self._parts.setdefault(name, weakref.WeakSet()).add(histogram)
         return histogram
+
+    def fold_retired(self) -> None:
+        """Fold every gone counter-set owner's counts into its totals now."""
+        for family in list(self._sets.values()):
+            family.fold()
 
     # -- enablement ------------------------------------------------------
 

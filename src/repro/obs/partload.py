@@ -8,9 +8,9 @@ counts client requests per partition so the STATS opcode can report
 signals the hot-key mitigations (replica read spreading, client caches)
 are meant to flatten.
 
-The tracker is intentionally tiny: one dict of counters behind a lock,
-sampled and optionally reset by ``snapshot()``.  The serving hot path
-pays one lock/increment per request.
+The serving hot path pays one dict add per group of requests, in the
+calling thread's own counts: no lock, no shared write.  A snapshot sums
+the threads' counts and subtracts the totals of the last reset.
 """
 
 from __future__ import annotations
@@ -26,19 +26,29 @@ class PartitionLoadTracker:
     The window is whatever elapsed since construction or the last
     ``snapshot(reset=True)``; rates are counts divided by that span.
     The clock is injectable so tests (and the simulator) can drive it
-    deterministically.
+    deterministically.  Each thread counts into a dict of its own, so
+    :meth:`record` takes no lock.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
-        self._counts: dict[int, int] = {}  # guarded-by: _lock
+        self._local = threading.local()
+        #: Every recording thread's ``{pid: count}``: a snapshot sums them.
+        self._threads: list[dict[int, int]] = []  # guarded-by: _lock
+        #: The sums at the last reset: a window is what was added since.
+        self._base: dict[int, int] = {}  # guarded-by: _lock
         self._window_start = clock()  # guarded-by: _lock
 
     def record(self, pid: int, n: int = 1) -> None:
         """Count *n* requests against partition *pid*."""
-        with self._lock:
-            self._counts[pid] = self._counts.get(pid, 0) + n
+        try:
+            counts = self._local.counts
+        except AttributeError:
+            counts = self._local.counts = {}
+            with self._lock:
+                self._threads.append(counts)
+        counts[pid] = counts.get(pid, 0) + n
 
     def snapshot(self, *, reset: bool = False, top: int = 8) -> dict:
         """JSON-serializable view of the current window.
@@ -53,10 +63,16 @@ class PartitionLoadTracker:
         """
         now = self._clock()
         with self._lock:
-            counts = dict(self._counts)
+            totals: dict[int, int] = {}
+            for thread_counts in self._threads:
+                # One C call copies it, so its owner's adds never tear it.
+                for pid, n in thread_counts.copy().items():
+                    totals[pid] = totals.get(pid, 0) + n
+            base = self._base
+            counts = {pid: n - base.get(pid, 0) for pid, n in totals.items() if n != base.get(pid)}
             window_s = max(now - self._window_start, 0.0)
             if reset:
-                self._counts.clear()
+                self._base = totals
                 self._window_start = now
         total = sum(counts.values())
         active = [c for c in counts.values() if c > 0]

@@ -148,6 +148,17 @@ class TestPersistence:
         with pytest.raises(StoreError):
             s.put(b"k", b"v")
 
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_a_batch_after_close_raises(self, tmp_path, persistent):
+        """Fail-stop holds for the batch path of a memory-only store too,
+        whose close drops the table: a read must not answer "missing"."""
+        s = NoVoHT(str(tmp_path / "db") if persistent else None)
+        s.put(b"k", b"v")
+        s.close()
+        for ops in ([("get", b"k", b"")], [("put", b"k", b"w")]):
+            with pytest.raises(StoreError):
+                s.apply_batch(ops)
+
     def test_close_idempotent(self, store):
         store.close()
         store.close()

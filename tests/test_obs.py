@@ -666,6 +666,31 @@ class TestPartitionLoadTracker:
         tracker.record(4, 2)
         assert tracker.snapshot()["hottest"] == [[4, 3]]
 
+    def test_concurrent_records_and_resets_lose_no_count(self):
+        """Each thread records into its own counts with no lock; snapshots
+        and resets taken meanwhile must neither lose nor double a count."""
+        tracker = PartitionLoadTracker(clock=lambda: 0.0)
+        threads, per_thread = 8, 2000
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=lambda: [tracker.record(i % 3) for i in range(per_thread)])
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            while any(worker.is_alive() for worker in workers):
+                seen.append(tracker.snapshot(reset=True)["total_requests"])
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        seen.append(tracker.snapshot()["total_requests"])
+        assert sum(seen) == threads * per_thread
+
     def test_snapshot_is_json_serializable(self):
         tracker = PartitionLoadTracker(clock=lambda: 0.0)
         tracker.record(1, 5)

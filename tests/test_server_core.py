@@ -2,6 +2,7 @@
 
 import os
 import random
+import sys
 import threading
 
 import pytest
@@ -489,6 +490,30 @@ class TestReplicationSequencer:
             t.join(timeout=10)
         assert order == tickets
 
+    def test_concurrent_tickets_are_unique(self):
+        """Taking a ticket takes no lock: threads racing for tickets must
+        still each get a different one."""
+        from repro.core.server import ReplicationSequencer
+
+        seq = ReplicationSequencer()
+        taken: list[list[int]] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: taken.append([seq.ticket() for _ in range(2000)]))
+                for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        tickets = [t for batch in taken for t in batch]
+        assert sorted(tickets) == list(range(8 * 2000))
+
     def test_wait_turn_times_out_instead_of_wedging(self):
         import time
 
@@ -535,6 +560,24 @@ class TestReplicationSequencer:
             )
             tickets.append(r.repl_ticket)
         assert tickets == sorted(tickets)
+
+    def test_the_ticket_is_taken_under_the_store_lock(self):
+        """Ticket order is apply order only if no other mutation of the
+        partition can land between a group's apply and its ticket."""
+        table, servers, cfg = deploy(num_nodes=4, num_replicas=1)
+        server, pid = owner_server(table, servers, b"seq-key", cfg)
+        held = []
+        reticket = server.repl_sequencer.reticket
+
+        def spy(old):
+            held.append(server.partitions[pid].store.lock._is_owned())
+            return reticket(old)
+
+        server.repl_sequencer.reticket = spy
+        for op in (OpCode.INSERT, OpCode.APPEND, OpCode.REMOVE):
+            r = server.handle(Request(op=op, key=b"seq-key", value=b"v"))
+            assert r.response.status == Status.OK
+        assert held == [True, True, True]
 
     def test_unreplicated_mutations_carry_no_ticket(self):
         table, servers, cfg = deploy(num_replicas=0)
