@@ -6,20 +6,12 @@ repo-aware checkers built on a shared interprocedural engine (per-file
 AST cache, project-wide call graph with provenance, reusable taint /
 reachability fixpoints — DESIGN.md §17):
 
-* **lock-discipline** (``LOCK00x``) — attributes declared guarded (via a
-  ``# guarded-by: <lock>`` annotation on their ``__init__`` assignment,
-  or the ``[guarded]`` registry in ``.zhtlint.toml``) must only be
-  touched inside a ``with self.<lock>:`` scope; plus a cross-module
-  lock-acquisition graph with potential-deadlock-cycle detection.
 * **blocking-under-lock** (``BLOCK001``) — socket I/O, ``os.fsync``,
   ``time.sleep`` and friends reached (transitively, through resolvable
   calls) while a lock is held.
 * **protocol-exhaustiveness** (``PROTO00x``) — every :class:`OpCode`
   member has a construction site, a server dispatch handler, and an
   explicit MUTATING/NON_MUTATING membership decision.
-* **config-drift** (``CFG00x``) — every :class:`ZHTConfig` field is read
-  somewhere, and every config attribute access / constructor keyword
-  names a real field.
 * **event-loop** (``LOOP00x``) — blocking calls transitively reachable
   from event-loop entry points (``# lint: event-loop`` / ``async def``),
   with a ``# holds-executor:`` escape hatch, plus loop-acquired locks
@@ -30,6 +22,9 @@ reachability fixpoints — DESIGN.md §17):
 * **resource-lifetime** (``RES00x``) — must-close analysis: resources
   that are never closed, exception paths that escape before close, and
   temp files left behind on error paths.
+
+That every :class:`ZHTConfig` field is read somewhere is a plain test
+(``tests/test_config.py``), not a checker.
 
 Run with ``python -m repro lint``; see DESIGN.md §11 for the annotation
 conventions and the suppression policy.
@@ -49,10 +44,8 @@ from .engine import (
 # Importing the checker modules registers them in CHECKERS.
 from . import (  # noqa: E402,F401
     blocking,
-    configdrift,
     eventloop,
     forksafety,
-    locks,
     protocol_check,
     resourcecheck,
 )

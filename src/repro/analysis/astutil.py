@@ -4,13 +4,12 @@ Everything the checkers need to reason about the tree is computed once
 per lint run and shared:
 
 * :class:`ModuleInfo` — parsed AST + per-line comment map (comments are
-  where the annotation conventions live: ``# guarded-by: <lock>``,
-  ``# holds-lock: <lock>``, ``# zht-lint: ignore[CODE] reason``).
+  where the annotation conventions live: ``# holds-lock: <lock>``,
+  ``# lint: event-loop``, ``# zht-lint: ignore[CODE] reason``).
 * :class:`ClassInfo` — per-class lock attributes (with their kind:
   ``Lock`` / ``RLock`` / ``Condition``), attribute types inferred from
   ``__init__`` assignments and annotations, lock-aliasing properties
-  (``NoVoHT.lock`` → ``NoVoHT._lock``), and guarded-attribute
-  declarations.
+  (``NoVoHT.lock`` → ``NoVoHT._lock``).
 * type-inference-lite (:func:`TypeResolver.resolve`) — just enough
   static typing to resolve ``part.store.apply_batch`` to
   ``NoVoHT.apply_batch``: parameter annotations, ``self`` attributes,
@@ -117,9 +116,6 @@ class ModuleInfo:
     #: module-level lock globals: name -> kind ("lock"/"rlock"/"condition").
     module_locks: dict[str, str] = field(default_factory=dict)
 
-    def comment_on(self, lineno: int) -> str:
-        return self.comments.get(lineno, "")
-
     def comment_in_range(self, first: int, last: int, tag: str) -> str | None:
         """First ``<tag>: value`` comment on lines ``first..last``."""
         for line in range(first, last + 1):
@@ -199,7 +195,7 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """Facts about one class needed by the lock/blocking checkers."""
+    """Facts about one class needed by the lock-aware checkers."""
 
     module: ModuleInfo
     node: ast.ClassDef
@@ -211,8 +207,6 @@ class ClassInfo:
     lock_aliases: dict[str, str] = field(default_factory=dict)
     #: attribute -> candidate class names (from __init__ / annotations).
     attr_types: dict[str, list[str]] = field(default_factory=dict)
-    #: guarded attribute -> lock attribute (from ``# guarded-by:``).
-    guarded: dict[str, str] = field(default_factory=dict)
     #: method name -> FunctionInfo.
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
 
@@ -293,12 +287,12 @@ def _collect_class(module: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
         decorators = {
             d.id for d in stmt.decorator_list if isinstance(d, ast.Name)
         }
-        # Attribute types/locks/guards come from ``self.X = ...``
+        # Attribute types and locks come from ``self.X = ...``
         # assignments in EVERY method, not just __init__ — late-binding
         # setters (``attach_core(self, core: ZHTServerCore)``) are how
         # cluster builders wire servers, and missing them would sever
         # the call graph right at the dispatch boundary.
-        _collect_self_assigns(module, info, stmt)
+        _collect_self_assigns(info, stmt)
         if "property" in decorators:
             # A property whose body is ``return self._X`` where _X is a
             # lock (or will be discovered as one) aliases that lock.
@@ -324,7 +318,6 @@ def _collect_class(module: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
 
 
 def _collect_self_assigns(
-    module: ModuleInfo,
     info: ClassInfo,
     method: ast.FunctionDef | ast.AsyncFunctionDef,
 ) -> None:
@@ -368,9 +361,6 @@ def _collect_self_assigns(
             if names:
                 known = info.attr_types.setdefault(attr, [])
                 known.extend(n for n in names if n not in known)
-            guard = module.comment_in_range(stmt.lineno, stmt.lineno, "guarded-by:")
-            if guard:
-                info.guarded[attr] = guard
 
 
 @dataclass
@@ -404,11 +394,10 @@ class ProjectIndex:
         return index
 
     def _flatten_inheritance(self) -> None:
-        """Copy lock/guard/type declarations and methods from base classes
-        into subclasses: a ``guarded-by`` annotation in a subclass may name
-        a lock its base declares (e.g. a connection subclass guarding new
-        state with the base's ``write_lock``), and ``self.m()`` may call a
-        method only the base defines (``ZHT`` running ``OpClient.op``)."""
+        """Copy lock/type declarations and methods from base classes into
+        subclasses: a subclass method may take a lock its base declares
+        (``with self.write_lock:``), and ``self.m()`` may call a method
+        only the base defines (``ZHT`` running ``OpClient.op``)."""
         flattened: set[str] = set()
 
         def flatten(name: str) -> None:
@@ -425,8 +414,6 @@ class ProjectIndex:
                     cinfo.lock_attrs.setdefault(attr, kind)
                 for alias, attr in binfo.lock_aliases.items():
                     cinfo.lock_aliases.setdefault(alias, attr)
-                for attr, guard in binfo.guarded.items():
-                    cinfo.guarded.setdefault(attr, guard)
                 for attr, types in binfo.attr_types.items():
                     cinfo.attr_types.setdefault(attr, list(types))
                 for method, finfo in binfo.methods.items():
@@ -434,19 +421,6 @@ class ProjectIndex:
 
         for name in list(self.classes):
             flatten(name)
-
-    def apply_guarded_registry(self, registry: dict[str, str]) -> list[str]:
-        """Apply ``[guarded]`` entries ("Class.attr" -> lock); returns
-        error strings for entries naming unknown classes/locks."""
-        errors: list[str] = []
-        for key, lock in registry.items():
-            cls_name, _, attr = key.partition(".")
-            cinfo = self.classes.get(cls_name)
-            if cinfo is None or not attr:
-                errors.append(f"[guarded] {key!r}: unknown class")
-                continue
-            cinfo.guarded[attr] = lock
-        return errors
 
 
 class TypeResolver:

@@ -7,17 +7,17 @@ lint run (DESIGN.md §17):
   file is parsed exactly once, all checkers reuse the same
   :class:`~.astutil.ModuleInfo` objects);
 * per-function lock/call facts (:func:`collect_lock_facts`, cached on
-  the Project) — one body walk records attribute accesses, call sites,
-  and lock acquisitions with the held-lock set at each point;
+  the Project) — one body walk records call sites and lock
+  acquisitions with the held-lock set at each point;
 * the project-wide :class:`CallGraph` — call edges resolved through
   class hierarchies and ``self.``-attribute dispatch, with source
   provenance on every edge — plus the generic fixpoints every
   interprocedural checker needs: :meth:`CallGraph.propagate` (taint a
   summary up the graph with a human-readable "via" chain),
-  :meth:`CallGraph.propagate_sets` (set union, e.g. transitively
-  acquired locks), and :meth:`CallGraph.reachable_from` (forward
-  reachability with witness paths, e.g. "what runs on the event
-  loop");
+  :meth:`CallGraph.propagate_sets` (set union, e.g. the functions that
+  transitively close what a fork child inherited), and
+  :meth:`CallGraph.reachable_from` (forward reachability with witness
+  paths, e.g. "what runs on the event loop");
 * the blocking-call vocabulary (:func:`blocking_call_description`)
   shared by the BLOCK and LOOP checkers;
 * the reporting pipeline: suppressions, JSON output, per-checker
@@ -29,7 +29,7 @@ suppress, both requiring a reason:
 
 * inline, at the offending line::
 
-      self._value += 1  # zht-lint: ignore[LOCK001] atomic int read
+      os.fsync(fd)  # zht-lint: ignore[BLOCK001] group commit under the lock
 
 * in the committed file ``.zhtlint.toml``::
 
@@ -39,13 +39,12 @@ suppress, both requiring a reason:
       symbol = "NoVoHT.*"            # fnmatch over the enclosing scope
       reason = "WAL fsync must stay inside the store lock (group commit)"
 
-``.zhtlint.toml`` may also carry a ``[guarded]`` registry mapping
-``"Class.attr"`` to its lock for code that cannot take an inline
-``# guarded-by:`` annotation, and ``[options] roots = [...]``.
+``.zhtlint.toml`` may also carry ``[options] roots = [...]``.
 
 A suppression without a reason is a configuration error (exit 2), and
-suppressions that matched nothing are reported so the file cannot
-silently rot.  Every unsuppressed finding fails the run.
+suppressions that matched nothing, inline or in the file, are reported
+on a full run so neither can silently rot.  Every unsuppressed finding
+fails the run.
 """
 
 from __future__ import annotations
@@ -157,10 +156,6 @@ class FunctionLockFacts:
 
     fn: FunctionInfo
     resolver: TypeResolver
-    #: attribute accesses: (node, held-locks-at-that-point).
-    accesses: list[tuple[ast.Attribute, tuple[LockId, ...]]] = field(
-        default_factory=list
-    )
     #: every call expression with the locks held at the call site.
     calls: list[tuple[ast.Call, tuple[LockId, ...]]] = field(
         default_factory=list
@@ -191,9 +186,7 @@ def collect_lock_facts(
     def walk_expr(expr: ast.AST, held: tuple[LockId, ...]) -> None:
         if isinstance(expr, ast.Lambda):
             return  # runs later, under the caller's locks
-        if isinstance(expr, ast.Attribute):
-            facts.accesses.append((expr, held))
-        elif isinstance(expr, ast.Call):
+        if isinstance(expr, ast.Call):
             facts.calls.append((expr, held))
         for child in ast.iter_child_nodes(expr):
             if isinstance(child, ast.expr):
@@ -270,8 +263,6 @@ class CallGraph:
     def __init__(self) -> None:
         #: caller qualname -> outgoing call sites (in body order).
         self.edges: dict[str, list[CallSite]] = {}
-        #: callee qualname -> incoming call sites.
-        self.callers: dict[str, list[CallSite]] = {}
 
     @classmethod
     def build(cls, all_facts: dict[str, FunctionLockFacts]) -> "CallGraph":
@@ -287,11 +278,7 @@ class CallGraph:
                         line=call.lineno,
                     )
                     sites.append(site)
-                    graph.callers.setdefault(callee.qualname, []).append(site)
         return graph
-
-    def callees(self, name: str) -> list[CallSite]:
-        return self.edges.get(name, [])
 
     def propagate(
         self, seeds: dict[str, str], stop: frozenset[str] = frozenset()
@@ -455,8 +442,6 @@ class LintConfigError(Exception):
 class LintConfig:
     roots: list[str] = field(default_factory=lambda: list(DEFAULT_ROOTS))
     suppressions: list[Suppression] = field(default_factory=list)
-    #: "Class.attr" -> lock attribute (the GUARDED_BY registry).
-    guarded: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def load(cls, root: Path) -> "LintConfig":
@@ -490,8 +475,6 @@ class LintConfig:
                     line=raw.get("line"),
                 )
             )
-        for key, lock in data.get("guarded", {}).items():
-            config.guarded[str(key)] = str(lock)
         return config
 
 
@@ -514,8 +497,6 @@ class Project:
     config: LintConfig
     modules: list[ModuleInfo]
     index: ProjectIndex
-    #: config-error strings (unknown guarded classes etc.).
-    errors: list[str] = field(default_factory=list)
     _lock_facts: dict[str, FunctionLockFacts] | None = field(
         default=None, repr=False
     )
@@ -536,10 +517,11 @@ class Project:
                 module = parse_module(path, str(path.relative_to(root)))
                 if module is not None:
                     modules.append(module)
-        index = ProjectIndex.build(modules)
-        errors = index.apply_guarded_registry(config.guarded)
         return cls(
-            root=root, config=config, modules=modules, index=index, errors=errors
+            root=root,
+            config=config,
+            modules=modules,
+            index=ProjectIndex.build(modules),
         )
 
     def lock_facts(self) -> dict[str, FunctionLockFacts]:
@@ -607,21 +589,35 @@ class LintReport:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
+def _inline_suppressions(
+    modules: list[ModuleInfo],
+) -> dict[tuple[str, int], Suppression]:
+    """Every ``# zht-lint: ignore[...]`` comment, keyed by (path, line);
+    ``code`` holds the comment's comma-separated codes."""
+    found: dict[tuple[str, int], Suppression] = {}
+    for module in modules:
+        for line, comment in module.comments.items():
+            match = _INLINE_RE.search(comment)
+            if match is not None:
+                codes = ",".join(c.strip() for c in match.group(1).split(","))
+                found[module.relpath, line] = Suppression(
+                    code=codes,
+                    reason=match.group(2).strip(),
+                    path=module.relpath,
+                    line=line,
+                )
+    return found
+
+
 def _apply_inline_suppressions(
-    finding: Finding, module_by_relpath: dict[str, ModuleInfo]
+    finding: Finding, inline: dict[tuple[str, int], Suppression]
 ) -> None:
-    module = module_by_relpath.get(finding.path)
-    if module is None:
-        return
     # Same line, or a standalone comment on the line directly above.
     for line in (finding.line, finding.line - 1):
-        match = _INLINE_RE.search(module.comment_on(line))
-        if match is None:
-            continue
-        codes = {c.strip() for c in match.group(1).split(",")}
-        reason = match.group(2).strip()
-        if finding.code in codes and reason:
-            finding.suppressed_by = f"inline: {reason}"
+        supp = inline.get((finding.path, line))
+        if supp and supp.reason and finding.code in supp.code.split(","):
+            supp.used += 1
+            finding.suppressed_by = f"inline: {supp.reason}"
             return
 
 
@@ -635,10 +631,8 @@ def run_lint(
     # themselves in CHECKERS; guard against direct-module use in tests.
     from . import (  # noqa: F401
         blocking,
-        configdrift,
         eventloop,
         forksafety,
-        locks,
         protocol_check,
         resourcecheck,
     )
@@ -651,9 +645,8 @@ def run_lint(
     except LintConfigError as exc:
         report.errors.append(str(exc))
         return report
-    report.errors.extend(project.errors)
 
-    module_by_relpath = {m.relpath: m for m in project.modules}
+    inline = _inline_suppressions(project.modules)
     selected = checkers or list(CHECKERS)
     for name in selected:
         checker = CHECKERS.get(name)
@@ -662,7 +655,7 @@ def run_lint(
             continue
         checker_started = time.perf_counter()
         for finding in checker(project):
-            _apply_inline_suppressions(finding, module_by_relpath)
+            _apply_inline_suppressions(finding, inline)
             if finding.suppressed_by is None:
                 for supp in project.config.suppressions:
                     if supp.matches(finding):
@@ -676,7 +669,9 @@ def run_lint(
         # Staleness is only meaningful when every checker ran — a
         # subset run would flag other checkers' suppressions.
         report.unused_suppressions = [
-            s for s in project.config.suppressions if not s.used
+            s
+            for s in [*project.config.suppressions, *inline.values()]
+            if not s.used
         ]
     report.total_seconds = time.perf_counter() - started
     return report

@@ -16,9 +16,9 @@ Commands:
 * ``scenario``  — run named failure scenarios from the library (one
   validated config = topology + workload + faults + checks + gates)
   and emit machine-readable verdict JSON; also ``list``/``validate``.
-* ``lint``      — repo-aware static analysis (lock discipline, blocking
-  under lock, protocol exhaustiveness, config drift); exit 1 on any
-  unsuppressed finding.
+* ``lint``      — repo-aware static analysis (blocking under lock,
+  protocol exhaustiveness, event loop, fork safety, resource lifetime);
+  exit 1 on any unsuppressed finding.
 """
 
 from __future__ import annotations
@@ -761,9 +761,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="repo-aware static analysis: lock discipline, blocking-"
-        "under-lock, protocol exhaustiveness, config drift (exit 1 on "
-        "unsuppressed findings)",
+        help="repo-aware static analysis: blocking-under-lock, protocol "
+        "exhaustiveness, event loop, fork safety, resource lifetime (exit "
+        "1 on unsuppressed findings)",
     )
     lint.add_argument(
         "--root",

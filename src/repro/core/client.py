@@ -267,7 +267,7 @@ class ZHTClientCore:
         #: an RTT-scaled amount in [1, SUSPICION_EVENT_CAP], in "count"
         #: mode exactly 1 — so suspicion >= failures_before_dead is the
         #: single death condition for both detectors.
-        self.suspicion: dict[str, float] = {}  # guarded-by: _state_lock
+        self.suspicion: dict[str, float] = {}
         #: Per-node RTT history feeding the adaptive detector.  Kept
         #: per-core (a process can host many independent clients); the
         #: process-wide ``client.rtt.<node>`` that ``repro stats`` shows
@@ -276,9 +276,9 @@ class ZHTClientCore:
         #: under the GIL.
         self._rtt: dict[str, LatencyHistogram] = {}
         #: Circuit breakers for nodes marked dead by *local* suspicion.
-        self._breakers: dict[str, _Breaker] = {}  # guarded-by: _state_lock
+        self._breakers: dict[str, _Breaker] = {}
         #: Manager notifications awaiting dispatch by the transport.
-        self.pending_notifications: list[Cast] = []  # guarded-by: _state_lock
+        self.pending_notifications: list[Cast] = []
         #: Called as ``fn(node_id, instance_addresses)`` right after a node
         #: is marked dead — the transport layer hooks this to evict cached
         #: connections so failovers never re-use a socket to a dead server.
@@ -516,7 +516,8 @@ class ZHTClientCore:
 
     def record_success(self, node_id: str, rtt_s: float | None = None) -> None:
         """Clear suspicion for *node_id* and feed its RTT history."""
-        # zht-lint: ignore[LOCK001] GIL-atomic emptiness reads; a timeout racing this reply lands after it, as if the reply had come first
+        # Unlocked emptiness reads: a timeout racing this reply lands after
+        # it, as if the reply had come first.
         if self.suspicion or self._breakers:
             with self._state_lock:
                 self.suspicion.pop(node_id, None)

@@ -140,7 +140,7 @@ class OpClient:
                         # per-node history behind the phi failure detector.
                         driver.on_response(response, core.clock() - sent_at)
             # Pending failure reports go to the managers (best effort).
-            if core.pending_notifications:  # zht-lint: ignore[LOCK001] GIL-atomic emptiness read; a note queued this instant leaves with the next op
+            if core.pending_notifications:
                 yield from core.take_notifications()
             return driver.result()
         finally:

@@ -135,8 +135,8 @@ class ReplicationSequencer:
         self._cond = threading.Condition()
         #: Tickets in issue order: ``next`` is one C call, atomic under the GIL.
         self._tickets = itertools.count()
-        self._served = 0  # guarded-by: _cond
-        self._retired: set[int] = set()  # guarded-by: _cond
+        self._served = 0
+        self._retired: set[int] = set()
 
     def ticket(self) -> int:
         return next(self._tickets)

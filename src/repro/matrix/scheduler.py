@@ -237,8 +237,7 @@ class MatrixOnZHT:
         if victim is None:
             return False
         first, second = sorted((eid, victim))
-        # The lint conflates the per-executor lock family into one id.
-        # zht-lint: ignore[LOCK004] distinct _locks[i] members, ordered by executor id
+        # Distinct _locks[i] members, taken in executor-id order.
         with self._locks[first], self._locks[second]:
             moved = execute_steal(self.queues[victim], self.queues[eid])
         if moved:

@@ -114,7 +114,7 @@ class _MuxConnection:
         #: emptied with ``pop`` (each GIL-atomic); shutdown and hand-off
         #: read it under ``_state_lock``.
         self._pending: dict[int, _MuxSlot] = {}
-        self._discard: set[int] = set()  # guarded-by: _state_lock
+        self._discard: set[int] = set()
         # Bytes of a frame still arriving: the read role's holder only.
         self._buffer = bytearray()
         self._readable = select.poll()
@@ -378,7 +378,7 @@ class MultiplexedTCPClient(ClientTransport):
     """
 
     def __init__(self, *, connect_timeout: float = 2.0, cache_connections: bool = True) -> None:
-        self._conns: dict[Address, _MuxConnection] = {}  # guarded-by: _lock
+        self._conns: dict[Address, _MuxConnection] = {}
         self._lock = threading.Lock()
         self.connect_timeout = connect_timeout
         self.cache_connections = cache_connections
@@ -420,7 +420,7 @@ class MultiplexedTCPClient(ClientTransport):
         return conn
 
     def _get(self, address: Address) -> _MuxConnection | None:
-        conn = self._conns.get(address)  # zht-lint: ignore[LOCK001] GIL-atomic dict read; _connect settles a miss under the lock
+        conn = self._conns.get(address)
         if conn is not None and not conn.closed:
             return conn
         return self._connect(address)
@@ -559,8 +559,8 @@ class _Connection:
         self.buffer = bytearray()
         self.write_lock = threading.Lock()
         self.closed = False
-        self.outbuf = bytearray()  # guarded-by: write_lock
-        self.want_write = False  # guarded-by: write_lock
+        self.outbuf = bytearray()
+        self.want_write = False
 
     def queue_reply(self, data: "bytes | bytearray") -> bool:
         """Send *data*, buffering whatever the socket won't take now.
@@ -773,7 +773,7 @@ class EventDrivenTCPServer:
         # ``extra_inflight`` (and ``stop(drain=True)`` waits for it).
         self._pending_effects: list[None] = []
         self._pending_lock = threading.Lock()
-        self._pending_writable: list[_Connection] = []  # guarded-by: _pending_lock
+        self._pending_writable: list[_Connection] = []
         if core is not None:
             self.attach_core(core)
 

@@ -122,13 +122,13 @@ class NoVoHT:
         if max_memory_pairs is not None and max_memory_pairs < 0:
             raise ValueError("max_memory_pairs must be >= 0")
 
-        self._map: dict[bytes, bytes | _Spilled] = {}  # guarded-by: _lock
+        self._map: dict[bytes, bytes | _Spilled] = {}
         self._lock = threading.RLock()
         #: Serializes checkpoint/GC passes; waiters release _lock while
         #: a pass's unlocked snapshot write is in flight.
         self._maint_cond = threading.Condition(self._lock)
-        self._maint_busy = False  # guarded-by: _lock
-        self._maint_pending: str | None = None  # guarded-by: _lock
+        self._maint_busy = False
+        self._maint_pending: str | None = None
         #: When set (``set_maintenance_executor``), due maintenance hops
         #: to this submit callable instead of running on the mutating
         #: thread — an event-loop server must not serialize the whole
@@ -136,22 +136,22 @@ class NoVoHT:
         self._maint_submit: Callable[[Callable[[], None]], object] | None = None
         self.stats = REGISTRY.counter_set("novoht", NOVOHT_COUNTERS)
         #: The op counters, bumped under the store lock.
-        self._counts = self.stats.owned_cells()  # guarded-by: _lock
+        self._counts = self.stats.owned_cells()
         #: WAL records known dead (overwritten or removed keys): what the
         #: GC trigger weighs against the log's length.
-        self._dead_records = 0  # guarded-by: _lock
+        self._dead_records = 0
         self.checkpoint_interval_ops = checkpoint_interval_ops
         self.gc_dead_ratio = gc_dead_ratio
         self.max_memory_pairs = max_memory_pairs or 0
-        self._ops_since_checkpoint = 0  # guarded-by: _lock
-        self._closed = False  # guarded-by: _lock
+        self._ops_since_checkpoint = 0
+        self._closed = False
 
         self.path = path
         self._wal: WriteAheadLog | None = None
         self._ckpt_path: str | None = None
         self._ovf_path: str | None = None
-        self._ovf_file = None  # guarded-by: _lock
-        self._ovf_garbage = 0  # guarded-by: _lock
+        self._ovf_file = None
+        self._ovf_garbage = 0
 
         if path is not None:
             os.makedirs(path, exist_ok=True)

@@ -45,7 +45,7 @@ class Counter:
 
     def __init__(self, name: str):
         self.name = name
-        self._value = 0  # guarded-by: _lock
+        self._value = 0
         self._lock = threading.Lock()
         self._family: _Family | None = None
         self._field = ""
@@ -58,7 +58,7 @@ class Counter:
     def value(self) -> int:
         family = self._family
         live = family.live(self._field) if family is not None else 0
-        return self._value + live  # zht-lint: ignore[LOCK001] GIL-atomic int read; snapshot precision not required
+        return self._value + live
 
     def reset(self) -> None:
         family = self._family
@@ -179,7 +179,7 @@ class Gauge:
 
     def __init__(self, name: str, provider: Callable[[], float] | None = None):
         self.name = name
-        self._value = 0.0  # guarded-by: _lock
+        self._value = 0.0
         self._provider = provider
         self._lock = threading.Lock()
 
@@ -194,7 +194,7 @@ class Gauge:
                 return float(self._provider())
             except Exception:
                 return 0.0
-        return self._value  # zht-lint: ignore[LOCK001] GIL-atomic float read; snapshot precision not required
+        return self._value
 
     def reset(self) -> None:
         with self._lock:
@@ -231,10 +231,10 @@ class LatencyHistogram:
 
     def __init__(self, name: str):
         self.name = name
-        self._counts = [0] * (len(self.BOUNDS) + 1)  # guarded-by: _lock
-        self._sum = 0.0  # guarded-by: _lock
-        self._min = float("inf")  # guarded-by: _lock
-        self._max = 0.0  # guarded-by: _lock
+        self._counts = [0] * (len(self.BOUNDS) + 1)
+        self._sum = 0.0
+        self._min = float("inf")
+        self._max = 0.0
         self._lock = threading.Lock()
 
     def record(self, seconds: float) -> None:
@@ -251,21 +251,19 @@ class LatencyHistogram:
 
     @property
     def count(self) -> int:
-        return sum(self._counts)  # zht-lint: ignore[LOCK001] GIL-atomic bucket reads; a sample landing mid-sum is counted or not
+        return sum(self._counts)
 
     @property
     def mean_s(self) -> float:
         count = self.count
-        # zht-lint: ignore[LOCK001] torn sum/count read only skews a progress readout
         return self._sum / count if count else 0.0
 
     @property
     def max_s(self) -> float:
-        return self._max  # zht-lint: ignore[LOCK001] GIL-atomic float read
+        return self._max
 
     @property
     def min_s(self) -> float:
-        # zht-lint: ignore[LOCK001] GIL-atomic float read; min/count skew is harmless
         return self._min if self.count else 0.0
 
     def percentile(self, p: float) -> float:

@@ -35,10 +35,10 @@ class PartitionLoadTracker:
         self._lock = threading.Lock()
         self._local = threading.local()
         #: Every recording thread's ``{pid: count}``: a snapshot sums them.
-        self._threads: list[dict[int, int]] = []  # guarded-by: _lock
+        self._threads: list[dict[int, int]] = []
         #: The sums at the last reset: a window is what was added since.
-        self._base: dict[int, int] = {}  # guarded-by: _lock
-        self._window_start = clock()  # guarded-by: _lock
+        self._base: dict[int, int] = {}
+        self._window_start = clock()
 
     def record(self, pid: int, n: int = 1) -> None:
         """Count *n* requests against partition *pid*."""

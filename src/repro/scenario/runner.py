@@ -559,17 +559,31 @@ class _FaultSchedule:
                 return self.auto_victims[0]
         return self.nodes[1] if len(self.nodes) > 1 else self.nodes[0]
 
+    def is_due(self, done: int) -> bool:
+        """Whether the next event's progress point is crossed at *done*.
+        Safe without the caller's lock: events leave only from the head,
+        under it, and *done* only grows."""
+        head = self.pending[:1]
+        return bool(head) and done >= head[0].at * self.total_ops
+
     def due(self, done: int) -> Iterator[tuple[str, Any]]:
-        """Pop every event whose progress point *done* has crossed, as
+        """Every event whose progress point *done* has crossed, as
         ``(action, target)``: the victim node id for kill/repair, the
         shard index for kill_shard.  The caller enacts each event before
-        asking for the next, which is what times the ``_done`` marks."""
-        while self.pending and done >= self.pending[0].at * self.total_ops:
-            event = self.pending.pop(0)
+        asking for the next, which is what times the ``_done`` marks.
+        A repair leaves the schedule as it starts, so clients crossing
+        later points go on with their ops while it runs; a kill leaves
+        once it is done, so until then it is due to every client."""
+        while self.is_due(done):
+            event = self.pending[0]
+            if event.action == "repair":
+                self.pending.pop(0)
             target = self._resolve(event)
             self.marks.setdefault(f"{event.action}_start", self.now())
             yield event.action, target
             self.marks.setdefault(f"{event.action}_done", self.now())
+            if event.action != "repair":
+                self.pending.pop(0)
 
     def _resolve(self, event: FaultEvent) -> Any:
         explicit = 0 <= event.target < len(self.nodes)
@@ -670,6 +684,9 @@ class _Live:
     own, over its own fault-injecting transport, on the wall clock."""
 
     now = staticmethod(time.perf_counter)
+    #: A client with a fault event due blocks until no other client is
+    #: enacting one.
+    wait_for_events = True
 
     def __init__(self, cluster: LiveCluster, plan: FaultPlan, seed: int) -> None:
         self.cluster, self.plan, self.seed = cluster, plan, seed
@@ -741,6 +758,11 @@ class _Live:
 class _Sim:
     """The DES runs every generator as a process of one engine run, in
     simulated time; the fault plan lives in its modeled network."""
+
+    #: Every process runs on one thread, so a client must not block on
+    #: the fault lock: its holder is a process suspended in a repair, and
+    #: a kill (no yields) is done before any other process runs.
+    wait_for_events = False
 
     def __init__(self, cluster: SimulatedCluster, seed: int) -> None:
         self.cluster, self.seed = cluster, seed
@@ -828,8 +850,13 @@ def _run(
         # other clients keep issuing ops meanwhile.  The lock stops a
         # second client from enacting events before the first is done: a
         # kill falling due while a repair still re-replicates waits for it
-        # instead of taking down the last copy it was about to copy.
-        if not schedule.pending or not fire_lock.acquire(blocking=False):
+        # instead of taking down the last copy it was about to copy.  Only
+        # a client with an event due takes the lock, and a live client
+        # waits for it, so no client runs an op past a kill's point before
+        # the kill is done, however long its enactor is descheduled.
+        if not schedule.is_due(tally.done):
+            return
+        if not fire_lock.acquire(blocking=runtime.wait_for_events):
             return
         try:
             for action, target in schedule.due(tally.done):

@@ -327,6 +327,9 @@ class SimulatedCluster:
         read_cost = float(service.service_time)
         dispatch_cost = float(service.service_time * _REPLICA_DISPATCH_FACTOR)
         request_timeout = self.config.request_timeout
+        # Enum members bound once: a class attribute read per message goes
+        # through EnumType's __getattr__.
+        ping, replica_update = OpCode.PING, OpCode.REPLICA_UPDATE
 
         while True:
             message: _SimMessage = yield queue.get()
@@ -336,7 +339,7 @@ class SimulatedCluster:
             if index in self.dead_instances:
                 continue  # crashed: drain and discard without replying
 
-            if op == OpCode.PING and request.payload == b"fwd":
+            if op == ping and request.payload == b"fwd":
                 # Routing forward at an intermediate server (log-routing
                 # baselines): partial service, immediate ack.
                 yield forward_cost
@@ -344,7 +347,7 @@ class SimulatedCluster:
                     self._reply(message, Response(status=Status.OK), my_node)
                 continue
 
-            if op == OpCode.REPLICA_UPDATE and message.one_way:
+            if op == replica_update and message.one_way:
                 yield apply_cost
             elif op in MUTATING_OPS:
                 yield write_cost

@@ -6,6 +6,8 @@ mid-workload, verify zero acked writes are lost, failover happens within
 full replication level — on both the live in-process backend and the
 DES.  The same seed must yield the same fault sequence."""
 
+import time
+
 import pytest
 
 from repro.cli import main
@@ -44,6 +46,47 @@ class TestLocalBackend:
         assert len(r.victims) == 1
         assert r.metrics["fault.repair_time_s"] > 0
         assert r.metrics["fault.failover_latency_s"] > 0
+
+    def test_no_client_runs_past_a_kill_before_it_is_done(self, monkeypatch):
+        # The client enacting the kill loses the CPU (here: sleeps) just
+        # before it acts.  The clients crossing the kill's point meanwhile
+        # wait for it, so at most one more op per client settles before
+        # the node is down, and the failure window keeps its ops.
+        from repro.api import LocalCluster
+        from repro.scenario import runner
+        from repro.scenario.frontends import chaos_scenario
+
+        settled: list[None] = []
+        done_at_kill: list[int] = []
+        settle, kill_node = runner._Tally.settle, LocalCluster.kill_node
+        due = runner._FaultSchedule.due
+
+        def counting_settle(tally, *args):
+            settle(tally, *args)
+            settled.append(None)
+
+        def slow_due(schedule, done):
+            for action, target in due(schedule, done):
+                if action == "kill":
+                    time.sleep(0.005)
+                yield action, target
+
+        def recording_kill_node(cluster, node_id):
+            done_at_kill.append(len(settled))
+            return kill_node(cluster, node_id)
+
+        monkeypatch.setattr(runner._Tally, "settle", counting_settle)
+        monkeypatch.setattr(runner._FaultSchedule, "due", slow_due)
+        monkeypatch.setattr(LocalCluster, "kill_node", recording_kill_node)
+        scenario = chaos_scenario("local", nodes=4, replicas=1, ops=120, seed=7)
+        kill = scenario.faults.events[0]
+        point = kill.at * scenario.workload.total_ops
+        r = runner.run_scenario(scenario)
+        (done,) = done_at_kill
+        assert point <= done <= point + r.clients, (point, done)
+        assert r.ok, r.summary_lines()
+        assert only_the_victim_marked_dead(r)
+        assert r.metrics["client.failovers"] >= 1
 
     def test_five_nodes_two_replicas(self):
         r = run_chaos("local", nodes=5, replicas=2, ops=120, seed=21)
