@@ -383,6 +383,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
         from .scenario import run_scenario
 
+        if args.all and args.backend:  # the library scenarios declaring it
+            declared = [s for s in scenarios if args.backend in s.backends]
+            skipped = len(scenarios) - len(declared)
+            print(f"skipped {skipped} scenario(s) not declaring {args.backend!r}")
+            if not declared:
+                raise ScenarioError("backend", "no library scenario declares it")
+            scenarios = declared
+
         verdicts = []
         for scenario in scenarios:
             verdict = run_scenario(
@@ -706,7 +714,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="library scenario names or paths to scenario JSON files",
     )
     sc_run.add_argument(
-        "--all", action="store_true", help="run the whole library"
+        "--all",
+        action="store_true",
+        help="run the whole library (with --backend: the scenarios that "
+        "declare that backend)",
     )
     sc_run.add_argument(
         "--backend",

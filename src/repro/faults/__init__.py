@@ -12,9 +12,12 @@ this package exercises it as a whole:
   wrapper applying a plan around any :class:`~repro.net.transport.ClientTransport`.
 * :mod:`~repro.faults.files` — :class:`FaultyWALFile`, the file-level
   shim simulating crashes with un-synced or torn WAL tails.
-* :mod:`~repro.faults.invariants` — :class:`AckLedger` and the checkers
-  behind the core invariant: an *acknowledged* write survives any single
-  node failure under replication.
+* :mod:`~repro.faults.invariants` — the one judge of the core invariant
+  (an *acknowledged* write survives any single node failure under
+  replication): :class:`AckLedger` models the acked INSERTs, REMOVEs and
+  APPEND fragments, and :func:`audit_acked_writes` reads each key once
+  and walks its copies once for durability, divergence, replication
+  level and convergence.
 
 The end-to-end kill → failover → repair → verify run
 (``python -m repro chaos``, :func:`run_chaos`) is a synthesised scenario
@@ -24,13 +27,7 @@ backends and inside the DES.
 
 from ..scenario.frontends import run_chaos
 from .files import FaultyWALFile, corrupt_byte, faulty_wal_opener, tear_tail
-from .invariants import (
-    AckLedger,
-    check_convergence,
-    check_replication_level,
-    classify_acked_outcomes,
-    holders_of_key,
-)
+from .invariants import AckLedger, Audit, audit_acked_writes
 from .plan import (
     VICTIM_TARGET,
     FaultKind,
@@ -39,23 +36,20 @@ from .plan import (
     FaultRule,
     resolve_victim_rules,
 )
-from .transport import FaultyClientTransport, FaultyTransportStats
+from .transport import FaultyClientTransport
 
 __all__ = [
     "AckLedger",
+    "Audit",
     "FaultKind",
     "FaultPlan",
     "FaultRecord",
     "FaultRule",
     "FaultyClientTransport",
-    "FaultyTransportStats",
     "FaultyWALFile",
     "faulty_wal_opener",
-    "check_convergence",
-    "check_replication_level",
-    "classify_acked_outcomes",
+    "audit_acked_writes",
     "corrupt_byte",
-    "holders_of_key",
     "run_chaos",
     "tear_tail",
 ]

@@ -20,6 +20,7 @@ import hashlib
 import random
 import threading
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 #: Sentinel rule target resolved by the scenario runner to the concrete
 #: instance addresses of the node it is about to kill (the transports
@@ -100,6 +101,19 @@ class FaultRule:
         if self.op is not None and self.op != op:
             return False
         return True
+
+
+class MessageFate(NamedTuple):
+    """What the rules that fire on one message make of it; each runtime
+    enacts it its own way (DESIGN.md §7, "Three injection points")."""
+
+    #: ``DROP`` or ``RESET`` (the first to fire, in rule order) when the
+    #: message is lost; ``None`` when it is delivered.
+    lost: str | None
+    #: Extra seconds of DELAY and STALL, summed.
+    delay: float
+    #: Copies put on the wire: one, plus one per DUPLICATE that fired.
+    copies: int
 
 
 @dataclass(frozen=True)
@@ -257,15 +271,16 @@ class FaultPlan:
         self.trace.append(record)
         return record
 
-    def message_faults(
+    def message_fate(
         self, *, target: str | None = None, op: str | None = None
-    ) -> list[tuple[FaultRecord, FaultRule]]:
-        """Decide which message-level faults hit one send attempt.
-
-        *target* is an address string or node id; *op* an OpCode name.
-        Returns ``(record, rule)`` pairs for every rule that fired.
-        """
-        hits: list[tuple[FaultRecord, FaultRule]] = []
+    ) -> MessageFate:
+        """Decide one send attempt's fate: the one reading of message
+        faults.  *target* is an address string or node id; *op* an
+        OpCode name.  Every matching rule is considered, and traced if
+        it fires."""
+        lost: str | None = None
+        delay = 0.0
+        copies = 1
         with self._lock:
             for index, rule in enumerate(self.rules):
                 if rule.kind not in FaultKind.MESSAGE_KINDS:
@@ -274,10 +289,15 @@ class FaultPlan:
                     continue  # scheduled rules are enacted by the harness
                 if not rule.matches(target, op):
                     continue
-                record = self._consider(index, rule, target, op)
-                if record is not None:
-                    hits.append((record, rule))
-        return hits
+                if self._consider(index, rule, target, op) is None:
+                    continue
+                if rule.kind in (FaultKind.DROP, FaultKind.RESET):
+                    lost = lost or rule.kind
+                elif rule.kind == FaultKind.DUPLICATE:
+                    copies += 1
+                else:  # DELAY, STALL
+                    delay += rule.delay
+        return MessageFate(lost, delay, copies)
 
     def file_fault(self, kind: str, *, target: str | None = None) -> FaultRule | None:
         """Decide one file-level fault event (an ``fsync`` call, a crash

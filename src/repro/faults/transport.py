@@ -20,23 +20,12 @@ loopback sockets and the in-process local network.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from ..core.membership import Address
 from ..core.protocol import Request, Response
 from ..net.transport import ClientTransport
 from .plan import FaultKind, FaultPlan
-
-
-@dataclass
-class FaultyTransportStats:
-    sends: int = 0
-    drops: int = 0
-    delays: int = 0
-    duplicates: int = 0
-    resets: int = 0
-    crash_blackholes: int = 0
 
 
 class FaultyClientTransport(ClientTransport):
@@ -55,7 +44,6 @@ class FaultyClientTransport(ClientTransport):
         # Batch planning chunks against the real transport's limit even
         # when wrapped (a faulty UDP client still carries datagrams).
         self.max_request_bytes = inner.max_request_bytes
-        self.stats = FaultyTransportStats()
         self._sleep = sleep
         #: Cap on how long a DROP makes the caller actually wait — lost
         #: messages must look like timeouts, but tests should not pay
@@ -64,68 +52,44 @@ class FaultyClientTransport(ClientTransport):
 
     # ------------------------------------------------------------------
 
+    def _copies(self, address: Address, request: Request, lost_wait: float) -> int:
+        """How many copies of *request* go on to *inner*, after any
+        injected delay: 0 when the target is crashed or the message is
+        lost.  A crash or a DROP blocks for *lost_wait*; a RESET fails
+        fast and evicts the cached connection."""
+        fate = (
+            None  # a crashed target is a black hole
+            if self.plan.is_crashed(str(address), address.host)
+            else self.plan.message_fate(target=str(address), op=request.op.name)
+        )
+        if fate is not None and fate.lost == FaultKind.RESET:
+            self.inner.evict(address)
+            return 0
+        if fate is None or fate.lost:
+            if lost_wait:
+                self._sleep(lost_wait)
+            return 0
+        if fate.delay:
+            self._sleep(fate.delay)
+        return fate.copies
+
     def roundtrip(
         self, address: Address, request: Request, timeout: float
     ) -> Response | None:
-        self.stats.sends += 1
-        if self.plan.is_crashed(str(address), address.host):
-            self.stats.crash_blackholes += 1
-            self._sleep(min(timeout, self.max_drop_wait))
+        copies = self._copies(address, request, min(timeout, self.max_drop_wait))
+        if not copies:
             return None
-        duplicate = False
-        extra_delay = 0.0
-        for record, rule in self.plan.message_faults(
-            target=str(address), op=request.op.name
-        ):
-            if rule.kind == FaultKind.DROP:
-                self.stats.drops += 1
-                self._sleep(min(timeout, self.max_drop_wait))
-                return None
-            if rule.kind == FaultKind.RESET:
-                self.stats.resets += 1
-                self.inner.evict(address)
-                return None
-            if rule.kind in (FaultKind.DELAY, FaultKind.STALL):
-                self.stats.delays += 1
-                extra_delay += rule.delay
-            elif rule.kind == FaultKind.DUPLICATE:
-                self.stats.duplicates += 1
-                duplicate = True
-        if extra_delay:
-            self._sleep(extra_delay)
-        if duplicate:
+        if copies > 1:
             # The duplicated copy reaches the server too; its response is
             # discarded (the original's wins), matching a repeated datagram.
             self.inner.roundtrip(address, request, timeout)
         return self.inner.roundtrip(address, request, timeout)
 
     def send_oneway(self, address: Address, request: Request) -> None:
-        self.stats.sends += 1
-        if self.plan.is_crashed(str(address), address.host):
-            self.stats.crash_blackholes += 1
-            return
-        duplicate = False
-        extra_delay = 0.0
-        for record, rule in self.plan.message_faults(
-            target=str(address), op=request.op.name
-        ):
-            if rule.kind == FaultKind.DROP:
-                self.stats.drops += 1
-                return
-            if rule.kind == FaultKind.RESET:
-                self.stats.resets += 1
-                self.inner.evict(address)
-                return
-            if rule.kind in (FaultKind.DELAY, FaultKind.STALL):
-                self.stats.delays += 1
-                extra_delay += rule.delay
-            elif rule.kind == FaultKind.DUPLICATE:
-                self.stats.duplicates += 1
-                duplicate = True
-        if extra_delay:
-            self._sleep(extra_delay)
-        self.inner.send_oneway(address, request)
-        if duplicate:
+        copies = self._copies(address, request, 0.0)
+        if copies:
+            self.inner.send_oneway(address, request)
+        if copies > 1:
             self.inner.send_oneway(address, request)
 
     def evict(self, address: Address) -> None:

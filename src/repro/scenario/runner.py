@@ -34,7 +34,6 @@ import random
 import tempfile
 import threading
 import time
-from collections import Counter as Multiset
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Generator, Iterator
@@ -46,12 +45,7 @@ from ..core.errors import KeyNotFound, ZHTError
 from ..core.loops import OpClient, Sleep, script_loop
 from ..core.membership import MembershipTable
 from ..core.protocol import OpCode
-from ..faults.invariants import (
-    AckLedger,
-    check_convergence,
-    check_replication_level,
-    classify_acked_outcomes,
-)
+from ..faults.invariants import AckLedger, audit_acked_writes
 from ..faults.plan import (
     VICTIM_TARGET,
     FaultKind,
@@ -67,7 +61,7 @@ from ..verify.checker import CheckReport, check_history
 from ..verify.history import HistoryRecorder
 from .cluster import build_cluster, default_config, repair_script
 from .schema import FaultEvent, Scenario, ScenarioError
-from .traffic import FRAGMENT_BYTES, ClientStream, build_streams
+from .traffic import ClientStream, build_streams
 
 #: Max violation strings kept per check in the verdict document.
 MAX_VIOLATIONS = 12
@@ -300,83 +294,6 @@ def _evaluate_gates(scenario: Scenario, metrics: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _check_append_durability(
-    append_acked: dict,
-    lookup: Callable[[bytes], bytes],
-    *,
-    retries: int = 3,
-) -> list:
-    """Every acked APPEND fragment must appear in the key's final value
-    (multiset-subset: concurrent appenders interleave in any order)."""
-    violations = []
-    for key, fragments in append_acked.items():
-        value = None
-        for _attempt in range(retries):
-            try:
-                value = lookup(key)
-                break
-            except KeyNotFound:
-                break
-            except ZHTError:
-                continue
-        if value is None:
-            violations.append(
-                f"acked appends lost: {key!r} unreadable "
-                f"({len(fragments)} fragment(s))"
-            )
-            continue
-        chunks = Multiset(
-            bytes(value[i : i + FRAGMENT_BYTES])
-            for i in range(0, len(value), FRAGMENT_BYTES)
-        )
-        missing = Multiset(fragments) - chunks
-        for fragment, n in missing.items():
-            violations.append(
-                f"acked append fragment missing: {key!r} lacks "
-                f"{fragment!r} x{n}"
-            )
-    return violations
-
-
-def _check_append_convergence(
-    append_acked: dict,
-    cores: list,
-    membership: MembershipTable,
-    replicas: int,
-    hash_name: str,
-) -> list:
-    """After quiesce, every alive chain member holds byte-identical
-    append values (order may differ from ack order, so chains are
-    compared against each other, not the ledger)."""
-    by_instance = {s.info.instance_id: s for s in cores}
-    violations = []
-    for key in append_acked:
-        pid = membership.partition_of_key(key, hash_name)
-        chain = membership.replicas_for_partition(pid, replicas)
-        values = {}
-        for inst in chain:
-            if not membership.nodes[inst.node_id].alive:
-                continue
-            server = by_instance.get(inst.instance_id)
-            if server is None:
-                continue
-            part = server.partitions.get(pid)
-            if part is None or key not in part.store:
-                violations.append(
-                    f"append replica missing: {key!r} absent on "
-                    f"{inst.instance_id[:8]}"
-                )
-                continue
-            values[inst.instance_id[:8]] = part.store.get(key)
-        if len(set(values.values())) > 1:
-            violations.append(
-                f"append replicas disagree: {key!r} has "
-                f"{len(set(values.values()))} distinct values across "
-                f"{sorted(values)}"
-            )
-    return violations
-
-
 @dataclass
 class _History:
     """What ``checks.linearizability`` gathers during a run: the op
@@ -425,67 +342,44 @@ def _run_checks(
     cluster: LiveCluster | SimulatedCluster,
     history: _History | None,
 ) -> list:
-    """Run the configured invariant checks; returns one CheckResult per
-    check, ``skipped`` when not requested or — the store-level ones — when
-    the backend's stores are out of reach (never silently dropped)."""
-    checks = scenario.checks
-    replicas = scenario.topology.replicas
-    ledger, append_acked = tally.ledger, tally.append_acked
-    cores, membership = cluster.cores, cluster.membership
-    hash_name = cluster.config.hash_name
-    introspectable = bool(cores)
+    """One CheckResult per configured check.  The store-level ones come
+    from one :func:`audit_acked_writes` pass; each is ``skipped`` when
+    not requested or — all but durability — when the backend's stores
+    are out of reach (never silently dropped)."""
+    checks, ledger = scenario.checks, tally.ledger
+    audit = audit_acked_writes(
+        ledger,
+        lookup if checks.durability or checks.divergence else None,
+        cluster.cores,
+        cluster.membership,
+        replicas=scenario.topology.replicas,
+        hash_name=cluster.config.hash_name,
+    )
+    details = {
+        "durability": f"{ledger.acked_ops} acked mutation(s) audited",
+        "replication": f"min {audit.min_copies} cop(ies) over {audit.keys} key(s)",
+    }
     results: list = []
-
-    def judge(name: str, violations: list, detail: str = "") -> None:
-        results.append(
-            CheckResult(
-                name, "fail" if violations else "pass", _truncate(violations), detail
+    for name, requested, violations in (
+        ("durability", checks.durability, audit.lost),
+        ("divergence", checks.divergence, audit.diverged),
+        ("replication", checks.replication, audit.under_replicated),
+        ("convergence", checks.convergence, audit.unconverged),
+    ):
+        if not requested:
+            result = CheckResult(name, "skipped", [], "not requested")
+        elif not cluster.cores and name != "durability":
+            result = CheckResult(
+                name, "skipped", [], "stores not introspectable on this backend"
             )
-        )
-
-    def skip(name: str, requested: bool) -> bool:
-        if requested and (introspectable or name == "durability"):
-            return False
-        reason = (
-            "stores not introspectable on this backend"
-            if requested
-            else "not requested"
-        )
-        results.append(CheckResult(name, "skipped", [], reason))
-        return True
-
-    lost: list = []
-    diverged: list = []
-    if introspectable and (checks.durability or checks.divergence):
-        lost, diverged = classify_acked_outcomes(ledger, lookup, cores, membership)
-    elif checks.durability:
-        lost = ledger.verify(lookup)
-    if not skip("durability", checks.durability):
-        appended = sum(len(v) for v in append_acked.values())
-        judge(
-            "durability",
-            lost + _check_append_durability(append_acked, lookup),
-            f"{ledger.acked_ops + appended} acked mutation(s) audited",
-        )
-    if not skip("divergence", checks.divergence):
-        judge("divergence", diverged)
-    if not skip("replication", checks.replication):
-        alive = sum(1 for n in membership.nodes.values() if n.alive)
-        min_copies = min(replicas + 1, alive)
-        keys = list(ledger.expected) + list(append_acked)
-        judge(
-            "replication",
-            check_replication_level(cores, membership, keys, min_copies),
-            f"min {min_copies} cop(ies) over {len(keys)} key(s)",
-        )
-    if not skip("convergence", checks.convergence):
-        judge(
-            "convergence",
-            check_convergence(cores, membership, ledger.expected, replicas, hash_name)
-            + _check_append_convergence(
-                append_acked, cores, membership, replicas, hash_name
-            ),
-        )
+        else:
+            result = CheckResult(
+                name,
+                "fail" if violations else "pass",
+                _truncate(violations),
+                details.get(name, ""),
+            )
+        results.append(result)
     # Judges the recorded history, not the stores: every backend.
     if history is None:
         results.append(CheckResult("linearizability", "skipped", [], "not requested"))
@@ -634,12 +528,11 @@ class _FaultSchedule:
 
 class _Tally:
     """What the clients' settled ops add up to: counts, the ack ledger,
-    acked append fragments, and each acked op's ``(t_call, t_return)``.
+    and each acked op's ``(t_call, t_return)``.
     Not thread-safe — the scenario loop settles under its lock."""
 
     def __init__(self) -> None:
         self.ledger = AckLedger()
-        self.append_acked: dict[bytes, list] = {}
         self.done = self.acked = self.failed = 0
         self.intervals: list[tuple[float, float]] = []
 
@@ -659,11 +552,7 @@ class _Tally:
             return
         self.acked += 1
         self.intervals.append((t_call, t_return))
-        if op == OpCode.LOOKUP or not stream.ledger:
-            return
-        if op == OpCode.APPEND:
-            self.append_acked.setdefault(key, []).append(value)
-        else:
+        if op != OpCode.LOOKUP and stream.ledger:
             self.ledger.record(op, key, value)
 
 

@@ -8,11 +8,13 @@ depends on:
 * **Determinism** — the op list for ``(scenario seed, client index)``
   is a pure function, so a failing verdict replays exactly.
 * **Ledger-soundness** — concurrent writers to a shared key universe
-  must not confuse the :class:`~repro.faults.invariants.AckLedger`:
-  INSERT values are a pure function of the *key* (two racing inserts
-  write identical bytes, so ack order cannot disagree with store
-  state), and APPEND fragments are globally unique fixed-width chunks
-  checked as a multiset rather than a concatenation order.  The one
+  must not confuse the :class:`~repro.faults.invariants.AckLedger`,
+  which :func:`~repro.faults.invariants.audit_acked_writes` judges
+  after the run: INSERT values are a pure function of the *key* (two
+  racing inserts write identical bytes, so ack order cannot disagree
+  with store state), and APPEND fragments are globally unique
+  fixed-width chunks that the ledger keeps, and the audit checks, as a
+  multiset per key rather than a concatenation order.  The one
   exception is the ``registers`` shape — distinct values per write, the
   workload the linearizability checker needs — whose streams are marked
   ``ledger=False`` and judged from the recorded history instead.

@@ -38,7 +38,6 @@ from ..core.membership import (
 )
 from ..core.protocol import MUTATING_OPS, OpCode, Request, Response
 from ..core.server import ZHTServerCore
-from ..faults.plan import FaultKind
 from .engine import Environment, Reply, Store
 from .metrics import LatencyStats, RunResult
 from .network import (
@@ -281,16 +280,13 @@ class SimulatedCluster:
         extra_delay = 0.0
         plan = self.spec.faults
         if plan is not None:
-            for record, rule in plan.message_faults(
+            fate = plan.message_fate(
                 target=str(self.instances[dst_index].address),
                 op=message.request.op.name,
-            ):
-                if record.kind in (FaultKind.DROP, FaultKind.RESET):
-                    return  # the wire ate it
-                if record.kind in (FaultKind.DELAY, FaultKind.STALL):
-                    extra_delay += rule.delay
-                elif record.kind is FaultKind.DUPLICATE:
-                    copies += 1
+            )
+            if fate.lost:
+                return  # the wire ate it (a reset too)
+            extra_delay, copies = fate.delay, fate.copies
         if dst_index in self.dead_instances:
             return  # blackhole: packets to a crashed instance vanish
         request = message.request

@@ -43,13 +43,9 @@ class TestFaultRule:
 
 class TestFaultPlanDeterminism:
     def _drive(self, plan, events=40):
-        hits = []
         for i in range(events):
-            for record, _rule in plan.message_faults(
-                target=f"t{i % 3}", op="INSERT"
-            ):
-                hits.append(record.key())
-        return hits
+            plan.message_fate(target=f"t{i % 3}", op="INSERT")
+        return plan.trace_keys()
 
     def test_same_seed_same_sequence(self):
         mk = lambda: FaultPlan(
@@ -74,8 +70,30 @@ class TestFaultPlanDeterminism:
 
     def test_after_and_count(self):
         plan = FaultPlan(0, [FaultRule(FaultKind.DROP, after=2, count=3)])
-        fired = [bool(plan.message_faults(target="x")) for _ in range(10)]
+        fired = [plan.message_fate(target="x").lost is not None for _ in range(10)]
         assert fired == [False, False, True, True, True, False] + [False] * 4
+
+    def test_message_fate_reads_every_fired_rule(self):
+        plan = FaultPlan(
+            0,
+            [
+                FaultRule(FaultKind.DELAY, delay=0.002),
+                FaultRule(FaultKind.DUPLICATE),
+                FaultRule(FaultKind.STALL, delay=0.003),
+                FaultRule(FaultKind.DUPLICATE),
+            ],
+        )
+        fate = plan.message_fate(target="x")
+        assert fate.lost is None and fate.copies == 3
+        assert fate.delay == pytest.approx(0.005)
+
+    def test_message_fate_loss_is_the_first_in_rule_order(self):
+        plan = FaultPlan(
+            0, [FaultRule(FaultKind.RESET), FaultRule(FaultKind.DROP)]
+        )
+        assert plan.message_fate(target="x").lost == FaultKind.RESET
+        # Both rules still fired and were traced.
+        assert [r.kind for r in plan.trace] == [FaultKind.RESET, FaultKind.DROP]
 
     def test_file_faults_separate_from_message_faults(self):
         plan = FaultPlan(
@@ -88,8 +106,9 @@ class TestFaultPlanDeterminism:
         # Message path never fires file rules and vice versa.
         assert plan.file_fault(FaultKind.FSYNC_LOSS) is None  # after=1
         assert plan.file_fault(FaultKind.FSYNC_LOSS) is not None
-        hits = plan.message_faults(target="x")
-        assert [r.kind for _, r in hits] == [FaultKind.DROP]
+        fired = len(plan.trace)
+        assert plan.message_fate(target="x").lost == FaultKind.DROP
+        assert [r.kind for r in plan.trace[fired:]] == [FaultKind.DROP]
 
     def test_crash_bookkeeping(self):
         plan = FaultPlan(0)
@@ -155,7 +174,7 @@ class TestFaultyClientTransport:
         inner, faulty = self._wrap([FaultRule(FaultKind.DROP, count=1)])
         assert faulty.roundtrip(self.ADDR, self._req(), 0.1) is None
         assert inner.roundtrips == []
-        assert faulty.stats.drops == 1
+        assert [r.kind for r in faulty.plan.trace] == [FaultKind.DROP]
         # The single-shot rule is spent; the next send goes through.
         assert faulty.roundtrip(self.ADDR, self._req(), 0.1) is not None
 
@@ -163,7 +182,8 @@ class TestFaultyClientTransport:
         inner, faulty = self._wrap([FaultRule(FaultKind.RESET, count=1)])
         assert faulty.roundtrip(self.ADDR, self._req(), 0.1) is None
         assert inner.evicted == [self.ADDR]
-        assert faulty.stats.resets == 1
+        assert inner.roundtrips == []
+        assert [r.kind for r in faulty.plan.trace] == [FaultKind.RESET]
 
     def test_delay_still_delivers(self):
         slept = []
@@ -181,13 +201,23 @@ class TestFaultyClientTransport:
         faulty.send_oneway(self.ADDR, self._req())
         assert len(inner.oneways) == 1  # rule already spent
 
+    def test_live_duplicates_at_most_once(self):
+        inner, faulty = self._wrap(
+            [FaultRule(FaultKind.DUPLICATE), FaultRule(FaultKind.DUPLICATE)]
+        )
+        assert faulty.roundtrip(self.ADDR, self._req(), 0.1) is not None
+        assert len(inner.roundtrips) == 2
+        faulty.send_oneway(self.ADDR, self._req())
+        assert len(inner.oneways) == 2
+
     def test_crashed_target_is_blackhole(self):
         inner, faulty = self._wrap([])
         faulty.plan.crash_target(str(self.ADDR))
         assert faulty.roundtrip(self.ADDR, self._req(), 0.1) is None
         faulty.send_oneway(self.ADDR, self._req())
         assert inner.roundtrips == [] and inner.oneways == []
-        assert faulty.stats.crash_blackholes == 2
+        # A black hole consults no rule: the trace holds the crash only.
+        assert [r.kind for r in faulty.plan.trace] == [FaultKind.CRASH]
         faulty.plan.revive_target(str(self.ADDR))
         assert faulty.roundtrip(self.ADDR, self._req(), 0.1) is not None
 

@@ -267,3 +267,17 @@ def test_cli_scenario_unknown_name_exits_2(capsys):
 def test_cli_scenario_run_without_names_exits_2(capsys):
     assert main(["scenario", "run"]) == 2
     assert "scenario list" in capsys.readouterr().err
+
+
+def test_cli_scenario_run_all_with_backend_runs_the_declaring_ones(tmp_path, capsys):
+    declaring = [n for n in library_names() if "sim" in load_scenario(n).backends]
+    json_dir = tmp_path / "verdicts"
+    argv = ["scenario", "run", "--all", "--backend", "sim", "--json-dir", str(json_dir)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(declaring) == 7
+    assert f"skipped {len(library_names()) - 7} scenario(s) not declaring 'sim'" in out
+    assert "7/7 scenario(s) passed" in out
+    assert sorted(p.name for p in json_dir.iterdir()) == sorted(
+        f"{name}-sim.json" for name in declaring
+    )

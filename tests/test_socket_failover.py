@@ -11,7 +11,8 @@ import time
 from repro.core.config import ZHTConfig
 from repro.core.errors import ZHTError
 from repro.core.manager import ManagerCore
-from repro.faults import check_replication_level
+from repro.core.protocol import OpCode
+from repro.faults import AckLedger, audit_acked_writes
 from repro.net.cluster import build_tcp_cluster
 
 
@@ -74,10 +75,19 @@ def test_repair_after_failure_over_tcp():
 
         # Repair restored the replication level: with one replica and
         # three survivors, every key must live on >= 2 alive servers.
-        violations = check_replication_level(
-            _live_cores(cluster), cluster.membership, keys, 2
+        ledger = AckLedger()
+        for key in keys:
+            ledger.record(OpCode.INSERT, key, b"payload-" + key)
+        audit = audit_acked_writes(
+            ledger,
+            None,
+            _live_cores(cluster),
+            cluster.membership,
+            replicas=config.num_replicas,
+            hash_name=config.hash_name,
         )
-        assert violations == []
+        assert audit.min_copies == 2
+        assert audit.under_replicated == []
 
 
 def test_client_failover_and_death_detection_over_tcp():
