@@ -26,7 +26,10 @@ rounds.  Unlike a timing, the count does not depend on the host, nor on
 what was counted before it in the process: run twice, it reads the same,
 so a change's cost in executed bytecode is known from one run.  It
 depends on the Python version, so compare counts from one interpreter
-only.
+only.  Work done inside C counts nothing: a big-int multiply over 256
+keys, a ``struct`` unpack or a ``bytes.join`` is one bytecode however
+much it does.  A change that moves work into C calls therefore states
+its cost in µs (``timeit``, or the ledger) beside its bytecodes.
 """
 
 from __future__ import annotations
@@ -346,7 +349,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--smoke", action="store_true", help="the ledger's tiny sizes")
     parser.add_argument("--out-dir", default="profiles")
     parser.add_argument("--opcodes", action="store_true",
-                        help="count bytecodes per op instead of profiling time")
+                        help="count bytecodes per op instead of profiling time "
+                             "(work inside C calls is not counted)")
     parser.add_argument("--ops", type=int, default=400, help="--opcodes: calls counted per client")
     parser.add_argument("--warm-ops", type=int, default=400,
                         help="--opcodes: calls per client run untraced first")

@@ -27,6 +27,7 @@ from .hashing import (
     jenkins_64,
     jenkins_lookup3,
     partition_of,
+    partitions_of,
     ring_position,
 )
 from .client import Attempt, OpDriver, OpState, ZHTClientCore
@@ -84,5 +85,6 @@ __all__ = [
     "jenkins_lookup3",
     "new_instance_id",
     "partition_of",
+    "partitions_of",
     "ring_position",
 ]

@@ -53,7 +53,7 @@ from .errors import (
     ZHTError,
     raise_for_status,
 )
-from .hashing import partition_of
+from .hashing import partition_of, partitions_of
 from .membership import Address, MembershipTable
 from .protocol import (
     BATCH_REQUEST_OVERHEAD,
@@ -672,13 +672,25 @@ class OpDriver:
         #: Absolute wall-clock deadline; propagated in every request
         #: header and enforced locally when planning each attempt.
         self.deadline = core.clock() + core.deadline_budget()
-        num_partitions, hash_name = core.membership.num_partitions, core.config.hash_name
-        heat = core.tracks_heat and op is OpCode.LOOKUP
-        for entry in entries:
-            entry.pid = partition_of(entry.key, num_partitions, hash_name)
-            if heat:
-                # Heat-spread lookups start deeper in the chain and walk
-                # forward from there like any degraded read.
+        # A batch hashes its keys in one lane pass; a point op keeps the
+        # scalar call, which is cheaper for one key.
+        if len(entries) != 1:
+            pids = partitions_of(
+                [entry.key for entry in entries],
+                core.membership.num_partitions,
+                core.config.hash_name,
+            )
+            for entry, pid in zip(entries, pids):
+                entry.pid = pid
+        else:
+            (entry,) = entries
+            entry.pid = partition_of(
+                entry.key, core.membership.num_partitions, core.config.hash_name
+            )
+        if core.tracks_heat and op is OpCode.LOOKUP:
+            # Heat-spread lookups start deeper in the chain and walk
+            # forward from there like any degraded read.
+            for entry in entries:
                 entry.replica_index = core._hot_read_start(entry.key, entry.pid)
 
     #: The last reply received.

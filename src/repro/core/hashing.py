@@ -7,11 +7,19 @@ Both are implemented here from their published specifications, plus the
 ring-placement helper that maps a key to a 64-bit ID-space index.
 
 All functions accept ``bytes`` or ``str`` (encoded UTF-8) and are pure.
+
+A batch places all its keys with :func:`partitions_of`, which runs the
+default hash over many keys at once: each key gets a 128-bit lane of one
+Python int, and every step of FNV-1a and of the finalizer is one big-int
+operation on all lanes.  A lane holds the widest product either one makes
+(128 bits) and every step masks each lane back to 64 bits, so no bit
+crosses into a neighbour and each lane's value is exactly the scalar one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Union
+import struct
+from typing import Callable, Sequence, Union
 
 Key = Union[str, bytes]
 
@@ -192,10 +200,12 @@ def partition_of(key: Key, num_partitions: int, hash_name: str = DEFAULT_HASH) -
     name space N ... is evenly distributed into n partitions"), so the
     partition index is the high bits of the ring position.
 
-    Every operation hashes its key on each side of the wire, so the
-    default hash runs here in one frame — :func:`fnv1a_64`, :func:`fmix64`
-    and the range multiply inlined, one call where the composition makes
-    five: the same value as ``ring_position(key) * n >> 64``.
+    Every operation hashes its key on each side of the wire — a point op
+    here, a batch's keys in one :func:`partitions_of` call per message —
+    so the default hash runs here in one frame: :func:`fnv1a_64`,
+    :func:`fmix64` and the range multiply inlined, one call where the
+    composition makes five, giving the same value as
+    ``ring_position(key) * n >> 64``.
     """
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
@@ -207,3 +217,88 @@ def partition_of(key: Key, num_partitions: int, hash_name: str = DEFAULT_HASH) -
     h = (h ^ h >> 33) * 0xFF51AFD7ED558CCD & _MASK64
     h = (h ^ h >> 33) * 0xC4CEB9FE1A85EC53 & _MASK64
     return (h ^ h >> 33) * num_partitions >> ID_SPACE_BITS
+
+
+# ---------------------------------------------------------------------------
+# Many keys at once
+# ---------------------------------------------------------------------------
+
+#: Keys hashed side by side in one lane pass; a longer run of keys of one
+#: length is cut into passes of this many (measured best of 64–1,024).
+_LANES = 256
+#: Below this many keys of one length the scalar loop is as fast (measured
+#: crossover), so they take it.
+_MIN_LANES = 8
+#: ``_MASK64`` in every lane: ANDing keeps each lane's low 64 bits.
+_LANE_MASK64 = int.from_bytes(_MASK64.to_bytes(16, "little") * _LANES, "little")
+#: ``FNV64_OFFSET`` in every lane, as bytes so a pass of *k* lanes slices it.
+_LANE_OFFSETS = FNV64_OFFSET.to_bytes(16, "little") * _LANES
+#: Reads the high 64 bits of each of a full pass's lanes.
+_LANE_HIGH = struct.Struct("<" + "8xQ" * _LANES)
+
+
+def _lane_pass(keys: Sequence[bytes], length: int, num_partitions: int) -> list[int]:
+    """:func:`partition_of` of each of *keys*, all *length* bytes long,
+    with ``0 < num_partitions < 2**64``.
+
+    Lane *i* is bits ``[128 i, 128 i + 128)`` of ``h``.  Per byte position
+    *j* the keys' *j*-th bytes are scattered into the lanes' low bytes and
+    XORed in; the product by the FNV prime (a 64-bit lane times a 41-bit
+    prime: < 2**105) and each ``fmix64`` product (< 2**128) stay inside
+    their lane, and ``h >> 33 & mask`` drops what the shift brings down
+    from the lane above.  The last product by *n* (< 2**128) leaves each
+    lane's partition in its high 64 bits.
+    """
+    out: list[int] = []
+    mask = _LANE_MASK64
+    for start in range(0, len(keys), _LANES):
+        chunk = keys[start : start + _LANES]
+        k = len(chunk)
+        if k < _MIN_LANES:
+            out += [partition_of(key, num_partitions) for key in chunk]
+            continue
+        width = 16 * k
+        h = int.from_bytes(_LANE_OFFSETS[:width], "little")
+        joined = b"".join(chunk)
+        lanes = bytearray(width)
+        for j in range(length):
+            lanes[::16] = joined[j::length]
+            h = (h ^ int.from_bytes(lanes, "little")) * FNV64_PRIME & mask
+        h = (h ^ h >> 33 & mask) * 0xFF51AFD7ED558CCD & mask
+        h = (h ^ h >> 33 & mask) * 0xC4CEB9FE1A85EC53 & mask
+        h = (h ^ h >> 33 & mask) * num_partitions
+        out += _LANE_HIGH.unpack(h.to_bytes(16 * _LANES, "little"))[:k]
+    return out
+
+
+def partitions_of(
+    keys: Sequence[Key], num_partitions: int, hash_name: str = DEFAULT_HASH
+) -> list[int]:
+    """``[partition_of(key, num_partitions, hash_name) for key in keys]``,
+    the default hash computed over many keys at once.
+
+    Keys are grouped by length, and each group of at least
+    :data:`_MIN_LANES` goes through one lane pass per :data:`_LANES` keys
+    (:func:`_lane_pass`): per key, about 0.4 of the scalar loop's time
+    at 32–64 keys and 0.25 at 256 or more.  Another hash, a partition
+    count of 2**64 or more (its product would overflow a lane) and a
+    short group take the scalar :func:`partition_of`.  Nothing is
+    cached: a call leaves the module as it found it.
+    """
+    if num_partitions <= 0:
+        raise ValueError("num_partitions must be positive")
+    if hash_name != DEFAULT_HASH or num_partitions >= ID_SPACE or len(keys) < _MIN_LANES:
+        return [partition_of(key, num_partitions, hash_name) for key in keys]
+    if set(map(type, keys)) != {bytes}:
+        keys = list(map(_as_bytes, keys))
+    lengths = set(map(len, keys))
+    if len(lengths) == 1:
+        return _lane_pass(keys, lengths.pop(), num_partitions)
+    groups: dict[int, list[bytes]] = {}
+    for key in keys:
+        groups.setdefault(len(key), []).append(key)
+    pids = {
+        length: iter(_lane_pass(group, length, num_partitions))
+        for length, group in groups.items()
+    }
+    return [next(pids[len(key)]) for key in keys]

@@ -32,7 +32,7 @@ from ..novoht import NoVoHT
 from ..obs import NULL_SPAN, REGISTRY, PartitionLoadTracker, metrics_snapshot
 from .config import ReplicationMode, ZHTConfig
 from .errors import KeyNotFound, MigrationError, Status, ZHTError
-from .hashing import partition_of
+from .hashing import partition_of, partitions_of
 from .membership import Address, InstanceInfo, MembershipTable
 from .partition import Partition, PartitionState, QueuedRequest
 from .protocol import (
@@ -539,11 +539,16 @@ class ZHTServerCore:
         plan: list[tuple[Address, tuple, bool]] = []
 
         # Route sub-requests to partitions (order preserved within each).
+        # The server hashes every client op's key itself, all in one pass:
+        # its own hash is its ownership check.
+        pids = iter(partitions_of(
+            [sub[1] for sub in subs if sub[0] in kinds], num_partitions, hash_name
+        ))
         by_pid: dict[int, list[int]] = {}
         for i, sub in enumerate(subs):
             op = sub[0]
             if op in kinds:
-                pid = partition_of(sub[1], num_partitions, hash_name)
+                pid = next(pids)
             elif op is _REPLICA_UPDATE and self._replica_update_ok(sub[7], sub[5]):
                 pid = sub[5]
             else:

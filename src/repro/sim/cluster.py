@@ -191,22 +191,24 @@ class SimulatedCluster:
         #: future messages are discarded (a dead server is a blackhole).
         self.dead_instances: set[int] = set()
         if spec.real_core:
+            env = self.env  # the clock holds the env, not this cluster
             self.handlers = [
-                ZHTServerCore(
-                    inst, self.membership, self.config, clock=lambda: self.env.now
-                )
+                ZHTServerCore(inst, self.membership, self.config, clock=lambda: env.now)
                 for inst in self.instances
             ]
         else:
             self.handlers = [_DictHandler() for _ in self.instances]
 
-        for i in range(spec.num_instances):
+        #: The processes this cluster started; :meth:`close` ends them.
+        self._procs = [
             self.env.process(self._server_proc(i), name=f"server-{i}")
+            for i in range(spec.num_instances)
+        ]
         if spec.faults is not None:
             for at_time, target in spec.faults.scheduled_crashes():
-                self.env.process(
+                self._procs.append(self.env.process(
                     self._crash_at(at_time, target), name=f"crash-{target}"
-                )
+                ))
 
     # ------------------------------------------------------------------
 
@@ -251,8 +253,15 @@ class SimulatedCluster:
         return self.handlers if self.spec.real_core else []
 
     def close(self) -> None:
+        """Close the cores and end the simulation.  A suspended server
+        process's frame holds this cluster, and the env's queues hold the
+        process, so both are ended here: a closed cluster is freed when
+        its last reference goes, with no full collection."""
         for core in self.cores:
             core.close()
+        for proc in self._procs:
+            proc.close()
+        self.env.close()
 
     def __enter__(self) -> "SimulatedCluster":
         return self

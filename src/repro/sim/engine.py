@@ -129,6 +129,12 @@ class Process:
     def triggered(self) -> bool:
         return self.done
 
+    def close(self) -> None:
+        """End the process where it is suspended: it never resumes, and its
+        frame lets go of everything it held."""
+        self.done = True
+        self._gen.close()
+
     def _wake(self, value: Any, exc: BaseException | None) -> None:
         """What this process waits on is done: resume it at once when
         nothing else is due now, else queue the resume behind what is (where
@@ -216,6 +222,13 @@ class Environment:
     def _cancel(self, seq: int) -> None:
         """Drop the heap entry *seq* (scheduled with a delay > 0) unrun."""
         self._cancelled.add(seq)
+
+    def close(self) -> None:
+        """Drop every queued callback: nothing is left to run, and no
+        process is held by this environment."""
+        self._queue.clear()
+        self._ready.clear()
+        self._cancelled.clear()
 
     def event(self) -> Event:
         return Event(self)

@@ -486,6 +486,52 @@ class TestBatchEqualsSingles:
                 core.partition(frozen).abort_migration()
                 core.close()
 
+    @pytest.mark.parametrize("backend", ["local", "sim"])
+    def test_mixed_length_keys_answer_as_point_ops(self, backend):
+        """Keys of five lengths, three of them groups the lane hash runs and
+        two too short for it, spanning both owners: each core answers one
+        BATCH of lookups with the OK / REDIRECT / NOT_FOUND, value and
+        redirect that a point lookup of each key gets."""
+        from repro.scenario.cluster import build_cluster
+
+        keys = [
+            (b"%d-" % i).ljust(length, b"k")
+            for length, count in ((4, 12), (7, 3), (15, 12), (40, 12), (100, 3))
+            for i in range(count)
+        ]
+        stored = keys[::2]
+        config = ZHTConfig(transport="local", num_partitions=16)
+        with build_cluster(backend, 2, config, seed=5) as cluster:
+            cores = cluster.cores
+            assert len(cores) == 2
+            epoch = cores[0].membership.epoch
+
+            def point(core, op, key, value=b""):
+                request = Request(op=op, key=key, value=value, request_id=7, epoch=epoch)
+                response = core.handle(request).response
+                return (response.status, response.value, response.redirect)
+
+            for key in stored:
+                assert {point(core, OpCode.INSERT, key, key)[0] for core in cores} == {
+                    Status.OK, Status.REDIRECT
+                }
+            statuses = set()
+            for core in cores:
+                batch = core.handle(Request(
+                    op=OpCode.BATCH, request_id=1, epoch=epoch,
+                    payload=encode_batch_requests([
+                        Request(op=OpCode.LOOKUP, key=key, request_id=7, epoch=epoch)
+                        for key in keys
+                    ]),
+                ))
+                got = [
+                    (r.status, r.value, r.redirect)
+                    for r in decode_batch_responses(batch.response.value)
+                ]
+                assert got == [point(core, OpCode.LOOKUP, key) for key in keys]
+                statuses |= {status for status, _, _ in got}
+            assert statuses == {Status.OK, Status.REDIRECT, Status.KEY_NOT_FOUND}
+
     def test_a_batch_takes_the_counter_lock_a_few_times_not_per_key(self):
         """32 inserts bump ``batches``, ``batch_sub_ops`` and ``inserts``:
         three locks, where one per key made 34."""
@@ -695,6 +741,49 @@ class TestClientBatchEqualsSingles:
         assert {entry.key: entry.result for entry in lookups} == items
         assert 1 < core.stats.batches <= 8  # one BATCH per owner, per op
         assert all(cluster.owner_value(key) == value for key, value in items.items())
+
+    def test_the_des_runs_a_mixed_length_batch_as_point_ops(self):
+        """The same harness: a lookup batch over keys of several lengths,
+        half of them stored, settles each key as a point lookup does."""
+        from repro.sim import SimSpec, SimulatedCluster
+
+        spec = SimSpec(num_nodes=4)
+        config = ZHTConfig(num_partitions=spec.num_partitions, transport="local")
+        spec.config = config
+        keys = [
+            (b"%d-" % i).ljust(length, b"d")
+            for length, count in ((5, 16), (9, 4), (23, 16), (64, 10))
+            for i in range(count)
+        ]
+        stored = {key: b"v-" + key for key in keys[::2]}
+        with SimulatedCluster(spec) as cluster:
+            env = cluster.env
+            core = ZHTClientCore(
+                cluster.membership.copy(), config, rng=random.Random(3), clock=lambda: env.now
+            )
+            client_ops = OpClient(core)
+            inserts = [BatchEntry(key, value) for key, value in stored.items()]
+            batch = [BatchEntry(key) for key in keys]
+            points = [core.driver(OpCode.LOOKUP, key) for key in keys]
+
+            def settle(driver):
+                try:
+                    yield from cluster.drive(client_ops.run(driver))
+                except KeyNotFound:
+                    pass  # the entries hold the outcomes compared below
+
+            def client():
+                yield from settle(core.driver_many(OpCode.INSERT, inserts))
+                yield from settle(core.driver_many(OpCode.LOOKUP, batch))
+                for driver in points:
+                    yield from settle(driver)
+
+            env.process(client(), name="batch-client")
+            env.run()
+        assert all(entry.status == Status.OK for entry in inserts)
+        assert [_outcome(entry) for entry in batch] == [_outcome(d.entries[0]) for d in points]
+        assert {entry.key: entry.result for entry in batch if entry.status == Status.OK} == stored
+        assert {entry.status for entry in batch} == {Status.OK, Status.KEY_NOT_FOUND}
 
 
 class TestBatchHistory:

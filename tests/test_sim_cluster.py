@@ -1,7 +1,9 @@
 """Tests for the simulated cluster and calibration (repro.sim.cluster)."""
 
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -417,6 +419,27 @@ class TestTimedWaits:
         proc = cluster.env.process(cluster.roundtrip(target.address, request, 0.25))
         assert cluster.env.run() == 0.25
         assert proc.done and proc.result is None
+
+
+class TestClose:
+    def test_a_closed_cluster_is_freed_without_the_collector(self):
+        """``close()`` ends the server processes and the env's queues, and
+        no core's clock holds the cluster, so the last reference to a
+        closed cluster frees it: no full collection is needed."""
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with SimulatedCluster(SimSpec(num_nodes=16, seed=3)) as c:
+                c.run_workload(MicroBenchmarkWorkload(ops_per_client=2, seed=3))
+                cluster, env = weakref.ref(c), weakref.ref(c.env)
+                cores = [weakref.ref(core) for core in c.cores]
+            del c
+            assert cluster() is None and env() is None
+            assert not [core for core in cores if core() is not None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestEventOrderPin:
