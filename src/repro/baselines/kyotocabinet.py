@@ -43,11 +43,15 @@ class DiskHashDB:
             self._file = open(path, "r+b" if exists else "w+b")
         except OSError as exc:
             raise StoreError(f"cannot open {path}: {exc}") from exc
-        if exists:
-            self._load_header()
-        else:
-            self._init_file()
-        self._count = self._scan_count() if exists else 0
+        try:
+            if exists:
+                self._load_header()
+            else:
+                self._init_file()
+            self._count = self._scan_count() if exists else 0
+        except BaseException:
+            self._file.close()
+            raise
 
     # -- file structure ----------------------------------------------------
 

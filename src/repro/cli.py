@@ -16,9 +16,6 @@ Commands:
 * ``scenario``  — run named failure scenarios from the library (one
   validated config = topology + workload + faults + checks + gates)
   and emit machine-readable verdict JSON; also ``list``/``validate``.
-* ``lint``      — repo-aware static analysis (blocking under lock,
-  protocol exhaustiveness, event loop, fork safety, resource lifetime);
-  exit 1 on any unsuppressed finding.
 """
 
 from __future__ import annotations
@@ -432,58 +429,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import CHECKERS, run_lint
-
-    if args.checker:
-        unknown = [c for c in args.checker if c not in CHECKERS]
-        # Touch the registry before validating: checkers register on
-        # first run, so run_lint must see the selection as given.
-        if unknown:
-            print(
-                f"error: unknown checker(s) {', '.join(unknown)}; "
-                f"available: {', '.join(sorted(CHECKERS))}",
-                file=sys.stderr,
-            )
-            return 2
-    report = run_lint(args.root, checkers=args.checker or None)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-    for error in report.errors:
-        print(f"error: {error}", file=sys.stderr)
-    for finding in report.active:
-        print(finding.render())
-    if args.verbose:
-        for finding in report.suppressed:
-            print(f"suppressed: {finding.render()}")
-            print(f"  reason: {finding.suppressed_by}")
-        for name in sorted(report.timings, key=report.timings.get, reverse=True):
-            print(f"timing: {name} {report.timings[name]:.3f}s")
-    for supp in report.unused_suppressions:
-        print(f"warning: stale suppression matched nothing: {supp.describe()}")
-    summary = (
-        f"{len(report.active)} finding(s), "
-        f"{len(report.suppressed)} suppressed"
-    )
-    if report.errors:
-        print(f"lint: configuration errors; {summary}", file=sys.stderr)
-        return 2
-    if args.max_seconds is not None and report.total_seconds > args.max_seconds:
-        print(
-            f"lint: FAIL — took {report.total_seconds:.2f}s "
-            f"(budget {args.max_seconds:.2f}s); {summary}",
-            file=sys.stderr,
-        )
-        return 1
-    if report.active:
-        print(f"lint: FAIL — {summary}", file=sys.stderr)
-        return 1
-    print(f"lint: OK — {summary} ({report.total_seconds:.2f}s)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -769,46 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--all", action="store_true", help="validate the whole library"
     )
     sc_validate.set_defaults(fn=_cmd_scenario)
-
-    lint = sub.add_parser(
-        "lint",
-        help="repo-aware static analysis: blocking-under-lock, protocol "
-        "exhaustiveness, event loop, fork safety, resource lifetime (exit "
-        "1 on unsuppressed findings)",
-    )
-    lint.add_argument(
-        "--root",
-        default=".",
-        help="repository root to lint (default: current directory)",
-    )
-    lint.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the full report (findings + suppressions) as JSON",
-    )
-    lint.add_argument(
-        "--checker",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only this checker (repeatable); default: all",
-    )
-    lint.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="T",
-        help="fail if the whole lint run (parse + all checkers) exceeds T "
-        "seconds — keeps the CI gate honest about lint cost",
-    )
-    lint.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="also print suppressed findings with their justifications",
-    )
-    lint.set_defaults(fn=_cmd_lint)
     return parser
 
 

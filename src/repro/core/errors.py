@@ -42,7 +42,7 @@ class Status(enum.IntEnum):
     #: Operation not supported by this store (e.g. append on memcached).
     UNSUPPORTED = 10
     #: Membership epoch in the request was newer than the server's view.
-    STALE_SERVER = 11  # zht-lint: ignore[PROTO005] reserved: epoch-push (server behind client) is not implemented yet
+    STALE_SERVER = 11  # reserved: epoch-push (server behind client) is not implemented yet
     TIMEOUT = 12
     #: Admission control shed the request: the server's bounded in-flight
     #: queue is full.  An explicit overload signal — *not* a timeout — so

@@ -109,9 +109,8 @@ MUTATING_OPS = frozenset(
 )
 
 #: Ops that must NOT drive replication.  Every OpCode member belongs to
-#: exactly one of these two sets — the protocol-exhaustiveness checker
-#: (``python -m repro lint``) and tests/test_protocol_exhaustive.py both
-#: enforce the partition, so a new opcode cannot ship without an
+#: exactly one of these two sets — tests/test_protocol_exhaustive.py
+#: enforces the partition, so a new opcode cannot ship without an
 #: explicit replication decision.  Notes on the less obvious members:
 #: MIGRATE_* move whole partitions (their effects replicate when the
 #: new owner's chain applies them), BROADCAST writes only node-local

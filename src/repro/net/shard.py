@@ -238,7 +238,9 @@ class ShardedNodeServer:
 
     def _spawn(self, slot: _ShardSlot, respawned: bool = False) -> None:
         keep = [slot.listener, slot.control_child]
-        # zht-lint: ignore[FORK002] the node's one thread, the supervisor, is the forking thread and holds no lock at fork — module docstring caveat
+        # Forking with a thread alive is safe here: the node's one thread,
+        # the supervisor, is the forking thread and holds no lock at fork
+        # (the module docstring's caveat).
         proc = self._ctx.Process(
             target=_shard_worker_main,
             args=(
@@ -271,7 +273,7 @@ class ShardedNodeServer:
                     self.respawns += 1
                 # Fork outside _lock: a lock held at fork time is copied
                 # into the child in its held state and can never be
-                # released there (FORK001).
+                # released there.
                 try:
                     self._spawn(slot, respawned=True)
                 except (OSError, ValueError):

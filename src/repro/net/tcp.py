@@ -847,7 +847,7 @@ class EventDrivenTCPServer:
 
     # -- event loop -----------------------------------------------------------
 
-    def _loop(self) -> None:  # lint: event-loop
+    def _loop(self) -> None:
         draining = False
         quiet_since = 0.0
         poll = self._epoll.poll
@@ -896,7 +896,7 @@ class EventDrivenTCPServer:
 
     def _drain_wake(self) -> None:
         try:
-            # zht-lint: ignore[LOOP001] wake pipe is setblocking(False); recv returns EWOULDBLOCK, never parks
+            # The wake pipe is non-blocking: recv returns EWOULDBLOCK, never parks.
             while self._wake_r.recv(4096):
                 pass
         except (BlockingIOError, OSError):
@@ -909,7 +909,7 @@ class EventDrivenTCPServer:
 
     def _accept(self) -> None:
         try:
-            # zht-lint: ignore[LOOP001] listener is non-blocking and only accepted after an EPOLLIN event
+            # The listener is non-blocking and accepted only after an EPOLLIN event.
             sock, _addr = self._listener.accept()
         except OSError:
             return
@@ -926,7 +926,7 @@ class EventDrivenTCPServer:
         """Read once, then deframe and serve every complete request in
         one pass — straight out of the chunk unless a frame was split."""
         try:
-            # zht-lint: ignore[LOOP001] conn sockets are set non-blocking in _accept; recv after an EPOLLIN event never parks
+            # Non-blocking since _accept: a recv after an EPOLLIN event never parks.
             chunk = conn.sock.recv(65536)
         except BlockingIOError:
             return
@@ -991,7 +991,7 @@ class EventDrivenTCPServer:
                     self._settle(held, False)
 
     # ``_readable`` reaches the two frame handlers through ``conn.serve``.
-    def _serve(  # lint: event-loop
+    def _serve(
         self, conn: _Connection, buffer: "bytes | bytearray", start: int, end: int
     ) -> None:
         try:
@@ -1078,7 +1078,7 @@ class EventDrivenTCPServer:
             self._epoll.register(link.fd, _EPOLLIN | _EPOLLOUT)
         return link
 
-    def _ack(  # lint: event-loop
+    def _ack(
         self, link: _PeerLink, buffer: "bytes | bytearray", start: int, end: int
     ) -> None:
         """A frame from a peer: the answer to the oldest update in flight

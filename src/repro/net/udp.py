@@ -193,7 +193,7 @@ class UDPServer:
                 break
             self._serve_one(data, peer)
 
-    def _serve_one(self, data: bytes, peer: tuple) -> None:  # lint: event-loop
+    def _serve_one(self, data: bytes, peer: tuple) -> None:
         try:
             request = Request.decode(data)
         except Exception:
@@ -252,7 +252,9 @@ class UDPServer:
 
     def _send(self, response: Response, peer: tuple) -> None:
         try:
-            # zht-lint: ignore[LOOP001] a datagram send never waits on the peer: the kernel queues or drops it, the socket's 0.1 s timeout bounds a full send buffer, and the client retransmits a lost reply
+            # A datagram send never waits on the peer: the kernel queues or
+            # drops it, the socket's 0.1 s timeout bounds a full send buffer,
+            # and the client retransmits a lost reply.
             self._sock.sendto(response.encode(), peer)
         except OSError:
             pass

@@ -181,7 +181,7 @@ class NoVoHT:
     # Recovery
     # ------------------------------------------------------------------
 
-    def _recover(self, wal: WriteAheadLog) -> None:  # lint: single-threaded (construction only)
+    def _recover(self, wal: WriteAheadLog) -> None:  # construction only: single-threaded
         """Rebuild the in-memory map from checkpoint + WAL replay.
 
         The checkpoint names the WAL prefix it covers (epoch + offset);
@@ -652,9 +652,9 @@ class NoVoHT:
         """
         self._maint_submit = submit
 
-    # holds-executor: when serving behind an event loop the attached pool
-    # runs the pass (set_maintenance_executor); the inline fallback only
-    # runs on embedder/worker threads that may block.
+    # Behind an event loop the attached pool runs the pass
+    # (set_maintenance_executor); the inline fallback only runs on
+    # embedder/worker threads that may block.
     def run_pending_maintenance(self) -> None:
         """Run any maintenance pass parked by a lock-holding mutator.
 

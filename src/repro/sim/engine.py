@@ -28,7 +28,7 @@ Model:
 The engine is deterministic: callbacks run in ``(time, seq)`` order, seq
 being the order they were scheduled in.  A wakeup that would run next
 anyway runs at once instead of being queued, which leaves that order as
-it was (DESIGN.md §18).
+it was (DESIGN.md §17).
 """
 
 from __future__ import annotations

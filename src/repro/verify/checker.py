@@ -303,6 +303,32 @@ def tokenize_fragments(
     return parse(0, [])
 
 
+def prefix_anomaly(read: bytes, longer: bytes, fragments: list[bytes]) -> str:
+    """Name why *read* is not a prefix of the append-only value *longer*.
+
+    Both are split into *fragments*.  A read holding a fragment more
+    often than *longer* does has a duplicated fragment; one that is a
+    contiguous run of *longer*'s fragments past its start has a missing
+    prefix; one that is an ordered subsequence of them misses fragments
+    in between; anything else holds them in another order.
+    """
+    got = tokenize_fragments(read, fragments)
+    full = tokenize_fragments(longer, fragments)
+    if got is None or full is None:
+        return "not a concatenation of appended fragments"
+    for token in dict.fromkeys(got):
+        if got.count(token) > full.count(token):
+            return f"duplicated fragment {token!r}"
+    n = len(got)
+    for start in range(1, len(full) - n + 1):
+        if full[start:start + n] == got:
+            return f"missing prefix: the first {start} of {len(full)} fragments"
+    rest = iter(full)
+    if all(token in rest for token in got):
+        return "missing fragments"
+    return "fragments reordered"
+
+
 #: Sentinel for "the post-quiesce value was not observed" — offline
 #: re-checks of a saved history where no read-back can be issued.  The
 #: containment checks are skipped; the read-ordering checks still run.
@@ -392,7 +418,7 @@ def check_append_key(
                 report.ok = False
                 report.violations.append(
                     f"reads {shorter!r} and {longer!r} are not "
-                    f"prefix-ordered (fragments reordered between reads)"
+                    f"prefix-ordered ({prefix_anomaly(shorter, longer, known)})"
                 )
 
     # Mid-run reads: append-only values grow monotonically, so in any
@@ -405,7 +431,7 @@ def check_append_key(
             report.ok = False
             report.violations.append(
                 f"read {got!r} is not a prefix of the final value "
-                f"(fragments reordered after being observed)"
+                f"({prefix_anomaly(got, final_value, known)})"
             )
             report.minimal.append(r)
             continue
@@ -533,10 +559,11 @@ def _check_stale_append_reads(
             and got
             and not final_value.startswith(got)
         ):
+            anomaly = prefix_anomaly(got, final_value, [e.value for e in appends])
             violations.append(
                 f"stale read at t={r.t_call:.6f} on replica "
                 f"{r.replica_index} returned {got!r}, not a prefix of the "
-                f"final value (fragments reordered on the replica)"
+                f"final value ({anomaly})"
             )
             continue
         for e in acked:

@@ -20,6 +20,7 @@ import pytest
 
 import repro.novoht.novoht as novoht_mod
 from repro.novoht import NoVoHT
+from tests._crash import abandon
 
 
 class StalledCheckpointWrite:
@@ -98,6 +99,7 @@ class TestCheckpointDoesNotStallWriters:
 
         # Abandon the store (no clean close — a crash would do the same)
         # and recover: checkpoint + uncovered WAL suffix.
+        abandon(store)
         with NoVoHT(str(tmp_path)) as db:
             assert db.get(b"mid") == b"2"
             assert db.get(b"victim") == b"new"
@@ -115,6 +117,7 @@ class TestCheckpointDoesNotStallWriters:
         slow_ckpt.release.set()
         t.join(5)
 
+        abandon(store)
         with NoVoHT(str(tmp_path)) as db:
             assert db.get(b"log") == b"AAA.BBB."
 
@@ -162,6 +165,7 @@ class TestGcDoesNotResurrectRemovedKeys:
         store.gc()
         assert store.stats.gc_runs == 1
 
+        abandon(store)
         with NoVoHT(str(tmp_path)) as db:  # crash-style reopen
             assert b"doomed" not in db
             assert db.get(b"keeper") == b"y"

@@ -128,7 +128,7 @@ class TestMigratePartition:
         assert cluster.membership.partition_owner[pid] == src.instance_id
 
 
-    def test_a_late_freeze_reply_still_releases_the_source(self):
+    def test_a_late_freeze_reply_still_releases_the_source(self, real_sleep):
         """A MIGRATE_BEGIN answered after the script's call timeout fails
         the move, and the abort sent after it lands behind the late freeze
         on a real socket: the source ends up serving, not frozen."""
@@ -148,7 +148,7 @@ class TestMigratePartition:
 
             def slow_begin(request):
                 frozen = begin(request)
-                time.sleep(late)
+                real_sleep(late)  # on the TCP loop, on purpose
                 return frozen
 
             core._handle_migrate_begin = slow_begin

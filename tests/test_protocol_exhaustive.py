@@ -1,20 +1,23 @@
-"""Exhaustiveness tests generated from the OpCode enum itself.
+"""Exhaustiveness tests generated from the OpCode and Status enums.
 
-Parametrized over ``list(OpCode)`` so a newly added opcode fails these
-tests immediately unless it gets a wire roundtrip, a mutating /
-non-mutating classification, and a server dispatch handler — the
-runtime counterpart of the ``protocol-exhaustiveness`` lint checker
-(``python -m repro lint``), which proves the same properties statically.
+Parametrized over ``list(OpCode)`` / ``list(Status)`` so a newly added
+member fails these tests immediately unless it gets a wire roundtrip, a
+mutating / non-mutating classification, a server dispatch branch, a
+construction site and (for a status) a client handling decision.  The
+source facts come from a plain ``ast`` scan of ``src/repro``: a member
+is read as ``OpCode.X`` / ``Status.X``, and the scan sorts each read by
+where it sits.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import LintConfig, Project
-from repro.analysis.protocol_check import collect_status_usage, collect_usage
 from repro.core.errors import (
     STATUS_TO_EXCEPTION,
     Status,
@@ -30,29 +33,72 @@ from repro.core.protocol import (
 )
 from repro.core.server import ZHTServerCore
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 ALL_OPS = list(OpCode)
 ALL_STATUSES = list(Status)
 
 
-def _project():
-    # Cached per-session: one parse of src/repro is plenty.
-    if not hasattr(_project, "value"):
-        _project.value = Project.load(REPO_ROOT, LintConfig(roots=["src/repro"]))
-    return _project.value
+def _assigned(tree: ast.Module, names: set[str]) -> list[ast.expr]:
+    """The values of the module-level assignments to *names*."""
+    values = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id in names for t in targets):
+            values.append(stmt.value)
+    return values
 
 
-def _usage():
-    if not hasattr(_usage, "value"):
-        _usage.value = collect_usage(_project())
-    return _usage.value
+def _inside(nodes) -> set[int]:
+    return {id(sub) for node in nodes for sub in ast.walk(node)}
 
 
-def _status_usage():
-    if not hasattr(_status_usage, "value"):
-        _status_usage.value = collect_status_usage(_project())
-    return _status_usage.value
+@functools.cache
+def _usage() -> dict[str, set[str]]:
+    """Member names by the context of their reads under ``src/repro``:
+
+    * ``dispatched`` -- an ``OpCode.X`` inside ``ZHTServerCore._dispatch``;
+    * ``constructed`` -- an ``OpCode.X`` anywhere else but a comparison
+      or the ``MUTATING_OPS`` / ``NON_MUTATING_OPS`` definitions;
+    * ``referenced`` -- any ``Status.X`` (the enum body names its
+      members bare, so every attribute read is outside it);
+    * ``mapped`` -- a ``Status.X`` in ``STATUS_TO_EXCEPTION``;
+    * ``compared`` -- a ``Status.X`` inside a comparison.
+    """
+    usage: dict[str, set[str]] = defaultdict(set)
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        compared = _inside(n for n in ast.walk(tree) if isinstance(n, ast.Compare))
+        op_sets = _inside(_assigned(tree, {"MUTATING_OPS", "NON_MUTATING_OPS"}))
+        status_map = _inside(_assigned(tree, {"STATUS_TO_EXCEPTION"}))
+        dispatch = _inside(
+            fn
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "ZHTServerCore"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_dispatch"
+        )
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)):
+                continue
+            enum, member = node.value.id, node.attr
+            if enum == "OpCode":
+                if id(node) in dispatch:
+                    usage["dispatched"].add(member)
+                elif id(node) not in compared and id(node) not in op_sets:
+                    usage["constructed"].add(member)
+            elif enum == "Status":
+                usage["referenced"].add(member)
+                if id(node) in status_map:
+                    usage["mapped"].add(member)
+                if id(node) in compared:
+                    usage["compared"].add(member)
+    return usage
 
 
 @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
@@ -90,17 +136,14 @@ def test_request_wire_roundtrip(op):
 
 @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
 def test_op_has_server_dispatch_handler(op):
-    usage = _usage()
-    assert usage is not None, "OpCode class not found by the analyzer"
-    assert op.name in usage.dispatched, (
+    assert op.name in _usage()["dispatched"], (
         f"{op.name} has no handler in ZHTServerCore._dispatch"
     )
 
 
 @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
 def test_op_is_constructed_somewhere(op):
-    usage = _usage()
-    assert op.name in usage.constructed, (
+    assert op.name in _usage()["constructed"], (
         f"{op.name} has no client/server construction site — dead opcode"
     )
 
@@ -115,14 +158,10 @@ def test_status_wire_roundtrip(status):
 
 @pytest.mark.parametrize("status", ALL_STATUSES, ids=lambda s: s.name)
 def test_status_is_referenced_somewhere(status):
-    # A status no code produces or inspects is dead wire-format
-    # (PROTO005's runtime counterpart).  STALE_SERVER is the one
-    # deliberate reservation, suppressed in the lint with a reason.
+    # A status no code produces or inspects is dead wire-format.
     if status is Status.STALE_SERVER:
-        pytest.skip("reserved status, suppressed in lint")
-    usage = _status_usage()
-    assert usage.module is not None, "Status class not found by the analyzer"
-    assert status.name in usage.referenced, (
+        pytest.skip("reserved: epoch-push (server behind client) is not implemented yet")
+    assert status.name in _usage()["referenced"], (
         f"Status.{status.name} is never referenced outside the enum body"
     )
 
@@ -130,11 +169,11 @@ def test_status_is_referenced_somewhere(status):
 @pytest.mark.parametrize("status", ALL_STATUSES, ids=lambda s: s.name)
 def test_status_has_client_handling_decision(status):
     # Every non-OK status must either raise a typed exception or be an
-    # explicit control-flow branch in the retry loop (PROTO006).
+    # explicit control-flow branch in the retry loop.
     if status in (Status.OK, Status.STALE_SERVER):
         pytest.skip("OK is success; STALE_SERVER reserved")
-    usage = _status_usage()
-    handled = status.name in usage.mapped or status.name in usage.compared
+    usage = _usage()
+    handled = status.name in usage["mapped"] or status.name in usage["compared"]
     assert handled, (
         f"Status.{status.name} has no STATUS_TO_EXCEPTION entry and no "
         "comparison site — clients would fall through to ProtocolError"

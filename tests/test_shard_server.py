@@ -8,13 +8,17 @@ WAL recovery, connections queued in the private listener's backlog
 across the respawn gap, a respawned shard serving the node's newest
 membership table, and a full ``repro verify`` linearizability run
 against 4-shard nodes under chaos.  Every node is built by
-``build_sharded_tcp_cluster``.
+``build_sharded_tcp_cluster``, except the fork-safety test's, which
+wraps the worker entry point before its node starts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import pathlib
+import random
 import socket
 import threading
 
@@ -29,10 +33,12 @@ from repro.core.protocol import (
     deframe_at,
     encode_framed_request,
 )
+from repro.api import build_membership
+from repro.net import shard
 from repro.net.cluster import SocketCluster, build_sharded_tcp_cluster
 from repro.net.shard import fork_supported
 from repro.net.tcp import MultiplexedTCPClient
-from repro.obs import merge_stats_snapshots
+from repro.obs import REGISTRY, merge_stats_snapshots
 from tests._wait import wait_until
 
 pytestmark = pytest.mark.skipif(
@@ -258,6 +264,52 @@ def test_respawned_shard_serves_the_newest_membership():
         assert _ping_epochs(cluster, [0, 2]) == before
     finally:
         cluster.close()
+
+
+def test_a_shard_child_starts_with_one_thread_and_no_held_lock(tmp_path, monkeypatch):
+    """A lock held at fork stays held in the child for good, so every
+    worker, first and respawned, must fork with the node's lock and the
+    metrics registry's lock free.  The worker entry point is wrapped
+    before start(); the fork context hands the wrapper to each child."""
+    config = _config(num_shards=2)
+    node = shard.ShardedNodeServer(config)
+    addresses = iter(node.shard_addresses)
+    membership, _nodes, instances = build_membership(
+        1,
+        config.replace(instances_per_node=2),
+        random.Random(0),
+        port_allocator=lambda node_id, i: next(addresses),
+    )
+    node.attach_instances(membership, instances)
+    worker_main = shard._shard_worker_main
+
+    def reporting_main(*args):
+        report = {
+            "threads": threading.active_count(),
+            "node_lock": node._lock.locked(),
+            "registry_lock": REGISTRY._lock.locked(),
+        }
+        staged = tmp_path / f"{os.getpid()}.tmp"
+        staged.write_text(json.dumps(report))
+        staged.rename(tmp_path / f"child-{os.getpid()}.json")
+        worker_main(*args)
+
+    monkeypatch.setattr(shard, "_shard_worker_main", reporting_main)
+
+    def reports():
+        return [json.loads(p.read_text()) for p in sorted(tmp_path.glob("child-*.json"))]
+
+    try:
+        node.start()
+        wait_until(lambda: len(reports()) == 2, timeout=10.0, desc="both first workers")
+        old_pid = node.shard_pid(0)
+        node.kill_shard(0)
+        assert node.wait_for_respawn(0, old_pid, timeout=10.0)
+        wait_until(lambda: len(reports()) == 3, timeout=10.0, desc="the respawned worker")
+    finally:
+        node.stop()
+    clean = {"threads": 1, "node_lock": False, "registry_lock": False}
+    assert reports() == [clean] * 3
 
 
 @pytest.mark.parametrize("seed", [2, 7])

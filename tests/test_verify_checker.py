@@ -248,6 +248,35 @@ class TestAppendModel:
         assert report.ok and report.append_keys == 1 and not report.register_keys
 
 
+class TestPrefixAnomaly:
+    """A read that is not a prefix of the final value names why."""
+
+    FRAGMENTS = [b"|a;", b"|b;", b"|c;", b"|d;"]
+
+    def _violation(self, read):
+        events = [
+            ev(f"c{i}", "append", b"k", i, i + 0.5, value=f)
+            for i, f in enumerate(self.FRAGMENTS)
+        ]
+        events.append(ev("r", "lookup", b"k", 10, 11, result=read))
+        report = check_append_key(b"k", events, b"".join(self.FRAGMENTS))
+        assert not report.ok
+        assert "not a prefix of the final value" in report.violations[0]
+        return report.violations[0]
+
+    def test_a_run_past_the_start_is_a_missing_prefix(self):
+        assert "missing prefix: the first 1 of 4 fragments" in self._violation(b"|b;|c;")
+
+    def test_a_gap_inside_the_read_is_missing_fragments(self):
+        assert "(missing fragments)" in self._violation(b"|a;|c;")
+
+    def test_another_order_is_a_reordering(self):
+        assert "(fragments reordered)" in self._violation(b"|b;|a;")
+
+    def test_a_fragment_read_twice_is_a_duplicate(self):
+        assert "duplicated fragment b'|a;'" in self._violation(b"|a;|a;")
+
+
 class TestFinalValuesFromHistory:
     def test_recovers_quiesced_read_back(self):
         h = [

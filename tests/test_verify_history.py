@@ -15,6 +15,7 @@ from repro.verify import (
     load_history,
     save_history,
 )
+from repro.verify import history
 from repro.verify.history import recorder_from_env
 
 
@@ -155,13 +156,20 @@ class TestEnvHook:
     def test_env_hook_attaches_shared_recorder(self, tmp_path, monkeypatch):
         path = str(tmp_path / "env-history.jsonl")
         monkeypatch.setenv("ZHT_HISTORY", path)
-        with _cluster() as cluster:
-            a = cluster.client()
-            b = cluster.client()
-            # One process-global recorder shared by every client.
-            assert a.recorder is b.recorder is recorder_from_env()
-            a.insert(b"k", b"v")
-            b.lookup(b"k")
+        # The recorder is process-global: the old one comes back after.
+        monkeypatch.setattr(history, "_env_recorder", None)
+        monkeypatch.setattr(history, "_env_path", None)
+        recorder = recorder_from_env()
+        try:
+            with _cluster() as cluster:
+                a = cluster.client()
+                b = cluster.client()
+                # One process-global recorder shared by every client.
+                assert a.recorder is b.recorder is recorder
+                a.insert(b"k", b"v")
+                b.lookup(b"k")
+        finally:
+            recorder.close()
         events = load_history(path)
         assert [e.op for e in events] == ["insert", "lookup"]
         assert events[0].client_id != events[1].client_id

@@ -6,10 +6,10 @@ every intact record and stops silently at the first torn or corrupt one
 reopen. These tests drive those paths with real on-disk damage plus the
 ``repro.faults`` crash-consistency shim.
 
-The writing store is deliberately *abandoned* (never ``close()``-d)
-before the damage: a clean close checkpoints and truncates the WAL,
-which is exactly what a crash prevents.  Each ``put`` flushes the WAL,
-so the records are on disk regardless."""
+The writing store is deliberately *abandoned* (its handles released,
+never ``close()``-d) before the damage: a clean close checkpoints and
+truncates the WAL, which is exactly what a crash prevents.  Each ``put``
+flushes the WAL, so the records are on disk regardless."""
 
 import errno
 import os
@@ -28,6 +28,7 @@ from repro.faults import (
 import repro.novoht.checkpoint as checkpoint_mod
 from repro.novoht import NoVoHT, encode_image
 from repro.novoht.wal import WAL_HEADER_LEN
+from tests._crash import abandon
 
 
 def _wal_path(path):
@@ -46,6 +47,7 @@ class TestTornTail:
         writer = _store(path)
         for i in range(5):
             writer.put(f"k{i}".encode(), f"value-{i}".encode())
+        abandon(writer)
         tear_tail(_wal_path(path), 3)  # power fails mid-append of k4
         with _store(path) as db:
             for i in range(4):
@@ -61,6 +63,7 @@ class TestTornTail:
         writer = _store(path)
         writer.put(b"a", b"1")
         writer.put(b"b", b"2")
+        abandon(writer)
         tear_tail(_wal_path(path), 1)
         with _store(path) as db:
             assert db.get(b"a") == b"1"
@@ -74,6 +77,7 @@ class TestCorruptMiddleRecord:
         writer.put(b"k1", b"v1")  # record: 4B header + 2 + 2 + 4B crc = 12B
         writer.put(b"k2", b"v2")
         writer.put(b"k3", b"v3")
+        abandon(writer)
         # Flip a byte inside record 2's key (records start after the WAL
         # epoch header): its CRC no longer matches, so recovery keeps
         # record 1 and discards everything from record 2 on.
@@ -88,6 +92,7 @@ class TestCorruptMiddleRecord:
         writer = _store(path)
         writer.put(b"k1", b"v1")
         writer.put(b"k2", b"v2")
+        abandon(writer)
         corrupt_byte(_wal_path(path), WAL_HEADER_LEN + 12)  # record 2's magic
         with _store(path) as db:
             assert db.get(b"k1") == b"v1"
@@ -203,6 +208,7 @@ class TestWriteErrorIsFailStop:
         # The torn record is gone, so what the reopened store acks
         # survives its own crash too.
         reopened.put(b"later", b"x")
+        abandon(reopened)
         with _store(path) as db:
             assert dict(db.items()) == {b"a": b"1", b"later": b"x"}
 
@@ -218,6 +224,7 @@ class TestWriteErrorIsFailStop:
         # The batch reached the map before its commit failed: neither
         # the unlogged put nor the unlogged remove may be served.
         _assert_refuses_everything(store)
+        store.close()
         with _store(path) as db:
             assert dict(db.items()) == {b"a": b"1", b"gone": b"2"}
 
@@ -231,6 +238,7 @@ class TestWriteErrorIsFailStop:
         with pytest.raises(StoreError):
             store.put(b"k", b"v")
         _assert_refuses_everything(store)
+        store.close()
         # Written in full but never acked: it may survive, nothing else.
         with _store(path) as db:
             assert dict(db.items()) in ({}, {b"k": b"v"})
@@ -244,8 +252,9 @@ class TestWriteErrorIsFailStop:
         with pytest.raises(StoreError):
             store.apply_batch([("put", b"c", b"3"), ("get", b"a", b"")])
         assert store.get(b"c") == b"3"
-        reopened = _store(path)
-        assert reopened.get(b"c") == b"3"
+        abandon(store)
+        with _store(path) as reopened:
+            assert reopened.get(b"c") == b"3"
 
     def test_bad_batch_op_changes_nothing(self, tmp_path):
         with _store(str(tmp_path)) as db:
@@ -356,7 +365,8 @@ class TestInstallIsAtomic:
         if error is OSError:
             # The process lives on: what it serves is what the disk holds.
             assert dict(store.items()) == want
-        with NoVoHT(path) as reopened:  # `store` is abandoned, as after a crash
+        abandon(store)  # as after a crash
+        with NoVoHT(path) as reopened:
             assert dict(reopened.items()) == want
             reopened.put(b"after", b"crash")
         with NoVoHT(path) as again:
